@@ -6,7 +6,7 @@ best responses, Nash solves, the discrete-event loop) so performance
 regressions are visible independently of the experiment logic.
 
 The event-loop throughput matrix (``test_event_loop_throughput``)
-sweeps the three packet disciplines across utilizations
+sweeps the four kernel-backed packet disciplines across utilizations
 rho in {0.5, 0.9, 0.97} and reports events per second.  Running this
 file as a script times the same matrix without pytest — once per
 engine backend (``scalar`` and, when a C toolchain is present,
@@ -53,9 +53,9 @@ RATES8 = np.linspace(0.02, 0.09, 8)
 FS = FairShareAllocation()
 FIFO = ProportionalAllocation()
 
-#: The event-loop matrix: three disciplines crossed with light,
-#: heavy, and near-saturation load.
-LOOP_POLICIES = ("fifo", "fair-share", "fair-queueing")
+#: The event-loop matrix: the four disciplines with a compiled kernel
+#: crossed with light, heavy, and near-saturation load.
+LOOP_POLICIES = ("fifo", "fair-share", "fair-queueing", "round-robin")
 LOOP_RHOS = (0.5, 0.9, 0.97)
 
 

@@ -31,8 +31,19 @@ LABELS = ["ftp-1", "ftp-2", "telnet-1", "telnet-2"]
 
 
 def delay_of(rates: np.ndarray, congestion: np.ndarray) -> np.ndarray:
-    """Per-user mean sojourn time via Little's law (c = r d)."""
-    return congestion / rates
+    """Per-user mean sojourn time via Little's law (c = r d).
+
+    NaN for a user with zero throughput: a user the equilibrium prices
+    down to a tiny rate may send no packet in the simulated window.
+    """
+    delays = np.full(np.shape(rates), np.nan)
+    np.divide(congestion, rates, out=delays, where=rates > 0)
+    return delays
+
+
+def delay_cell(delay: float):
+    """A delay table cell; an undefined delay prints as ``n/a``."""
+    return "n/a" if np.isnan(delay) else float(delay)
 
 
 def main() -> None:
@@ -53,8 +64,8 @@ def main() -> None:
         for i, label in enumerate(LABELS):
             table.add_row(label, float(rates[i]),
                           float(equilibrium.congestion[i]),
-                          float(sim.mean_queues[i]), float(delays[i]),
-                          float(sim_delays[i]))
+                          float(sim.mean_queues[i]), delay_cell(delays[i]),
+                          delay_cell(sim_delays[i]))
         print(table.render())
         telnet_delay = float(delays[2:].mean())
         ftp_rate = float(rates[:2].sum())

@@ -32,10 +32,12 @@ back to the inherited scalar loop.  Supported kernels:
 
 * ``FIFOQueue`` (memoryless, exponential service);
 * ``FairShareLadderQueue`` (memoryless, exponential service);
+* ``RoundRobinQueue`` (memoryless, exponential service);
 * ``StartTimeFairQueue`` (sized; any service process).
 
-Anything else — adaptive ladders, processor sharing, finite buffers,
-sized FIFO — runs scalar.  The backend is selected by
+Anything else — adaptive ladders, LIFO, processor sharing, HOL
+priority, finite buffers, sized FIFO and sized round robin — runs
+scalar.  The backend is selected by
 ``GREEDWORK_ENGINE_BACKEND`` (see :func:`repro.sim.runner.engine_backend`).
 """
 
@@ -53,7 +55,11 @@ from repro.exceptions import SimulationError
 from repro.sim import kernels as kn
 from repro.sim.fair_queueing import StartTimeFairQueue
 from repro.sim.packet import Packet
-from repro.sim.queues import FairShareLadderQueue, FIFOQueue
+from repro.sim.queues import (
+    FairShareLadderQueue,
+    FIFOQueue,
+    RoundRobinQueue,
+)
 from repro.sim.runner import SimulationEngine
 
 _EMPTY_F = np.empty(0, dtype=float)
@@ -177,54 +183,60 @@ class _FifoState:
         return -1
 
 
-class _LadderState:
-    """Node-pool image of a ``FairShareLadderQueue`` backlog.
+class _NodePoolState:
+    """Linked-list FIFOs over one shared node pool.
 
-    Class FIFOs are singly-linked lists over a shared node pool whose
-    ``node_next`` array doubles as the free list; ``node_aidx`` stamps
-    global arrival order so the backlog can be rebuilt with fresh,
-    order-preserving packet sequence numbers.
+    Base of the ladder (one list per priority class) and round-robin
+    (one list per user) images.  ``node_next`` chains both the lists
+    and the free list; ``node_aidx`` stamps global arrival order so the
+    backlog can be rebuilt with fresh, order-preserving packet
+    sequence numbers.
     """
 
-    HAS_DEP_LOG = True
+    HAS_DEP_LOG = False
 
-    def __init__(self, policy: FairShareLadderQueue, iregs: np.ndarray,
-                 n: int) -> None:
-        self.n_classes = len(policy._classes)
-        cum = np.full((n, self.n_classes), np.inf)
-        cum_len = np.zeros(n, dtype=np.int64)
-        for user in range(n):
-            weights = policy._class_cum[user]
-            cum_len[user] = len(weights)
-            cum[user, :len(weights)] = weights
-        self.cum = np.ascontiguousarray(cum)
-        self.cum_len = cum_len
-        ordered = sorted(
-            (packet.seq, klass, packet)
-            for klass, q in enumerate(policy._classes) for packet in q)
-        used = len(ordered)
+    def _build_pool(self, lists, iregs: np.ndarray,
+                    held: Optional[Packet] = None) -> int:
+        """Load per-list packet deques into a fresh pool.
+
+        ``held`` is a packet kept outside the lists (round robin's
+        locked packet); it still takes an arrival stamp, which is
+        returned (-1 without one).
+        """
+        entries = [(packet.seq, index, packet)
+                   for index, queue in enumerate(lists)
+                   for packet in queue]
+        if held is not None:
+            entries.append((held.seq, -1, held))
+        entries.sort(key=lambda entry: entry[0])
+        used = len(entries) - (held is not None)
         self.ncap = _capacity(used)
         self.node_user = np.zeros(self.ncap, dtype=np.int64)
         self.node_time = np.zeros(self.ncap, dtype=float)
         self.node_next = np.full(self.ncap, -1, dtype=np.int64)
         self.node_aidx = np.zeros(self.ncap, dtype=np.int64)
-        self.class_head = np.full(self.n_classes, -1, dtype=np.int64)
-        self.class_tail = np.full(self.n_classes, -1, dtype=np.int64)
-        for node, (_seq, klass, packet) in enumerate(ordered):
+        self.head = np.full(len(lists), -1, dtype=np.int64)
+        self.tail = np.full(len(lists), -1, dtype=np.int64)
+        held_aidx = -1
+        node = 0
+        for aidx, (_seq, index, packet) in enumerate(entries):
+            if index < 0:
+                held_aidx = aidx
+                continue
             self.node_user[node] = packet.user
             self.node_time[node] = packet.arrival_time
-            self.node_aidx[node] = node
-            if self.class_head[klass] < 0:
-                self.class_head[klass] = node
+            self.node_aidx[node] = aidx
+            if self.head[index] < 0:
+                self.head[index] = node
             else:
-                self.node_next[self.class_tail[klass]] = node
-            self.class_tail[klass] = node
+                self.node_next[self.tail[index]] = node
+            self.tail[index] = node
+            node += 1
         self.node_next[used:self.ncap - 1] = np.arange(used + 1, self.ncap)
-        self.node_next[self.ncap - 1] = -1
         self.iregs = iregs
         iregs[kn.I_FREE_HEAD] = used if used < self.ncap else -1
-        iregs[kn.I_QCOUNT] = used
-        iregs[kn.I_AIDX] = used
+        iregs[kn.I_AIDX] = len(entries)
+        return held_aidx
 
     def grow(self) -> None:
         old_cap = self.ncap
@@ -242,6 +254,60 @@ class _LadderState:
         # GROW fires only on an empty free list.
         self.iregs[kn.I_FREE_HEAD] = old_cap
 
+    def _pool_args(self) -> list:
+        return [kn.i64_ptr(self.node_user), kn.f64_ptr(self.node_time),
+                kn.i64_ptr(self.node_next), kn.i64_ptr(self.node_aidx),
+                kn.i64_ptr(self.head), kn.i64_ptr(self.tail)]
+
+    def _export_pool(self, held=None):
+        """The lists as packet deques, plus the held packet (or None).
+
+        Packets are created in arrival-stamp order so their fresh
+        sequence numbers keep the backlog's relative order.  ``held``
+        is the ``(aidx, user, arrival_time)`` of the packet kept
+        outside the lists.
+        """
+        nodes = []
+        for index in range(self.head.size):
+            node = int(self.head[index])
+            while node >= 0:
+                nodes.append((int(self.node_aidx[node]), index,
+                              int(self.node_user[node]),
+                              float(self.node_time[node])))
+                node = int(self.node_next[node])
+        if held is not None:
+            nodes.append((held[0], -1, held[1], held[2]))
+        nodes.sort()
+        lists: List[deque] = [deque() for _ in range(self.head.size)]
+        held_packet: Optional[Packet] = None
+        for _aidx, index, user, time in nodes:
+            packet = Packet(user=user, arrival_time=time)
+            if index < 0:
+                held_packet = packet
+            else:
+                lists[index].append(packet)
+        return lists, held_packet
+
+
+class _LadderState(_NodePoolState):
+    """Node-pool image of a ``FairShareLadderQueue`` backlog."""
+
+    HAS_DEP_LOG = True
+
+    def __init__(self, policy: FairShareLadderQueue, iregs: np.ndarray,
+                 n: int) -> None:
+        self.n_classes = len(policy._classes)
+        cum = np.full((n, self.n_classes), np.inf)
+        cum_len = np.zeros(n, dtype=np.int64)
+        for user in range(n):
+            weights = policy._class_cum[user]
+            cum_len[user] = len(weights)
+            cum[user, :len(weights)] = weights
+        self.cum = np.ascontiguousarray(cum)
+        self.cum_len = cum_len
+        self._build_pool(policy._classes, iregs)
+        iregs[kn.I_QCOUNT] = policy._count
+
     def kernel(self, lib):
         return lib.gw_ladder_kernel
 
@@ -250,27 +316,52 @@ class _LadderState:
         # the engine (``_UNIFORMS_SLOT``).
         return [kn.f64_ptr(_EMPTY_F),
                 kn.f64_ptr(self.cum), kn.i64_ptr(self.cum_len),
-                self.n_classes,
-                kn.i64_ptr(self.node_user), kn.f64_ptr(self.node_time),
-                kn.i64_ptr(self.node_next), kn.i64_ptr(self.node_aidx),
-                kn.i64_ptr(self.class_head), kn.i64_ptr(self.class_tail)]
+                self.n_classes, *self._pool_args()]
 
     def export(self, policy: FairShareLadderQueue, fregs, iregs) -> int:
-        nodes = []
-        for klass in range(self.n_classes):
-            node = int(self.class_head[klass])
-            while node >= 0:
-                nodes.append((int(self.node_aidx[node]), klass,
-                              int(self.node_user[node]),
-                              float(self.node_time[node])))
-                node = int(self.node_next[node])
-        nodes.sort()
-        classes: List[deque] = [deque() for _ in range(self.n_classes)]
-        for _aidx, klass, user, time in nodes:
-            classes[klass].append(Packet(user=user, arrival_time=time,
-                                         priority=klass))
+        classes, _ = self._export_pool()
+        for klass, queue in enumerate(classes):
+            for packet in queue:
+                packet.priority = klass
         policy._classes = classes
-        policy._count = len(nodes)
+        policy._count = int(iregs[kn.I_QCOUNT])
+        return -1
+
+
+class _RoundRobinState(_NodePoolState):
+    """Node-pool image of a memoryless ``RoundRobinQueue`` backlog.
+
+    One list per user; the locked packet lives in the SFQ locked
+    registers, outside its list, as in the scalar policy.
+    """
+
+    def __init__(self, policy: RoundRobinQueue, iregs: np.ndarray,
+                 fregs: np.ndarray) -> None:
+        self.n_queues = len(policy._queues)
+        locked = policy._locked
+        iregs[kn.I_LOCKED_AIDX] = self._build_pool(policy._queues, iregs,
+                                                   held=locked)
+        iregs[kn.I_LOCKED_USER] = -1 if locked is None else locked.user
+        fregs[kn.F_LOCKED_TIME] = (0.0 if locked is None
+                                   else locked.arrival_time)
+        iregs[kn.I_QCOUNT] = policy._count
+        iregs[kn.I_CURSOR] = policy._cursor
+
+    def kernel(self, lib):
+        return lib.gw_rr_kernel
+
+    def policy_args(self) -> list:
+        return [self.n_queues, *self._pool_args()]
+
+    def export(self, policy: RoundRobinQueue, fregs, iregs) -> int:
+        locked_user = int(iregs[kn.I_LOCKED_USER])
+        held = None
+        if locked_user >= 0:
+            held = (int(iregs[kn.I_LOCKED_AIDX]), locked_user,
+                    float(fregs[kn.F_LOCKED_TIME]))
+        policy._queues, policy._locked = self._export_pool(held)
+        policy._cursor = int(iregs[kn.I_CURSOR])
+        policy._count = int(iregs[kn.I_QCOUNT])
         return -1
 
 
@@ -420,6 +511,11 @@ class ChunkedSimulationEngine(SimulationEngine):
             return "fifo"
         if type(policy) is FairShareLadderQueue:
             return "ladder"
+        # Fewer subqueues than users makes the scalar push raise; the
+        # kernel would write past its lists instead.
+        if (type(policy) is RoundRobinQueue
+                and len(policy._queues) >= self.rates.size):
+            return "rr"
         return None
 
     def _run_chunked(self, horizon: float, kind: str) -> int:
@@ -446,6 +542,8 @@ class ChunkedSimulationEngine(SimulationEngine):
             state = _FifoState(self.policy, iregs)
         elif kind == "ladder":
             state = _LadderState(self.policy, iregs, n)
+        elif kind == "rr":
+            state = _RoundRobinState(self.policy, iregs, fregs)
         else:
             state = _SfqState(self.policy, iregs, fregs, self.serving_seq)
 

@@ -3,13 +3,17 @@
 The chunked backend (:mod:`repro.sim.chunked`) splits a run into
 chunks bounded by variate-block refills, prepares each chunk's inputs
 as numpy arrays (merged arrival ladders, service blocks, thinning
-uniforms), and hands the per-event race to one of three compiled
+uniforms), and hands the per-event race to one of four compiled
 kernels:
 
 * ``gw_fifo_kernel`` — memoryless FIFO;
 * ``gw_ladder_kernel`` — the memoryless preemptive Fair Share
   priority ladder (per-arrival Poisson thinning);
+* ``gw_rr_kernel`` — memoryless round robin (per-user polling);
 * ``gw_sfq_kernel`` — sized Start-time Fair Queueing.
+
+The ladder and round robin keep their FIFO lists in one shared node
+pool (``gw_list_push``/``gw_list_pop``).
 
 Each kernel is a *transliteration* of the scalar loop in
 :mod:`repro.sim.runner` plus the lazy fold/batch logic of
@@ -41,10 +45,11 @@ buffers owned by the Python side:
 pending, 7 queue head, 8 queue count, 9 return reason, 10 segments
 emitted, 11 packet-order counter, 12 locked user, 13 locked order,
 14 serving order, 15 heap size, 16 free-list head, 17 departure-log
-cursor (the memoryless kernels append ``(time, user)`` departures
-when ``dep_cap > 0`` — the sharded multi-switch handoff channel;
-``dep_cap = 0`` disables logging and the single-switch engine runs
-with it off).
+cursor (the FIFO and ladder kernels append ``(time, user)``
+departures when ``dep_cap > 0`` — the sharded multi-switch handoff
+channel; ``dep_cap = 0`` disables logging and the single-switch
+engine runs with it off), 18 round-robin cursor.  Round robin's
+locked packet uses the SFQ locked slots (iregs 12 and 13, fregs 7).
 
 Return reasons: 0 chunk done, 1 service block exhausted (refill and
 re-enter), 2 queue/heap capacity reached (grow and re-enter),
@@ -73,7 +78,7 @@ FREGS = 16
 (I_ARRIVALS, I_DEPARTURES, I_BIDX, I_AI, I_SI, I_UI, I_REDRAW,
  I_QHEAD, I_QCOUNT, I_REASON, I_NSEG, I_AIDX, I_LOCKED_USER,
  I_LOCKED_AIDX, I_SERVING_AIDX, I_HEAP_SIZE, I_FREE_HEAD,
- I_DEP) = range(18)
+ I_DEP, I_CURSOR) = range(19)
 IREGS = 24
 
 #: Return reasons.
@@ -83,7 +88,9 @@ DONE, NEED_SERVICE, GROW, SEGCAP = 0, 1, 2, 3
 ENV_KERNEL_DIR = "GREEDWORK_KERNEL_DIR"
 
 _C_SOURCE = r"""
-#include <math.h>
+/* +inf without <math.h>: parsing that header is about 5% of the build,
+   and every cold start pays the build. */
+#define HUGE_VAL (__builtin_huge_val())
 
 typedef long long i64;
 
@@ -239,9 +246,41 @@ i64 gw_fifo_kernel(double *fregs, i64 *iregs, i64 n,
     return reason;
 }
 
-/* ---------------- memoryless Fair Share priority ladder ----------------
-   Class queues are linked-list FIFOs over a node pool: node_next chains
-   both the per-class queues and the free list (iregs[16]). */
+/* ---------------- linked-list FIFOs over a node pool ----------------
+   The ladder's class queues and round robin's per-user queues: node_next
+   chains both the lists and the free list (iregs[16]); node_aidx stamps
+   arrival order. */
+
+static void gw_list_push(i64 list, i64 u, double t, i64 aidx,
+                         i64 *free_head, i64 *node_user,
+                         double *node_time, i64 *node_next,
+                         i64 *node_aidx, i64 *head, i64 *tail)
+{
+    i64 node = *free_head;
+    *free_head = node_next[node];
+    node_user[node] = u;
+    node_time[node] = t;
+    node_aidx[node] = aidx;
+    node_next[node] = -1;
+    if (head[list] < 0) head[list] = node;
+    else node_next[tail[list]] = node;
+    tail[list] = node;
+}
+
+/* Unlink the head of a nonempty list onto the free list; the returned
+   node's fields stay readable until the next push. */
+static i64 gw_list_pop(i64 list, i64 *free_head, i64 *node_next,
+                       i64 *head, i64 *tail)
+{
+    i64 node = head[list];
+    head[list] = node_next[node];
+    if (head[list] < 0) tail[list] = -1;
+    node_next[node] = *free_head;
+    *free_head = node;
+    return node;
+}
+
+/* ---------------- memoryless Fair Share priority ladder ---------------- */
 
 i64 gw_ladder_kernel(double *fregs, i64 *iregs, i64 n,
                      i64 *counts, double *fold_from, double *areas,
@@ -284,7 +323,7 @@ i64 gw_ladder_kernel(double *fregs, i64 *iregs, i64 n,
             reason = 0; break;
         }
         if (na <= nc) {
-            i64 u, node, klass, j, L;
+            i64 u, klass, j, L;
             const double *cu;
             double r;
             if (free_head < 0) { reason = 2; break; }
@@ -302,34 +341,26 @@ i64 gw_ladder_kernel(double *fregs, i64 *iregs, i64 n,
             j = 0;
             while (j < L && cu[j] <= r) j++;
             klass = (j < L) ? j : L - 1;
-            node = free_head;
-            free_head = node_next[node];
-            node_user[node] = u;
-            node_time[node] = na;
-            node_aidx[node] = aidx_ctr++;
-            node_next[node] = -1;
-            if (class_head[klass] < 0) class_head[klass] = node;
-            else node_next[class_tail[klass]] = node;
-            class_tail[klass] = node;
+            gw_list_push(klass, u, na, aidx_ctr++, &free_head, node_user,
+                         node_time, node_next, node_aidx, class_head,
+                         class_tail);
             qc++; ai++;
             na_count++;
             gw_on_arrival(u, 0.0, fregs, counts, fold_from, areas, seg_acc,
                           arr_acc, size_acc);
         } else {
-            i64 u, k, node = -1; double at;
+            i64 u, k, node; double at;
             if (gw_advance(nc, fregs, iregs, n, counts, fold_from, areas,
                            seg_acc, arr_acc, size_acc, seg_areas_out,
                            seg_arr_out, seg_size_out, max_seg)) {
                 reason = 3; break; }
             now = nc;
             for (k = 0; k < K; k++)
-                if (class_head[k] >= 0) { node = class_head[k]; break; }
-            class_head[k] = node_next[node];
-            if (class_head[k] < 0) class_tail[k] = -1;
+                if (class_head[k] >= 0) break;
+            node = gw_list_pop(k, &free_head, node_next, class_head,
+                               class_tail);
             u = node_user[node];
             at = node_time[node];
-            node_next[node] = free_head;
-            free_head = node;
             qc--;
             nd++;
             gw_on_departure(u, now - at, fregs, counts, fold_from, areas,
@@ -350,6 +381,109 @@ i64 gw_ladder_kernel(double *fregs, i64 *iregs, i64 n,
     iregs[11] = aidx_ctr;
     iregs[16] = free_head;
     iregs[17] = dc;
+    return reason;
+}
+
+/* ---------------- memoryless round robin ----------------
+   RoundRobinQueue: K per-user FIFO lists over the node pool, the cursor
+   (iregs[18]) and the locked packet (iregs[12], iregs[13], fregs[7]),
+   which leaves its list when it is locked.  qc counts the locked packet
+   too, so qc == 0 exactly when nothing is locked. */
+
+i64 gw_rr_kernel(double *fregs, i64 *iregs, i64 n,
+                 i64 *counts, double *fold_from, double *areas,
+                 double *seg_acc, i64 *arr_acc, double *size_acc,
+                 i64 *deps, double *soj_sums, i64 *soj_counts,
+                 double *seg_areas_out, i64 *seg_arr_out,
+                 double *seg_size_out, i64 max_seg,
+                 const double *arr_times, const i64 *arr_users, i64 A,
+                 const double *service, i64 S, i64 K,
+                 i64 *node_user, double *node_time, i64 *node_next,
+                 i64 *node_aidx, i64 *user_head, i64 *user_tail,
+                 double t_c, i64 finalize, double horizon)
+{
+    double now = fregs[0], nc = fregs[2], locked_time = fregs[7];
+    i64 ai = iregs[3], si = iregs[4];
+    i64 qc = iregs[8];
+    i64 na_count = iregs[0], nd = iregs[1];
+    i64 redraw = iregs[6];
+    i64 aidx_ctr = iregs[11];
+    i64 locked_user = iregs[12], locked_aidx = iregs[13];
+    i64 free_head = iregs[16];
+    i64 cursor = iregs[18];
+    i64 reason = 0;
+    for (;;) {
+        double na;
+        i64 k;
+        if (redraw) {
+            if (si >= S) { reason = 1; break; }
+            nc = now + service[si++];
+            redraw = 0;
+        }
+        na = (ai < A) ? arr_times[ai] : HUGE_VAL;
+        if (na >= t_c && nc >= t_c) {
+            if (finalize)
+                if (gw_advance(horizon, fregs, iregs, n, counts, fold_from,
+                               areas, seg_acc, arr_acc, size_acc,
+                               seg_areas_out, seg_arr_out, seg_size_out,
+                               max_seg)) { reason = 3; break; }
+            reason = 0; break;
+        }
+        if (na <= nc) {
+            i64 u;
+            if (free_head < 0) { reason = 2; break; }
+            if (gw_advance(na, fregs, iregs, n, counts, fold_from, areas,
+                           seg_acc, arr_acc, size_acc, seg_areas_out,
+                           seg_arr_out, seg_size_out, max_seg)) {
+                reason = 3; break; }
+            now = na;
+            u = arr_users[ai];
+            gw_list_push(u, u, na, aidx_ctr++, &free_head, node_user,
+                         node_time, node_next, node_aidx, user_head,
+                         user_tail);
+            qc++; ai++;
+            na_count++;
+            gw_on_arrival(u, 0.0, fregs, counts, fold_from, areas, seg_acc,
+                          arr_acc, size_acc);
+        } else {
+            i64 u = locked_user; double at = locked_time;
+            if (gw_advance(nc, fregs, iregs, n, counts, fold_from, areas,
+                           seg_acc, arr_acc, size_acc, seg_areas_out,
+                           seg_arr_out, seg_size_out, max_seg)) {
+                reason = 3; break; }
+            now = nc;
+            locked_user = -1;
+            qc--;
+            nd++;
+            gw_on_departure(u, now - at, fregs, counts, fold_from, areas,
+                            seg_acc, deps, soj_sums, soj_counts);
+        }
+        /* RoundRobinQueue._lock_next */
+        if (locked_user < 0)
+            for (k = 0; k < K; k++) {
+                i64 idx = (cursor + k) % K;
+                if (user_head[idx] >= 0) {
+                    i64 node = gw_list_pop(idx, &free_head, node_next,
+                                           user_head, user_tail);
+                    locked_user = node_user[node];
+                    locked_time = node_time[node];
+                    locked_aidx = node_aidx[node];
+                    cursor = (idx + 1) % K;
+                    break;
+                }
+            }
+        if (qc == 0) nc = HUGE_VAL; else redraw = 1;
+    }
+    fregs[0] = now; fregs[2] = nc; fregs[7] = locked_time;
+    iregs[0] = na_count; iregs[1] = nd;
+    iregs[3] = ai; iregs[4] = si;
+    iregs[6] = redraw;
+    iregs[8] = qc;
+    iregs[9] = reason;
+    iregs[11] = aidx_ctr;
+    iregs[12] = locked_user; iregs[13] = locked_aidx;
+    iregs[16] = free_head;
+    iregs[18] = cursor;
     return reason;
 }
 
@@ -530,6 +664,15 @@ _SIGNATURES = {
         _F64, _I64, ctypes.c_longlong,
         _I64, _F64, _I64, _I64, _I64, _I64,
         _F64, _I64, ctypes.c_longlong,
+        ctypes.c_double, ctypes.c_longlong, ctypes.c_double,
+    ],
+    "gw_rr_kernel": [
+        _F64, _I64, ctypes.c_longlong,
+        _I64, _F64, _F64, _F64, _I64, _F64, _I64, _F64, _I64,
+        _F64, _I64, _F64, ctypes.c_longlong,
+        _F64, _I64, ctypes.c_longlong,
+        _F64, ctypes.c_longlong, ctypes.c_longlong,
+        _I64, _F64, _I64, _I64, _I64, _I64,
         ctypes.c_double, ctypes.c_longlong, ctypes.c_double,
     ],
     "gw_sfq_kernel": [

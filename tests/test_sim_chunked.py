@@ -9,12 +9,22 @@ resume across backends, incremental ``run_to`` chunks arbitrarily).
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import kernels
+from repro.sim.arrivals import VARIATE_MODES
 from repro.sim.chunked import ChunkedSimulationEngine
+from repro.sim.fair_queueing import StartTimeFairQueue
+from repro.sim.queues import (
+    FairShareLadderQueue,
+    FIFOQueue,
+    RoundRobinQueue,
+)
 from repro.sim.runner import (
     ENV_ENGINE_BACKEND,
     SimulationConfig,
@@ -22,6 +32,7 @@ from repro.sim.runner import (
     engine_backend,
     simulate,
 )
+from repro.sweep.catalog import builtin_catalog
 
 RATES = (0.08, 0.16, 0.24, 0.32)
 
@@ -46,18 +57,56 @@ def run_engine(engine_cls, config, horizons=None):
     return engine
 
 
+def backlog_fingerprint(policy):
+    """The policy's queued packets, their arrival order and registers.
+
+    Raw packet sequence numbers are left out: they come from a
+    process-global counter, and the chunked export renumbers the
+    backlog, keeping only its relative order.
+    """
+    locked = [policy._locked] if getattr(policy, "_locked", None) else []
+    if isinstance(policy, FIFOQueue):
+        queues, registers = [policy._queue], ()
+    elif isinstance(policy, FairShareLadderQueue):
+        queues, registers = policy._classes, (policy._count,)
+    elif isinstance(policy, RoundRobinQueue):
+        queues = [locked, *policy._queues]
+        registers = (policy._cursor, policy._count)
+    elif isinstance(policy, StartTimeFairQueue):
+        heap = sorted(policy._heap, key=lambda entry: entry[:2])
+        queues = [locked, [packet for _start, _seq, packet in heap]]
+        registers = (tuple(start for start, _seq, _packet in heap),
+                     policy._virtual_time, tuple(policy._finish_tags))
+    else:                               # processor sharing
+        queues, registers = [policy._packets], ()
+
+    def fields(packet):
+        return (packet.user, packet.arrival_time, packet.priority,
+                packet.size)
+
+    backlog = sorted((packet for queue in queues for packet in queue),
+                     key=lambda packet: packet.seq)
+    return (tuple(tuple(map(fields, queue)) for queue in queues),
+            registers, tuple(map(fields, backlog)))
+
+
 def state_fingerprint(engine):
-    """Everything observable: results, counters, generator states."""
+    """Everything observable: results, counters, generator states,
+    and the policy backlog."""
     result = engine.result()
     stream_states = tuple(
         (stream.draws, stream._pos, tuple(stream._buf),
          stream._rng.bit_generator.state["state"]["state"])
         for stream in engine.arrival_streams)
     service = engine.service_stream
+    batch = result.batch
+    # Before the first batch closes the per-batch arrays are None.
+    per_batch = tuple(
+        None if values is None else values.tobytes()
+        for values in (batch.per_batch, batch.per_batch_arrivals,
+                       batch.per_batch_sizes))
     return (result.mean_queues.tobytes(),
-            result.batch.per_batch.tobytes(),
-            result.batch.per_batch_arrivals.tobytes(),
-            result.batch.per_batch_sizes.tobytes(),
+            per_batch,
             result.mean_delays.tobytes(),
             result.throughputs.tobytes(),
             result.arrivals, result.departures,
@@ -67,10 +116,11 @@ def state_fingerprint(engine):
              service._rng.bit_generator.state["state"]["state"]),
             engine.policy_rng.bit_generator.state["state"]["state"],
             engine.now, engine.next_completion,
-            tuple(sorted(engine.arrivals_heap)))
+            tuple(sorted(engine.arrivals_heap)),
+            backlog_fingerprint(engine.policy))
 
 
-#: Policy/process/mode matrix covering all three kernels, every
+#: Policy/process/mode matrix covering all four kernels, every
 #: arrival process, non-exponential service, and the inversion modes.
 MATRIX = [
     ("fifo", "poisson", "exponential", "default"),
@@ -83,7 +133,13 @@ MATRIX = [
     ("fq", "poisson", "hyperexponential", "default"),
     ("fq", "hyperexponential", "deterministic", "default"),
     ("fq", "poisson", "exponential", "inverse"),
+    ("round-robin", "poisson", "exponential", "default"),
+    ("round-robin", "hyperexponential", "exponential", "inverse"),
+    ("round-robin", "deterministic", "exponential", "antithetic"),
 ]
+
+#: The disciplines with a compiled kernel.
+KERNEL_POLICIES = ["fifo", "fair-share", "fq", "round-robin"]
 
 
 @needs_kernels
@@ -96,7 +152,7 @@ class TestBitIdentity:
         chunked = run_engine(ChunkedSimulationEngine, config)
         assert state_fingerprint(scalar) == state_fingerprint(chunked)
 
-    @pytest.mark.parametrize("policy", ["fifo", "fair-share", "fq"])
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     def test_incremental_run_to_matches_single_call(self, policy):
         config = config_for(policy)
         whole = run_engine(ChunkedSimulationEngine, config)
@@ -113,6 +169,35 @@ class TestBitIdentity:
             chunked = run_engine(ChunkedSimulationEngine, config)
             assert state_fingerprint(scalar) == \
                 state_fingerprint(chunked)
+
+    @pytest.mark.parametrize("rates", [
+        (0.55,), tuple(np.linspace(0.02, 0.2, 8))], ids=["n1", "n8"])
+    def test_round_robin_user_counts(self, rates):
+        for seed in (0, 3, 123):
+            config = SimulationConfig(
+                rates=rates, policy="round-robin", horizon=2000.0,
+                warmup=50.0, seed=seed, batch_quota=130.0)
+            scalar = run_engine(SimulationEngine, config)
+            chunked = run_engine(ChunkedSimulationEngine, config)
+            assert state_fingerprint(scalar) == \
+                state_fingerprint(chunked)
+
+    def test_round_robin_queue_count_differs_from_users(self):
+        # Spare subqueues stay empty but the cursor still wraps over
+        # them; with too few, the scalar push raises, so the kernel
+        # (which would write past its lists) must not run.
+        engines = [
+            cls(replace(config_for("round-robin"),
+                        policy=RoundRobinQueue(6)))
+            for cls in (SimulationEngine, ChunkedSimulationEngine)]
+        assert engines[1]._kernel_kind() == "rr"
+        for engine in engines:
+            engine.run_to(3000.0)
+        assert state_fingerprint(engines[0]) == \
+            state_fingerprint(engines[1])
+        short = ChunkedSimulationEngine(replace(
+            config_for("round-robin"), policy=RoundRobinQueue(3)))
+        assert short._kernel_kind() is None
 
     def test_n_batches_layout_matches(self):
         # The horizon-tied batch layout (no batch_quota) must also
@@ -134,7 +219,7 @@ class TestGoldenDrawCounts:
     these exact numbers change.
     """
 
-    @pytest.mark.parametrize("policy", ["fifo", "fair-share", "fq"])
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     def test_draws_match_scalar_exactly(self, policy):
         config = config_for(policy)
         scalar = run_engine(SimulationEngine, config)
@@ -158,7 +243,7 @@ class TestCrossBackendSnapshots:
         (SimulationEngine, ChunkedSimulationEngine),
         (ChunkedSimulationEngine, SimulationEngine),
     ])
-    @pytest.mark.parametrize("policy", ["fifo", "fair-share", "fq"])
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
     def test_snapshot_resumes_across_backends(self, first, second,
                                               policy):
         config = config_for(policy)
@@ -169,6 +254,86 @@ class TestCrossBackendSnapshots:
         resumed.run_to(config.horizon)
         assert state_fingerprint(straight) == \
             state_fingerprint(resumed)
+
+    @pytest.mark.parametrize("first,second", [
+        (SimulationEngine, ChunkedSimulationEngine),
+        (ChunkedSimulationEngine, SimulationEngine),
+    ])
+    def test_round_robin_resumes_mid_service(self, first, second):
+        # At t=1500 a packet is locked, the cursor is past user 0 and
+        # several subqueues hold packets: the whole round-robin state
+        # crosses the snapshot.
+        config = config_for("round-robin")
+        straight = run_engine(first, config)
+        partial = run_engine(first, config, horizons=(1500.0,))
+        policy = partial.policy
+        assert policy._locked is not None and policy._cursor != 0
+        assert sum(1 for queue in policy._queues if queue) >= 2
+        state = pickle.loads(pickle.dumps(partial.snapshot()))
+        resumed = second.resume(state, config)
+        assert state_fingerprint(resumed) == state_fingerprint(
+            run_engine(second, config, horizons=(1500.0,)))
+        resumed.run_to(config.horizon)
+        assert state_fingerprint(straight) == \
+            state_fingerprint(resumed)
+
+
+@st.composite
+def engine_cases(draw):
+    """A random single-switch config plus ``run_to`` split points."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n,
+                            max_size=n))
+    load = draw(st.floats(0.05, 0.94))
+    rates = tuple(load * w / sum(weights) for w in weights)
+    horizon = draw(st.floats(300.0, 1500.0))
+    config = SimulationConfig(
+        rates=rates, policy="fifo", horizon=horizon,
+        warmup=0.1 * horizon, seed=draw(st.integers(0, 2**32 - 1)),
+        batch_quota=0.09 * horizon,
+        arrival_process=draw(st.sampled_from(
+            ("poisson", "hyperexponential", "deterministic"))),
+        variate_mode=draw(st.sampled_from(VARIATE_MODES)))
+    splits = sorted(draw(st.lists(st.floats(1.0, horizon),
+                                  max_size=2)))
+    return config, splits + [horizon]
+
+
+@needs_kernels
+class TestGeneratedConfigs:
+    """Scalar/chunked equality on generated configs, checked after
+    every ``run_to`` step."""
+
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    @given(case=engine_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_chunked_equals_scalar(self, policy, case):
+        config, horizons = case
+        config = replace(config, policy=policy)
+        scalar = SimulationEngine(config)
+        chunked = ChunkedSimulationEngine(config)
+        for horizon in horizons:
+            scalar.run_to(horizon)
+            chunked.run_to(horizon)
+            assert state_fingerprint(scalar) == \
+                state_fingerprint(chunked)
+
+
+class TestKernelCoverage:
+    """Every built-in sweep cell runs on a compiled kernel.
+
+    A type check, so it needs no compiler: a cell whose policy loses
+    its kernel would put the benchmarked sweep back on the scalar
+    loop, about 10x slower.
+    """
+
+    @pytest.mark.parametrize("name", ["paper", "smoke"])
+    def test_builtin_catalog_cells_have_a_kernel(self, name):
+        uncovered = [
+            cell for cell in builtin_catalog(name).cells
+            if ChunkedSimulationEngine(cell.config())._kernel_kind()
+            is None]
+        assert uncovered == []
 
 
 class TestBackendSelection:

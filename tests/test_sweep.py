@@ -369,7 +369,8 @@ class TestScheduler:
         full = run_sweep(catalog, jobs=1)
         journal_file = full.journal_path
         # Simulate a kill after two cells: drop the last two records.
-        lines = open(journal_file, encoding="utf-8").read().splitlines()
+        with open(journal_file, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
         kept, cell_lines = [], 0
         for line in lines:
             if json.loads(line)["kind"] == "cell":
@@ -511,7 +512,8 @@ class TestSweepCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "Cost-quality frontier" in out
-        document = json.load(open(out_path, encoding="utf-8"))
+        with open(out_path, encoding="utf-8") as handle:
+            document = json.load(handle)
         assert document["cells_total"] == 2
         # `sweep report` regenerates from the journal alone.
         code = cli_main(["sweep", "report", "--catalog", catalog_path])
