@@ -22,10 +22,11 @@ window runs.
 
 Handoff ordering is fully deterministic: injections are delivered in
 ascending ``(delivery window, source switch, departure order)`` and
-merged into each receiving engine's pending array stably by arrival
-time, so two runs with different ``jobs`` produce byte-identical
-per-switch engines.  The regression tests assert exactly this:
-``jobs=1``, ``jobs=2`` and ``jobs=4`` runs match snapshot-for-snapshot.
+merged into each receiving engine's pending array stably by
+``(arrival time, user)``, so two runs with different ``jobs`` produce
+byte-identical per-switch engines.  The regression tests assert
+exactly this: ``jobs=1``, ``jobs=2`` and ``jobs=4`` runs match
+snapshot-for-snapshot.
 
 Randomness follows the single-switch contract one level up:
 ``spawn_seeds(seed, n_switches)`` gives each switch an independent
@@ -176,10 +177,10 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
       chunked path, by the loop itself on the scalar fallback) for the
       master to turn into next-hop injections.
 
-    Injected arrivals merge into the chunk merge through the
-    :meth:`_take_injected` hook; on ties they sort by
-    ``(time, local user)`` with source arrivals winning exact ties,
-    which both backends implement identically.
+    Injected arrivals are one more sorted input to the kernels'
+    arrival merge.  Both backends take arrivals in ``(time, local
+    user)`` order; among handoffs with the same key, in delivery order;
+    and a source arrival before a handoff with the same key.
     """
 
     def __init__(self, config: SimulationConfig,
@@ -198,10 +199,11 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
 
     def _init_shard_fields(self, inj_times: np.ndarray,
                            inj_users: np.ndarray) -> None:
-        self._dep_log: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._inj_times = np.asarray(inj_times, dtype=float)
-        self._inj_users = np.asarray(inj_users, dtype=np.int64)
+        self._dep_log = []
+        self._inj_times = _EMPTY_F
+        self._inj_users = _EMPTY_I
         self._inj_pos = 0
+        self.inject(inj_times, inj_users)
 
     @classmethod
     def resume_shard(cls, state: EngineState, config: SimulationConfig,
@@ -232,11 +234,12 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         rem_u = self._inj_users[self._inj_pos:]
         merged_t = np.concatenate([rem_t, times])
         merged_u = np.concatenate([rem_u, users])
-        # Stable by time: earlier-delivered handoffs win exact ties,
-        # making the pending order a pure function of delivery order.
-        order = np.argsort(merged_t, kind="stable")
-        self._inj_times = merged_t[order]
-        self._inj_users = merged_u[order]
+        # Stable by (time, user): earlier-delivered handoffs win exact
+        # ties, making the pending order a pure function of delivery
+        # order.
+        order = np.lexsort((merged_u, merged_t))
+        self._inj_times = np.ascontiguousarray(merged_t[order])
+        self._inj_users = np.ascontiguousarray(merged_u[order])
         self._inj_pos = 0
 
     def pending_injections(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -252,14 +255,6 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         users = np.concatenate([entry[1] for entry in self._dep_log])
         self._dep_log = []
         return times, users
-
-    def _take_injected(self, t_c: float):
-        pos = self._inj_pos
-        hi = int(np.searchsorted(self._inj_times, t_c, side="left"))
-        if hi <= pos:
-            return None
-        self._inj_pos = hi
-        return self._inj_times[pos:hi], self._inj_users[pos:hi]
 
     # -- execution ----------------------------------------------------
 

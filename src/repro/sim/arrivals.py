@@ -54,14 +54,20 @@ VARIATE_MODES = ("default", "inverse", "antithetic")
 #: (``U = 0.0`` is a valid ``rng.random()`` output).
 _LOG_FLOOR = 1e-300
 
+#: The block of a random stream before its first refill.
+_EMPTY_BLOCK = np.empty(0)
+
 
 class VariateStream:
     """A batched, single-distribution variate source for the hot loop.
 
     Per-event ``rng.exponential(...)`` calls dominate the event engine
     at high load; this class amortizes them by pre-drawing
-    ``block_size`` variates at a time into a plain Python list and
-    serving them one by one with :meth:`draw`.
+    ``block_size`` variates at a time.  The block stays the float64
+    array numpy drew: :meth:`draw` serves it one Python float at a
+    time through a ``memoryview`` (the scalar engine), and
+    :meth:`buffered`/:meth:`peek_block` hand out views of it (the
+    chunked engine's kernels read those views in place).
 
     Draw-order contract (regression-tested; bump the engine version
     tag in :mod:`repro.sim.runner` if it changes):
@@ -101,7 +107,8 @@ class VariateStream:
     """
 
     __slots__ = ("process", "rate", "block_size", "mode", "draws",
-                 "_rng", "_buf", "_pos", "_hyper_p", "_hyper_rates")
+                 "_rng", "_buf", "_pos", "_hyper_p", "_hyper_rates",
+                 "_view")
 
     def __init__(self, process: str, rate: float,
                  rng: np.random.Generator,
@@ -141,9 +148,31 @@ class VariateStream:
             self._hyper_rates = (math.nan, math.nan)
         if key == "deterministic":
             # Constant gaps: fill once, never touch the generator.
-            self._buf = [1.0 / self.rate] * self.block_size
+            self._set_block(np.full(self.block_size, 1.0 / self.rate))
         else:
-            self._buf = []
+            self._set_block(_EMPTY_BLOCK)
+
+    def _set_block(self, block) -> None:
+        # The chunked kernels read the block through a raw double
+        # pointer: keep it contiguous float64 (a no-op for numpy's
+        # own draws).
+        self._buf = np.ascontiguousarray(block, dtype=float)
+        self._view = memoryview(self._buf)
+
+    # ``memoryview`` does not pickle: snapshots carry the block array
+    # alone.  Snapshots written before blocks were arrays hold a list
+    # (pickled as ``(None, slots)``); it converts to the same float64
+    # values, so such a snapshot resumes bit-identically.
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "_view"}
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, tuple):
+            state = state[1]
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._set_block(self._buf)
 
     def _standard_exponentials(self) -> np.ndarray:
         """One block of unit-rate exponentials in the stream's mode."""
@@ -154,7 +183,7 @@ class VariateStream:
             return -np.log1p(-uniforms)
         return -np.log(np.maximum(uniforms, _LOG_FLOOR))
 
-    def _refill(self) -> list:
+    def _refill(self) -> np.ndarray:
         """Draw the next block (see the draw-order contract above)."""
         if self.process == "poisson":
             if self.mode == "default":
@@ -174,19 +203,20 @@ class VariateStream:
             # is one of two strictly positive phase rates.
             block = exponentials / np.where(  # greedwork: ignore[GW201]
                 uniforms < self._hyper_p, fast, slow)
-        self._buf = block.tolist()
+        self._set_block(block)
         return self._buf
 
     def draw(self) -> float:
         """The next variate (refilling the block when exhausted)."""
         pos = self._pos
-        buf = self._buf
-        if pos >= len(buf):
-            buf = self._refill()
+        view = self._view
+        if pos >= len(view):
+            self._refill()
+            view = self._view
             pos = 0
         self._pos = pos + 1
         self.draws += 1
-        return buf[pos]
+        return view[pos]
 
     def take(self, n: int) -> np.ndarray:
         """The next ``n`` variates as an array (mostly for tests)."""
@@ -215,10 +245,14 @@ class VariateStream:
     #   generator from the scalar backend's);
     # * :meth:`consume` commits ``k`` of the exposed variates, exactly
     #   like ``k`` ``draw()`` calls would have.
+    #
+    # Both accessors return read-only-by-convention *views* of the
+    # block (contiguous float64, no copy): a refill replaces the block
+    # instead of writing into it, so a view stays valid after it.
 
     def buffered(self) -> np.ndarray:
         """Remaining buffered variates; never touches the generator."""
-        return np.asarray(self._buf[self._pos:], dtype=float)
+        return self._buf[self._pos:]
 
     def peek_block(self) -> np.ndarray:
         """Remaining buffered variates, refilling an empty buffer.
@@ -228,9 +262,9 @@ class VariateStream:
         the next variate is actually needed.
         """
         if self._pos >= len(self._buf):
-            self._buf = self._refill()
+            self._refill()
             self._pos = 0
-        return np.asarray(self._buf[self._pos:], dtype=float)
+        return self._buf[self._pos:]
 
     def consume(self, n: int) -> None:
         """Commit ``n`` previously peeked variates as served."""

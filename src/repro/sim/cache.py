@@ -306,12 +306,19 @@ def load(key: str) -> Optional[Any]:
 
 
 def _write_entry(key: str, obj: Any) -> bool:
-    """Atomically pickle ``obj`` under ``key``; True on success."""
+    """Atomically pickle ``obj`` under ``key``; True on success.
+
+    The shard directory is created only when the temporary file
+    cannot be: after a cache's first writes every shard exists.
+    """
     path = _entry_path(key)
     directory = os.path.dirname(path)
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(obj, handle,

@@ -1,27 +1,29 @@
-"""The chunked engine backend: numpy chunk orchestration + C kernels.
+"""The chunked engine backend: C kernels over array-native inputs.
 
 :class:`ChunkedSimulationEngine` is a drop-in
-:class:`~repro.sim.runner.SimulationEngine` whose ``run_to`` processes
-*chunks* of events at a time instead of one heap-pop per event:
+:class:`~repro.sim.runner.SimulationEngine` whose ``run_to`` hands the
+whole event loop to a compiled kernel (:mod:`repro.sim.kernels`) that
+replays the scalar loop in C:
 
-1. For every user, the buffered interarrival gaps of its
-   :class:`~repro.sim.arrivals.VariateStream` are turned into an
-   absolute arrival ladder with one ``cumsum`` (numpy's
-   ``add.accumulate`` is a sequential left fold, so the ladder is
-   bit-identical to the scalar engine's repeated additions).
-2. The chunk cutoff ``T_c`` is the smallest last-known arrival time
-   across users (clamped to the horizon): every arrival strictly
-   before ``T_c`` is already known, so the whole merged batch —
-   ``lexsort`` by ``(time, user)``, the scalar heap's tuple order —
-   can be handed to a compiled kernel (:mod:`repro.sim.kernels`)
-   that replays the exact scalar event loop in C.
-3. The kernel returns to Python only at genuine decision points:
-   service-block refills, capacity growth, and chunk completion.
+1. The kernel merges the arrivals itself.  It holds every user's next
+   arrival time in a heap ordered like the scalar engine's
+   ``(time, user)`` heap, takes the smallest, and adds the user's
+   next gap read in place from that user's
+   :class:`~repro.sim.arrivals.VariateStream` block — the same
+   sequential ``now + gap`` addition the scalar loop makes, so every
+   arrival time is bit-identical.
+2. The kernel writes completed batches straight into the tracker's
+   batch matrix (:class:`~repro.sim.measurements.QueueTracker`).
+3. The kernel returns to Python only to refill a variate block
+   (arrivals, service, the ladder's thinning uniforms) at exactly the
+   point the scalar loop would refill it, to grow an array, or to
+   flush a sharded switch's departure log.  One ``run_to`` is
+   therefore one kernel run, re-entered only for refills and growth.
 
 Everything observable — measurements, variate draw counters, RNG
 generator states, snapshots — is byte-for-byte identical to the
 scalar backend; the equivalence is golden-tested across policies,
-arrival/service processes, and variate modes.
+arrival/service processes, block sizes and variate modes.
 
 Between ``run_to`` calls the engine's state is exactly the scalar
 representation (policy backlog as :class:`Packet` objects, tracker
@@ -43,8 +45,6 @@ scalar.  The backend is selected by
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional
@@ -65,22 +65,14 @@ from repro.sim.runner import SimulationEngine
 _EMPTY_F = np.empty(0, dtype=float)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 
+#: Departures a kernel logs before returning to have the log flushed
+#: (sharded switch engines only).
+_DEP_LOG_CAP = 4096
+
 
 def _capacity(count: int, floor: int = 1024) -> int:
     """Power-of-two capacity comfortably above ``count``."""
     return 1 << max(floor.bit_length() - 1, (2 * count + 2).bit_length())
-
-
-def _max_segments(t_f: float, boundary: float, quota: float) -> int:
-    """Batch boundaries one kernel entry can cross before time ``t_f``.
-
-    Mirrors the tracker's ``now >= boundary - 1e-9`` crossing rule,
-    plus margin; the kernel's SEGCAP return is unreachable under this
-    bound and treated as a bug.
-    """
-    if not math.isfinite(quota) or boundary - 1e-9 > t_f:
-        return 1
-    return int((t_f + 1e-9 - boundary) / quota) + 2
 
 
 @dataclass
@@ -131,6 +123,57 @@ class _TrackerArrays:
                 kn.i64_ptr(self.arr_acc), kn.f64_ptr(self.size_acc),
                 kn.i64_ptr(self.deps), kn.f64_ptr(self.soj_sums),
                 kn.i64_ptr(self.soj_counts))
+
+
+class _ArrivalInput:
+    """The kernels' arrival input (see :mod:`repro.sim.kernels`).
+
+    Per-user next arrival times with the heap order of the scalar
+    engine's ``arrivals_heap``, each stream's buffered block read in
+    place through its address, and the engine's injected handoffs.
+    """
+
+    def __init__(self, engine: "ChunkedSimulationEngine") -> None:
+        heap = engine.arrivals_heap
+        self.pend = np.empty(len(heap))
+        self.heap = np.empty(len(heap), dtype=np.int64)
+        for slot, (time, user) in enumerate(heap):
+            self.pend[user] = time
+            self.heap[slot] = user
+        self.streams = engine.arrival_streams
+        # The views keep each block alive while the kernel reads it.
+        self.blocks = [stream.buffered() for stream in self.streams]
+        self.gap_addr = np.array([kn.f64_ptr(block)
+                                  for block in self.blocks], dtype=np.uintp)
+        self.gap_len = np.array([block.size for block in self.blocks],
+                                dtype=np.int64)
+        self.gap_pos = np.zeros(len(self.blocks), dtype=np.int64)
+        self.inj_times = engine._inj_times
+        self.inj_users = engine._inj_users
+
+    def args(self) -> list:
+        return [kn.f64_ptr(self.pend), kn.i64_ptr(self.heap),
+                kn.address(self.gap_addr, self.gap_addr.dtype),
+                kn.i64_ptr(self.gap_pos),
+                kn.i64_ptr(self.gap_len), kn.f64_ptr(self.inj_times),
+                kn.i64_ptr(self.inj_users), int(self.inj_times.size)]
+
+    def refill(self, user: int) -> None:
+        """Commit ``user``'s used-up block and draw the next one."""
+        stream = self.streams[user]
+        stream.consume(int(self.gap_pos[user]))
+        block = stream.peek_block()
+        self.blocks[user] = block
+        self.gap_addr[user] = kn.f64_ptr(block)
+        self.gap_len[user] = block.size
+        self.gap_pos[user] = 0
+
+    def commit(self) -> list:
+        """Commit the used gaps; the arrivals heap in scalar form."""
+        for stream, used in zip(self.streams, self.gap_pos.tolist()):
+            stream.consume(used)
+        times = self.pend.tolist()
+        return [(times[user], user) for user in self.heap.tolist()]
 
 
 class _FifoState:
@@ -312,10 +355,8 @@ class _LadderState(_NodePoolState):
         return lib.gw_ladder_kernel
 
     def policy_args(self) -> list:
-        # Leading slot is the per-chunk uniforms pointer, patched in by
-        # the engine (``_UNIFORMS_SLOT``).
-        return [kn.f64_ptr(_EMPTY_F),
-                kn.f64_ptr(self.cum), kn.i64_ptr(self.cum_len),
+        # The thinning uniforms precede these; the engine owns them.
+        return [kn.f64_ptr(self.cum), kn.i64_ptr(self.cum_len),
                 self.n_classes, *self._pool_args()]
 
     def export(self, policy: FairShareLadderQueue, fregs, iregs) -> int:
@@ -478,6 +519,16 @@ class ChunkedSimulationEngine(SimulationEngine):
     work unchanged and both backends' snapshots interoperate.
     """
 
+    #: Injected arrivals sorted by ``(time, user)`` and the index of the
+    #: first pending one: none here; sharded switch engines
+    #: (:mod:`repro.network.sharded`) deliver handoffs into them.
+    _inj_times = _EMPTY_F
+    _inj_users = _EMPTY_I
+    _inj_pos = 0
+    #: Departure log, a list of ``(times, users)`` arrays; sharded
+    #: switch engines set it to capture departures for handoff.
+    _dep_log: Optional[list] = None
+
     def run_to(self, horizon: float) -> int:
         if horizon <= self.horizon_reached:
             return 0
@@ -485,17 +536,6 @@ class ChunkedSimulationEngine(SimulationEngine):
         if kind is None or kn.load_kernels() is None:
             return super().run_to(horizon)
         return self._run_chunked(float(horizon), kind)
-
-    def _take_injected(self, t_c: float):
-        """Externally injected arrivals strictly before ``t_c``.
-
-        The single-switch engine has none; sharded switch engines
-        (:mod:`repro.network.sharded`) override this to hand packets
-        forwarded from upstream switches into the chunk merge.  Must
-        return ``None`` or a ``(times, users)`` pair of arrays sorted
-        by time, consuming the returned arrivals.
-        """
-        return None
 
     def _kernel_kind(self) -> Optional[str]:
         """Which compiled kernel covers this run (None: fall back).
@@ -535,8 +575,9 @@ class ChunkedSimulationEngine(SimulationEngine):
         iregs[kn.I_ARRIVALS] = self.n_arrivals
         iregs[kn.I_DEPARTURES] = self.n_departures
         iregs[kn.I_BIDX] = tracker._boundary_index
+        iregs[kn.I_BATCHES] = tracker._batch_count
+        iregs[kn.I_INJ] = self._inj_pos
         tracker_arrays = _TrackerArrays.from_tracker(tracker)
-        quota = float(fregs[kn.F_QUOTA])
 
         if kind == "fifo":
             state = _FifoState(self.policy, iregs)
@@ -547,177 +588,88 @@ class ChunkedSimulationEngine(SimulationEngine):
         else:
             state = _SfqState(self.policy, iregs, fregs, self.serving_seq)
 
-        pend = np.empty(n, dtype=float)
-        for time, user in self.arrivals_heap:
-            pend[user] = time
-        streams = self.arrival_streams
+        arrivals = _ArrivalInput(self)
         service_stream = self.service_stream
+        service = service_stream.buffered()
+        rows = tracker.batch_rows(tracker._batch_count + 1)
         ladder = kind == "ladder"
+        uniforms = _EMPTY_F
+        dep_log = self._dep_log
+        dep_time = dep_user = None
+        dep_args: list = []
+        if state.HAS_DEP_LOG:
+            dep_args = [None, None, 0]
+            if dep_log is not None:
+                dep_time = np.empty(_DEP_LOG_CAP, dtype=float)
+                dep_user = np.empty(_DEP_LOG_CAP, dtype=np.int64)
+                dep_args = [kn.f64_ptr(dep_time), kn.i64_ptr(dep_user),
+                            _DEP_LOG_CAP]
+
+        # One argument vector per run_to; a refill or growth patches
+        # only its own slots.
+        args = [kn.f64_ptr(fregs), kn.i64_ptr(iregs), n,
+                *tracker_arrays.pointers()]
+        rows_at = len(args)
+        args += [kn.f64_ptr(rows), rows.shape[0], *arrivals.args()]
+        svc_at = len(args)
+        args += [kn.f64_ptr(service), service.size]
+        if ladder:
+            args += [kn.f64_ptr(uniforms), 0]
+        pol_at = len(args)
+        policy_args = state.policy_args()
+        args += policy_args + dep_args + [horizon]
         kernel = state.kernel(lib)
 
-        # The kernel argument vector is assembled once per chunk and
-        # only the slots that actually change (service block, grown
-        # policy arrays, segment buffers) are patched in place — at
-        # block-refill cadence the per-entry ctypes pointer rebuild
-        # would otherwise dominate the backend.
-        base_args = [kn.f64_ptr(fregs), kn.i64_ptr(iregs), n,
-                     *tracker_arrays.pointers()]
-        seg_rows = 0
-        seg_areas = seg_arr = seg_sizes = None
-        seg_ptrs: list = []
-        policy_args = state.policy_args()
-        # Sharded switch engines set ``_dep_log`` to capture departure
-        # (time, user) pairs from the kernel for inter-switch handoff;
-        # a zero dep_cap disables logging inside the kernel.
-        dep_log = getattr(self, "_dep_log", None)
-        # Arg layout past base_args: seg x3, seg_rows, arr x2, A,
-        # service ptr, service len, then the policy section, then the
-        # departure-log section (fifo/ladder), then the tail.
-        svc_slot = len(base_args) + 7
-        uniforms_slot = svc_slot + 2 if ladder else None
-
         while True:
-            # -- chunk cutoff: last-known arrival per user ------------
-            ladders = []
-            for user in range(n):
-                if pend[user] < horizon:
-                    gaps = streams[user].buffered()
-                    if gaps.size == 0:
-                        # The arrival at pend[user] is < horizon, so
-                        # the scalar loop would draw (and refill) for
-                        # it within this run_to: the refill is the
-                        # stream's next generator operation either way.
-                        gaps = streams[user].peek_block()
-                    ladders.append(np.cumsum(
-                        np.concatenate(([pend[user]], gaps))))
-                else:
-                    ladders.append(pend[user:user + 1])
-            t_c = min(horizon, min(float(lad[-1]) for lad in ladders))
-            finalize = t_c >= horizon
-
-            # -- merged chunk arrivals, scalar heap order -------------
-            times_parts = []
-            users_parts = []
-            for user in range(n):
-                lad = ladders[user]
-                m = int(np.searchsorted(lad, t_c, side="left"))
-                if m:
-                    times_parts.append(lad[:m])
-                    users_parts.append(np.full(m, user, dtype=np.int64))
-                pend[user] = lad[m]
-                streams[user].consume(m)
-            injected = self._take_injected(t_c)
-            if injected is not None:
-                # Appended after the source parts: ``lexsort`` is
-                # stable, so a source arrival beats an injected one at
-                # an identical (time, user) key.
-                times_parts.append(np.asarray(injected[0], dtype=float))
-                users_parts.append(np.asarray(injected[1],
-                                              dtype=np.int64))
-            if times_parts:
-                times = np.concatenate(times_parts)
-                users = np.concatenate(users_parts)
-                order = np.lexsort((users, times))
-                arr_times = np.ascontiguousarray(times[order])
-                arr_users = np.ascontiguousarray(users[order])
-            else:
-                arr_times, arr_users = _EMPTY_F, _EMPTY_I
-            total = int(arr_times.size)
-            if (total == 0 and not finalize
-                    and fregs[kn.F_NEXT_COMPLETION] >= t_c):
-                raise SimulationError(
-                    "chunked engine stalled: no arrivals below the "
-                    f"chunk cutoff {t_c} and no pending completion")
-            # Bulk thinning draw: exactly one uniform per chunk arrival,
-            # consumed by the kernel in arrival order, so the policy
-            # stream's draw sequence matches the scalar loop's
-            # one-draw-per-push order no matter how events chunk.
-            uniforms = (
-                self.policy_rng.random(total)  # greedwork: ignore[GW501]
-                if ladder else _EMPTY_F)
-            service_buf = np.ascontiguousarray(service_stream.buffered())
-            iregs[kn.I_AI] = 0
-            iregs[kn.I_SI] = 0
-            iregs[kn.I_UI] = 0
-
-            t_f = horizon if finalize else t_c
-            max_seg = _max_segments(t_f, float(fregs[kn.F_BOUNDARY]),
-                                    quota)
-            if max_seg > seg_rows:
-                seg_rows = max_seg
-                seg_areas = np.zeros((seg_rows, n), dtype=float)
-                seg_arr = np.zeros((seg_rows, n), dtype=np.int64)
-                seg_sizes = np.zeros((seg_rows, n), dtype=float)
-                seg_ptrs = [kn.f64_ptr(seg_areas), kn.i64_ptr(seg_arr),
-                            kn.f64_ptr(seg_sizes)]
-            dep_time = dep_user = None
-            if state.HAS_DEP_LOG:
-                if dep_log is None:
-                    dep_args = [None, None, 0]
-                else:
-                    # Departures this chunk cannot exceed the backlog
-                    # plus the chunk's arrivals.
-                    dep_cap = int(iregs[kn.I_QCOUNT]) + total + 1
-                    dep_time = np.empty(dep_cap, dtype=float)
-                    dep_user = np.empty(dep_cap, dtype=np.int64)
-                    dep_args = [kn.f64_ptr(dep_time),
-                                kn.i64_ptr(dep_user), dep_cap]
-                    iregs[kn.I_DEP] = 0
-            else:
-                dep_args = []
-            args = base_args + seg_ptrs + [
-                seg_rows, kn.f64_ptr(arr_times), kn.i64_ptr(arr_users),
-                total, kn.f64_ptr(service_buf), int(service_buf.size),
-            ] + policy_args + dep_args + [t_c, 1 if finalize else 0,
-                                          horizon]
-            if ladder:
-                args[uniforms_slot] = kn.f64_ptr(uniforms)
-
-            # -- kernel entries until the chunk completes -------------
-            while True:
-                iregs[kn.I_NSEG] = 0
-                reason = kernel(*args)
-                for s in range(int(iregs[kn.I_NSEG])):
-                    tracker._segment_times.append(quota)
-                    tracker._segment_areas.append(seg_areas[s].copy())
-                    tracker._segment_arrivals.append(
-                        seg_arr[s].astype(float))
-                    tracker._segment_sizes.append(seg_sizes[s].copy())
-                if reason == kn.DONE:
-                    service_stream.consume(int(iregs[kn.I_SI]))
-                    break
-                if reason == kn.NEED_SERVICE:
-                    service_stream.consume(int(iregs[kn.I_SI]))
-                    service_buf = np.ascontiguousarray(
-                        service_stream.peek_block())
-                    iregs[kn.I_SI] = 0
-                    args[svc_slot] = kn.f64_ptr(service_buf)
-                    args[svc_slot + 1] = int(service_buf.size)
-                elif reason == kn.GROW:
-                    state.grow()
-                    policy_args = state.policy_args()
-                    pol_at = svc_slot + 2
-                    args[pol_at:pol_at + len(policy_args)] = policy_args
-                    if ladder:
-                        args[uniforms_slot] = kn.f64_ptr(uniforms)
-                else:
-                    raise SimulationError(
-                        "segment buffer overflow in chunked kernel "
-                        "(max_seg bound violated)")
-            if ladder and int(iregs[kn.I_UI]) != total:
-                raise SimulationError(
-                    f"thinning draw mismatch: {iregs[kn.I_UI]} uniforms "
-                    f"consumed for {total} arrivals")
-            if dep_time is not None:
-                logged = int(iregs[kn.I_DEP])
-                if logged:
-                    dep_log.append((dep_time[:logged].copy(),
-                                    dep_user[:logged].copy()))
-            if finalize:
+            reason = kernel(*args)
+            if reason == kn.DONE:
                 break
+            if reason == kn.NEED_ARRIVALS:
+                arrivals.refill(int(iregs[kn.I_REFILL_USER]))
+            elif reason == kn.NEED_SERVICE:
+                service_stream.consume(int(iregs[kn.I_SI]))
+                service = service_stream.peek_block()
+                iregs[kn.I_SI] = 0
+                args[svc_at:svc_at + 2] = [kn.f64_ptr(service),
+                                           service.size]
+            elif reason == kn.NEED_UNIFORMS:
+                # Exactly the arrivals known to fall below the horizon,
+                # all of which this run processes: one uniform each, in
+                # arrival order, as the scalar loop's pushes draw them.
+                known = int(iregs[kn.I_UNIFORMS_NEEDED])
+                if known < 1:
+                    raise SimulationError(
+                        "ladder kernel asked for uniforms with no known "
+                        "arrival below the horizon")
+                uniforms = self.policy_rng.random(  # greedwork: ignore[GW501]
+                    known)
+                iregs[kn.I_UI] = 0
+                args[svc_at + 2:svc_at + 4] = [kn.f64_ptr(uniforms), known]
+            elif reason == kn.GROW:
+                state.grow()
+                policy_args = state.policy_args()
+                args[pol_at:pol_at + len(policy_args)] = policy_args
+            elif reason == kn.SEGCAP:
+                tracker._batch_count = int(iregs[kn.I_BATCHES])
+                rows = tracker.batch_rows(tracker._batch_count + 1)
+                args[rows_at:rows_at + 2] = [kn.f64_ptr(rows),
+                                             rows.shape[0]]
+            elif reason == kn.DEPLOG_FULL:
+                self._flush_dep_log(iregs, dep_time, dep_user)
+            else:
+                raise SimulationError(
+                    f"chunked kernel returned unknown reason {reason}")
+        service_stream.consume(int(iregs[kn.I_SI]))
+        if ladder and int(iregs[kn.I_UI]) != uniforms.size:
+            raise SimulationError(
+                f"thinning draw mismatch: {iregs[kn.I_UI]} of "
+                f"{uniforms.size} drawn uniforms consumed")
+        if dep_time is not None:
+            self._flush_dep_log(iregs, dep_time, dep_user)
 
         # -- export back to the scalar representation -----------------
         tracker_arrays.into_tracker(tracker)
+        tracker._batch_count = int(iregs[kn.I_BATCHES])
         tracker._last_time = float(fregs[kn.F_LAST])
         tracker._boundary_index = int(iregs[kn.I_BIDX])
         tracker._next_boundary = float(fregs[kn.F_BOUNDARY])
@@ -725,9 +677,17 @@ class ChunkedSimulationEngine(SimulationEngine):
         self.next_completion = float(fregs[kn.F_NEXT_COMPLETION])
         self.n_arrivals = int(iregs[kn.I_ARRIVALS])
         self.n_departures = int(iregs[kn.I_DEPARTURES])
-        heap = [(float(pend[user]), user) for user in range(n)]
-        heapq.heapify(heap)
-        self.arrivals_heap = heap
+        self.arrivals_heap = arrivals.commit()
+        if self._inj_times.size:
+            self._inj_pos = int(iregs[kn.I_INJ])
         self.serving_seq = state.export(self.policy, fregs, iregs)
         self.horizon_reached = horizon
         return self.n_arrivals + self.n_departures - events_before
+
+    def _flush_dep_log(self, iregs: np.ndarray, dep_time: np.ndarray,
+                       dep_user: np.ndarray) -> None:
+        logged = int(iregs[kn.I_DEP])
+        if logged:
+            self._dep_log.append((dep_time[:logged].copy(),
+                                  dep_user[:logged].copy()))
+        iregs[kn.I_DEP] = 0

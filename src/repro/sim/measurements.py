@@ -12,13 +12,18 @@ user's count changes (or when a batch boundary is crossed, so a batch
 never straddles a fold).  ``advance`` is therefore O(1) per event
 instead of O(n_users) of numpy traffic, which is most of what makes
 the fast-path engine fast.
+
+Completed batches are rows of one growable ``(capacity, 3, n_users)``
+float64 matrix — per-user areas, arrival counts and arrived work —
+plus a row count.  The chunked engine's C kernels write rows straight
+into it, and a snapshot pickles one array however many batches closed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from repro.sim.stats import t_quantile
 #: Slack when deciding a time step reached a batch boundary, absorbing
 #: float drift in ``warmup + k * quota``.
 _BOUNDARY_SLACK = 1e-9
+
+#: Channels of a batch row: per-user area, arrival count, arrived work.
+BATCH_AREAS, BATCH_ARRIVALS, BATCH_SIZES = range(3)
 
 
 class QueueTracker:
@@ -41,7 +49,8 @@ class QueueTracker:
 
     Batch boundaries are laid out by :meth:`configure_batches` once the
     horizon is known; each completed batch records per-user areas so
-    :meth:`batch_means` can form confidence intervals.
+    :meth:`batch_means` can form confidence intervals.  Rows live in
+    ``_batches[:_batch_count]`` (see the module docstring).
     """
 
     def __init__(self, n_users: int, warmup: float = 0.0) -> None:
@@ -61,12 +70,10 @@ class QueueTracker:
         self._quota = math.inf
         self._boundary_index = 1
         self._next_boundary = math.inf
-        self._segment_times: List[float] = []
-        self._segment_areas: List[np.ndarray] = []
+        self._batches = np.zeros((0, 3, n_users))
+        self._batch_count = 0
         self._segment_arrival_acc = [0] * n_users
-        self._segment_arrivals: List[np.ndarray] = []
         self._segment_size_acc = [0.0] * n_users
-        self._segment_sizes: List[np.ndarray] = []
         self._departures = [0] * n_users
         self._sojourn_sums = [0.0] * n_users
         self._sojourn_counts = [0] * n_users
@@ -109,20 +116,51 @@ class QueueTracker:
                 self._segment_area_acc[user] += area
             self._fold_from[user] = until
 
+    def batch_rows(self, rows: int) -> np.ndarray:
+        """The batch matrix, grown (by doubling) to hold ``rows`` rows."""
+        batches = self._batches
+        if rows > batches.shape[0]:
+            grown = np.zeros((max(rows, 2 * batches.shape[0], 16), 3,
+                              self.n_users))
+            grown[:self._batch_count] = batches[:self._batch_count]
+            self._batches = batches = grown
+        return batches
+
     def _close_segment(self, boundary: float) -> None:
         """Fold everyone to ``boundary`` and record the batch."""
-        acc = self._segment_area_acc
         for user in range(self.n_users):
             self._fold(user, boundary)
-        self._segment_times.append(self._quota)
-        self._segment_areas.append(np.asarray(acc, dtype=float))
+        row = self.batch_rows(self._batch_count + 1)[self._batch_count]
+        row[BATCH_AREAS] = self._segment_area_acc
+        row[BATCH_ARRIVALS] = self._segment_arrival_acc
+        row[BATCH_SIZES] = self._segment_size_acc
+        self._batch_count += 1
         self._segment_area_acc = [0.0] * self.n_users
-        self._segment_arrivals.append(
-            np.asarray(self._segment_arrival_acc, dtype=float))
         self._segment_arrival_acc = [0] * self.n_users
-        self._segment_sizes.append(
-            np.asarray(self._segment_size_acc, dtype=float))
         self._segment_size_acc = [0.0] * self.n_users
+
+    # Pickles carry the written rows only.  Snapshots written before
+    # the batch matrix hold per-batch array lists instead; they convert
+    # to the same rows (every batch lasted ``_quota``), so they resume
+    # bit-identically.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_batches"] = self._batches[:self._batch_count]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if "_segment_areas" in state:
+            channels = [state.pop(name) for name in (
+                "_segment_areas", "_segment_arrivals", "_segment_sizes")]
+            state.pop("_segment_times", None)
+            count = len(channels[0])
+            batches = np.zeros((count, 3, state["n_users"]))
+            for channel, rows in enumerate(channels):
+                for index, row in enumerate(rows):
+                    batches[index, channel] = row
+            state["_batches"] = batches
+            state["_batch_count"] = count
+        self.__dict__.update(state)
 
     def advance(self, now: float) -> None:
         """Move the clock to ``now`` (crossing batch boundaries).
@@ -235,15 +273,14 @@ class QueueTracker:
         control-variate adjustment and sequential stopping can reuse
         them without re-simulating.
         """
-        if not self._segment_areas:
+        n = self._batch_count
+        if not n:
             return BatchMeans(means=self.mean_queues(),
                               half_widths=np.full(self.n_users, math.nan),
                               n_batches=0)
-        times = np.asarray(self._segment_times)
-        areas = np.vstack(self._segment_areas)
-        per_batch = areas / times[:, None]
+        rows = self._batches[:n]
+        per_batch = rows[:, BATCH_AREAS] / self._quota
         means = per_batch.mean(axis=0)
-        n = per_batch.shape[0]
         if n >= 2:
             stderr = per_batch.std(axis=0, ddof=1) / math.sqrt(n)
             half = t_quantile(confidence, n - 1) * stderr
@@ -251,9 +288,8 @@ class QueueTracker:
             half = np.full(self.n_users, math.nan)
         return BatchMeans(means=means, half_widths=half, n_batches=n,
                           per_batch=per_batch,
-                          per_batch_arrivals=np.vstack(
-                              self._segment_arrivals),
-                          per_batch_sizes=np.vstack(self._segment_sizes),
+                          per_batch_arrivals=rows[:, BATCH_ARRIVALS].copy(),
+                          per_batch_sizes=rows[:, BATCH_SIZES].copy(),
                           quota=self._quota,
                           confidence=confidence)
 

@@ -14,6 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.sim.chunked as chunked
 import repro.sim.kernels as kernels
 from repro.exceptions import SimulationError
 from repro.network.sharded import (
@@ -25,6 +26,7 @@ from repro.network.sharded import (
     SwitchGraphConfig,
     simulate_sharded,
 )
+from repro.sim.runner import SimulationConfig
 
 
 def graph_config(**overrides):
@@ -63,6 +65,69 @@ class TestPlacementIndependence:
         monkeypatch.setattr(kernels, "load_kernels", lambda: None)
         scalar = simulate_sharded(graph_config(), jobs=1)
         assert fingerprint(chunked) == fingerprint(scalar)
+
+
+def tie_engine(policy):
+    """A switch whose users 0 and 1 source deterministic arrivals at
+    exact binary times (gaps 4 and 2: they tie with each other), while
+    user 2 arrives only through handoffs."""
+    config = SimulationConfig(
+        rates=(0.25, 0.5, 0.125), policy=policy, horizon=400.0,
+        warmup=20.0, seed=3, batch_quota=30.0,
+        arrival_process="deterministic")
+    engine = ShardSwitchEngine(config, source_users=[0, 1])
+    # Handoffs at exactly source arrival times (4, 8 and 12 are
+    # arrivals of users 0 and 1), and same-time handoffs for different
+    # users delivered out of user order, over two deliveries.
+    engine.inject([4.0, 8.0, 8.0, 12.0, 12.0, 12.0, 40.0],
+                  [0, 2, 1, 2, 0, 1, 1])
+    engine.inject([8.0, 12.0, 40.0, 40.0], [0, 1, 2, 0])
+    return engine
+
+
+def test_pending_handoffs_sort_by_time_then_user():
+    times, users = tie_engine("fifo").pending_injections()
+    np.testing.assert_array_equal(
+        times, [4.0, 8.0, 8.0, 8.0, 12.0, 12.0, 12.0, 12.0, 40.0, 40.0,
+                40.0])
+    np.testing.assert_array_equal(users, [0, 0, 1, 2, 0, 1, 1, 2, 0, 1, 2])
+
+
+def tie_fingerprint(engine):
+    result = engine.result()
+    times, users = engine.drain_dep_log()
+    return (result.mean_queues.tobytes(), result.mean_delays.tobytes(),
+            result.batch.per_batch.tobytes(),
+            result.batch.per_batch_arrivals.tobytes(),
+            result.arrivals, result.departures, result.variate_draws,
+            engine.policy_rng.bit_generator.state["state"]["state"],
+            engine.service_stream._rng.bit_generator.state["state"],
+            times.tobytes(), users.tobytes(), engine.now,
+            tuple(sorted(engine.arrivals_heap)),
+            engine.pending_injections()[0].tobytes())
+
+
+@pytest.mark.skipif(not kernels.kernels_available(),
+                    reason="no C toolchain: both runs would be scalar")
+class TestHandoffTies:
+    @pytest.mark.parametrize("policy", SHARDED_POLICIES)
+    def test_exact_ties_match_the_scalar_oracle(self, policy,
+                                                monkeypatch):
+        # A tiny departure log makes the kernel return to have it
+        # flushed many times along the way.
+        monkeypatch.setattr(chunked, "_DEP_LOG_CAP", 3)
+        scalar, fast = tie_engine(policy), tie_engine(policy)
+        for horizon in (10.0, 400.0):
+            scalar._run_scalar_injected(horizon)
+            fast.run_to(horizon)
+            if horizon < 400.0:
+                # More ties delivered between the two runs, still at
+                # source arrival times.
+                for engine in (scalar, fast):
+                    engine.inject([12.0, 12.0, 16.0], [2, 0, 1])
+        assert fast._kernel_kind() is not None
+        assert scalar.n_arrivals == fast.n_arrivals > 100
+        assert tie_fingerprint(scalar) == tie_fingerprint(fast)
 
 
 class TestSnapshotResume:

@@ -199,6 +199,20 @@ class TestBitIdentity:
             config_for("round-robin"), policy=RoundRobinQueue(3)))
         assert short._kernel_kind() is None
 
+    @pytest.mark.parametrize("policy", KERNEL_POLICIES)
+    def test_growth_reentries_match_scalar(self, policy):
+        # Overload (rho 1.5) outgrows the kernels' initial 1024-packet
+        # arrays, and 145 batches outgrow the tracker's batch matrix
+        # several times: each return must resume exactly where the
+        # kernel stopped.
+        config = SimulationConfig(rates=(0.5, 0.6, 0.4), policy=policy,
+                                  horizon=3000.0, warmup=60.0, seed=5,
+                                  batch_quota=20.0)
+        scalar = run_engine(SimulationEngine, config)
+        chunked = run_engine(ChunkedSimulationEngine, config)
+        assert len(scalar.policy) > 1024
+        assert state_fingerprint(scalar) == state_fingerprint(chunked)
+
     def test_n_batches_layout_matches(self):
         # The horizon-tied batch layout (no batch_quota) must also
         # reproduce, including the discarded partial batch.
@@ -280,7 +294,8 @@ class TestCrossBackendSnapshots:
 
 @st.composite
 def engine_cases(draw):
-    """A random single-switch config plus ``run_to`` split points."""
+    """A random single-switch config, ``run_to`` split points, a
+    variate block size and (used by ``fq`` only) a service process."""
     n = draw(st.integers(1, 8))
     weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n,
                             max_size=n))
@@ -296,7 +311,23 @@ def engine_cases(draw):
         variate_mode=draw(st.sampled_from(VARIATE_MODES)))
     splits = sorted(draw(st.lists(st.floats(1.0, horizon),
                                   max_size=2)))
-    return config, splits + [horizon]
+    block = draw(st.sampled_from((1, 2, 7, 1024)))
+    service = draw(st.sampled_from(
+        ("exponential", "deterministic", "hyperexponential")))
+    return config, splits + [horizon], block, service
+
+
+def set_block_size(engine, size):
+    """Draw ``size``-variate blocks on every stream from now on.
+
+    Each stream's current block is cut to its first ``size`` variates
+    too (the construction draw left a full one), so arrival refills
+    fall inside short runs.  Both engines of a comparison get the same
+    cut, which keeps their states identical.
+    """
+    for stream in (*engine.arrival_streams, engine.service_stream):
+        stream.block_size = size
+        stream._set_block(stream._buf[:size])
 
 
 @needs_kernels
@@ -308,10 +339,15 @@ class TestGeneratedConfigs:
     @given(case=engine_cases())
     @settings(max_examples=25, deadline=None)
     def test_chunked_equals_scalar(self, policy, case):
-        config, horizons = case
+        config, horizons, block, service = case
         config = replace(config, policy=policy)
+        if policy == "fq":
+            # The one sized kernel: any service process runs on it.
+            config = replace(config, service_process=service)
         scalar = SimulationEngine(config)
         chunked = ChunkedSimulationEngine(config)
+        for engine in (scalar, chunked):
+            set_block_size(engine, block)
         for horizon in horizons:
             scalar.run_to(horizon)
             chunked.run_to(horizon)

@@ -10,7 +10,10 @@ distinct state shapes: fifo (plain deque), the Table-1 ladder
 queueing (sized mode, virtual-time heap).
 """
 
+import copyreg
+import io
 import math
+import os
 import pickle
 from dataclasses import replace
 
@@ -18,8 +21,12 @@ import numpy as np
 import pytest
 
 from repro.sim import cache as sim_cache
+from repro.sim.arrivals import VariateStream
+from repro.sim.chunked import ChunkedSimulationEngine
+from repro.sim.measurements import QueueTracker
 from repro.sim.runner import (
     ENGINE_VERSION,
+    ENV_ENGINE_BACKEND,
     EngineState,
     SimulationConfig,
     SimulationEngine,
@@ -169,3 +176,62 @@ class TestStateCache:
                                       cold.summary.means)
         np.testing.assert_array_equal(warm.summary.half_widths,
                                       cold.summary.half_widths)
+
+
+class _ListLayoutPickler(pickle.Pickler):
+    """Pickles snapshots in the layout written before variate blocks
+    and batch rows were arrays: each stream's block as a Python list,
+    and the tracker's batches as per-batch array lists."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, VariateStream):
+            slots = obj.__getstate__()
+            slots["_buf"] = obj._buf.tolist()
+            return copyreg.__newobj__, (VariateStream,), (None, slots)
+        if isinstance(obj, QueueTracker):
+            state = obj.__dict__.copy()
+            rows = state.pop("_batches")[:state.pop("_batch_count")]
+            state["_segment_times"] = [obj._quota] * len(rows)
+            for channel, name in enumerate(("_segment_areas",
+                                            "_segment_arrivals",
+                                            "_segment_sizes")):
+                state[name] = [row[channel].copy() for row in rows]
+            return copyreg.__newobj__, (QueueTracker,), state
+        return NotImplemented
+
+
+class TestListLayoutSnapshots:
+    """Cache directories written before the array layout hold
+    snapshots under the same ENGINE_VERSION; they resume to the
+    uninterrupted run's exact result."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "chunked"])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_resumes_bit_identically(self, cache_on, monkeypatch,
+                                     backend, policy):
+        long = config_for(policy, horizon=12000.0)
+        engine = ChunkedSimulationEngine(config_for(policy,
+                                                    horizon=5000.0))
+        engine.run_to(5000.0)
+        blob = io.BytesIO()
+        _ListLayoutPickler(blob, protocol=pickle.HIGHEST_PROTOCOL).dump(
+            engine.snapshot())
+        path = sim_cache._entry_path(sim_cache.state_key(long,
+                                                         ENGINE_VERSION))
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(blob.getvalue())
+
+        monkeypatch.setenv(ENV_ENGINE_BACKEND, backend)
+        before = sim_cache.snapshot()
+        resumed = simulate(long)
+        after = sim_cache.snapshot()
+        assert after["state_hits"] == before["state_hits"] + 1
+        assert after["fresh_events"] - before["fresh_events"] \
+            == resumed.events - engine.n_arrivals - engine.n_departures
+
+        sim_cache.set_enabled(False)
+        fresh = simulate(long)
+        assert_results_identical(resumed, fresh)
+        np.testing.assert_array_equal(resumed.batch.per_batch_sizes,
+                                      fresh.batch.per_batch_sizes)
