@@ -5,7 +5,7 @@ STRICT_PKGS = -p repro.queueing -p repro.costsharing -p repro.disciplines
 
 .PHONY: install test test-fast bench bench-micro bench-solver \
         bench-stats bench-staticcheck bench-sweep experiments report \
-        examples clean lint lint-ruff lint-mypy check check-sarif fix
+        examples clean lint lint-ruff lint-mypy check check-sarif
 
 install:
 	$(PYTHON) -m pip install -e '.[test]'
@@ -37,12 +37,6 @@ check-sarif:
 		examples --format sarif -o greedwork.sarif
 	@echo "wrote greedwork.sarif"
 
-# Apply registered autofixers (transactional: every fix is re-verified
-# under the full rule suite and rolled back on any regression).
-fix:
-	PYTHONPATH=src $(PYTHON) -m repro fix src tests benchmarks \
-		examples --diff
-
 test:
 	$(PYTHON) -m pytest tests/
 
@@ -73,8 +67,8 @@ bench-stats:
 bench-sweep:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_sweep.py -o BENCH_sweep.json
 
-# Static-analysis wall time (cold/warm check + fix convergence);
-# appends to the BENCH_staticcheck.json trajectory.
+# Static-analysis wall time (cold and warm check); appends to the
+# BENCH_staticcheck.json trajectory.
 bench-staticcheck:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_staticcheck.py \
 		-o BENCH_staticcheck.json

@@ -3,10 +3,8 @@
 Every near-equality decision in the library flows through the named
 constants below, so the question "how close is close enough?" has one
 answer per kind of comparison instead of a magic literal per call
-site.  The static-analysis rule ``GW004`` (see
-:mod:`repro.staticcheck.rules.floats`) rejects raw ``==``/``!=``
-between float expressions; these helpers are the sanctioned
-replacement.
+site: these helpers are the sanctioned replacement for raw
+``==``/``!=`` between float expressions.
 
 Constants
 ---------

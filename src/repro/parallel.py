@@ -78,7 +78,7 @@ class WorkerPool:
         """Schedule ``fn(*args, **kwargs)`` on the pool."""
         return self.executor.submit(fn, *args, **kwargs)
 
-    def map(self, fn: Callable[..., Any],  # greedwork: ignore[GW005] -- mirrors the concurrent.futures.Executor API so the handle is a drop-in pool
+    def map(self, fn: Callable[..., Any],
             *iterables: Iterable[Any]) -> Iterator[Any]:
         """``executor.map`` on the pool (ordered results)."""
         return self.executor.map(fn, *iterables)

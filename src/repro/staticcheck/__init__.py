@@ -8,7 +8,7 @@ the ``g(x) = x/(1-x)`` pole) hold only when the *code* obeys contracts
 that ordinary linters do not know about.  This package enforces them
 mechanically, with per-file rules plus whole-program rules that see
 the full :class:`~repro.staticcheck.project.ProjectContext` (symbol
-table, import graph, approximate call graph):
+table, import graph, approximate call graph, state-flow layer):
 
 ``GW001``  layer-DAG enforcement — imports must flow down the
            architecture (`numerics/queueing` → `costsharing/
@@ -22,49 +22,35 @@ table, import graph, approximate call graph):
            ``np.random.*`` global state, no raw
            ``np.random.default_rng``; randomness enters through
            ``Generator`` parameters or :func:`repro.numerics.default_rng`.
-``GW004``  float equality — ``==``/``!=`` against float expressions
-           must go through :mod:`repro.numerics.tolerances`.
-``GW005``  hygiene — mutable default arguments and shadowed builtins.
-``GW101``  no Python-level loops over numpy arrays in repro modules.
-``GW102``  no loop-invariant pure calls recomputed per iteration.
-``GW103``  no list-membership tests inside loops (quadratic).
-``GW104``  no ``np.append`` / loop-carried array concatenation.
+``GW105``  no scalar ``congestion_i`` scans over candidate rates in
+           the game layer; one batched ``congestion_grid`` call.
+``GW106``  no fixed-horizon ``simulate()`` in experiments where a
+           precision target exists.
+``GW107``  no per-user loops in the O(K) class-space and mean-field
+           modules.
 ``GW201``  division by ``1 - x`` requires a dominating feasibility
            guard on every path (the M/M/1 pole at ``x -> 1``).
 ``GW202``  ``log``/``sqrt`` of possibly-negative subtractions require
            a guard or an explicit ``abs``/``clip`` wrapper.
-``GW301``  public functions/classes must be referenced by some other
-           module, test, or experiment (whole-program).
 ``GW302``  registered disciplines must keep their allocation methods
            pure — no writes to module-level state (whole-program).
+``GW4xx``  snapshot, engine-state and cache-key completeness.
+``GW5xx``  CRN draw order, ordered aggregation and the chunked hot
+           path.
+``GW6xx``  parallel safety: worker-shared state, unpicklable worker
+           callables, blocking calls in the event loop.
 
-Findings are suppressible per line with ``# greedwork: ignore[GW00x]``
-(comma-separate several ids; a bare ``ignore`` or ``ignore[*]``
-silences every rule for that line; a comment-only pragma covers the
-next statement line).  Runs are incremental (content-hash cache under
-``.greedwork_cache/``), parallelizable (``--jobs``), baseline-aware
-(``--baseline``/``--update-baseline``), and exportable as SARIF 2.1.0
-for GitHub code scanning (``--format sarif``).  Run it as
-``greedwork check`` or programmatically via :func:`run_checks`.
-
-The suite is not detect-only: ``greedwork fix`` (programmatically
-:func:`run_fix`) applies registered autofixers for the mechanical
-families — GW003 raw-RNG construction, GW004 float equality, GW005
-mutable defaults, GW106 fixed-horizon ``simulate()``, GW301 dead
-public API — through a transactional engine that re-runs the full
-rule suite on every patched file and rolls back any fix that fails
-to eliminate its finding or introduces a new one (see
-:mod:`repro.staticcheck.fixers`).  Suppressed findings are never
-auto-fixed; baselined ones are, and their entries are pruned from
-the baseline on success.
+``greedwork explain [RULE]`` prints each rule's rationale, a minimal
+triggering example and the approved fix.  Findings are suppressible
+per line with ``# greedwork: ignore[GW00x]`` (comma-separate several
+ids; a bare ``ignore`` or ``ignore[*]`` silences every rule for that
+line; a comment-only pragma covers the next statement line).  Runs
+are incremental (content-hash cache under ``.greedwork_cache/``),
+parallelizable (``--jobs``) and exportable as SARIF 2.1.0 for GitHub
+code scanning (``--format sarif``).  Run it as ``greedwork check`` or
+programmatically via :func:`run_checks`.
 """
 
-from repro.staticcheck.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.staticcheck.cache import (
     CACHE_DIR_NAME,
     CheckCache,
@@ -84,7 +70,6 @@ from repro.staticcheck.core import (
 )
 from repro.staticcheck.project import ModuleInfo, ProjectContext, Symbol
 from repro.staticcheck.reporters import (
-    render_fix_text,
     render_json,
     render_sarif,
     render_stats,
@@ -95,31 +80,12 @@ from repro.staticcheck.runner import (
     collect_files,
     run_checks,
 )
-from repro.staticcheck.baseline import prune_baseline
-from repro.staticcheck.fixers import (
-    AppliedFix,
-    Edit,
-    Fix,
-    Fixer,
-    FixResult,
-    all_fixers,
-    fixable_rule_ids,
-    fixer_for,
-    register_fixer,
-    run_fix,
-)
 
 __all__ = [
-    "AppliedFix",
     "CACHE_DIR_NAME",
     "CheckCache",
     "CheckResult",
     "CheckUsageError",
-    "DEFAULT_BASELINE_NAME",
-    "Edit",
-    "Fix",
-    "FixResult",
-    "Fixer",
     "FileContext",
     "Finding",
     "ModuleInfo",
@@ -127,26 +93,16 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "Symbol",
-    "all_fixers",
     "all_rules",
-    "apply_baseline",
     "collect_files",
     "engine_signature",
     "file_digest",
-    "fixable_rule_ids",
-    "fixer_for",
     "get_rule",
-    "load_baseline",
-    "prune_baseline",
-    "register_fixer",
     "register_rule",
-    "render_fix_text",
     "render_json",
     "render_sarif",
     "render_stats",
     "render_text",
     "run_checks",
-    "run_fix",
     "select_rules",
-    "write_baseline",
 ]

@@ -41,10 +41,10 @@ class Finding:
                 f"{self.rule_id} {self.message}")
 
     def fingerprint(self) -> str:
-        """Location-insensitive identity used by baseline files.
+        """Location-insensitive identity for SARIF consumers.
 
         Deliberately omits the line/column so that unrelated edits
-        moving a known finding do not un-baseline it.
+        moving a known finding keep its identity in code scanning.
         """
         return f"{self.rule_id}::{self.path}::{self.message}"
 
@@ -248,7 +248,7 @@ def select_rules(rules: Iterable[Rule],
 
     A selector matches a rule when the rule id starts with it, so
     ``GW1`` (or ``GW1xx``) selects the whole perf family while
-    ``GW101`` selects one rule.  ``ignore`` wins over ``select``.
+    ``GW105`` selects one rule.  ``ignore`` wins over ``select``.
     Unknown selectors raise ``KeyError`` so typos fail loudly.
     """
     def normalize(tokens: Optional[Iterable[str]]) -> List[str]:
@@ -283,8 +283,6 @@ class CheckResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    #: Findings present in the accepted baseline file (known debt).
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     #: Files whose per-file rules actually ran this invocation.
     files_analyzed: int = 0

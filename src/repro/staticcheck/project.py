@@ -32,7 +32,8 @@ state-contract and parallel-safety rule families consume:
 The context distinguishes *analyzed* files (those the user asked to
 check, for which findings may be reported) from *reference-only* files
 (extra roots such as ``examples/`` and ``benchmarks/`` scanned so that
-usage-based rules see the whole program).  Files that fail to parse
+whole-program rules see subclasses, callers and pool dispatchers the
+user did not ask to check).  Files that fail to parse
 contribute nothing here; the runner reports them as ``GW000``.
 """
 
@@ -82,10 +83,6 @@ class Symbol:
     node: ast.AST
     decorators: List[str] = field(default_factory=list)
     bases: List[str] = field(default_factory=list)
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_")
 
 
 @dataclass
@@ -155,7 +152,7 @@ class FunctionSummary:
 
 
 class ModuleInfo:
-    """Per-file slice of the project: symbols, imports, uses."""
+    """Per-file slice of the project: symbols and imports."""
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
@@ -169,12 +166,6 @@ class ModuleInfo:
         self.aliases: Dict[str, str] = {}
         #: Dotted repro modules this module imports (graph edges).
         self.imported_modules: Set[str] = set()
-        #: Modules star-imported (their whole namespace is "used").
-        self.star_imports: Set[str] = set()
-        #: Identifiers this module refers to: name loads, attribute
-        #: accesses, import leaves, and identifier-shaped strings
-        #: outside docstring position (`__all__`, getattr, registries).
-        self.used_names: Set[str] = set()
         if ctx.tree is not None:
             self._index(ctx.tree)
 
@@ -183,18 +174,8 @@ class ModuleInfo:
     def _index(self, tree: ast.Module) -> None:
         for node in tree.body:
             self._index_toplevel(node)
-        docstrings = _docstring_nodes(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                self.used_names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                self.used_names.add(node.attr)
-            elif isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str) \
-                    and node not in docstrings \
-                    and node.value.isidentifier():
-                self.used_names.add(node.value)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 self._index_import(node)
 
     def _index_toplevel(self, node: ast.stmt) -> None:
@@ -252,11 +233,9 @@ class ModuleInfo:
                 return
             for alias in node.names:
                 if alias.name == "*":
-                    self.star_imports.add(base)
                     continue
                 bound = alias.asname or alias.name
                 self.aliases[bound] = f"{base}:{alias.name}"
-                self.used_names.add(alias.name)
             if base.split(".")[0] == "repro":
                 self.imported_modules.add(base)
 
@@ -592,38 +571,6 @@ class ProjectContext:
         if f"{callee}.__init__" in graph:
             out.append(f"{callee}.__init__")
         return out
-
-    def name_used_outside(self, module: str, name: str) -> bool:
-        """Whether any *other* parsed file refers to ``name``.
-
-        Name-based on purpose: over-approximating use keeps the dead-
-        code rule quiet unless a symbol is referenced nowhere at all.
-        """
-        home = self.modules.get(module)
-        home_path = home.ctx.display_path if home is not None else None
-        for info in self.infos:
-            if info.ctx.display_path == home_path:
-                continue
-            if name in info.used_names:
-                return True
-            if module is not None and module in info.star_imports:
-                # A star-importer may use anything it pulled in.
-                return True
-        return False
-
-
-def _docstring_nodes(tree: ast.Module) -> Set[ast.AST]:
-    """Constant nodes sitting in docstring position."""
-    out: Set[ast.AST] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.FunctionDef,
-                             ast.AsyncFunctionDef, ast.ClassDef)):
-            body = getattr(node, "body", [])
-            if body and isinstance(body[0], ast.Expr) \
-                    and isinstance(body[0].value, ast.Constant) \
-                    and isinstance(body[0].value.value, str):
-                out.add(body[0].value)
-    return out
 
 
 def _dotted(node: ast.expr) -> str:

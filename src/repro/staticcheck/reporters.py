@@ -1,22 +1,11 @@
-"""Render check results as text, machine JSON, or SARIF 2.1.0.
-
-Fix runs ride along: :func:`render_fix_text` renders a
-:class:`~repro.staticcheck.fixers.engine.FixResult` (per-fix lines,
-optional unified diffs, a counts summary), and :func:`render_json` /
-:func:`render_sarif` accept the same object via ``fix=`` so machine
-consumers see the ``fixed`` / ``skipped-conflict`` / ``rolled-back``
-counts next to the findings they refer to.
-"""
+"""Render check results as text, machine JSON, or SARIF 2.1.0."""
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.staticcheck.core import CheckResult, Finding, Rule, all_rules
-
-if TYPE_CHECKING:                       # imported lazily to avoid pulling
-    from repro.staticcheck.fixers.engine import FixResult  # the fixers in
 
 #: Canonical SARIF 2.1.0 schema location (GitHub code scanning input).
 SARIF_SCHEMA_URI = ("https://raw.githubusercontent.com/oasis-tcs/"
@@ -31,12 +20,6 @@ def render_text(result: CheckResult, verbose: bool = False) -> str:
     """GCC-style ``path:line:col: RULE message`` lines plus a summary."""
     lines: List[str] = [f.render() for f in
                         sorted(result.findings, key=lambda f: f.sort_key())]
-    if verbose and result.baselined:
-        lines.append("")
-        lines.append("baselined (accepted debt):")
-        lines.extend("  " + f.render() for f in
-                     sorted(result.baselined,
-                            key=lambda f: f.sort_key()))
     if verbose and result.suppressed:
         lines.append("")
         lines.append("suppressed:")
@@ -45,10 +28,8 @@ def render_text(result: CheckResult, verbose: bool = False) -> str:
                             key=lambda f: f.sort_key()))
     noun = "finding" if len(result.findings) == 1 else "findings"
     summary = (f"{len(result.findings)} {noun} "
-               f"({len(result.suppressed)} suppressed")
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
-    summary += f") in {result.files_checked} file(s)"
+               f"({len(result.suppressed)} suppressed) "
+               f"in {result.files_checked} file(s)")
     if result.files_from_cache:
         summary += (f" [{result.files_analyzed} analyzed, "
                     f"{result.files_from_cache} cached]")
@@ -63,47 +44,10 @@ def render_stats(result: CheckResult) -> str:
             f"cached={result.files_from_cache} "
             f"findings={len(result.findings)} "
             f"suppressed={len(result.suppressed)} "
-            f"baselined={len(result.baselined)} "
             f"duration_s={result.duration_s:.3f}")
 
 
-def render_fix_text(fix: "FixResult", diff: bool = False) -> str:
-    """Per-fix outcome lines, optional diffs, and a counts summary."""
-    records = sorted(fix.fixed + fix.skipped + fix.rolled_back,
-                     key=lambda a: (a.path, a.line, a.col, a.rule_id))
-    lines: List[str] = [record.render() for record in records]
-    if diff and fix.diffs:
-        if lines:
-            lines.append("")
-        for display_path in sorted(fix.diffs):
-            lines.append(fix.diffs[display_path].rstrip("\n"))
-    summary = (f"{len(fix.fixed)} fixed, "
-               f"{len(fix.skipped)} skipped (conflict), "
-               f"{len(fix.rolled_back)} rolled back; "
-               f"{len(fix.files_changed)} file(s) changed "
-               f"in {fix.rounds} round(s)")
-    if fix.dry_run:
-        summary += " [dry run: nothing written]"
-    lines.append(summary)
-    return "\n".join(lines)
-
-
-def _fix_payload(fix: "FixResult") -> Dict[str, object]:
-    return {
-        "counts": {"fixed": len(fix.fixed),
-                   "skipped_conflicts": len(fix.skipped),
-                   "rolled_back": len(fix.rolled_back)},
-        "fixed": [a.to_dict() for a in fix.fixed],
-        "skipped_conflicts": [a.to_dict() for a in fix.skipped],
-        "rolled_back": [a.to_dict() for a in fix.rolled_back],
-        "files_changed": list(fix.files_changed),
-        "rounds": fix.rounds,
-        "dry_run": fix.dry_run,
-    }
-
-
-def render_json(result: CheckResult,
-                fix: Optional["FixResult"] = None) -> str:
+def render_json(result: CheckResult) -> str:
     """Stable JSON document for tooling (CI annotations, dashboards)."""
     def encode(findings: Sequence[Finding]) -> List[Dict[str, object]]:
         return [f.to_dict() for f in
@@ -117,26 +61,18 @@ def render_json(result: CheckResult,
         "duration_s": round(result.duration_s, 6),
         "findings": encode(result.findings),
         "suppressed": encode(result.suppressed),
-        "baselined": encode(result.baselined),
     }
-    if fix is not None:
-        payload["fix"] = _fix_payload(fix)
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_sarif(result: CheckResult,
-                 rules: Optional[Sequence[Rule]] = None,
-                 fix: Optional["FixResult"] = None) -> str:
+                 rules: Optional[Sequence[Rule]] = None) -> str:
     """SARIF 2.1.0 document for GitHub code scanning.
 
     Active findings become ``results`` at level ``error``; suppressed
-    findings are included with an ``inSource`` suppression and
-    baselined ones with an ``external`` suppression, so the code
-    scanning UI can distinguish live debt from accepted debt.
+    findings are included with an ``inSource`` suppression, so the
+    code scanning UI can tell live findings from justified ones.
     """
-    from repro.staticcheck.fixers.model import fixable_rule_ids
-
-    fixable = set(fixable_rule_ids())
     rule_objs = list(rules) if rules is not None else all_rules()
     driver_rules = [
         {
@@ -145,7 +81,6 @@ def render_sarif(result: CheckResult,
             "shortDescription": {"text": rule.name},
             "fullDescription": {"text": rule.description},
             "defaultConfiguration": {"level": "error"},
-            "properties": {"fixable": rule.rule_id in fixable},
         }
         for rule in sorted(rule_objs, key=lambda r: r.rule_id)
     ]
@@ -181,7 +116,6 @@ def render_sarif(result: CheckResult,
 
     results = (
         [sarif_result(f, None) for f in result.findings]
-        + [sarif_result(f, "external") for f in result.baselined]
         + [sarif_result(f, "inSource") for f in result.suppressed]
     )
     run: Dict[str, object] = {
@@ -199,8 +133,6 @@ def render_sarif(result: CheckResult,
         },
         "results": results,
     }
-    if fix is not None:
-        run["properties"] = {"greedworkFix": _fix_payload(fix)}
     document = {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,

@@ -3,24 +3,16 @@
 from repro.staticcheck.rules.layers import LayerDAGRule
 from repro.staticcheck.rules.contracts import DisciplineContractRule
 from repro.staticcheck.rules.rng import RNGDisciplineRule
-from repro.staticcheck.rules.floats import FloatEqualityRule
-from repro.staticcheck.rules.hygiene import HygieneRule
 from repro.staticcheck.rules.perf import (
-    ArrayGrowthRule,
-    DevectorizedLoopRule,
     FixedHorizonSimulateRule,
-    LoopInvariantCallRule,
-    QuadraticMembershipRule,
+    PerUserLoopInClassSpaceRule,
     ScalarCandidateScanRule,
 )
 from repro.staticcheck.rules.numerical import (
     UnguardedDomainCallRule,
     UnguardedPoleDivisionRule,
 )
-from repro.staticcheck.rules.wholeprogram import (
-    DeadPublicAPIRule,
-    StatefulDisciplineRule,
-)
+from repro.staticcheck.rules.wholeprogram import StatefulDisciplineRule
 from repro.staticcheck.rules.state import (
     CacheKeyCompletenessRule,
     EngineStatePicklingRule,
@@ -40,17 +32,11 @@ __all__ = [
     "LayerDAGRule",
     "DisciplineContractRule",
     "RNGDisciplineRule",
-    "FloatEqualityRule",
-    "HygieneRule",
-    "DevectorizedLoopRule",
-    "LoopInvariantCallRule",
-    "QuadraticMembershipRule",
-    "ArrayGrowthRule",
     "ScalarCandidateScanRule",
     "FixedHorizonSimulateRule",
+    "PerUserLoopInClassSpaceRule",
     "UnguardedPoleDivisionRule",
     "UnguardedDomainCallRule",
-    "DeadPublicAPIRule",
     "StatefulDisciplineRule",
     "SnapshotCoverageRule",
     "EngineStatePicklingRule",

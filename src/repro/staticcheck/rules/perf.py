@@ -1,21 +1,8 @@
-"""GW1xx — performance lints for hot numerical paths.
+"""GW1xx — cost contracts of the solver and experiment layers.
 
-The ROADMAP's north star is a system that runs as fast as the hardware
-allows; near saturation (the heavy-traffic regime), per-packet Python
-overhead dominates everything else.  These rules flag the classic ways
-numpy code quietly degrades to interpreter speed:
+Each rule guards a speed-up this system is built on, not generic
+numpy style:
 
-``GW101``  a Python-level ``for`` loop over a numpy array (directly,
-           via ``enumerate``/``zip``, or as ``range(len(arr))`` /
-           ``range(arr.size)``) — vectorize, or suppress with the
-           reason the loop must stay scalar;
-``GW102``  a loop-invariant call — e.g. ``g(total)`` or
-           ``curve.value(load)`` with arguments never written inside
-           the loop — recomputed on every iteration; hoist it;
-``GW103``  an ``x in somelist`` membership test inside a loop where
-           the container is list-valued — quadratic; use a set;
-``GW104``  ``np.append`` anywhere (it copies the whole array per
-           call), and loop-carried ``np.concatenate``-style growth.
 ``GW105``  a candidate-rate scan in the game layer — ``congestion_i``
            called in a loop that pokes candidates into a fixed rate
            vector (``base[i] = x``) with the user index held constant —
@@ -34,117 +21,16 @@ numpy code quietly degrades to interpreter speed:
            the reduction.  Deliberately bounded spot checks carry a
            suppression saying so.
 
-All apply only to ``repro`` modules (GW105 to ``repro.game``, GW106 to
-``repro.experiments``, GW107 to the class-space modules): tests and
-examples may trade speed for clarity.
+GW105 applies to ``repro.game``, GW106 to ``repro.experiments`` and
+GW107 to the class-space modules.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set
 
 from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
-
-#: numpy namespace functions returning arrays.
-NUMPY_ARRAY_FNS = frozenset({
-    "array", "asarray", "ascontiguousarray", "arange", "linspace",
-    "logspace", "geomspace", "zeros", "ones", "empty", "full",
-    "zeros_like", "ones_like", "empty_like", "full_like", "cumsum",
-    "cumprod", "sort", "argsort", "where", "diff", "concatenate",
-    "stack", "vstack", "hstack", "column_stack", "abs", "exp", "log",
-    "log1p", "expm1", "sqrt", "clip", "minimum", "maximum", "power",
-    "outer", "repeat", "tile",
-})
-
-#: Pure scalar functions whose loop-invariant recomputation is waste.
-PURE_NAMESPACES = frozenset({"math", "np", "numpy"})
-
-#: Domain methods that are pure functions of their arguments (service
-#: curves and allocation functions are contractually side-effect-free).
-PURE_DOMAIN_METHODS = frozenset({
-    "value", "derivative", "second_derivative", "congestion",
-    "total_queue", "marginal_cost",
-})
-
-#: Calls that grow one of their own arguments when assigned back to it.
-GROWTH_FNS = frozenset({"concatenate", "vstack", "hstack", "stack",
-                        "column_stack", "row_stack"})
-
-#: Names that signal a stateful random generator: a call touching one
-#: is NOT pure (same arguments, different results), so hoisting it
-#: would change semantics.
-RNG_NAME_RE = re.compile(r"rng|random|generator|sample|draw", re.IGNORECASE)
-
-#: Names that signal a batched variate stream (the event engine's
-#: ``VariateStream`` refill idiom): like generators, streams advance an
-#: internal cursor on every call, so calls on or through them are
-#: stateful even when their arguments never change inside the loop.
-STREAM_NAME_RE = re.compile(r"stream|variate", re.IGNORECASE)
-
-
-def _stateful_name(name: str) -> bool:
-    """Whether a name denotes RNG- or stream-like per-call state."""
-    return bool(RNG_NAME_RE.search(name) or STREAM_NAME_RE.search(name))
-
-
-def _numpy_aliases(tree: ast.Module) -> Set[str]:
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name in ("numpy", "numpy.ma"):
-                    out.add(alias.asname or "numpy")
-    return out
-
-
-def _call_root(node: ast.Call) -> Tuple[Optional[str], Optional[str]]:
-    """(namespace, function) for ``ns.fn(...)``; (None, fn) for bare."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id, func.attr
-    if isinstance(func, ast.Name):
-        return None, func.id
-    return None, None
-
-
-class _ScopeArrays:
-    """Names bound to numpy-array expressions within one scope."""
-
-    def __init__(self, scope: ast.AST, numpy_names: Set[str]) -> None:
-        self.numpy_names = numpy_names
-        self.array_names: Set[str] = set()
-        body = scope.body if hasattr(scope, "body") else []
-        for stmt in body:
-            self._scan(stmt)
-
-    def _scan(self, stmt: ast.stmt) -> None:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Assign):
-                if self.is_array_expr(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            self.array_names.add(target.id)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                if self.is_array_expr(node.value) and \
-                        isinstance(node.target, ast.Name):
-                    self.array_names.add(node.target.id)
-
-    def is_array_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Call):
-            ns, fn = _call_root(node)
-            if ns in self.numpy_names and fn in NUMPY_ARRAY_FNS:
-                return True
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.array_names
-        if isinstance(node, ast.BinOp):
-            return self.is_array_expr(node.left) or \
-                self.is_array_expr(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self.is_array_expr(node.operand)
-        return False
 
 
 def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
@@ -173,8 +59,8 @@ def _stored_names(node: ast.AST) -> Set[str]:
 
     Besides plain stores this includes the root of attribute or
     subscript stores (``x.field = ...``, ``x[i] = ...``) and the
-    receiver of in-place mutator methods (``x.append(...)``), so
-    expressions touching such names are not treated as invariant.
+    receiver of in-place mutator methods (``x.append(...)``), so a
+    loop that pokes into a vector counts as writing it.
     """
     out: Set[str] = set()
     for sub in ast.walk(node):
@@ -209,278 +95,6 @@ def _loops(scope: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.For, ast.While)):
             yield node
         stack.extend(ast.iter_child_nodes(node))
-
-
-@register_rule
-class DevectorizedLoopRule(Rule):
-    """Flag Python-level iteration over numpy arrays (GW101)."""
-
-    rule_id = "GW101"
-    name = "devectorized-loop"
-    description = ("no Python-level for loops over numpy arrays in "
-                   "repro modules; vectorize or justify with a pragma")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None or ctx.module is None \
-                or not ctx.module.startswith("repro"):
-            return
-        numpy_names = _numpy_aliases(ctx.tree)
-        for scope in _scopes(ctx.tree):
-            arrays = _ScopeArrays(scope, numpy_names)
-            for loop in _loops(scope):
-                if not isinstance(loop, ast.For):
-                    continue
-                reason = self._loop_reason(loop.iter, arrays)
-                if reason:
-                    yield self.finding(
-                        ctx, loop,
-                        f"python-level loop over a numpy array "
-                        f"({reason}); vectorize the body or suppress "
-                        f"with the reason it must stay scalar")
-
-    def _loop_reason(self, iter_expr: ast.expr,
-                     arrays: _ScopeArrays) -> Optional[str]:
-        if arrays.is_array_expr(iter_expr):
-            return "iterating the array directly"
-        if isinstance(iter_expr, ast.Call):
-            ns, fn = _call_root(iter_expr)
-            if ns is None and fn in ("enumerate", "zip", "reversed"):
-                if any(arrays.is_array_expr(arg)
-                       for arg in iter_expr.args):
-                    return f"via {fn}()"
-            if ns is None and fn == "range":
-                for arg in iter_expr.args:
-                    if self._is_array_length(arg, arrays):
-                        return "indexing via range(len/size)"
-        return None
-
-    @staticmethod
-    def _is_array_length(node: ast.expr, arrays: _ScopeArrays) -> bool:
-        # len(arr) / arr.size / arr.shape[k], possibly inside arithmetic
-        # like range(n - 1).
-        if isinstance(node, ast.BinOp):
-            return DevectorizedLoopRule._is_array_length(
-                node.left, arrays) or \
-                DevectorizedLoopRule._is_array_length(node.right, arrays)
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Name) and \
-                node.func.id == "len" and node.args:
-            return arrays.is_array_expr(node.args[0]) or (
-                isinstance(node.args[0], ast.Name)
-                and node.args[0].id in arrays.array_names)
-        if isinstance(node, ast.Attribute) and node.attr == "size":
-            return isinstance(node.value, ast.Name) and \
-                node.value.id in arrays.array_names
-        if isinstance(node, ast.Subscript) and \
-                isinstance(node.value, ast.Attribute) and \
-                node.value.attr == "shape":
-            return isinstance(node.value.value, ast.Name) and \
-                node.value.value.id in arrays.array_names
-        return False
-
-
-@register_rule
-class LoopInvariantCallRule(Rule):
-    """Flag pure calls recomputed with loop-invariant args (GW102)."""
-
-    rule_id = "GW102"
-    name = "loop-invariant-call"
-    description = ("pure calls (math.*, np.*, service-curve methods, "
-                   "module-level helpers) whose arguments never change "
-                   "inside the loop must be hoisted out of it")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None or ctx.module is None \
-                or not ctx.module.startswith("repro"):
-            return
-        module_functions = {
-            node.name for node in ctx.tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        for scope in _scopes(ctx.tree):
-            # Shared across the scope's loops: a call invariant to an
-            # outer loop must not be re-reported from an inner one
-            # (_loops yields outer loops before their nested loops).
-            reported: Set[int] = set()
-            for loop in _loops(scope):
-                written = _stored_names(loop)
-                for node in ast.walk(loop):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    if id(node) in reported:
-                        continue
-                    if self._in_iter(loop, node):
-                        continue
-                    label = self._invariant_pure_call(
-                        node, written, module_functions)
-                    if label is None:
-                        continue
-                    reported.add(id(node))
-                    yield self.finding(
-                        ctx, node,
-                        f"loop-invariant call {label} recomputed every "
-                        f"iteration; hoist it above the loop")
-
-    @staticmethod
-    def _in_iter(loop: ast.AST, node: ast.Call) -> bool:
-        if isinstance(loop, ast.For):
-            return any(sub is node for sub in ast.walk(loop.iter))
-        return False
-
-    def _invariant_pure_call(self, node: ast.Call, written: Set[str],
-                             module_functions: Set[str]
-                             ) -> Optional[str]:
-        ns, fn = _call_root(node)
-        if fn is not None and _stateful_name(fn):
-            return None  # stateful by name: random_*, sample_*, ...
-        if ns is not None and ns not in PURE_NAMESPACES \
-                and _stateful_name(ns):
-            return None  # stateful receiver: rng.*, stream.*, ...
-        if ns in PURE_NAMESPACES and fn is not None:
-            label = f"{ns}.{fn}(...)"
-        elif ns is not None and fn in PURE_DOMAIN_METHODS \
-                and ns not in written:
-            label = f"{ns}.{fn}(...)"
-        elif ns is None and fn in module_functions:
-            label = f"{fn}(...)"
-        else:
-            return None
-        if not node.args and not node.keywords:
-            # Zero-argument calls (np.seterr(), math.inf access) are
-            # not worth the noise.
-            return None
-        args = list(node.args) + [kw.value for kw in node.keywords]
-        for arg in args:
-            if not self._invariant_expr(arg, written):
-                return None
-        return label
-
-    def _invariant_expr(self, node: ast.expr, written: Set[str]) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and (
-                    sub.id in written or _stateful_name(sub.id)):
-                return False
-            if isinstance(sub, ast.Call):
-                # A nested call may be impure; treat as varying.
-                return False
-            if isinstance(sub, (ast.Subscript, ast.Starred)):
-                return False
-        return True
-
-
-@register_rule
-class QuadraticMembershipRule(Rule):
-    """Flag list-membership tests inside loops (GW103)."""
-
-    rule_id = "GW103"
-    name = "quadratic-membership"
-    description = ("`x in somelist` inside a loop is O(n) per test — "
-                   "build a set before the loop")
-
-    _LIST_CALLS = frozenset({"list", "sorted"})
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None or ctx.module is None \
-                or not ctx.module.startswith("repro"):
-            return
-        for scope in _scopes(ctx.tree):
-            list_names = self._list_names(scope)
-            for loop in _loops(scope):
-                for node in ast.walk(loop):
-                    if not isinstance(node, ast.Compare):
-                        continue
-                    operands = [node.left] + list(node.comparators)
-                    for op, container in zip(node.ops, operands[1:]):
-                        if not isinstance(op, (ast.In, ast.NotIn)):
-                            continue
-                        if self._is_listy(container, list_names):
-                            yield self.finding(
-                                ctx, node,
-                                "membership test against a list inside "
-                                "a loop is quadratic; use a set")
-
-    def _list_names(self, scope: ast.AST) -> Set[str]:
-        out: Set[str] = set()
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign) and \
-                    self._is_list_expr(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        out.add(target.id)
-        return out
-
-    def _is_list_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.ListComp)):
-            return True
-        if isinstance(node, ast.Call):
-            ns, fn = _call_root(node)
-            return ns is None and fn in self._LIST_CALLS
-        return False
-
-    def _is_listy(self, node: ast.expr, list_names: Set[str]) -> bool:
-        if isinstance(node, (ast.List, ast.ListComp)):
-            return True
-        return isinstance(node, ast.Name) and node.id in list_names
-
-
-@register_rule
-class ArrayGrowthRule(Rule):
-    """Flag O(n) array-growth idioms (GW104)."""
-
-    rule_id = "GW104"
-    name = "array-growth"
-    description = ("np.append copies the whole array per call, and "
-                   "loop-carried np.concatenate grows quadratically; "
-                   "collect into a list and convert once")
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.tree is None or ctx.module is None \
-                or not ctx.module.startswith("repro"):
-            return
-        numpy_names = _numpy_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                ns, fn = _call_root(node)
-                if ns in numpy_names and fn == "append":
-                    yield self.finding(
-                        ctx, node,
-                        "np.append copies the whole array on every "
-                        "call; append to a list and np.asarray once, "
-                        "or preallocate")
-        for scope in _scopes(ctx.tree):
-            for loop in _loops(scope):
-                yield from self._loop_growth(ctx, loop, numpy_names)
-
-    def _loop_growth(self, ctx: FileContext, loop: ast.AST,
-                     numpy_names: Set[str]) -> Iterable[Finding]:
-        for node in ast.walk(loop):
-            if not isinstance(node, ast.Assign):
-                continue
-            if not isinstance(node.value, ast.Call):
-                continue
-            ns, fn = _call_root(node.value)
-            if ns not in numpy_names or fn not in GROWTH_FNS:
-                continue
-            target_names = {t.id for t in node.targets
-                            if isinstance(t, ast.Name)}
-            if not target_names:
-                continue
-            arg_names = self._argument_names(node.value)
-            if target_names & arg_names:
-                grown = sorted(target_names & arg_names)[0]
-                yield self.finding(
-                    ctx, node,
-                    f"array {grown!r} grown via np.{fn} inside a loop "
-                    f"(quadratic); collect parts in a list and "
-                    f"concatenate once after the loop")
-
-    @staticmethod
-    def _argument_names(call: ast.Call) -> Set[str]:
-        out: Set[str] = set()
-        for arg in call.args:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Name):
-                    out.add(sub.id)
-        return out
 
 
 @register_rule

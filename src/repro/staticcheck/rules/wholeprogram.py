@@ -1,10 +1,5 @@
-"""GW3xx — whole-program hygiene (needs :class:`ProjectContext`).
+"""GW3xx — whole-program contracts (needs :class:`ProjectContext`).
 
-``GW301``  dead public API — a public top-level function or class in
-           a ``repro`` module that no *other* module, test, example,
-           or benchmark references by name.  Public surface that
-           nothing exercises is untested surface; make it private or
-           remove it.
 ``GW302``  stateful discipline — a subclass of
            :class:`~repro.disciplines.base.AllocationFunction` whose
            allocation methods (``congestion``/``__call__``/
@@ -13,14 +8,14 @@
            congestion vectors; hidden state breaks the Nash/Pareto
            machinery (and any parallel evaluation) silently.
 
-Both rules anchor findings to real source lines, so the ordinary
+Findings anchor to real source lines, so the ordinary
 ``# greedwork: ignore[...]`` pragmas apply.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set
+from typing import Iterable, Set
 
 from repro.staticcheck.core import Finding, ProjectRule, register_rule
 from repro.staticcheck.project import (
@@ -32,45 +27,6 @@ from repro.staticcheck.project import (
 
 #: Methods forming the allocation surface of a discipline.
 ALLOCATION_METHODS = frozenset({"congestion", "__call__", "allocate"})
-
-#: Names that are consumed dynamically or by convention, never flagged.
-_CONVENTIONAL = frozenset({"main", "run", "setup", "teardown"})
-
-
-@register_rule
-class DeadPublicAPIRule(ProjectRule):
-    """Flag public symbols referenced from nowhere else (GW301)."""
-
-    rule_id = "GW301"
-    name = "dead-public-api"
-    description = ("public functions/classes in repro modules must be "
-                   "referenced by some other module, test, or "
-                   "experiment — otherwise privatize or remove them")
-
-    def check_project(self, project: ProjectContext
-                      ) -> Iterable[Finding]:
-        for info in project.infos:
-            if info.module is None \
-                    or not info.module.startswith("repro"):
-                continue
-            if not project.is_analyzed(info.ctx.display_path):
-                continue
-            for symbol in info.symbols.values():
-                if symbol.kind not in ("function", "class"):
-                    continue
-                if not symbol.is_public or symbol.name.startswith("__"):
-                    continue
-                if symbol.name in _CONVENTIONAL:
-                    continue
-                if any("register" in dec for dec in symbol.decorators):
-                    continue
-                if project.name_used_outside(info.module, symbol.name):
-                    continue
-                yield self.finding(
-                    info.ctx, symbol.node,
-                    f"public {symbol.kind} {symbol.name!r} is "
-                    f"referenced by no other module, test, or "
-                    f"experiment; prefix it with '_' or remove it")
 
 
 @register_rule

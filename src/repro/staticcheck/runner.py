@@ -12,8 +12,7 @@ The pipeline per invocation:
 4. run project rules over a :class:`ProjectContext` built from the
    analyzed files plus the reference roots, unless the whole-program
    digest is unchanged in the cache;
-5. subtract the accepted baseline, sort, and return a
-   :class:`CheckResult`.
+5. sort the findings and return a :class:`CheckResult`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import (
     Union,
 )
 
-from repro.staticcheck.baseline import apply_baseline, load_baseline
 from repro.staticcheck.cache import (
     CACHE_DIR_NAME,
     CheckCache,
@@ -106,9 +104,7 @@ def reference_sources(root: Path, reference_roots: Sequence[str],
     Scans each ``reference_roots`` subdirectory of ``root`` for
     ``.py`` files not already in ``analyzed_resolved`` (resolved
     paths), skipping build/VCS internals; unreadable files are
-    silently dropped (reference context is best-effort).  Shared by
-    :func:`run_checks` and the fix engine so both see the same
-    whole-program scope.
+    silently dropped (reference context is best-effort).
     """
     analyzed = set(analyzed_resolved)
     out: Dict[Path, str] = {}
@@ -175,7 +171,6 @@ def run_checks(paths: Sequence[Union[str, Path]],
                jobs: int = 1,
                cache: bool = False,
                cache_dir: Optional[Union[str, Path]] = None,
-               baseline: Optional[Union[str, Path]] = None,
                reference_roots: Sequence[str] = REFERENCE_ROOTS,
                ) -> CheckResult:
     """Run the suite over ``paths`` and return a :class:`CheckResult`.
@@ -197,9 +192,6 @@ def run_checks(paths: Sequence[Union[str, Path]],
         programmatic use; the CLI turns it on).
     cache_dir:
         Cache location; defaults to ``<project_root>/.greedwork_cache``.
-    baseline:
-        Path to an accepted-findings baseline; matching findings land
-        in ``result.baselined`` instead of failing the run.
     reference_roots:
         Project-root subdirectories scanned as reference-only context
         for whole-program rules.
@@ -326,15 +318,10 @@ def run_checks(paths: Sequence[Union[str, Path]],
                 check_cache.put_project(digest, project_findings,
                                         project_suppressed)
 
-    # -- 5. baseline, ordering, bookkeeping ---------------------------------
-    if baseline is not None:
-        accepted = load_baseline(baseline)
-        result.findings, result.baselined = apply_baseline(
-            result.findings, accepted)
+    # -- 5. ordering, bookkeeping -------------------------------------------
     if check_cache is not None:
         check_cache.save()
     result.findings.sort(key=lambda f: f.sort_key())
     result.suppressed.sort(key=lambda f: f.sort_key())
-    result.baselined.sort(key=lambda f: f.sort_key())
     result.duration_s = time.perf_counter() - started
     return result

@@ -338,8 +338,8 @@ def _indexed_final_rung(cell: SweepCell, config: Any,
             or not isinstance(rungs, int) or rungs < 1:
         return None
     ladder = _ladder(config.horizon, config.warmup, rungs, max_horizon)
-    # greedwork: ignore[GW004] -- exact identity intended: both sides
-    # come from the same deterministic recurrence on the same floats.
+    # Exact identity intended: both sides come from the same
+    # deterministic recurrence on the same floats.
     if len(ladder) != rungs or ladder[-1] != final_horizon:
         return None
     return final_horizon, rungs

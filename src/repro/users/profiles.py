@@ -125,9 +125,9 @@ def lemma5_profile(allocation: AllocationFunction,
             f"target rates {r} are outside the stable region of "
             f"{allocation.name}")
     profile: List[Utility] = []
-    # greedwork: ignore[GW101] -- own_derivative is a scalar per-user
-    # API and profiles are a handful of users; vectorizing would need
-    # a full Jacobian for no measurable gain.
+    # own_derivative is a scalar per-user API and profiles are a
+    # handful of users; vectorizing would need a full Jacobian for no
+    # measurable gain.
     for i in range(r.size):
         slope = allocation.own_derivative(r, i)
         gamma = 1.0

@@ -33,7 +33,6 @@ class TestBestResponse:
         result = best_response(fair_share, utility,
                                np.array([0.0, 0.45]), 0)
         r = result.x
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert 1.0 / (1.0 - 2.0 * r) ** 2 == pytest.approx(
             1.0 / gamma, rel=1e-3)
 

@@ -129,11 +129,8 @@ class TestDerivatives:
 
     def test_cross_derivative_insularity(self, rates3):
         # dC_i/dr_j = 0 whenever r_j > r_i.
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.fs.cross_derivative(rates3, 0, 1) == 0.0
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.fs.cross_derivative(rates3, 0, 2) == 0.0
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.fs.cross_derivative(rates3, 1, 2) == 0.0
         assert self.fs.cross_derivative(rates3, 2, 0) > 0.0
 
@@ -169,7 +166,6 @@ class TestDerivatives:
             self.fs, rates3, 2, 0)
         assert self.fs.mixed_second_derivative(
             rates3, 2, 0) == pytest.approx(numeric_mixed, rel=1e-3)
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.fs.mixed_second_derivative(rates3, 0, 2) == 0.0
 
     def test_own_second_derivative_positive(self, rates3):

@@ -32,15 +32,12 @@ class TestSwitchMetrics:
 
     def test_idle_switch(self):
         metrics = switch_metrics([0.0, 0.0])
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert metrics.power == 0.0
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert metrics.mean_delay == 0.0
 
     def test_overloaded_switch(self):
         metrics = switch_metrics([0.7, 0.7])
         assert math.isinf(metrics.total_queue)
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert metrics.power == 0.0
 
     def test_validation(self):

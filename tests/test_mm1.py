@@ -16,9 +16,7 @@ from repro.queueing.mm1 import (
 
 class TestUtilization:
     def test_basic(self):
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert mm1_utilization(0.5) == 0.5
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert mm1_utilization(1.0, service_rate=2.0) == 0.5
 
     def test_invalid_inputs(self):

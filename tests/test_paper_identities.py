@@ -109,7 +109,6 @@ class TestTheorem2Identity:
         marginal = 1.0 / (1.0 - 0.45) ** 2
         assert slope < marginal
         # And the shortfall is exactly the externality share.
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert slope == (1.0 - 0.45 + 0.15) * marginal
 
 

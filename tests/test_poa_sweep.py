@@ -15,7 +15,6 @@ class TestClosedForms:
         # g'(S) = 1/gamma  =>  (1-S)^2 = gamma.
         for gamma in (0.1, 0.3, 0.7):
             total = optimal_total(gamma)
-            # greedwork: ignore[GW004] -- exact value is the contract under test
             assert (1.0 - total) ** 2 == pytest.approx(gamma)
 
     def test_welfare_peak(self):

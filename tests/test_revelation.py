@@ -79,7 +79,6 @@ class TestMisreportGain:
     def test_gain_measured_with_true_utility(self, fair_share,
                                              truthful_profile):
         outcome = misreport_gain(fair_share, truthful_profile, 0, [])
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert outcome.gain == 0.0
         assert outcome.best_misreport_utility == pytest.approx(
             outcome.truthful_utility)

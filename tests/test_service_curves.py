@@ -28,7 +28,6 @@ class TestMM1Curve:
         self.curve = MM1Curve()
 
     def test_known_values(self):
-        # greedwork: ignore[GW004] -- exact value is the contract under test
         assert self.curve.value(0.0) == 0.0
         assert self.curve.value(0.5) == pytest.approx(1.0)
         assert self.curve.value(0.75) == pytest.approx(3.0)

@@ -99,7 +99,6 @@ class TestSimulateToPrecision:
             replace(BASE, horizon=3000.0), target_halfwidth=1e-6,
             max_horizon=6000.0)
         assert not precision.achieved
-        # greedwork: ignore[GW004] -- the schedule cap is exact
         assert precision.horizons[-1] == 6000.0
         assert np.all(np.isfinite(precision.summary.half_widths))
 

@@ -44,9 +44,7 @@ class TestStudentT:
 
     def test_cdf_symmetry_and_limits(self):
         assert t_cdf(0.0, 7) == pytest.approx(0.5)
-        # greedwork: ignore[GW004] -- the infinite-argument limits are exact
         assert t_cdf(math.inf, 7) == 1.0
-        # greedwork: ignore[GW004] -- the infinite-argument limits are exact
         assert t_cdf(-math.inf, 7) == 0.0
         assert t_cdf(1.5, 7) + t_cdf(-1.5, 7) == pytest.approx(1.0)
 

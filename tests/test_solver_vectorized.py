@@ -186,7 +186,6 @@ class TestGridMaximize:
     def test_scalar_result_field_defaults(self):
         result = ScalarMaxResult(x=1.0, value=2.0, evaluations=3)
         assert result.grid_calls == 0
-        # greedwork: ignore[GW004] -- asserting the exact dataclass default
         assert result.wall_time == 0.0
 
 
@@ -208,7 +207,6 @@ class TestCurvelessRateCap:
     def test_default_rate_cap_falls_back(self):
         from repro.game.best_response import _default_rate_cap
 
-        # greedwork: ignore[GW004] -- the fallback cap is an exact constant
         assert _default_rate_cap(CurvelessAllocation()) == 4.0
 
     def test_best_response_runs_without_curve(self):
