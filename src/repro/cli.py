@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.network.sharded import SHARDED_POLICIES
 from repro.numerics.rng import default_rng
 
 
@@ -114,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tandem_parser.add_argument("--rates", type=float, nargs="+",
                                required=True)
     tandem_parser.add_argument("--policies", nargs=2,
+                               choices=SHARDED_POLICIES,
                                default=("fifo", "fifo"),
                                metavar=("HOP0", "HOP1"))
     tandem_parser.add_argument("--horizon", type=float, default=30000.0)
@@ -268,13 +270,30 @@ def _cmd_simulate(rates: List[float], policy: str, horizon: float,
                   replications: Optional[int] = None,
                   antithetic: bool = False,
                   backend: Optional[str] = None) -> int:
-    from repro.experiments.base import Table
-    from repro.sim.runner import (ENV_ENGINE_BACKEND, SimulationConfig,
-                                  replicate, simulate,
-                                  simulate_to_precision)
+    from repro.sim.runner import ENV_ENGINE_BACKEND
 
+    # The backend is read from the environment per run; restore it
+    # afterwards so later work in this process keeps its own backend.
+    previous = os.environ.get(ENV_ENGINE_BACKEND)
     if backend is not None:
         os.environ[ENV_ENGINE_BACKEND] = backend
+    try:
+        return _simulate(rates, policy, horizon, seed, target_halfwidth,
+                         replications, antithetic)
+    finally:
+        if previous is None:
+            os.environ.pop(ENV_ENGINE_BACKEND, None)
+        else:
+            os.environ[ENV_ENGINE_BACKEND] = previous
+
+
+def _simulate(rates: List[float], policy: str, horizon: float, seed: int,
+              target_halfwidth: Optional[float],
+              replications: Optional[int], antithetic: bool) -> int:
+    from repro.experiments.base import Table
+    from repro.sim.runner import (SimulationConfig, replicate, simulate,
+                                  simulate_to_precision)
+
     config = SimulationConfig(rates=rates, policy=policy,
                               horizon=horizon, warmup=horizon * 0.05,
                               seed=seed)
@@ -406,11 +425,10 @@ def _cmd_protect(rate: float, users: int, discipline: str, samples: int,
 def _cmd_tandem(rates: List[float], policies: List[str], horizon: float,
                 seed: int) -> int:
     from repro.experiments.base import Table
-    from repro.network.tandem import TandemConfig, simulate_tandem
+    from repro.network.sharded import simulate_sharded, tandem_config
 
-    result = simulate_tandem(TandemConfig(
-        rates=rates, policies=tuple(policies), horizon=horizon,
-        warmup=horizon * 0.05, seed=seed))
+    result = simulate_sharded(tandem_config(rates, policies, horizon,
+                                            seed=seed))
     table = Table(
         title=f"tandem {policies[0]} -> {policies[1]}, "
               f"horizon {horizon:g}",

@@ -11,7 +11,8 @@ expectations:
    equilibrium from many starting points.
 2. *Protection*: a route user's total congestion stays below the sum of
    per-hop symmetric bounds whatever the other users do.
-3. *The Poisson approximation*: a packet-level FIFO/FIFO tandem matches
+3. *The Poisson approximation*: a packet-level FIFO/FIFO tandem, run
+   as a two-switch line on the sharded switch-graph simulator, matches
    the analytic network model exactly in the mean (Jackson network),
    while Fair-Share ladders at both hops deviate only mildly — the
    approximation error the paper anticipates.
@@ -27,7 +28,7 @@ from repro.experiments.base import ExperimentReport, Table
 from repro.game.nash import find_all_nash, solve_nash
 from repro.game.protection import worst_case_congestion
 from repro.network.model import NetworkAllocation, Route
-from repro.network.tandem import TandemConfig, simulate_tandem
+from repro.network.sharded import simulate_sharded, tandem_config
 from repro.numerics.rng import default_rng
 from repro.users.families import PowerUtility
 
@@ -100,9 +101,8 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
         analytic = NetworkAllocation(
             switches=[factory(), factory()],
             routes=shared_routes).congestion(rates)
-        sim = simulate_tandem(TandemConfig(
-            rates=rates, policies=policies, horizon=horizon,
-            warmup=horizon * 0.05, seed=seed))
+        sim = simulate_sharded(tandem_config(rates, policies, horizon,
+                                             seed=seed))
         tolerance = 0.12 if label == "fifo/fifo" else 0.25
         for i in range(3):
             measured = float(sim.total_mean_queues[i])

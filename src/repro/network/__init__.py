@@ -10,14 +10,13 @@ package builds that model:
   over user routes into one allocation-function-like object, so the
   entire game layer (best responses, Nash, Stackelberg, protection,
   dynamics) runs on networks unchanged;
-* :func:`repro.network.tandem.simulate_tandem` is a packet-level
-  two-switch tandem simulator used to probe the Poisson approximation:
-  exact for FIFO tandems (Burke/Jackson), approximate for priority
-  ladders;
-* :func:`repro.network.sharded.simulate_sharded` scales the
-  packet-level view to arbitrary switch graphs: each switch runs its
-  own chunked event engine (optionally in a worker process), with
+* :func:`repro.network.sharded.simulate_sharded` is the packet-level
+  simulator for arbitrary switch graphs: each switch runs its own
+  chunked event engine (optionally in a worker process), with
   deterministic inter-switch handoff via conservative time windows.
+  Its two-hop line (:func:`~repro.network.sharded.tandem_config`)
+  probes the Poisson-output approximation: exact for FIFO tandems
+  (Burke/Jackson), approximate for Fair Share ladders.
 """
 
 from repro.network.model import NetworkAllocation, Route
@@ -27,18 +26,16 @@ from repro.network.sharded import (
     ShardedState,
     SwitchGraphConfig,
     simulate_sharded,
+    tandem_config,
 )
-from repro.network.tandem import TandemConfig, TandemResult, simulate_tandem
 
 __all__ = [
     "Route",
     "NetworkAllocation",
-    "TandemConfig",
-    "TandemResult",
-    "simulate_tandem",
     "SwitchGraphConfig",
     "ShardedSimulation",
     "ShardedResult",
     "ShardedState",
     "simulate_sharded",
+    "tandem_config",
 ]

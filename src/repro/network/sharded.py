@@ -1,11 +1,12 @@
 """Sharded multi-switch simulation over the chunked event kernels.
 
-This module generalizes the two-hop :mod:`repro.network.tandem` toy to
-an arbitrary switch graph: every user sends a stream along her
-:class:`~repro.network.model.Route`, each switch runs its own
+The repository's one packet-level network simulator: every user sends
+a stream along her :class:`~repro.network.model.Route` of an arbitrary
+switch graph, each switch runs its own
 :class:`~repro.sim.chunked.ChunkedSimulationEngine` event stream, and
 packets finishing service at one switch are handed to the next switch
-on the route after a fixed link delay.
+on the route after a fixed link delay.  :func:`tandem_config` builds
+the two-hop line that probes the Poisson-output approximation.
 
 Determinism and sharding
 ------------------------
@@ -778,3 +779,21 @@ def simulate_sharded(config: SwitchGraphConfig,
     with ShardedSimulation(config, jobs=jobs) as sim:
         sim.run_windows()
         return sim.result()
+
+
+def tandem_config(rates: Sequence[float], policies: Sequence[str],
+                  horizon: float, seed: int = 0) -> SwitchGraphConfig:
+    """The two-hop line: every user crosses switch 0, then switch 1.
+
+    The warmup is 5% of the horizon.  A fixed link delay shifts hop
+    1's input in time but leaves its stationary queues unchanged, so
+    window and delay are derived, not chosen:
+    ``min(500, warmup / 2)`` keeps hop 1's empty start inside the
+    warmup.
+    """
+    warmup = horizon * 0.05
+    delay = min(500.0, warmup / 2.0)
+    return SwitchGraphConfig(rates=rates, routes=[(0, 1)] * len(rates),
+                             policies=list(policies), horizon=horizon,
+                             warmup=warmup, seed=seed, window=delay,
+                             link_delay=delay)

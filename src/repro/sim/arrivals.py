@@ -14,18 +14,14 @@ distribution while keeping each source's *rate*:
 The ``ablation_arrivals`` experiment measures how far the ladder's
 realized allocation drifts from ``C^FS`` under each.
 
-Two interfaces expose the same distributions:
-
-* :func:`interarrival_sampler` — one variate per call (simple, used by
-  tandem/network code and tests);
-* :class:`VariateStream` — block-batched draws for the event engine's
-  hot loop, with a documented draw-order contract.
+:class:`VariateStream` draws all three in blocks for the event
+engines, under a documented draw-order contract; it is the only
+variate source in the simulator.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -81,8 +77,10 @@ class VariateStream:
       randomness (the stream's generator stays untouched).
     * ``hyperexponential`` — each block draws ``block_size`` uniforms,
       then ``block_size`` standard exponentials, and scales each
-      exponential by the phase the paired uniform selected (balanced
-      two-phase fit, cv 2, as in :func:`interarrival_sampler`).  The
+      exponential by the phase the paired uniform selected (the
+      balanced-means H2 fit for cv 2: phase probabilities ``p`` and
+      ``1 - p`` with ``p = (1 + sqrt((c2-1)/(c2+1)))/2``, ``c2 = 4``,
+      and phase rates ``2 p rate`` and ``2 (1-p) rate``).  The
       uniform/exponential interleaving makes this sequence a function
       of the block size, so it is guaranteed bit-identical only at
       :data:`DEFAULT_BLOCK_SIZE`.
@@ -275,49 +273,3 @@ class VariateStream:
         self._pos += n
         self.draws += n
 
-
-def interarrival_sampler(process: str, rate: float,
-                         rng: np.random.Generator) -> Callable[[], float]:
-    """A zero-argument sampler of interarrival times at mean ``1/rate``.
-
-    The hyperexponential variant is the standard balanced-means H2 fit
-    for squared coefficient of variation ``c2 = 4``: phases with
-    probabilities ``p`` and ``1 - p``, ``p = (1 + sqrt((c2-1)/(c2+1)))/2``,
-    and rates ``2 p rate`` and ``2 (1-p) rate``.
-    """
-    if rate <= 0.0:
-        raise SimulationError(f"rate must be positive, got {rate}")
-    key = process.strip().lower()
-    if key == "poisson":
-        mean = 1.0 / rate
-
-        def sample_poisson() -> float:
-            return float(rng.exponential(mean))
-
-        return sample_poisson
-    if key == "deterministic":
-        gap = 1.0 / rate
-
-        def sample_deterministic() -> float:
-            return gap
-
-        return sample_deterministic
-    if key == "hyperexponential":
-        c2 = PROCESS_CV["hyperexponential"] ** 2
-        if c2 < 1.0:
-            raise SimulationError(
-                f"hyperexponential balanced-means fit needs CV^2 >= 1, "
-                f"got {c2}")
-        p = 0.5 * (1.0 + math.sqrt((c2 - 1.0) / (c2 + 1.0)))
-        rate_fast = 2.0 * p * rate
-        rate_slow = 2.0 * (1.0 - p) * rate
-
-        def sample_hyper() -> float:
-            if rng.random() < p:
-                return float(rng.exponential(1.0 / rate_fast))
-            return float(rng.exponential(1.0 / rate_slow))
-
-        return sample_hyper
-    raise SimulationError(
-        f"unknown arrival process {process!r}; known: "
-        f"{', '.join(sorted(PROCESS_CV))}")

@@ -63,17 +63,24 @@ configs must set ``batch_quota`` (an explicit batch duration) instead
 of deriving batches from the horizon.  :func:`simulate_to_precision`
 builds sequential stopping on top: simulate in geometrically growing
 horizon chunks, assess the (control-variate-adjusted, Student-t) CI
-after each, stop at the target half-width.
+after each, stop at the target half-width.  :func:`cached_precision`
+replays the same schedule from the cache alone, without simulating.
+
+The scalar :class:`SimulationEngine` has two reasons to exist: it is
+the bit-identity oracle the chunked kernels are tested against, and
+it runs the policies no kernel covers.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -558,56 +565,7 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     extension delta (``fresh_events`` counts just that delta).
     Disable via ``--no-sim-cache`` or ``GREEDWORK_SIM_CACHE=off``.
     """
-    rates = _validate(config)
-    key = None
-    skey = None
-    if sim_cache.enabled():
-        key = sim_cache.config_key(config, ENGINE_VERSION)
-        if key is None:
-            sim_cache.record_uncacheable()
-        else:
-            cached = sim_cache.load(key)
-            if cached is not None:
-                return cached
-            skey = sim_cache.state_key(config, ENGINE_VERSION)
-    engine = None
-    resumed_from = None
-    if skey is not None:
-        state = sim_cache.load_state(skey)
-        if (state is not None
-                and getattr(state, "horizon", math.inf) <= config.horizon
-                and getattr(state, "engine_version", "") == ENGINE_VERSION):
-            engine = _engine_class().resume(state, config)
-            resumed_from = state.horizon
-    if engine is None:
-        engine = _engine_class()(config, rates)
-    fresh = engine.run_to(config.horizon)
-    sim_cache.record_fresh_events(fresh)
-    result = engine.result(config)
-    if key is not None:
-        sim_cache.store(key, result)
-    if skey is not None and (resumed_from is None
-                             or config.horizon > resumed_from):
-        sim_cache.store_state(skey, engine.snapshot())
-    return result
-
-
-def _simulate_fresh(config: SimulationConfig,
-                    rates: np.ndarray) -> SimulationResult:
-    """The event core without any caching (tests and benchmarks)."""
-    engine = _engine_class()(config, rates)
-    engine.run_to(config.horizon)
-    return engine.result(config)
-
-
-def simulate_allocation(rates: Sequence[float], policy: Union[str, QueuePolicy],
-                        horizon: float = 20000.0, warmup: float = 1000.0,
-                        seed: int = 0) -> np.ndarray:
-    """Convenience wrapper returning just the measured ``c`` vector."""
-    result = simulate(SimulationConfig(rates=rates, policy=policy,
-                                       horizon=horizon, warmup=warmup,
-                                       seed=seed))
-    return result.mean_queues
+    return _chunk_simulate(config, [None])
 
 
 def paired_configs(config: SimulationConfig,
@@ -705,30 +663,20 @@ class PrecisionResult:
         return self.result.events
 
 
-def _precision_base(config: SimulationConfig) -> SimulationConfig:
-    """Normalize a config for sequential stopping.
-
-    An explicit ``batch_quota`` (derived once from the *initial*
-    horizon when absent) keeps the batch layout fixed across chunks,
-    which is what makes each chunk resumable from the previous one.
-    """
-    if config.batch_quota is not None:
-        return config
-    quota = (config.horizon - config.warmup) / config.n_batches
-    return replace(config, batch_quota=quota)
-
-
 def _chunk_simulate(chunk: SimulationConfig,
                     engine_box: List[Optional[SimulationEngine]],
                     ) -> SimulationResult:
-    """One sequential-stopping chunk, reusing a live engine.
+    """Run one config to its horizon through the persistent cache.
 
-    Same cache discipline as :func:`simulate` — result-cache hit
-    first, then engine-snapshot resume — with one addition: the
-    engine from the previous chunk (``engine_box[0]``) is kept alive
-    in-process, so consecutive chunks are delta-only even when the
-    persistent cache is disabled (tests) or the config is uncacheable
-    (policy instances).
+    The one fixed-horizon path: :func:`simulate` and every rung of
+    :func:`simulate_to_precision` come through here.  Result-cache
+    hit first, then engine-snapshot resume, then the event core; the
+    result (and, for resumable configs, the engine snapshot) is stored
+    afterwards.  ``engine_box[0]`` carries a live engine from one rung
+    of a schedule to the next, so consecutive rungs are delta-only
+    even when the persistent cache is disabled (tests) or the config
+    is uncacheable (policy instances); :func:`simulate` passes an
+    empty box.
     """
     rates = _validate(chunk)
     key = None
@@ -767,6 +715,147 @@ def _chunk_simulate(chunk: SimulationConfig,
     return result
 
 
+def _peek_rung(chunk: SimulationConfig) -> Optional[SimulationResult]:
+    """One rung's cached result, read without moving a counter."""
+    key = sim_cache.config_key(chunk, ENGINE_VERSION)
+    return sim_cache.peek(key) if key is not None else None
+
+
+def _meets_target(half_widths: np.ndarray, target_halfwidth: float) -> bool:
+    """The stopping rule: every half-width finite and at most the target."""
+    return bool(np.all(np.isfinite(half_widths))
+                and np.max(half_widths) <= target_halfwidth)
+
+
+@dataclass
+class _Schedule:
+    """One sequential-stopping schedule: horizon ladder and stop rule.
+
+    Built from the caller's config and arguments alone, never from
+    cache contents, so :func:`simulate_to_precision` and the
+    cache-only :func:`cached_precision` visit identical rungs.
+    """
+
+    base: SimulationConfig
+    target_halfwidth: float
+    confidence: float
+    growth: float
+    max_horizon: float
+    use_control_variates: bool
+
+    @classmethod
+    def plan(cls, config: SimulationConfig, target_halfwidth: float,
+             confidence: float, growth: float,
+             max_horizon: Optional[float],
+             use_control_variates: bool) -> "_Schedule":
+        """Validate the arguments and normalize the config.
+
+        An explicit ``batch_quota`` (derived once from the *initial*
+        horizon when absent) keeps the batch layout fixed across
+        rungs, which is what makes each rung resumable from the
+        previous one.
+        """
+        if target_halfwidth <= 0.0:
+            raise SimulationError(
+                f"target half-width must be positive, got "
+                f"{target_halfwidth}")
+        if growth <= 1.0:
+            raise SimulationError(f"growth must exceed 1, got {growth}")
+        base = config
+        if base.batch_quota is None:
+            base = replace(base, batch_quota=(base.horizon - base.warmup)
+                           / base.n_batches)
+        if isinstance(base.policy, QueuePolicy):
+            # The engine mutates the policy as it runs; keep the
+            # caller's instance pristine.
+            base = replace(base, policy=copy.deepcopy(base.policy))
+        if max_horizon is None:
+            max_horizon = base.warmup + 32.0 * (base.horizon - base.warmup)
+        return cls(base, target_halfwidth, confidence, growth,
+                   max_horizon, use_control_variates)
+
+    def horizons(self) -> Iterator[float]:
+        """The rungs of the geometric ladder, in order.
+
+        ``h_0`` is the config's horizon and
+        ``h_{k+1} = min(max_horizon, warmup + (h_k - warmup) * growth)``;
+        the ladder ends with the first rung at or past ``max_horizon``.
+        """
+        horizon = self.base.horizon
+        warmup = self.base.warmup
+        while True:
+            yield horizon
+            if horizon >= self.max_horizon:
+                return
+            horizon = min(self.max_horizon,
+                          warmup + (horizon - warmup) * self.growth)
+
+    def assess(self, result: SimulationResult,
+               horizons: List[float]) -> PrecisionResult:
+        """Apply the stopping rule to the result of the last rung."""
+        summary = control_variate_summary(
+            result, confidence=self.confidence,
+            use_control_variates=self.use_control_variates)
+        return PrecisionResult(
+            result=result, summary=summary,
+            target_halfwidth=self.target_halfwidth, horizons=horizons,
+            achieved=_meets_target(summary.half_widths,
+                                   self.target_halfwidth))
+
+    def walk(self, run_rung: Callable[[SimulationConfig],
+                                      Optional[SimulationResult]],
+             ) -> Optional[PrecisionResult]:
+        """Climb the ladder until the target is met or the cap is hit.
+
+        Returns None as soon as ``run_rung`` answers a rung with None.
+        """
+        horizons: List[float] = []
+        for horizon in self.horizons():
+            result = run_rung(replace(self.base, horizon=horizon))
+            if result is None:
+                return None
+            horizons.append(horizon)
+            precision = self.assess(result, horizons)
+            if precision.achieved:
+                break
+        return precision
+
+    def _index_key(self) -> Optional[str]:
+        return sim_cache.precision_key(
+            self.base, ENGINE_VERSION, self.target_halfwidth,
+            self.confidence, self.growth, self.max_horizon,
+            self.use_control_variates)
+
+    def store_index(self, horizons: List[float]) -> None:
+        """Record how far the finished schedule climbed."""
+        key = self._index_key()
+        if key is not None:
+            sim_cache.store_meta(key, {"final_horizon": horizons[-1],
+                                       "n_rungs": len(horizons)})
+
+    def indexed_horizons(self) -> Optional[List[float]]:
+        """The rungs the indexed schedule visited, or None.
+
+        The entry must match the ladder itself (rung count and final
+        horizon); one that does not is ignored, and the replay walks
+        rung by rung.
+        """
+        key = self._index_key()
+        entry = sim_cache.peek(key) if key is not None else None
+        if not isinstance(entry, dict):
+            return None
+        rungs = entry.get("n_rungs")
+        if not isinstance(rungs, int) or rungs < 1:
+            return None
+        horizons = list(itertools.islice(self.horizons(), rungs))
+        # Exact identity intended: both sides come from the same
+        # recurrence on the same floats.
+        if len(horizons) != rungs \
+                or horizons[-1] != entry.get("final_horizon"):
+            return None
+        return horizons
+
+
 def simulate_to_precision(config: SimulationConfig,
                           target_halfwidth: float,
                           confidence: float = 0.95,
@@ -796,49 +885,46 @@ def simulate_to_precision(config: SimulationConfig,
     returned ``achieved`` flag is False and the summary reports the
     half-widths actually reached.
     """
-    if target_halfwidth <= 0.0:
-        raise SimulationError(
-            f"target half-width must be positive, got {target_halfwidth}")
-    if growth <= 1.0:
-        raise SimulationError(f"growth must exceed 1, got {growth}")
-    base = _precision_base(config)
-    if isinstance(base.policy, QueuePolicy):
-        # The engine mutates the policy as it runs; keep the caller's
-        # instance pristine.
-        base = replace(base, policy=copy.deepcopy(base.policy))
-    window = base.horizon - base.warmup
-    if max_horizon is None:
-        max_horizon = base.warmup + 32.0 * window
-    horizon = base.horizon
-    horizons: List[float] = []
+    schedule = _Schedule.plan(config, target_halfwidth, confidence,
+                              growth, max_horizon, use_control_variates)
     engine_box: List[Optional[SimulationEngine]] = [None]
-    while True:
-        result = _chunk_simulate(replace(base, horizon=horizon),
-                                 engine_box)
-        horizons.append(horizon)
-        summary = control_variate_summary(
-            result, confidence=confidence,
-            use_control_variates=use_control_variates)
-        finite = np.all(np.isfinite(summary.half_widths))
-        achieved = bool(finite and np.max(summary.half_widths)
-                        <= target_halfwidth)
-        if achieved or horizon >= max_horizon:
-            if sim_cache.enabled():
-                # Index the finished schedule so a warm replayer can
-                # jump straight to the final rung (one peek instead of
-                # one peek + summary per rung).
-                pkey = sim_cache.precision_key(
-                    base, ENGINE_VERSION, target_halfwidth, confidence,
-                    growth, max_horizon, use_control_variates)
-                if pkey is not None:
-                    sim_cache.store_meta(
-                        pkey, {"final_horizon": horizon,
-                               "n_rungs": len(horizons)})
-            return PrecisionResult(result=result, summary=summary,
-                                   target_halfwidth=target_halfwidth,
-                                   horizons=horizons, achieved=achieved)
-        horizon = min(max_horizon,
-                      base.warmup + (horizon - base.warmup) * growth)
+    precision = schedule.walk(
+        lambda chunk: _chunk_simulate(chunk, engine_box))
+    if sim_cache.enabled():
+        # Index the finished schedule so a warm replay can jump
+        # straight to the final rung (see cached_precision).
+        schedule.store_index(precision.horizons)
+    return precision
+
+
+def cached_precision(config: SimulationConfig,
+                     target_halfwidth: float,
+                     confidence: float = 0.95,
+                     growth: float = 2.0,
+                     max_horizon: Optional[float] = None,
+                     use_control_variates: bool = True,
+                     ) -> Optional[PrecisionResult]:
+    """The cached outcome of :func:`simulate_to_precision`, or None.
+
+    Takes the same arguments, never simulates, and reads only through
+    :func:`repro.sim.cache.peek`, so no cache counter moves: the sweep
+    scheduler resolves warm cells with it before dispatching anything.
+    The precision index that :func:`simulate_to_precision` writes lets
+    the replay jump straight to the final rung (two reads); without
+    the index, or when the final rung's entry is gone, it walks the
+    ladder rung by rung.  The first missing rung returns None.  The
+    stopping verdict is always recomputed from the cached result.
+    """
+    if not sim_cache.enabled():
+        return None
+    schedule = _Schedule.plan(config, target_halfwidth, confidence,
+                              growth, max_horizon, use_control_variates)
+    horizons = schedule.indexed_horizons()
+    if horizons is not None:
+        result = _peek_rung(replace(schedule.base, horizon=horizons[-1]))
+        if result is not None:
+            return schedule.assess(result, horizons)
+    return schedule.walk(_peek_rung)
 
 
 def replication_configs(config: SimulationConfig,
@@ -1047,9 +1133,7 @@ def replicate_to_precision(config: SimulationConfig,
         summary = replicate(config, n, jobs=jobs, antithetic=antithetic,
                             confidence=confidence)
         schedule.append(n)
-        finite = np.all(np.isfinite(summary.half_widths))
-        achieved = bool(finite and np.max(summary.half_widths)
-                        <= target_halfwidth)
+        achieved = _meets_target(summary.half_widths, target_halfwidth)
         if achieved or n >= max_replications:
             return ReplicationPrecision(summary=summary,
                                         target_halfwidth=target_halfwidth,

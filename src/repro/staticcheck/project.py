@@ -6,9 +6,8 @@ cross-file structures that per-file rules cannot see:
 * a **symbol table** — every top-level function, class, and constant
   of every ``repro`` module, with its AST node and decorator/base
   names (:class:`Symbol`);
-* an **import graph** — which ``repro`` modules each module imports,
-  with relative imports resolved, plus the local alias table mapping
-  bound names back to their defining module; and
+* an **alias table** per module — each bound import name mapped
+  back to its defining module, with relative imports resolved; and
 * an approximate **call graph** — for each top-level function and
   method, the set of callee names it invokes, resolved through the
   alias table to dotted ``module:name`` targets where possible.
@@ -164,8 +163,6 @@ class ModuleInfo:
         #: Local alias -> dotted target: ``"pkg.mod"`` for module
         #: imports, ``"pkg.mod:attr"`` for from-imports.
         self.aliases: Dict[str, str] = {}
-        #: Dotted repro modules this module imports (graph edges).
-        self.imported_modules: Set[str] = set()
         if ctx.tree is not None:
             self._index(ctx.tree)
 
@@ -225,8 +222,6 @@ class ModuleInfo:
                 target = alias.name if alias.asname else \
                     alias.name.split(".")[0]
                 self.aliases[bound] = target
-                if alias.name.split(".")[0] == "repro":
-                    self.imported_modules.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
             base = resolve_import_base(self.ctx, node)
             if base is None:
@@ -236,8 +231,6 @@ class ModuleInfo:
                     continue
                 bound = alias.asname or alias.name
                 self.aliases[bound] = f"{base}:{alias.name}"
-            if base.split(".")[0] == "repro":
-                self.imported_modules.add(base)
 
     # -- queries ------------------------------------------------------------
 
@@ -307,50 +300,11 @@ class ProjectContext:
         self._worker_entries: Optional[Dict[str, str]] = None
         self._worker_reachable: Optional[Dict[str, str]] = None
 
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def build(cls, analyzed: Sequence[FileContext],
-              project_root: Optional[Path] = None,
-              reference_roots: Sequence[str] = REFERENCE_ROOTS
-              ) -> "ProjectContext":
-        """Build from analyzed contexts plus reference-root scans.
-
-        Files under ``reference_roots`` (relative to ``project_root``)
-        that are not already analyzed are parsed as reference-only, so
-        usage-based rules see consumers the user did not ask to check.
-        """
-        have = {ctx.path.resolve() for ctx in analyzed}
-        extras: List[FileContext] = []
-        if project_root is not None:
-            for root_name in reference_roots:
-                root = Path(project_root) / root_name
-                if not root.is_dir():
-                    continue
-                for path in sorted(root.rglob("*.py")):
-                    resolved = path.resolve()
-                    if resolved in have:
-                        continue
-                    have.add(resolved)
-                    try:
-                        source = path.read_text(encoding="utf-8")
-                    except (OSError, UnicodeDecodeError):
-                        continue
-                    extras.append(FileContext(
-                        path, source, project_root=Path(project_root)))
-        return cls(analyzed, extras, project_root=project_root)
-
     # -- queries ------------------------------------------------------------
 
     def is_analyzed(self, display_path: str) -> bool:
         """Whether findings may be reported against this file."""
         return display_path in self._analyzed_paths
-
-    @property
-    def import_graph(self) -> Dict[str, Set[str]]:
-        """Module -> set of imported repro modules."""
-        return {info.module: set(info.imported_modules)
-                for info in self.infos if info.module is not None}
 
     @property
     def call_graph(self) -> Dict[str, Set[str]]:

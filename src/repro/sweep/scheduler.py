@@ -9,11 +9,12 @@ answers every cell:
    interrupted sweep restarts delta-only.
 2. **In-catalog dedup** — cells with identical content keys run once;
    later occurrences share the outcome.
-3. **Dedup-before-dispatch** — each remaining cell's deterministic
-   chunk ladder is replayed against the on-disk sim cache
-   (:func:`repro.sim.cache.peek`, no counters touched).  A cell whose
-   whole ladder is warm resolves in the parent with zero worker
-   round-trips and zero fresh events.
+3. **Dedup-before-dispatch** — each remaining cell's precision
+   schedule is replayed from the on-disk sim cache by the runner's
+   cache-only :func:`repro.sim.runner.cached_precision` (peeks only,
+   no counters touched).  A cell whose whole schedule is cached
+   resolves in the parent with zero worker round-trips and zero
+   fresh events.
 4. **Priority-aware batched dispatch** — cold cells are grouped by
    CRN key (identical traffic, different discipline) so siblings land
    on the same worker back-to-back, and batches are dispatched
@@ -44,9 +45,8 @@ import numpy as np
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.runner import (
-    ENGINE_VERSION,
     PrecisionResult,
-    control_variate_summary,
+    cached_precision,
     simulate_to_precision,
 )
 from repro.sweep import journal as journal_mod
@@ -259,124 +259,20 @@ def _run_cell_batch(cells: Sequence[SweepCell],
 def warm_outcome(cell: SweepCell) -> Optional[CellOutcome]:
     """Resolve a cell purely from the persistent sim cache, or None.
 
-    Replays the cell's deterministic chunk ladder — the same schedule
-    ``simulate_to_precision`` walks — answering every chunk with
-    :func:`repro.sim.cache.peek`.  If the ladder reaches its stopping
-    condition without a single miss, the outcome is byte-identical to
-    what a worker would have produced and costs no dispatch, no
-    pickle round-trip, and no fresh events.  The first miss aborts the
-    replay: the cell goes to a worker, which will itself reuse every
-    cached rung below the miss.
+    :func:`repro.sim.runner.cached_precision` replays the schedule
+    ``simulate_to_precision`` would walk, reading only through
+    :func:`repro.sim.cache.peek`.  A cell whose schedule is fully
+    cached gets an outcome byte-identical to what a worker would have
+    produced, at no dispatch, no pickle round-trip and no fresh
+    events.  Any missing rung sends the cell to a worker, which will
+    itself reuse every cached rung below the miss.
     """
-    if not sim_cache.enabled():
+    precision = cached_precision(
+        cell.config(), target_halfwidth=cell.target_halfwidth,
+        max_horizon=cell.max_horizon())
+    if precision is None:
         return None
-    config = cell.config()
-    max_horizon = cell.max_horizon()
-    indexed = _indexed_final_rung(cell, config, max_horizon)
-    if indexed is not None:
-        final_horizon, rungs = indexed
-        chunk = replace(config, horizon=final_horizon)
-        key = sim_cache.config_key(chunk, ENGINE_VERSION)
-        result = sim_cache.peek(key) if key is not None else None
-        if result is not None:
-            return _finish_warm(cell, config, result, final_horizon,
-                                rungs, max_horizon)
-        # Index without its result entry (partial eviction): fall
-        # through to the rung-by-rung replay below.
-    horizon = config.horizon
-    rungs = 0
-    while True:
-        chunk = replace(config, horizon=horizon)
-        key = sim_cache.config_key(chunk, ENGINE_VERSION)
-        if key is None:
-            return None
-        result = sim_cache.peek(key)
-        if result is None:
-            return None
-        rungs += 1
-        summary = control_variate_summary(result)
-        finite = bool(np.all(np.isfinite(summary.half_widths)))
-        achieved = bool(finite and np.max(summary.half_widths)
-                        <= cell.target_halfwidth)
-        if achieved or horizon >= max_horizon:
-            precision = PrecisionResult(
-                result=result, summary=summary,
-                target_halfwidth=cell.target_halfwidth,
-                horizons=[], achieved=achieved)
-            precision.horizons.extend(
-                _ladder(config.horizon, config.warmup, rungs,
-                        max_horizon))
-            return _cell_outcome(cell, precision, source="cache")
-        horizon = min(max_horizon,
-                      config.warmup + (horizon - config.warmup) * 2.0)
-
-
-def _indexed_final_rung(cell: SweepCell, config: Any,
-                        max_horizon: float,
-                        ) -> Optional[Tuple[float, int]]:
-    """The cached ``(final_horizon, n_rungs)`` for a cell, or None.
-
-    ``simulate_to_precision`` indexes each finished schedule under a
-    content key of the initial config plus the ladder parameters; a
-    hit lets the warm replay skip straight to the final rung instead
-    of summarizing every intermediate one.  The entry is validated
-    against the cell's own deterministic ladder — a corrupted or
-    foreign entry falls back to the full replay, never a wrong
-    outcome.
-    """
-    pkey = sim_cache.precision_key(
-        config, ENGINE_VERSION, cell.target_halfwidth, 0.95, 2.0,
-        max_horizon, True)
-    if pkey is None:
-        return None
-    entry = sim_cache.peek(pkey)
-    if not isinstance(entry, dict):
-        return None
-    final_horizon = entry.get("final_horizon")
-    rungs = entry.get("n_rungs")
-    if not isinstance(final_horizon, float) \
-            or not isinstance(rungs, int) or rungs < 1:
-        return None
-    ladder = _ladder(config.horizon, config.warmup, rungs, max_horizon)
-    # Exact identity intended: both sides come from the same
-    # deterministic recurrence on the same floats.
-    if len(ladder) != rungs or ladder[-1] != final_horizon:
-        return None
-    return final_horizon, rungs
-
-
-def _finish_warm(cell: SweepCell, config: Any, result: Any,
-                 final_horizon: float, rungs: int,
-                 max_horizon: float) -> CellOutcome:
-    """Build the cache-sourced outcome from the final rung's result.
-
-    Recomputes the stopping verdict from the result itself (the same
-    expression ``simulate_to_precision`` evaluates) rather than
-    trusting the index, so the outcome is byte-identical to the
-    worker's even if the index entry were stale.
-    """
-    summary = control_variate_summary(result)
-    finite = bool(np.all(np.isfinite(summary.half_widths)))
-    achieved = bool(finite and np.max(summary.half_widths)
-                    <= cell.target_halfwidth)
-    precision = PrecisionResult(
-        result=result, summary=summary,
-        target_halfwidth=cell.target_halfwidth,
-        horizons=_ladder(config.horizon, config.warmup, rungs,
-                         max_horizon),
-        achieved=achieved)
     return _cell_outcome(cell, precision, source="cache")
-
-
-def _ladder(first: float, warmup: float, rungs: int,
-            max_horizon: float) -> List[float]:
-    """The first ``rungs`` horizons of the geometric chunk schedule."""
-    out: List[float] = []
-    horizon = first
-    for _ in range(rungs):
-        out.append(horizon)
-        horizon = min(max_horizon, warmup + (horizon - warmup) * 2.0)
-    return out
 
 
 class SweepScheduler:

@@ -1,4 +1,4 @@
-"""Tests for arrival-process samplers."""
+"""Tests for the arrival processes and their variate streams."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.sim.arrivals import (
     DEFAULT_BLOCK_SIZE,
     PROCESS_CV,
     VariateStream,
-    interarrival_sampler,
 )
 from repro.sim.runner import SimulationConfig, simulate
 
@@ -20,29 +19,28 @@ def rng():
 
 
 class TestSamplers:
+    """The three interarrival laws, checked on VariateStream draws."""
+
     @pytest.mark.parametrize("process", sorted(PROCESS_CV))
     def test_mean_matches_rate(self, process, rng):
-        sampler = interarrival_sampler(process, rate=2.0, rng=rng)
-        samples = np.array([sampler() for _ in range(20000)])
+        samples = VariateStream(process, 2.0, rng).take(20000)
         assert samples.mean() == pytest.approx(0.5, rel=0.05)
 
     @pytest.mark.parametrize("process,cv", sorted(PROCESS_CV.items()))
     def test_cv_matches_spec(self, process, cv, rng):
-        sampler = interarrival_sampler(process, rate=1.0, rng=rng)
-        samples = np.array([sampler() for _ in range(40000)])
+        samples = VariateStream(process, 1.0, rng).take(40000)
         measured = samples.std() / samples.mean()
         assert measured == pytest.approx(cv, abs=0.08)
 
     def test_samples_positive(self, rng):
         for process in PROCESS_CV:
-            sampler = interarrival_sampler(process, rate=3.0, rng=rng)
-            assert all(sampler() > 0 for _ in range(100))
+            assert np.all(VariateStream(process, 3.0, rng).take(100) > 0)
 
     def test_validation(self, rng):
         with pytest.raises(SimulationError):
-            interarrival_sampler("poisson", rate=0.0, rng=rng)
+            VariateStream("poisson", 0.0, rng)
         with pytest.raises(SimulationError):
-            interarrival_sampler("weibull", rate=1.0, rng=rng)
+            VariateStream("weibull", 1.0, rng)
 
 
 class TestSimulationWithProcesses:

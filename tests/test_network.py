@@ -7,7 +7,6 @@ from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.exceptions import DisciplineError
 from repro.network.model import NetworkAllocation, Route
-from repro.network.tandem import TandemConfig, simulate_tandem
 from repro.users.families import PowerUtility
 
 
@@ -131,40 +130,3 @@ class TestNetworkGame:
         # than the one-hop user with equal-ish preferences.
         assert result.rates[2] < result.rates[0]
 
-
-class TestTandemSimulator:
-    def test_fifo_tandem_is_jackson(self):
-        """FIFO/FIFO tandem: per-hop queues match independent M/M/1s."""
-        rates = np.array([0.15, 0.25])
-        result = simulate_tandem(TandemConfig(
-            rates=rates, policies=("fifo", "fifo"), horizon=30000.0,
-            warmup=1500.0, seed=3))
-        expected = rates / (1.0 - rates.sum())
-        for hop in range(2):
-            assert np.allclose(result.mean_queues[hop], expected,
-                               rtol=0.15)
-
-    def test_flow_conservation(self):
-        result = simulate_tandem(TandemConfig(
-            rates=[0.2, 0.2], horizon=5000.0, warmup=250.0, seed=1))
-        assert 0 <= result.arrivals - result.departures <= 200
-
-    def test_different_speeds(self):
-        result = simulate_tandem(TandemConfig(
-            rates=[0.3], policies=("fifo", "fifo"),
-            service_rates=(1.0, 2.0), horizon=20000.0, warmup=1000.0,
-            seed=5))
-        # Hop 1 at double speed: load 0.15 -> queue ~0.176.
-        assert result.mean_queues[0][0] == pytest.approx(0.3 / 0.7,
-                                                         rel=0.15)
-        assert result.mean_queues[1][0] == pytest.approx(0.15 / 0.85,
-                                                         rel=0.2)
-
-    def test_validation(self):
-        from repro.exceptions import SimulationError
-
-        with pytest.raises(SimulationError):
-            simulate_tandem(TandemConfig(rates=[]))
-        with pytest.raises(SimulationError):
-            simulate_tandem(TandemConfig(rates=[0.1],
-                                         policies=("fifo",)))

@@ -185,6 +185,18 @@ class TestPhysics:
         np.testing.assert_allclose(result.mean_queues.ravel(),
                                    [1.0, 1.0], rtol=0.1)
 
+    def test_different_speeds(self):
+        # Hop 1 at double speed: load 0.15 there, so queue ~0.176.
+        config = SwitchGraphConfig(
+            rates=[0.3], routes=[(0, 1)], policies=["fifo", "fifo"],
+            speeds=(1.0, 2.0), horizon=20000.0, warmup=1000.0, seed=5,
+            window=500.0, link_delay=500.0)
+        result = simulate_sharded(config)
+        assert result.mean_queues[0, 0] == pytest.approx(0.3 / 0.7,
+                                                         rel=0.15)
+        assert result.mean_queues[1, 0] == pytest.approx(0.15 / 0.85,
+                                                         rel=0.2)
+
     def test_totals_sum_along_routes(self):
         result = simulate_sharded(graph_config())
         assert isinstance(result, ShardedResult)

@@ -9,7 +9,8 @@ adds on top of the event engine:
   across engine versions;
 * **sequential stopping** — ``simulate_to_precision`` /
   ``replicate_to_precision`` grow deterministically and stop at the
-  target (or the cap, with ``achieved=False``);
+  target (or the cap, with ``achieved=False``), and
+  ``cached_precision`` replays a finished schedule from the cache;
 * **replication CIs** — Student-t half-widths (the 1.96 hardcode is
   gone), ``"n/a"`` rendering for a single replication, antithetic
   pair mechanics.
@@ -25,6 +26,7 @@ from repro.exceptions import SimulationError
 from repro.sim.runner import (
     SimulationConfig,
     antithetic_configs,
+    cached_precision,
     control_variate_summary,
     paired_configs,
     replicate,
@@ -127,6 +129,25 @@ class TestSimulateToPrecision:
         assert first.horizons == second.horizons
         np.testing.assert_array_equal(first.summary.means,
                                       second.summary.means)
+
+    def test_cached_replay_matches_without_moving_counters(self):
+        from repro.sim import cache as sim_cache
+
+        config = replace(BASE, horizon=3000.0, warmup=300.0, seed=2,
+                         batch_quota=None)
+        sim_cache.set_enabled(True)
+        assert cached_precision(config, target_halfwidth=0.03) is None
+        cold = simulate_to_precision(config, target_halfwidth=0.03)
+        assert len(cold.horizons) >= 2
+        before = sim_cache.snapshot()
+        warm = cached_precision(config, target_halfwidth=0.03)
+        assert sim_cache.snapshot() == before
+        assert warm.horizons == cold.horizons
+        assert warm.achieved == cold.achieved
+        np.testing.assert_array_equal(warm.summary.half_widths,
+                                      cold.summary.half_widths)
+        np.testing.assert_array_equal(warm.result.mean_queues,
+                                      cold.result.mean_queues)
 
     def test_instance_policy_caller_object_untouched(self):
         from repro.sim.queues import FIFOQueue

@@ -21,7 +21,6 @@ from repro.sim.runner import (
     replicate,
     replication_configs,
     simulate,
-    simulate_allocation,
 )
 
 RATES = (0.1, 0.2, 0.3)
@@ -100,10 +99,11 @@ class TestMechanics:
             warmup=100.0))
         assert result.policy_name == "fifo"
 
-    def test_simulate_allocation_wrapper(self):
-        queues = simulate_allocation([0.2, 0.2], "fifo", horizon=2000.0,
-                                     warmup=100.0, seed=3)
-        assert queues.shape == (2,)
+    def test_simulate_mean_queues_per_user(self):
+        result = simulate(SimulationConfig(rates=[0.2, 0.2], policy="fifo",
+                                           horizon=2000.0, warmup=100.0,
+                                           seed=3))
+        assert result.mean_queues.shape == (2,)
 
     def test_config_validation(self):
         with pytest.raises(SimulationError):

@@ -8,15 +8,20 @@ accounting the issue gates on, and the `repro sweep` CLI surface.
 
 import glob
 import json
+import math
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.exceptions import SweepError
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
+from repro.sim.runner import ENGINE_VERSION
 from repro.sweep import (
     Catalog,
     CellOutcome,
@@ -68,6 +73,29 @@ def tiny_spec(**overrides):
     spec.update(FAST_SCALARS)
     spec.update(overrides)
     return spec
+
+
+def cache_entries():
+    """Every entry file in the current sim cache directory."""
+    return glob.glob(os.path.join(sim_cache.cache_dir(), "*", "*.pkl"))
+
+
+def entry_key(path):
+    return os.path.basename(path)[:-len(".pkl")]
+
+
+def drop_precision_index():
+    for path in cache_entries():
+        if entry_key(path).startswith("prec-"):
+            os.unlink(path)
+
+
+def outcome_bytes(outcome):
+    """An outcome's journal form without its source, as canonical
+    JSON."""
+    payload = outcome.as_dict()
+    del payload["source"]
+    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture
@@ -324,6 +352,30 @@ class TestScheduler:
         assert indexed is not None and replayed is not None
         assert indexed.as_dict() == replayed.as_dict()
 
+    def test_precision_index_reaches_final_rung(self, sweep_env):
+        # With only the final rung's result left, the index is the
+        # one way to resolve the cell: a probe that ignored it would
+        # miss at rung 1.
+        cell = expand_catalog(tiny_spec(
+            policies=["fifo"], target_halfwidth=0.01,
+            max_doublings=2)).cells[0]
+        cold = run_sweep(Catalog(name="one", cells=[cell]),
+                         journal=False).outcomes[0]
+        assert cold.n_rungs >= 2
+        final = sim_cache.config_key(
+            replace(cell.config(), horizon=cold.horizon), ENGINE_VERSION)
+        dropped = [path for path in cache_entries()
+                   if not entry_key(path).startswith(("prec-", "state-"))
+                   and entry_key(path) != final]
+        assert len(dropped) == cold.n_rungs - 1
+        for path in dropped:
+            os.unlink(path)
+        warm = warm_outcome(cell)
+        assert warm is not None
+        assert outcome_bytes(warm) == outcome_bytes(cold)
+        drop_precision_index()
+        assert warm_outcome(cell) is None
+
     @pytest.mark.slow
     def test_parallel_identical_to_serial(self, sweep_env, tmp_path,
                                           monkeypatch):
@@ -452,6 +504,49 @@ class TestScheduler:
             assert pool.started        # ...and did not shut it down
         assert first.fresh_events > 0
         assert second.fresh_events == 0
+
+
+@st.composite
+def small_cells(draw):
+    """One small cell needing 1-3 rungs; lifo runs the scalar loop."""
+    return SweepCell(
+        policy=draw(st.sampled_from(
+            ("fifo", "fair-share", "round-robin", "lifo"))),
+        profile=draw(st.sampled_from(("uniform", "linear"))),
+        arrival_process="poisson", service_process="exponential",
+        rho=draw(st.floats(0.1, 0.9)),
+        n_users=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        target_halfwidth=math.exp(draw(st.floats(math.log(0.005),
+                                                 math.log(0.1)))),
+        horizon=FAST_SCALARS["horizon"], warmup=FAST_SCALARS["warmup"],
+        max_doublings=draw(st.integers(0, 2)))
+
+
+class TestWarmEqualsCold:
+    """The warm probe reproduces the worker's outcome on generated
+    cells, with the precision index and without it."""
+
+    @given(cell=small_cells())
+    @settings(max_examples=20, deadline=None)
+    def test_warm_outcome_equals_cold(self, cell):
+        with tempfile.TemporaryDirectory() as cache_dir, \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setenv(sim_cache.ENV_DIR, cache_dir)
+            sim_cache.set_enabled(True)
+            try:
+                cold = run_sweep(Catalog(name="one", cells=[cell]),
+                                 journal=False).outcomes[0]
+                assert cold.ok and cold.source == "fresh"
+                indexed = warm_outcome(cell)
+                assert indexed is not None
+                assert outcome_bytes(indexed) == outcome_bytes(cold)
+                drop_precision_index()
+                walked = warm_outcome(cell)
+                assert walked is not None
+                assert outcome_bytes(walked) == outcome_bytes(cold)
+            finally:
+                sim_cache.set_enabled(None)
 
 
 class TestReport:
