@@ -254,12 +254,6 @@ def _time_cell(runner, allocation, n, rounds, reps=1):
     return best, counters
 
 
-def _counter_fields(counters):
-    return {key: round(value, 6)
-            for key, value in counters.as_dict().items()
-            if key != "wall_time"}
-
-
 def measure_solver(rounds: int = 3):
     """Best-of-``rounds`` timings for the full solver matrix.
 
@@ -309,7 +303,7 @@ def measure_solver(rounds: int = 3):
                         "mode": mode,
                         "seconds": round(best[mode], 6),
                     }
-                    row.update(_counter_fields(counters[mode]))
+                    row.update(vars(counters[mode]))
                     by_mode[mode] = row
                     runs.append(row)
                 scalar_s = by_mode["scalar"]["seconds"]
@@ -328,8 +322,8 @@ def measure_solver(rounds: int = 3):
                 # executed the same instructions: the honest speedup is
                 # 1.0 by path identity, not the ratio of two jittery
                 # timings of the same code.
-                if (_counter_fields(counters["auto"])
-                        == _counter_fields(counters["scalar"])):
+                if (vars(counters["auto"])
+                        == vars(counters["scalar"])):
                     by_mode["auto"]["path"] = "scalar"
                     by_mode["auto"]["speedup"] = 1.0
                 else:
@@ -364,7 +358,7 @@ def measure_class_space(rounds: int = 3):
                     "max_gain": float(outcome.max_gain),
                     "spot_gain": float(outcome.spot_gain),
                 }
-                row.update(_counter_fields(counters))
+                row.update(vars(counters))
                 runs.append(row)
     return runs
 

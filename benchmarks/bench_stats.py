@@ -51,6 +51,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import repro.obs as obs
 from repro.sim import cache as sim_cache
 from repro.sim.runner import (
     ENGINE_VERSION,
@@ -258,21 +259,22 @@ def resume_gate() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         os.environ[sim_cache.ENV_DIR] = scratch
         sim_cache.set_enabled(True)
-        sim_cache.reset_stats()
         try:
             loose = simulate_to_precision(config, target_halfwidth=0.2)
-            before = sim_cache.stats().fresh_events
-            tight = simulate_to_precision(config, target_halfwidth=0.05)
-            delta = sim_cache.stats().fresh_events - before
+            with obs.Scope() as counted:
+                tight = simulate_to_precision(config,
+                                              target_halfwidth=0.05)
+            delta = counted.get("sim.cache.fresh_events")
             expected = tight.result.events - loose.result.events
             print(f"resume-gate: tighter target fresh_events={delta} "
                   f"expected-delta={expected}")
             if delta != expected:
                 print("resume-gate: FAIL (extension was not delta-only)")
                 return 1
-            before = sim_cache.stats().fresh_events
-            warm = simulate_to_precision(config, target_halfwidth=0.05)
-            warm_fresh = sim_cache.stats().fresh_events - before
+            with obs.Scope() as counted:
+                warm = simulate_to_precision(config,
+                                             target_halfwidth=0.05)
+            warm_fresh = counted.get("sim.cache.fresh_events")
             print(f"resume-gate: warm rerun fresh_events={warm_fresh}")
             if warm_fresh != 0:
                 print("resume-gate: FAIL (warm rerun re-simulated)")
@@ -284,7 +286,6 @@ def resume_gate() -> int:
                 return 1
         finally:
             sim_cache.set_enabled(None)
-            sim_cache.reset_stats()
             os.environ.pop(sim_cache.ENV_DIR, None)
     print("resume-gate: OK")
     return 0

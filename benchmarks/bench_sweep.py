@@ -109,7 +109,6 @@ def measure(catalog_name, jobs, report_out, smoke):
         os.environ[sweep_journal.ENV_DIR] = os.path.join(scratch,
                                                          "sweeps")
         sim_cache.set_enabled(True)
-        sim_cache.reset_stats()
         pool = WorkerPool(jobs) if jobs > 1 else None
         try:
             if pool is not None:
@@ -133,7 +132,6 @@ def measure(catalog_name, jobs, report_out, smoke):
                     f"{MIN_UTILIZATION} (scheduler overhead "
                     f"{1.0 - cold.utilization:.2f})")
 
-            sim_cache.reset_stats()
             warm = run_sweep(catalog, jobs=jobs, pool=pool,
                              cache_enabled=True)
             speedup = (cold.wall_s / warm.wall_s
@@ -164,7 +162,6 @@ def measure(catalog_name, jobs, report_out, smoke):
             dropped = _drop_cell_records(cold.journal_path, kept)
             os.environ[sim_cache.ENV_DIR] = os.path.join(scratch,
                                                          "sim-resume")
-            sim_cache.reset_stats()
             resumed = run_sweep(catalog, jobs=jobs, pool=pool,
                                 resume=True, cache_enabled=True)
             counts = resumed.source_counts()
@@ -195,7 +192,6 @@ def measure(catalog_name, jobs, report_out, smoke):
             if pool is not None:
                 pool.shutdown()
             sim_cache.set_enabled(None)
-            sim_cache.reset_stats()
             os.environ.pop(sim_cache.ENV_DIR, None)
             os.environ.pop(sweep_journal.ENV_DIR, None)
     return rows, failures

@@ -21,6 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
+import repro.obs as obs
 from repro.network.sharded import SHARDED_POLICIES
 from repro.numerics.rng import default_rng
 
@@ -234,6 +235,20 @@ def _cmd_list() -> int:
     return 0
 
 
+def _print_counts(counted: obs.Scope, solver: bool = True) -> None:
+    """A command's ``[sim-cache]`` and ``[solver]`` lines, on stderr so
+    stdout stays byte-identical across job counts (CI greps them)."""
+    from repro.numerics import instrumentation
+    from repro.sim import cache as sim_cache
+
+    print(obs.line("sim-cache", obs.group(
+        "sim.cache", sim_cache.COUNTERS, counted.delta)), file=sys.stderr)
+    if solver:
+        print(obs.line("solver", obs.group(
+            "solver", instrumentation.COUNTERS, counted.delta)),
+            file=sys.stderr)
+
+
 def _cmd_run(experiment: str, seed: int, fast: bool, jobs: int,
              no_sim_cache: bool) -> int:
     from repro.exceptions import ReproError
@@ -244,7 +259,9 @@ def _cmd_run(experiment: str, seed: int, fast: bool, jobs: int,
         sim_cache.set_enabled(False)
     try:
         ids = all_experiments() if experiment == "all" else [experiment]
-        reports = run_experiments(ids, seed=seed, fast=fast, jobs=jobs)
+        with obs.Scope() as counted:
+            reports = run_experiments(ids, seed=seed, fast=fast,
+                                      jobs=jobs)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -259,9 +276,7 @@ def _cmd_run(experiment: str, seed: int, fast: bool, jobs: int,
             failures += 1
     if failures:
         print(f"{failures} experiment(s) FAILED")
-    # Stats go to stderr so stdout stays byte-identical across
-    # serial/parallel and cold/warm-cache runs (CI greps this line).
-    print(sim_cache.stats().line(), file=sys.stderr)
+    _print_counts(counted)
     return 1 if failures else 0
 
 
@@ -648,11 +663,12 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
         print(progress.line(), file=sys.stderr)
 
     try:
-        result = run_sweep(
-            catalog, jobs=args.jobs, journal=not args.no_journal,
-            resume=(args.sweep_command == "resume"),
-            progress=None if args.quiet else _progress,
-            cache_enabled=False if no_cache else None)
+        with obs.Scope() as counted:
+            result = run_sweep(
+                catalog, jobs=args.jobs, journal=not args.no_journal,
+                resume=(args.sweep_command == "resume"),
+                progress=None if args.quiet else _progress,
+                cache_enabled=False if no_cache else None)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -664,7 +680,7 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(report_document(result), handle, indent=2)
         print(f"[sweep] JSON artifact: {args.output}", file=sys.stderr)
-    print(sim_cache.stats().line(), file=sys.stderr)
+    _print_counts(counted, solver=False)
     return 1 if result.failures else 0
 
 
@@ -704,14 +720,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.no_sim_cache:
             sim_cache.set_enabled(False)
         try:
-            failures = generate_report(args.output, fast=not args.full,
-                                       seed=args.seed,
-                                       experiment_ids=args.only,
-                                       jobs=args.jobs)
+            with obs.Scope() as counted:
+                failures = generate_report(
+                    args.output, fast=not args.full, seed=args.seed,
+                    experiment_ids=args.only, jobs=args.jobs)
         finally:
             if args.no_sim_cache:
                 sim_cache.set_enabled(None)
-        print(sim_cache.stats().line(), file=sys.stderr)
+        _print_counts(counted)
         return 1 if failures else 0
     raise AssertionError(f"unhandled command {args.command}")
 

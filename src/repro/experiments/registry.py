@@ -119,47 +119,26 @@ def _failure_report(experiment_id: str, trace: str) -> ExperimentReport:
 def _run_one(experiment_id: str, seed: int, fast: bool,
              cache_enabled: Optional[bool] = None,
              solver_vectorized: Optional[str] = None,
-             ) -> Tuple[Optional[ExperimentReport], Optional[str],
-                        Dict[str, int]]:
+             ) -> Tuple[Optional[ExperimentReport], Optional[str]]:
     """Run one experiment; the pool-safe unit of work.
 
-    Returns ``(report, traceback, sim_cache_stats_delta)`` where
-    exactly one of ``report`` / ``traceback`` is set.  The stats delta
-    lets the parent fold a worker's cache counters into its own (pool
-    workers are reused across tasks, hence a delta rather than a
-    total).  ``cache_enabled`` / ``solver_vectorized`` pin the
-    sim-cache and solver-vectorization overrides inside a worker
-    process, where the parent's in-memory overrides are not inherited;
+    Returns ``(report, traceback)`` where exactly one is set.
+    ``cache_enabled`` / ``solver_vectorized`` pin the sim-cache and
+    solver-vectorization overrides inside a worker process, where the
+    parent's in-memory overrides are not inherited;
     ``solver_vectorized`` is a mode string (``"on"``/``"off"``/
     ``"auto"``) and ``None`` (the serial path) leaves both untouched.
-
-    Experiments that exercise the analytic solvers gain deterministic
-    ``solver_*`` evaluation counts in their summary (never wall time —
-    summaries must stay byte-identical across serial/parallel runs).
+    The experiment's cache and solver counts go to the
+    :mod:`repro.obs` registry, never into its report.
     """
     if cache_enabled is not None:
         sim_cache.set_enabled(cache_enabled)
     if solver_vectorized is not None:
         instrumentation.set_vectorized(solver_vectorized)
-    before = sim_cache.snapshot()
     try:
-        with instrumentation.track_solver() as solver_stats:
-            report: Optional[ExperimentReport] = _REGISTRY[experiment_id](
-                seed=seed, fast=fast)
-        trace: Optional[str] = None
+        return _REGISTRY[experiment_id](seed=seed, fast=fast), None
     except Exception:
-        report = None
-        trace = traceback.format_exc()
-    after = sim_cache.snapshot()
-    delta = {key: after[key] - before[key] for key in after}
-    if report is not None and (solver_stats.objective_evals
-                               or solver_stats.congestion_evals):
-        report.summary["solver_objective_evals"] = (
-            solver_stats.objective_evals)
-        report.summary["solver_congestion_evals"] = (
-            solver_stats.congestion_evals)
-        report.summary["solver_grid_calls"] = solver_stats.grid_calls
-    return report, trace, delta
+        return None, traceback.format_exc()
 
 
 def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
@@ -182,7 +161,6 @@ def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
     ids = list(experiment_ids)
     for experiment_id in ids:           # validate before spawning
         get_experiment(experiment_id)
-    reports: List[ExperimentReport] = []
     if (jobs > 1 or pool is not None) and len(ids) > 1:
         own_pool = pool is None
         if own_pool:
@@ -195,13 +173,9 @@ def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
         finally:
             if own_pool:
                 pool.shutdown()
-        for experiment_id, (report, trace, delta) in zip(ids, outcomes):
-            sim_cache.merge_stats(delta)
-            reports.append(report if report is not None
-                           else _failure_report(experiment_id, trace))
     else:
-        for experiment_id in ids:
-            report, trace, _delta = _run_one(experiment_id, seed, fast)
-            reports.append(report if report is not None
-                           else _failure_report(experiment_id, trace))
-    return reports
+        outcomes = [_run_one(experiment_id, seed, fast)
+                    for experiment_id in ids]
+    return [report if report is not None
+            else _failure_report(experiment_id, trace)
+            for experiment_id, (report, trace) in zip(ids, outcomes)]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import repro.obs as obs
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.experiments.base import ExperimentReport, Table
@@ -38,7 +39,6 @@ from repro.game.classes import (
 )
 from repro.game.meanfield import meanfield_error, solve_nash_meanfield
 from repro.game.nash import solve_nash_fdc
-from repro.numerics import instrumentation
 from repro.users.families import PowerUtility
 
 EXPERIMENT_ID = "scaling_regimes"
@@ -125,25 +125,26 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
             sup_gap = float(np.max(np.abs(
                 exact_user.rates - exact_class.expand_rates())))
             sup_gaps.append(sup_gap)
-            with instrumentation.track_solver() as user_cost:
+            with obs.Scope() as user_cost:
                 best_response_map(fair_share, profile,
                                   exact_class.expand_rates())
-            per_user_evals = user_cost.congestion_evals
-        with instrumentation.track_solver() as class_cost:
+            per_user_evals = user_cost.get("solver.congestion_evals")
+        with obs.Scope() as class_cost:
             class_best_response_map(fair_share, utilities,
                                     exact_class.class_rates, counts)
-        class_evals_seen.append(class_cost.congestion_evals)
+        class_evals = class_cost.get("solver.congestion_evals")
+        class_evals_seen.append(class_evals)
 
         if per_user_evals is not None:
             user_work = per_user_evals * n_users
-            class_work = class_cost.congestion_evals * N_CLASSES
+            class_work = class_evals * N_CLASSES
             cost_table.add_row(n_users, per_user_evals, user_work,
-                               class_cost.congestion_evals, class_work,
+                               class_evals, class_work,
                                f"{user_work / class_work:.0f}x")
         else:
             cost_table.add_row(
-                n_users, "-", "-", class_cost.congestion_evals,
-                class_cost.congestion_evals * N_CLASSES, "-")
+                n_users, "-", "-", class_evals,
+                class_evals * N_CLASSES, "-")
         exact_table.add_row(
             n_users,
             f"{sup_gap:.2e}" if sup_gap is not None else "-",

@@ -11,8 +11,8 @@ When the discipline advertises a one-pass grid
 and the solver-vector switch is on, the scan and refinement run as a
 handful of batched ``congestion_grid`` + ``value_grid`` calls instead
 of ~100 scalar congestion evaluations — the core of the vectorized
-solver path.  Every best response records its evaluation counts via
-:mod:`repro.numerics.instrumentation`.
+solver path.  Every best response adds its evaluation counts to the
+``solver.*`` counters of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro.numerics import instrumentation
 from repro.numerics.optimize import (GridFunc, ScalarMaxResult,
                                      multistart_maximize)
@@ -108,10 +109,9 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
                                  tol=tol, grid_func=grid)
     base[i] = result.x
-    instrumentation.record(objective_evals=result.evaluations,
-                           congestion_evals=result.evaluations,
-                           grid_calls=result.grid_calls,
-                           wall_time=result.wall_time)
+    obs.add("solver.objective_evals", result.evaluations)
+    obs.add("solver.congestion_evals", result.evaluations)
+    obs.add("solver.grid_calls", result.grid_calls)
     return result
 
 
@@ -141,13 +141,14 @@ def utility_improvement(allocation, utility: Utility,
 
     Zero (up to solver tolerance) at a Nash equilibrium.  Used as the
     equilibrium certificate because rate-space distance is a bad metric
-    when the objective is flat.  Counts toward the active solver
-    tracker, so ``is_nash``/certification cost shows up in experiment
-    reports rather than being invisible.
+    when the objective is flat.  Counts toward the ``solver.*``
+    counters, so ``is_nash``/certification cost shows up in the
+    ``[solver]`` totals rather than being invisible.
     """
     r = np.asarray(rates, dtype=float)
     current = utility.value(float(r[i]), allocation.congestion_i(r, i))
-    instrumentation.record(objective_evals=1, congestion_evals=1)
+    obs.add("solver.objective_evals")
+    obs.add("solver.congestion_evals")
     best = best_response(allocation, utility, r, i, r_max=r_max)
     if math.isinf(current) and math.isinf(best.value):
         return 0.0

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize as sp_optimize
 
+import repro.obs as obs
 from repro.disciplines.base import check_classes, expand_class_rates
 from repro.game.best_response import (
     MIN_RATE,
@@ -193,10 +194,9 @@ def class_best_response(allocation, utility: Utility,
 
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
                                  tol=tol, grid_func=grid)
-    instrumentation.record(objective_evals=result.evaluations,
-                           congestion_evals=result.evaluations,
-                           grid_calls=result.grid_calls,
-                           wall_time=result.wall_time)
+    obs.add("solver.objective_evals", result.evaluations)
+    obs.add("solver.congestion_evals", result.evaluations)
+    obs.add("solver.grid_calls", result.grid_calls)
     return result
 
 

@@ -17,6 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 from scipy import optimize as sp_optimize
 
+import repro.obs as obs
 from repro.numerics import instrumentation
 from repro.users.utility import Utility
 
@@ -109,8 +110,8 @@ def coalition_gain(allocation, profile: Sequence[Utility],
         if float(scores[pick]) > best_gain:
             best_gain = float(scores[pick])
             best_joint = combos[pick].astype(float)
-        instrumentation.record(congestion_evals=combos.shape[0],
-                               grid_calls=1)
+        obs.add("solver.congestion_evals", combos.shape[0])
+        obs.add("solver.grid_calls")
     else:
         for joint in itertools.product(*grids):
             gain = min_gain(np.asarray(joint))

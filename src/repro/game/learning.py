@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+import repro.obs as obs
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
@@ -76,8 +77,8 @@ def _payoff_table(allocation, profile: Sequence[Utility],
             values = profile[i].value_grid(profiles_flat[:, i],
                                            congestion[:, i])
             tables[i] = values.reshape(shapes)
-        instrumentation.record(congestion_evals=profiles_flat.shape[0],
-                               grid_calls=1)
+        obs.add("solver.congestion_evals", profiles_flat.shape[0])
+        obs.add("solver.grid_calls")
     else:
         for index in itertools.product(*(range(s) for s in shapes)):
             rates = np.array([grids[j][index[j]] for j in range(n)])
@@ -85,8 +86,7 @@ def _payoff_table(allocation, profile: Sequence[Utility],
             for i in range(n):
                 tables[i][index] = profile[i].value(
                     float(rates[i]), float(congestion_row[i]))
-        instrumentation.record(
-            congestion_evals=int(np.prod(shapes)))
+        obs.add("solver.congestion_evals", int(np.prod(shapes)))
     return tables
 
 

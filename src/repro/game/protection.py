@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize as sp_optimize
 
+import repro.obs as obs
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.queueing.service_curves import MM1Curve, ServiceCurve
@@ -107,7 +108,8 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
         best = int(np.argmax(values))
         worst_value = float(values[best])
         worst_opponents = draws[best]
-        instrumentation.record(congestion_evals=n_samples, grid_calls=1)
+        obs.add("solver.congestion_evals", n_samples)
+        obs.add("solver.grid_calls")
     else:
         for _ in range(n_samples):
             opponents = generator.uniform(0.0, opponent_cap,
@@ -116,7 +118,7 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
             if value > worst_value:
                 worst_value = value
                 worst_opponents = opponents
-        instrumentation.record(congestion_evals=n_samples)
+        obs.add("solver.congestion_evals", n_samples)
     if refine and math.isfinite(worst_value):
         result = sp_optimize.minimize(
             lambda x: -congestion_of(x), worst_opponents,

@@ -1,13 +1,16 @@
 """Solver observability: evaluation counters and the vectorization switch.
 
-The analytic game layer is the hot path once the event engine is fast
-(PR 3), so its solvers carry lightweight instrumentation: every best
-response records how many objective/congestion evaluations it spent and
-how many batched grid calls it made, and experiment reports surface the
-deterministic totals.  The module also owns the switch between the
-vectorized grid evaluation core and the legacy scalar scan, so the two
-can be A/B-timed on the same box (``benchmarks/bench_solver.py``) and
-the scalar path stays available as a correctness oracle.
+The analytic game layer is the hot path once the event engine is fast,
+so every best response counts the objective/congestion evaluations it
+spent and the batched grid calls it made.  The counts go to the
+:mod:`repro.obs` registry as ``solver.<name>`` for each name in
+:data:`COUNTERS`; ``greedwork run`` prints their totals on the
+``[solver]`` stderr line, never in experiment stdout, so a solver
+change that alters how often it evaluates leaves the paper output
+alone.  The module also owns the switch between the vectorized grid
+evaluation core and the legacy scalar scan, so the two can be
+A/B-timed on the same box (``benchmarks/bench_solver.py``) and the
+scalar path stays available as a correctness oracle.
 
 Mirrors the toggle idiom of :mod:`repro.sim.cache`:
 
@@ -31,25 +34,27 @@ below the hint, ``"on"`` at or above it), and the two pure paths
 themselves agree to within the maximizer tolerance (both refine
 inside the same scan bracket).
 
-Counters nest: :func:`track_solver` pushes a fresh
-:class:`SolverCounters` onto a stack and :func:`record` adds to every
-frame, so an outer tracker (the experiment runner) sees the totals of
-everything beneath it.  Wall time is recorded but deliberately kept
-out of experiment stdout — report output must stay byte-identical
-across serial/parallel runs and across machines; only the
-deterministic evaluation counts are printed.
+Counting code reads the registry through :class:`repro.obs.Scope`;
+:func:`track_solver` is a thin view over one, kept for the benchmark
+harness.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from types import SimpleNamespace
+from typing import Iterator, Optional
+
+import repro.obs as obs
 
 ENV_TOGGLE = "GREEDWORK_SOLVER_VECTOR"
 _DISABLING_VALUES = {"0", "off", "false", "no"}
 _AUTO_VALUES = {"auto", "cost", "adaptive"}
+
+#: The solver's counters, ``solver.<name>`` in :mod:`repro.obs`, in
+#: ``[solver]`` line order.
+COUNTERS = ("objective_evals", "congestion_evals", "grid_calls")
 
 _vector_override: Optional[str] = None
 
@@ -100,62 +105,11 @@ def set_vectorized(value) -> None:
             f"expected True/False/None or 'on'/'off'/'auto', got {value!r}")
 
 
-@dataclass
-class SolverCounters:
-    """Evaluation totals accumulated inside one :func:`track_solver`.
-
-    Attributes
-    ----------
-    objective_evals:
-        Scalar utility-objective evaluations (one per candidate rate).
-    congestion_evals:
-        Allocation congestion evaluations; equals ``objective_evals``
-        on the best-response path but also counts certification and
-        adversarial-search congestion calls that bypass a utility.
-    grid_calls:
-        Batched evaluations (one numpy pass over a whole grid).
-    wall_time:
-        Seconds spent inside instrumented solver sections.  Never
-        printed in experiment output (non-deterministic); exposed for
-        benchmarks.
-    """
-
-    objective_evals: int = 0
-    congestion_evals: int = 0
-    grid_calls: int = 0
-    wall_time: float = 0.0
-
-    def as_dict(self) -> Dict[str, float]:
-        """The counters as a plain dict (benchmark/report records)."""
-        return {
-            "objective_evals": self.objective_evals,
-            "congestion_evals": self.congestion_evals,
-            "grid_calls": self.grid_calls,
-            "wall_time": self.wall_time,
-        }
-
-
-_STACK: List[SolverCounters] = []
-
-
-def record(objective_evals: int = 0, congestion_evals: int = 0,
-           grid_calls: int = 0, wall_time: float = 0.0) -> None:
-    """Add to every active tracker (no-op when none is active)."""
-    for frame in _STACK:
-        frame.objective_evals += objective_evals
-        frame.congestion_evals += congestion_evals
-        frame.grid_calls += grid_calls
-        frame.wall_time += wall_time
-
-
 @contextmanager
-def track_solver() -> Iterator[SolverCounters]:
-    """Collect solver counters for the duration of the ``with`` block."""
-    frame = SolverCounters()
-    # greedwork: ignore[GW601] -- per-process instrumentation stack;
-    # counters are returned to the caller and merged in the parent.
-    _STACK.append(frame)
-    try:
-        yield frame
-    finally:
-        _STACK.remove(frame)
+def track_solver() -> Iterator[SimpleNamespace]:
+    """A namespace whose :data:`COUNTERS` attributes hold the block's
+    solver counts once the block exits (a :class:`repro.obs.Scope`)."""
+    counts = SimpleNamespace(**dict.fromkeys(COUNTERS, 0))
+    with obs.Scope() as scope:
+        yield counts
+    vars(counts).update(obs.group("solver", COUNTERS, scope.delta))

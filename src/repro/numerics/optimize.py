@@ -12,8 +12,7 @@ a coarse multistart scan, and treat non-finite objective values as
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,15 +38,12 @@ class ScalarMaxResult:
         Number of objective evaluations performed.
     grid_calls:
         Number of batched grid evaluations (0 on the scalar path).
-    wall_time:
-        Seconds spent inside the maximizer (0.0 when not measured).
     """
 
     x: float
     value: float
     evaluations: int
     grid_calls: int = 0
-    wall_time: float = 0.0
 
 
 def _safe(func: Callable[[float], float]) -> Callable[[float], float]:
@@ -200,19 +196,12 @@ def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,
     unimodal objectives and resistant to the mild multimodality that
     arises under non-Fair-Share disciplines out of equilibrium.
     """
-    # greedwork: ignore[GW502] -- wall_time is diagnostic metadata
-    # only; it never feeds a numeric result, table, or golden.
-    start = time.perf_counter()
     if grid_func is not None:
         try:
-            result = grid_multistart_maximize(grid_func, lo, hi,
-                                              n_scan=n_scan, tol=tol)
+            return grid_multistart_maximize(grid_func, lo, hi,
+                                            n_scan=n_scan, tol=tol)
         except (TypeError, ValueError, IndexError, AttributeError):
-            result = None
-        if result is not None:
-            return replace(result,
-                           # greedwork: ignore[GW502] -- diagnostic.
-                           wall_time=time.perf_counter() - start)
+            pass
     if n_scan < 3:
         raise ValueError("n_scan must be at least 3")
     if hi < lo:
@@ -226,13 +215,10 @@ def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,
     right = xs[min(best + 1, n_scan - 1)]
     refined = golden_section_max(func, left, right, tol=tol)
     evals = n_scan + refined.evaluations
-    # greedwork: ignore[GW502] -- diagnostic wall time only.
-    elapsed = time.perf_counter() - start
     if ys[best] > refined.value:
-        return ScalarMaxResult(x=xs[best], value=ys[best], evaluations=evals,
-                               wall_time=elapsed)
+        return ScalarMaxResult(x=xs[best], value=ys[best], evaluations=evals)
     return ScalarMaxResult(x=refined.x, value=refined.value,
-                           evaluations=evals, wall_time=elapsed)
+                           evaluations=evals)
 
 
 def argmax_on_grid(func: Callable[[float], float],

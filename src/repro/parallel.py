@@ -1,15 +1,10 @@
 """Reusable process-pool handles for every fan-out in the library.
 
-Before this module, each parallel entry point
-(:func:`repro.experiments.registry.run_experiments`,
-:func:`repro.sim.runner.replicate`) created a fresh
-``ProcessPoolExecutor`` per call and paid pool spin-up — worker fork,
-interpreter warm-up, module imports — per *batch* rather than per
-*session*.  The sweep orchestrator (:mod:`repro.sweep.scheduler`)
-dispatches thousands of small tasks, so the spin-up cost had to move
-out of the call path: :class:`WorkerPool` is a lazily started,
-explicitly reusable handle that callers can thread through any number
-of batches and shut down once.
+:class:`WorkerPool` is a lazily started, explicitly reusable handle
+that :func:`repro.experiments.registry.run_experiments`,
+:func:`repro.sim.runner.replicate` and the sweep scheduler thread
+through any number of batches, so pool spin-up (worker fork, imports)
+is paid once per session rather than once per batch.
 
 Two usage patterns::
 
@@ -25,17 +20,40 @@ Two usage patterns::
     finally:
         pool.shutdown()
 
-The handle is deliberately thin: it does not reach into worker
-processes, impose a task protocol, or touch module state — per-worker
-statistics travel back through task return values and are merged by
-the caller (the ``_stats`` + ``merge_stats`` delta protocol the sim
-cache documents).
+Counts cross the process boundary here and nowhere else: every task
+runs inside a :class:`repro.obs.Scope` in its worker, and the pool
+folds the scope's delta into the parent before handing on the result.
+Callers dispatch plain task functions and fold nothing themselves.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, Optional
+from functools import partial
+from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
+
+import repro.obs as obs
+
+
+def _counted(fn: Callable[..., Any], *args: Any,
+             **kwargs: Any) -> Tuple[Any, dict]:
+    """Run one task in a worker; return its result and its counts."""
+    with obs.Scope() as counted:
+        result = fn(*args, **kwargs)
+    return result, counted.delta
+
+
+def _settle(settled: "Future[Any]", future: "Future[Any]") -> None:
+    """Fold a finished task's counts, then complete ``settled``."""
+    error = future.exception()
+    if error is not None:
+        if settled.set_running_or_notify_cancel():
+            settled.set_exception(error)
+        return
+    result, delta = future.result()
+    obs.merge(delta)
+    if settled.set_running_or_notify_cancel():
+        settled.set_result(result)
 
 
 class WorkerPool:
@@ -68,20 +86,26 @@ class WorkerPool:
 
     @property
     def executor(self) -> Executor:
-        """The live executor, creating it on first access."""
+        """The live executor (created on first access); tasks handed
+        to it directly skip the count fold of :meth:`submit`."""
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.jobs)
         return self._executor
 
     def submit(self, fn: Callable[..., Any], /, *args: Any,
                **kwargs: Any) -> "Future[Any]":
-        """Schedule ``fn(*args, **kwargs)`` on the pool."""
-        return self.executor.submit(fn, *args, **kwargs)
+        """Schedule ``fn(*args, **kwargs)``; the future completes with
+        its result once the task's worker counts are folded in here."""
+        settled: "Future[Any]" = Future()
+        self.executor.submit(_counted, fn, *args, **kwargs) \
+            .add_done_callback(partial(_settle, settled))
+        return settled
 
     def map(self, fn: Callable[..., Any],
             *iterables: Iterable[Any]) -> Iterator[Any]:
-        """``executor.map`` on the pool (ordered results)."""
-        return self.executor.map(fn, *iterables)
+        """``executor.map`` on the pool: ordered results, via :meth:`submit`."""
+        futures = [self.submit(fn, *args) for args in zip(*iterables)]
+        return (future.result() for future in futures)
 
     def shutdown(self) -> None:
         """Stop the workers (idempotent; handle may not be reused)."""

@@ -36,10 +36,11 @@ caches.  Snapshot entries live next to result entries under a
 ``state-`` prefixed key and obey the same engine-version
 invalidation.
 
-Statistics are kept per process (hits, misses, stores, uncacheable
-lookups, and ``fresh_events`` — events simulated by cache-missing
-runs).  ``greedwork run`` prints them to stderr; CI's warm-cache gate
-asserts a second ``greedwork run table1`` reports ``fresh_events=0``.
+Counts go to :mod:`repro.obs` as ``sim.cache.<name>`` for each name in
+:data:`COUNTERS` (``fresh_events`` counts events simulated by
+cache-missing runs).  ``greedwork run`` prints them to stderr as the
+``[sim-cache]`` line; CI's warm-cache gate asserts a second
+``greedwork run table1`` reports ``fresh_events=0``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from typing import Any, Dict, Optional
+
+import repro.obs as obs
 
 #: Environment toggle; any of "0", "off", "false", "no" disables.
 ENV_TOGGLE = "GREEDWORK_SIM_CACHE"
@@ -64,36 +67,11 @@ DEFAULT_SUBDIR = os.path.join(".greedwork_cache", "sim")
 _DISABLING_VALUES = frozenset({"0", "off", "false", "no"})
 
 
-@dataclass
-class CacheStats:
-    """Per-process counters for cache behaviour."""
+#: The cache's counters, ``sim.cache.<name>`` in :mod:`repro.obs`, in
+#: ``[sim-cache]`` line order.
+COUNTERS = ("hits", "misses", "stores", "uncacheable", "state_hits",
+            "state_stores", "fresh_events")
 
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    uncacheable: int = 0
-    #: Events (arrivals + departures) processed by fresh simulate runs.
-    #: A resumed run contributes only its extension delta.
-    fresh_events: int = 0
-    #: Engine snapshots restored (each one turned a fresh run into a
-    #: delta run) and snapshots written.
-    state_hits: int = 0
-    state_stores: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """Counters as a plain dict (snapshot/merge currency)."""
-        return asdict(self)
-
-    def line(self) -> str:
-        """One-line summary, greppable by the CI warm-cache gate."""
-        return (f"[sim-cache] hits={self.hits} misses={self.misses} "
-                f"stores={self.stores} uncacheable={self.uncacheable} "
-                f"state_hits={self.state_hits} "
-                f"state_stores={self.state_stores} "
-                f"fresh_events={self.fresh_events}")
-
-
-_stats = CacheStats()
 _enabled_override: Optional[bool] = None
 
 
@@ -240,16 +218,9 @@ def load_state(key: str) -> Optional[Any]:
     the result-cache counters keep their original meaning; restored
     snapshots increment ``state_hits`` instead.
     """
-    path = _entry_path(key)
-    try:
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    # greedwork: ignore[GW601] -- _stats is per-process by design;
-    # merge_stats folds worker deltas back into the parent.
-    _stats.state_hits += 1
+    state = _read_entry(key)
+    if state is not None:
+        obs.add("sim.cache.state_hits")
     return state
 
 
@@ -258,15 +229,10 @@ def store_state(key: str, state: Any) -> None:
 
     The caller is responsible for only overwriting an entry with a
     snapshot at a *later* horizon (a race losing that property costs
-    performance on the next resume, never correctness).
+    performance on the next resume, never correctness).  :func:`store`
+    counts ``state-`` keys as ``state_stores``.
     """
-    before = _stats.stores
     store(key, state)
-    if _stats.stores > before:
-        # greedwork: ignore[GW601] -- per-process _stats; see
-        # merge_stats.
-        _stats.stores = before
-        _stats.state_stores += 1
 
 
 def _entry_path(key: str) -> str:
@@ -282,27 +248,24 @@ def peek(key: str) -> Optional[Any]:
     would double-book the cells that then go on to call
     :func:`repro.sim.runner.simulate` for real.
     """
+    return _read_entry(key)
+
+
+def load(key: str) -> Optional[Any]:
+    """The cached result for ``key``, or ``None`` (counts hit/miss)."""
+    result = _read_entry(key)
+    obs.add("sim.cache.misses" if result is None else "sim.cache.hits")
+    return result
+
+
+def _read_entry(key: str) -> Optional[Any]:
+    """The entry under ``key``, or ``None`` if absent or unreadable."""
     try:
         with open(_entry_path(key), "rb") as handle:
             return pickle.load(handle)
     except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError):
         return None
-
-
-def load(key: str) -> Optional[Any]:
-    """The cached result for ``key``, or ``None`` (counts hit/miss)."""
-    path = _entry_path(key)
-    try:
-        with open(path, "rb") as handle:
-            result = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        _stats.misses += 1
-        return None
-    # greedwork: ignore[GW601] -- per-process _stats; see merge_stats.
-    _stats.hits += 1
-    return result
 
 
 def _write_entry(key: str, obj: Any) -> bool:
@@ -334,48 +297,6 @@ def _write_entry(key: str, obj: Any) -> bool:
 
 def store(key: str, result: Any) -> None:
     """Persist ``result`` under ``key`` (atomic, best-effort)."""
-    if not _write_entry(key, result):
-        return
-    # greedwork: ignore[GW601] -- per-process _stats; see merge_stats.
-    _stats.stores += 1
-
-
-def record_uncacheable() -> None:
-    """Note a lookup that could not be keyed (policy instance...)."""
-    # greedwork: ignore[GW601] -- per-process _stats; see merge_stats.
-    _stats.uncacheable += 1
-
-
-def record_fresh_events(n_events: int) -> None:
-    """Note events processed by a fresh (non-cached) simulation."""
-    # greedwork: ignore[GW601] -- per-process _stats; see merge_stats.
-    _stats.fresh_events += n_events
-
-
-def stats() -> CacheStats:
-    """The live per-process counters."""
-    return _stats
-
-
-def snapshot() -> Dict[str, int]:
-    """Copy of the counters (for deltas across a task)."""
-    # greedwork: ignore[GW601] -- reads the per-process counters to
-    # build exactly the delta merge_stats later folds into the parent.
-    return _stats.as_dict()
-
-
-def merge_stats(delta: Dict[str, int]) -> None:
-    """Fold counters from a worker process into this process."""
-    _stats.hits += delta.get("hits", 0)
-    _stats.misses += delta.get("misses", 0)
-    _stats.stores += delta.get("stores", 0)
-    _stats.uncacheable += delta.get("uncacheable", 0)
-    _stats.fresh_events += delta.get("fresh_events", 0)
-    _stats.state_hits += delta.get("state_hits", 0)
-    _stats.state_stores += delta.get("state_stores", 0)
-
-
-def reset_stats() -> None:
-    """Zero the counters (tests)."""
-    global _stats
-    _stats = CacheStats()
+    if _write_entry(key, result):
+        obs.add("sim.cache.state_stores" if key.startswith("state-")
+                else "sim.cache.stores")

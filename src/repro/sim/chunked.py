@@ -54,7 +54,7 @@ import numpy as np
 from repro.exceptions import SimulationError
 from repro.sim import kernels as kn
 from repro.sim.fair_queueing import StartTimeFairQueue
-from repro.sim.packet import Packet
+from repro.sim.packet import Packet, sequence_watermark
 from repro.sim.queues import (
     FairShareLadderQueue,
     FIFOQueue,
@@ -431,33 +431,30 @@ class _SfqState:
         self.h_user = np.zeros(self.hcap, dtype=np.int64)
         self.h_time = np.zeros(self.hcap, dtype=float)
         self.h_size = np.zeros(self.hcap, dtype=float)
+        # The backlog's sequence numbers serve as its aidx, the locked
+        # packet's included: the export then keeps the backlog's
+        # arrival order, and new arrivals count on from the watermark.
         locked = policy._locked
-        aidx = 0
         if locked is not None:
             iregs[kn.I_LOCKED_USER] = locked.user
-            iregs[kn.I_LOCKED_AIDX] = 0
+            iregs[kn.I_LOCKED_AIDX] = locked.seq
             fregs[kn.F_LOCKED_TIME] = locked.arrival_time
             fregs[kn.F_LOCKED_SIZE] = locked.size
-            iregs[kn.I_SERVING_AIDX] = 0 if serving_seq == locked.seq \
-                else -1
-            aidx = 1
+            iregs[kn.I_SERVING_AIDX] = locked.seq \
+                if serving_seq == locked.seq else -1
         else:
             iregs[kn.I_LOCKED_USER] = -1
             iregs[kn.I_LOCKED_AIDX] = -1
             iregs[kn.I_SERVING_AIDX] = -1
-        # Start-tag order equals sequence order within equal tags, so
-        # assigning aidx along the sorted entries preserves the scalar
-        # heap's comparison outcomes.
-        for i, (start, _seq, packet) in enumerate(entries):
+        for i, (start, seq, packet) in enumerate(entries):
             self.h_start[i] = start
-            self.h_aidx[i] = aidx
+            self.h_aidx[i] = seq
             self.h_user[i] = packet.user
             self.h_time[i] = packet.arrival_time
             self.h_size[i] = packet.size
-            aidx += 1
         self.iregs = iregs
         iregs[kn.I_HEAP_SIZE] = len(entries)
-        iregs[kn.I_AIDX] = aidx
+        iregs[kn.I_AIDX] = sequence_watermark()
 
     def grow(self) -> None:
         old_cap = self.hcap

@@ -84,6 +84,7 @@ from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
 
 import numpy as np
 
+import repro.obs as obs
 from repro.exceptions import SimulationError
 from repro.numerics.rng import spawn_generators, spawn_seeds
 from repro.parallel import WorkerPool
@@ -684,7 +685,7 @@ def _chunk_simulate(chunk: SimulationConfig,
     if sim_cache.enabled():
         key = sim_cache.config_key(chunk, ENGINE_VERSION)
         if key is None:
-            sim_cache.record_uncacheable()
+            obs.add("sim.cache.uncacheable")
         else:
             cached = sim_cache.load(key)
             if cached is not None:
@@ -704,7 +705,7 @@ def _chunk_simulate(chunk: SimulationConfig,
     if engine is None:
         engine = _engine_class()(chunk, rates)
     fresh = engine.run_to(chunk.horizon)
-    sim_cache.record_fresh_events(fresh)
+    obs.add("sim.cache.fresh_events", fresh)
     result = engine.result(chunk)
     engine_box[0] = engine
     if key is not None:
@@ -972,23 +973,16 @@ def antithetic_configs(config: SimulationConfig,
     return out
 
 
-def _replicate_worker(config: SimulationConfig,
-                      cache_enabled: bool
-                      ) -> Tuple["SimulationResult", dict]:
-    """Pool-safe unit of work for :func:`replicate`.
+def _simulate_pinned(config: SimulationConfig,
+                     cache_enabled: bool) -> SimulationResult:
+    """:func:`simulate` in a pool worker, under the parent's cache flag.
 
-    Returns ``(result, sim_cache_stats_delta)``.  Worker processes do
-    not inherit the parent's in-memory cache override, so the parent's
-    effective flag is pinned explicitly; the delta (rather than a
-    total — workers are reused across tasks) lets the parent fold the
-    worker's hit/miss/fresh-event counters into its own so a pooled
-    ``[sim-cache]`` summary matches the serial one.
+    Worker processes do not inherit the parent's in-memory cache
+    override, so :func:`replicate` ships its effective flag with each
+    config.
     """
     sim_cache.set_enabled(cache_enabled)
-    before = sim_cache.snapshot()
-    result = simulate(config)
-    after = sim_cache.snapshot()
-    return result, {key: after[key] - before[key] for key in after}
+    return simulate(config)
 
 
 def replicate(config: SimulationConfig, n_replications: int = 5,
@@ -1006,9 +1000,8 @@ def replicate(config: SimulationConfig, n_replications: int = 5,
 
     ``jobs > 1`` fans the replications across a process pool; each
     task is a pure function of its config, so the pooled output is
-    byte-identical to the serial run, and each worker returns its
-    sim-cache counter delta so the parent's ``[sim-cache]`` summary
-    stays accurate across processes.  Passing an existing
+    byte-identical to the serial run, and the pool folds each task's
+    counts into the parent.  Passing an existing
     :class:`~repro.parallel.WorkerPool` as ``pool`` reuses its workers
     instead of paying pool spin-up per call (the pool's size then
     wins over ``jobs``).  Configs carrying a ``QueuePolicy``
@@ -1031,15 +1024,11 @@ def replicate(config: SimulationConfig, n_replications: int = 5,
         if own_pool:
             pool = WorkerPool(min(jobs, n_replications))
         try:
-            flags = [sim_cache.enabled()] * len(configs)
-            outcomes = list(pool.map(_replicate_worker, configs, flags))
+            runs = list(pool.map(_simulate_pinned, configs,
+                                 [sim_cache.enabled()] * len(configs)))
         finally:
             if own_pool:
                 pool.shutdown()
-        runs = []
-        for result, delta in outcomes:
-            sim_cache.merge_stats(delta)
-            runs.append(result)
     elif isinstance(config.policy, str):
         runs = [simulate(cfg) for cfg in configs]
     else:

@@ -38,6 +38,7 @@ available on every result, so verdict logic can choose either view.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -150,19 +151,10 @@ def t_quantile(confidence: float, dof: float) -> float:
             f"confidence must be in (0,1), got {confidence}")
     if dof <= 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {dof}")
-    key = (confidence, dof)
-    cached = _T_QUANTILES.get(key)
-    if cached is not None:
-        return cached
-    value = _t_quantile_exact(confidence, dof)
-    if len(_T_QUANTILES) < 4096:
-        _T_QUANTILES[key] = value
-    return value
+    return _t_quantile_exact(confidence, dof)
 
 
-_T_QUANTILES: dict = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def _t_quantile_exact(confidence: float, dof: float) -> float:
     p = 0.5 * (1.0 + confidence)
     if dof > 1e6:

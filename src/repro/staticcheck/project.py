@@ -59,8 +59,10 @@ MUTATOR_METHODS = frozenset({
 })
 
 #: Pool constructors whose dispatched callables run in *other
-#: processes* (shared-memory executors are deliberately absent).
-_POOL_CONSTRUCTORS = frozenset({"Pool", "ProcessPoolExecutor"})
+#: processes* (shared-memory executors are deliberately absent);
+#: ``WorkerPool`` is the library's own reusable handle.
+_POOL_CONSTRUCTORS = frozenset({"Pool", "ProcessPoolExecutor",
+                                "WorkerPool"})
 
 #: Methods that ship a callable to pool workers; the callable is the
 #: first positional argument for every one of them.
@@ -443,8 +445,8 @@ class ProjectContext:
 
         Keys are resolved ``module:qualname`` targets of the first
         positional argument of ``pool.map``/``submit``/... calls on
-        receivers constructed from ``multiprocessing.Pool`` or
-        ``ProcessPoolExecutor``.
+        receivers constructed from ``multiprocessing.Pool``,
+        ``ProcessPoolExecutor`` or :class:`repro.parallel.WorkerPool`.
         """
         if self._worker_entries is None:
             entries: Dict[str, str] = {}
@@ -755,6 +757,14 @@ def _build_function_summary(key: str, info: "ModuleInfo",
     return summary
 
 
+def _builds_pool(value: ast.expr) -> bool:
+    """Whether ``value`` is ``Pool(...)``-like or ``<expr> or Pool(...)``."""
+    if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
+        return any(_builds_pool(operand) for operand in value.values)
+    return (isinstance(value, ast.Call)
+            and _dotted(value).split(".")[-1] in _POOL_CONSTRUCTORS)
+
+
 def _pool_dispatch_targets(info: "ModuleInfo",
                            func: ast.AST) -> List[str]:
     """Resolved ``module:name`` callables this function ships to pools."""
@@ -768,8 +778,7 @@ def _pool_dispatch_targets(info: "ModuleInfo",
             value, bound = node.context_expr, node.optional_vars
         if value is None or not isinstance(bound, ast.Name):
             continue
-        dotted = _dotted(value) if isinstance(value, ast.Call) else ""
-        if dotted.split(".")[-1] in _POOL_CONSTRUCTORS:
+        if _builds_pool(value):
             pool_names.add(bound.id)
     if not pool_names:
         return []

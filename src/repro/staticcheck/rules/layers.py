@@ -2,7 +2,7 @@
 
 The architecture is a DAG of layers::
 
-    0  exceptions
+    0  exceptions, obs
     1  numerics, parallel, queueing
     2  costsharing, disciplines, users
     3  game, sim, network
@@ -31,6 +31,7 @@ ROOT_FACADE = "<root>"
 
 LAYERS: Dict[str, int] = {
     "exceptions": 0,
+    "obs": 0,
     "numerics": 1,
     "parallel": 1,
     "queueing": 1,

@@ -17,10 +17,9 @@ from typing import Dict, Iterable, List, Optional, Set
 from repro.staticcheck.core import FileContext, Finding, ProjectRule, \
     Rule, register_rule
 from repro.staticcheck.project import (
-    _POOL_CONSTRUCTORS,
     _POOL_DISPATCH_METHODS,
     ProjectContext,
-    _dotted,
+    _builds_pool,
 )
 from repro.staticcheck.rules.determinism import _call_dotted, _in_scope
 
@@ -46,11 +45,13 @@ class WorkerSharedStateRule(ProjectRule):
             _CALLS += 1               # lost in the child
 
     Fix:
-        Return the value and merge in the parent (the sim cache's
-        ``merge_stats`` delta protocol is the sanctioned pattern), or
-        pass state explicitly through the worker payload.  Counters
-        that are deliberately per-process (and re-merged or re-derived)
-        may suppress with a reason:
+        Return the value and merge in the parent, or pass state
+        explicitly through the worker payload.  Counts go to the
+        :mod:`repro.obs` registry, the sanctioned pattern: a task
+        dispatched through :class:`repro.parallel.WorkerPool` hands its
+        counts back with its result and the pool folds them into the
+        parent.  State that is deliberately per-process (and re-merged
+        or re-derived) may suppress with a reason:
         ``# greedwork: ignore[GW601] -- <why>``.
     """
 
@@ -191,11 +192,7 @@ class UnpicklableWorkerRule(Rule):
                 value = node.context_expr
                 if isinstance(node.optional_vars, ast.Name):
                     names = [node.optional_vars.id]
-            if value is None or not names \
-                    or not isinstance(value, ast.Call):
-                continue
-            dotted = _dotted(value.func)
-            if dotted and dotted.split(".")[-1] in _POOL_CONSTRUCTORS:
+            if value is not None and names and _builds_pool(value):
                 out.update(names)
         return out
 

@@ -22,10 +22,10 @@ answers every cell:
    :class:`~repro.parallel.WorkerPool` via an asyncio loop that never
    blocks: completions are awaited, not polled.
 
-Workers return ``(outcomes, stats_delta, busy_seconds)``; the parent
-folds each delta into its own sim-cache counters (the sanctioned
-``_stats`` + ``merge_stats`` protocol) so ``[sim-cache]`` summaries
-cover the whole pool, and busy seconds accumulate into the worker
+A batch returns ``(outcomes, counts, busy_seconds)``.  Its counts
+reach the parent's :mod:`repro.obs` registry exactly once (the pool
+folds pooled batches; serial ones count in place), where the sweep's
+:class:`~repro.obs.Scope` reads them; busy seconds feed the worker
 utilization the bench gates on.  A crashing cell is isolated into an
 error outcome carrying its traceback instead of killing the sweep.
 """
@@ -42,6 +42,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence,
 
 import numpy as np
 
+import repro.obs as obs
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.runner import (
@@ -233,27 +234,24 @@ def _run_cell_batch(cells: Sequence[SweepCell],
                                float]:
     """Run a batch of CRN-sibling cells in one worker.
 
-    Returns ``(outcome_dicts, sim_cache_stats_delta, busy_seconds)``.
-    The delta lets the parent fold this worker's cache counters into
-    its own (workers are reused across batches, hence a delta rather
-    than a total); busy seconds feed the utilization estimate.  A
-    crashing cell yields an error outcome; its siblings still run.
+    Returns ``(outcome_dicts, counts, busy_seconds)``: ``counts`` is
+    what the batch added to :mod:`repro.obs`; busy seconds feed the
+    utilization estimate.  A crashing cell yields an error outcome;
+    its siblings still run.
     """
     if cache_enabled is not None:
         sim_cache.set_enabled(cache_enabled)
-    before = sim_cache.snapshot()
     started = time.perf_counter()
     outcomes: List[Dict[str, Any]] = []
-    for cell in cells:
-        try:
-            outcome = _run_cell(cell)
-        except Exception:
-            outcome = _error_outcome(cell, traceback.format_exc())
-        outcomes.append(outcome.as_dict())
+    with obs.Scope() as counted:
+        for cell in cells:
+            try:
+                outcome = _run_cell(cell)
+            except Exception:
+                outcome = _error_outcome(cell, traceback.format_exc())
+            outcomes.append(outcome.as_dict())
     busy = time.perf_counter() - started
-    after = sim_cache.snapshot()
-    delta = {key: after[key] - before[key] for key in after}
-    return outcomes, delta, busy
+    return outcomes, counted.delta, busy
 
 
 def warm_outcome(cell: SweepCell) -> Optional[CellOutcome]:
@@ -328,7 +326,7 @@ class SweepScheduler:
         self._events = 0
         self._busy_s = 0.0
         self._started = 0.0
-        self._delta: Dict[str, int] = {}
+        self._counted = obs.Scope()
 
     # -- public entry points -------------------------------------------
 
@@ -365,19 +363,19 @@ class SweepScheduler:
             self._tick()
             batches = self._batches(pending)
             if batches:
-                self._execute(batches, journal, by_key)
+                with self._counted:
+                    self._execute(batches, journal, by_key)
         finally:
             if journal is not None:
                 journal.close()
         outcomes = self._ordered_outcomes(by_key)
         wall = time.perf_counter() - self._started
+        counts = self._cache_counts()
         return SweepResult(
             catalog_name=self.catalog.name, digest=self.digest,
             outcomes=outcomes, wall_s=wall, busy_s=self._busy_s,
-            jobs=self.jobs,
-            fresh_events=self._delta.get("fresh_events", 0),
-            stats_delta=dict(self._delta),
-            journal_path=self._journal_path)
+            jobs=self.jobs, fresh_events=counts["fresh_events"],
+            stats_delta=counts, journal_path=self._journal_path)
 
     # -- phases ---------------------------------------------------------
 
@@ -464,16 +462,14 @@ class SweepScheduler:
         """
         pool = self._pool or WorkerPool(self.jobs)
         own_pool = self._pool is None
-        loop = asyncio.get_running_loop()
         queue = deque(batches)
         in_flight: Dict[Any, List[SweepCell]] = {}
         try:
             while queue or in_flight:
                 while queue and len(in_flight) < pool.jobs:
                     batch = queue.popleft()
-                    future = loop.run_in_executor(
-                        pool.executor, _run_cell_batch, batch,
-                        self._cache_enabled)
+                    future = asyncio.wrap_future(pool.submit(
+                        _run_cell_batch, batch, self._cache_enabled))
                     in_flight[future] = batch
                     self._running += len(batch)
                     self._queued -= len(batch)
@@ -492,10 +488,7 @@ class SweepScheduler:
                 journal: Optional[journal_mod.SweepJournal],
                 by_key: Dict[str, CellOutcome]) -> None:
         """Fold one batch result into parent-side accounting."""
-        outcome_dicts, delta, busy = payload
-        for key in delta:
-            self._delta[key] = self._delta.get(key, 0) + delta[key]
-        sim_cache.merge_stats(delta)
+        outcome_dicts, _counts, busy = payload
         self._busy_s += busy
         for outcome_dict in outcome_dicts:
             outcome = CellOutcome.from_dict(outcome_dict)
@@ -521,17 +514,23 @@ class SweepScheduler:
             outcomes.append(outcome)
         return outcomes
 
+    def _cache_counts(self) -> Dict[str, int]:
+        """The sim-cache counts the sweep has added so far."""
+        return obs.group("sim.cache", sim_cache.COUNTERS,
+                         self._counted.delta)
+
     def _tick(self) -> None:
         if self._progress is None:
             return
+        counts = self._cache_counts()
         self._progress(SweepProgress(
             done=self._done, running=self._running,
             queued=max(0, self._queued),
             total=len(self.catalog),
             events=self._events,
-            fresh_events=self._delta.get("fresh_events", 0),
-            cache_hits=self._delta.get("hits", 0),
-            cache_misses=self._delta.get("misses", 0),
+            fresh_events=counts["fresh_events"],
+            cache_hits=counts["hits"],
+            cache_misses=counts["misses"],
             busy_s=self._busy_s,
             wall_s=time.perf_counter() - self._started,
             jobs=self.jobs))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.disciplines import (
     FairShareAllocation,
     PriorityAllocation,
@@ -29,9 +30,15 @@ def _isolated_sim_cache(tmp_path, monkeypatch):
 
     monkeypatch.setenv(sim_cache.ENV_DIR, str(tmp_path / "sim-cache"))
     monkeypatch.setenv(sim_cache.ENV_TOGGLE, "off")
-    sim_cache.reset_stats()
     yield
     sim_cache.set_enabled(None)
+
+
+@pytest.fixture
+def counted():
+    """What the test adds to the :mod:`repro.obs` registry (live)."""
+    with obs.Scope() as scope:
+        yield scope
 
 
 @pytest.fixture

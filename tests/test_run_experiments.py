@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.exceptions import ReproError
 from repro.experiments import registry
@@ -43,15 +44,26 @@ class TestRunExperiments:
 
     @pytest.mark.slow
     def test_worker_cache_stats_merge_back(self):
-        sim_cache.reset_stats()
-        run_experiments(["table1", "t8_protection"], seed=0, fast=True,
-                        jobs=1)
-        serial_events = sim_cache.stats().fresh_events
-        assert serial_events > 0
-        sim_cache.reset_stats()
-        run_experiments(["table1", "t8_protection"], seed=0, fast=True,
-                        jobs=2)
-        assert sim_cache.stats().fresh_events == serial_events
+        with obs.Scope() as serial:
+            run_experiments(["table1", "t8_protection"], seed=0,
+                            fast=True, jobs=1)
+        assert serial.get("sim.cache.fresh_events") > 0
+        with obs.Scope() as pooled:
+            run_experiments(["table1", "t8_protection"], seed=0,
+                            fast=True, jobs=2)
+        assert pooled.delta == serial.delta
+
+    @pytest.mark.slow
+    def test_worker_solver_counts_merge_back(self):
+        with obs.Scope() as serial:
+            run_experiments(["t1_efficiency", "t8_protection"], seed=0,
+                            fast=True, jobs=1)
+        assert serial.get("solver.objective_evals") > 0
+        assert serial.get("solver.congestion_evals") > 0
+        with obs.Scope() as pooled:
+            run_experiments(["t1_efficiency", "t8_protection"], seed=0,
+                            fast=True, jobs=2)
+        assert pooled.delta == serial.delta
 
 
 class TestCLIFlags:
@@ -61,7 +73,10 @@ class TestCLIFlags:
         captured = capsys.readouterr()
         assert code == 0
         assert "[PASS]" in captured.out
-        assert "[sim-cache]" in captured.err
+        sim_line, solver_line = captured.err.splitlines()[-2:]
+        assert sim_line.startswith("[sim-cache] hits=")
+        assert solver_line == ("[solver] objective_evals=0 "
+                               "congestion_evals=0 grid_calls=0")
 
     @pytest.mark.slow
     def test_no_sim_cache_flag(self, capsys, monkeypatch):
@@ -77,11 +92,9 @@ class TestCLIFlags:
     @pytest.mark.slow
     def test_warm_cache_run_simulates_nothing(self, capsys):
         sim_cache.set_enabled(True)
-        sim_cache.reset_stats()
         assert cli_main(["run", "table1", "--fast"]) == 0
         cold = capsys.readouterr()
         assert "fresh_events=0" not in cold.err
-        sim_cache.reset_stats()
         assert cli_main(["run", "table1", "--fast"]) == 0
         warm = capsys.readouterr()
         assert "fresh_events=0" in warm.err

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.sim import cache as sim_cache
 from repro.sim import runner
 from repro.sim.fair_queueing import StartTimeFairQueue
@@ -21,10 +22,13 @@ def cache_on(tmp_path, monkeypatch):
     directory = tmp_path / "cache"
     monkeypatch.setenv(sim_cache.ENV_DIR, str(directory))
     sim_cache.set_enabled(True)
-    sim_cache.reset_stats()
     yield directory
     sim_cache.set_enabled(None)
-    sim_cache.reset_stats()
+
+
+def cache_counts(scope):
+    """The seven ``sim.cache`` counters a scope has seen, by short name."""
+    return obs.group("sim.cache", sim_cache.COUNTERS, scope.delta)
 
 
 def _entry_files(directory):
@@ -61,58 +65,65 @@ class TestKeying:
 
 
 class TestSimulateThroughCache:
-    def test_hit_returns_equal_result(self, cache_on):
+    def test_hit_returns_equal_result(self, cache_on, counted):
         cold = simulate(CONFIG)
         warm = simulate(CONFIG)
-        stats = sim_cache.stats()
-        assert stats.misses == 1 and stats.stores == 1
-        assert stats.hits == 1
+        stats = cache_counts(counted)
+        assert stats["misses"] == 1 and stats["stores"] == 1
+        assert stats["hits"] == 1
         assert np.array_equal(cold.mean_queues, warm.mean_queues)
         assert cold.departures == warm.departures
 
-    def test_fresh_events_counted_only_on_miss(self, cache_on):
+    def test_fresh_events_counted_only_on_miss(self, cache_on, counted):
         cold = simulate(CONFIG)
-        after_cold = sim_cache.stats().fresh_events
+        after_cold = counted.get("sim.cache.fresh_events")
         assert after_cold == cold.arrivals + cold.departures
         simulate(CONFIG)
-        assert sim_cache.stats().fresh_events == after_cold
+        assert counted.get("sim.cache.fresh_events") == after_cold
 
-    def test_engine_version_bump_invalidates(self, cache_on,
+    def test_engine_version_bump_invalidates(self, cache_on, counted,
                                              monkeypatch):
         simulate(CONFIG)
         monkeypatch.setattr(runner, "ENGINE_VERSION",
                             runner.ENGINE_VERSION + "-bumped")
         simulate(CONFIG)
-        stats = sim_cache.stats()
-        assert stats.hits == 0 and stats.misses == 2
+        stats = cache_counts(counted)
+        assert stats["hits"] == 0 and stats["misses"] == 2
 
-    def test_opt_out_writes_nothing(self, cache_on):
+    def test_opt_out_writes_nothing(self, cache_on, counted):
         sim_cache.set_enabled(False)
         simulate(CONFIG)
         assert _entry_files(cache_on) == []
-        stats = sim_cache.stats()
-        assert stats.misses == 0 and stats.stores == 0
-        assert stats.fresh_events > 0
+        stats = cache_counts(counted)
+        assert stats["misses"] == 0 and stats["stores"] == 0
+        assert stats["fresh_events"] > 0
 
-    def test_policy_instance_bypasses_cache(self, cache_on):
+    def test_policy_instance_bypasses_cache(self, cache_on, counted):
         from dataclasses import replace
 
         config = replace(CONFIG, policy=StartTimeFairQueue(2))
         simulate(config)
-        stats = sim_cache.stats()
-        assert stats.uncacheable == 1
-        assert stats.misses == 0 and stats.stores == 0
+        stats = cache_counts(counted)
+        assert stats["uncacheable"] == 1
+        assert stats["misses"] == 0 and stats["stores"] == 0
         assert _entry_files(cache_on) == []
 
-    def test_corrupt_entry_is_a_miss(self, cache_on):
+    def test_corrupt_entry_is_a_miss(self, cache_on, counted):
         simulate(CONFIG)
         (path,) = _entry_files(cache_on)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
         result = simulate(CONFIG)
         assert result.departures > 0
-        stats = sim_cache.stats()
-        assert stats.misses == 2 and stats.hits == 0
+        stats = cache_counts(counted)
+        assert stats["misses"] == 2 and stats["hits"] == 0
+
+    def test_snapshots_count_as_state_stores(self, cache_on, counted):
+        from dataclasses import replace
+
+        simulate(replace(CONFIG, batch_quota=50.0))
+        stats = cache_counts(counted)
+        assert stats["stores"] == 1 and stats["state_stores"] == 1
 
     def test_entries_land_in_override_directory(self, cache_on):
         simulate(CONFIG)
@@ -124,23 +135,23 @@ class TestSimulateThroughCache:
 
 
 class TestStatsPlumbing:
-    def test_snapshot_and_merge_round_trip(self):
-        sim_cache.reset_stats()
-        assert isinstance(sim_cache.stats(), sim_cache.CacheStats)
-        before = sim_cache.snapshot()
-        sim_cache.record_fresh_events(10)
-        sim_cache.record_uncacheable()
-        after = sim_cache.snapshot()
-        delta = {key: after[key] - before[key] for key in after}
-        sim_cache.merge_stats(delta)
-        assert sim_cache.stats().fresh_events == 20
-        assert sim_cache.stats().uncacheable == 2
+    def test_snapshot_and_merge_round_trip(self, counted):
+        with obs.Scope() as worker:
+            obs.add("sim.cache.fresh_events", 10)
+            obs.add("sim.cache.uncacheable")
+        assert worker.delta == {"sim.cache.fresh_events": 10,
+                                "sim.cache.uncacheable": 1}
+        obs.merge(worker.delta)
+        stats = cache_counts(counted)
+        assert stats["fresh_events"] == 20
+        assert stats["uncacheable"] == 2
 
     def test_line_is_greppable(self):
-        sim_cache.reset_stats()
-        line = sim_cache.stats().line()
-        assert line.startswith("[sim-cache] ")
-        assert "fresh_events=0" in line
+        line = obs.line("sim-cache",
+                        obs.group("sim.cache", sim_cache.COUNTERS, {}))
+        assert line == ("[sim-cache] hits=0 misses=0 stores=0 "
+                        "uncacheable=0 state_hits=0 state_stores=0 "
+                        "fresh_events=0")
 
     def test_env_toggle(self, monkeypatch):
         sim_cache.set_enabled(None)

@@ -355,6 +355,27 @@ class TestGeneratedConfigs:
                 state_fingerprint(chunked)
 
 
+@needs_kernels
+class TestSfqResumeOrder:
+    def test_resumed_backlog_keeps_arrival_order(self):
+        """Regression: resuming the fq kernel ranked the packet in
+        service ahead of the queue, so a backlog whose packet in
+        service arrived after a queued one came back out of arrival
+        order (found by ``TestGeneratedConfigs``)."""
+        config = SimulationConfig(
+            rates=(0.375, 0.375), policy="fq", horizon=1348.0,
+            warmup=134.8, seed=0, batch_quota=121.32)
+        scalar = SimulationEngine(config)
+        chunked = ChunkedSimulationEngine(config)
+        for engine in (scalar, chunked):
+            set_block_size(engine, 1)
+        for horizon in (1347.0, 1348.0):
+            scalar.run_to(horizon)
+            chunked.run_to(horizon)
+            assert state_fingerprint(scalar) == \
+                state_fingerprint(chunked)
+
+
 class TestKernelCoverage:
     """Every built-in sweep cell runs on a compiled kernel.
 

@@ -22,6 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.exceptions import SimulationError
 from repro.sim.runner import (
     SimulationConfig,
@@ -139,9 +140,9 @@ class TestSimulateToPrecision:
         assert cached_precision(config, target_halfwidth=0.03) is None
         cold = simulate_to_precision(config, target_halfwidth=0.03)
         assert len(cold.horizons) >= 2
-        before = sim_cache.snapshot()
-        warm = cached_precision(config, target_halfwidth=0.03)
-        assert sim_cache.snapshot() == before
+        with obs.Scope() as counted:
+            warm = cached_precision(config, target_halfwidth=0.03)
+        assert counted.delta == {}
         assert warm.horizons == cold.horizons
         assert warm.achieved == cold.achieved
         np.testing.assert_array_equal(warm.summary.half_widths,

@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.sim import cache as sim_cache
 from repro.sim.arrivals import VariateStream
 from repro.sim.chunked import ChunkedSimulationEngine
@@ -115,10 +116,8 @@ def cache_on(tmp_path, monkeypatch):
     directory = tmp_path / "cache"
     monkeypatch.setenv(sim_cache.ENV_DIR, str(directory))
     sim_cache.set_enabled(True)
-    sim_cache.reset_stats()
     yield directory
     sim_cache.set_enabled(None)
-    sim_cache.reset_stats()
 
 
 class TestStateCache:
@@ -127,15 +126,13 @@ class TestStateCache:
         long = config_for("fifo", horizon=50000.0)
 
         first = simulate(short)
-        stats_before = sim_cache.snapshot()
-        extended = simulate(long)
-        stats_after = sim_cache.snapshot()
+        with obs.Scope() as counted:
+            extended = simulate(long)
 
         # The long run resumed the stored snapshot: only the delta
         # beyond the short horizon was freshly simulated.
-        assert stats_after["state_hits"] == stats_before["state_hits"] + 1
-        delta = (stats_after["fresh_events"]
-                 - stats_before["fresh_events"])
+        assert counted.get("sim.cache.state_hits") == 1
+        delta = counted.get("sim.cache.fresh_events")
         assert 0 < delta < extended.events
         assert delta == extended.events - first.events
 
@@ -144,19 +141,20 @@ class TestStateCache:
         fresh = simulate(long)
         assert_results_identical(extended, fresh)
 
-    def test_state_not_stored_without_batch_quota(self, cache_on):
+    def test_state_not_stored_without_batch_quota(self, cache_on,
+                                                  counted):
         config = replace(config_for("fifo", horizon=5000.0),
                          batch_quota=None)
         simulate(config)
-        assert sim_cache.stats().state_stores == 0
+        assert counted.get("sim.cache.state_stores") == 0
 
     def test_precision_rerun_with_tighter_target_is_delta_only(
             self, cache_on):
         config = config_for("fifo", horizon=6000.0)
         loose = simulate_to_precision(config, target_halfwidth=0.2)
-        events_before = sim_cache.stats().fresh_events
-        tight = simulate_to_precision(config, target_halfwidth=0.05)
-        delta = sim_cache.stats().fresh_events - events_before
+        with obs.Scope() as counted:
+            tight = simulate_to_precision(config, target_halfwidth=0.05)
+        delta = counted.get("sim.cache.fresh_events")
         # The tighter run replays the loose run's chunks from the
         # result cache and extends the final snapshot: fresh events
         # cover only the extension.
@@ -167,9 +165,9 @@ class TestStateCache:
     def test_warm_precision_rerun_simulates_nothing(self, cache_on):
         config = config_for("fair-share", horizon=6000.0)
         cold = simulate_to_precision(config, target_halfwidth=0.1)
-        events_before = sim_cache.stats().fresh_events
-        warm = simulate_to_precision(config, target_halfwidth=0.1)
-        assert sim_cache.stats().fresh_events == events_before
+        with obs.Scope() as counted:
+            warm = simulate_to_precision(config, target_halfwidth=0.1)
+        assert counted.get("sim.cache.fresh_events") == 0
         assert warm.horizons == cold.horizons
         np.testing.assert_array_equal(warm.summary.means,
                                       cold.summary.means)
@@ -222,11 +220,10 @@ class TestListLayoutSnapshots:
             handle.write(blob.getvalue())
 
         monkeypatch.setenv(ENV_ENGINE_BACKEND, backend)
-        before = sim_cache.snapshot()
-        resumed = simulate(long)
-        after = sim_cache.snapshot()
-        assert after["state_hits"] == before["state_hits"] + 1
-        assert after["fresh_events"] - before["fresh_events"] \
+        with obs.Scope() as counted:
+            resumed = simulate(long)
+        assert counted.get("sim.cache.state_hits") == 1
+        assert counted.get("sim.cache.fresh_events") \
             == resumed.events - engine.n_arrivals - engine.n_departures
 
         sim_cache.set_enabled(False)

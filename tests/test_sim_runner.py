@@ -11,10 +11,12 @@ import pytest
 
 from dataclasses import replace
 
+import repro.obs as obs
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.exceptions import SimulationError
 from repro.queueing.mm1 import mm1_mean_queue, proportional_split
 from repro.queueing.priority import nonpreemptive_priority_queues
+from repro.sim import cache as sim_cache
 from repro.sim.runner import (
     ReplicationSummary,
     SimulationConfig,
@@ -199,6 +201,23 @@ class TestParallelReplication:
         for left, right in zip(serial.runs, parallel.runs):
             assert np.array_equal(left.mean_queues, right.mean_queues)
             assert left.departures == right.departures
+
+    def test_pooled_cache_counts_match_serial(self, tmp_path,
+                                             monkeypatch):
+        config = SimulationConfig(rates=[0.15, 0.3], policy="fifo",
+                                  horizon=4000.0, warmup=200.0, seed=1)
+        sim_cache.set_enabled(True)
+        deltas = []
+        for jobs in (1, 2):
+            monkeypatch.setenv(sim_cache.ENV_DIR,
+                               str(tmp_path / f"sim-jobs{jobs}"))
+            with obs.Scope() as counted:
+                replicate(config, n_replications=4, jobs=jobs)
+            deltas.append(counted.delta)
+        serial, pooled = deltas
+        assert serial["sim.cache.misses"] == 4
+        assert serial["sim.cache.fresh_events"] > 0
+        assert pooled == serial
 
     def test_policy_instance_falls_back_to_serial(self):
         from repro.sim.queues import FairShareLadderQueue

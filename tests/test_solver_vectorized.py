@@ -22,8 +22,6 @@ from repro.game.best_response import (
 from repro.game.nash import solve_nash
 from repro.numerics import instrumentation
 from repro.numerics.instrumentation import (
-    SolverCounters,
-    record,
     set_vectorized,
     track_solver,
     vectorized,
@@ -33,6 +31,7 @@ from repro.numerics.optimize import (
     grid_multistart_maximize,
     multistart_maximize,
 )
+import repro.obs as obs
 from repro.users.families import LinearUtility, PowerUtility
 
 
@@ -80,33 +79,36 @@ class TestVectorizationSwitch:
 
 
 class TestCounters:
-    def test_record_without_tracker_is_noop(self):
-        record(objective_evals=3)      # must not raise
+    def test_add_outside_any_scope_reaches_the_totals(self):
+        before = obs.totals().get("solver.objective_evals", 0)
+        obs.add("solver.objective_evals", 3)
+        assert obs.totals()["solver.objective_evals"] == before + 3
 
     def test_track_collects(self):
         with track_solver() as counters:
-            record(objective_evals=2, congestion_evals=5, grid_calls=1,
-                   wall_time=0.25)
+            obs.add("solver.objective_evals", 2)
+            obs.add("solver.congestion_evals", 5)
+            obs.add("solver.grid_calls")
         assert counters.objective_evals == 2
         assert counters.congestion_evals == 5
         assert counters.grid_calls == 1
-        assert counters.wall_time == pytest.approx(0.25)
 
     def test_nested_trackers_both_count(self):
         with track_solver() as outer:
-            record(objective_evals=1)
+            obs.add("solver.objective_evals")
             with track_solver() as inner:
-                record(objective_evals=10)
+                obs.add("solver.objective_evals", 10)
         assert inner.objective_evals == 10
         assert outer.objective_evals == 11
 
     def test_as_dict_round_trip(self):
-        counters = SolverCounters(objective_evals=4, grid_calls=2)
-        as_dict = counters.as_dict()
-        assert as_dict["objective_evals"] == 4
-        assert as_dict["grid_calls"] == 2
-        assert set(as_dict) == {"objective_evals", "congestion_evals",
-                                "grid_calls", "wall_time"}
+        with track_solver() as counters:
+            obs.add("solver.objective_evals", 4)
+            obs.add("solver.grid_calls", 2)
+            obs.add("sim.cache.hits")       # not a solver counter
+        assert vars(counters) == {"objective_evals": 4,
+                                  "congestion_evals": 0,
+                                  "grid_calls": 2}
 
     def test_best_response_records(self, fair_share):
         utility = LinearUtility(gamma=0.25)
@@ -114,7 +116,6 @@ class TestCounters:
             best_response(fair_share, utility, np.array([0.0, 0.3]), 0)
         assert counters.objective_evals > 0
         assert counters.congestion_evals == counters.objective_evals
-        assert counters.wall_time >= 0.0
 
     def test_utility_improvement_counts_certification(self, fair_share):
         rates = np.array([0.2, 0.3])
@@ -186,7 +187,7 @@ class TestGridMaximize:
     def test_scalar_result_field_defaults(self):
         result = ScalarMaxResult(x=1.0, value=2.0, evaluations=3)
         assert result.grid_calls == 0
-        assert result.wall_time == 0.0
+        assert not hasattr(result, "wall_time")
 
 
 class CurvelessAllocation:
@@ -262,14 +263,15 @@ class TestExperimentWiring:
         return ExperimentReport(experiment_id="stub", claim="stub",
                                 passed=True)
 
-    def test_run_one_adds_solver_counts(self, monkeypatch):
+    def test_run_one_counts_solver_work_outside_the_summary(
+            self, monkeypatch, counted):
         monkeypatch.setitem(experiment_registry._REGISTRY, "stub",
                             self._stub_run)
-        report, trace, _ = experiment_registry._run_one("stub", 0, True)
+        report, trace = experiment_registry._run_one("stub", 0, True)
         assert trace is None
-        assert report.summary["solver_objective_evals"] > 0
-        assert report.summary["solver_congestion_evals"] > 0
-        assert "wall" not in " ".join(report.summary)
+        assert counted.get("solver.objective_evals") > 0
+        assert counted.get("solver.congestion_evals") > 0
+        assert report.summary == {}
 
     def test_solverless_experiment_summary_untouched(self, monkeypatch):
         def quiet(seed=0, fast=False):
@@ -277,7 +279,7 @@ class TestExperimentWiring:
                                     passed=True, summary={"k": 1})
 
         monkeypatch.setitem(experiment_registry._REGISTRY, "quiet", quiet)
-        report, _, _ = experiment_registry._run_one("quiet", 0, True)
+        report, _ = experiment_registry._run_one("quiet", 0, True)
         assert set(report.summary) == {"k"}
 
 

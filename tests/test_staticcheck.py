@@ -1691,6 +1691,52 @@ class TestWorkerSharedState:
         assert len(result.suppressed) == 1
 
 
+#: The library's own pool handle, bound the two ways the tree binds it.
+WORKER_POOL_BINDINGS = ("pool = WorkerPool(2)",
+                        "pool = existing or WorkerPool(2)")
+
+
+class TestWorkerPoolProbe:
+    """GW601 and GW602 see dispatches through ``repro.parallel.WorkerPool``."""
+
+    @pytest.mark.parametrize("binding", WORKER_POOL_BINDINGS)
+    def test_worker_writing_module_state_fails(self, tmp_path, binding):
+        write_module(tmp_path, "src/repro/sim/probe.py", f"""\
+            from repro.parallel import WorkerPool
+
+            _SEEN = []
+
+
+            def _task(value):
+                _SEEN.append(value)
+                return value
+
+
+            def run_all(xs, existing=None):
+                {binding}
+                return list(pool.map(_task, xs))
+        """)
+        result = run_checks([tmp_path / "src"],
+                            rules=[get_rule("GW601")],
+                            project_root=tmp_path)
+        assert len(result.findings) == 1
+        assert "'_SEEN'" in result.findings[0].message
+
+    @pytest.mark.parametrize("binding", WORKER_POOL_BINDINGS)
+    def test_lambda_to_worker_pool_fails(self, tmp_path, binding):
+        path = write_module(tmp_path, "src/repro/sim/probe.py", f"""\
+            from repro.parallel import WorkerPool
+
+
+            def run_all(xs, existing=None):
+                {binding}
+                return pool.submit(lambda v: v, xs)
+        """)
+        result = findings_for(path, "GW602", root=tmp_path)
+        assert len(result.findings) == 1
+        assert "lambda" in result.findings[0].message
+
+
 class TestUnpicklableWorker:
     """GW602."""
 

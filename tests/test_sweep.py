@@ -10,6 +10,7 @@ import glob
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
 from repro.cli import main as cli_main
 from repro.exceptions import SweepError
 from repro.parallel import WorkerPool
@@ -106,10 +108,8 @@ def sweep_env(tmp_path, monkeypatch):
     monkeypatch.setenv(sim_cache.ENV_DIR, str(cache_dir))
     monkeypatch.setenv(journal_mod.ENV_DIR, str(sweeps_dir))
     sim_cache.set_enabled(True)
-    sim_cache.reset_stats()
     yield tmp_path
     sim_cache.set_enabled(None)
-    sim_cache.reset_stats()
 
 
 class TestCatalog:
@@ -317,7 +317,6 @@ class TestScheduler:
     def test_warm_rerun_is_dedup_only(self, sweep_env):
         catalog = expand_catalog(tiny_spec())
         run_sweep(catalog, jobs=1)
-        sim_cache.reset_stats()
         result = run_sweep(catalog, jobs=1)
         assert result.fresh_events == 0
         assert all(o.source == "cache" for o in result.outcomes)
@@ -391,6 +390,26 @@ class TestScheduler:
         assert parallel.busy_s > 0.0
 
     @pytest.mark.slow
+    def test_serial_and_pooled_sweeps_count_alike(self, sweep_env,
+                                                  tmp_path, monkeypatch):
+        """A cold sweep adds its cache counts to the registry once,
+        whether its batches ran here or in pool workers."""
+        catalog = expand_catalog(tiny_spec(rhos=[0.3, 0.5]))
+        counts = {}
+        for jobs in (1, 2):
+            monkeypatch.setenv(sim_cache.ENV_DIR,
+                               str(tmp_path / f"sim-jobs{jobs}"))
+            with obs.Scope() as counted:
+                result = run_sweep(catalog, jobs=jobs, journal=False,
+                                   cache_enabled=True)
+            counts[jobs] = obs.group("sim.cache", sim_cache.COUNTERS,
+                                     counted.delta)
+            assert counts[jobs]["fresh_events"] == result.fresh_events
+            assert result.stats_delta == counts[jobs]
+        assert counts[1] == counts[2]
+        assert counts[1]["misses"] > 0
+
+    @pytest.mark.slow
     def test_concurrent_identical_cells_simulate_once(self, sweep_env,
                                                       tmp_path,
                                                       monkeypatch):
@@ -402,7 +421,6 @@ class TestScheduler:
         # Two identical cells submitted simultaneously at jobs=2 in
         # another pristine cache: exactly one simulation may happen.
         monkeypatch.setenv(sim_cache.ENV_DIR, str(tmp_path / "sim2"))
-        sim_cache.reset_stats()
         doubled = Catalog(name="dup", cells=[cell, replace(cell)])
         result = run_sweep(doubled, jobs=2, journal=False,
                            cache_enabled=True)
@@ -437,7 +455,6 @@ class TestScheduler:
         # Point the sim cache somewhere cold so the journal is the
         # only shortcut left, then resume.
         monkeypatch.setenv(sim_cache.ENV_DIR, str(tmp_path / "cold"))
-        sim_cache.reset_stats()
         resumed = run_sweep(catalog, jobs=1, resume=True)
         counts = resumed.source_counts()
         assert counts["journal"] == 2 and counts["fresh"] == 2
@@ -447,7 +464,6 @@ class TestScheduler:
                         else "fresh")
             assert outcome.source == expected
         # The journal is whole again: a second resume is a no-op.
-        sim_cache.reset_stats()
         again = run_sweep(catalog, jobs=1, resume=True)
         assert again.fresh_events == 0
         assert again.source_counts()["journal"] == 4
@@ -645,6 +661,14 @@ class TestSweepCLI:
         assert "unknown built-in" in capsys.readouterr().err
 
 
+def _counting_task(units):
+    """A pool task that adds to the registry in its worker."""
+    if units < 0:
+        raise ValueError("negative units")
+    obs.add("test.task_units", units)
+    return units
+
+
 class TestWorkerPool:
     def test_lazy_start_and_context_manager(self):
         with WorkerPool(2) as pool:
@@ -657,6 +681,35 @@ class TestWorkerPool:
             assert pool.submit(abs, -3).result() == 3
             assert pool.started
             assert list(pool.map(abs, [-1, 2, -3])) == [1, 2, 3]
+
+    def test_worker_counts_fold_into_the_parent(self, counted):
+        with WorkerPool(2) as pool:
+            assert list(pool.map(_counting_task, [1, 2, 3])) == [1, 2, 3]
+            assert pool.submit(_counting_task, 10).result() == 10
+        assert counted.get("test.task_units") == 16
+
+    def test_folds_lose_no_concurrent_adds(self, counted):
+        # More workers than cores, and a short switch interval, so the
+        # pool's result thread folds deltas while this thread adds.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with WorkerPool(3) as pool:
+                futures = [pool.submit(_counting_task, 1)
+                           for _ in range(600)]
+                for _ in range(60000):
+                    obs.add("test.task_units")
+                results = [future.result(timeout=60)
+                           for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sum(results) == 600
+        assert counted.get("test.task_units") == 60600
+
+    def test_submit_relays_task_errors(self):
+        with WorkerPool(1) as pool:
+            with pytest.raises(ValueError, match="negative"):
+                pool.submit(_counting_task, -1).result()
 
     def test_shutdown_idempotent(self):
         pool = WorkerPool(1)
