@@ -8,12 +8,13 @@ regressions are visible independently of the experiment logic.
 The event-loop throughput matrix (``test_event_loop_throughput``)
 sweeps the four kernel-backed packet disciplines across utilizations
 rho in {0.5, 0.9, 0.97} and reports events per second.  Running this
-file as a script times the same matrix without pytest — once per
-engine backend (``scalar`` and, when a C toolchain is present,
-``chunked``) — plus the sharded switch-graph aggregate, and appends
-the numbers to ``BENCH_sim.json`` (one entry per run, tagged with the
-engine version and backend) so throughput can be tracked across
-engine changes::
+file as a script times the same matrix without pytest on each engine
+class directly — ``SimulationEngine`` (rows with backend ``scalar``)
+and, when a C toolchain is present, ``ChunkedSimulationEngine``
+(backend ``chunked``) — plus the sharded switch-graph aggregate, and
+appends the numbers to ``BENCH_sim.json`` (one entry per run, tagged
+with the engine version and backend) so throughput can be tracked
+across engine changes::
 
     PYTHONPATH=src python benchmarks/bench_micro.py -o BENCH_sim.json
 
@@ -21,8 +22,9 @@ The sharded rows report *aggregate* events/s over an 8-switch ring
 (32 users, two hops each) at per-switch utilization 0.9, for each
 jobs count up to the box's core count.  On a single-core runner the
 extra worker processes only add IPC overhead, so the jobs=1 row is
-the honest aggregate figure there; scaling is linear in cores because
-the switches share no state between window barriers.
+the honest aggregate figure there.  The switches share no state
+between window barriers, so scaling should be close to linear in
+cores; that is unverified until rows from 4 or more cores exist.
 """
 
 import argparse
@@ -38,12 +40,12 @@ from repro.disciplines.proportional import ProportionalAllocation
 from repro.game.best_response import best_response
 from repro.game.nash import solve_nash
 from repro.network.sharded import SwitchGraphConfig, simulate_sharded
-from repro.sim import cache as sim_cache
+from repro.sim.chunked import ChunkedSimulationEngine
 from repro.sim.kernels import kernels_available
 from repro.sim.runner import (
     ENGINE_VERSION,
-    ENV_ENGINE_BACKEND,
     SimulationConfig,
+    SimulationEngine,
     simulate,
 )
 from repro.users.families import LinearUtility
@@ -131,47 +133,41 @@ def test_event_loop_throughput(benchmark, policy, rho):
 def measure_event_loop(rounds: int = 3):
     """Best-of-``rounds`` event-loop throughput for the full matrix.
 
-    Times every cell once per available engine backend (``scalar``
-    always; ``chunked`` when a C toolchain can build the kernels) and
-    returns run records (backend, policy, rho, events, seconds,
-    events_per_sec) tagged with the engine version — the rows appended
-    to ``BENCH_sim.json`` in script mode.
+    Times every cell on :class:`~repro.sim.runner.SimulationEngine`
+    (row ``backend`` ``scalar``, always) and on
+    :class:`~repro.sim.chunked.ChunkedSimulationEngine` (``chunked``,
+    when a C toolchain can build the kernels), built and run directly
+    with no cache, and returns run records (backend, policy, rho,
+    events, seconds, events_per_sec) tagged with the engine version —
+    the rows appended to ``BENCH_sim.json`` in script mode.
     """
-    backends = ["scalar"]
+    engines = [("scalar", SimulationEngine)]
     if kernels_available():
-        backends.append("chunked")
-    sim_cache.set_enabled(False)
-    saved_backend = os.environ.get(ENV_ENGINE_BACKEND)
+        engines.append(("chunked", ChunkedSimulationEngine))
     runs = []
-    try:
-        for backend in backends:
-            os.environ[ENV_ENGINE_BACKEND] = backend
-            for policy in LOOP_POLICIES:
-                for rho in LOOP_RHOS:
-                    config = loop_config(policy, rho)
-                    best = float("inf")
-                    events = 0
-                    for _ in range(rounds):
-                        started = time.perf_counter()
-                        result = simulate(config)
-                        elapsed = time.perf_counter() - started
-                        events = result.arrivals + result.departures
-                        best = min(best, elapsed)
-                    runs.append({
-                        "engine_version": ENGINE_VERSION,
-                        "backend": backend,
-                        "policy": policy,
-                        "rho": rho,
-                        "events": events,
-                        "seconds": round(best, 6),
-                        "events_per_sec": round(events / best, 1),
-                    })
-    finally:
-        if saved_backend is None:
-            os.environ.pop(ENV_ENGINE_BACKEND, None)
-        else:
-            os.environ[ENV_ENGINE_BACKEND] = saved_backend
-        sim_cache.set_enabled(None)
+    for backend, engine_cls in engines:
+        for policy in LOOP_POLICIES:
+            for rho in LOOP_RHOS:
+                config = loop_config(policy, rho)
+                best = float("inf")
+                events = 0
+                for _ in range(rounds):
+                    started = time.perf_counter()
+                    engine = engine_cls(config)
+                    engine.run_to(config.horizon)
+                    result = engine.result()
+                    elapsed = time.perf_counter() - started
+                    events = result.arrivals + result.departures
+                    best = min(best, elapsed)
+                runs.append({
+                    "engine_version": ENGINE_VERSION,
+                    "backend": backend,
+                    "policy": policy,
+                    "rho": rho,
+                    "events": events,
+                    "seconds": round(best, 6),
+                    "events_per_sec": round(events / best, 1),
+                })
     return runs
 
 
@@ -203,8 +199,8 @@ def measure_sharded(rounds: int = 2):
     tested), only the wall clock, so the rows differ solely in
     ``jobs``/``seconds``.  ``cpu_count`` is recorded with every row:
     on boxes with fewer cores than workers the extra processes add
-    only IPC overhead, and the expected speedup is linear in *cores*,
-    not in jobs.
+    only IPC overhead, so any speedup is bounded by *cores*, not by
+    jobs.
     """
     cores = os.cpu_count() or 1
     config = ring_config()

@@ -27,7 +27,8 @@ ASCII frontier)::
 
 ``--smoke`` swaps in the <=20-cell ``smoke`` catalog and is the CI
 gate: warm ``fresh_events`` must be zero and the resume must be
-delta-only, with the utilization/speedup thresholds relaxed (a tiny
+delta-only and simulate (``fresh_events > 0``: its cache starts
+empty), with the utilization/speedup thresholds relaxed (a tiny
 catalog on a loaded CI box cannot prove a throughput claim, only a
 correctness one).
 """
@@ -178,6 +179,13 @@ def measure(catalog_name, jobs, report_out, smoke):
                 failures.append(
                     f"resume was not delta-only: sources {counts} "
                     f"(wanted journal={kept}, fresh={dropped})")
+            # Its cache directory starts empty, so the re-run cells
+            # must simulate; none means workers used another cache.
+            if resumed.fresh_events <= 0:
+                failures.append(
+                    f"resume re-ran {counts['fresh']} cell(s) from an "
+                    f"empty cache with fresh_events="
+                    f"{resumed.fresh_events} (expected > 0)")
             if len(read_journal(resumed.journal_path)) \
                     != len(catalog):
                 failures.append("resumed journal is not whole again")

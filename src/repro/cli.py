@@ -68,14 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="pool N independent replications "
                                  "(Student-t CI across seeds; N=1 "
                                  "reports its CI as n/a)")
-    sim_parser.add_argument("--backend",
-                            choices=["auto", "scalar", "chunked"],
-                            default=None,
-                            help="engine backend for this run "
-                                 "(default: the GREEDWORK_ENGINE_"
-                                 "BACKEND environment variable, else "
-                                 "auto); both produce byte-identical "
-                                 "measurements")
     sim_parser.add_argument("--antithetic", action="store_true",
                             help="run replications as mirrored "
                                  "antithetic pairs (N must be even)")
@@ -281,30 +273,8 @@ def _cmd_run(experiment: str, seed: int, fast: bool, jobs: int,
 
 
 def _cmd_simulate(rates: List[float], policy: str, horizon: float,
-                  seed: int, target_halfwidth: Optional[float] = None,
-                  replications: Optional[int] = None,
-                  antithetic: bool = False,
-                  backend: Optional[str] = None) -> int:
-    from repro.sim.runner import ENV_ENGINE_BACKEND
-
-    # The backend is read from the environment per run; restore it
-    # afterwards so later work in this process keeps its own backend.
-    previous = os.environ.get(ENV_ENGINE_BACKEND)
-    if backend is not None:
-        os.environ[ENV_ENGINE_BACKEND] = backend
-    try:
-        return _simulate(rates, policy, horizon, seed, target_halfwidth,
-                         replications, antithetic)
-    finally:
-        if previous is None:
-            os.environ.pop(ENV_ENGINE_BACKEND, None)
-        else:
-            os.environ[ENV_ENGINE_BACKEND] = previous
-
-
-def _simulate(rates: List[float], policy: str, horizon: float, seed: int,
-              target_halfwidth: Optional[float],
-              replications: Optional[int], antithetic: bool) -> int:
+                  seed: int, target_halfwidth: Optional[float],
+                  replications: Optional[int], antithetic: bool) -> int:
     from repro.experiments.base import Table
     from repro.sim.runner import (SimulationConfig, replicate, simulate,
                                   simulate_to_precision)
@@ -696,8 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "simulate":
         return _cmd_simulate(args.rates, args.policy, args.horizon,
                              args.seed, args.target_halfwidth,
-                             args.replications, args.antithetic,
-                             args.backend)
+                             args.replications, args.antithetic)
     if args.command == "nash":
         return _cmd_nash(args.gammas, args.discipline,
                          counts=args.counts, mode=args.mode)

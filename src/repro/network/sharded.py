@@ -1,4 +1,4 @@
-"""Sharded multi-switch simulation over the chunked event kernels.
+"""Sharded multi-switch simulation over the chunked event engine.
 
 The repository's one packet-level network simulator: every user sends
 a stream along her :class:`~repro.network.model.Route` of an arbitrary
@@ -6,7 +6,10 @@ switch graph, each switch runs its own
 :class:`~repro.sim.chunked.ChunkedSimulationEngine` event stream, and
 packets finishing service at one switch are handed to the next switch
 on the route after a fixed link delay.  :func:`tandem_config` builds
-the two-hop line that probes the Poisson-output approximation.
+the two-hop line that probes the Poisson-output approximation.  Each
+switch engine picks its own loop, like every chunked engine: the C
+kernel when one is built, the inherited scalar loop otherwise, with
+the same handoff order and byte-identical results.
 
 Determinism and sharding
 ------------------------
@@ -17,9 +20,11 @@ at its next hop no earlier than the start of window ``k + 1``, so each
 window can be simulated for all switches independently — in one
 process or many — with no possibility of a causality violation and
 therefore no rollback.  Between windows the master gathers each
-switch's departure log (captured inside the C kernels), maps
-departures to next-hop injections, and delivers them before the next
-window runs.
+switch's departure log, maps departures to next-hop injections, and
+delivers them before the next window runs.  The switch engines one
+process owns form a shard: ``jobs=1`` runs one shard in-process,
+``jobs>1`` one per worker process, and the master makes the same
+four calls on either.
 
 Handoff ordering is fully deterministic: injections are delivered in
 ascending ``(delivery window, source switch, departure order)`` and
@@ -49,16 +54,14 @@ import heapq
 import math
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.network.model import Route
 from repro.numerics.rng import spawn_seeds
-from repro.sim import kernels as kn
 from repro.sim.chunked import ChunkedSimulationEngine
-from repro.sim.packet import Packet
 from repro.sim.runner import (ENGINE_VERSION, EngineState, SimulationConfig,
                               SimulationResult)
 
@@ -174,14 +177,15 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
     * users whose route does not *start* here never draw from their
       arrival stream — their heap entry is pinned at infinity and all
       of their packets arrive through :meth:`inject`;
-    * every departure is captured in a log (by the C kernels on the
-      chunked path, by the loop itself on the scalar fallback) for the
-      master to turn into next-hop injections.
+    * every departure is captured in a log (by the C kernels, or by
+      the inherited scalar loop when no kernel runs) for the master to
+      turn into next-hop injections.
 
-    Injected arrivals are one more sorted input to the kernels'
-    arrival merge.  Both backends take arrivals in ``(time, local
-    user)`` order; among handoffs with the same key, in delivery order;
-    and a source arrival before a handoff with the same key.
+    Injected arrivals are one more sorted input to the arrival merge
+    of the kernels and of the scalar loop alike.  Both take arrivals
+    in ``(time, local user)`` order; among handoffs with the same key,
+    in delivery order; and a source arrival before a handoff with the
+    same key.
     """
 
     def __init__(self, config: SimulationConfig,
@@ -256,100 +260,6 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         users = np.concatenate([entry[1] for entry in self._dep_log])
         self._dep_log = []
         return times, users
-
-    # -- execution ----------------------------------------------------
-
-    def run_to(self, horizon: float) -> int:
-        if horizon <= self.horizon_reached:
-            return 0
-        kind = self._kernel_kind()
-        if kind is not None and kn.load_kernels() is not None:
-            return self._run_chunked(float(horizon), kind)
-        return self._run_scalar_injected(float(horizon))
-
-    def _run_scalar_injected(self, horizon: float) -> int:
-        """Scalar fallback replaying the base loop with injections.
-
-        Event order matches the chunked path exactly: arrivals by
-        ``(time, user)`` with source arrivals beating injected ones at
-        identical keys, and arrivals beating completions at ties.
-        """
-        arrivals_heap = self.arrivals_heap
-        tracker = self.tracker
-        advance = tracker.advance
-        on_arrival = tracker.on_arrival
-        on_departure = tracker.on_departure
-        push = self.policy.push
-        complete = self.policy.complete
-        serving_of = self.policy.serving
-        service_next = self.service_stream.draw
-        arrival_next = [stream.draw for stream in self.arrival_streams]
-        policy_rng = self.policy_rng
-        inf = math.inf
-        inj_t = self._inj_times
-        inj_u = self._inj_users
-        pos = self._inj_pos
-        n_inj = inj_t.size
-
-        next_completion = self.next_completion
-        now = self.now
-        n_arrivals = self.n_arrivals
-        n_departures = self.n_departures
-        events_before = n_arrivals + n_departures
-        dep_times: List[float] = []
-        dep_users: List[int] = []
-
-        # greedwork: ignore[GW503] -- kernel-less fallback of the
-        # sharded switch engine; the chunked path is the hot one, and
-        # this loop pins the injected-arrival event order it must match.
-        while True:
-            next_arrival, user = arrivals_heap[0]
-            injected = (pos < n_inj
-                        and (inj_t[pos], int(inj_u[pos]))
-                        < (next_arrival, user))
-            if injected:
-                next_arrival = inj_t[pos]
-                user = int(inj_u[pos])
-            if next_arrival >= horizon and next_completion >= horizon:
-                advance(horizon)
-                break
-            if next_arrival <= next_completion:
-                advance(next_arrival)
-                now = next_arrival
-                if injected:
-                    pos += 1
-                else:
-                    heapq.heappop(arrivals_heap)
-                    heapq.heappush(arrivals_heap,
-                                   (now + arrival_next[user](), user))
-                push(Packet(user=user, arrival_time=now), rng=policy_rng)
-                on_arrival(user, 0.0)
-                n_arrivals += 1
-            else:
-                advance(next_completion)
-                now = next_completion
-                done = complete(policy_rng)
-                done.departure_time = now
-                on_departure(done.user, sojourn=now - done.arrival_time)
-                n_departures += 1
-                dep_times.append(now)
-                dep_users.append(done.user)
-            if serving_of() is None:
-                next_completion = inf
-            else:
-                next_completion = now + service_next()
-
-        self.next_completion = next_completion
-        self.now = now
-        self.n_arrivals = n_arrivals
-        self.n_departures = n_departures
-        self.horizon_reached = horizon
-        self._inj_pos = pos
-        if dep_times:
-            self._dep_log.append(
-                (np.asarray(dep_times, dtype=float),
-                 np.asarray(dep_users, dtype=np.int64)))
-        return n_arrivals + n_departures - events_before
 
 
 # -- graph compilation ------------------------------------------------
@@ -471,68 +381,71 @@ def _switch_config(config: SwitchGraphConfig, graph: _Graph,
         batch_quota=config.batch_quota)
 
 
-def _build_engine(config: SwitchGraphConfig, graph: _Graph, alpha: int,
-                  seed: int) -> ShardSwitchEngine:
-    return ShardSwitchEngine(_switch_config(config, graph, alpha, seed),
-                             graph.sources[alpha])
+class _Shard:
+    """The switch engines one process owns, behind four calls.
 
+    ``window``, ``inject``, ``snapshot`` and ``result`` each answer
+    with a dict keyed by switch.  :class:`ShardedSimulation` calls one
+    shard in-process for ``jobs=1`` and one per worker process, over a
+    pipe, for ``jobs>1`` (see :func:`_serve`).
+    """
 
-# -- worker protocol --------------------------------------------------
-#
-# Workers hold their owned engines across windows; the master drives
-# them over pipes with ("window", horizon, {switch: (times, users)})
-# messages and gathers departure logs, snapshots, and results.
-
-
-def _worker_main(conn, config: SwitchGraphConfig, owned: List[int],
-                 seeds: List[int],
+    def __init__(self, config: SwitchGraphConfig, graph: _Graph,
+                 owned: List[int], seeds: List[int],
                  resumes: Optional[dict]) -> None:
-    graph = _compile_graph(config)
-    engines = {}
-    for alpha in owned:
-        if resumes is not None:
-            state, inj_t, inj_u = resumes[alpha]
-            engines[alpha] = ShardSwitchEngine.resume_shard(
-                state, _switch_config(config, graph, alpha, seeds[alpha]),
-                inj_t, inj_u)
-        else:
-            engines[alpha] = _build_engine(config, graph, alpha,
-                                           seeds[alpha])
-    while True:
-        message = conn.recv()
-        kind = message[0]
-        if kind == "window":
-            _, horizon = message
-            deps = {}
-            events = 0
-            for alpha in owned:
-                engine = engines[alpha]
-                events += engine.run_to(horizon)
-                deps[alpha] = engine.drain_dep_log()
-            conn.send((deps, events))
-        elif kind == "inject":
-            for alpha, delivered in message[1].items():
-                engines[alpha].inject(*delivered)
-        elif kind == "snapshot":
-            conn.send({alpha: (engines[alpha].snapshot(),
-                               *engines[alpha].pending_injections())
-                       for alpha in owned})
-        elif kind == "result":
-            conn.send({alpha: engines[alpha].result()
-                       for alpha in owned})
-        elif kind == "stop":
-            conn.close()
-            return
+        self.engines: Dict[int, ShardSwitchEngine] = {}
+        for alpha in owned:
+            switch = _switch_config(config, graph, alpha, seeds[alpha])
+            if resumes is None:
+                self.engines[alpha] = ShardSwitchEngine(
+                    switch, graph.sources[alpha])
+            else:
+                state, inj_t, inj_u = resumes[alpha]
+                self.engines[alpha] = ShardSwitchEngine.resume_shard(
+                    state, switch, inj_t, inj_u)
+
+    def window(self, horizon: float) -> dict:
+        """Run every engine to ``horizon``: events and departure log."""
+        return {alpha: (engine.run_to(horizon), *engine.drain_dep_log())
+                for alpha, engine in self.engines.items()}
+
+    def inject(self, delivered: dict) -> dict:
+        for alpha, (times, users) in delivered.items():
+            self.engines[alpha].inject(times, users)
+        return {}
+
+    def snapshot(self) -> dict:
+        return {alpha: (engine.snapshot(), *engine.pending_injections())
+                for alpha, engine in self.engines.items()}
+
+    def result(self) -> dict:
+        return {alpha: engine.result()
+                for alpha, engine in self.engines.items()}
+
+
+def _serve(conn, *shard_args) -> None:
+    """A worker process: one shard answering ``(method, args)`` calls.
+
+    Every call gets a reply; ``stop`` gets an empty one and ends the
+    worker, whose engines live only as long as it does.
+    """
+    shard = _Shard(*shard_args)
+    method = None
+    while method != "stop":
+        method, args = conn.recv()
+        conn.send({} if method == "stop"
+                  else getattr(shard, method)(*args))
+    conn.close()
 
 
 class ShardedSimulation:
     """Driver of one switch-graph run, serial or multi-process.
 
-    ``jobs=1`` runs every engine in-process; ``jobs>1`` places switch
-    ``alpha`` on worker ``alpha % jobs`` (each a
-    ``multiprocessing.Process`` holding its engines across windows).
-    Both placements produce byte-identical engines — see the module
-    docstring.
+    Switch ``alpha`` belongs to shard ``alpha % jobs`` (a
+    :class:`_Shard`).  ``jobs=1`` keeps its one shard in-process;
+    ``jobs>1`` runs each shard in a ``multiprocessing.Process`` that
+    holds its engines across windows.  Both placements produce
+    byte-identical engines — see the module docstring.
     """
 
     def __init__(self, config: SwitchGraphConfig, jobs: int = 1,
@@ -541,12 +454,11 @@ class ShardedSimulation:
             raise SimulationError(f"jobs must be >= 1, got {jobs}")
         self.config = config
         self.graph = _compile_graph(config)
-        self.jobs = min(jobs, self.graph.n_switches)
-        self.seeds = spawn_seeds(config.seed, self.graph.n_switches)
+        n_switches = self.graph.n_switches
+        self.jobs = min(jobs, n_switches)
+        self.seeds = spawn_seeds(config.seed, n_switches)
         self.window_index = 0
         self.events = 0
-        self._engines: Dict[int, ShardSwitchEngine] = {}
-        self._workers: List[Tuple[object, object]] = []
         resumes = None
         if _resume is not None:
             if _resume.engine_version != ENGINE_VERSION:
@@ -554,56 +466,84 @@ class ShardedSimulation:
                     f"sharded snapshot from engine "
                     f"{_resume.engine_version!r} cannot resume under "
                     f"{ENGINE_VERSION!r}")
-            if _resume.n_switches != self.graph.n_switches:
+            if _resume.n_switches != n_switches:
                 raise SimulationError(
                     f"snapshot has {_resume.n_switches} switches; "
-                    f"config compiles to {self.graph.n_switches}")
+                    f"config compiles to {n_switches}")
             self.window_index = _resume.window_index
             self.events = _resume.events
             resumes = {alpha: (_resume.engine_states[alpha],
                                _resume.pending_times[alpha],
                                _resume.pending_users[alpha])
-                       for alpha in range(self.graph.n_switches)}
+                       for alpha in range(n_switches)}
+        self._owned = [list(range(shard, n_switches, self.jobs))
+                       for shard in range(self.jobs)]
+        shard_args = [
+            (config, self.graph, owned, self.seeds,
+             None if resumes is None
+             else {alpha: resumes[alpha] for alpha in owned})
+            for owned in self._owned]
+        self._local: Optional[_Shard] = None
+        self._workers: List[Tuple[Any, Any]] = []
         if self.jobs == 1:
-            for alpha in range(self.graph.n_switches):
-                if resumes is not None:
-                    state, inj_t, inj_u = resumes[alpha]
-                    self._engines[alpha] = ShardSwitchEngine.resume_shard(
-                        state,
-                        _switch_config(self.config, self.graph, alpha,
-                                       self.seeds[alpha]),
-                        inj_t, inj_u)
-                else:
-                    self._engines[alpha] = _build_engine(
-                        self.config, self.graph, alpha,
-                        self.seeds[alpha])
-        else:
-            context = multiprocessing.get_context()
-            for worker in range(self.jobs):
-                owned = [alpha
-                         for alpha in range(self.graph.n_switches)
-                         if alpha % self.jobs == worker]
-                owned_resumes = (None if resumes is None else
-                                 {alpha: resumes[alpha]
-                                  for alpha in owned})
-                parent, child = context.Pipe()
-                process = context.Process(
-                    target=_worker_main,
-                    args=(child, config, owned, self.seeds,
-                          owned_resumes),
-                    daemon=True)
-                process.start()
-                child.close()
-                self._workers.append((parent, process))
+            self._local = _Shard(*shard_args[0])
+            return
+        context = multiprocessing.get_context()
+        for args in shard_args:
+            parent, child = context.Pipe()
+            process = context.Process(target=_serve, args=(child, *args),
+                                      daemon=True)
+            process.start()
+            child.close()
+            self._workers.append((parent, process))
+
+    def _call(self, method: str,
+              args: Optional[List[tuple]] = None) -> Dict[int, Any]:
+        """Call ``method`` on every shard; the replies merged by switch.
+
+        ``args`` holds one argument tuple per shard (none by default).
+        This is the one place that talks to worker pipes.  A worker
+        that has died raises :class:`SimulationError` naming it, its
+        switches and its exit code, after the other workers are
+        stopped.
+        """
+        if args is None:
+            args = [()] * self.jobs
+        if self._local is not None:
+            return getattr(self._local, method)(*args[0])
+        if self._closed():
+            raise SimulationError("the sharded simulation is closed")
+        merged: Dict[int, Any] = {}
+        worker = 0
+        try:
+            for worker, (conn, _process) in enumerate(self._workers):
+                conn.send((method, args[worker]))
+            for worker, (conn, _process) in enumerate(self._workers):
+                merged.update(conn.recv())
+        except (EOFError, OSError):
+            process = self._workers[worker][1]
+            process.join(timeout=5.0)
+            message = (f"sharded worker {worker} (switches "
+                       f"{self._owned[worker]}) died with exit code "
+                       f"{process.exitcode} before answering "
+                       f"{method!r}")
+            self._stop_workers(kill=True)
+            raise SimulationError(message) from None
+        return merged
+
+    def _closed(self) -> bool:
+        return any(conn.closed for conn, _process in self._workers)
+
+    def _stop_workers(self, kill: bool) -> None:
+        for conn, process in self._workers:
+            if kill:
+                process.kill()
+            conn.close()
+            process.join(timeout=10.0)
 
     # -- window loop --------------------------------------------------
 
-    def _owned(self, worker: int) -> List[int]:
-        return [alpha for alpha in range(self.graph.n_switches)
-                if alpha % self.jobs == worker]
-
-    def _route_handoffs(self, deps: Dict[int, Tuple[np.ndarray,
-                                                    np.ndarray]]
+    def _route_handoffs(self, ran: Dict[int, tuple]
                         ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Departure logs -> per-switch next-hop injections.
 
@@ -616,7 +556,7 @@ class ShardedSimulation:
         per_switch_u: Dict[int, List[np.ndarray]] = {}
         horizon = self.config.horizon
         for alpha in range(self.graph.n_switches):
-            times, users = deps.get(alpha, (_EMPTY_F, _EMPTY_I))
+            _events, times, users = ran[alpha]
             if times.size == 0:
                 continue
             fwd_s = self.graph.fwd_switch[alpha][users]
@@ -648,32 +588,17 @@ class ShardedSimulation:
             if count is not None and executed >= count:
                 break
             horizon = boundaries[self.window_index]
-            deps: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            if self.jobs == 1:
-                for alpha in range(self.graph.n_switches):
-                    self.events += self._engines[alpha].run_to(horizon)
-                    deps[alpha] = self._engines[alpha].drain_dep_log()
-            else:
-                for parent, _process in self._workers:
-                    parent.send(("window", horizon))
-                for parent, _process in self._workers:
-                    worker_deps, worker_events = parent.recv()
-                    deps.update(worker_deps)
-                    self.events += worker_events
+            ran = self._call("window", [(horizon,)] * self.jobs)
+            self.events += sum(events for events, _, _ in ran.values())
             # Deliver immediately so engine state (and any snapshot
             # taken at this boundary) carries the in-flight handoffs.
-            injections = self._route_handoffs(deps)
-            if self.jobs == 1:
-                for alpha, delivered in injections.items():
-                    self._engines[alpha].inject(*delivered)
-            elif injections:
-                for worker, (parent, _process) in \
-                        enumerate(self._workers):
-                    owned_inj = {alpha: injections[alpha]
-                                 for alpha in self._owned(worker)
-                                 if alpha in injections}
-                    if owned_inj:
-                        parent.send(("inject", owned_inj))
+            # Each shard is sent only its own switches' handoffs.
+            injections = self._route_handoffs(ran)
+            if injections:
+                self._call("inject", [
+                    ({alpha: injections[alpha] for alpha in owned
+                      if alpha in injections},)
+                    for owned in self._owned])
             self.window_index += 1
             executed += 1
         # Handoffs crossing the final boundary stay in flight; their
@@ -688,30 +613,12 @@ class ShardedSimulation:
             raise SimulationError(
                 "sharded snapshots require an explicit batch_quota "
                 "(the batch layout must not depend on the horizon)")
-        states: List[Optional[EngineState]] = \
-            [None] * self.graph.n_switches
-        pend_t: List[np.ndarray] = [_EMPTY_F] * self.graph.n_switches
-        pend_u: List[np.ndarray] = [_EMPTY_I] * self.graph.n_switches
-        if self.jobs == 1:
-            for alpha, engine in self._engines.items():
-                states[alpha] = engine.snapshot()
-                pend_t[alpha], pend_u[alpha] = \
-                    engine.pending_injections()
-        else:
-            for parent, _process in self._workers:
-                parent.send(("snapshot",))
-            for parent, _process in self._workers:
-                for alpha, (state, inj_t, inj_u) in \
-                        parent.recv().items():
-                    states[alpha] = state
-                    pend_t[alpha] = inj_t
-                    pend_u[alpha] = inj_u
-        # greedwork: ignore[GW402] -- _workers is process plumbing,
-        # rebuilt from the config by __init__ on resume.
+        taken = self._call("snapshot")
+        switches = range(self.graph.n_switches)
         return ShardedState(window_index=self.window_index,
-                            engine_states=states,
-                            pending_times=pend_t,
-                            pending_users=pend_u,
+                            engine_states=[taken[a][0] for a in switches],
+                            pending_times=[taken[a][1] for a in switches],
+                            pending_users=[taken[a][2] for a in switches],
                             n_switches=self.graph.n_switches,
                             events=self.events)
 
@@ -726,17 +633,9 @@ class ShardedSimulation:
 
     def result(self) -> ShardedResult:
         """Assemble the network-wide outcome at the current horizon."""
-        per_switch: List[Optional[SimulationResult]] = \
-            [None] * self.graph.n_switches
-        if self.jobs == 1:
-            for alpha, engine in self._engines.items():
-                per_switch[alpha] = engine.result()
-        else:
-            for parent, _process in self._workers:
-                parent.send(("result",))
-            for parent, _process in self._workers:
-                for alpha, res in parent.recv().items():
-                    per_switch[alpha] = res
+        results = self._call("result")
+        per_switch = [results[alpha]
+                      for alpha in range(self.graph.n_switches)]
         n_users = self.graph.rates.size
         mean_queues = np.zeros((self.graph.n_switches, n_users))
         events = 0
@@ -749,22 +648,21 @@ class ShardedSimulation:
         return ShardedResult(
             mean_queues=mean_queues,
             total_mean_queues=mean_queues.sum(axis=0),
-            per_switch=list(per_switch),
+            per_switch=per_switch,
             members=[m.copy() for m in self.graph.members],
             arrivals=arrivals,
             events=events,
             windows=self.window_index)
 
     def close(self) -> None:
-        """Stop worker processes (no-op for in-process runs)."""
-        for parent, process in self._workers:
-            try:
-                parent.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-            parent.close()
-            process.join(timeout=10.0)
-        self._workers = []
+        """Stop the worker processes (no-op for in-process runs)."""
+        if not self._workers or self._closed():
+            return
+        try:
+            self._call("stop")
+        except SimulationError:
+            return          # a worker had died; _call stopped the rest
+        self._stop_workers(kill=False)
 
     def __enter__(self) -> "ShardedSimulation":
         return self

@@ -39,8 +39,9 @@ back to the inherited scalar loop.  Supported kernels:
 
 Anything else — adaptive ladders, LIFO, processor sharing, HOL
 priority, finite buffers, sized FIFO and sized round robin — runs
-scalar.  The backend is selected by
-``GREEDWORK_ENGINE_BACKEND`` (see :func:`repro.sim.runner.engine_backend`).
+scalar, as does every config when no C compiler can build the kernels.
+The engine makes that choice itself on each ``run_to``; it is the one
+engine :func:`repro.sim.runner.simulate` builds.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from repro.sim.queues import (
 from repro.sim.runner import SimulationEngine
 
 _EMPTY_F = np.empty(0, dtype=float)
-_EMPTY_I = np.empty(0, dtype=np.int64)
 
 #: Departures a kernel logs before returning to have the log flushed
 #: (sharded switch engines only).
@@ -515,16 +515,6 @@ class ChunkedSimulationEngine(SimulationEngine):
     representation, so the inherited ``snapshot``/``result``/``resume``
     work unchanged and both backends' snapshots interoperate.
     """
-
-    #: Injected arrivals sorted by ``(time, user)`` and the index of the
-    #: first pending one: none here; sharded switch engines
-    #: (:mod:`repro.network.sharded`) deliver handoffs into them.
-    _inj_times = _EMPTY_F
-    _inj_users = _EMPTY_I
-    _inj_pos = 0
-    #: Departure log, a list of ``(times, users)`` arrays; sharded
-    #: switch engines set it to capture departures for handoff.
-    _dep_log: Optional[list] = None
 
     def run_to(self, horizon: float) -> int:
         if horizon <= self.horizon_reached:

@@ -77,7 +77,6 @@ import copy
 import heapq
 import itertools
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
                     Union)
@@ -105,44 +104,6 @@ from repro.sim.stats import (ControlVariateSummary, control_specs_for,
 #: the realized RNG sequences themselves are unchanged, but snapshots
 #: and cached results now carry the extra channel.
 ENGINE_VERSION = "2026.08-chunked-3"
-
-#: Environment variable selecting the event-engine backend (see
-#: :func:`engine_backend`).
-ENV_ENGINE_BACKEND = "GREEDWORK_ENGINE_BACKEND"
-
-#: Recognized backend names.  ``auto`` (the default) runs the chunked
-#: backend wherever a compiled kernel covers the configuration and
-#: falls back to the scalar loop elsewhere; both backends are
-#: bit-identical, so the choice never affects results — only speed.
-ENGINE_BACKENDS = ("scalar", "chunked", "auto")
-
-
-def engine_backend() -> str:
-    """The engine backend selected by ``GREEDWORK_ENGINE_BACKEND``.
-
-    Read per call so tests and benchmarks can flip backends without
-    re-importing.  ``scalar`` forces the pure-Python event loop;
-    ``chunked`` and ``auto`` use the chunk-kernel engine
-    (:mod:`repro.sim.chunked`), which itself falls back to the scalar
-    loop for uncovered configurations or when no C compiler is
-    available.  The backend is deliberately *not* part of the
-    simulation cache key: the bit-identity contract makes outputs
-    indistinguishable across backends.
-    """
-    value = os.environ.get(ENV_ENGINE_BACKEND, "auto").strip().lower()
-    if value not in ENGINE_BACKENDS:
-        raise SimulationError(
-            f"unknown engine backend {value!r} (from "
-            f"{ENV_ENGINE_BACKEND}); known: {', '.join(ENGINE_BACKENDS)}")
-    return value
-
-
-def _engine_class():
-    """The :class:`SimulationEngine` subclass for the active backend."""
-    if engine_backend() == "scalar":
-        return SimulationEngine
-    from repro.sim.chunked import ChunkedSimulationEngine
-    return ChunkedSimulationEngine
 
 
 @dataclass
@@ -312,7 +273,7 @@ class EngineState:
 
 
 class SimulationEngine:
-    """The resumable event core behind :func:`simulate`.
+    """The resumable scalar event core.
 
     ``run_to(horizon)`` advances the jump chain to a horizon and may
     be called again with a larger one; because the loop leaves every
@@ -322,8 +283,20 @@ class SimulationEngine:
     layout is horizon-independent (``batch_quota``).  ``snapshot()``
     captures the full state for the persistent cache;
     :meth:`SimulationEngine.resume` restores it, possibly in another
-    process.
+    process.  :func:`simulate` runs the
+    :class:`~repro.sim.chunked.ChunkedSimulationEngine` subclass, which
+    takes this loop whenever no compiled kernel covers the config.
     """
+
+    #: Injected arrivals sorted by ``(time, user)`` and the index of the
+    #: first pending one: none here; sharded switch engines
+    #: (:mod:`repro.network.sharded`) deliver handoffs into them.
+    _inj_times = np.empty(0)
+    _inj_users = np.empty(0, dtype=np.int64)
+    _inj_pos = 0
+    #: Departure log, a list of ``(times, users)`` arrays; sharded
+    #: switch engines set it to capture departures for handoff.
+    _dep_log: Optional[list] = None
 
     def __init__(self, config: SimulationConfig,
                  rates: Optional[np.ndarray] = None) -> None:
@@ -380,6 +353,9 @@ class SimulationEngine:
         self.horizon_reached = 0.0
 
     @classmethod
+    # greedwork: ignore[GW401] -- _inj_pos is the handoff cursor of a
+    # sharded switch engine; ShardedState records the pending handoffs
+    # through pending_injections() and resume_shard() restores them.
     def resume(cls, state: EngineState,
                config: SimulationConfig) -> "SimulationEngine":
         """Rebuild an engine from a snapshot taken at a lower horizon."""
@@ -414,6 +390,7 @@ class SimulationEngine:
         ensure_sequence_at_least(state.seq_watermark + 1)
         return engine
 
+    # greedwork: ignore[GW401] -- _inj_pos: see resume().
     def snapshot(self) -> EngineState:
         """Capture the current state (see :class:`EngineState`).
 
@@ -423,6 +400,7 @@ class SimulationEngine:
         snapshot is taken after a ``run_to`` completes and pickled
         before the engine runs again.
         """
+        # greedwork: ignore[GW402] -- _inj_pos: see resume().
         return EngineState(
             horizon=self.horizon_reached,
             policy=self.policy.state_snapshot(),
@@ -444,8 +422,11 @@ class SimulationEngine:
 
         Returns the number of events (arrivals + departures)
         simulated by *this call* — the extension delta when resuming.
-        See the module docstring for the RNG draw-order contract; bump
-        ``ENGINE_VERSION`` on any change to this loop.
+        Injected handoffs merge into the arrivals by ``(time, user)``,
+        and departures are logged while ``_dep_log`` is set (sharded
+        switch engines).  See the module docstring for the RNG
+        draw-order contract; bump ``ENGINE_VERSION`` on any change to
+        this loop.
         """
         if horizon <= self.horizon_reached:
             return 0
@@ -466,6 +447,18 @@ class SimulationEngine:
         policy_rng = self.policy_rng
         sized = self.sized
         inf = math.inf
+        # Injected handoffs as plain floats and ints; once none is left
+        # the next one's key sorts after every heap entry.
+        inj_times = self._inj_times.tolist()
+        inj_users = self._inj_users.tolist()
+        inj_pos = self._inj_pos
+        n_inj = len(inj_times)
+        no_handoff = (inf, self.rates.size)
+        inj_time, inj_user = ((inj_times[inj_pos], inj_users[inj_pos])
+                              if inj_pos < n_inj else no_handoff)
+        dep_log = self._dep_log
+        dep_times: List[float] = []
+        dep_users: List[int] = []
 
         next_completion = self.next_completion
         serving_seq = self.serving_seq
@@ -479,14 +472,29 @@ class SimulationEngine:
         # chunked kernels are golden-tested against, so it stays in
         # per-event form on purpose.
         while True:
-            next_arrival = arrivals_heap[0][0]
+            next_arrival, user = arrivals_heap[0]
+            # A handoff goes first only if its (time, user) sorts
+            # strictly before the heap's: a source arrival wins a tie.
+            injected = inj_time <= next_arrival and (
+                inj_time < next_arrival or inj_user < user)
+            if injected:
+                next_arrival = inj_time
+                user = inj_user
             if next_arrival >= horizon and next_completion >= horizon:
                 advance(horizon)
                 break
             if next_arrival <= next_completion:
-                event_time, user = heappop(arrivals_heap)
-                advance(event_time)
-                now = event_time
+                advance(next_arrival)
+                now = next_arrival
+                if injected:
+                    inj_pos += 1
+                    inj_time, inj_user = (
+                        (inj_times[inj_pos], inj_users[inj_pos])
+                        if inj_pos < n_inj else no_handoff)
+                else:
+                    heappop(arrivals_heap)
+                    heappush(arrivals_heap,
+                             (now + arrival_next[user](), user))
                 packet = Packet(
                     user=user, arrival_time=now,
                     size=service_next() if sized else 0.0)
@@ -499,8 +507,6 @@ class SimulationEngine:
                     evicted = outcome.get("evicted_user")
                     if evicted is not None:
                         on_drop(evicted)
-                heappush(arrivals_heap,
-                         (now + arrival_next[user](), user))
             else:
                 advance(next_completion)
                 now = next_completion
@@ -508,6 +514,9 @@ class SimulationEngine:
                 done.departure_time = now
                 on_departure(done.user, sojourn=now - done.arrival_time)
                 n_departures += 1
+                if dep_log is not None:
+                    dep_times.append(now)
+                    dep_users.append(done.user)
             serving = serving_of()
             if serving is None:
                 next_completion = inf
@@ -528,6 +537,10 @@ class SimulationEngine:
         self.n_arrivals = n_arrivals
         self.n_departures = n_departures
         self.horizon_reached = horizon
+        self._inj_pos = inj_pos
+        if dep_times:
+            dep_log.append((np.asarray(dep_times, dtype=float),
+                            np.asarray(dep_users, dtype=np.int64)))
         return n_arrivals + n_departures - events_before
 
     def result(self, config: Optional[SimulationConfig] = None
@@ -565,6 +578,9 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     at a lower horizon of the same run and simulate only the
     extension delta (``fresh_events`` counts just that delta).
     Disable via ``--no-sim-cache`` or ``GREEDWORK_SIM_CACHE=off``.
+    The event core is :class:`~repro.sim.chunked.ChunkedSimulationEngine`:
+    a compiled kernel where one covers the config and a C compiler
+    exists, the scalar loop otherwise, with byte-identical results.
     """
     return _chunk_simulate(config, [None])
 
@@ -679,6 +695,9 @@ def _chunk_simulate(chunk: SimulationConfig,
     is uncacheable (policy instances); :func:`simulate` passes an
     empty box.
     """
+    # Local import: repro.sim.chunked imports this module.
+    from repro.sim.chunked import ChunkedSimulationEngine
+
     rates = _validate(chunk)
     key = None
     skey = None
@@ -700,10 +719,10 @@ def _chunk_simulate(chunk: SimulationConfig,
         if (state is not None
                 and getattr(state, "horizon", math.inf) <= chunk.horizon
                 and getattr(state, "engine_version", "") == ENGINE_VERSION):
-            engine = _engine_class().resume(state, chunk)
+            engine = ChunkedSimulationEngine.resume(state, chunk)
             resumed_from = state.horizon
     if engine is None:
-        engine = _engine_class()(chunk, rates)
+        engine = ChunkedSimulationEngine(chunk, rates)
     fresh = engine.run_to(chunk.horizon)
     obs.add("sim.cache.fresh_events", fresh)
     result = engine.result(chunk)

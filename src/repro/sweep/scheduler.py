@@ -33,6 +33,7 @@ error outcome carrying its traceback instead of killing the sweep.
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 import traceback
 from collections import deque
@@ -229,10 +230,14 @@ def _run_cell(cell: SweepCell) -> CellOutcome:
 
 
 def _run_cell_batch(cells: Sequence[SweepCell],
-                    cache_enabled: Optional[bool],
+                    cache_enabled: Optional[bool], cache_dir: str,
                     ) -> Tuple[List[Dict[str, Any]], Dict[str, int],
                                float]:
     """Run a batch of CRN-sibling cells in one worker.
+
+    ``cache_enabled`` and ``cache_dir`` are the parent's sim-cache
+    flag and resolved directory: a pooled worker forked before the
+    parent changed either would otherwise keep its own copy.
 
     Returns ``(outcome_dicts, counts, busy_seconds)``: ``counts`` is
     what the batch added to :mod:`repro.obs`; busy seconds feed the
@@ -241,6 +246,10 @@ def _run_cell_batch(cells: Sequence[SweepCell],
     """
     if cache_enabled is not None:
         sim_cache.set_enabled(cache_enabled)
+    # Never true in-process, so a serial sweep leaves the parent's
+    # environment alone.
+    if sim_cache.cache_dir() != cache_dir:
+        os.environ[sim_cache.ENV_DIR] = cache_dir
     started = time.perf_counter()
     outcomes: List[Dict[str, Any]] = []
     with obs.Scope() as counted:
@@ -443,7 +452,8 @@ class SweepScheduler:
                 self._running = len(batch)
                 self._queued -= len(batch)
                 self._absorb(_run_cell_batch(batch,
-                                             self._cache_enabled),
+                                             self._cache_enabled,
+                                             sim_cache.cache_dir()),
                              journal, by_key)
             self._running = 0
             return
@@ -469,7 +479,8 @@ class SweepScheduler:
                 while queue and len(in_flight) < pool.jobs:
                     batch = queue.popleft()
                     future = asyncio.wrap_future(pool.submit(
-                        _run_cell_batch, batch, self._cache_enabled))
+                        _run_cell_batch, batch, self._cache_enabled,
+                        sim_cache.cache_dir()))
                     in_flight[future] = batch
                     self._running += len(batch)
                     self._queued -= len(batch)

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import os
-
 import pytest
 
 from repro.cli import main
@@ -67,22 +65,6 @@ class TestSimulate:
         assert "replications=3" in out
         assert "n/a" not in out
 
-    def test_backend_flag_is_byte_identical_and_scoped(self, capsys,
-                                                       monkeypatch):
-        from repro.sim.runner import ENV_ENGINE_BACKEND, engine_backend
-
-        monkeypatch.delenv(ENV_ENGINE_BACKEND, raising=False)
-        outputs = []
-        for backend in ("scalar", "chunked"):
-            code = main(["simulate", "--rates", "0.2", "0.3",
-                         "--policy", "fair-share", "--horizon", "3000",
-                         "--seed", "4", "--backend", backend])
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-            assert ENV_ENGINE_BACKEND not in os.environ
-        assert outputs[0] == outputs[1]
-        assert engine_backend() == "auto"
-
 
 class TestRun:
     @pytest.mark.slow
@@ -105,7 +87,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["fix", "src"], ["check", "--fix"], ["check", "--diff"],
         ["check", "--baseline", "b.json"], ["check", "--update-baseline"],
-        ["check", "--list-rules"]])
+        ["check", "--list-rules"],
+        ["simulate", "--rates", "0.2", "--backend", "scalar"]])
     def test_removed_check_surface_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

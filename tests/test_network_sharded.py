@@ -10,9 +10,12 @@ validation (``link_delay >= window``).
 """
 
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.sim.chunked as chunked
 import repro.sim.kernels as kernels
@@ -26,7 +29,7 @@ from repro.network.sharded import (
     SwitchGraphConfig,
     simulate_sharded,
 )
-from repro.sim.runner import SimulationConfig
+from repro.sim.runner import SimulationConfig, SimulationEngine
 
 
 def graph_config(**overrides):
@@ -65,6 +68,69 @@ class TestPlacementIndependence:
         monkeypatch.setattr(kernels, "load_kernels", lambda: None)
         scalar = simulate_sharded(graph_config(), jobs=1)
         assert fingerprint(chunked) == fingerprint(scalar)
+
+
+@st.composite
+def switch_graphs(draw):
+    """A random switch graph under the sharded contracts' preconditions.
+
+    2-4 switches and 2-5 users; each route crosses 1-3 distinct
+    switches and together they cover every switch; every switch runs
+    below load 0.9; ``window == link_delay``, with an explicit batch
+    quota so snapshots are allowed.  Also returns the window after
+    which to snapshot, and the jobs count to snapshot under.
+    """
+    n_switches = draw(st.integers(2, 4))
+    n_users = draw(st.integers(2, 5))
+    cover = draw(st.permutations(range(n_switches)))
+    routes = []
+    for user in range(n_users):
+        must = list(cover[user::n_users])
+        extra = draw(st.lists(st.integers(0, n_switches - 1),
+                              min_size=0 if must else 1,
+                              max_size=3 - len(must), unique=True))
+        switches = list(dict.fromkeys(must + extra))
+        routes.append(tuple(draw(st.permutations(switches))))
+    weights = np.array(draw(st.lists(st.floats(0.2, 1.0),
+                                     min_size=n_users,
+                                     max_size=n_users)))
+    loads = [weights[[alpha in route for route in routes]].sum()
+             for alpha in range(n_switches)]
+    rates = weights * draw(st.floats(0.3, 0.85)) / max(loads)
+    window = draw(st.sampled_from([150.0, 250.0]))
+    n_full = draw(st.integers(3, 6))
+    horizon = window * n_full + draw(st.sampled_from([0.0, 0.5])) * window
+    config = SwitchGraphConfig(
+        rates=rates.tolist(), routes=routes,
+        policies=[draw(st.sampled_from(SHARDED_POLICIES))
+                  for _ in range(n_switches)],
+        horizon=horizon, warmup=window / 2.0,
+        seed=draw(st.integers(0, 2**16)), window=window,
+        link_delay=window, batch_quota=draw(st.sampled_from([40.0, 70.0])))
+    return (config, draw(st.integers(1, n_full - 1)),
+            draw(st.sampled_from([1, 2])))
+
+
+class TestGeneratedGraphs:
+    """The three placement contracts on generated switch graphs:
+    any jobs count, kernel or scalar loop, and a snapshot resumed
+    under the other jobs count all give the same measurements."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(switch_graphs())
+    def test_placement_loop_and_resume_are_unobservable(self, drawn):
+        config, snap_after, snap_jobs = drawn
+        serial = fingerprint(simulate_sharded(config, jobs=1))
+        assert fingerprint(simulate_sharded(config, jobs=2)) == serial
+        with mock.patch.object(kernels, "load_kernels", lambda: None):
+            assert fingerprint(simulate_sharded(config, jobs=1)) == serial
+        with ShardedSimulation(config, jobs=snap_jobs) as sim:
+            sim.run_windows(snap_after)
+            state = pickle.loads(pickle.dumps(sim.snapshot()))
+        with ShardedSimulation.resume(state, config,
+                                      jobs=3 - snap_jobs) as resumed:
+            resumed.run_windows()
+            assert fingerprint(resumed.result()) == serial
 
 
 def tie_engine(policy):
@@ -118,7 +184,7 @@ class TestHandoffTies:
         monkeypatch.setattr(chunked, "_DEP_LOG_CAP", 3)
         scalar, fast = tie_engine(policy), tie_engine(policy)
         for horizon in (10.0, 400.0):
-            scalar._run_scalar_injected(horizon)
+            SimulationEngine.run_to(scalar, horizon)
             fast.run_to(horizon)
             if horizon < 400.0:
                 # More ties delivered between the two runs, still at
@@ -169,8 +235,29 @@ class TestSnapshotResume:
 
     def test_serial_engines_are_shard_switch_engines(self):
         sim = ShardedSimulation(graph_config(), jobs=1)
+        engines = sim._local.engines
+        assert sorted(engines) == [0, 1, 2]
         assert all(isinstance(engine, ShardSwitchEngine)
-                   for engine in sim._engines.values())
+                   for engine in engines.values())
+
+
+class TestDeadWorker:
+    def test_killed_worker_raises_a_clear_error(self):
+        sim = ShardedSimulation(graph_config(), jobs=2)
+        try:
+            sim.run_windows(1)
+            process = sim._workers[0][1]
+            process.kill()
+            process.join()
+            with pytest.raises(SimulationError,
+                               match=r"worker 0 \(switches \[0, 2\]\) "
+                                     r"died with exit code -9"):
+                sim.run_windows(1)
+        finally:
+            sim.close()
+        sim.close()
+        with pytest.raises(SimulationError, match="closed"):
+            sim.result()
 
 
 class TestPhysics:

@@ -26,10 +26,8 @@ from repro.sim.queues import (
     RoundRobinQueue,
 )
 from repro.sim.runner import (
-    ENV_ENGINE_BACKEND,
     SimulationConfig,
     SimulationEngine,
-    engine_backend,
     simulate,
 )
 from repro.sweep.catalog import builtin_catalog
@@ -394,27 +392,11 @@ class TestKernelCoverage:
 
 
 class TestBackendSelection:
-    def test_default_backend_is_auto(self, monkeypatch):
-        monkeypatch.delenv(ENV_ENGINE_BACKEND, raising=False)
-        assert engine_backend() == "auto"
-
-    @pytest.mark.parametrize("backend", ["scalar", "chunked", "auto"])
-    def test_env_selects_backend(self, monkeypatch, backend):
-        monkeypatch.setenv(ENV_ENGINE_BACKEND, backend)
-        assert engine_backend() == backend
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        from repro.exceptions import SimulationError
-
-        monkeypatch.setenv(ENV_ENGINE_BACKEND, "vectorized")
-        with pytest.raises(SimulationError):
-            engine_backend()
-
-    def test_simulate_identical_across_backends(self, monkeypatch):
+    def test_simulate_identical_across_backends(self):
+        # simulate() picks the kernel or the scalar loop itself; either
+        # way it reproduces the named scalar oracle.
         config = config_for("fair-share")
-        monkeypatch.setenv(ENV_ENGINE_BACKEND, "scalar")
-        scalar = simulate(config)
-        monkeypatch.setenv(ENV_ENGINE_BACKEND, "chunked")
+        scalar = run_engine(SimulationEngine, config).result(config)
         chunked = simulate(config)
         np.testing.assert_array_equal(scalar.mean_queues,
                                       chunked.mean_queues)

@@ -27,7 +27,6 @@ from repro.sim.chunked import ChunkedSimulationEngine
 from repro.sim.measurements import QueueTracker
 from repro.sim.runner import (
     ENGINE_VERSION,
-    ENV_ENGINE_BACKEND,
     EngineState,
     SimulationConfig,
     SimulationEngine,
@@ -204,8 +203,9 @@ class TestListLayoutSnapshots:
 
     @pytest.mark.parametrize("backend", ["scalar", "chunked"])
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_resumes_bit_identically(self, cache_on, monkeypatch,
-                                     backend, policy):
+    def test_resumes_bit_identically(self, cache_on, backend, policy):
+        engine_cls = {"scalar": SimulationEngine,
+                      "chunked": ChunkedSimulationEngine}[backend]
         long = config_for(policy, horizon=12000.0)
         engine = ChunkedSimulationEngine(config_for(policy,
                                                     horizon=5000.0))
@@ -219,15 +219,17 @@ class TestListLayoutSnapshots:
         with open(path, "wb") as handle:
             handle.write(blob.getvalue())
 
-        monkeypatch.setenv(ENV_ENGINE_BACKEND, backend)
         with obs.Scope() as counted:
             resumed = simulate(long)
         assert counted.get("sim.cache.state_hits") == 1
         assert counted.get("sim.cache.fresh_events") \
             == resumed.events - engine.n_arrivals - engine.n_departures
+        direct = engine_cls.resume(pickle.loads(blob.getvalue()), long)
+        direct.run_to(long.horizon)
 
         sim_cache.set_enabled(False)
         fresh = simulate(long)
-        assert_results_identical(resumed, fresh)
-        np.testing.assert_array_equal(resumed.batch.per_batch_sizes,
-                                      fresh.batch.per_batch_sizes)
+        for result in (resumed, direct.result(long)):
+            assert_results_identical(result, fresh)
+            np.testing.assert_array_equal(result.batch.per_batch_sizes,
+                                          fresh.batch.per_batch_sizes)

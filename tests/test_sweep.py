@@ -410,6 +410,28 @@ class TestScheduler:
         assert counts[1]["misses"] > 0
 
     @pytest.mark.slow
+    def test_pooled_workers_follow_the_parents_cache_dir(self, sweep_env,
+                                                          tmp_path,
+                                                          monkeypatch):
+        """Workers forked before the parent moves its sim cache read
+        and write the parent's current directory, not their own."""
+        catalog = expand_catalog(tiny_spec(rhos=[0.3, 0.5]))
+        with WorkerPool(2) as pool:
+            for future in [pool.submit(abs, -1) for _ in range(2)]:
+                future.result()
+            cold = run_sweep(catalog, jobs=2, pool=pool,
+                             cache_enabled=True)
+            first = {entry_key(path) for path in cache_entries()}
+            monkeypatch.setenv(sim_cache.ENV_DIR,
+                               str(tmp_path / "sim-moved"))
+            moved = run_sweep(catalog, jobs=2, pool=pool,
+                              cache_enabled=True)
+        assert cold.fresh_events > 0
+        assert moved.fresh_events == cold.fresh_events
+        assert moved.source_counts()["fresh"] == len(catalog)
+        assert {entry_key(path) for path in cache_entries()} == first
+
+    @pytest.mark.slow
     def test_concurrent_identical_cells_simulate_once(self, sweep_env,
                                                       tmp_path,
                                                       monkeypatch):
