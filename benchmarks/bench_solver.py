@@ -26,6 +26,12 @@ fell back to the scalar scan), so the speedup is reported as the exact
 instructions — CI boxes sit in a ±2–4% steal band that would
 otherwise print jitter as signal.
 
+Every appended row records where it ran: ``cpu_count``, the git
+revision of the measured checkout (``git_rev``; ``-dirty`` marks
+uncommitted changes, ``null`` outside a git tree) and the ``numpy``
+version, so rows from different hosts or commits are never compared
+by accident.
+
 The script also times the symmetry-class solver and the mean-field
 limit at N=10^3 and N=10^4 (rows with ``mode`` ``"class-space"`` /
 ``"mean-field"`` and a ``k`` field); the pytest gate
@@ -35,12 +41,15 @@ fair-share Nash solve under five seconds.
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.disciplines.registry import make_discipline
 from repro.game.best_response import best_response
 from repro.game.classes import solve_nash_classes, solve_nash_classes_fdc
@@ -363,6 +372,23 @@ def measure_class_space(rounds: int = 3):
     return runs
 
 
+def provenance():
+    """Host and code fields stamped on every appended row.
+
+    ``git_rev`` describes the checkout holding the imported ``repro``
+    package, with a ``-dirty`` suffix for uncommitted changes.
+    """
+    try:
+        rev = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True, timeout=10,
+            cwd=pathlib.Path(repro.__file__).resolve().parent).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        rev = ""
+    return {"cpu_count": os.cpu_count(), "git_rev": rev or None,
+            "numpy": np.__version__}
+
+
 def append_trajectory(path: str, runs) -> None:
     """Append run records to the ``BENCH_solver.json`` trajectory."""
     document = {"benchmark": "solver-core", "runs": []}
@@ -390,6 +416,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = measure_solver(rounds=args.rounds)
     runs.extend(measure_class_space(rounds=args.rounds))
+    stamp = provenance()
+    for run in runs:
+        run.update(stamp)
     header = (f"{'kind':20s} {'discipline':12s} {'n':>5s} "
               f"{'mode':>11s} {'seconds':>9s} {'speedup':>8s}")
     print(header)

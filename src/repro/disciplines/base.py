@@ -17,6 +17,9 @@ Solvers scan candidate rates in bulk, so the base class also exposes
 
 * :meth:`AllocationFunction.congestion_grid` — user ``i``'s congestion
   over a whole vector of candidate own-rates, opponents held fixed;
+* :meth:`AllocationFunction.grid_evaluator` — the same for several
+  users at once, one candidate row per user, with the opponent-side
+  precomputation done once for repeated calls;
 * :meth:`AllocationFunction.congestion_many` — the full congestion
   matrix for a batch of rate profiles;
 * :meth:`AllocationFunction.gradient_i` /
@@ -70,6 +73,26 @@ from repro.queueing.service_curves import MM1Curve, ServiceCurve
 
 #: A prepared batched objective: candidate own-rates -> ``C_i`` values.
 GridEvaluator = Callable[[Sequence[float]], np.ndarray]
+
+#: A prepared row-wise objective: a ``(B, K)`` array of candidate
+#: own-rates, row ``b`` for the ``b``-th user, -> their congestions.
+RowEvaluator = Callable[[np.ndarray], np.ndarray]
+
+
+def one_row(evaluate: RowEvaluator) -> GridEvaluator:
+    """The ``xs -> C_i`` view of a one-user :data:`RowEvaluator`."""
+    def evaluate_one(xs: Sequence[float]) -> np.ndarray:
+        cand = np.asarray(xs, dtype=float)
+        return evaluate(cand.reshape(1, -1)).reshape(cand.shape)
+
+    return evaluate_one
+
+
+def opponent_rows(rates: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """Row ``b`` is ``np.delete(rates, users[b])``: shape ``(B, N - 1)``."""
+    rows = np.arange(rates.size)[users]
+    cols = np.arange(rates.size - 1)
+    return rates[cols + (cols >= rows[:, None])]
 
 
 def expand_class_rates(class_rates: Sequence[float],
@@ -167,19 +190,30 @@ class AllocationFunction(ABC):
             out[k] = self.congestion_i(base, i)
         return out
 
-    def grid_evaluator(self, rates: Sequence[float], i: int
-                       ) -> "GridEvaluator":
-        """A reusable ``xs -> C_i`` evaluator with the opponents fixed.
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """A reusable row evaluator for ``users``, the opponents fixed.
 
-        Iterative solvers (the batched grid zoom) evaluate many
-        candidate grids against the *same* opponent profile; this hook
-        lets a discipline hoist the opponent-only precomputation (sort,
-        ladder, prefix sums) out of the per-grid call.  The default
-        simply closes over :meth:`congestion_grid`, so overriding the
-        grid alone is always enough for correctness.
+        ``evaluate(X)`` takes candidate own-rates of shape
+        ``(len(users), K)``; entry ``[b, k]`` of the result equals
+        ``congestion_grid(rates, users[b], X[b])[k]``.  Iterative
+        solvers (the batched grid zoom) evaluate many candidate grids
+        against the *same* profile — for a simultaneous best-response
+        round, one row per user — so this hook lets a discipline hoist
+        the opponent-only precomputation (sort, ladder, prefix sums)
+        out of the per-grid call and share one pass across the rows.
+        The default evaluates each row through :meth:`congestion_grid`,
+        so overriding the grid alone is always enough for correctness.
         """
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
-            return self.congestion_grid(rates, i, xs)
+        r = np.array(rates, dtype=float)
+        rows = [int(i) for i in users]
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            out = np.empty(cand.shape)
+            for b, i in enumerate(rows):
+                out[b] = self.congestion_grid(r, i, cand[b])
+            return out
 
         return evaluate
 
@@ -231,8 +265,8 @@ class AllocationFunction(ABC):
         against the exact game is O(1/N).
 
         The default expands the opponents to a full vector and
-        delegates to :meth:`grid_evaluator` (exact, O(N) setup);
-        vectorized disciplines override it with O(K) setup.
+        delegates to a one-user :meth:`grid_evaluator` (exact, O(N)
+        setup); vectorized disciplines override it with O(K) setup.
         """
         c, m = check_classes(class_rates, counts)
         opp = m.copy()
@@ -241,7 +275,7 @@ class AllocationFunction(ABC):
                 raise ValueError(f"class {i} is empty")
             opp[i] -= 1
         full = np.concatenate((np.repeat(c, opp), [0.0]))
-        return self.grid_evaluator(full, full.size - 1)
+        return one_row(self.grid_evaluator(full, [full.size - 1]))
 
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,
@@ -459,14 +493,15 @@ class Subsystem:
         orig = self.free_indices(full.size)[i]
         return self.parent.congestion_grid(full, orig, xs)
 
-    def grid_evaluator(self, free_rates: Sequence[float], i: int
-                       ) -> GridEvaluator:
-        """Reusable grid evaluator for free user ``i`` (see the
+    def grid_evaluator(self, free_rates: Sequence[float],
+                       users: Sequence[int]) -> RowEvaluator:
+        """Reusable row evaluator for free ``users`` (see the
         :meth:`AllocationFunction.grid_evaluator` hook); the embedding
-        and the parent's opponent precomputation both happen once."""
+        and the parent's opponent precomputation both happen once, at
+        the users' original indices."""
         full = self.embed(free_rates)
-        orig = self.free_indices(full.size)[i]
-        return self.parent.grid_evaluator(full, orig)
+        free = self.free_indices(full.size)
+        return self.parent.grid_evaluator(full, [free[i] for i in users])
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:

@@ -36,7 +36,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+                                    RowEvaluator, check_classes, one_row,
+                                    opponent_rows)
 
 
 class FairShareAllocation(AllocationFunction):
@@ -130,47 +131,64 @@ class FairShareAllocation(AllocationFunction):
         tie block, so the position within a block is irrelevant and
         the result matches the scalar :meth:`congestion_i` exactly.
         """
-        return self.grid_evaluator(rates, i)(xs)
+        return one_row(self.grid_evaluator(rates, [i]))(xs)
 
-    def grid_evaluator(self, rates: Sequence[float], i: int):
-        """One-time opponent-ladder setup, many cheap grid evaluations.
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """One-time opponent-ladder setup per user, many cheap grid rows.
 
-        The returned closure implements the :meth:`congestion_grid`
-        insertion trick with the opponent sort, prefix sums, and
-        ``g``-share table hoisted out — the grid-zoom solver calls it
-        ~10 times per best response against the same opponents.
+        Row ``b`` implements the :meth:`congestion_grid` insertion trick
+        for user ``users[b]``; each row's sorted opponents (the sorted
+        rate vector less one copy of that user's rate), prefix sums,
+        ``g``-share table and first unstable class are built once, in
+        one pass over all rows — the grid zoom calls the evaluator ~10
+        times per best-response round against the same opponents.  A
+        candidate's insertion position is its rank in the sorted rate
+        vector minus the user's own (stale) rate, so a call costs
+        O(K log N) per row and each row's tables O(N).
         """
         r = np.asarray(rates, dtype=float)
-        opp = np.delete(r, i)
-        if opp.size and float(opp.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
+        rows = np.asarray(users, dtype=int)
         n = r.size
         cap = self.curve.capacity
-        s = np.sort(opp)
-        prefix = np.concatenate(([0.0], np.cumsum(s)))
-        m_idx = np.arange(s.size)
-        opp_loads = (n - m_idx) * s + prefix[:-1]
-        # First opponent class at/over capacity (ladder loads ascend).
-        unstable = opp_loads >= cap
-        k_bad = int(np.searchsorted(unstable, True)) if unstable.any() \
-            else s.size
-        g_opp = np.full(s.size, math.inf)
-        g_opp[:k_bad] = self.curve.values(opp_loads[:k_bad])
-        shares = np.diff(g_opp[:k_bad], prepend=0.0) / (n - m_idx[:k_bad])
-        h = np.full(s.size + 1, math.inf)
-        h[:k_bad + 1] = np.concatenate(([0.0], np.cumsum(shares)))
-        g_prev = np.concatenate(([0.0], g_opp))
+        ranked = np.sort(r)
+        own = r[rows][:, None]
+        # Sorted opponents: the ranked vector less one copy of r_i.
+        s = opponent_rows(ranked, np.searchsorted(ranked, own[:, 0]))
+        if s.size and float(s.min()) < 0.0:
+            raise ValueError("rates must be nonnegative")
+        zero = np.zeros((rows.size, 1))
+        # A spare last column keeps a NaN candidate (ranked past every
+        # rate) in bounds; its load is NaN, so it scores inf.
+        prefix = np.concatenate((zero, np.cumsum(s, axis=1), zero), axis=1)
+        m_idx = np.arange(n - 1)
+        opp_loads = (n - m_idx) * s + prefix[:, :-2]
+        # First opponent class at/over capacity (ladder loads ascend);
+        # the sentinel column stands for "none".
+        unstable = np.concatenate(
+            (opp_loads >= cap, np.ones((rows.size, 1), dtype=bool)), axis=1)
+        k_bad = np.argmax(unstable, axis=1)[:, None]
+        stable = m_idx < k_bad
+        g_opp = np.zeros(s.shape)
+        g_opp[stable] = self.curve.values(opp_loads[stable])
+        shares = np.diff(g_opp, prepend=0.0, axis=1) / (n - m_idx)
+        h = np.concatenate((zero, np.cumsum(shares, axis=1), zero), axis=1)
+        g_prev = np.concatenate((zero, g_opp, zero), axis=1)
+        # Rows of the tables, flattened: entry p of row b is at b*(n+1)+p.
+        offsets = np.arange(rows.size)[:, None] * (n + 1)
+        prefix, h, g_prev = prefix.ravel(), h.ravel(), g_prev.ravel()
 
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
+        def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             if cand.size and float(cand.min()) < 0.0:
                 raise ValueError("rates must be nonnegative")
-            p = np.searchsorted(s, cand, side="left")
-            own_loads = (n - p) * cand + prefix[p]
+            p = np.searchsorted(ranked, cand, side="left") - (own < cand)
+            at = p + offsets
+            own_loads = (n - p) * cand + prefix[at]
             out = np.full(cand.shape, math.inf)
             ok = (p <= k_bad) & (own_loads < cap)
-            out[ok] = h[p[ok]] + (
-                (self.curve.values(own_loads[ok]) - g_prev[p[ok]])
+            out[ok] = h[at[ok]] + (
+                (self.curve.values(own_loads[ok]) - g_prev[at[ok]])
                 / (n - p[ok]))
             return out
 

@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+                                    RowEvaluator, check_classes, one_row,
+                                    opponent_rows)
 
 
 class ProportionalAllocation(AllocationFunction):
@@ -99,15 +100,21 @@ class ProportionalAllocation(AllocationFunction):
     def congestion_grid(self, rates: Sequence[float], i: int,
                         xs: Sequence[float]) -> np.ndarray:
         """``C_i(x) = x * phi(S_{-i} + x)`` over the whole grid at once."""
-        return self.grid_evaluator(rates, i)(xs)
+        return one_row(self.grid_evaluator(rates, [i]))(xs)
 
-    def grid_evaluator(self, rates: Sequence[float], i: int):
-        """Hoist the opponent total out of repeated grid evaluations."""
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """Hoist each user's opponent total out of repeated row calls.
+
+        Each row sums its own opponents (``total - r_i`` would round
+        differently from the one-user sum).
+        """
         r = np.asarray(rates, dtype=float)
-        opponent_total = float(np.delete(r, i).sum())
+        opponent_total = opponent_rows(
+            r, np.asarray(users, dtype=int)).sum(axis=1)[:, None]
         cap = self.curve.capacity
 
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
+        def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             totals = opponent_total + cand
             out = np.full(cand.shape, math.inf)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+                                    RowEvaluator, check_classes, one_row)
 from repro.queueing.service_curves import QuadraticCurve
 
 
@@ -90,10 +90,20 @@ class SeparableAllocation(AllocationFunction):
     def congestion_grid(self, rates: Sequence[float], i: int,
                         xs: Sequence[float]) -> np.ndarray:
         """``C_i(x) = a x^2`` — the opponents do not matter at all."""
-        cand = np.asarray(xs, dtype=float)
-        if cand.size and float(cand.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        return self.constraint.a * cand * cand
+        return one_row(self.grid_evaluator(rates, [i]))(xs)
+
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """``C(x) = a x^2`` on every row: nothing to hoist but ``a``."""
+        coefficient = self.constraint.a
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            if cand.size and float(cand.min()) < 0.0:
+                raise ValueError("rates must be nonnegative")
+            return coefficient * cand * cand
+
+        return evaluate
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:

@@ -9,23 +9,31 @@ maximization is both robust and accurate.
 When the discipline advertises a one-pass grid
 (:attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`)
 and the solver-vector switch is on, the scan and refinement run as a
-handful of batched ``congestion_grid`` + ``value_grid`` calls instead
-of ~100 scalar congestion evaluations — the core of the vectorized
-solver path.  Every best response adds its evaluation counts to the
-``solver.*`` counters of :mod:`repro.obs`.
+handful of batched grid-zoom rounds instead of ~100 scalar congestion
+evaluations — the core of the vectorized solver path.  The
+simultaneous map :func:`best_response_map` and the certificate
+:func:`utility_improvements` run one zoom round for *all* N users in a
+single call: one multi-user ``grid_evaluator`` pass and one row-wise
+utility pass score every user's candidate row, and each row does
+exactly the arithmetic of that user's lone best response.  Every best
+response adds its evaluation counts to the ``solver.*`` counters of
+:mod:`repro.obs`, counted per user either way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 import repro.obs as obs
+from repro.disciplines.base import one_row
 from repro.numerics import instrumentation
 from repro.numerics.optimize import (GridFunc, ScalarMaxResult,
+                                     grid_maximize_rows,
                                      multistart_maximize)
+from repro.users.families import value_grid_rows
 from repro.users.utility import Utility
 
 #: Smallest rate a user will consider (the paper requires ``r_i > 0``).
@@ -49,33 +57,48 @@ def _default_rate_cap(allocation) -> float:
     return 4.0
 
 
-def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
-                    i: int) -> Optional[GridFunc]:
-    """Batched objective for :func:`multistart_maximize`, if available.
+def _uses_grid(allocation, n_users: int) -> bool:
+    """Whether best responses against ``n_users`` rates take the grid.
 
     In ``auto`` mode the discipline's
     :attr:`~repro.disciplines.base.AllocationFunction.grid_min_users`
     cost hint arbitrates: below that population the scalar scan beats
     the grid's fixed numpy overhead (FIFO's scalar objective is a
-    single ``sum``), so the call returns ``None`` and the maximizer
-    takes the scalar path — same bracket, same result, less time.
+    single ``sum``), so the maximizer takes the scalar path — same
+    bracket, same result, less time.  The answer depends only on the
+    mode, the discipline and N, so it holds for every user of a map.
     """
     solver_mode = instrumentation.mode()
     if solver_mode == "off":
-        return None
+        return False
     if not getattr(allocation, "vectorized_grid", False):
-        return None
-    if (solver_mode == "auto"
-            and rates.size < getattr(allocation, "grid_min_users", 0)):
+        return False
+    return not (solver_mode == "auto"
+                and n_users < getattr(allocation, "grid_min_users", 0))
+
+
+def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
+                    i: int) -> Optional[GridFunc]:
+    """Batched objective for :func:`multistart_maximize`, if available."""
+    if not _uses_grid(allocation, rates.size):
         return None
     # One evaluator per best response: the opponent-side precomputation
     # (sort, ladder, prefix sums) is shared by every grid-zoom round.
-    evaluator = allocation.grid_evaluator(rates.copy(), i)
+    evaluate = one_row(allocation.grid_evaluator(rates.copy(), [i]))
 
     def grid(xs: np.ndarray) -> np.ndarray:
-        return utility.value_grid(xs, evaluator(xs))
+        return utility.value_grid(xs, evaluate(xs))
 
     return grid
+
+
+def _count(results: Sequence[ScalarMaxResult]) -> None:
+    """Add best responses' evaluations to the ``solver.*`` counters."""
+    evaluations = sum(result.evaluations for result in results)
+    obs.add("solver.objective_evals", evaluations)
+    obs.add("solver.congestion_evals", evaluations)
+    obs.add("solver.grid_calls",
+            sum(result.grid_calls for result in results))
 
 
 def best_response(allocation, utility: Utility, rates: Sequence[float],
@@ -108,11 +131,52 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
                            np.asarray(rates, dtype=float), i)
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
                                  tol=tol, grid_func=grid)
-    base[i] = result.x
-    obs.add("solver.objective_evals", result.evaluations)
-    obs.add("solver.congestion_evals", result.evaluations)
-    obs.add("solver.grid_calls", result.grid_calls)
+    _count([result])
     return result
+
+
+#: Errors after which a batched round is redone user by user, where
+#: :func:`best_response` handles each exactly as it always has.
+_BATCH_ERRORS = (ArithmeticError, ValueError, TypeError, IndexError,
+                 AttributeError)
+
+
+def _best_responses(allocation, profile: Sequence[Utility],
+                   rates: Sequence[float],
+                   r_max: Optional[float] = None,
+                   n_scan: int = 65,
+                   tol: float = 1e-11) -> List[ScalarMaxResult]:
+    """Every user's :func:`best_response` against the same ``rates``.
+
+    On the grid path the N maximizations run as one row-wise zoom
+    (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
+    is one multi-user ``grid_evaluator`` call plus one
+    :func:`~repro.users.families.value_grid_rows` pass, row ``i``
+    doing exactly user ``i``'s lone arithmetic, so results and
+    ``solver.*`` counts equal the per-user ones bit for bit.  Off the
+    grid path — or when the batched evaluation raises — users are
+    solved one at a time through :func:`best_response`.  A batched
+    Fair Share round holds every user's opponent tables, O(N^2)
+    floats; per-user solves past a few thousand users belong in class
+    space (:mod:`repro.game.classes`) anyway.
+    """
+    r = np.asarray(rates, dtype=float)
+    if _uses_grid(allocation, r.size):
+        hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
+        try:
+            evaluate = allocation.grid_evaluator(r, range(len(profile)))
+            values = value_grid_rows(profile)
+            results = grid_maximize_rows(
+                lambda xs: values(xs, evaluate(xs)), len(profile),
+                MIN_RATE, hi, n_scan=n_scan, tol=tol)
+        except _BATCH_ERRORS:
+            pass
+        else:
+            _count(results)
+            return results
+    return [best_response(allocation, utility, r, i, r_max=r_max,
+                          n_scan=n_scan, tol=tol)
+            for i, utility in enumerate(profile)]
 
 
 def best_response_map(allocation, profile: Sequence[Utility],
@@ -127,11 +191,25 @@ def best_response_map(allocation, profile: Sequence[Utility],
     if len(profile) != r.size:
         raise ValueError(
             f"profile has {len(profile)} utilities for {r.size} rates")
-    out = np.empty_like(r)
-    for i, utility in enumerate(profile):
-        out[i] = best_response(allocation, utility, r, i, r_max=r_max,
-                               n_scan=n_scan, tol=tol).x
-    return out
+    results = _best_responses(allocation, profile, r, r_max=r_max,
+                              n_scan=n_scan, tol=tol)
+    return np.array([result.x for result in results], dtype=float)
+
+
+def _current_value(allocation, utility: Utility, r: np.ndarray,
+                   i: int) -> float:
+    """User ``i``'s utility at ``r`` (one counted evaluation)."""
+    value = utility.value(float(r[i]), allocation.congestion_i(r, i))
+    obs.add("solver.objective_evals")
+    obs.add("solver.congestion_evals")
+    return value
+
+
+def _gain(current: float, best: ScalarMaxResult) -> float:
+    """Deviation gain; 0 when the user is stuck at ``-inf`` either way."""
+    if math.isinf(current) and math.isinf(best.value):
+        return 0.0
+    return best.value - current
 
 
 def utility_improvement(allocation, utility: Utility,
@@ -146,10 +224,21 @@ def utility_improvement(allocation, utility: Utility,
     ``[solver]`` totals rather than being invisible.
     """
     r = np.asarray(rates, dtype=float)
-    current = utility.value(float(r[i]), allocation.congestion_i(r, i))
-    obs.add("solver.objective_evals")
-    obs.add("solver.congestion_evals")
-    best = best_response(allocation, utility, r, i, r_max=r_max)
-    if math.isinf(current) and math.isinf(best.value):
-        return 0.0
-    return best.value - current
+    current = _current_value(allocation, utility, r, i)
+    return _gain(current, best_response(allocation, utility, r, i,
+                                        r_max=r_max))
+
+
+def utility_improvements(allocation, profile: Sequence[Utility],
+                         rates: Sequence[float],
+                         r_max: Optional[float] = None) -> List[float]:
+    """:func:`utility_improvement` for every user of ``profile``.
+
+    Each user's current value is evaluated as in the one-user call;
+    the best responses run batched, as in :func:`best_response_map`.
+    """
+    r = np.asarray(rates, dtype=float)
+    currents = [_current_value(allocation, utility, r, i)
+                for i, utility in enumerate(profile)]
+    bests = _best_responses(allocation, profile, r, r_max=r_max)
+    return [_gain(current, best) for current, best in zip(currents, bests)]

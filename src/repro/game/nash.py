@@ -26,7 +26,7 @@ from scipy import optimize as sp_optimize
 
 from repro.game.best_response import (
     best_response_map,
-    utility_improvement,
+    utility_improvements,
 )
 from repro.game.classes import ClassProfile, detect_classes
 from repro.numerics.iterate import damped_fixed_point
@@ -79,9 +79,7 @@ class NashResult:
 def _certify(allocation, profile: Sequence[Utility],
              rates: np.ndarray) -> float:
     """Max unilateral gain over all users (equilibrium certificate)."""
-    gains = [utility_improvement(allocation, u, rates, i)
-             for i, u in enumerate(profile)]
-    return float(max(gains))
+    return float(max(utility_improvements(allocation, profile, rates)))
 
 
 def _package(allocation, profile: Sequence[Utility], rates: np.ndarray,

@@ -7,7 +7,13 @@ spent and the batched grid calls it made.  The counts go to the
 :data:`COUNTERS`; ``greedwork run`` prints their totals on the
 ``[solver]`` stderr line, never in experiment stdout, so a solver
 change that alters how often it evaluates leaves the paper output
-alone.  The module also owns the switch between the vectorized grid
+alone.  Counts are per user: ``objective_evals`` and
+``congestion_evals`` count candidate points scored, and
+``grid_calls`` counts grid-zoom rounds (scan included) each user's
+best response took.  A simultaneous best-response round batches all
+N users into one evaluator call per zoom round, yet still adds each
+user's own rounds and points — the same totals as N separate best
+responses.  The module also owns the switch between the vectorized grid
 evaluation core and the legacy scalar scan, so the two can be
 A/B-timed on the same box (``benchmarks/bench_solver.py``) and the
 scalar path stays available as a correctness oracle.

@@ -7,13 +7,18 @@ several local maxima, and it can diverge to ``-inf`` near the capacity
 boundary.  The helpers here therefore combine golden-section search with
 a coarse multistart scan, and treat non-finite objective values as
 ``-inf`` rather than propagating exceptions.
+
+The vectorized path replaces golden-section search with a batched grid
+zoom, :func:`grid_maximize_rows`, which maximizes many independent
+objectives at once — one row each, as in a simultaneous best-response
+round — and whose one-row case is :func:`grid_multistart_maximize`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +27,10 @@ INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
 
 #: A batched objective: maps an array of candidates to their values.
 GridFunc = Callable[[np.ndarray], np.ndarray]
+
+#: A row-wise batched objective: ``(B, K)`` candidates -> ``(B, K)``
+#: values, row ``b`` scored by the ``b``-th of ``B`` objectives.
+RowFunc = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -106,71 +115,123 @@ def maximize_scalar(func: Callable[[float], float], lo: float, hi: float,
     return golden_section_max(func, lo, hi, tol=tol)
 
 
-def _safe_grid(grid_func: GridFunc, xs: np.ndarray) -> np.ndarray:
-    """Evaluate a batch, mapping NaNs (and exceptions) to ``-inf``."""
-    try:
-        ys = np.asarray(grid_func(xs), dtype=float)
-    except (OverflowError, ZeroDivisionError, ValueError,
-            FloatingPointError):
-        return np.full(xs.shape, -math.inf)
-    if ys.shape != xs.shape:
-        raise ValueError(
-            f"grid objective returned shape {ys.shape} for {xs.shape}")
-    return np.where(np.isnan(ys), -math.inf, ys)
-
-
 #: Points per refinement round of the batched zoom (bracket shrinks by
 #: ``2 / (GRID_REFINE_POINTS - 1)`` = 16x per round).
 GRID_REFINE_POINTS = 33
 
+_LAST = GRID_REFINE_POINTS - 1
+_POSITIONS = np.arange(GRID_REFINE_POINTS)
+_RAMP = _POSITIONS.astype(float)
+#: Per argmax position of a round: itself and the two neighbours that
+#: bracket it (clamped to the grid).
+_PICKS = np.stack((_POSITIONS, np.maximum(_POSITIONS - 1, 0),
+                   np.minimum(_POSITIONS + 1, _LAST)), axis=1)
 
-def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
-                             n_scan: int = 33,
-                             tol: float = 1e-10) -> ScalarMaxResult:
-    """Batched scan + iterative grid-zoom maximization.
 
-    The vectorized counterpart of :func:`multistart_maximize`: one grid
-    call evaluates the coarse scan, then each refinement round
-    evaluates :data:`GRID_REFINE_POINTS` points across the bracket
-    around the incumbent and shrinks the bracket 16x, until its width
-    falls under ``tol``.  Golden-section search is inherently
-    sequential (~45 scalar calls at ``tol=1e-11``); the zoom replaces
-    it with ~8 batched rounds, which is what lets a vectorized
-    ``congestion_grid`` pay off end to end.  The argmax agrees with
-    the scalar path to within ``tol`` (both land inside the same
-    final bracket).
+def _safe_rows(row_func: RowFunc, xs: np.ndarray) -> np.ndarray:
+    """Evaluate a row batch, mapping NaNs to ``-inf``."""
+    ys = np.asarray(row_func(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(
+            f"grid objective returned shape {ys.shape} for {xs.shape}")
+    return np.fmax(ys, -math.inf)       # NaN -> -inf, all else kept
+
+
+def grid_maximize_rows(row_func: RowFunc, n_rows: int, lo: float,
+                       hi: float, n_scan: int = 33,
+                       tol: float = 1e-10) -> List[ScalarMaxResult]:
+    """Scan + grid zoom for ``n_rows`` objectives at once, one row each.
+
+    ``row_func`` maps a ``(n_rows, K)`` candidate array to the values
+    of objective ``b`` along row ``b``.  Every row scans the same
+    ``n_scan``-point grid on ``[lo, hi]`` (built once), then zooms on
+    its own bracket: each round scores :data:`GRID_REFINE_POINTS`
+    points across the bracket around the row's incumbent and shrinks
+    it 16x, until its width falls under ``tol`` or stops shrinking
+    (the float resolution floor).  A row that has stopped keeps its
+    incumbent and counts while the others go on; the call returns once
+    every row has stopped.  Each row does exactly the arithmetic of a
+    lone zoom — refinement grids use numpy's ``linspace`` formula
+    (``arange(K) * step + left``, last point ``right``) row by row —
+    so a row's result does not depend on the other rows.  Exceptions
+    from ``row_func`` propagate; NaNs count as ``-inf``.
     """
     if n_scan < 3:
         raise ValueError("n_scan must be at least 3")
     if hi < lo:
         lo, hi = hi, lo
-    xs = np.linspace(lo, hi, n_scan)
-    ys = _safe_grid(grid_func, xs)
-    evals = n_scan
-    calls = 1
-    best = int(np.argmax(ys))
-    best_x = float(xs[best])
-    best_y = float(ys[best])
-    left = float(xs[max(best - 1, 0)])
-    right = float(xs[min(best + 1, n_scan - 1)])
+    scan = np.linspace(lo, hi, n_scan)
+    ys = _safe_rows(row_func, scan[None, :].repeat(n_rows, axis=0))
+    best = ys.argmax(axis=1)
+    left = scan[np.maximum(best - 1, 0)]
+    right = scan[np.minimum(best + 1, n_scan - 1)]
     width = right - left
-    while width > tol:
-        xs = np.linspace(left, right, GRID_REFINE_POINTS)
-        ys = _safe_grid(grid_func, xs)
-        evals += GRID_REFINE_POINTS
-        calls += 1
-        best = int(np.argmax(ys))
-        if float(ys[best]) > best_y:
-            best_x = float(xs[best])
-            best_y = float(ys[best])
-        left = float(xs[max(best - 1, 0)])
-        right = float(xs[min(best + 1, GRID_REFINE_POINTS - 1)])
+    # Each round's best point per row, and which rows were still live.
+    tops = [ys.max(axis=1)]
+    x_tops = [scan[best]]
+    live = [np.ones(n_rows, dtype=bool)]
+    active = width > tol
+    row_start = np.arange(0, n_rows * GRID_REFINE_POINTS,
+                          GRID_REFINE_POINTS)[:, None]
+    while active.any():
+        # np.linspace(left, right, K) row by row; array endpoints would
+        # switch every row to another formula once any step is 0.
+        xs = np.multiply.outer(width / _LAST, _RAMP)
+        xs += left[:, None]
+        xs[:, _LAST] = right
+        ys = _safe_rows(row_func, xs)
+        at = _PICKS.take(ys.argmax(axis=1), axis=0)
+        at += row_start
+        got = xs.take(at)
+        tops.append(ys.take(at[:, 0]))
+        x_tops.append(got[:, 0])
+        live.append(active)
+        # A stopped row's bracket still moves; its rounds no longer count.
+        left, right = got[:, 1], got[:, 2]
         new_width = right - left
-        if new_width >= width:       # float resolution floor
-            break
+        active = active & (new_width < width) & (new_width > tol)
         width = new_width
-    return ScalarMaxResult(x=best_x, value=best_y, evaluations=evals,
-                           grid_calls=calls)
+    # Rows improve only on a strictly better round, so each keeps the
+    # first best of its live rounds.
+    rows = np.arange(n_rows)
+    live = np.array(live)
+    scores = np.where(live, tops, -math.inf)
+    first = scores.argmax(axis=0)
+    best_x = np.array(x_tops)[first, rows]
+    best_y = scores[first, rows]
+    calls = live.sum(axis=0)
+    return [ScalarMaxResult(x=x, value=y,
+                            evaluations=n_scan + GRID_REFINE_POINTS * (c - 1),
+                            grid_calls=c)
+            for x, y, c in zip(best_x.tolist(), best_y.tolist(),
+                               calls.tolist())]
+
+
+def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
+                             n_scan: int = 33,
+                             tol: float = 1e-10) -> ScalarMaxResult:
+    """Batched scan + iterative grid-zoom maximization of one objective.
+
+    The vectorized counterpart of :func:`multistart_maximize` and the
+    one-row case of :func:`grid_maximize_rows`: one grid call evaluates
+    the coarse scan, then each refinement round evaluates
+    :data:`GRID_REFINE_POINTS` points across the bracket around the
+    incumbent and shrinks the bracket 16x, until its width falls under
+    ``tol``.  Golden-section search is inherently sequential (~45
+    scalar calls at ``tol=1e-11``); the zoom replaces it with ~9
+    batched rounds.  The argmax agrees with the scalar path to within
+    ``tol`` (both land inside the same final bracket).  A grid call
+    that raises an arithmetic error scores its whole round ``-inf``.
+    """
+    def row(xs: np.ndarray) -> np.ndarray:
+        try:
+            ys = grid_func(xs[0])
+        except (OverflowError, ZeroDivisionError, ValueError,
+                FloatingPointError):
+            return np.full(xs.shape, -math.inf)
+        return np.asarray(ys, dtype=float)[None, :]
+
+    return grid_maximize_rows(row, 1, lo, hi, n_scan=n_scan, tol=tol)[0]
 
 
 def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,

@@ -23,6 +23,7 @@ from repro.users.families import (
     PowerUtility,
     QuadraticUtility,
     ThresholdUtility,
+    value_grid_rows,
 )
 from repro.users.profiles import (
     lemma5_profile,
@@ -43,6 +44,7 @@ __all__ = [
     "QuadraticUtility",
     "ThresholdUtility",
     "MonotoneTransformedUtility",
+    "value_grid_rows",
     "lemma5_profile",
     "random_linear_profile",
     "random_exponential_profile",

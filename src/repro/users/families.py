@@ -24,11 +24,25 @@ reading is therefore concave (see
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from repro.users.utility import Utility
+
+#: Row-wise utility values: ``(X, C) -> Y`` over ``(B, K)`` arrays.
+RowValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _linear_values(a: Union[float, np.ndarray],
+                   gamma: Union[float, np.ndarray],
+                   r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a r - gamma c``, ``-inf`` where ``c`` is infinite.
+
+    The one formula behind :meth:`LinearUtility.value_grid` (scalar
+    parameters) and :func:`value_grid_rows` (parameter columns).
+    """
+    return np.where(np.isinf(c), -math.inf, a * r - gamma * c)
 
 
 class LinearUtility(Utility):
@@ -53,9 +67,9 @@ class LinearUtility(Utility):
         return self.a * r - self.gamma * c
 
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        return np.where(np.isinf(c), -math.inf, self.a * r - self.gamma * c)
+        return _linear_values(self.a, self.gamma,
+                              np.asarray(rs, dtype=float),
+                              np.asarray(cs, dtype=float))
 
     def du_dr(self, r: float, c: float) -> float:
         return self.a
@@ -393,3 +407,28 @@ class MonotoneTransformedUtility(Utility):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MonotoneTransformedUtility({self.base!r})"
+
+
+def value_grid_rows(utilities: Sequence[Utility]) -> RowValues:
+    """Score row ``k`` of ``(X, C)`` with ``utilities[k]``, all rows at once.
+
+    The returned callable maps aligned ``(B, K)`` rate and congestion
+    arrays to ``Y`` with ``Y[k] = utilities[k].value_grid(X[k], C[k])``
+    bit for bit.  A profile of plain :class:`LinearUtility` users is
+    one pass with ``a`` and ``gamma`` as columns; any other profile
+    stacks each row's own ``value_grid``.
+    """
+    if all(type(u) is LinearUtility for u in utilities):
+        a = np.array([u.a for u in utilities])[:, None]
+        gamma = np.array([u.gamma for u in utilities])[:, None]
+
+        def linear(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+            return _linear_values(a, gamma, xs, cs)
+
+        return linear
+
+    def stacked(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+        return np.stack([u.value_grid(x, c)
+                         for u, x, c in zip(utilities, xs, cs)])
+
+    return stacked

@@ -92,16 +92,32 @@ class TestCongestionGridMatchesScalar:
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_grid_evaluator_matches_scalar_loop(self, name):
-        # The reusable evaluator (opponent precomputation hoisted)
-        # must agree with a fresh congestion_grid call per batch.
+        # The reusable multi-user evaluator (opponent precomputation
+        # hoisted) must agree with the scalar loop on every row.
         allocation = make_discipline(name)
         rates = np.array([0.3, 0.2, 0.1])
-        evaluate = allocation.grid_evaluator(rates, 1)
+        users = [1, 0, 2]
+        evaluate = allocation.grid_evaluator(rates, users)
         for xs in (np.linspace(0.05, 0.4, 9),
                    np.linspace(0.01, 1.2, 7),
                    np.array([0.1, 0.3])):      # exact opponent ties
-            assert_matches(evaluate(xs),
-                           scalar_grid(allocation, rates, 1, xs))
+            rows = evaluate(np.tile(xs, (len(users), 1)))
+            for b, i in enumerate(users):
+                assert_matches(rows[b], scalar_grid(allocation, rates, i, xs))
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_grid_evaluator_rows_equal_congestion_grid(self, name, n):
+        # Row b of a multi-user call is bit-identical to the one-user
+        # congestion_grid of users[b], whatever the other rows hold.
+        allocation = make_discipline(name)
+        for rates in seeded_profiles(n):
+            users = list(range(n))[::-1]
+            grids = np.stack([candidate_rates(rates, i)[:20] for i in users])
+            rows = allocation.grid_evaluator(rates, users)(grids)
+            for b, i in enumerate(users):
+                assert np.array_equal(
+                    rows[b], allocation.congestion_grid(rates, i, grids[b]))
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_grid_ignores_own_stale_rate(self, name):
@@ -138,13 +154,15 @@ class TestSubsystemBatching:
             assert_matches(allocation.congestion_grid(free, i, xs),
                            scalar_grid(allocation, free, i, xs))
 
-    @pytest.mark.parametrize("name", ["fair-share", "fifo"])
+    @pytest.mark.parametrize("name", ["fair-share", "fifo", "priority"])
     def test_subsystem_grid_evaluator(self, name):
         allocation = make_discipline(name).subsystem({0: 0.15, 2: 0.1})
         free = np.array([0.2, 0.3])
-        evaluate = allocation.grid_evaluator(free, 0)
+        evaluate = allocation.grid_evaluator(free, [0, 1])
         xs = np.linspace(1e-6, 0.6, 13)
-        assert_matches(evaluate(xs), scalar_grid(allocation, free, 0, xs))
+        rows = evaluate(np.tile(xs, (2, 1)))
+        for i in range(free.size):
+            assert_matches(rows[i], scalar_grid(allocation, free, i, xs))
 
     @pytest.mark.parametrize("name", ["fair-share", "fifo"])
     def test_subsystem_many_equals_row_loop(self, name):

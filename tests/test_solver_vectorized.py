@@ -1,8 +1,11 @@
 """The vectorized solver core: grid path, counters, and the off switch.
 
-Covers the batched ``grid_multistart_maximize`` zoom, the
-vectorized-vs-scalar agreement of ``best_response``/``solve_nash``,
-the :mod:`repro.numerics.instrumentation` counters, the curve-less
+Covers the batched grid zoom (``grid_maximize_rows`` and its one-row
+case ``grid_multistart_maximize``), the batched best-response map and
+certificate (bit-identical to the per-user calls, pinned by float.hex
+goldens), the vectorized-vs-scalar agreement of
+``best_response``/``solve_nash`` (also on generated profiles), the
+:mod:`repro.numerics.instrumentation` counters, the curve-less
 ``_default_rate_cap`` fallback, and the guard that flipping the
 vectorization switch leaves the ``table1`` report byte-identical.
 """
@@ -11,13 +14,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disciplines.fair_share import FairShareAllocation
+from repro.disciplines.registry import make_discipline
 from repro.experiments import registry as experiment_registry
 from repro.experiments.base import ExperimentReport
 from repro.game.best_response import (
     best_response,
+    best_response_map,
     utility_improvement,
+    utility_improvements,
 )
 from repro.game.nash import solve_nash
 from repro.numerics import instrumentation
@@ -27,12 +35,15 @@ from repro.numerics.instrumentation import (
     vectorized,
 )
 from repro.numerics.optimize import (
+    GRID_REFINE_POINTS,
     ScalarMaxResult,
+    grid_maximize_rows,
     grid_multistart_maximize,
     multistart_maximize,
 )
 import repro.obs as obs
-from repro.users.families import LinearUtility, PowerUtility
+from repro.users.families import (LinearUtility, PowerUtility,
+                                  value_grid_rows)
 
 
 @pytest.fixture
@@ -302,3 +313,260 @@ class TestTable1StdoutGuard:
         finally:
             set_vectorized(None)
         assert on == off
+
+
+def _counts(scope):
+    return [scope.get(f"solver.{name}") for name in
+            instrumentation.COUNTERS]
+
+
+def _in_mode(mode, func, *args, **kwargs):
+    """``func(*args, **kwargs)`` under one solver-vectorization mode."""
+    set_vectorized(mode)
+    try:
+        return func(*args, **kwargs)
+    finally:
+        set_vectorized(None)
+
+
+class TestGridMaximizeRows:
+    OBJECTIVES = (
+        lambda xs: -(xs - 0.3) ** 2,
+        lambda xs: np.sin(3.0 * xs) - 0.2 * xs,
+        lambda xs: np.where(xs > 0.5, np.nan, xs),
+        lambda xs: np.full(xs.shape, -np.inf),
+        lambda xs: np.round(-(xs - 0.7) ** 2, 9),      # plateau top
+    )
+
+    def test_each_row_equals_its_one_row_call(self):
+        funcs = self.OBJECTIVES
+
+        def rows(xs):
+            return np.stack([f(x) for f, x in zip(funcs, xs)])
+
+        batched = grid_maximize_rows(rows, len(funcs), 0.0, 2.0,
+                                     n_scan=65, tol=1e-11)
+        for func, row in zip(funcs, batched):
+            alone = grid_multistart_maximize(func, 0.0, 2.0, n_scan=65,
+                                             tol=1e-11)
+            assert float(row.x).hex() == float(alone.x).hex()
+            assert float(row.value).hex() == float(alone.value).hex()
+            assert row.evaluations == alone.evaluations
+            assert row.grid_calls == alone.grid_calls
+
+    def test_stopped_rows_stay_frozen(self):
+        # Row 0 is flat, so its bracket hugs the left edge, shrinks 32x a
+        # round and stops before row 1.  Once it has stopped its
+        # objective turns strictly better: a frozen row must not see it.
+        alone = grid_multistart_maximize(lambda xs: np.zeros(xs.shape),
+                                         0.0, 1.0)
+        calls = []
+
+        def rows(xs):
+            calls.append(None)
+            late = 1.0 if len(calls) > alone.grid_calls else 0.0
+            return np.stack([np.full(xs.shape[1], late),
+                             -(xs[1] - 0.6) ** 2])
+
+        flat, peaked = grid_maximize_rows(rows, 2, 0.0, 1.0)
+        assert len(calls) == peaked.grid_calls > alone.grid_calls
+        assert (flat.x, flat.value, flat.evaluations, flat.grid_calls) == \
+            (alone.x, alone.value, alone.evaluations, alone.grid_calls)
+        assert flat.evaluations == \
+            33 + GRID_REFINE_POINTS * (flat.grid_calls - 1)
+        assert flat.x == 0.0                 # first point of a flat top
+        assert peaked.x == pytest.approx(0.6, abs=1e-8)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            grid_maximize_rows(lambda xs: xs[:, :-1], 2, 0.0, 1.0)
+
+
+class TestRowValues:
+    XS = np.array([[0.1, 0.2, 0.3], [0.05, 0.5, 0.9]])
+    CS = np.array([[0.2, np.inf, 0.1], [1.0, 0.3, np.inf]])
+
+    @pytest.mark.parametrize("profile", [
+        [LinearUtility(gamma=0.3), LinearUtility(gamma=0.7, a=1.5)],
+        [LinearUtility(gamma=0.3), PowerUtility(gamma=0.6, p=0.5)],
+    ], ids=["linear", "mixed"])
+    def test_rows_equal_value_grid(self, profile):
+        rows = value_grid_rows(profile)(self.XS, self.CS)
+        for k, utility in enumerate(profile):
+            assert np.array_equal(
+                rows[k], utility.value_grid(self.XS[k], self.CS[k]))
+
+
+def _profiles(min_users=2, max_users=5):
+    """Generated (rates, utilities) pairs: linear or power tastes."""
+    def build(draw):
+        n, gammas, kind, load = draw
+        rates = np.asarray(gammas[:n]) / np.sum(gammas[:n]) * load
+        if kind == "linear":
+            utilities = [LinearUtility(gamma=g) for g in gammas[:n]]
+        else:
+            utilities = [PowerUtility(gamma=g, p=0.5, q=1.0)
+                         for g in gammas[:n]]
+        return rates, utilities
+
+    return st.tuples(
+        st.integers(min_users, max_users),
+        st.lists(st.floats(0.1, 0.9), min_size=max_users,
+                 max_size=max_users),
+        st.sampled_from(["linear", "power"]),
+        st.floats(0.1, 0.9)).map(build)
+
+
+def _batched_alloc(name):
+    if name == "subsystem":
+        return make_discipline("fair-share").subsystem({0: 0.05})
+    return make_discipline(name)
+
+
+class TestBatchedMapIsPerUser:
+    """The batched map and certificate equal the per-user calls."""
+
+    @given(case=_profiles(),
+           name=st.sampled_from(["fair-share", "fifo", "separable",
+                                 "priority", "subsystem"]))
+    @settings(max_examples=25, deadline=None)
+    def test_map_equals_best_responses_bitwise(self, case, name):
+        rates, profile = case
+        allocation = _batched_alloc(name)
+        set_vectorized(True)
+        try:
+            with obs.Scope() as batched:
+                mapped = best_response_map(allocation, profile, rates)
+            with obs.Scope() as alone:
+                singles = [best_response(allocation, u, rates, i).x
+                           for i, u in enumerate(profile)]
+        finally:
+            set_vectorized(None)
+        assert [float(x).hex() for x in mapped] == \
+            [float(x).hex() for x in singles]
+        assert _counts(batched) == _counts(alone)
+
+    @given(case=_profiles(),
+           name=st.sampled_from(["fair-share", "fifo", "separable"]))
+    @settings(max_examples=15, deadline=None)
+    def test_certificate_equals_improvements_bitwise(self, case, name):
+        rates, profile = case
+        allocation = make_discipline(name)
+        set_vectorized(True)
+        try:
+            with obs.Scope() as batched:
+                gains = utility_improvements(allocation, profile, rates)
+            with obs.Scope() as alone:
+                singles = [utility_improvement(allocation, u, rates, i)
+                           for i, u in enumerate(profile)]
+        finally:
+            set_vectorized(None)
+        assert [float(g).hex() for g in gains] == \
+            [float(g).hex() for g in singles]
+        assert _counts(batched) == _counts(alone)
+
+    def test_failed_batch_recomputes_per_user(self, monkeypatch):
+        fs = FairShareAllocation()
+        profile = [LinearUtility(gamma=g) for g in (0.2, 0.4, 0.6)]
+        rates = np.array([0.1, 0.2, 0.15])
+        expected = _in_mode(True, lambda: [
+            best_response(fs, u, rates, i).x
+            for i, u in enumerate(profile)])
+        original = FairShareAllocation.grid_evaluator
+
+        def one_user_only(self, rates, users):
+            if len(users) > 1:
+                raise TypeError("no multi-user batch")
+            return original(self, rates, users)
+
+        monkeypatch.setattr(FairShareAllocation, "grid_evaluator",
+                            one_user_only)
+        mapped = _in_mode(True, best_response_map, fs, profile, rates)
+        assert [float(x).hex() for x in mapped] == \
+            [float(x).hex() for x in expected]
+
+
+#: ``solve_nash`` outputs at the commit before the batched map, as
+#: float.hex: rates, max_gain, iterations, converged and the solver
+#: counts (objective, congestion, grid calls).  Any drift in a row's
+#: arithmetic moves them.
+NASH_GOLDENS = {
+    "fair-share": (
+        ["0x1.29f5e80367836p-2", "0x1.2c33926c467d4p-3",
+         "0x1.6bdc817bd3118p-4", "0x1.b06d1d123064cp-6"],
+        "0x1.8000000000000p-53", 35, True, [47380, 47380, 1296]),
+    "fifo": (
+        ["0x1.ed00287b1b25fp-2", "0x1.7b02b098d8fd0p-4",
+         "0x1.0c6f7a0b5ed8ep-20", "0x1.0c6f7a0b5ed8ep-20"],
+        "0x1.0000000000000p-53", 103, True, [130136, 130136, 3540]),
+    "separable": (
+        ["0x1.3fffffd41e7c0p+1", "0x1.6db6db77bf5d8p+0",
+         "0x1.ffffffc8b3db8p-1", "0x1.3fffffd2c256ap-1"],
+        "0x1.0000000000000p-53", 33, True, [49236, 49236, 1360]),
+    "priority": (
+        ["0x1.e3779baa97958p-3", "0x1.b06d1d02177bfp-4",
+         "0x1.b06d1d02177bfp-4", "0x1.b06d1d01c74ecp-4"],
+        "0x1.c032e199370a8p-6", 38, True, [51328, 51328, 1404]),
+    "fair-share-mixed": (
+        ["0x1.b84701b5b48dbp-3", "0x1.e7f58ed7626b2p-4",
+         "0x1.e403b33c4db85p-4"],
+        "0x1.8000000000000p-54", 32, True, [32574, 32574, 891]),
+    "fair-share-subsystem": (
+        ["0x1.d793869794c3ep-3", "0x1.be113cc4b9d8cp-4",
+         "0x1.4e85300894eddp-5"],
+        "0x1.0000000000000p-53", 34, True, [34548, 34548, 945]),
+}
+
+
+def _golden_case(label):
+    linear = [LinearUtility(gamma=g) for g in (0.2, 0.35, 0.5, 0.8)]
+    if label == "fair-share-mixed":
+        return make_discipline("fair-share"), [
+            LinearUtility(gamma=0.3), PowerUtility(gamma=0.6, p=0.5),
+            LinearUtility(gamma=0.5, a=1.2)]
+    if label == "fair-share-subsystem":
+        return (make_discipline("fair-share").subsystem({1: 0.12}),
+                [LinearUtility(gamma=g) for g in (0.25, 0.4, 0.7)])
+    return make_discipline(label), linear
+
+
+class TestNashGoldens:
+    @pytest.mark.parametrize("label", sorted(NASH_GOLDENS))
+    def test_solve_nash_bit_identical(self, label, vector_mode):
+        allocation, profile = _golden_case(label)
+        rates, gain, iterations, converged, counts = NASH_GOLDENS[label]
+        with obs.Scope() as scope:
+            result = solve_nash(allocation, profile)
+        assert [float(x).hex() for x in result.rates] == rates
+        assert float(result.max_gain).hex() == gain
+        assert result.iterations == iterations
+        assert result.converged is converged
+        assert _counts(scope) == counts
+
+
+class TestGeneratedVectorScalarContract:
+    """Vectorized and scalar solvers agree on generated profiles."""
+
+    @given(n=st.integers(2, 5),
+           tastes=st.sampled_from(["spread", "jittered", "power"]),
+           jitter=st.lists(st.floats(-0.25, 0.25), min_size=5,
+                           max_size=5),
+           name=st.sampled_from(["fair-share", "fifo", "separable"]))
+    @settings(max_examples=10, deadline=None)
+    def test_solve_nash_modes_agree(self, n, tastes, jitter, name):
+        step = 0.6 / (n - 1)
+        gammas = np.linspace(0.2, 0.8, n)
+        if tastes == "jittered":
+            gammas = gammas + np.asarray(jitter[:n]) * step
+        if tastes == "power":
+            profile = [PowerUtility(gamma=float(g), p=0.5, q=1.0)
+                       for g in gammas]
+        else:
+            profile = [LinearUtility(gamma=float(g)) for g in gammas]
+        allocation = make_discipline(name)
+        fast = _in_mode(True, solve_nash, allocation, profile)
+        slow = _in_mode(False, solve_nash, allocation, profile)
+        assert fast.converged == slow.converged
+        assert fast.is_equilibrium(1e-6) == slow.is_equilibrium(1e-6)
+        np.testing.assert_allclose(fast.rates, slow.rates, rtol=0.0,
+                                   atol=1e-6)
