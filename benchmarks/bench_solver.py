@@ -41,15 +41,13 @@ fair-share Nash solve under five seconds.
 
 import argparse
 import json
-import os
 import pathlib
-import subprocess
 import time
 
 import numpy as np
 import pytest
 
-import repro
+from provenance import provenance
 from repro.disciplines.registry import make_discipline
 from repro.game.best_response import best_response
 from repro.game.classes import solve_nash_classes, solve_nash_classes_fdc
@@ -372,23 +370,6 @@ def measure_class_space(rounds: int = 3):
     return runs
 
 
-def provenance():
-    """Host and code fields stamped on every appended row.
-
-    ``git_rev`` describes the checkout holding the imported ``repro``
-    package, with a ``-dirty`` suffix for uncommitted changes.
-    """
-    try:
-        rev = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            capture_output=True, text=True, check=True, timeout=10,
-            cwd=pathlib.Path(repro.__file__).resolve().parent).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        rev = ""
-    return {"cpu_count": os.cpu_count(), "git_rev": rev or None,
-            "numpy": np.__version__}
-
-
 def append_trajectory(path: str, runs) -> None:
     """Append run records to the ``BENCH_solver.json`` trajectory."""
     document = {"benchmark": "solver-core", "runs": []}
@@ -416,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = measure_solver(rounds=args.rounds)
     runs.extend(measure_class_space(rounds=args.rounds))
-    stamp = provenance()
+    stamp = provenance(numpy=np.__version__)
     for run in runs:
         run.update(stamp)
     header = (f"{'kind':20s} {'discipline':12s} {'n':>5s} "

@@ -13,7 +13,11 @@ appends the rows to ``BENCH_staticcheck.json``::
         -o BENCH_staticcheck.json
 
 Each row carries the file/finding counters next to the wall time so a
-slowdown can be attributed (more files analyzed vs. slower rules).
+slowdown can be attributed (more files analyzed vs. slower rules), and
+where it ran: ``cpu_count`` and the git revision of the measured
+checkout (``git_rev``; ``-dirty`` marks uncommitted changes, ``null``
+outside a git tree), so rows from different hosts or commits are never
+compared by accident.
 """
 
 import argparse
@@ -22,6 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from provenance import provenance
 from repro.staticcheck import run_checks
 
 #: The paths the repo's own CI gates run the suite over.
@@ -63,6 +68,7 @@ def measure_staticcheck(rounds: int = 3):
                     break               # cold timing is one-shot by nature
             row = {"kind": kind, "seconds": round(best, 6)}
             row.update(counters)
+            row.update(provenance())
             runs.append(row)
     return runs
 

@@ -4,6 +4,10 @@ A *rule* inspects one :class:`FileContext` (path, source, parsed AST,
 module name) and yields :class:`Finding` objects.  The runner parses
 ``# greedwork: ignore[...]`` pragmas and drops findings they cover, so
 rules never need to reason about suppression themselves.
+
+Rules read a file's nodes from :attr:`FileContext.nodes`, a
+:class:`NodeIndex` built by one walk of the tree the first time a rule
+asks, instead of walking ``ctx.tree`` themselves.
 """
 
 from __future__ import annotations
@@ -12,13 +16,27 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, List, Optional, Type
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    cast,
+)
 
 #: Sentinel rule id meaning "every rule" in a suppression pragma.
 ALL_RULES = "*"
 
 _PRAGMA = re.compile(
     r"#\s*greedwork:\s*ignore(?:\[(?P<ids>[^\]]*)\])?")
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -85,6 +103,20 @@ class FileContext:
         self.module = module_name_for(path)
         self.display_path = display_path_for(path, project_root)
         self._suppressions = _parse_suppressions(self.lines)
+        self._nodes: Optional[NodeIndex] = None
+
+    @property
+    def nodes(self) -> "NodeIndex":
+        """The file's :class:`NodeIndex`, built on first use."""
+        if self._nodes is None:
+            self._nodes = NodeIndex(self.tree)
+        return self._nodes
+
+    def drop_nodes(self) -> None:
+        """Release the node index; the next use of :attr:`nodes`
+        rebuilds it.  The runner calls this when a file's rules finish,
+        so per-node data never outlives the file phase."""
+        self._nodes = None
 
     def suppressed_ids(self, line: int) -> FrozenSet[str]:
         """Rule ids suppressed on a 1-based source line.
@@ -99,6 +131,105 @@ class FileContext:
         """Whether a pragma on the finding's line covers its rule."""
         ids = self.suppressed_ids(finding.line)
         return ALL_RULES in ids or finding.rule_id in ids
+
+
+def walk_nodes(root: ast.AST) -> List[ast.AST]:
+    """Every node under ``root`` (itself included), in ``ast.walk`` order.
+
+    Breadth-first like :func:`ast.walk`, with the children of each node
+    in field order, but built as one list without a generator per node,
+    in about half the time of ``list(ast.walk(root))``.
+    """
+    nodes = [root]
+    append = nodes.append
+    node_type = ast.AST
+    for node in nodes:
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if value.__class__ is list:
+                for item in value:
+                    if isinstance(item, node_type):
+                        append(item)
+            elif isinstance(value, node_type):
+                append(value)
+    return nodes
+
+
+class NodeIndex:
+    """The nodes of one parsed file, grouped by type, from one walk.
+
+    :meth:`of` lists the nodes of the given concrete node classes in
+    ``ast.walk`` order; :meth:`parent` builds child-to-parent links the
+    first time any rule asks for one; :meth:`shared` computes a
+    derived structure once for every rule that reads it.  Node lists
+    are shared between callers and must not be mutated.
+    """
+
+    def __init__(self, tree: Optional[ast.AST]) -> None:
+        self.tree = tree
+        #: Every node in ``ast.walk`` order.
+        self.walk_order: List[ast.AST] = walk_nodes(tree) \
+            if tree is not None else []
+        by_type: Dict[type, List[ast.AST]] = {}
+        for node in self.walk_order:
+            bucket = by_type.get(node.__class__)
+            if bucket is None:
+                by_type[node.__class__] = [node]
+            else:
+                bucket.append(node)
+        self._by_type = by_type
+        self._merged: Dict[Tuple[type, ...], List[ast.AST]] = {}
+        self._parents: Optional[Dict[int, ast.AST]] = None
+        self._shared: Dict[Callable[["NodeIndex"], object], object] = {}
+
+    def of(self, *types: type) -> Sequence[ast.AST]:
+        """Nodes whose class is one of ``types``, in ``ast.walk`` order."""
+        present = [t for t in types if t in self._by_type]
+        if len(present) == 1:
+            return self._by_type[present[0]]
+        if not present:
+            return ()
+        merged = self._merged.get(types)
+        if merged is None:
+            wanted = frozenset(present)
+            merged = [node for node in self.walk_order
+                      if node.__class__ in wanted]
+            self._merged[types] = merged
+        return merged
+
+    def scopes(self) -> List[ast.AST]:
+        """The module, then every function and method in walk order."""
+        if self.tree is None:
+            return []
+        return [self.tree,
+                *self.of(ast.FunctionDef, ast.AsyncFunctionDef)]
+
+    def parent(self, node: ast.AST) -> Optional[ast.AST]:
+        """The parent of ``node`` (``None`` for the root).
+
+        The shared context and operator nodes (``ast.Load()``,
+        ``ast.Add()``, ...) get the last of their parents in walk order.
+        """
+        if self._parents is None:
+            parents: Dict[int, ast.AST] = {}
+            for owner in self.walk_order:
+                for child in ast.iter_child_nodes(owner):
+                    parents[id(child)] = owner
+            self._parents = parents
+        return self._parents.get(id(node))
+
+    def shared(self, build: Callable[["NodeIndex"], _T]) -> _T:
+        """``build(self)``, computed once per index for every caller.
+
+        Lets several rules share one derived structure (GW201 and
+        GW202 share their per-scope guard indexes); it is dropped with
+        the index.  The result must not refer back to the index: the
+        runner pauses the cyclic garbage collector, so a cycle would
+        outlive the file.
+        """
+        if build not in self._shared:
+            self._shared[build] = build(self)
+        return cast(_T, self._shared[build])
 
 
 def module_name_for(path: Path) -> Optional[str]:

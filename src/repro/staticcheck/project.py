@@ -41,9 +41,18 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.staticcheck.core import FileContext
+from repro.staticcheck.core import FileContext, walk_nodes
 
 #: Directories under the project root that are scanned for *references*
 #: even when the user only asked to check a subset of the tree.
@@ -152,6 +161,14 @@ class FunctionSummary:
     global_writes: Dict[str, ast.AST] = field(default_factory=dict)
 
 
+class _FunctionTables(NamedTuple):
+    """What :func:`_scan_function` yields for every function, by key."""
+
+    call_graph: Dict[str, Set[str]]
+    summaries: Dict[str, FunctionSummary]
+    worker_entries: Dict[str, str]
+
+
 class ModuleInfo:
     """Per-file slice of the project: symbols and imports."""
 
@@ -173,7 +190,9 @@ class ModuleInfo:
     def _index(self, tree: ast.Module) -> None:
         for node in tree.body:
             self._index_toplevel(node)
-        for node in ast.walk(tree):
+        # Walk order matters: a later import of a name overrides an
+        # earlier one in ``aliases``.
+        for node in _statements(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 self._index_import(node)
 
@@ -295,11 +314,9 @@ class ProjectContext:
             info.module: info for info in self.infos
             if info.module is not None}
         self._analyzed_paths = {ctx.display_path for ctx in self.analyzed}
-        self._call_graph: Optional[Dict[str, Set[str]]] = None
+        self._functions: Optional[_FunctionTables] = None
         self._class_states: Dict[str, Optional[ClassStateModel]] = {}
-        self._function_summaries: Optional[Dict[str, FunctionSummary]] = None
         self._mutable_globals: Dict[str, Set[str]] = {}
-        self._worker_entries: Optional[Dict[str, str]] = None
         self._worker_reachable: Optional[Dict[str, str]] = None
 
     # -- queries ------------------------------------------------------------
@@ -316,29 +333,28 @@ class ProjectContext:
         ``module:name`` targets where the alias table allows it and
         bare dotted names otherwise.  Built lazily and cached.
         """
-        if self._call_graph is None:
-            self._call_graph = self._build_call_graph()
-        return self._call_graph
+        return self._function_tables().call_graph
 
-    def _build_call_graph(self) -> Dict[str, Set[str]]:
-        graph: Dict[str, Set[str]] = {}
-        for info in self.infos:
-            if info.module is None or info.ctx.tree is None:
-                continue
-            for scope_name, func in _iter_functions(info.ctx.tree):
-                callees: Set[str] = set()
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    dotted = _dotted(node.func)
-                    if not dotted:
-                        continue
-                    resolved = info.resolve_dotted(dotted)
-                    if resolved is None and dotted in info.symbols:
-                        resolved = f"{info.module}:{dotted}"
-                    callees.add(resolved or dotted)
-                graph[f"{info.module}:{scope_name}"] = callees
-        return graph
+    def _function_tables(self) -> _FunctionTables:
+        """The call graph, the function summaries and the worker entry
+        points, built together from one walk per function on first use.
+        """
+        if self._functions is None:
+            graph: Dict[str, Set[str]] = {}
+            summaries: Dict[str, FunctionSummary] = {}
+            entries: Dict[str, str] = {}
+            for info in self.infos:
+                if info.module is None or info.ctx.tree is None:
+                    continue
+                for qual, func in _iter_functions(info.ctx.tree):
+                    key = f"{info.module}:{qual}"
+                    summaries[key], graph[key], targets = \
+                        _scan_function(key, info, func)
+                    for target in targets:
+                        entries.setdefault(self._normalize_target(target),
+                                           key)
+            self._functions = _FunctionTables(graph, summaries, entries)
+        return self._functions
 
     def subclasses_of(self, module: str, class_name: str) -> List[Symbol]:
         """Transitive subclasses of ``module:class_name`` project-wide."""
@@ -414,16 +430,7 @@ class ProjectContext:
     @property
     def function_summaries(self) -> Dict[str, FunctionSummary]:
         """``module:qualname`` -> module-state purity summary."""
-        if self._function_summaries is None:
-            out: Dict[str, FunctionSummary] = {}
-            for info in self.infos:
-                if info.module is None or info.ctx.tree is None:
-                    continue
-                for qual, func in _iter_functions(info.ctx.tree):
-                    key = f"{info.module}:{qual}"
-                    out[key] = _build_function_summary(key, info, func)
-            self._function_summaries = out
-        return self._function_summaries
+        return self._function_tables().summaries
 
     def module_mutable_globals(self, module: str) -> Set[str]:
         """Module-level names some function in ``module`` writes.
@@ -448,18 +455,7 @@ class ProjectContext:
         receivers constructed from ``multiprocessing.Pool``,
         ``ProcessPoolExecutor`` or :class:`repro.parallel.WorkerPool`.
         """
-        if self._worker_entries is None:
-            entries: Dict[str, str] = {}
-            for info in self.infos:
-                if info.module is None or info.ctx.tree is None:
-                    continue
-                for qual, func in _iter_functions(info.ctx.tree):
-                    for target in _pool_dispatch_targets(info, func):
-                        resolved = self._normalize_target(target)
-                        entries.setdefault(resolved,
-                                           f"{info.module}:{qual}")
-            self._worker_entries = entries
-        return self._worker_entries
+        return self._function_tables().worker_entries
 
     def reachable_from_workers(self) -> Dict[str, str]:
         """Functions transitively callable inside pool workers.
@@ -551,6 +547,29 @@ def _target_names(target: ast.expr) -> Iterable[Tuple[str, ast.expr]]:
             yield from _target_names(element)
     elif isinstance(target, ast.Starred):
         yield from _target_names(target.value)
+
+
+#: Nodes whose list fields hold statements: statements themselves,
+#: ``except`` handlers and ``match`` cases (Python 3.10 and later).
+_STATEMENT_HOLDERS: Tuple[type, ...] = (ast.stmt, ast.excepthandler) + (
+    (ast.match_case,) if hasattr(ast, "match_case") else ())
+
+
+def _statements(tree: ast.Module) -> List[ast.AST]:
+    """The module's statements (and handlers and cases), in walk order.
+
+    Statements sit only in the list fields of these nodes, so following
+    those fields alone keeps the order of a full :func:`ast.walk`
+    without visiting any expression.
+    """
+    out: List[ast.AST] = [tree]
+    for node in out:
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if value.__class__ is list:
+                out.extend(item for item in value
+                           if isinstance(item, _STATEMENT_HOLDERS))
+    return out
 
 
 def _iter_functions(tree: ast.Module
@@ -682,31 +701,17 @@ def _merge_base_model(model: ClassStateModel,
             model.whole_self_methods.add(method)
 
 
-def _scope_local_names(func: ast.AST) -> Set[str]:
-    """Names bound locally inside a function (params, stores, loops)."""
-    out: Set[str] = set()
+def _parameter_names(func: ast.AST) -> Set[str]:
     args = func.args
-    for arg in (list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])):
-        out.add(arg.arg)
-    for node in ast.walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            out.add(node.id)
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            for sub in ast.walk(node.target):
-                if isinstance(sub, ast.Name):
-                    out.add(sub.id)
-        elif isinstance(node, ast.withitem) \
-                and node.optional_vars is not None:
-            for sub in ast.walk(node.optional_vars):
-                if isinstance(sub, ast.Name):
-                    out.add(sub.id)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node is not func:
-            out.add(node.name)
-    return out
+    return {arg.arg for arg in (list(args.posonlyargs) + list(args.args)
+                                + list(args.kwonlyargs)
+                                + ([args.vararg] if args.vararg else [])
+                                + ([args.kwarg] if args.kwarg else []))}
+
+
+def _names_under(target: ast.AST) -> Iterable[str]:
+    """Every name in a loop or ``with`` target (``a[i]`` gives both)."""
+    return (sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
 def _expr_root_name(node: ast.AST) -> str:
@@ -717,46 +722,6 @@ def _expr_root_name(node: ast.AST) -> str:
     return ""
 
 
-def _build_function_summary(key: str, info: "ModuleInfo",
-                            func: ast.AST) -> FunctionSummary:
-    summary = FunctionSummary(key=key, module=info.module or "",
-                              node=func)
-    declared_global: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-    local = _scope_local_names(func) - declared_global
-    module_names = info.module_level_names
-    for node in ast.walk(func):
-        if isinstance(node, ast.Global):
-            for name in node.names:
-                if name in module_names:
-                    summary.global_writes.setdefault(name, node)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) \
-                else [node.target]
-            for target in targets:
-                if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    root = _expr_root_name(target)
-                    if root and root not in local \
-                            and root in module_names \
-                            and root not in info.aliases:
-                        summary.global_writes.setdefault(root, node)
-        elif isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in MUTATOR_METHODS:
-            root = _expr_root_name(node.func.value)
-            if root and root not in local and root in module_names \
-                    and root not in info.aliases:
-                summary.global_writes.setdefault(root, node)
-        elif isinstance(node, ast.Name) \
-                and isinstance(node.ctx, ast.Load):
-            if node.id in module_names and node.id not in local \
-                    and node.id not in info.aliases:
-                summary.global_reads.setdefault(node.id, node)
-    return summary
-
-
 def _builds_pool(value: ast.expr) -> bool:
     """Whether ``value`` is ``Pool(...)``-like or ``<expr> or Pool(...)``."""
     if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
@@ -765,33 +730,116 @@ def _builds_pool(value: ast.expr) -> bool:
             and _dotted(value).split(".")[-1] in _POOL_CONSTRUCTORS)
 
 
-def _pool_dispatch_targets(info: "ModuleInfo",
-                           func: ast.AST) -> List[str]:
-    """Resolved ``module:name`` callables this function ships to pools."""
+def _scan_function(key: str, info: "ModuleInfo", func: ast.AST
+                   ) -> Tuple[FunctionSummary, Set[str], List[str]]:
+    """One walk of ``func``: its purity summary, callees and pool targets.
+
+    Returns the :class:`FunctionSummary`, the call-graph callees
+    (resolved ``module:name`` targets where the alias table allows it,
+    bare dotted names otherwise) and the resolved ``module:name``
+    callables the function ships to process pools.  Which names are
+    local is known only after the walk, so the walk collects the
+    candidate nodes, in walk order, and the helpers decide after it.
+    """
+    local = _parameter_names(func)      # params, stores, loop targets...
+    declared_global: Set[str] = set()
+    writes: List[ast.AST] = []          # global, assignments, mutators
+    loads: List[ast.Name] = []
+    callees: Set[str] = set()
     pool_names: Set[str] = set()
-    for node in ast.walk(func):
-        value: Optional[ast.expr] = None
-        bound: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            value, bound = node.value, node.targets[0]
-        elif isinstance(node, ast.withitem):
-            value, bound = node.context_expr, node.optional_vars
-        if value is None or not isinstance(bound, ast.Name):
-            continue
-        if _builds_pool(value):
-            pool_names.add(bound.id)
-    if not pool_names:
-        return []
+    dispatches: List[ast.Call] = []
+    for node in walk_nodes(func):
+        kind = node.__class__
+        if kind is ast.Name:
+            if isinstance(node.ctx, ast.Store):
+                local.add(node.id)
+            elif isinstance(node.ctx, ast.Load):
+                loads.append(node)
+        elif kind is ast.Call:
+            dotted = _dotted(node.func)
+            if dotted:
+                resolved = info.resolve_dotted(dotted)
+                if resolved is None and dotted in info.symbols:
+                    resolved = f"{info.module}:{dotted}"
+                callees.add(resolved or dotted)
+            callee = node.func
+            if isinstance(callee, ast.Attribute):
+                if callee.attr in MUTATOR_METHODS:
+                    writes.append(node)
+                if callee.attr in _POOL_DISPATCH_METHODS \
+                        and isinstance(callee.value, ast.Name) \
+                        and node.args:
+                    dispatches.append(node)
+        elif kind is ast.Assign or kind is ast.AugAssign \
+                or kind is ast.AnnAssign:
+            writes.append(node)
+            if kind is ast.Assign and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name) \
+                    and _builds_pool(node.value):
+                pool_names.add(node.targets[0].id)
+        elif kind is ast.Global:
+            declared_global.update(node.names)
+            writes.append(node)
+        elif kind is ast.For or kind is ast.comprehension:
+            local.update(_names_under(node.target))
+        elif kind is ast.withitem:
+            if node.optional_vars is not None:
+                local.update(_names_under(node.optional_vars))
+                if isinstance(node.optional_vars, ast.Name) \
+                        and _builds_pool(node.context_expr):
+                    pool_names.add(node.optional_vars.id)
+        elif (kind is ast.FunctionDef or kind is ast.AsyncFunctionDef) \
+                and node is not func:
+            local.add(node.name)
+    summary = _summarize(key, info, func, local - declared_global,
+                         writes, loads)
+    targets = _dispatch_targets(info, [
+        call for call in dispatches if call.func.value.id in pool_names])
+    return summary, callees, targets
+
+
+def _summarize(key: str, info: "ModuleInfo", func: ast.AST,
+               local: Set[str], writes: List[ast.AST],
+               loads: List[ast.Name]) -> FunctionSummary:
+    """The purity summary from the candidates :func:`_scan_function`
+    collected; the first write or read of a name in walk order wins."""
+    summary = FunctionSummary(key=key, module=info.module or "",
+                              node=func)
+    module_names = info.module_level_names
+
+    def module_state(root: str) -> bool:
+        return bool(root) and root not in local \
+            and root in module_names and root not in info.aliases
+
+    for node in writes:
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                if name in module_names:
+                    summary.global_writes.setdefault(name, node)
+        elif isinstance(node, ast.Call):
+            root = _expr_root_name(node.func.value)
+            if module_state(root):
+                summary.global_writes.setdefault(root, node)
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                if isinstance(target, (ast.Subscript, ast.Attribute)):
+                    root = _expr_root_name(target)
+                    if module_state(root):
+                        summary.global_writes.setdefault(root, node)
+    for name_node in loads:
+        if module_state(name_node.id):
+            summary.global_reads.setdefault(name_node.id, name_node)
+    return summary
+
+
+def _dispatch_targets(info: "ModuleInfo",
+                      calls: List[ast.Call]) -> List[str]:
+    """Resolved ``module:name`` callables that pool dispatch calls ship."""
     out: List[str] = []
-    for node in ast.walk(func):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _POOL_DISPATCH_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in pool_names
-                and node.args):
-            continue
-        target = node.args[0]
+    for call in calls:
+        target = call.args[0]
         resolved: Optional[str] = None
         if isinstance(target, ast.Name):
             if target.id in info.symbols:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
+from repro.staticcheck.core import FileContext, Finding, NodeIndex, Rule, \
+    register_rule
 
 BASE_CLASS = "AllocationFunction"
 BASE_MODULE_SUFFIX = ".base"
@@ -45,10 +46,14 @@ class _ClassInfo:
     imports: Dict[str, str]      # local name -> dotted source module
 
 
-def _module_imports(tree: ast.AST) -> Dict[str, str]:
-    """Map of names bound by top-level ``from X import Y [as Z]``."""
+def _module_imports(nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Map of names bound by ``from X import Y [as Z]`` among ``nodes``.
+
+    ``nodes`` come in ``ast.walk`` order, so a later import of a name
+    overrides an earlier one.
+    """
     out: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module:
             for alias in node.names:
                 out[alias.asname or alias.name] = node.module
@@ -99,10 +104,10 @@ class DisciplineContractRule(Rule):
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.module is None or ".disciplines." not in f"{ctx.module}.":
             return
-        factories = self._find_factories(ctx.tree)
+        factories = self._find_factories(ctx.nodes)
         if factories is None:
             return
-        imports = _module_imports(ctx.tree)
+        imports = _module_imports(ctx.nodes.of(ast.ImportFrom))
         package_dir = ctx.path.resolve().parent
         for key_node, value_node in zip(factories.keys, factories.values):
             key = (key_node.value
@@ -117,13 +122,13 @@ class DisciplineContractRule(Rule):
     # -- registry parsing --------------------------------------------------
 
     @staticmethod
-    def _find_factories(tree: ast.AST) -> Optional[ast.Dict]:
-        for node in ast.walk(tree):
+    def _find_factories(nodes: NodeIndex) -> Optional[ast.Dict]:
+        for node in nodes.of(ast.Assign, ast.AnnAssign):
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
                 value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            elif node.value is not None:
                 targets = [node.target]
                 value = node.value
             else:
@@ -170,19 +175,11 @@ class DisciplineContractRule(Rule):
 
     def _resolve_class(self, class_name: str, imports: Dict[str, str],
                        package_dir: Path,
-                       local_tree: Optional[ast.AST] = None,
-                       local_path: Optional[Path] = None,
                        ) -> Tuple[Optional[_ClassInfo], Optional[str]]:
         """Find the AST of ``class_name``, following one import hop.
 
         Returns ``(info, error)``; exactly one is non-None.
         """
-        if local_tree is not None:
-            node = _find_class(local_tree, class_name)
-            if node is not None:
-                assert local_path is not None
-                return _ClassInfo(node, local_path,
-                                  _module_imports(local_tree)), None
         source_module = imports.get(class_name)
         if source_module is None:
             return None, (f"cannot resolve {class_name!r}: not defined "
@@ -192,15 +189,18 @@ class DisciplineContractRule(Rule):
             return None, (f"cannot locate module {source_module!r} "
                           f"for {class_name!r}")
         try:
-            tree = ast.parse(module_file.read_text(),
+            tree = ast.parse(module_file.read_text(encoding="utf-8"),
                              filename=str(module_file))
+        except (OSError, UnicodeDecodeError) as exc:
+            return None, f"cannot read {module_file.name}: {exc}"
         except SyntaxError as exc:
             return None, f"cannot parse {module_file.name}: {exc.msg}"
         node = _find_class(tree, class_name)
         if node is None:
             return None, (f"{class_name!r} not found in "
                           f"{source_module!r}")
-        return _ClassInfo(node, module_file, _module_imports(tree)), None
+        return _ClassInfo(node, module_file,
+                          _module_imports(ast.walk(tree))), None
 
     @staticmethod
     def _module_file(dotted: str, package_dir: Path) -> Optional[Path]:
@@ -270,19 +270,19 @@ class DisciplineContractRule(Rule):
                         f"{source!r}")
                 return chain, None
             base_info, error = self._resolve_class(
-                base_name, current.imports, package_dir,
-                local_tree=None, local_path=None)
+                base_name, current.imports, package_dir)
             if base_info is None:
                 # Try the defining module itself for a local base.
                 try:
-                    tree = ast.parse(current.module_path.read_text())
-                except OSError:
+                    tree = ast.parse(current.module_path.read_text(
+                        encoding="utf-8"))
+                except (OSError, UnicodeDecodeError):
                     return chain, error
                 node = _find_class(tree, base_name)
                 if node is None:
                     return chain, error
                 base_info = _ClassInfo(node, current.module_path,
-                                       _module_imports(tree))
+                                       _module_imports(ast.walk(tree)))
             chain.append(base_info)
             current = base_info
         return chain, "inheritance chain too deep (cycle?)"

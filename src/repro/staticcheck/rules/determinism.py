@@ -11,9 +11,9 @@ numeric results.  Both are invisible to tests that only run once.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
-from repro.staticcheck.core import FileContext, Finding, Rule, \
+from repro.staticcheck.core import FileContext, Finding, NodeIndex, Rule, \
     register_rule
 
 #: Inter-event-time draws: these define the simulation's event order
@@ -132,10 +132,9 @@ class VariateContractRule(Rule):
                 or not _in_scope(ctx.module, _ENGINE_PREFIXES) \
                 or ctx.module == _CONTRACT_HOME:
             return
-        loop_draws = self._loop_draws(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call) \
-                    or not isinstance(node.func, ast.Attribute):
+        loop_draws = self._loop_draws(ctx.nodes)
+        for node in ctx.nodes.of(ast.Call):
+            if not isinstance(node.func, ast.Attribute):
                 continue
             method = node.func.attr
             if method in _TRAFFIC_DRAWS:
@@ -152,15 +151,11 @@ class VariateContractRule(Rule):
                     f"count, breaking CRN pairing")
 
     @staticmethod
-    def _loop_draws(tree: ast.Module) -> Set[int]:
+    def _loop_draws(nodes: NodeIndex) -> Set[int]:
         """ids of Call nodes that sit inside a loop body."""
         out: Set[int] = set()
-        loops: List[ast.AST] = [
-            node for node in ast.walk(tree)
-            if isinstance(node, (ast.For, ast.While, ast.ListComp,
-                                 ast.SetComp, ast.DictComp,
-                                 ast.GeneratorExp))]
-        for loop in loops:
+        for loop in nodes.of(ast.For, ast.While, ast.ListComp,
+                             ast.SetComp, ast.DictComp, ast.GeneratorExp):
             bodies: List[ast.AST]
             if isinstance(loop, (ast.For, ast.While)):
                 bodies = list(loop.body)
@@ -230,9 +225,7 @@ class PerEventLoopRule(Rule):
         if ctx.tree is None \
                 or not _in_scope(ctx.module, _ENGINE_PREFIXES):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.For, ast.While)):
-                continue
+        for node in ctx.nodes.of(ast.For, ast.While):
             heap_ops = False
             event_calls = False
             draw_calls = False
@@ -299,11 +292,10 @@ class OrderedAggregationRule(Rule):
         if ctx.tree is None \
                 or not _in_scope(ctx.module, _NUMERIC_PREFIXES):
             return
-        parents = self._parent_map(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes.of(ast.Call, ast.For):
             if isinstance(node, ast.Call):
                 yield from self._check_aggregation(ctx, node)
-                yield from self._check_listing(ctx, node, parents)
+                yield from self._check_listing(ctx, node)
                 yield from self._check_clock(ctx, node)
             elif isinstance(node, ast.For) \
                     and _is_set_expression(node.iter) \
@@ -331,13 +323,12 @@ class OrderedAggregationRule(Rule):
                     f"nondeterministic across runs; iterate "
                     f"sorted(...) instead")
 
-    def _check_listing(self, ctx: FileContext, node: ast.Call,
-                       parents: Dict[int, ast.AST]
-                       ) -> Iterable[Finding]:
+    def _check_listing(self, ctx: FileContext,
+                       node: ast.Call) -> Iterable[Finding]:
         dotted = _call_dotted(node)
         if not dotted or dotted.split(".")[-1] not in _UNSORTED_LISTINGS:
             return
-        parent = parents.get(id(node))
+        parent = ctx.nodes.parent(node)
         if isinstance(parent, ast.Call) \
                 and isinstance(parent.func, ast.Name) \
                 and parent.func.id == "sorted":
@@ -364,11 +355,3 @@ class OrderedAggregationRule(Rule):
                                             ast.Mult)):
                 return True
         return False
-
-    @staticmethod
-    def _parent_map(tree: ast.Module) -> Dict[int, ast.AST]:
-        parents: Dict[int, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                parents[id(child)] = node
-        return parents

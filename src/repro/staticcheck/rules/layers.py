@@ -123,7 +123,7 @@ class LayerDAGRule(Rule):
 
     def _repro_imports(
             self, ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes.of(ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "repro":

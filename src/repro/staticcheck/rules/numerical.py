@@ -39,7 +39,14 @@ import ast
 import re
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
+from repro.staticcheck.core import (
+    FileContext,
+    Finding,
+    NodeIndex,
+    Rule,
+    register_rule,
+    walk_nodes,
+)
 
 #: Callee-name pattern recognized as a feasibility/domain guard.
 GUARD_CALL_RE = re.compile(
@@ -50,6 +57,10 @@ GUARD_CALL_RE = re.compile(
 SAFE_WRAPPERS = frozenset({"abs", "fabs", "maximum", "clip", "hypot"})
 
 _LOG_SQRT = frozenset({"log", "log2", "log10", "sqrt"})
+
+_DIVISIONS = (ast.Div, ast.FloorDiv, ast.Mod)
+
+_NESTED_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names_in(node: ast.AST) -> Set[str]:
@@ -66,8 +77,7 @@ def _scope_statements(scope: ast.AST) -> Iterator[ast.stmt]:
         scope.body if hasattr(scope, "body") else []))
     while stack:
         stmt = stack.pop()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
+        if isinstance(stmt, _NESTED_DEFS):
             continue
         yield stmt
         children = [child for child in ast.iter_child_nodes(stmt)
@@ -75,19 +85,15 @@ def _scope_statements(scope: ast.AST) -> Iterator[ast.stmt]:
         stack.extend(reversed(children))
 
 
-def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _parent_map(scope: ast.AST) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(scope):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
+def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``scope`` exactly once, skipping nested defs."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_NESTED_DEFS, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
 
 
 def _terminates(body: List[ast.stmt]) -> bool:
@@ -99,15 +105,31 @@ class _GuardIndex:
     """Guards of one scope, queryable by (line, dependency names)."""
 
     def __init__(self, scope: ast.AST) -> None:
+        self.scope = scope
         #: (effective line, names the guard constrains)
         self.guards: List[Tuple[int, Set[str]]] = []
         #: name -> names appearing in its most recent assignment
         self.deps: Dict[str, Set[str]] = {}
         #: name -> subtrahend names when bound to a ``1 - x`` expr
         self.pole_aliases: Dict[str, Set[str]] = {}
-        self._parents = _parent_map(scope)
         for stmt in _scope_statements(scope):
             self._index_statement(stmt)
+        # Guard-idiom calls: one walk of each top-level statement covers
+        # every statement ``_scope_statements`` yields.
+        for stmt in scope.body:
+            if isinstance(stmt, _NESTED_DEFS):
+                continue
+            for node in walk_nodes(stmt):
+                if node.__class__ is not ast.Call:
+                    continue
+                callee = _callee_name(node)
+                if callee and GUARD_CALL_RE.search(callee):
+                    arg_names: Set[str] = set()
+                    for arg in list(node.args) + \
+                            [kw.value for kw in node.keywords]:
+                        arg_names |= _names_in(arg)
+                    if arg_names:
+                        self.guards.append((node.lineno, arg_names))
 
     def _index_statement(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
@@ -129,16 +151,6 @@ class _GuardIndex:
                                     _names_in(stmt.test)))
         elif isinstance(stmt, ast.Assert):
             self.guards.append((stmt.lineno, _names_in(stmt.test)))
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                callee = _callee_name(node)
-                if callee and GUARD_CALL_RE.search(callee):
-                    arg_names: Set[str] = set()
-                    for arg in list(node.args) + \
-                            [kw.value for kw in node.keywords]:
-                        arg_names |= _names_in(arg)
-                    if arg_names:
-                        self.guards.append((node.lineno, arg_names))
 
     def expand_deps(self, names: Set[str]) -> Set[str]:
         """Names plus what they were assigned from (two levels)."""
@@ -152,16 +164,19 @@ class _GuardIndex:
             out |= extra
         return out
 
-    def is_guarded(self, node: ast.AST, dep_names: Set[str]) -> bool:
+    def is_guarded(self, node: ast.AST, dep_names: Set[str],
+                   nodes: NodeIndex) -> bool:
         deps = self.expand_deps(dep_names)
         # 1. an earlier terminating guard / assert / guard call
         for line, guard_names in self.guards:
             if node.lineno > line and guard_names & deps:
                 return True
-        # 2. an enclosing conditional mentioning a dependency
+        # 2. an enclosing conditional mentioning a dependency, up to
+        #    the scope itself: a nested def does not inherit the
+        #    conditions around its definition.
         current: Optional[ast.AST] = node
-        while current is not None:
-            parent = self._parents.get(id(current))
+        while current is not None and current is not self.scope:
+            parent = nodes.parent(current)
             if isinstance(parent, (ast.If, ast.While)) \
                     and _names_in(parent.test) & deps:
                 return True
@@ -178,6 +193,41 @@ class _GuardIndex:
         return False
 
 
+class _Scope:
+    """One scope's own division and log/sqrt nodes, and its guards.
+
+    GW201 and GW202 read the same :class:`_Scope` list per file (see
+    :func:`_file_scopes`); the guard index is built the first time
+    either rule needs it.
+    """
+
+    def __init__(self, node: ast.AST) -> None:
+        self.node = node
+        #: ``/``, ``//`` and ``%`` nodes, in :func:`_scope_walk` order
+        self.divisions: List[ast.BinOp] = []
+        #: ``math``/``np`` log and sqrt calls with an argument, likewise
+        self.domain_calls: List[ast.Call] = []
+        for sub in _scope_walk(node):
+            if isinstance(sub, ast.BinOp):
+                if isinstance(sub.op, _DIVISIONS):
+                    self.divisions.append(sub)
+            elif isinstance(sub, ast.Call):
+                if sub.args and _log_sqrt_callee(sub) is not None:
+                    self.domain_calls.append(sub)
+        self._guards: Optional[_GuardIndex] = None
+
+    @property
+    def guards(self) -> _GuardIndex:
+        if self._guards is None:
+            self._guards = _GuardIndex(self.node)
+        return self._guards
+
+
+def _file_scopes(nodes: NodeIndex) -> List[_Scope]:
+    """The module and every function of one file, in walk order."""
+    return [_Scope(scope) for scope in nodes.scopes()]
+
+
 def _callee_name(call: ast.Call) -> Optional[str]:
     func = call.func
     if isinstance(func, ast.Name):
@@ -187,12 +237,26 @@ def _callee_name(call: ast.Call) -> Optional[str]:
     return None
 
 
+def _log_sqrt_callee(call: ast.Call) -> Optional[str]:
+    func = call.func
+    if isinstance(func, ast.Attribute) and func.attr in _LOG_SQRT \
+            and isinstance(func.value, ast.Name) \
+            and func.value.id in ("math", "np", "numpy"):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
+def _is_pole_subtraction(node: ast.BinOp) -> bool:
+    """Whether ``node`` is ``1 - <something>``."""
+    return isinstance(node.op, ast.Sub) \
+        and isinstance(node.left, ast.Constant) \
+        and node.left.value in (1, 1.0)
+
+
 def _pole_subtrahend(node: ast.expr) -> Optional[Set[str]]:
     """Names of ``x`` when ``node`` contains ``1 - x``; else ``None``."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub) \
-                and isinstance(sub.left, ast.Constant) \
-                and sub.left.value in (1, 1.0):
+        if isinstance(sub, ast.BinOp) and _is_pole_subtraction(sub):
             names = _names_in(sub.right)
             if names:
                 return names
@@ -214,17 +278,18 @@ class UnguardedPoleDivisionRule(Rule):
         if ctx.tree is None or ctx.module is None \
                 or not ctx.module.startswith("repro"):
             return
-        for scope in _scopes(ctx.tree):
-            index = _GuardIndex(scope)
-            for node in self._scope_walk(scope):
-                if not (isinstance(node, ast.BinOp)
-                        and isinstance(node.op, (ast.Div, ast.FloorDiv,
-                                                 ast.Mod))):
-                    continue
-                dep_names = self._pole_denominator(node.right, index)
+        nodes = ctx.nodes
+        # Both a direct ``1 - x`` denominator and an alias of one need
+        # a ``1 - x`` somewhere in the file.
+        if not any(_is_pole_subtraction(node)
+                   for node in nodes.of(ast.BinOp)):
+            return
+        for scope in nodes.shared(_file_scopes):
+            for node in scope.divisions:
+                dep_names = self._pole_denominator(node.right, scope)
                 if dep_names is None:
                     continue
-                if index.is_guarded(node, dep_names):
+                if scope.guards.is_guarded(node, dep_names, nodes):
                     continue
                 pretty = ", ".join(sorted(dep_names)) or "?"
                 yield self.finding(
@@ -235,27 +300,15 @@ class UnguardedPoleDivisionRule(Rule):
                     f"g(x)=x/(1-x) diverging at x->1)")
 
     @staticmethod
-    def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-        """Every node of ``scope`` exactly once, skipping nested defs."""
-        stack = list(ast.iter_child_nodes(scope))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
     def _pole_denominator(denominator: ast.expr,
-                          index: _GuardIndex) -> Optional[Set[str]]:
+                          scope: _Scope) -> Optional[Set[str]]:
         subtrahend = _pole_subtrahend(denominator)
         if subtrahend is not None:
             return subtrahend
         for sub in ast.walk(denominator):
             if isinstance(sub, ast.Name) and \
-                    sub.id in index.pole_aliases:
-                return index.pole_aliases[sub.id] | {sub.id}
+                    sub.id in scope.guards.pole_aliases:
+                return scope.guards.pole_aliases[sub.id] | {sub.id}
         return None
 
 
@@ -273,19 +326,17 @@ class UnguardedDomainCallRule(Rule):
         if ctx.tree is None or ctx.module is None \
                 or not ctx.module.startswith("repro"):
             return
-        for scope in _scopes(ctx.tree):
-            index = _GuardIndex(scope)
-            for node in UnguardedPoleDivisionRule._scope_walk(scope):
-                if not isinstance(node, ast.Call):
-                    continue
-                fn = self._log_sqrt_callee(node)
-                if fn is None or not node.args:
-                    continue
-                argument = node.args[0]
-                risky = self._risky_names(argument, index)
+        nodes = ctx.nodes
+        if not any(call.args and _log_sqrt_callee(call) is not None
+                   for call in nodes.of(ast.Call)):
+            return
+        for scope in nodes.shared(_file_scopes):
+            for node in scope.domain_calls:
+                fn = _log_sqrt_callee(node)
+                risky = self._risky_names(node.args[0], scope)
                 if risky is None:
                     continue
-                if index.is_guarded(node, risky):
+                if scope.guards.is_guarded(node, risky, nodes):
                     continue
                 pretty = ", ".join(sorted(risky)) or "?"
                 yield self.finding(
@@ -296,16 +347,8 @@ class UnguardedDomainCallRule(Rule):
                     f"intended semantics")
 
     @staticmethod
-    def _log_sqrt_callee(call: ast.Call) -> Optional[str]:
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in _LOG_SQRT \
-                and isinstance(func.value, ast.Name) \
-                and func.value.id in ("math", "np", "numpy"):
-            return f"{func.value.id}.{func.attr}"
-        return None
-
-    def _risky_names(self, argument: ast.expr,
-                     index: _GuardIndex) -> Optional[Set[str]]:
+    def _risky_names(argument: ast.expr,
+                     scope: _Scope) -> Optional[Set[str]]:
         for sub in ast.walk(argument):
             if isinstance(sub, ast.Call):
                 callee = _callee_name(sub)
@@ -316,6 +359,6 @@ class UnguardedDomainCallRule(Rule):
                 if names:
                     return names
         for name in _names_in(argument):
-            if name in index.pole_aliases:
-                return index.pole_aliases[name] | {name}
+            if name in scope.guards.pole_aliases:
+                return scope.guards.pole_aliases[name] | {name}
         return None

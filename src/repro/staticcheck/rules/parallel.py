@@ -12,6 +12,7 @@ walking the call graph from the pool dispatch sites.
 from __future__ import annotations
 
 import ast
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.staticcheck.core import FileContext, Finding, ProjectRule, \
@@ -128,10 +129,14 @@ class UnpicklableWorkerRule(Rule):
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.tree is None:
             return
-        for func in ast.walk(ctx.tree):
-            if isinstance(func, (ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, func)
+        nodes = ctx.nodes
+        # Most files never build a pool: then no function has a
+        # receiver, and there is nothing to walk.
+        if not any(_pool_bindings(node) for node in chain(
+                nodes.of(ast.Assign), nodes.of(ast.withitem))):
+            return
+        for func in nodes.of(ast.FunctionDef, ast.AsyncFunctionDef):
+            yield from self._check_function(ctx, func)
 
     def _check_function(self, ctx: FileContext,
                         func: ast.AST) -> Iterable[Finding]:
@@ -182,18 +187,7 @@ class UnpicklableWorkerRule(Rule):
     def _pool_receivers(func: ast.AST) -> Set[str]:
         out: Set[str] = set()
         for node in ast.walk(func):
-            value: Optional[ast.AST] = None
-            names: List[str] = []
-            if isinstance(node, ast.Assign):
-                value = node.value
-                names = [t.id for t in node.targets
-                         if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.withitem):
-                value = node.context_expr
-                if isinstance(node.optional_vars, ast.Name):
-                    names = [node.optional_vars.id]
-            if value is not None and names and _builds_pool(value):
-                out.update(names)
+            out.update(_pool_bindings(node))
         return out
 
     @staticmethod
@@ -205,6 +199,22 @@ class UnpicklableWorkerRule(Rule):
                 out.update(t.id for t in node.targets
                            if isinstance(t, ast.Name))
         return out
+
+
+def _pool_bindings(node: ast.AST) -> List[str]:
+    """Names an assignment or ``with`` item binds to a new process pool."""
+    value: Optional[ast.AST] = None
+    names: List[str] = []
+    if isinstance(node, ast.Assign):
+        value = node.value
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.withitem):
+        value = node.context_expr
+        if isinstance(node.optional_vars, ast.Name):
+            names = [node.optional_vars.id]
+    if value is not None and names and _builds_pool(value):
+        return names
+    return []
 
 
 #: Scheduler/orchestrator modules whose async code GW604 audits.
@@ -279,9 +289,8 @@ class BlockingEventLoopRule(Rule):
         if ctx.tree is None \
                 or not _in_scope(ctx.module, _EVENT_LOOP_PREFIXES):
             return
-        for func in ast.walk(ctx.tree):
-            if isinstance(func, ast.AsyncFunctionDef):
-                yield from self._check_async(ctx, func)
+        for func in ctx.nodes.of(ast.AsyncFunctionDef):
+            yield from self._check_async(ctx, func)
 
     def _check_async(self, ctx: FileContext,
                      func: ast.AsyncFunctionDef) -> Iterable[Finding]:

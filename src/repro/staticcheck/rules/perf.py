@@ -33,13 +33,6 @@ from typing import Iterable, Iterator, List, Optional, Set
 from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
 
 
-def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 #: Method names that mutate their receiver in place.
 MUTATOR_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "clear", "add",
@@ -112,7 +105,7 @@ class ScalarCandidateScanRule(Rule):
         if ctx.tree is None or ctx.module is None \
                 or not ctx.module.startswith("repro.game"):
             return
-        for scope in _scopes(ctx.tree):
+        for scope in ctx.nodes.scopes():
             for loop in _loops(scope):
                 written = _stored_names(loop)
                 rebound = self._plain_rebinds(loop)
@@ -198,7 +191,7 @@ class PerUserLoopInClassSpaceRule(Rule):
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         if ctx.tree is None or ctx.module not in CLASS_SPACE_MODULES:
             return
-        for scope in _scopes(ctx.tree):
+        for scope in ctx.nodes.scopes():
             # One report per call, anchored to the outermost loop that
             # contains it (_loops yields outer loops first), so a
             # suppression above the loop covers the whole nest.
@@ -242,9 +235,7 @@ class FixedHorizonSimulateRule(Rule):
         if ctx.tree is None or ctx.module is None \
                 or not ctx.module.startswith("repro.experiments"):
             return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in ctx.nodes.of(ast.Call):
             func = node.func
             name = None
             if isinstance(func, ast.Name):

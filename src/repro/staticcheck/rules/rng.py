@@ -59,10 +59,10 @@ class RNGDisciplineRule(Rule):
                    "Generator parameters or via repro.numerics.default_rng")
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
-        numpy_aliases = self._numpy_aliases(ctx)
-        np_random_aliases, bare_default_rng, bare_legacy = \
-            self._numpy_random_imports(ctx)
-        for node in ast.walk(ctx.tree):
+        nodes = ctx.nodes
+        numpy_aliases, np_random_aliases, bare_default_rng, bare_legacy = \
+            self._numpy_imports(nodes.of(ast.Import, ast.ImportFrom))
+        for node in nodes.of(ast.Import, ast.ImportFrom, ast.Call):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "random":
@@ -124,25 +124,19 @@ class RNGDisciplineRule(Rule):
                 f"use an explicit numpy.random.Generator")
 
     @staticmethod
-    def _numpy_aliases(ctx: FileContext) -> Set[str]:
-        aliases = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        aliases.add(alias.asname or "numpy")
-        return aliases
-
-    @staticmethod
-    def _numpy_random_imports(ctx: FileContext):
-        """Aliases of numpy.random, bare default_rng, bare legacy fns."""
+    def _numpy_imports(imports: Iterable[ast.AST]):
+        """Aliases of numpy and numpy.random, bare default_rng, bare
+        legacy fns."""
+        numpy_aliases: Set[str] = set()
         module_aliases: Set[str] = set()
         bare_default: Set[str] = set()
         bare_legacy: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name == "numpy.random":
+                    if alias.name == "numpy":
+                        numpy_aliases.add(alias.asname or "numpy")
+                    elif alias.name == "numpy.random":
                         module_aliases.add(alias.asname or "numpy.random")
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 if node.module == "numpy":
@@ -155,4 +149,4 @@ class RNGDisciplineRule(Rule):
                             bare_default.add(alias.asname or alias.name)
                         elif alias.name in LEGACY_NP_RANDOM:
                             bare_legacy.add(alias.asname or alias.name)
-        return module_aliases, bare_default, bare_legacy
+        return numpy_aliases, module_aliases, bare_default, bare_legacy

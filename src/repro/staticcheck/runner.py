@@ -17,10 +17,14 @@ The pipeline per invocation:
 
 from __future__ import annotations
 
+import functools
+import gc
 import multiprocessing
 import time
 from pathlib import Path
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -134,18 +138,24 @@ def _parse_error_finding(ctx: FileContext) -> Finding:
 
 def _run_file_rules(ctx: FileContext, rules: Sequence[Rule]
                     ) -> Tuple[List[Finding], List[Finding]]:
-    """(findings, suppressed) of the per-file rules on one context."""
+    """(findings, suppressed) of the per-file rules on one context.
+
+    The context's node index lives only while its rules run.
+    """
     findings: List[Finding] = []
     suppressed: List[Finding] = []
     if ctx.parse_error is not None:
         findings.append(_parse_error_finding(ctx))
         return findings, suppressed
-    for rule in rules:
-        for finding in rule.check(ctx):
-            if ctx.is_suppressed(finding):
-                suppressed.append(finding)
-            else:
-                findings.append(finding)
+    try:
+        for rule in rules:
+            for finding in rule.check(ctx):
+                if ctx.is_suppressed(finding):
+                    suppressed.append(finding)
+                else:
+                    findings.append(finding)
+    finally:
+        ctx.drop_nodes()
     return findings, suppressed
 
 
@@ -164,6 +174,27 @@ def _analyze_worker(payload: Tuple[str, str, Optional[str],
             [f.to_dict() for f in suppressed])
 
 
+def _collector_paused(func: Callable[..., CheckResult]
+                      ) -> Callable[..., CheckResult]:
+    """Run ``func`` with the cyclic garbage collector off.
+
+    The parsed trees hold no reference cycles, yet every full
+    collection would rescan all of them.  The caller's setting is
+    restored afterwards, also when ``func`` raises.
+    """
+    @functools.wraps(func)
+    def paused(*args: Any, **kwargs: Any) -> CheckResult:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def run_checks(paths: Sequence[Union[str, Path]],
                rules: Optional[Sequence[Rule]] = None,
                project_root: Optional[Union[str, Path]] = None,
@@ -195,6 +226,9 @@ def run_checks(paths: Sequence[Union[str, Path]],
     reference_roots:
         Project-root subdirectories scanned as reference-only context
         for whole-program rules.
+
+    The cyclic garbage collector is paused for the run (see
+    :func:`_collector_paused`).
     """
     started = time.perf_counter()
     active = list(rules) if rules is not None else all_rules()

@@ -8,10 +8,13 @@ asserts the analyzer reports exactly the planted set — so every rule
 is shown to fire on the real tree and the rest of the tree to be clean.
 """
 
+import ast
+import gc
 import json
 import shutil
 import textwrap
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,8 +30,10 @@ from repro.staticcheck import (
     run_checks,
     select_rules,
 )
-from repro.staticcheck.core import ALL_RULES, _PRAGMA, module_name_for
+from repro.staticcheck.core import ALL_RULES, _PRAGMA, Rule, module_name_for
+from repro.staticcheck.project import _statements
 from repro.staticcheck.rules.layers import package_of
+from repro.staticcheck.runner import _run_file_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src"
@@ -423,6 +428,28 @@ class TestDisciplineContract:
         registry = REPO_SRC / "repro" / "disciplines" / "registry.py"
         result = findings_for(registry, "GW002")
         assert result.findings == []
+
+    def test_undecodable_discipline_module_is_reported(self, tmp_path,
+                                                      capsys):
+        # One Latin-1 byte in the module a registered class comes from:
+        # the module itself is a GW000, the registry entry a GW002, and
+        # the run goes on instead of aborting on the decode error.
+        self._tree(tmp_path, """\
+            from repro.disciplines.nice import NiceAllocation
+
+            _FACTORIES = {"nice": NiceAllocation}
+        """)
+        nice = tmp_path / "src/repro/disciplines/nice.py"
+        nice.write_bytes(b"# caf\xe9\n" + nice.read_bytes())
+        result = run_checks([tmp_path / "src"], project_root=tmp_path)
+        found = {(f.rule_id, f.path) for f in result.findings}
+        assert ("GW000", "src/repro/disciplines/nice.py") in found
+        assert ("GW002", "src/repro/disciplines/registry.py") in found
+        entry = [f for f in result.findings if f.rule_id == "GW002"]
+        assert len(entry) == 1 and entry[0].line == 3
+        assert "cannot read nice.py" in entry[0].message
+        assert cli_main(["check", "--no-cache", str(tmp_path / "src")]) == 1
+        assert "GW002" in capsys.readouterr().out
 
 
 class TestRNGDiscipline:
@@ -860,6 +887,27 @@ class TestPoleDivision:
         result = findings_for(path, "GW201")
         assert result.findings == []
         assert len(result.suppressed) == 1
+
+    def test_guard_search_stops_at_the_scope(self, tmp_path):
+        # ``inner`` is its own scope: the ``if`` around its definition
+        # does not guard its body (it may run later, with any ``x``),
+        # while the same expressions directly under the ``if`` are
+        # guarded.  Pins GW201 and GW202 alike.
+        path = write_module(tmp_path, "src/repro/queueing/nest.py", """\
+            import math
+
+
+            def outer(x):
+                if x < 1.0:
+                    def inner(y):
+                        return y / (1.0 - x) + math.sqrt(y - x)
+                    return inner, 2.0 / (1.0 - x) + math.sqrt(2.0 - x)
+        """)
+        result = run_checks([path], rules=[get_rule("GW201"),
+                                           get_rule("GW202")],
+                            project_root=tmp_path)
+        assert [(f.rule_id, f.line) for f in result.findings] == \
+            [("GW201", 7), ("GW202", 7)]
 
 
 class TestDomainCall:
@@ -2138,6 +2186,126 @@ class TestParallelRuns:
         assert [f.render() for f in parallel.suppressed] == \
             [f.render() for f in serial.suppressed]
         assert parallel.files_checked == serial.files_checked
+
+
+class TestNodeIndex:
+    """The per-file node index every file rule reads."""
+
+    @staticmethod
+    def _live_contexts():
+        for path in collect_files([REPO_ROOT / r for r in CHECK_ROOTS]):
+            ctx = FileContext(path, path.read_text(encoding="utf-8"),
+                              project_root=REPO_ROOT)
+            if ctx.tree is not None:
+                yield ctx
+
+    def test_type_lists_follow_walk_order(self):
+        for ctx in self._live_contexts():
+            walked = list(ast.walk(ctx.tree))
+            expected = {}
+            for node in walked:
+                expected.setdefault(type(node), []).append(node)
+            index = ctx.nodes
+            assert index.walk_order == walked
+            for node_type, nodes in expected.items():
+                assert list(index.of(node_type)) == nodes, \
+                    (ctx.display_path, node_type.__name__)
+            pair = (ast.Import, ast.Call)
+            assert list(index.of(*pair)) == \
+                [n for n in walked if type(n) in pair]
+            assert list(index.of(ast.Nonlocal)) == \
+                expected.get(ast.Nonlocal, [])
+            assert index.scopes() == [ctx.tree] + [
+                n for n in walked
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def test_parent_links_match_child_links(self):
+        for ctx in self._live_contexts():
+            walked = list(ast.walk(ctx.tree))
+            # Context and operator nodes are shared singletons with
+            # many parents; every other node has exactly one.
+            seen = Counter(id(node) for node in walked)
+            index = ctx.nodes
+            assert index.parent(ctx.tree) is None
+            for node in walked:
+                for child in ast.iter_child_nodes(node):
+                    if seen[id(child)] == 1:
+                        assert index.parent(child) is node
+
+    def test_project_import_scan_keeps_walk_order(self):
+        # Later imports override earlier ones in ModuleInfo.aliases.
+        for ctx in self._live_contexts():
+            imports = (ast.Import, ast.ImportFrom)
+            assert [n for n in _statements(ctx.tree)
+                    if isinstance(n, imports)] == \
+                [n for n in ast.walk(ctx.tree) if isinstance(n, imports)]
+
+    def test_rules_never_walk_the_whole_tree(self):
+        # Rules read ``ctx.nodes``; walking ``ctx.tree`` again is the
+        # cost the index exists to remove.
+        rules_dir = REPO_SRC / "repro" / "staticcheck" / "rules"
+        offenders = []
+        for path in sorted(rules_dir.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                callee = node.func.attr \
+                    if isinstance(node.func, ast.Attribute) \
+                    else getattr(node.func, "id", "")
+                first = node.args[0]
+                if callee in ("walk", "walk_nodes") \
+                        and isinstance(first, ast.Attribute) \
+                        and first.attr == "tree":
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+
+    def test_index_is_dropped_when_file_rules_finish(self, tmp_path):
+        path = write_module(tmp_path, "src/repro/sim/mod.py", """\
+            import random
+        """)
+        ctx = FileContext(path, path.read_text(), project_root=tmp_path)
+        findings, _ = _run_file_rules(ctx, all_rules())
+        assert [f.rule_id for f in findings] == ["GW003"]
+        assert ctx._nodes is None
+        assert ctx.nodes.of(ast.Import)         # rebuilt on demand
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class _RaisingRule(Rule):
+    rule_id = "GW999"
+
+    def check(self, ctx):
+        assert not gc.isenabled()
+        raise RuntimeError("rule failed")
+
+
+class TestCollectorPause:
+    """``run_checks`` pauses the cyclic collector and restores it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, tmp_path, enabled):
+        path = write_module(tmp_path, "src/repro/sim/mod.py", """\
+            import random
+        """)
+        was_enabled = gc.isenabled()
+        _set_collector(enabled)
+        try:
+            result = run_checks([path], project_root=tmp_path)
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="rule failed"):
+                run_checks([path], rules=[_RaisingRule()],
+                           project_root=tmp_path)
+            assert gc.isenabled() is enabled
+        finally:
+            _set_collector(was_enabled)
+        assert [f.rule_id for f in result.findings] == ["GW003"]
 
 
 class TestSarifReport:
