@@ -13,7 +13,8 @@ class directly — ``SimulationEngine`` (rows with backend ``scalar``)
 and, when a C toolchain is present, ``ChunkedSimulationEngine``
 (backend ``chunked``) — plus the sharded switch-graph aggregate, and
 appends the numbers to ``BENCH_sim.json`` (one entry per run, tagged
-with the engine version and backend) so throughput can be tracked
+with the engine version and backend, and stamped with ``cpu_count``
+and ``git_rev`` by ``provenance.py``) so throughput can be tracked
 across engine changes::
 
     PYTHONPATH=src python benchmarks/bench_micro.py -o BENCH_sim.json
@@ -35,6 +36,7 @@ import time
 import numpy as np
 import pytest
 
+from provenance import provenance
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.game.best_response import best_response
@@ -273,6 +275,9 @@ def main(argv=None) -> int:
               f"{run['events']:9d} {run['seconds']:9.4f} "
               f"{run['events_per_sec']:12,.0f}")
     runs = runs + sharded_runs
+    stamp = provenance()
+    for run in runs:
+        run.update(stamp)
     append_trajectory(args.output, runs)
     print(f"appended {len(runs)} run(s) to {args.output}")
     return 0

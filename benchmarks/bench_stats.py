@@ -32,7 +32,8 @@ disciplines with two utilizations and four protocols:
 
 Script mode appends one record per cell/protocol to the
 ``BENCH_sim.json`` trajectory (same file as the throughput matrix,
-rows tagged ``"benchmark": "events-to-ci"``)::
+rows tagged ``"benchmark": "events-to-ci"`` and stamped with
+``cpu_count`` and ``git_rev`` by ``provenance.py``)::
 
     PYTHONPATH=src python benchmarks/bench_stats.py -o BENCH_sim.json
 
@@ -52,6 +53,7 @@ from dataclasses import replace
 import numpy as np
 
 import repro.obs as obs
+from provenance import provenance
 from repro.sim import cache as sim_cache
 from repro.sim.runner import (
     ENGINE_VERSION,
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
               f"{run['method']:16s} {run['events']:9d} "
               f"{run['halfwidth']:10.4f} {run['target_halfwidth']:8.4f} "
               f"{run['ratio_vs_fixed']:8.2f}")
+    stamp = provenance()
+    for run in runs:
+        run.update(stamp)
     append_trajectory(args.output, runs)
     print(f"appended {len(runs)} run(s) to {args.output}")
     best = {}

@@ -20,8 +20,9 @@ gates lean on, against the ~200-cell built-in ``paper`` catalog:
     missing cells touch the cache/workers.
 
 Script mode appends one row per phase to the ``BENCH_sweep.json``
-trajectory and writes the cold run's Pareto report artifact (JSON +
-ASCII frontier)::
+trajectory (each stamped with ``cpu_count`` and ``git_rev`` by
+``provenance.py``) and writes the cold run's Pareto report artifact
+(JSON + ASCII frontier)::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py -o BENCH_sweep.json
 
@@ -38,6 +39,7 @@ import json
 import os
 import tempfile
 
+from provenance import provenance
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.runner import ENGINE_VERSION
@@ -60,7 +62,7 @@ def result_row(phase, jobs, result):
         "digest": result.digest,
         "phase": phase,
         "jobs": jobs,
-        "cpu_count": os.cpu_count(),
+        **provenance(),
         "cells": len(result.outcomes),
         "failed": len(result.failures),
         "events": result.events,

@@ -1,7 +1,8 @@
 """Host and code fields the benchmark scripts stamp on their rows.
 
-``bench_solver.py`` and ``bench_staticcheck.py`` import it by its bare
-name: run as a script, a benchmark has ``benchmarks/`` first on
+``bench_micro.py``, ``bench_solver.py``, ``bench_staticcheck.py``,
+``bench_stats.py`` and ``bench_sweep.py`` import it by its bare name:
+run as a script, a benchmark has ``benchmarks/`` first on
 ``sys.path``, and pytest puts the directory there too when it collects
 them.  (``benchmarks.conftest`` is importable only under pytest.)
 """

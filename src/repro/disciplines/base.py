@@ -48,6 +48,9 @@ counts)`` alone.  The base class exposes
   grid evaluator for one member of a class deviating unilaterally
   (``include_self=True`` keeps the deviator's class mass intact, the
   mean-field closure where a single agent is infinitesimal);
+* :meth:`AllocationFunction.class_deviation_rows` — the same for
+  several classes at once, one candidate row per class, so a
+  class-space best-response round is one batched call;
 * :meth:`AllocationFunction.class_congestion_many` — a batch of
   class-rate profiles sharing one multiplicity vector.
 
@@ -276,6 +279,33 @@ class AllocationFunction(ABC):
             opp[i] -= 1
         full = np.concatenate((np.repeat(c, opp), [0.0]))
         return one_row(self.grid_evaluator(full, [full.size - 1]))
+
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """Row evaluator for a member of each of ``classes`` deviating.
+
+        ``evaluate(X)`` takes candidate own-rates of shape
+        ``(len(classes), K)``; row ``b`` equals
+        ``class_deviation_evaluator(class_rates, counts, classes[b],
+        include_self)(X[b])`` bit for bit.  The class-space solvers run
+        one batched zoom round for all K classes through it.  The
+        default stacks the per-class evaluators; disciplines with
+        closed forms override it with one pass over all rows and make
+        :meth:`class_deviation_evaluator` its one-row case.
+        """
+        evaluators = [self.class_deviation_evaluator(
+            class_rates, counts, i, include_self=include_self)
+            for i in classes]
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            out = np.empty(cand.shape)
+            for b, evaluator in enumerate(evaluators):
+                out[b] = evaluator(cand[b])
+            return out
+
+        return evaluate
 
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,

@@ -174,25 +174,47 @@ class FairShareAllocation(AllocationFunction):
         shares = np.diff(g_opp, prepend=0.0, axis=1) / (n - m_idx)
         h = np.concatenate((zero, np.cumsum(shares, axis=1), zero), axis=1)
         g_prev = np.concatenate((zero, g_opp, zero), axis=1)
+        # Past the first unstable opponent class, an infinite prefix
+        # puts a candidate over capacity, as its ladder load would be.
+        prefix[np.arange(n + 1) > k_bad] = math.inf
         # Rows of the tables, flattened: entry p of row b is at b*(n+1)+p.
+        tables = [t.ravel() for t in (prefix, h, g_prev)]
         offsets = np.arange(rows.size)[:, None] * (n + 1)
-        prefix, h, g_prev = prefix.ravel(), h.ravel(), g_prev.ravel()
 
         def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             if cand.size and float(cand.min()) < 0.0:
                 raise ValueError("rates must be nonnegative")
-            p = np.searchsorted(ranked, cand, side="left") - (own < cand)
-            at = p + offsets
-            own_loads = (n - p) * cand + prefix[at]
-            out = np.full(cand.shape, math.inf)
-            ok = (p <= k_bad) & (own_loads < cap)
-            out[ok] = h[at[ok]] + (
-                (self.curve.values(own_loads[ok]) - g_prev[at[ok]])
-                / (n - p[ok]))
-            return out
+            p = ranked.searchsorted(cand, side="left") - (own < cand)
+            return self._insert(cand, p + offsets, n - p, *tables)
 
         return evaluate
+
+    def _insert(self, cand: np.ndarray, at: np.ndarray, rem: np.ndarray,
+                prefix: np.ndarray, h: np.ndarray,
+                g_prev: np.ndarray) -> np.ndarray:
+        """The insertion formula for candidates at table entries ``at``.
+
+        ``rem`` holds, per candidate ``x``, the users at or above its
+        rank.  The flat tables hold, per row and opponent count ``p``
+        below a candidate: the opponent rate below it (``prefix``,
+        ``inf`` once an opponent class below is unstable), the share
+        sum below it (``h``) and ``g`` at the last rung below it
+        (``g_prev``).  ``C = h + [g(rem x + prefix) - g_prev] / rem``
+        where the own ladder load ``rem x + prefix`` is under capacity;
+        ``inf`` elsewhere.  Masked ufuncs keep the discarded entries out
+        of the arithmetic (no ``inf - inf``), and the curve sees the
+        kept loads only (0 stands in for the rest), so a negative load
+        raises as it always has.
+        """
+        own_loads = rem * cand + prefix.take(at)
+        ok = own_loads < self.curve.capacity
+        g = self.curve.values(np.where(ok, own_loads, 0.0))
+        # out=None: the entries outside ``ok`` stay unset and unread.
+        share = np.subtract(g, g_prev.take(at), out=None, where=ok)
+        np.divide(share, rem, out=share, where=ok)
+        return np.add(h.take(at), share, out=np.full(cand.shape, math.inf),
+                      where=ok)
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
@@ -266,52 +288,78 @@ class FairShareAllocation(AllocationFunction):
                                   counts: Sequence[int], i: int,
                                   include_self: bool = False
                                   ) -> GridEvaluator:
+        """The one-row case of :meth:`class_deviation_rows`."""
+        return one_row(self.class_deviation_rows(
+            class_rates, counts, [i], include_self=include_self))
+
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
         """The insertion trick against class-aggregated opponents.
 
         Identical structure to :meth:`grid_evaluator`, with the
         opponent ladder carrying one rung per class weighted by its
-        multiplicity — O(K) setup, O(log K) per candidate.  With
-        ``include_self`` the deviator's own class keeps its full count
-        and the candidate inserts as an extra (N+1)-th user.
+        multiplicity — O(K) setup per row, O(log K) per candidate.
+        Row ``b`` is a member of class ``classes[b]`` deviating: that
+        class loses one member, and a class left empty loses its rung
+        (a zero-weight rung would round the share sums differently).
+        With ``include_self`` every class keeps its full count and the
+        candidate inserts as an extra (N+1)-th user.
         """
         c, m = check_classes(class_rates, counts)
-        w = m.astype(float)
+        rows = np.asarray(classes, dtype=int)
+        b, k = rows.size, c.size
+        order = np.argsort(c, kind="stable")
+        ranked = c[order]
+        own_rank = order.argsort()[rows][:, None]
+        # Row b's ladder in rank order; a class its deviator empties is
+        # skipped, so the later rungs move left and a zero spare rung
+        # (index k) pads the row.
+        dropped = np.zeros((b, 1), dtype=bool)
         if not include_self:
-            if m[i] < 1:
-                raise ValueError(f"class {i} is empty")
-            w[i] -= 1.0
-        keep = w > 0.0
-        order = np.argsort(c[keep], kind="stable")
-        s = c[keep][order]
-        w = w[keep][order]
-        n = float(w.sum()) + 1.0          # opponents plus the deviator
-        cap = self.curve.capacity
-        before = np.concatenate(([0.0], np.cumsum(w)))
-        prefix = np.concatenate(([0.0], np.cumsum(w * s)))
-        opp_loads = (n - before[:-1]) * s + prefix[:-1]
-        unstable = opp_loads >= cap
-        k_bad = int(np.searchsorted(unstable, True)) if unstable.any() \
-            else s.size
-        g_opp = np.full(s.size, math.inf)
-        g_opp[:k_bad] = self.curve.values(opp_loads[:k_bad])
-        shares = np.diff(g_opp[:k_bad], prepend=0.0) / (n - before[:k_bad])
-        h = np.full(s.size + 1, math.inf)
-        h[:k_bad + 1] = np.concatenate(([0.0], np.cumsum(shares)))
-        g_prev = np.concatenate(([0.0], g_opp))
+            dropped = (m[rows] == 1)[:, None]
+        # A candidate ranks past its dropped class's own rate (never
+        # past inf): the one correction to its rank among all classes.
+        own = np.where(dropped, c[rows][:, None], math.inf)
+        col = np.arange(k)
+        at = col + (dropped & (col >= own_rank))
+        s = np.append(ranked, 0.0)[at]
+        w = np.append(m[order], 0.0)[at]
+        if not include_self:
+            w -= at == own_rank
+        # Per deviator: the users at or above each rank, and the
+        # insertion tables of _insert.
+        tables = np.zeros((4, b, k + 1))
+        rem, prefix, h, g_prev = tables
+        np.cumsum(w, axis=1, out=rem[:, 1:])
+        n = rem[:, -1:] + 1.0                  # opponents plus the deviator
+        np.subtract(n, rem, out=rem)
+        np.cumsum(w * s, axis=1, out=prefix[:, 1:])
+        opp_loads = rem[:, :-1] * s + prefix[:, :-1]
+        # First opponent class at/over capacity (ladder loads ascend);
+        # the sentinel column stands for "none".  The spare rung may
+        # count as stable: only a NaN candidate ranks past it.
+        unstable = np.ones((b, k + 1), dtype=bool)
+        np.greater_equal(opp_loads, self.curve.capacity, out=unstable[:, :-1])
+        k_bad = unstable.argmax(axis=1)[:, None]
+        # Past k_bad no kept candidate reads g_opp, so 0 stands in there.
+        g_opp = self.curve.values(np.where(col < k_bad, opp_loads, 0.0))
+        g_prev[:, 1:] = g_opp
+        shares = np.subtract(g_opp, g_prev[:, :-1])      # diff, prepend 0
+        shares /= rem[:, :-1]
+        np.cumsum(shares, axis=1, out=h[:, 1:])
+        prefix[np.arange(k + 1) > k_bad] = math.inf   # as in grid_evaluator
+        # Rows of the tables, flattened: entry p of row b is at b*(k+1)+p.
+        rem, prefix, h, g_prev = tables.reshape(4, -1)
+        offsets = np.arange(b)[:, None] * (k + 1)
 
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
+        def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             if cand.size and float(cand.min()) < 0.0:
                 raise ValueError("rates must be nonnegative")
-            p = np.searchsorted(s, cand, side="left")
-            users_below = before[p]
-            own_loads = (n - users_below) * cand + prefix[p]
-            out = np.full(cand.shape, math.inf)
-            ok = (p <= k_bad) & (own_loads < cap)
-            out[ok] = h[p[ok]] + (
-                (self.curve.values(own_loads[ok]) - g_prev[p[ok]])
-                / (n - users_below[ok]))
-            return out
+            p = ranked.searchsorted(cand, side="left") - (own < cand)
+            at = p + offsets
+            return self._insert(cand, at, rem.take(at), prefix, h, g_prev)
 
         return evaluate
 

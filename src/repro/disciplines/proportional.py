@@ -37,21 +37,37 @@ class ProportionalAllocation(AllocationFunction):
     vectorized_grid = True
     vectorized_class_grid = True
 
-    #: Measured crossover for the auto mode: the scalar objective here
-    #: is one ``sum`` plus two curve calls, so the batched grid's numpy
-    #: call overhead only pays off in the thousands of users
-    #: (bench: scalar wins up to N~4096 on the reference box).
+    #: Crossover for the auto mode: the scalar objective here is one
+    #: ``sum`` plus two curve calls, so the batched grid's numpy call
+    #: overhead only pays off in the thousands of users for a *lone*
+    #: best response (bench: scalar won up to N~4096, measured before
+    #: best-response maps batched their users; stale since).  The
+    #: current ``BENCH_solver.json`` rows cover N=4 and 8 only: a lone
+    #: FIFO best response still runs 1.3-1.6x faster scalar there,
+    #: while a batched FIFO Nash solve runs 2.9x (N=4) and 5.4x (N=8)
+    #: faster on the grid.  ``scaling_regimes`` prints this value.
     grid_min_users = 4096
 
     # -- curve helpers -----------------------------------------------------
 
-    def _phi_values(self, totals: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_phi` over an array of (stable) totals."""
-        out = np.empty(totals.shape)
-        pos = totals > 0.0
-        out[pos] = self.curve.values(totals[pos]) / totals[pos]
-        out[~pos] = self.curve.derivative(0.0)
-        return out
+    def _scaled_phi(self, weights: np.ndarray,
+                    totals: np.ndarray) -> np.ndarray:
+        """``weights * phi(totals)`` where ``totals < capacity``, else ``inf``.
+
+        ``totals`` broadcasts against ``weights``.  Masked ufuncs
+        instead of a gather/scatter: every stable entry gets
+        :meth:`_phi`'s arithmetic (``g(S)/S``, or ``g'(0)`` at
+        ``S <= 0``) times its weight.  The curve sees the totals
+        clipped at 0, so a negative total never raises; what it
+        returns past capacity is masked out.
+        """
+        stable = totals < self.curve.capacity
+        interior = stable & (totals > 0.0)
+        g = self.curve.values(np.maximum(totals, 0.0))
+        phi = np.divide(g, totals, where=interior,
+                        out=np.full(totals.shape, self.curve.derivative(0.0)))
+        return np.multiply(weights, phi, where=stable,
+                           out=np.full(weights.shape, math.inf))
 
     def _phi(self, total: float) -> float:
         """Queue per unit of rate, ``g(S)/S`` (limit ``g'(0)`` at 0)."""
@@ -110,17 +126,14 @@ class ProportionalAllocation(AllocationFunction):
         differently from the one-user sum).
         """
         r = np.asarray(rates, dtype=float)
-        opponent_total = opponent_rows(
-            r, np.asarray(users, dtype=int)).sum(axis=1)[:, None]
-        cap = self.curve.capacity
+        return self._rows(opponent_rows(
+            r, np.asarray(users, dtype=int)).sum(axis=1)[:, None])
 
+    def _rows(self, opponent_total: np.ndarray) -> RowEvaluator:
+        """``C(x) = x phi(S_b + x)`` on row ``b``, opponent totals fixed."""
         def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
-            totals = opponent_total + cand
-            out = np.full(cand.shape, math.inf)
-            ok = totals < cap
-            out[ok] = cand[ok] * self._phi_values(totals[ok])
-            return out
+            return self._scaled_phi(cand, opponent_total + cand)
 
         return evaluate
 
@@ -132,11 +145,7 @@ class ProportionalAllocation(AllocationFunction):
                 f"profiles must be 2-D (batch, users), got {batch.shape}")
         if batch.size and float(batch.min()) < 0.0:
             raise ValueError("rates must be nonnegative")
-        totals = batch.sum(axis=1)
-        out = np.full(batch.shape, math.inf)
-        ok = totals < self.curve.capacity
-        out[ok] = batch[ok] * self._phi_values(totals[ok])[:, None]
-        return out
+        return self._scaled_phi(batch, batch.sum(axis=1)[:, None])
 
     # -- symmetry-class evaluation -------------------------------------------
 
@@ -153,25 +162,22 @@ class ProportionalAllocation(AllocationFunction):
                                   counts: Sequence[int], i: int,
                                   include_self: bool = False
                                   ) -> GridEvaluator:
-        """Hoist the weighted opponent total; same closure as per-user."""
+        """The one-row case of :meth:`class_deviation_rows`."""
+        return one_row(self.class_deviation_rows(
+            class_rates, counts, [i], include_self=include_self))
+
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """Hoist each row's weighted opponent total; the per-user rows."""
         c, m = check_classes(class_rates, counts)
-        w = m.astype(float)
-        if not include_self:
-            if m[i] < 1:
-                raise ValueError(f"class {i} is empty")
-            w[i] -= 1.0
-        opponent_total = float(np.dot(w, c))
-        cap = self.curve.capacity
-
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            totals = opponent_total + cand
-            out = np.full(cand.shape, math.inf)
-            ok = totals < cap
-            out[ok] = cand[ok] * self._phi_values(totals[ok])
-            return out
-
-        return evaluate
+        totals = []
+        for i in classes:
+            w = m.astype(float)
+            if not include_self:
+                w[i] -= 1.0
+            totals.append(float(np.dot(w, c)))
+        return self._rows(np.asarray(totals)[:, None])
 
     def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
                               counts: Sequence[int]) -> np.ndarray:
@@ -183,11 +189,7 @@ class ProportionalAllocation(AllocationFunction):
         if batch.size and float(batch.min()) < 0.0:
             raise ValueError("rates must be nonnegative")
         weights = np.asarray(counts, dtype=float)
-        totals = batch @ weights
-        out = np.full(batch.shape, math.inf)
-        ok = totals < self.curve.capacity
-        out[ok] = batch[ok] * self._phi_values(totals[ok])[:, None]
-        return out
+        return self._scaled_phi(batch, (batch @ weights)[:, None])
 
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,

@@ -105,6 +105,13 @@ class SeparableAllocation(AllocationFunction):
 
         return evaluate
 
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """``C(x) = a x^2`` — opponents (and multiplicities) don't matter."""
+        check_classes(class_rates, counts)
+        return self.grid_evaluator(class_rates, classes)
+
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
         batch = np.asarray(profiles, dtype=float)
@@ -127,17 +134,9 @@ class SeparableAllocation(AllocationFunction):
                                   counts: Sequence[int], i: int,
                                   include_self: bool = False
                                   ) -> GridEvaluator:
-        """``C(x) = a x^2`` — opponents (and multiplicities) don't matter."""
-        check_classes(class_rates, counts)
-        coefficient = self.constraint.a
-
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            if cand.size and float(cand.min()) < 0.0:
-                raise ValueError("rates must be nonnegative")
-            return coefficient * cand * cand
-
-        return evaluate
+        """The one-row case of :meth:`class_deviation_rows`."""
+        return one_row(self.class_deviation_rows(
+            class_rates, counts, [i], include_self=include_self))
 
     def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
                               counts: Sequence[int]) -> np.ndarray:

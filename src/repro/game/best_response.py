@@ -14,10 +14,14 @@ evaluations — the core of the vectorized solver path.  The
 simultaneous map :func:`best_response_map` and the certificate
 :func:`utility_improvements` run one zoom round for *all* N users in a
 single call: one multi-user ``grid_evaluator`` pass and one row-wise
-utility pass score every user's candidate row, and each row does
-exactly the arithmetic of that user's lone best response.  Every best
-response adds its evaluation counts to the ``solver.*`` counters of
-:mod:`repro.obs`, counted per user either way.
+utility pass (a columnar one for a profile of one parametric family)
+score every user's candidate row, and each row does exactly the
+arithmetic of that user's lone best response.  The class-space
+solvers batch their K classes the same way, and their expansion
+certificate scores its spot-check users through the same batched
+call.  Every best response adds its evaluation counts to the
+``solver.*`` counters of :mod:`repro.obs`, counted per user either
+way.
 """
 
 from __future__ import annotations
@@ -145,14 +149,18 @@ def _best_responses(allocation, profile: Sequence[Utility],
                    rates: Sequence[float],
                    r_max: Optional[float] = None,
                    n_scan: int = 65,
-                   tol: float = 1e-11) -> List[ScalarMaxResult]:
+                   tol: float = 1e-11,
+                   users: Optional[Sequence[int]] = None
+                   ) -> List[ScalarMaxResult]:
     """Every user's :func:`best_response` against the same ``rates``.
 
-    On the grid path the N maximizations run as one row-wise zoom
+    ``profile[b]`` is the utility of user ``users[b]`` (by default
+    user ``b``: the whole population).  On the grid path the
+    maximizations run as one row-wise zoom
     (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
     is one multi-user ``grid_evaluator`` call plus one
-    :func:`~repro.users.families.value_grid_rows` pass, row ``i``
-    doing exactly user ``i``'s lone arithmetic, so results and
+    :func:`~repro.users.families.value_grid_rows` pass, row ``b``
+    doing exactly user ``users[b]``'s lone arithmetic, so results and
     ``solver.*`` counts equal the per-user ones bit for bit.  Off the
     grid path — or when the batched evaluation raises — users are
     solved one at a time through :func:`best_response`.  A batched
@@ -161,22 +169,32 @@ def _best_responses(allocation, profile: Sequence[Utility],
     space (:mod:`repro.game.classes`) anyway.
     """
     r = np.asarray(rates, dtype=float)
+    rows = range(len(profile)) if users is None else users
     if _uses_grid(allocation, r.size):
-        hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
         try:
-            evaluate = allocation.grid_evaluator(r, range(len(profile)))
-            values = value_grid_rows(profile)
-            results = grid_maximize_rows(
-                lambda xs: values(xs, evaluate(xs)), len(profile),
-                MIN_RATE, hi, n_scan=n_scan, tol=tol)
+            results = _zoom_rows(allocation.grid_evaluator(r, rows), profile,
+                                 allocation, r_max, n_scan, tol)
         except _BATCH_ERRORS:
             pass
         else:
-            _count(results)
             return results
     return [best_response(allocation, utility, r, i, r_max=r_max,
                           n_scan=n_scan, tol=tol)
-            for i, utility in enumerate(profile)]
+            for i, utility in zip(rows, profile)]
+
+
+def _zoom_rows(evaluate, utilities: Sequence[Utility], allocation,
+               r_max: Optional[float], n_scan: int,
+               tol: float) -> List[ScalarMaxResult]:
+    """One row-wise zoom: row ``b`` maximizes ``utilities[b]`` over the
+    congestion ``evaluate`` gives its row; counted per row."""
+    hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
+    values = value_grid_rows(utilities)
+    results = grid_maximize_rows(lambda xs: values(xs, evaluate(xs)),
+                                 len(utilities), MIN_RATE, hi,
+                                 n_scan=n_scan, tol=tol)
+    _count(results)
+    return results
 
 
 def best_response_map(allocation, profile: Sequence[Utility],
@@ -237,8 +255,18 @@ def utility_improvements(allocation, profile: Sequence[Utility],
     Each user's current value is evaluated as in the one-user call;
     the best responses run batched, as in :func:`best_response_map`.
     """
+    return _improvements(allocation, profile, rates,
+                         range(len(profile)), r_max=r_max)
+
+
+def _improvements(allocation, utilities: Sequence[Utility],
+                  rates: Sequence[float], users: Sequence[int],
+                  r_max: Optional[float] = None) -> List[float]:
+    """:func:`utility_improvement` of user ``users[b]`` with utility
+    ``utilities[b]``, for every ``b``, the best responses batched."""
     r = np.asarray(rates, dtype=float)
     currents = [_current_value(allocation, utility, r, i)
-                for i, utility in enumerate(profile)]
-    bests = _best_responses(allocation, profile, r, r_max=r_max)
+                for i, utility in zip(users, utilities)]
+    bests = _best_responses(allocation, utilities, r, r_max=r_max,
+                            users=users)
     return [_gain(current, best) for current, best in zip(currents, bests)]

@@ -15,15 +15,26 @@ through the O(K) class-space paths
 .class_deviation_evaluator`), making exact equilibria tractable at
 N=10^4+ where the per-user solver's O(N) inner loop is prohibitive.
 
+Each class-space round — the map, its certificate and the mean-field
+twins in :mod:`repro.game.meanfield` — is one K-row grid zoom
+(:func:`~repro.numerics.optimize.grid_maximize_rows`) over the
+discipline's row-wise
+:meth:`~repro.disciplines.base.AllocationFunction.class_deviation_rows`
+and :func:`~repro.users.families.value_grid_rows`, row ``k`` doing
+exactly class ``k``'s lone :func:`class_best_response` arithmetic, so
+results and ``solver.*`` counts equal the per-class calls bit for bit.
+
 Results are *certified twice*: in class space (the max class deviation
 gain, exact for the full game by symmetry) and by expansion — a
 bounded number of per-user :func:`~repro.game.best_response
-.utility_improvement` spot checks against the expanded N-vector, which
-exercise the completely independent per-user evaluation path.
+.utility_improvement` spot checks against the expanded N-vector,
+scored in one batched call, which exercise the completely independent
+per-user evaluation path.
 
 Per-user O(N) loops do not belong in this module; the GW107
-staticcheck rule enforces that, and the deliberately bounded
-certification loop carries the one justified suppression.
+staticcheck rule enforces that.  The expansion certificate's bounded
+spot-check users go through one batched per-user call, outside any
+loop.
 """
 
 from __future__ import annotations
@@ -35,12 +46,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize as sp_optimize
 
-import repro.obs as obs
 from repro.disciplines.base import check_classes, expand_class_rates
 from repro.game.best_response import (
+    _BATCH_ERRORS,
     MIN_RATE,
+    _count,
     _default_rate_cap,
-    utility_improvement,
+    _improvements,
+    _zoom_rows,
 )
 from repro.numerics import instrumentation
 from repro.numerics.iterate import damped_fixed_point
@@ -177,7 +190,9 @@ def class_best_response(allocation, utility: Utility,
     .class_deviation_evaluator`.  Honors the solver-vectorization
     switch: when vectorization is off the evaluator is consumed
     point-by-point through the golden-section path, keeping the scalar
-    oracle available in class space too.
+    oracle available in class space too.  The one-row case of the
+    batched class map (:func:`class_best_response_map`), and its
+    fallback.
     """
     evaluator = allocation.class_deviation_evaluator(
         class_rates, counts, i, include_self=include_self)
@@ -194,10 +209,42 @@ def class_best_response(allocation, utility: Utility,
 
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
                                  tol=tol, grid_func=grid)
-    obs.add("solver.objective_evals", result.evaluations)
-    obs.add("solver.congestion_evals", result.evaluations)
-    obs.add("solver.grid_calls", result.grid_calls)
+    _count([result])
     return result
+
+
+def _class_best_responses(allocation, utilities: Sequence[Utility],
+                          class_rates: Sequence[float],
+                          counts: Sequence[int],
+                          include_self: bool = False,
+                          r_max: Optional[float] = None,
+                          n_scan: int = 65,
+                          tol: float = 1e-11) -> List[ScalarMaxResult]:
+    """Every class's :func:`class_best_response` against ``class_rates``.
+
+    With vectorization on, the K maximizations run as one K-row zoom
+    (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
+    is one :meth:`~repro.disciplines.base.AllocationFunction
+    .class_deviation_rows` call plus one
+    :func:`~repro.users.families.value_grid_rows` pass, row ``k``
+    doing exactly class ``k``'s lone arithmetic, so results and
+    ``solver.*`` counts equal the per-class ones bit for bit.  With
+    vectorization off — or when the batched evaluation raises —
+    classes are solved one at a time through
+    :func:`class_best_response`.
+    """
+    if instrumentation.vectorized():
+        try:
+            return _zoom_rows(allocation.class_deviation_rows(
+                class_rates, counts, range(len(utilities)),
+                include_self=include_self), utilities, allocation, r_max,
+                n_scan, tol)
+        except _BATCH_ERRORS:
+            pass
+    return [class_best_response(allocation, utility, class_rates, counts,
+                                k, include_self=include_self, r_max=r_max,
+                                n_scan=n_scan, tol=tol)
+            for k, utility in enumerate(utilities)]
 
 
 def class_best_response_map(allocation, utilities: Sequence[Utility],
@@ -210,18 +257,17 @@ def class_best_response_map(allocation, utilities: Sequence[Utility],
 
     Fixed points are exactly the class-symmetric Nash equilibria of
     the expanded game (``include_self=False``) or the mean-field
-    equilibria (``include_self=True``).
+    equilibria (``include_self=True``).  The K best responses run as
+    one batched zoom (:func:`_class_best_responses`).
     """
     c, m = check_classes(class_rates, counts)
     if len(utilities) != c.size:
         raise ValueError(
             f"{len(utilities)} utilities for {c.size} classes")
-    out = np.empty_like(c)
-    for k, utility in enumerate(utilities):
-        out[k] = class_best_response(allocation, utility, c, m, k,
-                                     include_self=include_self,
-                                     r_max=r_max, n_scan=n_scan).x
-    return out
+    results = _class_best_responses(allocation, utilities, c, m,
+                                    include_self=include_self,
+                                    r_max=r_max, n_scan=n_scan)
+    return np.array([result.x for result in results], dtype=float)
 
 
 @dataclass
@@ -297,12 +343,13 @@ def _class_gains(allocation, utilities: Sequence[Utility],
                  class_rates: np.ndarray, counts: np.ndarray,
                  class_utilities: np.ndarray,
                  include_self: bool = False) -> float:
-    """Max class-space deviation gain (the reduced-game certificate)."""
+    """Max class-space deviation gain (the reduced-game certificate),
+    the K best responses batched as in :func:`class_best_response_map`."""
     worst = -math.inf
-    for k, utility in enumerate(utilities):
-        best = class_best_response(allocation, utility, class_rates,
-                                   counts, k, include_self=include_self)
-        current = float(class_utilities[k])
+    bests = _class_best_responses(allocation, utilities, class_rates,
+                                  counts, include_self=include_self)
+    for best, current in zip(bests, np.asarray(class_utilities,
+                                               dtype=float).tolist()):
         if math.isinf(current) and math.isinf(best.value):
             gain = 0.0
         else:
@@ -321,20 +368,24 @@ def certify_expansion(allocation, utilities: Sequence[Utility],
     unilateral :func:`~repro.game.best_response.utility_improvement`
     of up to ``users_per_class`` members of every class against it —
     the per-user evaluation path end to end, independent of the
-    class-space formulas.  Returns the largest gain observed.
+    class-space formulas.  The spot-check users' best responses run
+    as one batched zoom, each equal to its lone call bit for bit.
+    Returns the largest gain observed.
     """
     c, m = check_classes(class_rates, counts)
     expanded = expand_class_rates(c, m)
     starts = np.concatenate(([0], np.cumsum(m)[:-1]))
-    worst = -math.inf
-    # greedwork: ignore[GW107] -- deliberately bounded spot check:
-    # users_per_class members of each of K classes, never O(N); this
-    # is the expansion certificate the class-space solver ships with.
+    users: List[int] = []
+    checked: List[Utility] = []
+    # A bounded spot check: users_per_class members of each of K
+    # classes, never O(N).
     for k, utility in enumerate(utilities):
         for j in range(min(int(users_per_class), int(m[k]))):
-            gain = utility_improvement(allocation, utility, expanded,
-                                       int(starts[k]) + j)
-            worst = max(worst, gain)
+            users.append(int(starts[k]) + j)
+            checked.append(utility)
+    worst = -math.inf
+    for gain in _improvements(allocation, checked, expanded, users):
+        worst = max(worst, gain)
     return worst
 
 

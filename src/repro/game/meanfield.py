@@ -23,10 +23,15 @@ the limit object itself, with an even better-conditioned fixed point
 and the natural starting point for N in the millions.
 
 Both drivers from the class-space solver are available: the damped
-best-response iteration and the Newton-quality FDC root
-(``method="fdc"``, the default for its precision).  Results certify
-against the *exact* game by expansion spot checks, so ``spot_gain``
-directly measures the mean-field error in utility terms.
+best-response iteration — the class solver's batched map
+(:func:`~repro.game.classes.class_best_response_map`, one K-row zoom
+per round) under the ``include_self=True`` closure — and the
+Newton-quality FDC root (``method="fdc"``, the default for its
+precision).  Results certify against the *exact* game with the class
+solver's own certificates: the class-space gain
+(:func:`~repro.game.classes._class_gains`) and expansion spot checks,
+so ``spot_gain`` directly measures the mean-field error in utility
+terms.
 """
 
 from __future__ import annotations
@@ -41,10 +46,11 @@ from scipy import optimize as sp_optimize
 from repro.disciplines.base import check_classes
 from repro.game.classes import (
     ClassNashResult,
+    _class_gains,
     _default_class_start,
     _resolve_classes,
     certify_expansion,
-    class_best_response,
+    class_best_response_map,
 )
 from repro.numerics.iterate import damped_fixed_point
 from repro.users.utility import Utility
@@ -114,11 +120,8 @@ def solve_nash_meanfield(allocation, profile: Sequence[Utility],
         iterations = int(solution.nfev)
     elif method == "best-response":
         def mapping(c: np.ndarray) -> np.ndarray:
-            out = np.empty_like(c)
-            for k, utility in enumerate(utilities):
-                out[k] = class_best_response(allocation, utility, c, m, k,
-                                             include_self=True).x
-            return out
+            return class_best_response_map(allocation, utilities, c, m,
+                                           include_self=True)
 
         outcome = damped_fixed_point(mapping, start, damping=damping,
                                      tol=tol, max_iter=max_iter)
@@ -137,16 +140,8 @@ def solve_nash_meanfield(allocation, profile: Sequence[Utility],
     # Certify against the EXACT game: the residual gain a real (finite,
     # self-excluded) user retains at the mean-field point is the
     # mean-field approximation error expressed in utility.
-    worst = -math.inf
-    for k, utility in enumerate(utilities):
-        best = class_best_response(allocation, utility, class_rates, m, k,
-                                   include_self=False)
-        current = float(class_utilities[k])
-        if math.isinf(current) and math.isinf(best.value):
-            gain = 0.0
-        else:
-            gain = best.value - current
-        worst = max(worst, gain)
+    worst = _class_gains(allocation, utilities, class_rates, m,
+                         class_utilities)
     spot_gain = math.nan
     if certify_users > 0:
         spot_gain = certify_expansion(allocation, utilities, class_rates,

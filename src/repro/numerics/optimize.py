@@ -11,7 +11,12 @@ a coarse multistart scan, and treat non-finite objective values as
 The vectorized path replaces golden-section search with a batched grid
 zoom, :func:`grid_maximize_rows`, which maximizes many independent
 objectives at once — one row each, as in a simultaneous best-response
-round — and whose one-row case is :func:`grid_multistart_maximize`.
+round over N users or K utility classes — and whose one-row case is
+:func:`grid_multistart_maximize`.  A round on arrays of about (8, 33)
+costs numpy call overhead rather than arithmetic, so the row
+objectives the solvers pass in (the disciplines' row evaluators and
+:func:`~repro.users.families.value_grid_rows`) make one call per
+round for all rows, with as few numpy calls as they can.
 """
 
 from __future__ import annotations

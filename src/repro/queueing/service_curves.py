@@ -14,7 +14,10 @@ without a pole).  The batched counterparts (``values``,
 ``derivatives``, ``second_derivatives``) evaluate a whole numpy array
 of loads at once; the concrete curves override them with masked
 vector formulas so the vectorized solver core never pays a Python
-call per grid point.
+call per grid point.  ``values`` computes the stable region with
+masked ufuncs (``out=``/``where=``) rather than a boolean gather and
+scatter: loads at or beyond capacity (and NaN) map to ``inf``, and
+every stable entry gets the scalar formula's exact arithmetic.
 """
 
 from __future__ import annotations
@@ -111,10 +114,8 @@ class MM1Curve(ServiceCurve):
     def values(self, loads: np.ndarray) -> np.ndarray:
         arr = np.asarray(loads, dtype=float)
         _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
-        stable = arr < 1.0
-        out[stable] = arr[stable] / (1.0 - arr[stable])
-        return out
+        return np.divide(arr, 1.0 - arr, out=np.full(arr.shape, math.inf),
+                         where=arr < 1.0)
 
     def derivatives(self, loads: np.ndarray) -> np.ndarray:
         arr = np.asarray(loads, dtype=float)
@@ -182,11 +183,12 @@ class MG1Curve(ServiceCurve):
     def values(self, loads: np.ndarray) -> np.ndarray:
         arr = np.asarray(loads, dtype=float)
         _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
         stable = arr < 1.0
-        x = arr[stable]
-        out[stable] = x + self._k * x * x / (1.0 - x)
-        return out
+        # Unstable loads become 0 first, so no overflow warning comes
+        # from a load the result discards.
+        x = np.where(stable, arr, 0.0)
+        return np.add(x, self._k * x * x / (1.0 - x),
+                      out=np.full(arr.shape, math.inf), where=stable)
 
     def derivatives(self, loads: np.ndarray) -> np.ndarray:
         arr = np.asarray(loads, dtype=float)

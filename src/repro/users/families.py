@@ -24,7 +24,7 @@ reading is therefore concave (see
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,16 +33,100 @@ from repro.users.utility import Utility
 #: Row-wise utility values: ``(X, C) -> Y`` over ``(B, K)`` arrays.
 RowValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: A formula parameter: one float for every row, or a ``(B, 1)``
+#: column with one value per row.
+Param = Union[float, np.ndarray]
 
-def _linear_values(a: Union[float, np.ndarray],
-                   gamma: Union[float, np.ndarray],
-                   r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``a r - gamma c``, ``-inf`` where ``c`` is infinite.
+# Each parametric family has one module-level formula
+# ``(params..., r, c) -> values``: its ``value_grid`` passes scalar
+# parameters, :func:`value_grid_rows` passes parameter columns, so row
+# ``k`` of a columnar call does exactly ``utilities[k].value_grid``'s
+# arithmetic.  Entries the result discards (infinite congestion, an
+# exp-overflow guard, a negative argument) are masked with
+# ``where=``/``np.where`` rather than gathered out, and are replaced by
+# 0 before any operation that could warn on them.
 
-    The one formula behind :meth:`LinearUtility.value_grid` (scalar
-    parameters) and :func:`value_grid_rows` (parameter columns).
+
+def _power(x: np.ndarray, exponent: Param) -> np.ndarray:
+    """``x ** exponent``, row ``k`` exactly ``x[k] ** exponent[k]``.
+
+    numpy computes ``x ** 0.5`` as ``sqrt(x)`` and ``x ** 2.0`` as
+    ``square(x)`` when the exponent is a scalar, but ``pow`` for an
+    exponent array, which differs in the last bit; so a column of
+    exponents is applied one distinct value at a time.
     """
-    return np.where(np.isinf(c), -math.inf, a * r - gamma * c)
+    if np.ndim(exponent) == 0:
+        return x ** exponent
+    column = exponent[:, 0]
+    out = np.empty(x.shape)
+    for value in dict.fromkeys(column.tolist()):
+        rows = column == value if value == value else np.isnan(column)
+        out[rows] = x[rows] ** value
+    return out
+
+
+def _linear_values(a: Param, gamma: Param, r: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """``a r - gamma c``; ``gamma > 0``, so infinite ``c`` gives ``-inf``."""
+    return a * r - gamma * c
+
+
+def _exponential_values(r_scale: Param, r_rate: Param, r_ref: Param,
+                        c_scale: Param, c_rate: Param, c_ref: Param,
+                        r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``r_scale e^{r_rate (r - r_ref)} - c_scale e^{c_rate (c - c_ref)}``.
+
+    ``-inf`` where ``c`` is infinite or the congestion exponent passes
+    700 (the scalar overflow guard).
+    """
+    exponent = np.where(np.isinf(c), math.inf, c_rate * (c - c_ref))
+    with np.errstate(over="ignore"):
+        return np.subtract(r_scale * np.exp(r_rate * (r - r_ref)),
+                           c_scale * np.exp(exponent),
+                           out=np.full(r.shape, -math.inf),
+                           where=exponent <= 700.0)
+
+
+def _power_values(a: Param, gamma: Param, p: Param, q: Param,
+                  r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a r^p - gamma c^q``; ``-inf`` for infinite or negative inputs."""
+    ok = ~np.isinf(c) & (r >= 0.0) & (c >= 0.0)
+    return np.subtract(a * _power(np.where(ok, r, 0.0), p),
+                       gamma * _power(np.where(ok, c, 0.0), q),
+                       out=np.full(r.shape, -math.inf), where=ok)
+
+
+def _quadratic_values(a: Param, b: Param, gamma: Param, r: np.ndarray,
+                      c: np.ndarray) -> np.ndarray:
+    """``a r + b r^2 - gamma c``, ``-inf`` where ``c`` is infinite."""
+    return np.where(np.isinf(c), -math.inf, a * r + b * r * r - gamma * c)
+
+
+def _threshold_values(a: Param, threshold: Param, gamma: Param,
+                      r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``a min(r, t) - gamma c``, ``-inf`` where ``c`` is infinite."""
+    return np.where(np.isinf(c), -math.inf,
+                    a * np.minimum(r, threshold) - gamma * c)
+
+
+def _biconvex_values(a1: Param, r_scale: Param, ell: Param, c_scale: Param,
+                     c_rate: Param, r: np.ndarray,
+                     c: np.ndarray) -> np.ndarray:
+    """``r_scale e^{a1 r} - ell c + c_scale e^{c_rate c}``.
+
+    ``-inf`` where ``c`` is infinite, else ``+inf`` where ``a1 r``
+    passes 700 (the scalar overflow guard).
+    """
+    exponent = a1 * r
+    finite = ~np.isinf(c)
+    big = exponent > 700.0
+    ok = finite & ~big
+    e = np.where(ok, exponent, 0.0)
+    cc = np.where(ok, c, 0.0)
+    return np.add(r_scale * np.exp(e) - ell * cc,
+                  c_scale * np.exp(c_rate * cc),
+                  out=np.where(finite & big, math.inf, -math.inf),
+                  where=ok)
 
 
 class LinearUtility(Utility):
@@ -66,9 +150,11 @@ class LinearUtility(Utility):
             return -math.inf
         return self.a * r - self.gamma * c
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.a, self.gamma)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _linear_values(self.a, self.gamma,
-                              np.asarray(rs, dtype=float),
+        return _linear_values(*self._params(), np.asarray(rs, dtype=float),
                               np.asarray(cs, dtype=float))
 
     def du_dr(self, r: float, c: float) -> float:
@@ -126,19 +212,15 @@ class ExponentialUtility(Utility):
         c_term = -(self.gamma ** 2 / self.nu) * math.exp(exponent)
         return r_term + c_term
 
+    def _params(self) -> Tuple[float, ...]:
+        return (-(self.alpha ** 2 / self.beta), -(self.beta / self.alpha),
+                self.r_ref, self.gamma ** 2 / self.nu, self.nu / self.gamma,
+                self.c_ref)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        out = np.full(r.shape, -math.inf)
-        exponent = np.where(np.isinf(c), math.inf,
-                            (self.nu / self.gamma) * (c - self.c_ref))
-        ok = exponent <= 700.0
-        with np.errstate(over="ignore"):
-            r_term = -(self.alpha ** 2 / self.beta) * np.exp(
-                -(self.beta / self.alpha) * (r[ok] - self.r_ref))
-            out[ok] = r_term - (self.gamma ** 2 / self.nu) * np.exp(
-                exponent[ok])
-        return out
+        return _exponential_values(*self._params(),
+                                   np.asarray(rs, dtype=float),
+                                   np.asarray(cs, dtype=float))
 
     def du_dr(self, r: float, c: float) -> float:
         return self.alpha * math.exp(
@@ -186,14 +268,12 @@ class PowerUtility(Utility):
             return -math.inf
         return self.a * r ** self.p - self.gamma * c ** self.q
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.a, self.gamma, self.p, self.q)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        out = np.full(r.shape, -math.inf)
-        ok = ~np.isinf(c) & (r >= 0.0) & (c >= 0.0)
-        out[ok] = (self.a * r[ok] ** self.p
-                   - self.gamma * c[ok] ** self.q)
-        return out
+        return _power_values(*self._params(), np.asarray(rs, dtype=float),
+                             np.asarray(cs, dtype=float))
 
     def du_dr(self, r: float, c: float) -> float:
         if r <= 0.0 and self.p < 1.0:
@@ -236,11 +316,13 @@ class QuadraticUtility(Utility):
             return -math.inf
         return self.a * r + self.b * r * r - self.gamma * c
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.a, self.b, self.gamma)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        return np.where(np.isinf(c), -math.inf,
-                        self.a * r + self.b * r * r - self.gamma * c)
+        return _quadratic_values(*self._params(),
+                                 np.asarray(rs, dtype=float),
+                                 np.asarray(cs, dtype=float))
 
     def du_dr(self, r: float, c: float) -> float:
         return self.a + 2.0 * self.b * r
@@ -277,12 +359,13 @@ class ThresholdUtility(Utility):
             return -math.inf
         return self.a * min(r, self.threshold) - self.gamma * c
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.a, self.threshold, self.gamma)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        return np.where(np.isinf(c), -math.inf,
-                        self.a * np.minimum(r, self.threshold)
-                        - self.gamma * c)
+        return _threshold_values(*self._params(),
+                                 np.asarray(rs, dtype=float),
+                                 np.asarray(cs, dtype=float))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ThresholdUtility(threshold={self.threshold}, "
@@ -329,18 +412,13 @@ class BiconvexUtility(Utility):
                 - self.ell * c
                 + (self.b0 / self.b1) * math.exp(-self.b1 * c))
 
+    def _params(self) -> Tuple[float, ...]:
+        return (self.a1, self.a0 / self.a1, self.ell, self.b0 / self.b1,
+                -self.b1)
+
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        r = np.asarray(rs, dtype=float)
-        c = np.asarray(cs, dtype=float)
-        exponent = self.a1 * r
-        finite = ~np.isinf(c)
-        big = exponent > 700.0
-        vals = np.where(big, math.inf, 0.0)
-        ok = finite & ~big
-        vals[ok] = ((self.a0 / self.a1) * np.exp(exponent[ok])
-                    - self.ell * c[ok]
-                    + (self.b0 / self.b1) * np.exp(-self.b1 * c[ok]))
-        return np.where(finite, vals, -math.inf)
+        return _biconvex_values(*self._params(), np.asarray(rs, dtype=float),
+                                np.asarray(cs, dtype=float))
 
     def du_dc(self, r: float, c: float) -> float:
         return -(self.ell + self.b0 * math.exp(-self.b1 * c))
@@ -409,23 +487,52 @@ class MonotoneTransformedUtility(Utility):
         return f"MonotoneTransformedUtility({self.base!r})"
 
 
+#: Each parametric family's formula; ``value_grid_rows`` calls it with
+#: one column per ``_params()`` entry.
+_FORMULAS: Dict[type, Callable[..., np.ndarray]] = {
+    LinearUtility: _linear_values,
+    ExponentialUtility: _exponential_values,
+    PowerUtility: _power_values,
+    QuadraticUtility: _quadratic_values,
+    ThresholdUtility: _threshold_values,
+    BiconvexUtility: _biconvex_values,
+}
+
+
+def _column(values: Tuple[float, ...]) -> Param:
+    """One parameter over the rows: a float when every row has the
+    same one (bit for bit, signed zeros included), else a ``(B, 1)``
+    column."""
+    first = values[0]
+    if values.count(first) == len(values) and (
+            first != 0.0
+            or len({math.copysign(1.0, value) for value in values}) == 1):
+        return first
+    return np.array(values)[:, None]
+
+
 def value_grid_rows(utilities: Sequence[Utility]) -> RowValues:
     """Score row ``k`` of ``(X, C)`` with ``utilities[k]``, all rows at once.
 
     The returned callable maps aligned ``(B, K)`` rate and congestion
     arrays to ``Y`` with ``Y[k] = utilities[k].value_grid(X[k], C[k])``
-    bit for bit.  A profile of plain :class:`LinearUtility` users is
-    one pass with ``a`` and ``gamma`` as columns; any other profile
-    stacks each row's own ``value_grid``.
+    bit for bit.  A profile of one parametric family (the exact class,
+    not a subclass) is one pass of the family's formula with its
+    parameters as columns — a parameter every row shares stays a
+    scalar; wrappers, subclasses and mixed profiles stack each row's
+    own ``value_grid``.
     """
-    if all(type(u) is LinearUtility for u in utilities):
-        a = np.array([u.a for u in utilities])[:, None]
-        gamma = np.array([u.gamma for u in utilities])[:, None]
+    kind = type(utilities[0]) if utilities else None
+    formula = _FORMULAS.get(kind)
+    if formula is not None and all(type(u) is kind for u in utilities):
+        params: List[Param] = [
+            _column(values)
+            for values in zip(*(u._params() for u in utilities))]
 
-        def linear(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-            return _linear_values(a, gamma, xs, cs)
+        def columnar(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+            return formula(*params, xs, cs)
 
-        return linear
+        return columnar
 
     def stacked(xs: np.ndarray, cs: np.ndarray) -> np.ndarray:
         return np.stack([u.value_grid(x, c)

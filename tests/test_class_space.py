@@ -16,23 +16,32 @@ exact — the class trajectory coincides with the per-user trajectory —
 which is precisely what the priority cases assert.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.obs as obs
+from repro.disciplines.base import AllocationFunction, one_row
+from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.registry import make_discipline
+from repro.game import classes as classes_module
 from repro.game.classes import (
     ClassProfile,
+    _class_gains,
     certify_expansion,
     class_best_response,
+    class_best_response_map,
     class_fdc_residuals,
     detect_classes,
     solve_nash_classes,
     solve_nash_classes_fdc,
 )
-from repro.game.best_response import best_response
+from repro.game.best_response import best_response, utility_improvement
 from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
+from repro.numerics import instrumentation
 from repro.numerics.instrumentation import set_vectorized
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
@@ -205,6 +214,179 @@ class TestGeneratedClassAgreement:
         assert cls.converged and exact.converged
         assert np.max(np.abs(cls.expand_rates()
                              - exact.rates)) <= GENERATED_TOL
+
+
+@st.composite
+def class_cases(draw):
+    """Generated (class rates, counts, utilities): K 1-4 classes of 1-5
+    members (singletons empty their class when they deviate), linear
+    or power tastes, total load below 0.9."""
+    k = draw(st.integers(1, 4))
+    counts = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    shares = draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k))
+    load = draw(st.floats(0.05, 0.9))
+    total = sum(m * w for m, w in zip(counts, shares))
+    rates = np.asarray(shares) * (load / total)
+    tastes = draw(st.lists(st.floats(0.1, 0.9), min_size=k, max_size=k))
+    if draw(st.sampled_from(["linear", "power"])) == "linear":
+        utilities = [LinearUtility(gamma=g) for g in tastes]
+    else:
+        utilities = [PowerUtility(gamma=g, p=0.5, q=1.0) for g in tastes]
+    return rates, counts, utilities
+
+
+#: The class-space disciplines of the batched contract: Fair Share,
+#: proportional and separable rows are native, priority and stalling
+#: stack their per-class evaluators.
+BATCHED_NAMES = ["fair-share", "fifo", "priority", "separable",
+                 "stalling-pivot"]
+
+
+def _solver_counts(scope):
+    return [scope.get(f"solver.{name}")
+            for name in instrumentation.COUNTERS]
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class _FlakyFairShare(FairShareAllocation):
+    """Fair Share whose class-1 deviation evaluator always raises, and
+    whose class rows stack the per-class evaluators, so every batched
+    round fails."""
+
+    def class_deviation_evaluator(self, class_rates, counts, i,
+                                  include_self=False):
+        if i == 1:
+            def evaluate(xs):
+                raise ZeroDivisionError("class 1 cannot be scored")
+
+            return evaluate
+        return one_row(FairShareAllocation.class_deviation_rows(
+            self, class_rates, counts, [i], include_self=include_self))
+
+    class_deviation_rows = AllocationFunction.class_deviation_rows
+
+
+class TestBatchedClassMapIsPerClass:
+    """One K-row zoom per class-space round equals the per-class calls:
+    the batched map, ``_class_gains`` and ``certify_expansion`` against
+    ``class_best_response`` and ``utility_improvement``, bit for bit
+    and with equal ``solver.*`` counts."""
+
+    @given(case=class_cases(), name=st.sampled_from(BATCHED_NAMES),
+           include_self=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_map_equals_class_best_responses(self, case, name,
+                                             include_self):
+        rates, counts, utilities = case
+        allocation = make_discipline(name)
+        with obs.Scope() as batched:
+            mapped = class_best_response_map(allocation, utilities, rates,
+                                             counts,
+                                             include_self=include_self)
+        with obs.Scope() as alone:
+            singles = [class_best_response(allocation, u, rates, counts, k,
+                                           include_self=include_self).x
+                       for k, u in enumerate(utilities)]
+        assert _hexes(mapped) == _hexes(singles)
+        assert _solver_counts(batched) == _solver_counts(alone)
+
+    @given(case=class_cases(), name=st.sampled_from(BATCHED_NAMES),
+           include_self=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_class_gains_equal_per_class(self, case, name, include_self):
+        rates, counts, utilities = case
+        allocation = make_discipline(name)
+        congestion = allocation.class_congestion(rates, counts)
+        current = np.array([u.value(float(x), float(c)) for u, x, c
+                            in zip(utilities, rates, congestion)])
+        with obs.Scope() as batched:
+            gain = _class_gains(allocation, utilities, rates,
+                                np.asarray(counts), current,
+                                include_self=include_self)
+        with obs.Scope() as alone:
+            worst = -math.inf
+            for k, utility in enumerate(utilities):
+                best = class_best_response(allocation, utility, rates,
+                                           counts, k,
+                                           include_self=include_self)
+                if math.isinf(current[k]) and math.isinf(best.value):
+                    worst = max(worst, 0.0)
+                else:
+                    worst = max(worst, best.value - float(current[k]))
+        assert float(gain).hex() == float(worst).hex()
+        assert _solver_counts(batched) == _solver_counts(alone)
+
+    @given(case=class_cases(), name=st.sampled_from(BATCHED_NAMES),
+           per_class=st.integers(1, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_certify_expansion_equals_improvements(self, case, name,
+                                                   per_class):
+        rates, counts, utilities = case
+        allocation = make_discipline(name)
+        expanded = np.repeat(rates, counts)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        with obs.Scope() as batched:
+            gain = certify_expansion(allocation, utilities, rates, counts,
+                                     users_per_class=per_class)
+        with obs.Scope() as alone:
+            worst = -math.inf
+            for k, utility in enumerate(utilities):
+                for j in range(min(per_class, counts[k])):
+                    worst = max(worst, utility_improvement(
+                        allocation, utility, expanded, int(starts[k]) + j))
+        assert float(gain).hex() == float(worst).hex()
+        assert _solver_counts(batched) == _solver_counts(alone)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_failed_batch_recomputes_per_class(self, include_self,
+                                               monkeypatch):
+        allocation = _FlakyFairShare()
+        utilities = [PowerUtility(gamma=g, p=0.5, q=1.0)
+                     for g in (0.3, 0.5, 0.7)]
+        rates, counts = np.array([0.05, 0.08, 0.1]), [2, 1, 3]
+        with obs.Scope() as alone:
+            singles = [class_best_response(allocation, u, rates, counts, k,
+                                           include_self=include_self).x
+                       for k, u in enumerate(utilities)]
+        calls = []
+        original = classes_module.class_best_response
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classes_module, "class_best_response",
+                            counting)
+        with obs.Scope() as batched:
+            mapped = class_best_response_map(allocation, utilities, rates,
+                                             counts,
+                                             include_self=include_self)
+        assert calls == [0, 1, 2]
+        assert _hexes(mapped) == _hexes(singles)
+        assert _solver_counts(batched) == _solver_counts(alone)
+
+    def test_scalar_mode_solves_class_by_class(self, monkeypatch):
+        allocation = make_discipline("fair-share")
+        utilities, counts = class_setup(8, 2)
+        calls = []
+        original = classes_module.class_best_response
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classes_module, "class_best_response",
+                            counting)
+        set_vectorized(False)
+        try:
+            class_best_response_map(allocation, utilities, [0.02, 0.03],
+                                    counts)
+        finally:
+            set_vectorized(None)
+        assert calls == [0, 1]
 
 
 class TestClassBestResponse:

@@ -7,6 +7,8 @@ analytic ``gradient_i`` / ``second_gradient_i`` overrides must match
 the numeric finite-difference defaults.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,61 @@ class TestGenericFallback:
         many = stub.congestion_many(batch)
         rows = np.stack([stub.congestion(row) for row in batch])
         assert np.array_equal(many, rows)
+
+
+#: SHA-256 prefixes of the evaluator outputs below, recorded before the
+#: evaluators moved from boolean gather/scatter to masked ufuncs and
+#: gained row-wise class forms.  The M/M/1 curve needs only IEEE
+#: arithmetic, so any drift in an evaluator's last bit moves them.
+EVALUATOR_DIGESTS = {
+    "fair-share": "3941626b4b7efb75",
+    "fifo": "409bef3a6bbb55a8",
+    "separable": "0c78dc4982f55459",
+    "priority": "6d752aaa05f8310c",
+    "stalling-pivot": "e5ae309f6ff22435",
+}
+
+
+class TestEvaluatorDigests:
+    """Class deviation and multi-user grid evaluators, bit for bit.
+
+    The class profiles hold singleton classes (their deviator empties
+    the class), tied rates and an overloaded ladder; the candidates
+    run past capacity.
+    """
+
+    @pytest.mark.parametrize("name", sorted(EVALUATOR_DIGESTS))
+    def test_outputs_unchanged(self, name):
+        allocation = make_discipline(name)
+        digest = hashlib.sha256()
+        xs = np.concatenate((np.linspace(1e-6, 0.6, 25),
+                             [0.05, 0.1, 0.2, 0.3, 0.45, 0.95, 1.5]))
+        for c, m in (([0.05, 0.1, 0.2], [1, 3, 2]),
+                     ([0.1, 0.1, 0.05, 0.3], [2, 1, 1, 1]),
+                     ([0.2, 0.45], [2, 1]), ([0.07], [1])):
+            for include_self in (False, True):
+                for i in range(len(c)):
+                    evaluate = allocation.class_deviation_evaluator(
+                        c, m, i, include_self=include_self)
+                    digest.update(evaluate(xs).tobytes())
+        for rates in ([0.1, 0.2, 0.05], [0.1, 0.1, 0.3, 0.05],
+                      [0.3, 0.45, 0.2]):
+            users = list(range(len(rates)))[::-1]
+            rows = allocation.grid_evaluator(rates, users)(
+                np.tile(xs, (len(users), 1)))
+            digest.update(rows.tobytes())
+        assert digest.hexdigest()[:16] == EVALUATOR_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(EVALUATOR_DIGESTS))
+    def test_class_rows_equal_one_row_evaluators(self, name):
+        allocation = make_discipline(name)
+        c, m = [0.1, 0.1, 0.05, 0.3], [2, 1, 1, 3]
+        xs = np.linspace(1e-6, 0.6, 25)
+        grid = np.stack([xs + 0.01 * b for b in range(4)])
+        for include_self in (False, True):
+            rows = allocation.class_deviation_rows(
+                c, m, [3, 1, 0, 2], include_self=include_self)(grid)
+            for b, i in enumerate([3, 1, 0, 2]):
+                one = allocation.class_deviation_evaluator(
+                    c, m, i, include_self=include_self)(grid[b])
+                assert rows[b].tobytes() == one.tobytes()

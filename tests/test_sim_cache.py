@@ -1,16 +1,22 @@
 """Tests for the persistent simulation-result cache."""
 
+import contextlib
 import os
 import pickle
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.sim import cache as sim_cache
 from repro.sim import runner
 from repro.sim.fair_queueing import StartTimeFairQueue
-from repro.sim.runner import SimulationConfig, simulate
+from repro.sim.runner import (SimulationConfig, replicate, simulate,
+                              simulate_to_precision)
 
 CONFIG = SimulationConfig(rates=(0.1, 0.2), policy="fifo",
                           horizon=2000.0, warmup=100.0, seed=3)
@@ -165,3 +171,99 @@ class TestStatsPlumbing:
         sim_cache.set_enabled(False)
         assert not sim_cache.enabled()
         sim_cache.set_enabled(None)
+
+
+#: Policies with a compiled kernel (fifo, the fair-share ladder, round
+#: robin, fair queueing) and without one (lifo, processor sharing).
+CONTRACT_POLICIES = ("fifo", "fair-share", "round-robin", "fq", "lifo",
+                     "ps")
+
+
+@st.composite
+def cache_cases(draw):
+    """A random single-switch config: N 1-6 users, load below 0.9."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    load = draw(st.floats(0.05, 0.89))
+    horizon = draw(st.floats(300.0, 1200.0))
+    return SimulationConfig(
+        rates=tuple(load * w / sum(weights) for w in weights),
+        policy=draw(st.sampled_from(CONTRACT_POLICIES)), horizon=horizon,
+        warmup=0.1 * horizon, seed=draw(st.integers(0, 2**32 - 1)),
+        batch_quota=0.09 * horizon)
+
+
+@contextlib.contextmanager
+def empty_cache():
+    """The cache on, in a fresh directory, for one generated example."""
+    saved = os.environ.get(sim_cache.ENV_DIR)
+    with tempfile.TemporaryDirectory() as directory:
+        os.environ[sim_cache.ENV_DIR] = directory
+        sim_cache.set_enabled(True)
+        try:
+            yield directory
+        finally:
+            sim_cache.set_enabled(None)
+            if saved is None:
+                del os.environ[sim_cache.ENV_DIR]
+            else:
+                os.environ[sim_cache.ENV_DIR] = saved
+
+
+def result_bytes(result):
+    """Every measured field of a result, as bytes."""
+    return pickle.dumps((
+        result.mean_queues, result.mean_delays, result.throughputs,
+        result.losses, result.batch.per_batch,
+        result.batch.per_batch_arrivals, result.batch.half_widths,
+        result.arrivals, result.departures, result.variate_draws))
+
+
+class TestGeneratedCacheContracts:
+    """Warm equals cold and resumed equals uninterrupted, outside the
+    sweep, on generated configs."""
+
+    @given(config=cache_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_warm_simulate_equals_cold(self, config):
+        with empty_cache():
+            cold = simulate(config)
+            with obs.Scope() as warm_scope:
+                warm = simulate(config)
+        assert result_bytes(warm) == result_bytes(cold)
+        assert warm_scope.get("sim.cache.fresh_events") == 0
+        assert warm_scope.get("sim.cache.hits") == 1
+
+    @given(config=cache_cases(), n=st.integers(2, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_warm_replicate_equals_cold(self, config, n):
+        with empty_cache():
+            cold = replicate(config, n_replications=n)
+            with obs.Scope() as warm_scope:
+                warm = replicate(config, n_replications=n)
+        assert warm.mean_queues.tobytes() == cold.mean_queues.tobytes()
+        assert warm.half_widths.tobytes() == cold.half_widths.tobytes()
+        assert [result_bytes(r) for r in warm.runs] == \
+            [result_bytes(r) for r in cold.runs]
+        assert warm_scope.get("sim.cache.fresh_events") == 0
+        assert warm_scope.get("sim.cache.hits") == n
+
+    @given(config=cache_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_tighter_target_resumes_and_equals_uninterrupted(self, config):
+        cap = config.warmup + 4.0 * (config.horizon - config.warmup)
+        with empty_cache():
+            loose = simulate_to_precision(config, target_halfwidth=1e9,
+                                          max_horizon=cap)
+            with obs.Scope() as rerun:
+                tight = simulate_to_precision(
+                    config, target_halfwidth=1e-9, max_horizon=cap)
+        assume(tight.horizons[-1] > loose.horizons[-1])
+        assert tight.horizons[:len(loose.horizons)] == loose.horizons
+        sim_cache.set_enabled(False)
+        straight = simulate(replace(config, horizon=tight.horizons[-1]))
+        assert result_bytes(tight.result) == result_bytes(straight)
+        # Only the delta past the loose run's last rung was simulated.
+        assert rerun.get("sim.cache.state_hits") == 1
+        assert rerun.get("sim.cache.fresh_events") == \
+            straight.events - loose.result.events

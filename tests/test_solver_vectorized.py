@@ -11,6 +11,7 @@ vectorization switch leaves the ``table1`` report byte-identical.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +43,9 @@ from repro.numerics.optimize import (
     multistart_maximize,
 )
 import repro.obs as obs
-from repro.users.families import (LinearUtility, PowerUtility,
+from repro.users.families import (BiconvexUtility, ExponentialUtility,
+                                  LinearUtility, PowerUtility,
+                                  QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
 
 
@@ -382,6 +385,34 @@ class TestGridMaximizeRows:
             grid_maximize_rows(lambda xs: xs[:, :-1], 2, 0.0, 1.0)
 
 
+#: Candidate rates and congestions for the row-value contract: the
+#: solver's range, exact zeros, and the values the formulas guard
+#: (infinite congestion, exp-overflow exponents, negative inputs).
+_GRID_RATES = st.one_of(st.floats(1e-6, 4.0), st.sampled_from(
+    [0.0, 1.0, -0.5, 600.0]))
+_GRID_CONGESTIONS = st.one_of(st.floats(0.0, 50.0), st.sampled_from(
+    [0.0, np.inf, -1.0, 800.0, -800.0]))
+_POSITIVE = st.floats(0.1, 3.0)
+_EXPONENTS = st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                       st.floats(0.2, 3.0))
+
+FAMILY_PROFILES = {
+    "linear": st.builds(LinearUtility, gamma=_POSITIVE, a=_POSITIVE),
+    "exponential": st.builds(ExponentialUtility, _POSITIVE, _POSITIVE,
+                             _POSITIVE, _POSITIVE,
+                             r_ref=st.floats(0.0, 1.0),
+                             c_ref=st.floats(0.0, 2.0)),
+    "power": st.builds(PowerUtility, gamma=_POSITIVE, a=_POSITIVE,
+                       p=_EXPONENTS, q=_EXPONENTS),
+    "quadratic": st.builds(QuadraticUtility, gamma=_POSITIVE, a=st.just(1.0),
+                           b=st.floats(-0.45, 0.5)),
+    "threshold": st.builds(ThresholdUtility, st.floats(0.1, 2.0),
+                           _POSITIVE, a=_POSITIVE),
+    "biconvex": st.builds(BiconvexUtility, _POSITIVE, _POSITIVE,
+                          _POSITIVE, _POSITIVE, _POSITIVE),
+}
+
+
 class TestRowValues:
     XS = np.array([[0.1, 0.2, 0.3], [0.05, 0.5, 0.9]])
     CS = np.array([[0.2, np.inf, 0.1], [1.0, 0.3, np.inf]])
@@ -395,6 +426,38 @@ class TestRowValues:
         for k, utility in enumerate(profile):
             assert np.array_equal(
                 rows[k], utility.value_grid(self.XS[k], self.CS[k]))
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_PROFILES))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_columnar_rows_equal_value_grid(self, family, data):
+        # Each family's one-pass form scores row k exactly as
+        # utilities[k].value_grid does, whatever the other rows hold.
+        # Power exponents come from {0.5, 1, 2} and free floats: numpy
+        # takes sqrt/square for a scalar ** 0.5 / ** 2.0 but pow for an
+        # exponent column, so a naive r ** p_column fails here.
+        n = data.draw(st.integers(1, 6))
+        profile = [data.draw(FAMILY_PROFILES[family]) for _ in range(n)]
+        xs = np.asarray(data.draw(st.lists(
+            st.lists(_GRID_RATES, min_size=7, max_size=7),
+            min_size=n, max_size=n)))
+        cs = np.asarray(data.draw(st.lists(
+            st.lists(_GRID_CONGESTIONS, min_size=7, max_size=7),
+            min_size=n, max_size=n)))
+        rows = value_grid_rows(profile)
+        assert rows.__name__ == "columnar"
+        with warnings.catch_warnings(record=True) as batched:
+            warnings.simplefilter("always")
+            got = rows(xs, cs)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want = [u.value_grid(x, c) for u, x, c in zip(profile, xs, cs)]
+        assert [row.tobytes() for row in got] == \
+            [row.tobytes() for row in want]
+        # The same floating-point warnings (an exp overflow at a
+        # negative congestion, say), or none.
+        assert {str(w.message) for w in batched} == \
+            {str(w.message) for w in alone}
 
 
 def _profiles(min_users=2, max_users=5):

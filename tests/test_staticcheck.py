@@ -728,7 +728,7 @@ class TestPerUserLoopInClassSpace:
     def test_finding_anchors_at_outer_loop(self, tmp_path):
         # A nested loop reports once, at the outermost ``for`` — so a
         # single pragma above the nest covers the whole certification
-        # block (the shape ``certify_expansion`` ships with).
+        # block (the shape a per-user spot-check loop takes).
         path = write_module(tmp_path, "src/repro/game/meanfield.py", """\
             def spot(allocation, utilities, expanded, per_class):
                 worst = 0.0
