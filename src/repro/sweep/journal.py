@@ -21,8 +21,8 @@ The header is written once per ``run``/``resume`` invocation (a
 journal may carry several across restarts); a header whose digest or
 engine tag disagrees with the resuming catalog invalidates all
 *earlier* cell records, mirroring the sim cache's engine-version
-policy.  Truncated trailing lines (the kill arrived mid-write) are
-ignored, not fatal.
+policy.  A truncated trailing line (the kill arrived mid-write) is
+ignored, not fatal, and a resume cuts it off before appending.
 """
 
 from __future__ import annotations
@@ -88,13 +88,26 @@ def read_journal(path: str) -> Dict[str, Dict[str, Any]]:
     return outcomes
 
 
+def _cut_torn_line(path: str) -> None:
+    """Cut off the bytes after a journal's last newline, if any."""
+    try:
+        with open(path, "r+b") as handle:
+            data = handle.read()
+            whole = data.rfind(b"\n") + 1
+            if whole < len(data):
+                handle.truncate(whole)
+    except FileNotFoundError:
+        pass
+
+
 class SweepJournal:
     """Append-only writer for one sweep's journal file.
 
     ``fresh=True`` truncates any existing journal (``sweep run``
-    semantics); the default appends (``sweep resume``).  Each record
-    is flushed immediately so a killed sweep loses at most the cell
-    in flight.
+    semantics); the default appends (``sweep resume``) after cutting
+    off a torn last line, so the next record starts a line of its own.
+    Each record is flushed immediately so a killed sweep loses at most
+    the cell in flight.
     """
 
     def __init__(self, path: str, fresh: bool = False) -> None:
@@ -109,6 +122,8 @@ class SweepJournal:
                     f"{exc}") from exc
         mode = "w" if fresh else "a"
         try:
+            if not fresh:
+                _cut_torn_line(path)
             self._handle: Optional[TextIO] = open(
                 path, mode, encoding="utf-8")
         except OSError as exc:

@@ -1,4 +1,5 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and helpers that reach sim-cache
+records through the record store."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro.sim.store import RecordStore
 from repro.disciplines import (
     FairShareAllocation,
     PriorityAllocation,
@@ -32,6 +34,24 @@ def _isolated_sim_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(sim_cache.ENV_TOGGLE, "off")
     yield
     sim_cache.set_enabled(None)
+
+
+def record_keys(directory):
+    """Every key with a record in a sim-cache directory, sorted."""
+    with RecordStore(str(directory)) as records:
+        return records.keys()
+
+
+def corrupt_record(directory, key):
+    """Flip the last byte of ``key``'s record, so that reading it fails
+    its checksum: how a test drops a cache entry."""
+    with RecordStore(str(directory)) as records:
+        path, offset, length = records.locate(key)
+    with open(path, "r+b") as handle:
+        handle.seek(offset + length - 1)
+        last = handle.read(1)[0]
+        handle.seek(offset + length - 1)
+        handle.write(bytes([last ^ 0xFF]))
 
 
 @pytest.fixture

@@ -17,6 +17,8 @@ from repro.sim import runner
 from repro.sim.fair_queueing import StartTimeFairQueue
 from repro.sim.runner import (SimulationConfig, replicate, simulate,
                               simulate_to_precision)
+from repro.sim.store import RecordStore
+from tests.conftest import corrupt_record, record_keys
 
 CONFIG = SimulationConfig(rates=(0.1, 0.2), policy="fifo",
                           horizon=2000.0, warmup=100.0, seed=3)
@@ -37,10 +39,6 @@ def cache_counts(scope):
     return obs.group("sim.cache", sim_cache.COUNTERS, scope.delta)
 
 
-def _entry_files(directory):
-    return [os.path.join(root, name)
-            for root, _dirs, names in os.walk(directory)
-            for name in names if name.endswith(".pkl")]
 
 
 class TestKeying:
@@ -99,7 +97,7 @@ class TestSimulateThroughCache:
     def test_opt_out_writes_nothing(self, cache_on, counted):
         sim_cache.set_enabled(False)
         simulate(CONFIG)
-        assert _entry_files(cache_on) == []
+        assert record_keys(cache_on) == []
         stats = cache_counts(counted)
         assert stats["misses"] == 0 and stats["stores"] == 0
         assert stats["fresh_events"] > 0
@@ -112,13 +110,12 @@ class TestSimulateThroughCache:
         stats = cache_counts(counted)
         assert stats["uncacheable"] == 1
         assert stats["misses"] == 0 and stats["stores"] == 0
-        assert _entry_files(cache_on) == []
+        assert record_keys(cache_on) == []
 
     def test_corrupt_entry_is_a_miss(self, cache_on, counted):
         simulate(CONFIG)
-        (path,) = _entry_files(cache_on)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+        (key,) = record_keys(cache_on)
+        corrupt_record(cache_on, key)
         result = simulate(CONFIG)
         assert result.departures > 0
         stats = cache_counts(counted)
@@ -133,10 +130,11 @@ class TestSimulateThroughCache:
 
     def test_entries_land_in_override_directory(self, cache_on):
         simulate(CONFIG)
-        (path,) = _entry_files(cache_on)
+        (key,) = record_keys(cache_on)
+        with RecordStore(str(cache_on)) as records:
+            path, _offset, _length = records.locate(key)
+            stored = pickle.loads(records.get(key))
         assert str(cache_on) in path
-        with open(path, "rb") as handle:
-            stored = pickle.load(handle)
         assert stored.departures > 0
 
 

@@ -13,7 +13,6 @@ queueing (sized mode, virtual-time heap).
 import copyreg
 import io
 import math
-import os
 import pickle
 from dataclasses import replace
 
@@ -33,6 +32,7 @@ from repro.sim.runner import (
     simulate,
     simulate_to_precision,
 )
+from repro.sim.store import RecordStore
 
 RATES = (0.1, 0.2, 0.3)
 POLICIES = ("fifo", "fair-share", "fair-queueing")
@@ -150,7 +150,13 @@ class TestStateCache:
     def test_precision_rerun_with_tighter_target_is_delta_only(
             self, cache_on):
         config = config_for("fifo", horizon=6000.0)
-        loose = simulate_to_precision(config, target_halfwidth=0.2)
+        with obs.Scope() as counted:
+            loose = simulate_to_precision(config, target_halfwidth=0.2)
+        # One snapshot for the whole ladder, taken at its final rung.
+        assert len(loose.horizons) >= 2
+        assert counted.get("sim.cache.state_stores") == 1
+        assert sim_cache.load_state(sim_cache.state_key(
+            config, ENGINE_VERSION)).horizon == loose.horizons[-1]
         with obs.Scope() as counted:
             tight = simulate_to_precision(config, target_halfwidth=0.05)
         delta = counted.get("sim.cache.fresh_events")
@@ -213,11 +219,9 @@ class TestListLayoutSnapshots:
         blob = io.BytesIO()
         _ListLayoutPickler(blob, protocol=pickle.HIGHEST_PROTOCOL).dump(
             engine.snapshot())
-        path = sim_cache._entry_path(sim_cache.state_key(long,
-                                                         ENGINE_VERSION))
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(blob.getvalue())
+        with RecordStore(sim_cache.cache_dir()) as records:
+            assert records.put(sim_cache.state_key(long, ENGINE_VERSION),
+                               blob.getvalue())
 
         with obs.Scope() as counted:
             resumed = simulate(long)

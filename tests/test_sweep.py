@@ -6,7 +6,6 @@ CRN-sibling batching, the concurrent-dedup and kill-and-resume
 accounting the issue gates on, and the `repro sweep` CLI surface.
 """
 
-import glob
 import json
 import math
 import os
@@ -55,6 +54,7 @@ from repro.sweep.report import (
     scenario_groups,
 )
 from repro.sweep.scheduler import SweepScheduler, warm_outcome
+from tests.conftest import corrupt_record, record_keys
 
 #: A deliberately tiny stopping rule so scheduler tests stay fast.
 FAST_SCALARS = {"target_halfwidth": 0.3, "horizon": 1500.0,
@@ -77,19 +77,20 @@ def tiny_spec(**overrides):
     return spec
 
 
-def cache_entries():
-    """Every entry file in the current sim cache directory."""
-    return glob.glob(os.path.join(sim_cache.cache_dir(), "*", "*.pkl"))
+def cache_keys():
+    """Every key with a record in the current sim cache directory."""
+    return record_keys(sim_cache.cache_dir())
 
 
-def entry_key(path):
-    return os.path.basename(path)[:-len(".pkl")]
+def drop_entry(key):
+    """Corrupt ``key``'s record, which makes reading it a miss."""
+    corrupt_record(sim_cache.cache_dir(), key)
 
 
 def drop_precision_index():
-    for path in cache_entries():
-        if entry_key(path).startswith("prec-"):
-            os.unlink(path)
+    for key in cache_keys():
+        if key.startswith("prec-"):
+            drop_entry(key)
 
 
 def outcome_bytes(outcome):
@@ -341,12 +342,11 @@ class TestScheduler:
         catalog = Catalog(name="one", cells=[cell])
         run_sweep(catalog, jobs=1, journal=False)
         indexed = warm_outcome(cell)
-        index_files = [path for path in
-                       glob.glob(os.path.join(sim_cache.cache_dir(),
-                                              "*", "prec-*.pkl"))]
-        assert index_files, "cold run should write a precision index"
-        for path in index_files:
-            os.unlink(path)
+        index_keys = [key for key in cache_keys()
+                      if key.startswith("prec-")]
+        assert index_keys, "cold run should write a precision index"
+        for key in index_keys:
+            drop_entry(key)
         replayed = warm_outcome(cell)
         assert indexed is not None and replayed is not None
         assert indexed.as_dict() == replayed.as_dict()
@@ -363,12 +363,12 @@ class TestScheduler:
         assert cold.n_rungs >= 2
         final = sim_cache.config_key(
             replace(cell.config(), horizon=cold.horizon), ENGINE_VERSION)
-        dropped = [path for path in cache_entries()
-                   if not entry_key(path).startswith(("prec-", "state-"))
-                   and entry_key(path) != final]
+        dropped = [key for key in cache_keys()
+                   if not key.startswith(("prec-", "state-"))
+                   and key != final]
         assert len(dropped) == cold.n_rungs - 1
-        for path in dropped:
-            os.unlink(path)
+        for key in dropped:
+            drop_entry(key)
         warm = warm_outcome(cell)
         assert warm is not None
         assert outcome_bytes(warm) == outcome_bytes(cold)
@@ -421,7 +421,7 @@ class TestScheduler:
                 future.result()
             cold = run_sweep(catalog, jobs=2, pool=pool,
                              cache_enabled=True)
-            first = {entry_key(path) for path in cache_entries()}
+            first = set(cache_keys())
             monkeypatch.setenv(sim_cache.ENV_DIR,
                                str(tmp_path / "sim-moved"))
             moved = run_sweep(catalog, jobs=2, pool=pool,
@@ -429,7 +429,7 @@ class TestScheduler:
         assert cold.fresh_events > 0
         assert moved.fresh_events == cold.fresh_events
         assert moved.source_counts()["fresh"] == len(catalog)
-        assert {entry_key(path) for path in cache_entries()} == first
+        assert set(cache_keys()) == first
 
     @pytest.mark.slow
     def test_concurrent_identical_cells_simulate_once(self, sweep_env,
@@ -489,6 +489,37 @@ class TestScheduler:
         again = run_sweep(catalog, jobs=1, resume=True)
         assert again.fresh_events == 0
         assert again.source_counts()["journal"] == 4
+
+    def test_torn_last_line_reruns_only_that_cell(self, sweep_env,
+                                                  tmp_path, monkeypatch):
+        catalog = expand_catalog(tiny_spec(rhos=[0.3, 0.5]))
+        full = run_sweep(catalog, jobs=1)
+        journal_file = full.journal_path
+        with open(journal_file, "rb") as handle:
+            data = handle.read()
+        last = data.splitlines()[-1]
+        torn = json.loads(last)["key"]
+        # The kill lands mid-way through the last cell's line.
+        os.truncate(journal_file, len(data) - 1 - len(last) // 2)
+        surviving = set(read_journal(journal_file))
+        assert len(surviving) == 3 and torn not in surviving
+        monkeypatch.setenv(sim_cache.ENV_DIR, str(tmp_path / "cold"))
+        resumed = run_sweep(catalog, jobs=1, resume=True)
+        assert resumed.source_counts()["journal"] == 3
+        assert [outcome.key for outcome in resumed.outcomes
+                if outcome.source == "fresh"] == [torn]
+        expected = [outcome_bytes(outcome) for outcome in full.outcomes]
+        assert [outcome_bytes(outcome)
+                for outcome in resumed.outcomes] == expected
+        # Every line of the journal is a whole record again.
+        with open(journal_file, encoding="utf-8") as handle:
+            for line in handle:
+                json.loads(line)
+        again = run_sweep(catalog, jobs=1, resume=True)
+        assert again.source_counts()["journal"] == 4
+        assert again.fresh_events == 0
+        assert [outcome_bytes(outcome)
+                for outcome in again.outcomes] == expected
 
     def test_crashed_cell_is_isolated_and_retried(self, sweep_env,
                                                   monkeypatch):
