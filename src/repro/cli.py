@@ -230,7 +230,7 @@ def _cmd_list() -> int:
 def _print_counts(counted: obs.Scope, solver: bool = True) -> None:
     """A command's ``[sim-cache]`` and ``[solver]`` lines, on stderr so
     stdout stays byte-identical across job counts (CI greps them)."""
-    from repro.numerics import instrumentation
+    from repro.numerics import instrumentation, iterate
     from repro.sim import cache as sim_cache
     from repro.sim import store
 
@@ -240,9 +240,11 @@ def _print_counts(counted: obs.Scope, solver: bool = True) -> None:
                                   counted.delta))
     print(obs.line("sim-cache", cache_counts), file=sys.stderr)
     if solver:
-        print(obs.line("solver", obs.group(
-            "solver", instrumentation.COUNTERS, counted.delta)),
-            file=sys.stderr)
+        solver_counts = obs.group("solver", instrumentation.COUNTERS,
+                                  counted.delta)
+        solver_counts.update(obs.group("fixed_point", iterate.COUNTERS,
+                                       counted.delta))
+        print(obs.line("solver", solver_counts), file=sys.stderr)
 
 
 def _cmd_run(experiment: str, seed: int, fast: bool, jobs: int,

@@ -5,10 +5,12 @@ because acceptable allocations are symmetric under user permutation
 (Section 2), the N-user game collapses to a K-class game with
 multiplicities.  Starting from a class-symmetric point, simultaneous
 best responses preserve the symmetry — every member of a class faces
-the same deviation problem — so the damped best-response iteration of
-:func:`repro.game.nash.solve_nash` runs unchanged on the K-dimensional
-reduced game.  That is what :func:`solve_nash_classes` does: the same
-fixed-point driver and grid-zoom maximizer, with congestion evaluated
+the same deviation problem — so the best-response iteration of
+:func:`repro.game.nash.solve_nash` runs on the K-dimensional reduced
+game.  That is what :func:`solve_nash_classes` does: the same
+fixed-point driver, its extrapolation weighted by the class counts so
+each step is the per-user step at a class-symmetric point, and the
+same grid-zoom maximizer, with congestion evaluated
 through the O(K) class-space paths
 (:meth:`~repro.disciplines.base.AllocationFunction.class_congestion`,
 :meth:`~repro.disciplines.base.AllocationFunction
@@ -498,7 +500,7 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
                        damping: float = 0.5, tol: float = 1e-9,
                        max_iter: int = 400,
                        certify_users: int = 1) -> ClassNashResult:
-    """Damped best-response iteration on the K-class reduced game.
+    """Best-response iteration on the K-class reduced game.
 
     Parameters
     ----------
@@ -521,10 +523,12 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
         expansion certificate; the class-space ``max_gain``
         certificate is always computed).
 
-    From a class-symmetric start the damped iteration coincides with
-    the per-user :func:`~repro.game.nash.solve_nash` trajectory on the
-    expanded game, so the result matches the exact solver to solver
-    tolerance while doing O(K) work per step instead of O(N).
+    From a class-symmetric start the iteration is the per-user
+    :func:`~repro.game.nash.solve_nash` iteration on the expanded game
+    restricted to class-symmetric points (the driver weights its
+    extrapolation by ``counts``), so the result matches the exact
+    solver to solver tolerance while doing O(K) work per step instead
+    of O(N).
     """
     utilities, counts_arr, members = _resolve_classes(
         allocation, profile, counts)
@@ -537,7 +541,7 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
         return class_best_response_map(allocation, utilities, c, m)
 
     outcome = damped_fixed_point(mapping, c0, damping=damping, tol=tol,
-                                 max_iter=max_iter)
+                                 max_iter=max_iter, weights=m)
     class_rates = np.asarray(outcome.x, dtype=float)
     congestion = allocation.class_congestion(class_rates, m)
     class_utilities = np.asarray(

@@ -124,7 +124,7 @@ def solve_nash_meanfield(allocation, profile: Sequence[Utility],
                                            include_self=True)
 
         outcome = damped_fixed_point(mapping, start, damping=damping,
-                                     tol=tol, max_iter=max_iter)
+                                     tol=tol, max_iter=max_iter, weights=m)
         class_rates = np.asarray(outcome.x, dtype=float)
         converged = bool(outcome.converged)
         iterations = int(outcome.iterations)

@@ -2,9 +2,13 @@
 
 Two complementary solvers:
 
-* :func:`solve_nash` — damped best-response iteration.  Globally robust;
-  under Fair Share it converges for any profile in AU (Theorem 5), and
-  the damping handles FIFO's oscillatory coupling.
+* :func:`solve_nash` — best-response iteration through the shared
+  fixed-point driver (:func:`repro.numerics.iterate.damped_fixed_point`):
+  damped steps plus safeguarded Anderson extrapolation.  Globally
+  robust; under Fair Share it converges for any profile in AU
+  (Theorem 5), the damped fallback handles FIFO's oscillatory
+  coupling, and the extrapolation finishes Fair Share's nilpotent and
+  the separable discipline's constant map in a few evaluations.
 * :func:`solve_nash_fdc` — Newton/root-finding on the first-derivative
   conditions ``E_i(r) = M_i(r_i, C_i(r)) + dC_i/dr_i = 0``.  Fast and
   precise near a solution; every root is re-certified with actual best
@@ -109,7 +113,13 @@ def solve_nash(allocation, profile: Sequence[Utility],
                r0: Optional[Sequence[float]] = None,
                damping: float = 0.5, tol: float = 1e-9,
                max_iter: int = 400) -> NashResult:
-    """Damped best-response iteration to a Nash equilibrium."""
+    """Best-response iteration to a Nash equilibrium.
+
+    ``damping`` is the fraction of the plain step ``r <- (1-d) r +
+    d B(r)``; the driver extrapolates between plain steps, and
+    ``max_iter`` bounds the best-response maps it evaluates
+    (``iterations`` in the result).
+    """
     n = len(profile)
     start = (default_start(n, allocation) if r0 is None
              else np.asarray(r0, dtype=float))
@@ -194,10 +204,11 @@ def find_all_nash(allocation, profile: Sequence[Utility],
                   class_starts: Optional[bool] = None) -> List[NashResult]:
     """Multistart equilibrium search with clustering.
 
-    Runs damped best-response iteration from ``n_starts`` random
-    interior points, keeps runs that certify as equilibria, and merges
-    points closer than ``distinct_tol`` in sup norm.  Returns the
-    distinct equilibria found (possibly empty if nothing certified).
+    Runs best-response iteration (:func:`solve_nash`) from
+    ``n_starts`` random interior points, keeps runs that certify as
+    equilibria, and merges points closer than ``distinct_tol`` in sup
+    norm.  Returns the distinct equilibria found (possibly empty if
+    nothing certified).
 
     ``class_starts`` controls the start distribution: ``True`` seeds
     per utility class (:func:`_class_seeded_start`), ``False`` uses

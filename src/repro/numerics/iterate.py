@@ -1,37 +1,86 @@
-"""Damped fixed-point iteration.
+"""Fixed-point iteration: a damped step with safeguarded Anderson
+extrapolation.
 
-Best-response dynamics are a fixed-point iteration ``r <- B(r)``; plain
-iteration can overshoot under disciplines with strong coupling (FIFO),
-so the solver supports damping and adaptive damping reduction when the
-residual stalls.
+Best-response dynamics are a fixed-point iteration ``r <- B(r)``.  The
+plain step ``x <- x + d (B(x) - x)`` is globally cautious: under FIFO
+the relaxation matrix has a leading eigenvalue near ``1 - N``
+(Theorem 7), so undamped dynamics diverge for ``N > 2`` and the step
+must be damped, with adaptive halving when the residual stalls.  Under
+Fair Share the same matrix is nilpotent and under a separable
+discipline ``B`` is constant after one step, yet a fixed damping makes
+them crawl at FIFO's pace.
+
+:func:`damped_fixed_point` therefore extrapolates over its last
+:data:`ANDERSON_MEMORY` ``(x, B(x) - x)`` pairs (type-II Anderson
+acceleration), which solves an affine map of dimension up to the
+memory in a few evaluations whatever its spectrum (a constant map in
+three).  The damped step starts the iteration and stays as the
+fallback, behind three safeguards:
+
+* an extrapolated point whose residual is not below
+  :data:`REJECT_FACTOR` times the residual of the point it came from is
+  dropped: the iteration goes back to that point, clears its memory and
+  takes the plain step;
+* extrapolated points are clipped to the box spanned by the iterates
+  and map outputs in memory;
+* once the residual is within :data:`ENDGAME_FACTOR` times ``tol``, only
+  plain steps are taken.  Near a fixed point a best response is
+  resolved only to about 1e-9-1e-8 (the argmax of a flat utility is
+  ill-conditioned), and extrapolating on that noise can cycle.
+
+A stall never ends a run: it ends converged, after ``max_iter`` map
+evaluations, or when an end-game step would start from a state it has
+already stepped from.  ``B`` is a function, so such a run is on an
+orbit that never converges; plain steps at a best response's noise
+floor fall into such cycles, and they end there instead of spinning to
+``max_iter``.  A run that ends unconverged returns the best point it
+evaluated.  Each map evaluation, rejected extrapolation and
+unconverged run is counted in :mod:`repro.obs` as
+``fixed_point.<name>`` for each name in :data:`COUNTERS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+import repro.obs as obs
 from repro.exceptions import ConvergenceError
+
+#: Difference pairs the extrapolation solves over.
+ANDERSON_MEMORY = 4
+#: An extrapolated point survives only if its residual is below this
+#: multiple of the residual at the point it was extrapolated from.
+REJECT_FACTOR = 10.0
+#: Plain steps only once the residual is below this multiple of ``tol``.
+ENDGAME_FACTOR = 100.0
+#: Relative singular-value cutoff of the extrapolation least squares.
+LSTSQ_RCOND = 1e-12
+
+#: The driver's counters, ``fixed_point.<name>`` in :mod:`repro.obs`,
+#: in ``[solver]`` line order.
+COUNTERS = ("map_evals", "rejected_extrapolations", "unconverged")
 
 
 @dataclass
 class FixedPointResult:
-    """Outcome of a damped fixed-point iteration.
+    """Outcome of a fixed-point iteration.
 
     Attributes
     ----------
     x:
-        Final iterate.
+        Final iterate: the converged point, or else the evaluated
+        point with the smallest residual.
     converged:
         Whether the residual dropped below tolerance.
     iterations:
-        Number of iterations performed.
+        Number of map evaluations performed (at most ``max_iter``).
     residual:
-        Final sup-norm residual ``||B(x) - x||``.
+        Sup-norm residual ``||B(x) - x||`` at :attr:`x`.
     history:
-        Iterate trajectory (including the start point) when recording
+        The start point followed by every map output, when recording
         was requested, else ``None``.
     """
 
@@ -42,6 +91,24 @@ class FixedPointResult:
     history: Optional[np.ndarray] = None
 
 
+def _extrapolate(xs: List[np.ndarray], outputs: List[np.ndarray],
+                 scale: np.ndarray) -> np.ndarray:
+    """The Anderson point from the pairs in memory, clipped to their box.
+
+    ``gamma`` minimizes the row-scaled 2-norm of the newest residual
+    ``B(x) - x`` minus a combination of residual differences; the point
+    is the newest map output minus the same combination of output
+    differences.
+    """
+    points, images = np.asarray(xs), np.asarray(outputs)
+    residuals = (images - points) * scale
+    gamma = np.linalg.lstsq(np.diff(residuals, axis=0).T, residuals[-1],
+                            rcond=LSTSQ_RCOND)[0]
+    point = images[-1] - np.diff(images, axis=0).T @ gamma
+    return np.clip(point, np.minimum(points.min(axis=0), images.min(axis=0)),
+                   np.maximum(points.max(axis=0), images.max(axis=0)))
+
+
 def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
                        x0: np.ndarray,
                        damping: float = 0.5,
@@ -49,8 +116,10 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
                        max_iter: int = 500,
                        adapt: bool = True,
                        record: bool = False,
-                       raise_on_failure: bool = False) -> FixedPointResult:
-    """Iterate ``x <- (1-d) x + d B(x)`` until ``||B(x) - x||_inf < tol``.
+                       raise_on_failure: bool = False,
+                       weights: Optional[Sequence[float]] = None
+                       ) -> FixedPointResult:
+    """Find ``x = B(x)``, stopping when ``||B(x) - x||_inf < tol``.
 
     Parameters
     ----------
@@ -59,28 +128,49 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
     x0:
         Starting point.
     damping:
-        Initial step fraction ``d`` in (0, 1].
+        Initial fraction ``d`` in (0, 1] of the plain step
+        ``x <- (1-d) x + d B(x)``, which starts the iteration, follows
+        a rejected extrapolation and finishes it near the fixed point.
+    max_iter:
+        Map evaluations allowed, rejected extrapolations included.
     adapt:
-        Halve the damping whenever the residual fails to shrink for
-        several consecutive iterations (helps FIFO's near-oscillatory
-        best-response dynamics).
+        Halve the damping whenever plain steps fail to shrink the
+        residual for several consecutive iterations (helps FIFO's
+        near-oscillatory best-response dynamics).  Extrapolated steps
+        do not use the damping and do not count.
     record:
-        Keep the full trajectory in :attr:`FixedPointResult.history`.
+        Keep the start point and every map output in
+        :attr:`FixedPointResult.history`.
     raise_on_failure:
         Raise :class:`~repro.exceptions.ConvergenceError` instead of
         returning a non-converged result.
+    weights:
+        Positive per-coordinate multiplicities weighting the
+        extrapolation's least squares.  A class-space map passes its
+        class counts, so the iteration is the per-user one restricted
+        to class-symmetric points.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
     x = np.asarray(x0, dtype=float).copy()
+    scale = np.sqrt(np.ones(x.size) if weights is None
+                    else np.asarray(weights, dtype=float))
     trail = [x.copy()] if record else None
     d = damping
     last_residual = np.inf
     stall = 0
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    xs: List[np.ndarray] = []           # the last few pairs (x, B(x))
+    outputs: List[np.ndarray] = []
+    source = None             # (x, B(x), residual) behind an extrapolation
+    endgame = False
+    visited: Set[Tuple[bytes, float, int]] = set()
+    best_x, best_residual = x, np.inf
+    iteration = 0
+    while iteration < max_iter:
+        iteration += 1
         target = np.asarray(mapping(x), dtype=float)
         residual = float(np.max(np.abs(target - x)))
+        obs.add("fixed_point.map_evals")
         if record:
             trail.append(target.copy())
         if residual < tol:
@@ -88,7 +178,16 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
             return FixedPointResult(x=x, converged=True,
                                     iterations=iteration,
                                     residual=residual, history=history)
-        if adapt:
+        if residual < best_residual:
+            best_x, best_residual = x, residual
+        if source is not None and not residual < REJECT_FACTOR * source[2]:
+            obs.add("fixed_point.rejected_extrapolations")
+            x, target, residual = source
+            xs, outputs = [], []
+        xs.append(x)
+        outputs.append(target)
+        del xs[:-ANDERSON_MEMORY - 1], outputs[:-ANDERSON_MEMORY - 1]
+        if adapt and source is None:
             if residual >= last_residual * 0.999:
                 stall += 1
                 if stall >= 3 and d > 1.0 / 64.0:
@@ -97,12 +196,28 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
             else:
                 stall = 0
         last_residual = residual
-        x = (1.0 - d) * x + d * target
+        source = None
+        endgame = endgame or residual < ENDGAME_FACTOR * tol
+        if endgame:
+            # What follows depends on nothing else (the residual is a
+            # function of x), so a state seen before starts an orbit
+            # that can never converge.
+            state = (x.tobytes(), d, stall)
+            if state in visited:
+                break
+            visited.add(state)
+        if endgame or len(xs) < 2:
+            x = (1.0 - d) * x + d * target
+        else:
+            source = (x, target, residual)
+            x = _extrapolate(xs, outputs, scale)
+    obs.add("fixed_point.unconverged")
     if raise_on_failure:
         raise ConvergenceError(
             "fixed-point iteration did not converge "
-            f"(residual {residual:.3e} after {max_iter} iterations)",
-            iterations=max_iter, residual=residual)
+            f"(residual {best_residual:.3e} after {iteration} iterations)",
+            iterations=iteration, residual=best_residual)
     history = np.array(trail) if record else None
-    return FixedPointResult(x=x, converged=False, iterations=max_iter,
-                            residual=residual, history=history)
+    return FixedPointResult(x=best_x, converged=False,
+                            iterations=iteration, residual=best_residual,
+                            history=history)

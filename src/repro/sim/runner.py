@@ -208,6 +208,13 @@ class SimulationResult:
     config: SimulationConfig = field(repr=False)
     variate_draws: Optional[Tuple[int, ...]] = None
 
+    def __post_init__(self) -> None:
+        # One string object for the name and a name-configured policy,
+        # whether the config was built here or unpickled in a worker,
+        # so a cached result pickles to the same bytes at any job count.
+        if self.config.policy == self.policy_name:
+            self.policy_name = self.config.policy
+
     @property
     def total_mean_queue(self) -> float:
         """Aggregate mean number in system."""

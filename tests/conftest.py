@@ -1,7 +1,10 @@
-"""Shared fixtures for the test suite, and helpers that reach sim-cache
-records through the record store."""
+"""Shared fixtures for the test suite, helpers that reach sim-cache
+records through the record store, and the canonical form sweep tests
+compare outcomes in."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -52,6 +55,14 @@ def corrupt_record(directory, key):
         last = handle.read(1)[0]
         handle.seek(offset + length - 1)
         handle.write(bytes([last ^ 0xFF]))
+
+
+def outcome_bytes(outcome):
+    """A sweep outcome's journal form without its source, as canonical
+    JSON."""
+    payload = outcome.as_dict()
+    del payload["source"]
+    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture

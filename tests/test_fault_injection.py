@@ -7,12 +7,19 @@ others into a correct result plus a counted ``sim.store.*`` event: a
 full disk loses the store (``failed_writes``), a flipped byte is a miss
 (``corrupt``), and a segment cut mid-record by a killed writer is a
 miss for that record alone (``torn``), with the next append starting
-on a record boundary.
+on a record boundary.  A killed sweep worker breaks its pool at once
+(``BrokenProcessPool``, and the pool refuses reuse) and leaves a
+journal of whole lines, from which ``sweep resume`` re-runs exactly
+the lost cells.
 """
 
 import errno
+import json
 import os
+import signal
 import struct
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -24,6 +31,9 @@ from repro.sim import kernels
 from repro.sim import store
 from repro.sim.runner import ENGINE_VERSION, SimulationConfig, simulate
 from repro.sim.store import RecordStore
+from repro.sweep import expand_catalog, read_journal, run_sweep
+from repro.sweep import scheduler
+from tests.conftest import outcome_bytes
 
 FAIR_SHARE = SimulationConfig(rates=(0.2, 0.3), policy="fair-share",
                               horizon=2000.0, warmup=100.0, seed=7)
@@ -168,3 +178,84 @@ class TestTornSegment:
         assert os.path.getsize(path) == offset + new_length
         assert sim_cache.load(torn).mean_queues.tobytes() \
             == resimulated.mean_queues.tobytes()
+
+
+#: The batch runner as the scheduler ships it, kept before any test
+#: patches the module.
+_RUN_CELL_BATCH = scheduler._run_cell_batch
+#: Six cells in three CRN batches (one per load, fifo and fair-share
+#: together); the middle batch is the one whose worker dies.
+KILL_SPEC = {"name": "kill", "policies": ["fifo", "fair-share"],
+             "profiles": ["linear"], "arrival_processes": ["poisson"],
+             "service_processes": ["exponential"],
+             "rhos": [0.3, 0.5, 0.7], "n_users": [2], "seeds": [0],
+             "target_halfwidth": 0.3, "horizon": 1500.0,
+             "warmup": 300.0, "max_doublings": 1}
+DOOMED_RHO = 0.5
+#: Where the dying worker notes the monotonic time of its death.
+KILL_STAMP = "GREEDWORK_TEST_KILL_STAMP"
+
+
+def _killing_batch(cells, cache_enabled, cache_dir):
+    """Run a batch, unless it holds a doomed cell: then SIGKILL the
+    worker running it, as the kernel's OOM killer would."""
+    if any(cell.rho == DOOMED_RHO for cell in cells):
+        with open(os.environ[KILL_STAMP], "w") as handle:
+            handle.write(repr(time.monotonic()))
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _RUN_CELL_BATCH(cells, cache_enabled, cache_dir)
+
+
+class TestKilledSweepWorker:
+    def test_pool_breaks_and_resume_reruns_only_the_lost_cells(
+            self, tmp_path, monkeypatch):
+        sim_cache.set_enabled(False)
+        try:
+            catalog = expand_catalog(KILL_SPEC)
+            reference = run_sweep(catalog, jobs=1, journal=False,
+                                  cache_enabled=False)
+            journal_path = str(tmp_path / "kill.jsonl")
+            stamp = tmp_path / "killed-at"
+            monkeypatch.setenv(KILL_STAMP, str(stamp))
+            monkeypatch.setattr(scheduler, "_run_cell_batch",
+                                _killing_batch)
+            pool = WorkerPool(2)
+            try:
+                with pytest.raises(BrokenProcessPool):
+                    run_sweep(catalog, jobs=2, pool=pool,
+                              journal_path=journal_path,
+                              cache_enabled=False)
+                noticed = time.monotonic()
+                with pytest.raises(BrokenProcessPool):
+                    pool.submit(abs, -1)
+            finally:
+                pool.shutdown()
+            assert noticed - float(stamp.read_text()) < 5.0
+            monkeypatch.setattr(scheduler, "_run_cell_batch",
+                                _RUN_CELL_BATCH)
+
+            with open(journal_path, encoding="utf-8") as handle:
+                data = handle.read()
+            assert data.endswith("\n")
+            records = [json.loads(line) for line in data.splitlines()]
+            assert records[0]["kind"] == "sweep"
+            surviving = set(read_journal(journal_path))
+            doomed = {cell.key() for cell in catalog.cells
+                      if cell.rho == DOOMED_RHO}
+            assert len(doomed) == 2 and not surviving & doomed
+            assert len(records) == 1 + len(surviving)
+
+            with WorkerPool(2) as fresh:
+                resumed = run_sweep(catalog, jobs=2, pool=fresh,
+                                    resume=True,
+                                    journal_path=journal_path,
+                                    cache_enabled=False)
+            lost = {cell.key() for cell in catalog.cells} - surviving
+            assert {outcome.key for outcome in resumed.outcomes
+                    if outcome.source == "fresh"} == lost
+            assert resumed.source_counts()["journal"] == len(surviving)
+            assert [outcome_bytes(outcome)
+                    for outcome in resumed.outcomes] == [
+                outcome_bytes(outcome) for outcome in reference.outcomes]
+        finally:
+            sim_cache.set_enabled(None)

@@ -76,7 +76,9 @@ class TestCLIFlags:
         sim_line, solver_line = captured.err.splitlines()[-2:]
         assert sim_line.startswith("[sim-cache] hits=")
         assert solver_line == ("[solver] objective_evals=0 "
-                               "congestion_evals=0 grid_calls=0")
+                               "congestion_evals=0 grid_calls=0 "
+                               "map_evals=0 rejected_extrapolations=0 "
+                               "unconverged=0")
 
     @pytest.mark.slow
     def test_no_sim_cache_flag(self, capsys, monkeypatch):

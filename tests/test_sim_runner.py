@@ -24,6 +24,7 @@ from repro.sim.runner import (
     replication_configs,
     simulate,
 )
+from repro.sim.store import RecordStore
 
 RATES = (0.1, 0.2, 0.3)
 HORIZON = 40000.0
@@ -217,6 +218,23 @@ class TestParallelReplication:
         serial, pooled = deltas
         assert serial["sim.cache.misses"] == 4
         assert serial["sim.cache.fresh_events"] > 0
+        assert pooled == serial
+
+    def test_pooled_records_are_byte_identical_to_serial(
+            self, tmp_path, monkeypatch):
+        config = SimulationConfig(rates=[0.2, 0.3], policy="fifo",
+                                  horizon=2000.0, seed=5)
+        sim_cache.set_enabled(True)
+        records = []
+        for jobs in (1, 2):
+            directory = str(tmp_path / f"sim-jobs{jobs}")
+            monkeypatch.setenv(sim_cache.ENV_DIR, directory)
+            replicate(config, n_replications=4, jobs=jobs)
+            with RecordStore(directory) as store:
+                records.append({key: store.get(key)
+                                for key in store.keys()})
+        serial, pooled = records
+        assert len(serial) == 4
         assert pooled == serial
 
     def test_policy_instance_falls_back_to_serial(self):

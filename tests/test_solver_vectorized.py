@@ -549,36 +549,59 @@ class TestBatchedMapIsPerUser:
             [float(x).hex() for x in expected]
 
 
-#: ``solve_nash`` outputs at the commit before the batched map, as
-#: float.hex: rates, max_gain, iterations, converged and the solver
+#: ``solve_nash`` outputs under the extrapolating fixed-point driver, as
+#: float.hex: rates, max_gain, map evaluations, converged and the solver
 #: counts (objective, congestion, grid calls).  Any drift in a row's
-#: arithmetic moves them.
+#: arithmetic or in the driver's steps moves them.
 NASH_GOLDENS = {
     "fair-share": (
-        ["0x1.29f5e80367836p-2", "0x1.2c33926c467d4p-3",
-         "0x1.6bdc817bd3118p-4", "0x1.b06d1d123064cp-6"],
-        "0x1.8000000000000p-53", 35, True, [47380, 47380, 1296]),
+        ["0x1.29f5e8386bc9ap-2", "0x1.2c33925743610p-3",
+         "0x1.6bdc817e6dc5ep-4", "0x1.b06d1d109c800p-6"],
+        "0x1.8000000000000p-54", 11, True, [15796, 15796, 432]),
     "fifo": (
-        ["0x1.ed00287b1b25fp-2", "0x1.7b02b098d8fd0p-4",
-         "0x1.0c6f7a0b5ed8ep-20", "0x1.0c6f7a0b5ed8ep-20"],
-        "0x1.0000000000000p-53", 103, True, [130136, 130136, 3540]),
+        ["0x1.ed0028894da51p-2", "0x1.7b02b0f611184p-4",
+         "0x1.0c6f7a0b5ed8dp-20", "0x1.0c6f7a0b5ed8dp-20"],
+        "0x1.0000000000000p-54", 13, True, [17603, 17603, 479]),
     "separable": (
-        ["0x1.3fffffd41e7c0p+1", "0x1.6db6db77bf5d8p+0",
-         "0x1.ffffffc8b3db8p-1", "0x1.3fffffd2c256ap-1"],
-        "0x1.0000000000000p-53", 33, True, [49236, 49236, 1360]),
+        ["0x1.3fffffd54e7c0p+1", "0x1.6db6db790d146p+0",
+         "0x1.ffffffca73db8p-1", "0x1.3fffffd3c256ap-1"],
+        "0x0.0p+0", 3, True, [5796, 5796, 160]),
     "priority": (
-        ["0x1.e3779baa97958p-3", "0x1.b06d1d02177bfp-4",
-         "0x1.b06d1d02177bfp-4", "0x1.b06d1d01c74ecp-4"],
-        "0x1.c032e199370a8p-6", 38, True, [51328, 51328, 1404]),
+        ["0x1.e3779c672b4c1p-3", "0x1.b06d1c8266e2dp-4",
+         "0x1.b06d1c8266e2dp-4", "0x1.b06d1c81c4e2ep-4"],
+        "0x1.c032e0426d810p-6", 18, True, [25008, 25008, 684]),
     "fair-share-mixed": (
-        ["0x1.b84701b5b48dbp-3", "0x1.e7f58ed7626b2p-4",
-         "0x1.e403b33c4db85p-4"],
-        "0x1.8000000000000p-54", 32, True, [32574, 32574, 891]),
+        ["0x1.b847016c50ae7p-3", "0x1.e7f58eba6327ep-4",
+         "0x1.e403b33ac06a6p-4"],
+        "0x1.0000000000000p-55", 8, True, [8886, 8886, 243]),
     "fair-share-subsystem": (
-        ["0x1.d793869794c3ep-3", "0x1.be113cc4b9d8cp-4",
-         "0x1.4e85300894eddp-5"],
-        "0x1.0000000000000p-53", 34, True, [34548, 34548, 945]),
+        ["0x1.d79386573b248p-3", "0x1.be113cc00c597p-4",
+         "0x1.4e8530069185cp-5"],
+        "0x1.0000000000000p-53", 8, True, [8886, 8886, 243]),
 }
+
+#: The same six cases' rates under the plain damped iteration (35, 103,
+#: 33, 38, 32 and 34 map evaluations).  The extrapolating driver must
+#: land within :data:`DAMPED_DRIFT_TOL` of each in sup norm: both stop
+#: at the same residual tolerance, a few best-response noise floors
+#: apart.  Priority's point is a damped fixed point, not a Nash point
+#: (gain 2.7e-2 either way).
+DAMPED_NASH_RATES = {
+    "fair-share": ["0x1.29f5e80367836p-2", "0x1.2c33926c467d4p-3",
+                   "0x1.6bdc817bd3118p-4", "0x1.b06d1d123064cp-6"],
+    "fifo": ["0x1.ed00287b1b25fp-2", "0x1.7b02b098d8fd0p-4",
+             "0x1.0c6f7a0b5ed8ep-20", "0x1.0c6f7a0b5ed8ep-20"],
+    "separable": ["0x1.3fffffd41e7c0p+1", "0x1.6db6db77bf5d8p+0",
+                  "0x1.ffffffc8b3db8p-1", "0x1.3fffffd2c256ap-1"],
+    "priority": ["0x1.e3779baa97958p-3", "0x1.b06d1d02177bfp-4",
+                 "0x1.b06d1d02177bfp-4", "0x1.b06d1d01c74ecp-4"],
+    "fair-share-mixed": ["0x1.b84701b5b48dbp-3", "0x1.e7f58ed7626b2p-4",
+                         "0x1.e403b33c4db85p-4"],
+    "fair-share-subsystem": ["0x1.d793869794c3ep-3",
+                             "0x1.be113cc4b9d8cp-4",
+                             "0x1.4e85300894eddp-5"],
+}
+DAMPED_DRIFT_TOL = 5e-8
 
 
 def _golden_case(label):
@@ -605,6 +628,9 @@ class TestNashGoldens:
         assert result.iterations == iterations
         assert result.converged is converged
         assert _counts(scope) == counts
+        assert scope.get("fixed_point.map_evals") == iterations
+        damped = [float.fromhex(x) for x in DAMPED_NASH_RATES[label]]
+        assert np.max(np.abs(result.rates - damped)) <= DAMPED_DRIFT_TOL
 
 
 class TestGeneratedVectorScalarContract:

@@ -54,7 +54,7 @@ from repro.sweep.report import (
     scenario_groups,
 )
 from repro.sweep.scheduler import SweepScheduler, warm_outcome
-from tests.conftest import corrupt_record, record_keys
+from tests.conftest import corrupt_record, outcome_bytes, record_keys
 
 #: A deliberately tiny stopping rule so scheduler tests stay fast.
 FAST_SCALARS = {"target_halfwidth": 0.3, "horizon": 1500.0,
@@ -91,14 +91,6 @@ def drop_precision_index():
     for key in cache_keys():
         if key.startswith("prec-"):
             drop_entry(key)
-
-
-def outcome_bytes(outcome):
-    """An outcome's journal form without its source, as canonical
-    JSON."""
-    payload = outcome.as_dict()
-    del payload["source"]
-    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture
