@@ -53,8 +53,10 @@ bench-micro:
 
 # Solver matrix (best response / Nash solve / adversarial search,
 # vectorized vs scalar); appends to the BENCH_solver.json trajectory.
+# The repository root is on the path for the scalar oracle in
+# tests/oracles.py.
 bench-solver:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_solver.py -o BENCH_solver.json
+	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_solver.py -o BENCH_solver.json
 
 # Events-to-target-CI matrix (fixed horizon vs control variates vs
 # CRN pairing vs sequential stopping); appends to BENCH_sim.json.

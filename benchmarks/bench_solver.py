@@ -8,23 +8,19 @@ vectors.  PR 4 batches those evaluations (``congestion_grid`` /
 is tracked per discipline and per user count, not just asserted once.
 
 Running this file as a script times the matrix
-(kind x discipline x N x {vectorized, scalar, auto}) without pytest
-and appends the rows to ``BENCH_solver.json`` (one entry per run,
-tagged with the mode and the solver counters) so the trajectory is
-comparable across commits::
+(kind x discipline x N x {vectorized, scalar}) without pytest and
+appends the rows to ``BENCH_solver.json`` (one entry per run, tagged
+with the mode and the solver counters) so the trajectory is comparable
+across commits.  It needs the repository root on the path, for the
+scalar oracle in ``tests/oracles.py``::
 
-    PYTHONPATH=src python benchmarks/bench_solver.py -o BENCH_solver.json
+    PYTHONPATH=src:. python benchmarks/bench_solver.py -o BENCH_solver.json
 
-Each vectorized/auto row carries ``speedup`` — the scalar best-of over
-that mode's best-of for the same cell on the same box; auto rows add
-``speedup_vs_vectorized``, which shows the cost-model fix for cells
-where the batched grid loses (FIFO at small N), and ``path`` — which
-pure mode the cost model selected.  When auto's counter signature
-matches the scalar row's, the two rows timed *identical code* (auto
-fell back to the scalar scan), so the speedup is reported as the exact
-1.0 rather than as a ratio of two noisy timings of the same
-instructions — CI boxes sit in a ±2–4% steal band that would
-otherwise print jitter as signal.
+A ``vectorized`` row times the discipline as it is; a ``scalar`` row
+times :class:`tests.oracles.ScalarOnly` around it, which reports no
+one-pass grid, so every solver takes its scalar scan.  Each vectorized
+row carries ``speedup`` — the scalar best-of over the vectorized
+best-of for the same cell on the same box.
 
 Every appended row records where it ran: ``cpu_count``, the git
 revision of the measured checkout (``git_rev``; ``-dirty`` marks
@@ -41,7 +37,6 @@ fair-share Nash solve under five seconds.
 
 import argparse
 import json
-import pathlib
 import time
 
 import numpy as np
@@ -54,9 +49,10 @@ from repro.game.classes import solve_nash_classes, solve_nash_classes_fdc
 from repro.game.meanfield import solve_nash_meanfield
 from repro.game.nash import solve_nash
 from repro.game.protection import worst_case_congestion
-from repro.numerics.instrumentation import set_vectorized, track_solver
+from repro.numerics.instrumentation import track_solver
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
+from tests.oracles import ScalarOnly
 
 #: The solver matrix: the disciplines with batched grids, at two sizes.
 SOLVER_DISCIPLINES = ("fair-share", "fifo", "priority", "separable")
@@ -145,23 +141,15 @@ CLASS_KINDS = {
 def test_best_response_vectorized_fs8(benchmark):
     """Batched best response, Fair Share, 8 users."""
     fs = make_discipline("fair-share")
-    set_vectorized(True)
-    try:
-        result = benchmark(run_best_response, fs, 8)
-    finally:
-        set_vectorized(None)
+    result = benchmark(run_best_response, fs, 8)
     assert result.grid_calls > 0
 
 
 def test_solve_nash_vectorized_fs8(benchmark):
     """Batched multistart Nash solve, Fair Share, 8 users."""
     fs = make_discipline("fair-share")
-    set_vectorized(True)
-    try:
-        result = benchmark.pedantic(lambda: run_solve_nash(fs, 8),
-                                    rounds=3, iterations=1)
-    finally:
-        set_vectorized(None)
+    result = benchmark.pedantic(lambda: run_solve_nash(fs, 8),
+                                rounds=3, iterations=1)
     assert result.converged
 
 
@@ -191,48 +179,16 @@ def test_meanfield_nash_n10k():
     assert result.max_gain <= 1e-6   # exact-game gain = O(1/N) error
 
 
-def test_fifo_auto_rows_fix_best_response_regression():
-    """The committed trajectory's latest FIFO auto rows show >= 1.0x.
-
-    The vectorized FIFO best-response rows regressed to 0.76-0.78x of
-    scalar (the grid's fixed numpy overhead beats FIFO's one-``sum``
-    scalar objective at small N); auto mode falls back to the scalar
-    scan below ``grid_min_users``, so its rows must never sit below
-    1.0x against scalar again.
-    """
-    trajectory = pathlib.Path(__file__).resolve().parent.parent
-    with open(trajectory / "BENCH_solver.json") as handle:
-        doc = json.load(handle)
-    rows = [run for run in doc["runs"]
-            if run.get("kind") == "best-response"
-            and run.get("discipline") == "fifo"
-            and run.get("mode") == "auto"]
-    latest = rows[-len(SOLVER_SIZES):]
-    assert len(latest) == len(SOLVER_SIZES)
-    for row in latest:
-        assert row["speedup"] >= 1.0, row
-        assert row["speedup_vs_vectorized"] >= 1.0, row
-        assert row["path"] == "scalar", row
-
-
 @pytest.mark.parametrize("name", SOLVER_DISCIPLINES)
 def test_adversarial_search_vectorized(benchmark, name):
     """Batched protection sampling stage, 4 users."""
     allocation = make_discipline(name)
-    set_vectorized(True)
-    try:
-        report = benchmark.pedantic(lambda: run_adversarial(allocation, 4),
-                                    rounds=3, iterations=1)
-    finally:
-        set_vectorized(None)
+    report = benchmark.pedantic(lambda: run_adversarial(allocation, 4),
+                                rounds=3, iterations=1)
     # FIFO's worst congestion is genuinely infinite (no protection),
     # so assert the search ran, not that the value is finite.
     assert report.worst_opponents.shape == (3,)
     assert report.worst_congestion > 0.0
-
-
-#: mode label in a bench row -> set_vectorized argument.
-_MODE_SWITCH = {"scalar": "off", "vectorized": "on", "auto": "auto"}
 
 
 def _time_cell(runner, allocation, n, rounds, reps=1):
@@ -265,76 +221,47 @@ def measure_solver(rounds: int = 3):
     """Best-of-``rounds`` timings for the full solver matrix.
 
     Returns one row per (kind, discipline, n, mode) with the wall time
-    and the solver counters; vectorized and auto rows additionally
-    carry ``speedup`` over the scalar row of the same cell, and auto
-    rows ``speedup_vs_vectorized`` — the measure of the cost-model fix
-    on cells where the batched grid regressed (FIFO at small N).
+    and the solver counters; vectorized rows additionally carry
+    ``speedup`` over the scalar row of the same cell.
     """
     runs = []
     for kind, runner in SOLVER_KINDS.items():
         for name in SOLVER_DISCIPLINES:
-            allocation = make_discipline(name)
+            grid = make_discipline(name)
+            allocations = {"scalar": ScalarOnly(grid), "vectorized": grid}
             for n in SOLVER_SIZES:
-                by_mode = {}
-                # Sub-millisecond cells need many samples: the auto
-                # and scalar paths are identical for FIFO at these
-                # sizes, and resolving a true ~1.0x ratio against
-                # container timer jitter takes both batched reps and
-                # extra interleaved rounds.
+                # Sub-millisecond cells need many samples: resolving a
+                # ratio near 1.0x against container timer jitter takes
+                # both batched reps and extra interleaved rounds.
                 reps = 200 if kind == "best-response" else 1
                 cell_rounds = (max(rounds, 15)
                                if kind == "best-response" else rounds)
                 # Interleave the modes round-by-round: measuring one
                 # mode's rounds back-to-back lets thermal/frequency
-                # drift masquerade as a mode difference, which matters
-                # when two modes take the same code path (FIFO auto
-                # vs scalar at small N).
-                best = {m: float("inf") for m in _MODE_SWITCH}
-                counters = {m: None for m in _MODE_SWITCH}
+                # drift masquerade as a mode difference.
+                best = dict.fromkeys(allocations, float("inf"))
+                counters = dict.fromkeys(allocations)
                 for _ in range(cell_rounds):
-                    for mode in ("scalar", "vectorized", "auto"):
-                        set_vectorized(_MODE_SWITCH[mode])
-                        try:
-                            seconds, stats = _time_cell(
-                                runner, allocation, n, 1, reps=reps)
-                        finally:
-                            set_vectorized(None)
+                    for mode, allocation in allocations.items():
+                        seconds, stats = _time_cell(
+                            runner, allocation, n, 1, reps=reps)
                         if seconds < best[mode]:
                             best[mode] = seconds
                             counters[mode] = stats
-                for mode in ("scalar", "vectorized", "auto"):
-                    row = {
+                rows = {}
+                for mode in allocations:
+                    rows[mode] = {
                         "kind": kind,
                         "discipline": name,
                         "n": n,
                         "mode": mode,
                         "seconds": round(best[mode], 6),
                     }
-                    row.update(vars(counters[mode]))
-                    by_mode[mode] = row
-                    runs.append(row)
-                scalar_s = by_mode["scalar"]["seconds"]
-                for mode in ("vectorized", "auto"):
-                    mode_s = by_mode[mode]["seconds"]
-                    if mode_s > 0.0:
-                        by_mode[mode]["speedup"] = round(
-                            scalar_s / mode_s, 2)
-                vector_s = by_mode["vectorized"]["seconds"]
-                auto_s = by_mode["auto"]["seconds"]
-                if auto_s > 0.0:
-                    by_mode["auto"]["speedup_vs_vectorized"] = round(
-                        vector_s / auto_s, 2)
-                # Identical counter signatures mean auto's cost model
-                # picked the scalar scan, so the auto and scalar rows
-                # executed the same instructions: the honest speedup is
-                # 1.0 by path identity, not the ratio of two jittery
-                # timings of the same code.
-                if (vars(counters["auto"])
-                        == vars(counters["scalar"])):
-                    by_mode["auto"]["path"] = "scalar"
-                    by_mode["auto"]["speedup"] = 1.0
-                else:
-                    by_mode["auto"]["path"] = "grid"
+                    rows[mode].update(vars(counters[mode]))
+                    runs.append(rows[mode])
+                if best["vectorized"] > 0.0:
+                    rows["vectorized"]["speedup"] = round(
+                        best["scalar"] / best["vectorized"], 2)
     return runs
 
 

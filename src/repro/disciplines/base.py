@@ -146,21 +146,15 @@ class AllocationFunction(ABC):
 
     #: True when :meth:`congestion_grid`/:meth:`congestion_many` are
     #: real one-pass numpy implementations rather than the scalar-loop
-    #: fallback.  Solvers use it to decide whether a batched scan is
-    #: worth routing through the grid path.
+    #: fallback.  Solvers read it to pick their one path: the batched
+    #: grid zoom when True, the scalar scan over :meth:`congestion_i`
+    #: when False.
     vectorized_grid: bool = False
 
     #: True when the class-space paths (:meth:`class_congestion`,
     #: :meth:`class_deviation_evaluator`) are real O(K)
     #: implementations rather than the expand-to-N fallback.
     vectorized_class_grid: bool = False
-
-    #: Smallest user count at which the batched grid path beats the
-    #: scalar scan for this discipline (the auto-mode cost model,
-    #: ``GREEDWORK_SOLVER_VECTOR=auto``).  0 means the grid always
-    #: wins once implemented; disciplines whose scalar ``congestion_i``
-    #: is a single cheap reduction (FIFO) set a measured crossover.
-    grid_min_users: int = 0
 
     def __init__(self, curve: Optional[ServiceCurve] = None) -> None:
         self.curve = curve if curve is not None else MM1Curve()
@@ -499,17 +493,6 @@ class Subsystem:
     def vectorized_grid(self) -> bool:
         """Whether the parent discipline has a one-pass grid path."""
         return self.parent.vectorized_grid
-
-    @property
-    def grid_min_users(self) -> int:
-        """Auto-mode crossover for subsystems: always take the grid.
-
-        The scalar path re-embeds the full vector (a Python loop) on
-        every candidate evaluation, while :meth:`grid_evaluator`
-        hoists the embedding once — so the batched path wins here even
-        for parents whose flat-profile scalar scan is cheaper.
-        """
-        return 0
 
     def congestion_grid(self, free_rates: Sequence[float], i: int,
                         xs: Sequence[float]) -> np.ndarray:

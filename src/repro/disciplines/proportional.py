@@ -37,17 +37,6 @@ class ProportionalAllocation(AllocationFunction):
     vectorized_grid = True
     vectorized_class_grid = True
 
-    #: Crossover for the auto mode: the scalar objective here is one
-    #: ``sum`` plus two curve calls, so the batched grid's numpy call
-    #: overhead only pays off in the thousands of users for a *lone*
-    #: best response (bench: scalar won up to N~4096, measured before
-    #: best-response maps batched their users; stale since).  The
-    #: current ``BENCH_solver.json`` rows cover N=4 and 8 only: a lone
-    #: FIFO best response still runs 1.3-1.6x faster scalar there,
-    #: while a batched FIFO Nash solve runs 2.9x (N=4) and 5.4x (N=8)
-    #: faster on the grid.  ``scaling_regimes`` prints this value.
-    grid_min_users = 4096
-
     # -- curve helpers -----------------------------------------------------
 
     def _scaled_phi(self, weights: np.ndarray,

@@ -17,7 +17,6 @@ import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
-from repro.numerics import instrumentation
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.experiments import (
@@ -118,23 +117,18 @@ def _failure_report(experiment_id: str, trace: str) -> ExperimentReport:
 
 def _run_one(experiment_id: str, seed: int, fast: bool,
              cache_enabled: Optional[bool] = None,
-             solver_vectorized: Optional[str] = None,
              ) -> Tuple[Optional[ExperimentReport], Optional[str]]:
     """Run one experiment; the pool-safe unit of work.
 
     Returns ``(report, traceback)`` where exactly one is set.
-    ``cache_enabled`` / ``solver_vectorized`` pin the sim-cache and
-    solver-vectorization overrides inside a worker process, where the
-    parent's in-memory overrides are not inherited;
-    ``solver_vectorized`` is a mode string (``"on"``/``"off"``/
-    ``"auto"``) and ``None`` (the serial path) leaves both untouched.
-    The experiment's cache and solver counts go to the
-    :mod:`repro.obs` registry, never into its report.
+    ``cache_enabled`` pins the sim-cache override inside a worker
+    process, where the parent's in-memory override is not inherited;
+    ``None`` (the serial path) leaves it untouched.  The experiment's
+    cache and solver counts go to the :mod:`repro.obs` registry, never
+    into its report.
     """
     if cache_enabled is not None:
         sim_cache.set_enabled(cache_enabled)
-    if solver_vectorized is not None:
-        instrumentation.set_vectorized(solver_vectorized)
     try:
         return _REGISTRY[experiment_id](seed=seed, fast=fast), None
     except Exception:
@@ -168,8 +162,7 @@ def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
         try:
             outcomes = list(pool.map(
                 _run_one, ids, [seed] * len(ids), [fast] * len(ids),
-                [sim_cache.enabled()] * len(ids),
-                [instrumentation.mode()] * len(ids)))
+                [sim_cache.enabled()] * len(ids)))
         finally:
             if own_pool:
                 pool.shutdown()

@@ -5,12 +5,10 @@ the paper's profiles have a handful of *distinct* utility types, so
 the N-user game collapses to a K-class game (symmetry under user
 permutation, Section 2), and beyond that the mean-field closure of
 Wu–Bui–Johari-style heavy-traffic analysis gives the N→∞ limit.  This
-experiment maps the four solver regimes against N:
+experiment maps the three solver regimes against N:
 
-* **scalar** — per-user best responses, point-by-point objective;
-* **vectorized** — per-user best responses through the batched grid
-  (PR 4); wins once the discipline's scalar objective stops being
-  cheaper than numpy call overhead (``grid_min_users`` cost hint);
+* **per-user** — one best response per user, all N zoomed through
+  the discipline's batched grid;
 * **class-space** — the K-class reduction
   (:func:`repro.game.classes.solve_nash_classes`), O(K) per sweep
   independent of N;
@@ -29,7 +27,6 @@ import numpy as np
 
 import repro.obs as obs
 from repro.disciplines.fair_share import FairShareAllocation
-from repro.disciplines.proportional import ProportionalAllocation
 from repro.experiments.base import ExperimentReport, Table
 from repro.game.best_response import best_response_map
 from repro.game.classes import (
@@ -78,7 +75,7 @@ def _expand_profile(utilities, counts):
 
 
 def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
-    """Cost and exactness of the four regimes across an N ladder."""
+    """Cost and exactness of the three regimes across an N ladder."""
     del seed                     # fully deterministic
     ladder = (16, 64, 256) if fast else (16, 64, 256, 1024, 10000)
     exact_cap = 64 if fast else 256     # per-user FDC is O(N^2)/step
@@ -151,13 +148,9 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
             f"{exact_class.spot_gain:.2e}",
             f"{mf_err:.2e}", f"{mean_field.spot_gain:.2e}")
 
-    # Regime crossovers.  scalar -> vectorized comes from the
-    # discipline cost hint (measured offline, BENCH_solver.json): the
-    # batched grid pays off for FIFO only past grid_min_users.
-    # per-user -> class-space wins as soon as N exceeds K (the sweep
-    # is O(K) vs O(N^2)); class -> mean-field once the O(1/N) error
-    # sinks below experiment-grade tolerance.
-    vector_crossover = int(ProportionalAllocation.grid_min_users)
+    # Regime crossovers.  per-user -> class-space wins as soon as N
+    # exceeds K (the sweep is O(K) vs O(N^2)); class -> mean-field once
+    # the O(1/N) error sinks below experiment-grade tolerance.
     class_crossover = next(
         (n for n in ladder if n > N_CLASSES), None)
     mf_crossover = next(
@@ -166,9 +159,6 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
     crossover_table = Table(
         title="Regime crossovers (smallest N where the regime wins)",
         headers=["transition", "crossover N", "criterion"])
-    crossover_table.add_row(
-        "scalar -> vectorized (FIFO)", vector_crossover,
-        "grid_min_users cost hint; auto mode switches paths here")
     crossover_table.add_row(
         "per-user -> class-space", class_crossover,
         "O(K) sweep beats O(N^2) once N > K")
@@ -192,7 +182,6 @@ def run(seed: int = 0, fast: bool = False) -> ExperimentReport:
             "meanfield_error_monotone": mf_monotone,
             "meanfield_error_final": mf_errors[-1],
             "class_sweep_evals_flat_in_n": class_cost_flat,
-            "scalar_vectorized_crossover_n": vector_crossover,
             "class_space_crossover_n": class_crossover,
             "meanfield_crossover_n": mf_crossover,
         },

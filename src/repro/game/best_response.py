@@ -7,10 +7,12 @@ where the user's own congestion diverges, so a scan + golden-section
 maximization is both robust and accurate.
 
 When the discipline advertises a one-pass grid
-(:attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`)
-and the solver-vector switch is on, the scan and refinement run as a
-handful of batched grid-zoom rounds instead of ~100 scalar congestion
-evaluations — the core of the vectorized solver path.  The
+(:attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`),
+the scan and refinement run as a handful of batched grid-zoom rounds
+instead of ~100 scalar congestion evaluations — the core of the
+vectorized solver path.  A discipline without one (a
+``NetworkAllocation``, weighted proportional sharing) takes the scalar
+golden-section scan over ``congestion_i``, its only path.  The
 simultaneous map :func:`best_response_map` and the certificate
 :func:`utility_improvements` run one zoom round for *all* N users in a
 single call: one multi-user ``grid_evaluator`` pass and one row-wise
@@ -33,7 +35,6 @@ import numpy as np
 
 import repro.obs as obs
 from repro.disciplines.base import one_row
-from repro.numerics import instrumentation
 from repro.numerics.optimize import (GridFunc, ScalarMaxResult,
                                      grid_maximize_rows,
                                      multistart_maximize)
@@ -61,30 +62,10 @@ def _default_rate_cap(allocation) -> float:
     return 4.0
 
 
-def _uses_grid(allocation, n_users: int) -> bool:
-    """Whether best responses against ``n_users`` rates take the grid.
-
-    In ``auto`` mode the discipline's
-    :attr:`~repro.disciplines.base.AllocationFunction.grid_min_users`
-    cost hint arbitrates: below that population the scalar scan beats
-    the grid's fixed numpy overhead (FIFO's scalar objective is a
-    single ``sum``), so the maximizer takes the scalar path — same
-    bracket, same result, less time.  The answer depends only on the
-    mode, the discipline and N, so it holds for every user of a map.
-    """
-    solver_mode = instrumentation.mode()
-    if solver_mode == "off":
-        return False
-    if not getattr(allocation, "vectorized_grid", False):
-        return False
-    return not (solver_mode == "auto"
-                and n_users < getattr(allocation, "grid_min_users", 0))
-
-
 def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
                     i: int) -> Optional[GridFunc]:
     """Batched objective for :func:`multistart_maximize`, if available."""
-    if not _uses_grid(allocation, rates.size):
+    if not getattr(allocation, "vectorized_grid", False):
         return None
     # One evaluator per best response: the opponent-side precomputation
     # (sort, ladder, prefix sums) is shared by every grid-zoom round.
@@ -108,7 +89,13 @@ def _count(results: Sequence[ScalarMaxResult]) -> None:
 def best_response(allocation, utility: Utility, rates: Sequence[float],
                   i: int, r_max: Optional[float] = None,
                   n_scan: int = 65, tol: float = 1e-11) -> ScalarMaxResult:
-    """Maximize user ``i``'s utility along her own rate axis.
+    """Maximize user ``i``'s utility along its own rate axis.
+
+    The discipline picks the path: with
+    :attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`
+    set, the scan and refinement are a batched grid zoom over its
+    ``grid_evaluator``; otherwise they are the scalar golden-section
+    scan over ``congestion_i``.
 
     Parameters
     ----------
@@ -170,7 +157,7 @@ def _best_responses(allocation, profile: Sequence[Utility],
     """
     r = np.asarray(rates, dtype=float)
     rows = range(len(profile)) if users is None else users
-    if _uses_grid(allocation, r.size):
+    if getattr(allocation, "vectorized_grid", False):
         try:
             results = _zoom_rows(allocation.grid_evaluator(r, rows), profile,
                                  allocation, r_max, n_scan, tol)

@@ -57,7 +57,6 @@ from repro.game.best_response import (
     _improvements,
     _zoom_rows,
 )
-from repro.numerics import instrumentation
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult, multistart_maximize
 from repro.users.utility import Utility
@@ -189,12 +188,8 @@ def class_best_response(allocation, utility: Utility,
     :func:`repro.game.best_response.best_response`, with congestion
     evaluated through the O(K)
     :meth:`~repro.disciplines.base.AllocationFunction
-    .class_deviation_evaluator`.  Honors the solver-vectorization
-    switch: when vectorization is off the evaluator is consumed
-    point-by-point through the golden-section path, keeping the scalar
-    oracle available in class space too.  The one-row case of the
-    batched class map (:func:`class_best_response_map`), and its
-    fallback.
+    .class_deviation_evaluator`.  The one-row case of the batched
+    class map (:func:`class_best_response_map`), and its fallback.
     """
     evaluator = allocation.class_deviation_evaluator(
         class_rates, counts, i, include_self=include_self)
@@ -204,10 +199,8 @@ def class_best_response(allocation, utility: Utility,
         value = float(evaluator(np.asarray([x]))[0])
         return utility.value(x, value)
 
-    grid = None
-    if instrumentation.vectorized():
-        def grid(xs: np.ndarray) -> np.ndarray:
-            return utility.value_grid(xs, evaluator(xs))
+    def grid(xs: np.ndarray) -> np.ndarray:
+        return utility.value_grid(xs, evaluator(xs))
 
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
                                  tol=tol, grid_func=grid)
@@ -224,25 +217,23 @@ def _class_best_responses(allocation, utilities: Sequence[Utility],
                           tol: float = 1e-11) -> List[ScalarMaxResult]:
     """Every class's :func:`class_best_response` against ``class_rates``.
 
-    With vectorization on, the K maximizations run as one K-row zoom
+    The K maximizations run as one K-row zoom
     (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
     is one :meth:`~repro.disciplines.base.AllocationFunction
     .class_deviation_rows` call plus one
     :func:`~repro.users.families.value_grid_rows` pass, row ``k``
     doing exactly class ``k``'s lone arithmetic, so results and
-    ``solver.*`` counts equal the per-class ones bit for bit.  With
-    vectorization off — or when the batched evaluation raises —
-    classes are solved one at a time through
-    :func:`class_best_response`.
+    ``solver.*`` counts equal the per-class ones bit for bit.  When
+    the batched evaluation raises, classes are solved one at a time
+    through :func:`class_best_response`.
     """
-    if instrumentation.vectorized():
-        try:
-            return _zoom_rows(allocation.class_deviation_rows(
-                class_rates, counts, range(len(utilities)),
-                include_self=include_self), utilities, allocation, r_max,
-                n_scan, tol)
-        except _BATCH_ERRORS:
-            pass
+    try:
+        return _zoom_rows(allocation.class_deviation_rows(
+            class_rates, counts, range(len(utilities)),
+            include_self=include_self), utilities, allocation, r_max,
+            n_scan, tol)
+    except _BATCH_ERRORS:
+        pass
     return [class_best_response(allocation, utility, class_rates, counts,
                                 k, include_self=include_self, r_max=r_max,
                                 n_scan=n_scan, tol=tol)

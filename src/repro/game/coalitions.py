@@ -18,7 +18,6 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 import repro.obs as obs
-from repro.numerics import instrumentation
 from repro.users.utility import Utility
 
 
@@ -86,8 +85,7 @@ def coalition_gain(allocation, profile: Sequence[Utility],
         grids.append(grid)
     best_gain = 0.0
     best_joint = base[list(members)].copy()
-    if (instrumentation.vectorized()
-            and getattr(allocation, "vectorized_grid", False)):
+    if getattr(allocation, "vectorized_grid", False):
         # All joint combinations in one congestion_many batch.  The
         # meshgrid flattening enumerates combinations in the same
         # (C-order) sequence as itertools.product, and argmax keeps the

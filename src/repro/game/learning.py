@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
 
@@ -64,8 +63,7 @@ def _payoff_table(allocation, profile: Sequence[Utility],
     shapes = tuple(len(g) for g in grids)
     n = len(grids)
     tables = [np.empty(shapes) for _ in range(n)]
-    if (instrumentation.vectorized()
-            and getattr(allocation, "vectorized_grid", False)):
+    if getattr(allocation, "vectorized_grid", False):
         # The whole candidate product as one (prod(shapes), n) batch;
         # C-order meshgrid flattening matches itertools.product, so
         # reshaping back to ``shapes`` lands every entry where the

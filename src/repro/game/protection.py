@@ -20,7 +20,6 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 import repro.obs as obs
-from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.queueing.service_curves import MM1Curve, ServiceCurve
 
@@ -95,8 +94,7 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
 
     worst_value = -math.inf
     worst_opponents = np.zeros(n_users - 1)
-    if (instrumentation.vectorized()
-            and getattr(allocation, "vectorized_grid", False)):
+    if getattr(allocation, "vectorized_grid", False):
         # One (n_samples, n-1) draw consumes the identical RNG stream
         # as n_samples sequential size-(n-1) draws, so the batched scan
         # visits the same adversaries; argmax keeps the first maximum,

@@ -15,7 +15,7 @@ them crawl at FIFO's pace.
 acceleration), which solves an affine map of dimension up to the
 memory in a few evaluations whatever its spectrum (a constant map in
 three).  The damped step starts the iteration and stays as the
-fallback, behind three safeguards:
+fallback, behind four safeguards:
 
 * an extrapolated point whose residual is not below
   :data:`REJECT_FACTOR` times the residual of the point it came from is
@@ -23,6 +23,10 @@ fallback, behind three safeguards:
   takes the plain step;
 * extrapolated points are clipped to the box spanned by the iterates
   and map outputs in memory;
+* an extrapolated point within ``tol`` (sup norm) of an iterate in
+  memory is not taken; the plain step is taken instead.  Clipping can
+  land on such an iterate, and its residual passes the first
+  safeguard, so the same step would repeat until ``max_iter``;
 * once the residual is within :data:`ENDGAME_FACTOR` times ``tol``, only
   plain steps are taken.  Near a fixed point a best response is
   resolved only to about 1e-9-1e-8 (the argmax of a flat utility is
@@ -206,11 +210,16 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
             if state in visited:
                 break
             visited.add(state)
-        if endgame or len(xs) < 2:
+        point = None
+        if not endgame and len(xs) >= 2:
+            point = _extrapolate(xs, outputs, scale)
+            if np.min(np.max(np.abs(np.asarray(xs) - point), axis=1)) <= tol:
+                point = None
+        if point is None:
             x = (1.0 - d) * x + d * target
         else:
             source = (x, target, residual)
-            x = _extrapolate(xs, outputs, scale)
+            x = point
     obs.add("fixed_point.unconverged")
     if raise_on_failure:
         raise ConvergenceError(

@@ -9,6 +9,9 @@
   only on its own rate, the smaller rates and how many users send at
   least as much (insularity), so once the ``j - 1`` smallest rates are
   fixed, each remaining user's problem is one-dimensional.
+* :class:`ScalarOnly` wraps an allocation so that every solver takes
+  its scalar path: the golden-section scan over ``congestion_i`` and
+  the point-by-point loops of the adversarial searches.
 """
 
 from __future__ import annotations
@@ -21,6 +24,19 @@ import numpy as np
 from repro.game.best_response import MIN_RATE, _default_rate_cap
 from repro.numerics.optimize import multistart_maximize
 from repro.users.utility import Utility
+
+
+class ScalarOnly:
+    """``allocation`` with every attribute forwarded, except that it
+    reports no one-pass grid (``vectorized_grid`` is False)."""
+
+    vectorized_grid = False
+
+    def __init__(self, allocation) -> None:
+        self.allocation = allocation
+
+    def __getattr__(self, name: str):
+        return getattr(self.allocation, name)
 
 
 def plain_damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],

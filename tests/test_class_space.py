@@ -42,9 +42,9 @@ from repro.game.classes import (
 from repro.game.best_response import best_response, utility_improvement
 from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
 from repro.numerics import instrumentation
-from repro.numerics.instrumentation import set_vectorized
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
+from tests.oracles import serial_nash
 
 #: The agreement tolerance the class reduction is held to.
 AGREEMENT_TOL = 1e-10
@@ -148,19 +148,13 @@ class TestExactAgreement:
         assert np.max(np.abs(residuals)) <= 1e-8
 
     def test_scalar_oracle_agrees(self):
-        """The class solver under the scalar path matches the grid path
-        to maximizer tolerance (the correctness oracle, in class
-        space)."""
+        """The class solver matches Fair Share's serial construction,
+        which iterates nothing, at N=64."""
         fs = make_discipline("fair-share")
         utilities, counts = class_setup(64, 4)
-        set_vectorized("off")
-        try:
-            scalar = solve_nash_classes(fs, utilities, counts=counts)
-        finally:
-            set_vectorized(None)
-        grid = solve_nash_classes(fs, utilities, counts=counts)
-        assert np.max(np.abs(scalar.class_rates
-                             - grid.class_rates)) <= 1e-6
+        result = solve_nash_classes(fs, utilities, counts=counts)
+        serial = serial_nash(fs, expand_profile(utilities, counts))
+        assert np.max(np.abs(result.expand_rates() - serial)) <= 1e-6
 
     def test_n1000_smoke(self):
         """The headline scale: exact N=10^3 equilibrium, certified."""
@@ -214,6 +208,27 @@ class TestGeneratedClassAgreement:
         assert cls.converged and exact.converged
         assert np.max(np.abs(cls.expand_rates()
                              - exact.rates)) <= GENERATED_TOL
+        if name == "fair-share":
+            serial = serial_nash(allocation,
+                                 expand_profile(utilities, sizes))
+            assert np.max(np.abs(cls.expand_rates()
+                                 - serial)) <= GENERATED_TOL
+
+    def test_clipped_extrapolation_onto_a_remembered_point(self):
+        """A power case from this domain whose clipped extrapolation
+        once landed on an iterate still in memory: the driver evaluated
+        the same three points 331 times and ended unconverged after
+        400 class evaluations (gain 6.3e-4)."""
+        weights = [float.fromhex("0x1.e042d83baac9bp-3"),
+                   float.fromhex("0x1.c58411dd35d08p-1")]
+        utilities = [PowerUtility(gamma=1.0, a=(1.0 + w) / np.sqrt(5),
+                                  p=0.5, q=1.0) for w in weights]
+        allocation = make_discipline("fair-share")
+        cls = solve_nash_classes(allocation, utilities, counts=[2, 3])
+        assert cls.converged and cls.iterations <= 20
+        serial = serial_nash(allocation, expand_profile(utilities, [2, 3]))
+        assert np.max(np.abs(cls.expand_rates()
+                             - serial)) <= GENERATED_TOL
 
 
 @st.composite
@@ -367,26 +382,6 @@ class TestBatchedClassMapIsPerClass:
         assert calls == [0, 1, 2]
         assert _hexes(mapped) == _hexes(singles)
         assert _solver_counts(batched) == _solver_counts(alone)
-
-    def test_scalar_mode_solves_class_by_class(self, monkeypatch):
-        allocation = make_discipline("fair-share")
-        utilities, counts = class_setup(8, 2)
-        calls = []
-        original = classes_module.class_best_response
-
-        def counting(*args, **kwargs):
-            calls.append(args[4])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(classes_module, "class_best_response",
-                            counting)
-        set_vectorized(False)
-        try:
-            class_best_response_map(allocation, utilities, [0.02, 0.03],
-                                    counts)
-        finally:
-            set_vectorized(None)
-        assert calls == [0, 1]
 
 
 class TestClassBestResponse:

@@ -1,13 +1,14 @@
-"""The vectorized solver core: grid path, counters, and the off switch.
+"""The vectorized solver core: grid path, counters, and the scalar oracle.
 
 Covers the batched grid zoom (``grid_maximize_rows`` and its one-row
 case ``grid_multistart_maximize``), the batched best-response map and
 certificate (bit-identical to the per-user calls, pinned by float.hex
-goldens), the vectorized-vs-scalar agreement of
-``best_response``/``solve_nash`` (also on generated profiles), the
-:mod:`repro.numerics.instrumentation` counters, the curve-less
-``_default_rate_cap`` fallback, and the guard that flipping the
-vectorization switch leaves the ``table1`` report byte-identical.
+goldens), the agreement of ``best_response``/``solve_nash`` on the grid
+with the scalar scan that :class:`tests.oracles.ScalarOnly` selects
+(also on generated profiles, and for Fair Share with the serial
+construction), the batched adversarial, coalition and elimination scans
+against their scalar loops, the :mod:`repro.numerics.instrumentation`
+counters and the curve-less ``_default_rate_cap`` fallback.
 """
 
 import math
@@ -28,13 +29,12 @@ from repro.game.best_response import (
     utility_improvement,
     utility_improvements,
 )
+from repro.game.coalitions import coalition_gain
+from repro.game.learning import _payoff_table, iterated_elimination
 from repro.game.nash import solve_nash
+from repro.game.protection import worst_case_congestion
 from repro.numerics import instrumentation
-from repro.numerics.instrumentation import (
-    set_vectorized,
-    track_solver,
-    vectorized,
-)
+from repro.numerics.instrumentation import track_solver
 from repro.numerics.optimize import (
     GRID_REFINE_POINTS,
     ScalarMaxResult,
@@ -42,54 +42,16 @@ from repro.numerics.optimize import (
     grid_multistart_maximize,
     multistart_maximize,
 )
+from repro.numerics.rng import default_rng
 import repro.obs as obs
 from repro.users.families import (BiconvexUtility, ExponentialUtility,
                                   LinearUtility, PowerUtility,
                                   QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
+from tests.oracles import ScalarOnly, serial_nash
 
-
-@pytest.fixture
-def scalar_mode():
-    """Force the legacy scalar path for the duration of a test."""
-    set_vectorized(False)
-    yield
-    set_vectorized(None)
-
-
-@pytest.fixture
-def vector_mode():
-    """Force the batched path regardless of the environment."""
-    set_vectorized(True)
-    yield
-    set_vectorized(None)
-
-
-class TestVectorizationSwitch:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(instrumentation.ENV_TOGGLE, raising=False)
-        set_vectorized(None)
-        assert vectorized() is True
-
-    @pytest.mark.parametrize("raw", ["0", "off", "false", "no", " OFF "])
-    def test_env_disables(self, monkeypatch, raw):
-        monkeypatch.setenv(instrumentation.ENV_TOGGLE, raw)
-        set_vectorized(None)
-        assert vectorized() is False
-
-    def test_env_other_values_enable(self, monkeypatch):
-        monkeypatch.setenv(instrumentation.ENV_TOGGLE, "on")
-        set_vectorized(None)
-        assert vectorized() is True
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(instrumentation.ENV_TOGGLE, "off")
-        set_vectorized(True)
-        try:
-            assert vectorized() is True
-        finally:
-            set_vectorized(None)
-        assert vectorized() is False
+#: Fair Share rates against the serial construction.
+SERIAL_TOL = 1e-7
 
 
 class TestCounters:
@@ -236,16 +198,8 @@ class TestVectorScalarAgreement:
     def test_best_response_matches_scalar(self, fair_share):
         utility = LinearUtility(gamma=0.25)
         rates = np.array([0.0, 0.25, 0.1])
-        set_vectorized(True)
-        try:
-            fast = best_response(fair_share, utility, rates, 0)
-        finally:
-            set_vectorized(None)
-        set_vectorized(False)
-        try:
-            slow = best_response(fair_share, utility, rates, 0)
-        finally:
-            set_vectorized(None)
+        fast = best_response(fair_share, utility, rates, 0)
+        slow = best_response(ScalarOnly(fair_share), utility, rates, 0)
         assert fast.grid_calls > 0
         assert slow.grid_calls == 0
         assert fast.x == pytest.approx(slow.x, abs=1e-8)
@@ -253,19 +207,13 @@ class TestVectorScalarAgreement:
 
     def test_solve_nash_matches_scalar(self, fair_share):
         profile = [LinearUtility(gamma=0.2), LinearUtility(gamma=0.35)]
-        set_vectorized(True)
-        try:
-            fast = solve_nash(fair_share, profile)
-        finally:
-            set_vectorized(None)
-        set_vectorized(False)
-        try:
-            slow = solve_nash(fair_share, profile)
-        finally:
-            set_vectorized(None)
+        fast = solve_nash(fair_share, profile)
+        slow = solve_nash(ScalarOnly(fair_share), profile)
         assert fast.converged and slow.converged
         np.testing.assert_allclose(fast.rates, slow.rates, atol=1e-7)
         assert fast.max_gain <= 1e-6 and slow.max_gain <= 1e-6
+        serial = serial_nash(fair_share, profile)
+        assert np.max(np.abs(fast.rates - serial)) <= SERIAL_TOL
 
 
 class TestExperimentWiring:
@@ -297,39 +245,9 @@ class TestExperimentWiring:
         assert set(report.summary) == {"k"}
 
 
-@pytest.mark.slow
-class TestTable1StdoutGuard:
-    def test_vector_switch_does_not_change_table1(self):
-        """Satellite guard: solver vectorization must leave the table1
-        report byte-identical (it exercises no analytic solver, and the
-        solver counters never leak into solver-free summaries)."""
-        from repro.experiments.table1 import run as run_table1
-
-        set_vectorized(True)
-        try:
-            on = run_table1(seed=0, fast=True).render()
-        finally:
-            set_vectorized(None)
-        set_vectorized(False)
-        try:
-            off = run_table1(seed=0, fast=True).render()
-        finally:
-            set_vectorized(None)
-        assert on == off
-
-
 def _counts(scope):
     return [scope.get(f"solver.{name}") for name in
             instrumentation.COUNTERS]
-
-
-def _in_mode(mode, func, *args, **kwargs):
-    """``func(*args, **kwargs)`` under one solver-vectorization mode."""
-    set_vectorized(mode)
-    try:
-        return func(*args, **kwargs)
-    finally:
-        set_vectorized(None)
 
 
 class TestGridMaximizeRows:
@@ -496,15 +414,11 @@ class TestBatchedMapIsPerUser:
     def test_map_equals_best_responses_bitwise(self, case, name):
         rates, profile = case
         allocation = _batched_alloc(name)
-        set_vectorized(True)
-        try:
-            with obs.Scope() as batched:
-                mapped = best_response_map(allocation, profile, rates)
-            with obs.Scope() as alone:
-                singles = [best_response(allocation, u, rates, i).x
-                           for i, u in enumerate(profile)]
-        finally:
-            set_vectorized(None)
+        with obs.Scope() as batched:
+            mapped = best_response_map(allocation, profile, rates)
+        with obs.Scope() as alone:
+            singles = [best_response(allocation, u, rates, i).x
+                       for i, u in enumerate(profile)]
         assert [float(x).hex() for x in mapped] == \
             [float(x).hex() for x in singles]
         assert _counts(batched) == _counts(alone)
@@ -515,15 +429,11 @@ class TestBatchedMapIsPerUser:
     def test_certificate_equals_improvements_bitwise(self, case, name):
         rates, profile = case
         allocation = make_discipline(name)
-        set_vectorized(True)
-        try:
-            with obs.Scope() as batched:
-                gains = utility_improvements(allocation, profile, rates)
-            with obs.Scope() as alone:
-                singles = [utility_improvement(allocation, u, rates, i)
-                           for i, u in enumerate(profile)]
-        finally:
-            set_vectorized(None)
+        with obs.Scope() as batched:
+            gains = utility_improvements(allocation, profile, rates)
+        with obs.Scope() as alone:
+            singles = [utility_improvement(allocation, u, rates, i)
+                       for i, u in enumerate(profile)]
         assert [float(g).hex() for g in gains] == \
             [float(g).hex() for g in singles]
         assert _counts(batched) == _counts(alone)
@@ -532,9 +442,8 @@ class TestBatchedMapIsPerUser:
         fs = FairShareAllocation()
         profile = [LinearUtility(gamma=g) for g in (0.2, 0.4, 0.6)]
         rates = np.array([0.1, 0.2, 0.15])
-        expected = _in_mode(True, lambda: [
-            best_response(fs, u, rates, i).x
-            for i, u in enumerate(profile)])
+        expected = [best_response(fs, u, rates, i).x
+                    for i, u in enumerate(profile)]
         original = FairShareAllocation.grid_evaluator
 
         def one_user_only(self, rates, users):
@@ -544,7 +453,7 @@ class TestBatchedMapIsPerUser:
 
         monkeypatch.setattr(FairShareAllocation, "grid_evaluator",
                             one_user_only)
-        mapped = _in_mode(True, best_response_map, fs, profile, rates)
+        mapped = best_response_map(fs, profile, rates)
         assert [float(x).hex() for x in mapped] == \
             [float(x).hex() for x in expected]
 
@@ -571,13 +480,13 @@ NASH_GOLDENS = {
          "0x1.b06d1c8266e2dp-4", "0x1.b06d1c81c4e2ep-4"],
         "0x1.c032e0426d810p-6", 18, True, [25008, 25008, 684]),
     "fair-share-mixed": (
-        ["0x1.b847016c50ae7p-3", "0x1.e7f58eba6327ep-4",
+        ["0x1.b84701a285404p-3", "0x1.e7f58eba6327ep-4",
          "0x1.e403b33ac06a6p-4"],
-        "0x1.0000000000000p-55", 8, True, [8886, 8886, 243]),
+        "0x1.0000000000000p-55", 7, True, [7899, 7899, 216]),
     "fair-share-subsystem": (
-        ["0x1.d79386573b248p-3", "0x1.be113cc00c597p-4",
+        ["0x1.d79386284d3bep-3", "0x1.be113cc00c597p-4",
          "0x1.4e8530069185cp-5"],
-        "0x1.0000000000000p-53", 8, True, [8886, 8886, 243]),
+        "0x1.0000000000000p-54", 8, True, [8886, 8886, 243]),
 }
 
 #: The same six cases' rates under the plain damped iteration (35, 103,
@@ -618,7 +527,7 @@ def _golden_case(label):
 
 class TestNashGoldens:
     @pytest.mark.parametrize("label", sorted(NASH_GOLDENS))
-    def test_solve_nash_bit_identical(self, label, vector_mode):
+    def test_solve_nash_bit_identical(self, label):
         allocation, profile = _golden_case(label)
         rates, gain, iterations, converged, counts = NASH_GOLDENS[label]
         with obs.Scope() as scope:
@@ -634,7 +543,8 @@ class TestNashGoldens:
 
 
 class TestGeneratedVectorScalarContract:
-    """Vectorized and scalar solvers agree on generated profiles."""
+    """The grid and the scalar scan agree on generated profiles, and
+    for Fair Share both match the serial construction."""
 
     @given(n=st.integers(2, 5),
            tastes=st.sampled_from(["spread", "jittered", "power"]),
@@ -653,9 +563,84 @@ class TestGeneratedVectorScalarContract:
         else:
             profile = [LinearUtility(gamma=float(g)) for g in gammas]
         allocation = make_discipline(name)
-        fast = _in_mode(True, solve_nash, allocation, profile)
-        slow = _in_mode(False, solve_nash, allocation, profile)
+        fast = solve_nash(allocation, profile)
+        slow = solve_nash(ScalarOnly(allocation), profile)
         assert fast.converged == slow.converged
         assert fast.is_equilibrium(1e-6) == slow.is_equilibrium(1e-6)
         np.testing.assert_allclose(fast.rates, slow.rates, rtol=0.0,
                                    atol=1e-6)
+        if name == "fair-share":
+            serial = serial_nash(allocation, profile)
+            assert np.max(np.abs(fast.rates - serial)) <= SERIAL_TOL
+
+
+#: The registry's distinct disciplines, each with a one-pass grid.
+SCAN_NAMES = ["fair-share", "fifo", "priority", "separable",
+              "stalling-pivot"]
+
+
+@st.composite
+def scan_cases(draw):
+    """A discipline, N 2-4 rates with total load below 0.9, and linear
+    or power tastes."""
+    n = draw(st.integers(2, 4))
+    shares = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    load = draw(st.floats(0.05, 0.9))
+    rates = np.asarray(shares) * (load / sum(shares))
+    tastes = draw(st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n))
+    if draw(st.sampled_from(["linear", "power"])) == "linear":
+        profile = [LinearUtility(gamma=g) for g in tastes]
+    else:
+        profile = [PowerUtility(gamma=g, p=0.5, q=1.0) for g in tastes]
+    name = draw(st.sampled_from(SCAN_NAMES))
+    return make_discipline(name), rates, profile
+
+
+class TestBatchedScansMatchScalarLoops:
+    """The adversarial, coalition and elimination scans score every
+    candidate in one ``congestion_many`` batch; each equals its
+    point-by-point loop bit for bit."""
+
+    @given(case=scan_cases(), seed=st.integers(0, 2 ** 16),
+           own=st.floats(0.01, 0.5))
+    @settings(max_examples=15, deadline=None)
+    def test_worst_case_congestion(self, case, seed, own):
+        allocation, rates, _ = case
+        batched, scalar = [worst_case_congestion(
+            alloc, 0, own, rates.size, rng=default_rng(seed),
+            n_samples=50, refine=False)
+            for alloc in (allocation, ScalarOnly(allocation))]
+        assert float(batched.worst_congestion).hex() == \
+            float(scalar.worst_congestion).hex()
+        assert batched.worst_opponents.tobytes() == \
+            scalar.worst_opponents.tobytes()
+
+    @given(case=scan_cases(), pair=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_coalition_gain(self, case, pair):
+        allocation, rates, profile = case
+        members = [0, 1] if pair else list(range(rates.size))
+        batched, scalar = [coalition_gain(alloc, profile, rates, members,
+                                          grid_points=5, refine=False)
+                           for alloc in (allocation,
+                                         ScalarOnly(allocation))]
+        assert float(batched.gain).hex() == float(scalar.gain).hex()
+        assert batched.deviation.tobytes() == scalar.deviation.tobytes()
+
+    @given(case=scan_cases(), points=st.integers(2, 6))
+    @settings(max_examples=15, deadline=None)
+    def test_payoff_tables_and_elimination(self, case, points):
+        allocation, rates, profile = case
+        profile = profile[:3]
+        grids = [np.linspace(0.5 * r, 1.5 * r, points)
+                 for r in rates[:3]]
+        batched = _payoff_table(allocation, profile, grids)
+        scalar = _payoff_table(ScalarOnly(allocation), profile, grids)
+        assert [t.tobytes() for t in batched] == \
+            [t.tobytes() for t in scalar]
+        fast = iterated_elimination(allocation, profile, grids)
+        slow = iterated_elimination(ScalarOnly(allocation), profile,
+                                    grids)
+        assert [a.tobytes() for a in fast.survivors] == \
+            [a.tobytes() for a in slow.survivors]
+        assert fast.rounds == slow.rounds
