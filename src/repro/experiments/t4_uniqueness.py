@@ -4,10 +4,11 @@ Constructs an explicit witness: a single utility in AU (the biconvex
 family, whose marginal rate of substitution rises in both arguments)
 shared by two users, tuned so the asymmetric point ``(a, b)`` satisfies
 the FIFO Nash conditions.  By symmetry ``(b, a)`` is then a second
-equilibrium; multistart search certifies both (and typically a whole
-near-flat component between them).  On the *same* profile Fair Share
-has exactly one equilibrium, and a multistart sweep over random mixed
-profiles never finds a second Fair Share equilibrium.
+equilibrium; multistart search certifies both, and the symmetric
+equilibrium between them, on a near-flat stretch where a start that
+stops short still certifies within 1e-8.  On the *same* profile Fair
+Share has exactly one equilibrium, and a multistart sweep over random
+mixed profiles never finds a second Fair Share equilibrium.
 """
 
 from __future__ import annotations

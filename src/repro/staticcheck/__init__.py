@@ -34,6 +34,8 @@ table, import graph, approximate call graph, state-flow layer):
            a guard or an explicit ``abs``/``clip`` wrapper.
 ``GW302``  registered disciplines must keep their allocation methods
            pure — no writes to module-level state (whole-program).
+``GW303``  a from-import of a project module must name something the
+           module binds, or a submodule (whole-program).
 ``GW4xx``  snapshot, engine-state and cache-key completeness.
 ``GW5xx``  CRN draw order, ordered aggregation and the chunked hot
            path.

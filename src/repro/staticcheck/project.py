@@ -182,6 +182,9 @@ class ModuleInfo:
         #: Local alias -> dotted target: ``"pkg.mod"`` for module
         #: imports, ``"pkg.mod:attr"`` for from-imports.
         self.aliases: Dict[str, str] = {}
+        #: Whether the module has a ``from ... import *``, which binds
+        #: names no index can list.
+        self.star_import = False
         if ctx.tree is not None:
             self._index(ctx.tree)
 
@@ -249,6 +252,7 @@ class ModuleInfo:
                 return
             for alias in node.names:
                 if alias.name == "*":
+                    self.star_import = True
                     continue
                 bound = alias.asname or alias.name
                 self.aliases[bound] = f"{base}:{alias.name}"

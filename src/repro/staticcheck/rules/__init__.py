@@ -12,7 +12,10 @@ from repro.staticcheck.rules.numerical import (
     UnguardedDomainCallRule,
     UnguardedPoleDivisionRule,
 )
-from repro.staticcheck.rules.wholeprogram import StatefulDisciplineRule
+from repro.staticcheck.rules.wholeprogram import (
+    StaleImportRule,
+    StatefulDisciplineRule,
+)
 from repro.staticcheck.rules.state import (
     CacheKeyCompletenessRule,
     EngineStatePicklingRule,
@@ -38,6 +41,7 @@ __all__ = [
     "UnguardedPoleDivisionRule",
     "UnguardedDomainCallRule",
     "StatefulDisciplineRule",
+    "StaleImportRule",
     "SnapshotCoverageRule",
     "EngineStatePicklingRule",
     "CacheKeyCompletenessRule",

@@ -7,6 +7,10 @@
            allocation function is a *pure map* from rate vectors to
            congestion vectors; hidden state breaks the Nash/Pareto
            machinery (and any parallel evaluation) silently.
+``GW303``  stale import — ``from repro.x import name`` where
+           ``repro.x`` binds no ``name`` at module level and has no
+           submodule ``name``: the import fails when the file runs,
+           however clean the rest of the tree is.
 
 Findings anchor to real source lines, so the ordinary
 ``# greedwork: ignore[...]`` pragmas apply.
@@ -23,6 +27,7 @@ from repro.staticcheck.project import (
     ModuleInfo,
     ProjectContext,
     Symbol,
+    resolve_import_base,
 )
 
 #: Methods forming the allocation surface of a discipline.
@@ -128,3 +133,65 @@ class StatefulDisciplineRule(ProjectRule):
                     if isinstance(sub, ast.Name):
                         out.add(sub.id)
         return out
+
+
+@register_rule
+class StaleImportRule(ProjectRule):
+    """Flag from-imports of names a project module does not bind (GW303).
+
+    Rationale:
+        Deleting or renaming a module-level name breaks every
+        ``from`` import of it, and nothing says so until the importing
+        file runs.  A benchmark, an example or a test module that
+        imports a deleted helper stays broken, unseen, for as long as
+        nobody runs it.  The project layer already lists each module's
+        module-level names and each file's imports, so the check is a
+        lookup.
+
+    Example::
+
+        # repro/numerics/instrumentation.py no longer defines it
+        from repro.numerics.instrumentation import set_vectorized
+
+    Fix:
+        Import the name from where it lives now, or delete the import
+        with the code that used it.  A module that defines
+        ``__getattr__`` or star-imports is never judged (its names are
+        not known without running it), and a name that is a submodule
+        of the package is not stale.
+    """
+
+    rule_id = "GW303"
+    name = "stale-import"
+    description = ("a from-import from a project module must name "
+                   "something it binds at module level, or a submodule")
+
+    def check_project(self, project: ProjectContext
+                      ) -> Iterable[Finding]:
+        for info in project.infos:
+            if not project.is_analyzed(info.ctx.display_path):
+                continue
+            stale = {target for target in info.aliases.values()
+                     if _is_stale(project, target)}
+            if not stale:
+                continue
+            for node in info.ctx.nodes.of(ast.ImportFrom):
+                base = resolve_import_base(info.ctx, node)
+                for alias in node.names:
+                    if f"{base}:{alias.name}" in stale:
+                        yield self.finding(
+                            info.ctx, node,
+                            f"{base} does not define {alias.name!r}; "
+                            f"this import fails when the file runs")
+
+
+def _is_stale(project: ProjectContext, target: str) -> bool:
+    """Whether a ``module:name`` alias target names nothing the parsed
+    project module binds; ``False`` for a module outside the project."""
+    module, _, name = target.partition(":")
+    source = project.modules.get(module) if name else None
+    if source is None or source.star_import:
+        return False
+    return not (name in source.module_level_names
+                or "__getattr__" in source.module_level_names
+                or f"{module}.{name}" in project.modules)

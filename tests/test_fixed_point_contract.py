@@ -11,6 +11,9 @@ equilibria, against the serial construction
 * on a map whose outputs are rounded to a 1e-8 grid (a best response's
   noise floor, magnified) the driver terminates and returns the best
   point it evaluated;
+* on FIFO-shaped affine maps it reaches the fixed point within
+  :data:`AFFINE_EVALS` evaluations, and a map whose outputs are all
+  positive is never evaluated at a non-positive coordinate;
 * on Fair Share, FIFO and separable games the driver certifies whenever
   the plain iteration does, and Fair Share rates match the serial
   construction.
@@ -34,6 +37,8 @@ LINEAR_TOL = 1e-8
 GAIN_TOL = 1e-8
 #: Fair Share rates against the serial construction.
 SERIAL_TOL = 1e-7
+#: Map evaluations a FIFO-shaped affine map may take to reach 1e-10.
+AFFINE_EVALS = 8
 
 
 @st.composite
@@ -132,3 +137,54 @@ class TestNashAgainstOracles:
         if name == "fair-share":
             assert np.max(np.abs(result.rates - serial_nash(
                 allocation, profile))) <= SERIAL_TOL
+
+
+@st.composite
+def fifo_affine_maps(draw):
+    """``(c, b, start)`` of ``x -> c - b (1 1^T - I) x``, the shape of
+    FIFO's best-response map (Theorem 7): eigenvalue ``-b (N - 1)``
+    along the ones vector and ``b`` on the rest, for ``N`` in 2-8 and
+    ``b`` in [0.05, 0.45].  Damped steps approach its fixed point from
+    one side, outside the box of the iterates and outputs.  ``c`` puts
+    the fixed point in [0.02, 0.5]; the start is drawn from the same
+    range."""
+    n = draw(st.integers(2, 8))
+    b = draw(st.floats(0.05, 0.45))
+    rng = default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fixed = rng.uniform(0.02, 0.5, n)
+    offset = fixed + b * (fixed.sum() - fixed)
+    return offset, b, rng.uniform(0.02, 0.5, n)
+
+
+def _fifo_affine(offset, b, x):
+    return offset - b * (x.sum() - x)
+
+
+class TestFifoShapedMaps:
+    @given(case=fifo_affine_maps())
+    @settings(max_examples=40, deadline=None)
+    def test_reaches_the_fixed_point_in_few_evaluations(self, case):
+        offset, b, start = case
+        result = damped_fixed_point(lambda x: _fifo_affine(offset, b, x),
+                                    start, tol=1e-10, max_iter=500)
+        assert result.converged
+        assert result.iterations <= AFFINE_EVALS
+
+    @given(case=fifo_affine_maps(), shift=st.floats(0.0, 0.8),
+           floor=st.floats(1e-9, 1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_outputs_keep_every_input_positive(
+            self, case, shift, floor):
+        """Outputs floored at a small positive rate, as best responses
+        are, with the unfloored fixed point pushed down by ``shift`` so
+        that some coordinates sit at the floor."""
+        offset, b, start = case
+        offset = offset - shift * (1.0 + b * (offset.size - 1))
+        inputs = []
+
+        def mapping(x):
+            inputs.append(x.copy())
+            return np.maximum(_fifo_affine(offset, b, x), floor)
+
+        damped_fixed_point(mapping, start, tol=1e-10, max_iter=500)
+        assert min(float(np.min(x)) for x in inputs) > 0.0

@@ -468,17 +468,17 @@ NASH_GOLDENS = {
          "0x1.6bdc817e6dc5ep-4", "0x1.b06d1d109c800p-6"],
         "0x1.8000000000000p-54", 11, True, [15796, 15796, 432]),
     "fifo": (
-        ["0x1.ed0028894da51p-2", "0x1.7b02b0f611184p-4",
+        ["0x1.ed0028c8c5121p-2", "0x1.7b02afc0f3596p-4",
          "0x1.0c6f7a0b5ed8dp-20", "0x1.0c6f7a0b5ed8dp-20"],
-        "0x1.0000000000000p-54", 13, True, [17603, 17603, 479]),
+        "0x1.0000000000000p-54", 16, True, [21353, 21353, 581]),
     "separable": (
         ["0x1.3fffffd54e7c0p+1", "0x1.6db6db790d146p+0",
          "0x1.ffffffca73db8p-1", "0x1.3fffffd3c256ap-1"],
         "0x0.0p+0", 3, True, [5796, 5796, 160]),
     "priority": (
-        ["0x1.e3779c672b4c1p-3", "0x1.b06d1c8266e2dp-4",
-         "0x1.b06d1c8266e2dp-4", "0x1.b06d1c81c4e2ep-4"],
-        "0x1.c032e0426d810p-6", 18, True, [25008, 25008, 684]),
+        ["0x1.e3779d3111180p-3", "0x1.b06d1c09c226ep-4",
+         "0x1.b06d1c09c226ep-4", "0x1.b06d1c02c4f3ap-4"],
+        "0x1.c032def0ca7a2p-6", 18, True, [25008, 25008, 684]),
     "fair-share-mixed": (
         ["0x1.b84701a285404p-3", "0x1.e7f58eba6327ep-4",
          "0x1.e403b33ac06a6p-4"],

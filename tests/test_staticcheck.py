@@ -47,7 +47,7 @@ ALL_RULE_IDS = [
     "GW001", "GW002", "GW003",
     "GW105", "GW106", "GW107",
     "GW201", "GW202",
-    "GW302",
+    "GW302", "GW303",
     "GW401", "GW402", "GW403",
     "GW501", "GW502", "GW503",
     "GW601", "GW602", "GW604",
@@ -1091,6 +1091,71 @@ class TestStatefulDiscipline:
         """)
         result = run_checks([impl], rules=[get_rule("GW302")],
                             project_root=tmp_path)
+        assert result.findings == []
+        assert len(result.suppressed) == 1
+
+
+class TestStaleImport:
+    """GW303 (whole-program)."""
+
+    def _tree(self, tmp_path, importer_src, rel="benchmarks/bench.py"):
+        write_module(tmp_path, "src/repro/__init__.py", "")
+        write_module(tmp_path, "src/repro/numerics/__init__.py", "")
+        write_module(tmp_path, "src/repro/numerics/helpers.py", """\
+            from math import sqrt as root
+
+            LIMIT = 3
+
+
+            def kept(x):
+                return x
+        """)
+        write_module(tmp_path, "src/repro/numerics/lazy.py", """\
+            def __getattr__(name):
+                return name
+        """)
+        write_module(tmp_path, "src/repro/numerics/starred.py", """\
+            from repro.numerics.helpers import *
+        """)
+        path = write_module(tmp_path, rel, importer_src)
+        return run_checks([path], rules=[get_rule("GW303")],
+                          project_root=tmp_path)
+
+    def test_deleted_names_are_flagged(self, tmp_path):
+        result = self._tree(tmp_path, """\
+            from repro.numerics.helpers import kept, removed
+            from repro.numerics.helpers import (LIMIT,
+                                                _private)
+        """)
+        assert [(f.line, f.message.split("'")[1])
+                for f in result.findings] == [(1, "removed"),
+                                              (2, "_private")]
+        assert "repro.numerics.helpers does not define" in \
+            result.findings[0].message
+
+    def test_relative_import_inside_the_package(self, tmp_path):
+        result = self._tree(tmp_path, """\
+            from .helpers import gone
+        """, rel="src/repro/numerics/user.py")
+        assert len(result.findings) == 1
+        assert "'gone'" in result.findings[0].message
+
+    def test_bound_names_and_submodules_pass(self, tmp_path):
+        result = self._tree(tmp_path, """\
+            import numpy as np
+            from numpy import not_a_numpy_name
+            from repro.numerics import helpers, lazy
+            from repro.numerics.helpers import LIMIT, kept, root
+            from repro.numerics.lazy import anything
+            from repro.numerics.starred import whatever
+            from tests.oracles import missing
+        """)
+        assert result.findings == []
+
+    def test_suppressible(self, tmp_path):
+        result = self._tree(tmp_path, """\
+            from repro.numerics.helpers import old  # greedwork: ignore[GW303]
+        """)
         assert result.findings == []
         assert len(result.suppressed) == 1
 
@@ -2537,6 +2602,12 @@ PLANTS = [
             def congestion(self, rates):
                 _CALLS.append(len(rates))  # <- GW302
                 return rates
+    """),
+    ("benchmarks/bench_solver.py", """\
+        from repro.numerics.instrumentation import set_vectorized  # <- GW303
+    """),
+    ("tests/test_nash.py", """\
+        from repro.game.best_response import _uses_grid  # <- GW303
     """),
     ("src/repro/sim/_planted_snapshot.py", """\
         from repro.sim.queues import QueuePolicy
