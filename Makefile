@@ -78,8 +78,9 @@ bench-staticcheck:
 experiments:
 	$(PYTHON) -m repro run all --fast
 
+# The verdict record: every experiment in full mode.
 report:
-	$(PYTHON) -m repro report -o REPORT.md
+	$(PYTHON) -m repro report --full -o REPORT.md
 
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done

@@ -1,9 +1,9 @@
 """Microbenchmarks of the library's hot paths.
 
-These complement the experiment benchmarks: they time the primitives
-the reproduction leans on (allocation evaluation, analytic Jacobians,
-best responses, Nash solves, the discrete-event loop) so performance
-regressions are visible independently of the experiment logic.
+These time the primitives the reproduction leans on (allocation
+evaluation, analytic Jacobians, best responses, Nash solves, the
+discrete-event loop) so performance regressions are visible
+independently of the experiment logic.
 
 The event-loop throughput matrix (``test_event_loop_throughput``)
 sweeps the four kernel-backed packet disciplines across utilizations

@@ -1,16 +1,13 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the pytest-benchmark microbenchmarks.
 
-Each ``bench_*`` module regenerates one paper table/figure/theorem via
-the experiment registry, times it with pytest-benchmark, prints the
-regenerated report, and asserts the paper's qualitative claim held.
-Experiment benchmarks run a single round (they are minutes-scale
-end-to-end reproductions, not microbenchmarks); microbenchmarks of the
-hot code paths live in ``bench_micro.py``.
+``bench_micro.py`` and ``bench_solver.py`` time the hot code paths
+under ``make bench``.  The paper's experiments are not benchmarked
+here: ``tests/test_experiments_fast.py`` asserts every fast-mode
+verdict and ``make report`` records the full-mode run.
 """
 
 import pytest
 
-from repro.experiments.registry import get_experiment
 from repro.sim import cache as sim_cache
 
 
@@ -25,13 +22,3 @@ def _sim_cache_off():
     yield
     sim_cache.set_enabled(None)
 
-
-def run_experiment_benchmark(benchmark, experiment_id: str, seed: int = 0):
-    """Time one fast-mode experiment run and certify its claim."""
-    runner = get_experiment(experiment_id)
-    report = benchmark.pedantic(
-        lambda: runner(seed=seed, fast=True), rounds=1, iterations=1)
-    print()
-    print(report.render())
-    assert report.passed, f"{experiment_id} claim failed:\n" + report.render()
-    return report

@@ -15,11 +15,11 @@ Batched evaluation (the vectorized solver core)
 
 Solvers scan candidate rates in bulk, so the base class also exposes
 
-* :meth:`AllocationFunction.congestion_grid` — user ``i``'s congestion
-  over a whole vector of candidate own-rates, opponents held fixed;
-* :meth:`AllocationFunction.grid_evaluator` — the same for several
-  users at once, one candidate row per user, with the opponent-side
-  precomputation done once for repeated calls;
+* :meth:`AllocationFunction.grid_evaluator` — the hook a discipline
+  implements: several users' congestion over candidate own-rates, one
+  candidate row per user, opponents held fixed, with the
+  opponent-side precomputation done once for repeated calls;
+* :meth:`AllocationFunction.congestion_grid` — its one-user view;
 * :meth:`AllocationFunction.congestion_many` — the full congestion
   matrix for a batch of rate profiles;
 * :meth:`AllocationFunction.gradient_i` /
@@ -44,19 +44,20 @@ counts)`` alone.  The base class exposes
 
 * :meth:`AllocationFunction.class_congestion` — per-class congestion
   for a class-symmetric profile;
-* :meth:`AllocationFunction.class_deviation_evaluator` — a reusable
-  grid evaluator for one member of a class deviating unilaterally
+* :meth:`AllocationFunction.class_deviation_rows` — the hook a
+  discipline implements: a member of each of several classes
+  deviating unilaterally, one candidate row per class, so a
+  class-space best-response round is one batched call
   (``include_self=True`` keeps the deviator's class mass intact, the
   mean-field closure where a single agent is infinitesimal);
-* :meth:`AllocationFunction.class_deviation_rows` — the same for
-  several classes at once, one candidate row per class, so a
-  class-space best-response round is one batched call;
+* :meth:`AllocationFunction.class_deviation_evaluator` — its
+  one-class view;
 * :meth:`AllocationFunction.class_congestion_many` — a batch of
   class-rate profiles sharing one multiplicity vector.
 
 The defaults expand classes to the full N-vector and delegate to the
 per-user paths (exact, but O(N)); disciplines with closed forms
-override them with O(K) passes and set :attr:`vectorized_class_grid`.
+override them with O(K) passes.
 """
 
 from __future__ import annotations
@@ -96,6 +97,22 @@ def opponent_rows(rates: np.ndarray, users: np.ndarray) -> np.ndarray:
     rows = np.arange(rates.size)[users]
     cols = np.arange(rates.size - 1)
     return rates[cols + (cols >= rows[:, None])]
+
+
+def class_opponent_totals(class_rates: Sequence[float],
+                          counts: Sequence[int], classes: Sequence[int],
+                          include_self: bool) -> np.ndarray:
+    """Row ``b`` is the total rate a member of class ``classes[b]``
+    deviating faces: every class at its count, its own class less the
+    deviator unless ``include_self``.  Shape ``(len(classes), 1)``."""
+    c, m = check_classes(class_rates, counts)
+    totals = []
+    for i in classes:
+        w = m.astype(float)
+        if not include_self:
+            w[i] -= 1.0
+        totals.append(float(np.dot(w, c)))
+    return np.asarray(totals).reshape(-1, 1)
 
 
 def expand_class_rates(class_rates: Sequence[float],
@@ -144,17 +161,12 @@ class AllocationFunction(ABC):
 
     name: str = "allocation"
 
-    #: True when :meth:`congestion_grid`/:meth:`congestion_many` are
+    #: True when :meth:`grid_evaluator`/:meth:`congestion_many` are
     #: real one-pass numpy implementations rather than the scalar-loop
     #: fallback.  Solvers read it to pick their one path: the batched
     #: grid zoom when True, the scalar scan over :meth:`congestion_i`
     #: when False.
     vectorized_grid: bool = False
-
-    #: True when the class-space paths (:meth:`class_congestion`,
-    #: :meth:`class_deviation_evaluator`) are real O(K)
-    #: implementations rather than the expand-to-N fallback.
-    vectorized_class_grid: bool = False
 
     def __init__(self, curve: Optional[ServiceCurve] = None) -> None:
         self.curve = curve if curve is not None else MM1Curve()
@@ -175,32 +187,27 @@ class AllocationFunction(ABC):
         """``C_i`` over candidate own-rates ``xs``, opponents fixed.
 
         Entry ``k`` equals ``congestion_i(r with r[i] := xs[k], i)``;
-        the value of ``rates[i]`` itself is irrelevant.  The default
-        loops over the candidates (same work as a scalar scan);
-        vectorized disciplines override it with one numpy pass over
-        the whole grid.
+        the value of ``rates[i]`` itself is irrelevant.  The one-user
+        view of :meth:`grid_evaluator`.
         """
-        base = np.array(rates, dtype=float)
-        out = np.empty(len(xs))
-        for k, x in enumerate(np.asarray(xs, dtype=float).tolist()):
-            base[i] = x
-            out[k] = self.congestion_i(base, i)
-        return out
+        return one_row(self.grid_evaluator(rates, [i]))(xs)
 
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
         """A reusable row evaluator for ``users``, the opponents fixed.
 
         ``evaluate(X)`` takes candidate own-rates of shape
-        ``(len(users), K)``; entry ``[b, k]`` of the result equals
-        ``congestion_grid(rates, users[b], X[b])[k]``.  Iterative
-        solvers (the batched grid zoom) evaluate many candidate grids
-        against the *same* profile — for a simultaneous best-response
-        round, one row per user — so this hook lets a discipline hoist
-        the opponent-only precomputation (sort, ladder, prefix sums)
-        out of the per-grid call and share one pass across the rows.
-        The default evaluates each row through :meth:`congestion_grid`,
-        so overriding the grid alone is always enough for correctness.
+        ``(len(users), K)``; entry ``[b, k]`` of the result is
+        ``congestion_i(r with r[users[b]] := X[b, k], users[b])``, and
+        a row does not depend on the other rows.  Iterative solvers
+        (the batched grid zoom) evaluate many candidate grids against
+        the *same* profile — for a simultaneous best-response round,
+        one row per user — so this hook lets a discipline hoist the
+        opponent-only precomputation (sort, ladder, prefix sums) out
+        of the per-grid call and share one pass across the rows.  The
+        default loops over the candidates (same work as a scalar
+        scan); vectorized disciplines override it with one numpy pass
+        over all rows.
         """
         r = np.array(rates, dtype=float)
         rows = [int(i) for i in users]
@@ -209,7 +216,10 @@ class AllocationFunction(ABC):
             cand = np.asarray(xs, dtype=float)
             out = np.empty(cand.shape)
             for b, i in enumerate(rows):
-                out[b] = self.congestion_grid(r, i, cand[b])
+                base = r.copy()
+                for k, x in enumerate(cand[b].tolist()):
+                    base[i] = x
+                    out[b, k] = self.congestion_i(base, i)
             return out
 
         return evaluate
@@ -238,8 +248,7 @@ class AllocationFunction(ABC):
         users sending ``class_rates[k]`` (symmetry makes them equal).
         The default expands to the N-vector and reads one
         representative per class — exact but O(N); disciplines with
-        closed forms override it with an O(K) pass and advertise
-        :attr:`vectorized_class_grid`.
+        closed forms override it with an O(K) pass.
         """
         c, m = check_classes(class_rates, counts)
         full = self.congestion(np.repeat(c, m))
@@ -249,30 +258,13 @@ class AllocationFunction(ABC):
     def class_deviation_evaluator(self, class_rates: Sequence[float],
                                   counts: Sequence[int], i: int,
                                   include_self: bool = False
-                                  ) -> "GridEvaluator":
+                                  ) -> GridEvaluator:
         """Grid evaluator for one member of class ``i`` deviating.
 
-        The returned closure maps candidate own-rates ``xs`` to the
-        deviator's congestion with every other user pinned at their
-        class rate.  With ``include_self=False`` (the exact game) the
-        deviator is removed from class ``i``, leaving ``counts[i]-1``
-        opponents there; with ``include_self=True`` the full profile
-        stays in place and the deviator rides on top as an extra
-        infinitesimal-mass user — the mean-field closure, whose error
-        against the exact game is O(1/N).
-
-        The default expands the opponents to a full vector and
-        delegates to a one-user :meth:`grid_evaluator` (exact, O(N)
-        setup); vectorized disciplines override it with O(K) setup.
+        The one-class view of :meth:`class_deviation_rows`.
         """
-        c, m = check_classes(class_rates, counts)
-        opp = m.copy()
-        if not include_self:
-            if opp[i] < 1:
-                raise ValueError(f"class {i} is empty")
-            opp[i] -= 1
-        full = np.concatenate((np.repeat(c, opp), [0.0]))
-        return one_row(self.grid_evaluator(full, [full.size - 1]))
+        return one_row(self.class_deviation_rows(
+            class_rates, counts, [i], include_self=include_self))
 
     def class_deviation_rows(self, class_rates: Sequence[float],
                              counts: Sequence[int], classes: Sequence[int],
@@ -280,23 +272,36 @@ class AllocationFunction(ABC):
         """Row evaluator for a member of each of ``classes`` deviating.
 
         ``evaluate(X)`` takes candidate own-rates of shape
-        ``(len(classes), K)``; row ``b`` equals
-        ``class_deviation_evaluator(class_rates, counts, classes[b],
-        include_self)(X[b])`` bit for bit.  The class-space solvers run
-        one batched zoom round for all K classes through it.  The
-        default stacks the per-class evaluators; disciplines with
-        closed forms override it with one pass over all rows and make
-        :meth:`class_deviation_evaluator` its one-row case.
+        ``(len(classes), K)``; row ``b`` maps them to the congestion of
+        a member of class ``classes[b]`` deviating with every other
+        user pinned at their class rate.  With ``include_self=False``
+        (the exact game) the deviator is removed from its class,
+        leaving one opponent fewer there; with
+        ``include_self=True`` the full profile stays in place and the
+        deviator rides on top as an extra infinitesimal-mass user — the
+        mean-field closure, whose error against the exact game is
+        O(1/N).  The class-space solvers run one batched zoom round for
+        all K classes through it.
+
+        The default expands each row's opponents to a full vector and
+        delegates to a one-user :meth:`grid_evaluator` (exact, O(N)
+        setup per row); disciplines with closed forms override it with
+        one O(K) pass over all rows.
         """
-        evaluators = [self.class_deviation_evaluator(
-            class_rates, counts, i, include_self=include_self)
-            for i in classes]
+        c, m = check_classes(class_rates, counts)
+        evaluators = []
+        for i in classes:
+            opp = m.copy()
+            if not include_self:
+                opp[i] -= 1
+            full = np.concatenate((np.repeat(c, opp), [0.0]))
+            evaluators.append(self.grid_evaluator(full, [full.size - 1]))
 
         def evaluate(xs: np.ndarray) -> np.ndarray:
             cand = np.asarray(xs, dtype=float)
             out = np.empty(cand.shape)
             for b, evaluator in enumerate(evaluators):
-                out[b] = evaluator(cand[b])
+                out[b] = evaluator(cand[b:b + 1])[0]
             return out
 
         return evaluate

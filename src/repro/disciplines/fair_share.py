@@ -35,9 +35,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    RowEvaluator, check_classes, one_row,
-                                    opponent_rows)
+from repro.disciplines.base import (AllocationFunction, RowEvaluator,
+                                    check_classes, opponent_rows)
 
 
 class FairShareAllocation(AllocationFunction):
@@ -45,7 +44,6 @@ class FairShareAllocation(AllocationFunction):
 
     name = "fair-share"
     vectorized_grid = True
-    vectorized_class_grid = True
 
     # -- ladder geometry ---------------------------------------------------
 
@@ -113,9 +111,9 @@ class FairShareAllocation(AllocationFunction):
 
     # -- batched evaluation --------------------------------------------------
 
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i`` over candidate own-rates in one pass (insertion trick).
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """``C_i`` over candidate own-rates by the insertion trick.
 
         The opponents' ladder is computed once.  A candidate ``x``
         inserts at sorted position ``p`` (the number of opponents
@@ -130,22 +128,15 @@ class FairShareAllocation(AllocationFunction):
         Tied candidates contribute zero ``g``-increments within their
         tie block, so the position within a block is irrelevant and
         the result matches the scalar :meth:`congestion_i` exactly.
-        """
-        return one_row(self.grid_evaluator(rates, [i]))(xs)
 
-    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
-                       ) -> RowEvaluator:
-        """One-time opponent-ladder setup per user, many cheap grid rows.
-
-        Row ``b`` implements the :meth:`congestion_grid` insertion trick
-        for user ``users[b]``; each row's sorted opponents (the sorted
-        rate vector less one copy of that user's rate), prefix sums,
-        ``g``-share table and first unstable class are built once, in
-        one pass over all rows — the grid zoom calls the evaluator ~10
-        times per best-response round against the same opponents.  A
-        candidate's insertion position is its rank in the sorted rate
-        vector minus the user's own (stale) rate, so a call costs
-        O(K log N) per row and each row's tables O(N).
+        Row ``b`` is user ``users[b]``; each row's sorted opponents
+        (the sorted rate vector less one copy of that user's rate),
+        prefix sums, ``g``-share table and first unstable class are
+        built once, in one pass over all rows — the grid zoom calls the
+        evaluator ~10 times per best-response round against the same
+        opponents.  A candidate's insertion position is its rank in the
+        sorted rate vector minus the user's own (stale) rate, so a call
+        costs O(K log N) per row and each row's tables O(N).
         """
         r = np.asarray(rates, dtype=float)
         rows = np.asarray(users, dtype=int)
@@ -283,14 +274,6 @@ class FairShareAllocation(AllocationFunction):
         out = np.empty(c.size)
         out[order] = sorted_c
         return out
-
-    def class_deviation_evaluator(self, class_rates: Sequence[float],
-                                  counts: Sequence[int], i: int,
-                                  include_self: bool = False
-                                  ) -> GridEvaluator:
-        """The one-row case of :meth:`class_deviation_rows`."""
-        return one_row(self.class_deviation_rows(
-            class_rates, counts, [i], include_self=include_self))
 
     def class_deviation_rows(self, class_rates: Sequence[float],
                              counts: Sequence[int], classes: Sequence[int],

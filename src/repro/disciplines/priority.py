@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
+from repro.disciplines.base import (AllocationFunction, RowEvaluator,
                                     check_classes)
 from repro.exceptions import DisciplineError
 from repro.queueing.service_curves import ServiceCurve
@@ -33,7 +33,6 @@ class PriorityAllocation(AllocationFunction):
     """Per-user preemptive priority ordered by rate."""
 
     vectorized_grid = True
-    vectorized_class_grid = True
 
     def __init__(self, curve: Optional[ServiceCurve] = None,
                  ascending: bool = True) -> None:
@@ -79,41 +78,66 @@ class PriorityAllocation(AllocationFunction):
         out[order] = sorted_c
         return out
 
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i`` over candidate own-rates in one pass.
-
-        For candidate ``x``, user ``i``'s tie block spans herself plus
-        the opponents with rate exactly ``x``; the per-class
-        increments inside the block telescope, so
-
-        ``C_i(x) = [g(B + T + x) - g(B)] / (t + 1)``
-
-        with ``B`` the total strictly-higher-priority opponent rate,
-        ``T`` the tied opponents' total, and ``t`` their count.
-        """
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """:meth:`_rows` with one opponent per rate: row ``b`` weighs
+        the sorted rate vector less one copy of user ``users[b]``'s own
+        (stale) rate."""
         r = np.asarray(rates, dtype=float)
-        cand = np.asarray(xs, dtype=float)
-        opp = np.delete(r, i)
-        if (opp.size and float(opp.min()) < 0.0) or (
-                cand.size and float(cand.min()) < 0.0):
+        rows = np.asarray(users, dtype=int)
+        ranked = np.sort(r)
+        weights = np.ones((rows.size, r.size))
+        weights[np.arange(rows.size), ranked.searchsorted(r[rows])] = 0.0
+        if np.any((ranked < 0.0) & (weights > 0.0)):
             raise DisciplineError(f"rates must be nonnegative, got {r}")
-        s = np.sort(opp)
-        cs = np.concatenate(([0.0], np.cumsum(s)))
-        lo = np.searchsorted(s, cand, side="left")
-        hi = np.searchsorted(s, cand, side="right")
-        block = (hi - lo + 1).astype(float)
-        if self.ascending:
-            before = cs[lo]
-            after = cs[hi] + cand
-        else:
-            before = cs[-1] - cs[hi]
-            after = (cs[-1] - cs[lo]) + cand
-        out = np.full(cand.shape, math.inf)
-        ok = after < self.curve.capacity
-        out[ok] = (self.curve.values(after[ok])
-                   - self.curve.values(before[ok])) / block[ok]
-        return out
+        return self._rows(ranked, weights)
+
+    def _rows(self, ranked: np.ndarray, weights: np.ndarray) -> RowEvaluator:
+        """``C(x) = [g(B + T + x) - g(B)] / (t + 1)`` on row ``b``.
+
+        Row ``b``'s opponents send the ascending rates ``ranked``,
+        ``weights[b, j]`` of them at ``ranked[j]``.  For a candidate
+        ``x`` the deviator's tie block spans herself plus the ``t``
+        opponents sending exactly ``x`` (total ``T``); the per-class
+        increments inside the block telescope, and ``B`` is the total
+        opponent rate of higher priority.  Both are read off weighted
+        prefix sums: O(L) setup per row, O(log L) per candidate.  A
+        zero weight adds exact zeros to the sums, so the rows share
+        one ``ranked`` vector.
+        """
+        b, k = weights.shape
+        # Per row, the opponent rate and count below each rank.
+        tables = np.zeros((2, b, k + 1))
+        np.cumsum(np.multiply(weights, ranked, where=weights > 0.0,
+                              out=np.zeros(weights.shape)),
+                  axis=1, out=tables[0, :, 1:])
+        np.cumsum(weights, axis=1, out=tables[1, :, 1:])
+        total = tables[0, :, -1:]
+        # Rows of the tables, flattened: entry p of row b is at b*(k+1)+p.
+        mass, cnt = tables.reshape(2, -1)
+        offsets = np.arange(b)[:, None] * (k + 1)
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            if cand.size and float(cand.min()) < 0.0:
+                raise DisciplineError(
+                    f"rates must be nonnegative, got {cand}")
+            lo = ranked.searchsorted(cand, side="left") + offsets
+            hi = ranked.searchsorted(cand, side="right") + offsets
+            block = (cnt.take(hi) - cnt.take(lo)) + 1.0
+            if self.ascending:
+                before = mass.take(lo)
+                after = mass.take(hi) + cand
+            else:
+                before = total - mass.take(hi)
+                after = (total - mass.take(lo)) + cand
+            out = np.full(cand.shape, math.inf)
+            ok = after < self.curve.capacity
+            out[ok] = (self.curve.values(after[ok])
+                       - self.curve.values(before[ok])) / block[ok]
+            return out
+
+        return evaluate
 
     # -- symmetry-class evaluation -------------------------------------------
 
@@ -157,50 +181,16 @@ class PriorityAllocation(AllocationFunction):
         out[order] = sorted_c
         return out
 
-    def class_deviation_evaluator(self, class_rates: Sequence[float],
-                                  counts: Sequence[int], i: int,
-                                  include_self: bool = False
-                                  ) -> GridEvaluator:
-        """The :meth:`congestion_grid` closed form on class cumsums.
-
-        ``C_i(x) = [g(B + T + x) - g(B)] / (t + 1)`` with ``B``/``T``/
-        ``t`` read off weighted class prefix sums instead of a sorted
-        opponent vector — O(K) setup, O(log K) per candidate.
-        """
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """:meth:`_rows` on the class rates weighted by their counts;
+        row ``b`` less the deviating member of class ``classes[b]``
+        unless ``include_self``."""
         c, m = check_classes(class_rates, counts)
-        w = m.astype(float)
+        rows = np.asarray(classes, dtype=int)
+        order = np.argsort(c, kind="stable")
+        weights = np.tile(m[order].astype(float), (rows.size, 1))
         if not include_self:
-            if m[i] < 1:
-                raise ValueError(f"class {i} is empty")
-            w[i] -= 1.0
-        keep = w > 0.0
-        order = np.argsort(c[keep], kind="stable")
-        s = c[keep][order]
-        w = w[keep][order]
-        mass = np.concatenate(([0.0], np.cumsum(w * s)))
-        cnt = np.concatenate(([0.0], np.cumsum(w)))
-        total_mass = float(mass[-1])
-        ascending = self.ascending
-        cap = self.curve.capacity
-
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            if cand.size and float(cand.min()) < 0.0:
-                raise DisciplineError(
-                    f"rates must be nonnegative, got {cand}")
-            lo = np.searchsorted(s, cand, side="left")
-            hi = np.searchsorted(s, cand, side="right")
-            block = (cnt[hi] - cnt[lo]) + 1.0
-            if ascending:
-                before = mass[lo]
-                after = mass[hi] + cand
-            else:
-                before = total_mass - mass[hi]
-                after = (total_mass - mass[lo]) + cand
-            out = np.full(cand.shape, math.inf)
-            ok = after < cap
-            out[ok] = (self.curve.values(after[ok])
-                       - self.curve.values(before[ok])) / block[ok]
-            return out
-
-        return evaluate
+            weights[np.arange(rows.size), order.argsort()[rows]] -= 1.0
+        return self._rows(c[order], weights)

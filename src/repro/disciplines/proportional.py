@@ -20,8 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    RowEvaluator, check_classes, one_row,
+from repro.disciplines.base import (AllocationFunction, RowEvaluator,
+                                    check_classes, class_opponent_totals,
                                     opponent_rows)
 
 
@@ -35,7 +35,6 @@ class ProportionalAllocation(AllocationFunction):
 
     name = "proportional"
     vectorized_grid = True
-    vectorized_class_grid = True
 
     # -- curve helpers -----------------------------------------------------
 
@@ -102,14 +101,10 @@ class ProportionalAllocation(AllocationFunction):
 
     # -- batched evaluation --------------------------------------------------
 
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i(x) = x * phi(S_{-i} + x)`` over the whole grid at once."""
-        return one_row(self.grid_evaluator(rates, [i]))(xs)
-
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
-        """Hoist each user's opponent total out of repeated row calls.
+        """``C_i(x) = x phi(S_{-i} + x)``, each user's opponent total
+        hoisted out of repeated row calls.
 
         Each row sums its own opponents (``total - r_i`` would round
         differently from the one-user sum).
@@ -147,26 +142,12 @@ class ProportionalAllocation(AllocationFunction):
             return np.full(c.shape, math.inf)
         return c * self._phi(total)
 
-    def class_deviation_evaluator(self, class_rates: Sequence[float],
-                                  counts: Sequence[int], i: int,
-                                  include_self: bool = False
-                                  ) -> GridEvaluator:
-        """The one-row case of :meth:`class_deviation_rows`."""
-        return one_row(self.class_deviation_rows(
-            class_rates, counts, [i], include_self=include_self))
-
     def class_deviation_rows(self, class_rates: Sequence[float],
                              counts: Sequence[int], classes: Sequence[int],
                              include_self: bool = False) -> RowEvaluator:
         """Hoist each row's weighted opponent total; the per-user rows."""
-        c, m = check_classes(class_rates, counts)
-        totals = []
-        for i in classes:
-            w = m.astype(float)
-            if not include_self:
-                w[i] -= 1.0
-            totals.append(float(np.dot(w, c)))
-        return self._rows(np.asarray(totals)[:, None])
+        return self._rows(class_opponent_totals(class_rates, counts, classes,
+                                                include_self))
 
     def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
                               counts: Sequence[int]) -> np.ndarray:

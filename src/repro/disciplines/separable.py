@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    RowEvaluator, check_classes, one_row)
+from repro.disciplines.base import (AllocationFunction, RowEvaluator,
+                                    check_classes)
 from repro.queueing.service_curves import QuadraticCurve
 
 
@@ -71,7 +71,6 @@ class SeparableAllocation(AllocationFunction):
 
     name = "separable"
     vectorized_grid = True
-    vectorized_class_grid = True
 
     def __init__(self, constraint: SumOfSquaresConstraint = None) -> None:
         self.constraint = (constraint if constraint is not None
@@ -87,14 +86,10 @@ class SeparableAllocation(AllocationFunction):
             raise ValueError(f"rates must be nonnegative, got {r}")
         return self.constraint.a * r * r
 
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i(x) = a x^2`` — the opponents do not matter at all."""
-        return one_row(self.grid_evaluator(rates, [i]))(xs)
-
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
-        """``C(x) = a x^2`` on every row: nothing to hoist but ``a``."""
+        """``C(x) = a x^2`` on every row — the opponents do not matter
+        at all, so there is nothing to hoist but ``a``."""
         coefficient = self.constraint.a
 
         def evaluate(xs: np.ndarray) -> np.ndarray:
@@ -129,14 +124,6 @@ class SeparableAllocation(AllocationFunction):
         """``C_k = a s_k^2``: fully decoupled, multiplicities irrelevant."""
         c, _ = check_classes(class_rates, counts)
         return self.constraint.a * c * c
-
-    def class_deviation_evaluator(self, class_rates: Sequence[float],
-                                  counts: Sequence[int], i: int,
-                                  include_self: bool = False
-                                  ) -> GridEvaluator:
-        """The one-row case of :meth:`class_deviation_rows`."""
-        return one_row(self.class_deviation_rows(
-            class_rates, counts, [i], include_self=include_self))
 
     def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
                               counts: Sequence[int]) -> np.ndarray:

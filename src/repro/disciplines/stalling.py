@@ -32,8 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.disciplines.base import (AllocationFunction, GridEvaluator,
-                                    check_classes)
+from repro.disciplines.base import (AllocationFunction, RowEvaluator,
+                                    check_classes, class_opponent_totals,
+                                    opponent_rows)
 
 
 class PivotAllocation(AllocationFunction):
@@ -41,7 +42,6 @@ class PivotAllocation(AllocationFunction):
 
     name = "stalling-pivot"
     vectorized_grid = True
-    vectorized_class_grid = True
 
     def congestion(self, rates: Sequence[float]) -> np.ndarray:
         r = np.asarray(rates, dtype=float)
@@ -54,23 +54,32 @@ class PivotAllocation(AllocationFunction):
         return np.array([g_total - self.curve.value(total - float(x))
                          for x in r])
 
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i(x) = g(S_{-i} + x) - g(S_{-i})``: one curve pass."""
-        r = np.asarray(rates, dtype=float)
-        cand = np.asarray(xs, dtype=float)
-        opp = np.delete(r, i)
-        if (opp.size and float(opp.min()) < 0.0) or (
-                cand.size and float(cand.min()) < 0.0):
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """:meth:`_rows` at each user's opponent total (each row sums
+        its own opponents, as the one-user sum does)."""
+        opp = opponent_rows(np.asarray(rates, dtype=float),
+                            np.asarray(users, dtype=int))
+        if opp.size and float(opp.min()) < 0.0:
             raise ValueError("rates must be nonnegative")
-        opponent_total = float(opp.sum())
-        totals = opponent_total + cand
-        out = np.full(cand.shape, math.inf)
-        ok = totals < self.curve.capacity
-        if np.any(ok):
-            g_absent = self.curve.value(opponent_total)
-            out[ok] = self.curve.values(totals[ok]) - g_absent
-        return out
+        return self._rows(opp.sum(axis=1)[:, None])
+
+    def _rows(self, opponent_total: np.ndarray) -> RowEvaluator:
+        """``C(x) = g(S_b + x) - g(S_b)`` on row ``b``, opponent totals
+        fixed: one curve pass per call."""
+        g_absent = self.curve.values(opponent_total)
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            if cand.size and float(cand.min()) < 0.0:
+                raise ValueError("rates must be nonnegative")
+            totals = opponent_total + cand
+            ok = totals < self.curve.capacity
+            g = self.curve.values(np.where(ok, totals, 0.0))
+            return np.subtract(g, g_absent, out=np.full(cand.shape, math.inf),
+                               where=ok)
+
+        return evaluate
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
@@ -99,34 +108,12 @@ class PivotAllocation(AllocationFunction):
             return np.full(c.shape, math.inf)
         return self.curve.value(total) - self.curve.values(total - c)
 
-    def class_deviation_evaluator(self, class_rates: Sequence[float],
-                                  counts: Sequence[int], i: int,
-                                  include_self: bool = False
-                                  ) -> GridEvaluator:
-        """``C(x) = g(S_opp + x) - g(S_opp)`` with a weighted opponent
-        total hoisted out."""
-        c, m = check_classes(class_rates, counts)
-        w = m.astype(float)
-        if not include_self:
-            if m[i] < 1:
-                raise ValueError(f"class {i} is empty")
-            w[i] -= 1.0
-        opponent_total = float(np.dot(w, c))
-        cap = self.curve.capacity
-
-        def evaluate(xs: Sequence[float]) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            if cand.size and float(cand.min()) < 0.0:
-                raise ValueError("rates must be nonnegative")
-            totals = opponent_total + cand
-            out = np.full(cand.shape, math.inf)
-            ok = totals < cap
-            if np.any(ok):
-                g_absent = self.curve.value(opponent_total)
-                out[ok] = self.curve.values(totals[ok]) - g_absent
-            return out
-
-        return evaluate
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """:meth:`_rows` at each deviator's weighted opponent total."""
+        return self._rows(class_opponent_totals(class_rates, counts, classes,
+                                                include_self))
 
     def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
                               counts: Sequence[int]) -> np.ndarray:

@@ -8,22 +8,23 @@ maximization is both robust and accurate.
 
 When the discipline advertises a one-pass grid
 (:attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`),
-the scan and refinement run as a handful of batched grid-zoom rounds
-instead of ~100 scalar congestion evaluations — the core of the
-vectorized solver path.  A discipline without one (a
-``NetworkAllocation``, weighted proportional sharing) takes the scalar
-golden-section scan over ``congestion_i``, its only path.  The
-simultaneous map :func:`best_response_map` and the certificate
-:func:`utility_improvements` run one zoom round for *all* N users in a
-single call: one multi-user ``grid_evaluator`` pass and one row-wise
-utility pass (a columnar one for a profile of one parametric family)
-score every user's candidate row, and each row does exactly the
-arithmetic of that user's lone best response.  The class-space
-solvers batch their K classes the same way, and their expansion
-certificate scores its spot-check users through the same batched
-call.  Every best response adds its evaluation counts to the
-``solver.*`` counters of :mod:`repro.obs`, counted per user either
-way.
+a best response is a handful of batched grid-zoom rounds
+(:func:`~repro.numerics.optimize.grid_maximize_rows`) over the
+discipline's row evaluator instead of ~100 scalar congestion
+evaluations.  The simultaneous map :func:`best_response_map` and the
+certificate :func:`utility_improvements` run one zoom for *all* N
+users: each round is one multi-user ``grid_evaluator`` pass and one
+row-wise utility pass (a columnar one for a profile of one parametric
+family), and a lone :func:`best_response` is the same zoom with one
+row, so a row's result does not depend on the other rows.  The
+class-space solvers batch their K classes the same way, and their
+expansion certificate scores its spot-check users through the same
+batched call.  An exception from the evaluator propagates.  A
+discipline without a one-pass grid (a ``NetworkAllocation``, weighted
+proportional sharing) takes the scalar golden-section scan over
+``congestion_i``, its only path.  Every best response adds its
+evaluation counts to the ``solver.*`` counters of :mod:`repro.obs`,
+counted per user either way.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.disciplines.base import one_row
-from repro.numerics.optimize import (GridFunc, ScalarMaxResult,
-                                     grid_maximize_rows,
+from repro.numerics.optimize import (ScalarMaxResult, grid_maximize_rows,
                                      multistart_maximize)
 from repro.users.families import value_grid_rows
 from repro.users.utility import Utility
@@ -62,21 +61,6 @@ def _default_rate_cap(allocation) -> float:
     return 4.0
 
 
-def _grid_objective(allocation, utility: Utility, rates: np.ndarray,
-                    i: int) -> Optional[GridFunc]:
-    """Batched objective for :func:`multistart_maximize`, if available."""
-    if not getattr(allocation, "vectorized_grid", False):
-        return None
-    # One evaluator per best response: the opponent-side precomputation
-    # (sort, ladder, prefix sums) is shared by every grid-zoom round.
-    evaluate = one_row(allocation.grid_evaluator(rates.copy(), [i]))
-
-    def grid(xs: np.ndarray) -> np.ndarray:
-        return utility.value_grid(xs, evaluate(xs))
-
-    return grid
-
-
 def _count(results: Sequence[ScalarMaxResult]) -> None:
     """Add best responses' evaluations to the ``solver.*`` counters."""
     evaluations = sum(result.evaluations for result in results)
@@ -93,9 +77,10 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
 
     The discipline picks the path: with
     :attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`
-    set, the scan and refinement are a batched grid zoom over its
-    ``grid_evaluator``; otherwise they are the scalar golden-section
-    scan over ``congestion_i``.
+    set, the scan and refinement are a one-row grid zoom over its
+    ``grid_evaluator`` (row ``i`` of :func:`best_response_map`);
+    otherwise they are the scalar golden-section scan over
+    ``congestion_i``.
 
     Parameters
     ----------
@@ -110,7 +95,11 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
     n_scan:
         Grid size of the global scan preceding local refinement.
     """
-    base = np.asarray(rates, dtype=float).copy()
+    r = np.asarray(rates, dtype=float)
+    if getattr(allocation, "vectorized_grid", False):
+        return _zoom_rows(allocation.grid_evaluator(r, [i]), [utility],
+                          allocation, r_max, n_scan, tol)[0]
+    base = r.copy()
     hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
 
     def objective(x: float) -> float:
@@ -118,18 +107,10 @@ def best_response(allocation, utility: Utility, rates: Sequence[float],
         congestion = allocation.congestion_i(base, i)
         return utility.value(x, congestion)
 
-    grid = _grid_objective(allocation, utility,
-                           np.asarray(rates, dtype=float), i)
     result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
-                                 tol=tol, grid_func=grid)
+                                 tol=tol)
     _count([result])
     return result
-
-
-#: Errors after which a batched round is redone user by user, where
-#: :func:`best_response` handles each exactly as it always has.
-_BATCH_ERRORS = (ArithmeticError, ValueError, TypeError, IndexError,
-                 AttributeError)
 
 
 def _best_responses(allocation, profile: Sequence[Utility],
@@ -146,25 +127,20 @@ def _best_responses(allocation, profile: Sequence[Utility],
     maximizations run as one row-wise zoom
     (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
     is one multi-user ``grid_evaluator`` call plus one
-    :func:`~repro.users.families.value_grid_rows` pass, row ``b``
-    doing exactly user ``users[b]``'s lone arithmetic, so results and
-    ``solver.*`` counts equal the per-user ones bit for bit.  Off the
-    grid path — or when the batched evaluation raises — users are
-    solved one at a time through :func:`best_response`.  A batched
-    Fair Share round holds every user's opponent tables, O(N^2)
-    floats; per-user solves past a few thousand users belong in class
-    space (:mod:`repro.game.classes`) anyway.
+    :func:`~repro.users.families.value_grid_rows` pass, and row ``b``
+    does exactly the arithmetic of user ``users[b]``'s one-row zoom,
+    so results and ``solver.*`` counts equal the per-user ones bit for
+    bit.  Off the grid path users are solved one at a time through
+    :func:`best_response`.  A batched Fair Share round holds every
+    user's opponent tables, O(N^2) floats; per-user solves past a few
+    thousand users belong in class space (:mod:`repro.game.classes`)
+    anyway.
     """
     r = np.asarray(rates, dtype=float)
     rows = range(len(profile)) if users is None else users
     if getattr(allocation, "vectorized_grid", False):
-        try:
-            results = _zoom_rows(allocation.grid_evaluator(r, rows), profile,
-                                 allocation, r_max, n_scan, tol)
-        except _BATCH_ERRORS:
-            pass
-        else:
-            return results
+        return _zoom_rows(allocation.grid_evaluator(r, rows), profile,
+                          allocation, r_max, n_scan, tol)
     return [best_response(allocation, utility, r, i, r_max=r_max,
                           n_scan=n_scan, tol=tol)
             for i, utility in zip(rows, profile)]

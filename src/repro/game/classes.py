@@ -13,18 +13,19 @@ each step is the per-user step at a class-symmetric point, and the
 same grid-zoom maximizer, with congestion evaluated
 through the O(K) class-space paths
 (:meth:`~repro.disciplines.base.AllocationFunction.class_congestion`,
-:meth:`~repro.disciplines.base.AllocationFunction
-.class_deviation_evaluator`), making exact equilibria tractable at
-N=10^4+ where the per-user solver's O(N) inner loop is prohibitive.
+:meth:`~repro.disciplines.base.AllocationFunction.class_deviation_rows`),
+making exact equilibria tractable at N=10^4+ where the per-user
+solver's O(N) inner loop is prohibitive.
 
 Each class-space round — the map, its certificate and the mean-field
 twins in :mod:`repro.game.meanfield` — is one K-row grid zoom
 (:func:`~repro.numerics.optimize.grid_maximize_rows`) over the
 discipline's row-wise
 :meth:`~repro.disciplines.base.AllocationFunction.class_deviation_rows`
-and :func:`~repro.users.families.value_grid_rows`, row ``k`` doing
-exactly class ``k``'s lone :func:`class_best_response` arithmetic, so
-results and ``solver.*`` counts equal the per-class calls bit for bit.
+and :func:`~repro.users.families.value_grid_rows`.  A lone
+:func:`class_best_response` is the same zoom with one row, so results
+and ``solver.*`` counts equal the per-class calls bit for bit.  An
+exception from the row evaluator propagates.
 
 Results are *certified twice*: in class space (the max class deviation
 gain, exact for the full game by symmetry) and by expansion — a
@@ -49,16 +50,9 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from repro.disciplines.base import check_classes, expand_class_rates
-from repro.game.best_response import (
-    _BATCH_ERRORS,
-    MIN_RATE,
-    _count,
-    _default_rate_cap,
-    _improvements,
-    _zoom_rows,
-)
+from repro.game.best_response import _improvements, _zoom_rows
 from repro.numerics.iterate import damped_fixed_point
-from repro.numerics.optimize import ScalarMaxResult, multistart_maximize
+from repro.numerics.optimize import ScalarMaxResult
 from repro.users.utility import Utility
 
 
@@ -188,24 +182,13 @@ def class_best_response(allocation, utility: Utility,
     :func:`repro.game.best_response.best_response`, with congestion
     evaluated through the O(K)
     :meth:`~repro.disciplines.base.AllocationFunction
-    .class_deviation_evaluator`.  The one-row case of the batched
-    class map (:func:`class_best_response_map`), and its fallback.
+    .class_deviation_rows`: the one-row case of the batched class map
+    (:func:`class_best_response_map`).
     """
-    evaluator = allocation.class_deviation_evaluator(
-        class_rates, counts, i, include_self=include_self)
-    hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
-
-    def objective(x: float) -> float:
-        value = float(evaluator(np.asarray([x]))[0])
-        return utility.value(x, value)
-
-    def grid(xs: np.ndarray) -> np.ndarray:
-        return utility.value_grid(xs, evaluator(xs))
-
-    result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
-                                 tol=tol, grid_func=grid)
-    _count([result])
-    return result
+    return _class_best_responses(allocation, [utility], class_rates,
+                                 counts, include_self=include_self,
+                                 r_max=r_max, n_scan=n_scan, tol=tol,
+                                 classes=[i])[0]
 
 
 def _class_best_responses(allocation, utilities: Sequence[Utility],
@@ -214,30 +197,25 @@ def _class_best_responses(allocation, utilities: Sequence[Utility],
                           include_self: bool = False,
                           r_max: Optional[float] = None,
                           n_scan: int = 65,
-                          tol: float = 1e-11) -> List[ScalarMaxResult]:
+                          tol: float = 1e-11,
+                          classes: Optional[Sequence[int]] = None
+                          ) -> List[ScalarMaxResult]:
     """Every class's :func:`class_best_response` against ``class_rates``.
 
-    The K maximizations run as one K-row zoom
-    (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
-    is one :meth:`~repro.disciplines.base.AllocationFunction
+    ``utilities[b]`` is the utility of class ``classes[b]`` (by
+    default class ``b``: every class).  The maximizations run as one
+    row-wise zoom (:func:`~repro.numerics.optimize.grid_maximize_rows`):
+    each round is one :meth:`~repro.disciplines.base.AllocationFunction
     .class_deviation_rows` call plus one
-    :func:`~repro.users.families.value_grid_rows` pass, row ``k``
-    doing exactly class ``k``'s lone arithmetic, so results and
-    ``solver.*`` counts equal the per-class ones bit for bit.  When
-    the batched evaluation raises, classes are solved one at a time
-    through :func:`class_best_response`.
+    :func:`~repro.users.families.value_grid_rows` pass, and row ``b``
+    does exactly the arithmetic of class ``classes[b]``'s one-row
+    zoom, so results and ``solver.*`` counts equal the per-class ones
+    bit for bit.
     """
-    try:
-        return _zoom_rows(allocation.class_deviation_rows(
-            class_rates, counts, range(len(utilities)),
-            include_self=include_self), utilities, allocation, r_max,
-            n_scan, tol)
-    except _BATCH_ERRORS:
-        pass
-    return [class_best_response(allocation, utility, class_rates, counts,
-                                k, include_self=include_self, r_max=r_max,
-                                n_scan=n_scan, tol=tol)
-            for k, utility in enumerate(utilities)]
+    rows = range(len(utilities)) if classes is None else classes
+    return _zoom_rows(allocation.class_deviation_rows(
+        class_rates, counts, rows, include_self=include_self), utilities,
+        allocation, r_max, n_scan, tol)
 
 
 def class_best_response_map(allocation, utilities: Sequence[Utility],

@@ -8,30 +8,28 @@ boundary.  The helpers here therefore combine golden-section search with
 a coarse multistart scan, and treat non-finite objective values as
 ``-inf`` rather than propagating exceptions.
 
-The vectorized path replaces golden-section search with a batched grid
-zoom, :func:`grid_maximize_rows`, which maximizes many independent
+The grid path replaces golden-section search with a batched grid zoom,
+:func:`grid_maximize_rows`, which maximizes many independent
 objectives at once — one row each, as in a simultaneous best-response
-round over N users or K utility classes — and whose one-row case is
-:func:`grid_multistart_maximize`.  A round on arrays of about (8, 33)
-costs numpy call overhead rather than arithmetic, so the row
-objectives the solvers pass in (the disciplines' row evaluators and
+round over N users or K utility classes; a lone best response is its
+one-row case.  A round on arrays of about (8, 33) costs numpy call
+overhead rather than arithmetic, so the row objectives the solvers
+pass in (the disciplines' row evaluators and
 :func:`~repro.users.families.value_grid_rows`) make one call per
-round for all rows, with as few numpy calls as they can.
+round for all rows, with as few numpy calls as they can.  An
+exception from a row objective propagates: there is no scalar retry.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0        # 1/phi
 INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0       # 1/phi^2
-
-#: A batched objective: maps an array of candidates to their values.
-GridFunc = Callable[[np.ndarray], np.ndarray]
 
 #: A row-wise batched objective: ``(B, K)`` candidates -> ``(B, K)``
 #: values, row ``b`` scored by the ``b``-th of ``B`` objectives.
@@ -212,62 +210,22 @@ def grid_maximize_rows(row_func: RowFunc, n_rows: int, lo: float,
                                calls.tolist())]
 
 
-def grid_multistart_maximize(grid_func: GridFunc, lo: float, hi: float,
-                             n_scan: int = 33,
-                             tol: float = 1e-10) -> ScalarMaxResult:
-    """Batched scan + iterative grid-zoom maximization of one objective.
-
-    The vectorized counterpart of :func:`multistart_maximize` and the
-    one-row case of :func:`grid_maximize_rows`: one grid call evaluates
-    the coarse scan, then each refinement round evaluates
-    :data:`GRID_REFINE_POINTS` points across the bracket around the
-    incumbent and shrinks the bracket 16x, until its width falls under
-    ``tol``.  Golden-section search is inherently sequential (~45
-    scalar calls at ``tol=1e-11``); the zoom replaces it with ~9
-    batched rounds.  The argmax agrees with the scalar path to within
-    ``tol`` (both land inside the same final bracket).  A grid call
-    that raises an arithmetic error scores its whole round ``-inf``.
-    """
-    def row(xs: np.ndarray) -> np.ndarray:
-        try:
-            ys = grid_func(xs[0])
-        except (OverflowError, ZeroDivisionError, ValueError,
-                FloatingPointError):
-            return np.full(xs.shape, -math.inf)
-        return np.asarray(ys, dtype=float)[None, :]
-
-    return grid_maximize_rows(row, 1, lo, hi, n_scan=n_scan, tol=tol)[0]
-
-
 def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,
                         n_scan: int = 33,
-                        tol: float = 1e-10,
-                        grid_func: Optional[GridFunc] = None,
-                        ) -> ScalarMaxResult:
+                        tol: float = 1e-10) -> ScalarMaxResult:
     """Global scalar maximization by scan + local refinement.
 
     Evaluates ``func`` on an ``n_scan``-point grid, then runs a
     golden-section search on the bracket around the best grid point.  The
     endpoints themselves are candidates, so boundary maxima are found.
 
-    When ``grid_func`` is given (a batched objective evaluating a whole
-    candidate array in one pass), the scan *and* the refinement run
-    through :func:`grid_multistart_maximize` instead — same bracket
-    logic, a handful of numpy calls instead of ~100 Python ones.  If
-    the batched path raises, the scalar path is used as a fallback so
-    a discipline with a buggy grid override degrades to correct-but-
-    slow rather than failing.
-
-    This is the workhorse behind best-response computation: accurate for
-    unimodal objectives and resistant to the mild multimodality that
-    arises under non-Fair-Share disciplines out of equilibrium.
+    The scalar scan: accurate for unimodal objectives and resistant to
+    the mild multimodality that arises under non-Fair-Share disciplines
+    out of equilibrium.  Best responses on a discipline without a
+    one-pass grid, the Stackelberg leader and the cost-sharing demand
+    game run through it; :func:`grid_maximize_rows` is its batched
+    counterpart.
     """
-    if grid_func is not None:
-        try:
-            return grid_multistart_maximize(grid_func, lo, hi,
-                                            n_scan=n_scan, tol=tol)
-        except (TypeError, ValueError, IndexError, AttributeError):
-            pass
     if n_scan < 3:
         raise ValueError("n_scan must be at least 3")
     if hi < lo:

@@ -24,10 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
-from repro.disciplines.base import AllocationFunction, one_row
-from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.registry import make_discipline
-from repro.game import classes as classes_module
 from repro.game.classes import (
     ClassProfile,
     _class_gains,
@@ -250,9 +247,8 @@ def class_cases(draw):
     return rates, counts, utilities
 
 
-#: The class-space disciplines of the batched contract: Fair Share,
-#: proportional and separable rows are native, priority and stalling
-#: stack their per-class evaluators.
+#: The class-space disciplines of the batched contract, each with its
+#: own row evaluator.
 BATCHED_NAMES = ["fair-share", "fifo", "priority", "separable",
                  "stalling-pivot"]
 
@@ -264,24 +260,6 @@ def _solver_counts(scope):
 
 def _hexes(values):
     return [float(v).hex() for v in values]
-
-
-class _FlakyFairShare(FairShareAllocation):
-    """Fair Share whose class-1 deviation evaluator always raises, and
-    whose class rows stack the per-class evaluators, so every batched
-    round fails."""
-
-    def class_deviation_evaluator(self, class_rates, counts, i,
-                                  include_self=False):
-        if i == 1:
-            def evaluate(xs):
-                raise ZeroDivisionError("class 1 cannot be scored")
-
-            return evaluate
-        return one_row(FairShareAllocation.class_deviation_rows(
-            self, class_rates, counts, [i], include_self=include_self))
-
-    class_deviation_rows = AllocationFunction.class_deviation_rows
 
 
 class TestBatchedClassMapIsPerClass:
@@ -353,34 +331,6 @@ class TestBatchedClassMapIsPerClass:
                     worst = max(worst, utility_improvement(
                         allocation, utility, expanded, int(starts[k]) + j))
         assert float(gain).hex() == float(worst).hex()
-        assert _solver_counts(batched) == _solver_counts(alone)
-
-    @pytest.mark.parametrize("include_self", [False, True])
-    def test_failed_batch_recomputes_per_class(self, include_self,
-                                               monkeypatch):
-        allocation = _FlakyFairShare()
-        utilities = [PowerUtility(gamma=g, p=0.5, q=1.0)
-                     for g in (0.3, 0.5, 0.7)]
-        rates, counts = np.array([0.05, 0.08, 0.1]), [2, 1, 3]
-        with obs.Scope() as alone:
-            singles = [class_best_response(allocation, u, rates, counts, k,
-                                           include_self=include_self).x
-                       for k, u in enumerate(utilities)]
-        calls = []
-        original = classes_module.class_best_response
-
-        def counting(*args, **kwargs):
-            calls.append(args[4])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(classes_module, "class_best_response",
-                            counting)
-        with obs.Scope() as batched:
-            mapped = class_best_response_map(allocation, utilities, rates,
-                                             counts,
-                                             include_self=include_self)
-        assert calls == [0, 1, 2]
-        assert _hexes(mapped) == _hexes(singles)
         assert _solver_counts(batched) == _solver_counts(alone)
 
 

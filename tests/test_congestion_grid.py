@@ -2,18 +2,23 @@
 
 Every discipline's ``congestion_grid`` / ``congestion_many`` must agree
 with a scalar ``congestion_i`` / ``congestion`` loop — including at
-ties, at (and beyond) capacity, and through subsystems — and the
-analytic ``gradient_i`` / ``second_gradient_i`` overrides must match
-the numeric finite-difference defaults.
+ties, at (and beyond) capacity, and through subsystems — its class
+deviation rows must agree with ``congestion_i`` of a deviating member
+of the expanded profile on generated class profiles, and the analytic
+``gradient_i`` / ``second_gradient_i`` overrides must match the
+numeric finite-difference defaults.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.disciplines.base import AllocationFunction
 from repro.disciplines.fair_share import FairShareAllocation
+from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.disciplines.registry import available_disciplines, make_discipline
 from repro.disciplines.separable import SeparableAllocation
@@ -316,3 +321,61 @@ class TestEvaluatorDigests:
                 one = allocation.class_deviation_evaluator(
                     c, m, i, include_self=include_self)(grid[b])
                 assert rows[b].tobytes() == one.tobytes()
+
+
+#: The five closed forms (priority in both orders) and a discipline on
+#: the base class's expand-to-N default.
+CLASS_ROW_NAMES = ["fair-share", "fifo", "priority", "priority-descending",
+                   "separable", "stalling-pivot", "weighted-proportional"]
+
+#: Class rates and candidates are multiples of this, so every load
+#: either form sums is exact: both agree on which candidates overload.
+LATTICE = 1.0 / 64
+
+
+@st.composite
+def class_row_cases(draw):
+    """K 1-4 classes of 1-3 members at lattice rates up to 1/8 (ties
+    and singleton classes are common), rows for any of the classes in
+    any order, and lattice candidates up to 1.25 plus the class rates
+    themselves."""
+    k = draw(st.integers(1, 4))
+    rates = LATTICE * np.asarray(draw(st.lists(
+        st.integers(1, 8), min_size=k, max_size=k)), dtype=float)
+    counts = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    classes = draw(st.lists(st.integers(0, k - 1), min_size=1,
+                            max_size=k + 1))
+    xs = LATTICE * np.asarray(draw(st.lists(
+        st.integers(0, 80), min_size=1, max_size=8)), dtype=float)
+    return (rates, counts, classes, draw(st.booleans()),
+            np.concatenate((xs, rates)), draw(st.sampled_from(
+                CLASS_ROW_NAMES)))
+
+
+class TestClassRowsMatchPerUser:
+    """Row ``b`` of ``class_deviation_rows`` is the per-user definition:
+    ``congestion_i`` of a member of class ``classes[b]`` moved to the
+    candidate on the expanded N-vector, or, with ``include_self``, of
+    an extra user appended to the full profile."""
+
+    @given(case=class_row_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_deviating_member(self, case):
+        rates, counts, classes, include_self, xs, name = case
+        expanded = np.repeat(rates, counts)
+        if include_self:
+            expanded = np.append(expanded, 0.0)
+        if name == "weighted-proportional":
+            allocation = WeightedProportionalAllocation(
+                np.ones(expanded.size))
+        else:
+            allocation = make_discipline(name)
+        rows = allocation.class_deviation_rows(
+            rates, counts, classes, include_self=include_self)(
+                np.tile(xs, (len(classes), 1)))
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        for b, i in enumerate(classes):
+            deviator = expanded.size - 1 if include_self else int(starts[i])
+            assert_matches(rows[b],
+                           scalar_grid(allocation, expanded, deviator, xs))
+

@@ -1,9 +1,10 @@
 """The vectorized solver core: grid path, counters, and the scalar oracle.
 
-Covers the batched grid zoom (``grid_maximize_rows`` and its one-row
-case ``grid_multistart_maximize``), the batched best-response map and
-certificate (bit-identical to the per-user calls, pinned by float.hex
-goldens), the agreement of ``best_response``/``solve_nash`` on the grid
+Covers the batched grid zoom (``grid_maximize_rows``, one row or
+many), the batched best-response map and certificate (bit-identical
+to the per-user one-row zooms, pinned by float.hex goldens), the
+propagation of a row evaluator's errors, the agreement of
+``best_response``/``solve_nash`` on the grid
 with the scalar scan that :class:`tests.oracles.ScalarOnly` selects
 (also on generated profiles, and for Fair Share with the serial
 construction), the batched adversarial, coalition and elimination scans
@@ -29,6 +30,7 @@ from repro.game.best_response import (
     utility_improvement,
     utility_improvements,
 )
+from repro.game.classes import class_best_response, class_best_response_map
 from repro.game.coalitions import coalition_gain
 from repro.game.learning import _payoff_table, iterated_elimination
 from repro.game.nash import solve_nash
@@ -39,7 +41,6 @@ from repro.numerics.optimize import (
     GRID_REFINE_POINTS,
     ScalarMaxResult,
     grid_maximize_rows,
-    grid_multistart_maximize,
     multistart_maximize,
 )
 from repro.numerics.rng import default_rng
@@ -103,25 +104,31 @@ class TestCounters:
         assert certified.objective_evals == direct.objective_evals + 1
 
 
+def _one_row(objective, lo, hi, **options):
+    """The zoom of one elementwise objective: ``grid_maximize_rows``
+    with a single row."""
+    return grid_maximize_rows(objective, 1, lo, hi, **options)[0]
+
+
 class TestGridMaximize:
     def test_parabola(self):
         def grid(xs):
             return -(xs - 0.3) ** 2
 
-        result = grid_multistart_maximize(grid, 0.0, 1.0)
+        result = _one_row(grid, 0.0, 1.0)
         assert result.x == pytest.approx(0.3, abs=1e-8)
         assert result.grid_calls > 1
         assert result.evaluations >= 33
 
     def test_boundary_maximum(self):
-        result = grid_multistart_maximize(lambda xs: xs, 0.0, 2.0)
+        result = _one_row(lambda xs: xs, 0.0, 2.0)
         assert result.x == pytest.approx(2.0, abs=1e-8)
 
     def test_nan_treated_as_minus_inf(self):
         def nasty(xs):
             return np.where(xs > 0.5, np.nan, xs)
 
-        result = grid_multistart_maximize(nasty, 0.0, 1.0)
+        result = _one_row(nasty, 0.0, 1.0)
         assert result.x <= 0.5 + 1e-6
 
     def test_agrees_with_scalar_path(self):
@@ -131,34 +138,12 @@ class TestGridMaximize:
         def grid(xs):
             return np.sin(3.0 * xs) - 0.2 * xs
 
-        batched = grid_multistart_maximize(grid, 0.0, 2.0, tol=1e-11)
+        batched = _one_row(grid, 0.0, 2.0, tol=1e-11)
         scalar = multistart_maximize(func, 0.0, 2.0, tol=1e-11)
         # Both paths bottom out at the float-resolution floor of the
         # flat objective top (~sqrt(eps)), not at tol itself.
         assert batched.x == pytest.approx(scalar.x, abs=1e-7)
         assert batched.value == pytest.approx(scalar.value, abs=1e-12)
-
-    def test_multistart_routes_through_grid(self):
-        calls = []
-
-        def grid(xs):
-            calls.append(len(xs))
-            return -(xs - 0.4) ** 2
-
-        result = multistart_maximize(lambda x: -(x - 0.4) ** 2, 0.0, 1.0,
-                                     grid_func=grid)
-        assert calls                         # the batched path ran
-        assert result.grid_calls == len(calls)
-        assert result.x == pytest.approx(0.4, abs=1e-8)
-
-    def test_broken_grid_falls_back_to_scalar(self):
-        def broken(xs):
-            raise TypeError("no batch for you")
-
-        result = multistart_maximize(lambda x: -(x - 0.4) ** 2, 0.0, 1.0,
-                                     grid_func=broken)
-        assert result.grid_calls == 0
-        assert result.x == pytest.approx(0.4, abs=1e-8)
 
     def test_scalar_result_field_defaults(self):
         result = ScalarMaxResult(x=1.0, value=2.0, evaluations=3)
@@ -268,8 +253,7 @@ class TestGridMaximizeRows:
         batched = grid_maximize_rows(rows, len(funcs), 0.0, 2.0,
                                      n_scan=65, tol=1e-11)
         for func, row in zip(funcs, batched):
-            alone = grid_multistart_maximize(func, 0.0, 2.0, n_scan=65,
-                                             tol=1e-11)
+            alone = _one_row(func, 0.0, 2.0, n_scan=65, tol=1e-11)
             assert float(row.x).hex() == float(alone.x).hex()
             assert float(row.value).hex() == float(alone.value).hex()
             assert row.evaluations == alone.evaluations
@@ -279,8 +263,7 @@ class TestGridMaximizeRows:
         # Row 0 is flat, so its bracket hugs the left edge, shrinks 32x a
         # round and stops before row 1.  Once it has stopped its
         # objective turns strictly better: a frozen row must not see it.
-        alone = grid_multistart_maximize(lambda xs: np.zeros(xs.shape),
-                                         0.0, 1.0)
+        alone = _one_row(lambda xs: np.zeros(xs.shape), 0.0, 1.0)
         calls = []
 
         def rows(xs):
@@ -438,24 +421,57 @@ class TestBatchedMapIsPerUser:
             [float(g).hex() for g in singles]
         assert _counts(batched) == _counts(alone)
 
-    def test_failed_batch_recomputes_per_user(self, monkeypatch):
-        fs = FairShareAllocation()
-        profile = [LinearUtility(gamma=g) for g in (0.2, 0.4, 0.6)]
-        rates = np.array([0.1, 0.2, 0.15])
-        expected = [best_response(fs, u, rates, i).x
-                    for i, u in enumerate(profile)]
-        original = FairShareAllocation.grid_evaluator
 
-        def one_user_only(self, rates, users):
-            if len(users) > 1:
-                raise TypeError("no multi-user batch")
-            return original(self, rates, users)
+class _PlantedFault(FairShareAllocation):
+    """Fair Share whose row evaluators raise on their second call: the
+    coarse scan scores, the first zoom round fails."""
 
-        monkeypatch.setattr(FairShareAllocation, "grid_evaluator",
-                            one_user_only)
-        mapped = best_response_map(fs, profile, rates)
-        assert [float(x).hex() for x in mapped] == \
-            [float(x).hex() for x in expected]
+    def grid_evaluator(self, rates, users):
+        return self._planted(super().grid_evaluator(rates, users))
+
+    def class_deviation_rows(self, class_rates, counts, classes,
+                             include_self=False):
+        return self._planted(super().class_deviation_rows(
+            class_rates, counts, classes, include_self=include_self))
+
+    @staticmethod
+    def _planted(evaluate):
+        calls = []
+
+        def faulty(xs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise ZeroDivisionError("planted row fault")
+            return evaluate(xs)
+
+        return faulty
+
+
+_RATES = np.array([0.1, 0.2, 0.15])
+_PROFILE = [LinearUtility(gamma=g) for g in (0.2, 0.4, 0.6)]
+_COUNTS = [2, 1, 3]
+
+#: Every grid best-response entry point, called on the planted fault.
+_ENTRY_POINTS = {
+    "best_response": lambda a: best_response(a, _PROFILE[1], _RATES, 1),
+    "best_response_map": lambda a: best_response_map(a, _PROFILE, _RATES),
+    "utility_improvements": lambda a: utility_improvements(a, _PROFILE,
+                                                           _RATES),
+    "class_best_response": lambda a: class_best_response(
+        a, _PROFILE[1], _RATES / 4, _COUNTS, 1),
+    "class_best_response_map": lambda a: class_best_response_map(
+        a, _PROFILE, _RATES / 4, _COUNTS, include_self=True),
+}
+
+
+class TestRowEvaluatorErrorsPropagate:
+    """A row evaluator that raises fails the solve with its own error:
+    no per-user, per-class or scalar retry swallows it."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    def test_planted_fault_raises(self, entry):
+        with pytest.raises(ZeroDivisionError, match="planted row fault"):
+            _ENTRY_POINTS[entry](_PlantedFault())
 
 
 #: ``solve_nash`` outputs under the extrapolating fixed-point driver, as

@@ -601,7 +601,7 @@ class TestScalarCandidateScan:
         assert findings_for(path, "GW105").findings == []
 
     def test_outside_game_layer_passes(self, tmp_path):
-        # The generic congestion_grid *fallback* in disciplines/ is
+        # The generic grid_evaluator *fallback* in disciplines/ is
         # exactly this loop; the rule only polices the game layer.
         path = write_module(tmp_path, "src/repro/disciplines/ok.py", """\
             import numpy as np
