@@ -3,9 +3,11 @@
 The game layer's hot loops — golden-section best responses, damped
 best-response Nash solves, and the adversarial protection search — all
 reduce to evaluating an allocation function over many candidate rate
-vectors.  PR 4 batches those evaluations (``congestion_grid`` /
-``congestion_many``); these benchmarks time both paths so the speedup
-is tracked per discipline and per user count, not just asserted once.
+vectors, in batches (``grid_evaluator`` / ``congestion_many``).  The
+best responses and Nash solves keep a scalar scan, so these benchmarks
+time both of their paths and track the speedup per discipline and per
+user count; the protection search has one path, the batched scan, timed
+by :func:`test_adversarial_search_vectorized`.
 
 Running this file as a script times the matrix
 (kind x discipline x N x {vectorized, scalar}) without pytest and
@@ -96,11 +98,10 @@ def run_adversarial(allocation, n):
                                  refine=False)
 
 
-#: kind label -> the callable timed for that row.
+#: kind label -> the callable timed for that row (both paths).
 SOLVER_KINDS = {
     "best-response": run_best_response,
     "solve-nash": run_solve_nash,
-    "adversarial-search": run_adversarial,
 }
 
 

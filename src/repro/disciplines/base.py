@@ -1,4 +1,4 @@
-"""Base class for allocation functions.
+"""Base classes for allocation functions.
 
 The paper's acceptable allocation functions (the set ``AC``) map every
 rate vector in the natural domain ``D`` to an interior feasible
@@ -7,13 +7,29 @@ Outside ``D`` they are still defined, possibly assigning infinite
 congestion (needed so that learning dynamics can wander out of the
 stable region, Section 4.2.2).
 
-Subclasses implement :meth:`congestion`; analytic derivatives are
-optional overrides of the numeric defaults.
+Derivatives (one base for every congestion map)
+-----------------------------------------------
+
+The paper's results are statements about derivatives of ``C(r)``: the
+Nash first-derivative condition, MAC's signs of ``dC_i/dr_j``, Fair
+Share's lower-triangular Jacobian and Theorem 7's relaxation matrix
+of ``d^2 C_i/dr_i dr_j``.  :class:`Differentiable` holds them once.  A
+map writes two rows per user,
+
+* :meth:`Differentiable.gradient_i` — ``dC_i/dr_j`` over ``j``;
+* :meth:`Differentiable.second_gradient_i` —
+  ``d^2 C_i/dr_i dr_j`` over ``j``,
+
+both numeric by default, and every other derivative reads them.
+:class:`AllocationFunction`, :class:`Subsystem` and
+:class:`repro.network.model.NetworkAllocation` share it; disciplines
+with closed forms write them as their two rows.
 
 Batched evaluation (the vectorized solver core)
 -----------------------------------------------
 
-Solvers scan candidate rates in bulk, so the base class also exposes
+Solvers scan candidate rates in bulk, so :class:`AllocationFunction`
+also exposes
 
 * :meth:`AllocationFunction.grid_evaluator` — the hook a discipline
   implements: several users' congestion over candidate own-rates, one
@@ -21,16 +37,12 @@ Solvers scan candidate rates in bulk, so the base class also exposes
   opponent-side precomputation done once for repeated calls;
 * :meth:`AllocationFunction.congestion_grid` — its one-user view;
 * :meth:`AllocationFunction.congestion_many` — the full congestion
-  matrix for a batch of rate profiles;
-* :meth:`AllocationFunction.gradient_i` /
-  :meth:`AllocationFunction.second_gradient_i` — row ``i`` of the
-  Jacobian and of the second-derivative tensor slice
-  ``d^2 C_i / dr_i dr_j`` as vectors.
+  matrix for a batch of rate profiles.
 
 The defaults fall back to scalar loops (bit-identical to calling
-:meth:`congestion_i` per point) and numeric differences; disciplines
-with closed forms override them and set :attr:`vectorized_grid` so
-solvers know a batched call is genuinely one numpy pass.
+:meth:`congestion_i` per point); disciplines with closed forms
+override them and set :attr:`vectorized_grid` so solvers know a
+batched call is genuinely one numpy pass.
 
 Symmetry-class evaluation (the class-space solver core)
 -------------------------------------------------------
@@ -51,9 +63,7 @@ counts)`` alone.  The base class exposes
   (``include_self=True`` keeps the deviator's class mass intact, the
   mean-field closure where a single agent is infinitesimal);
 * :meth:`AllocationFunction.class_deviation_evaluator` — its
-  one-class view;
-* :meth:`AllocationFunction.class_congestion_many` — a batch of
-  class-rate profiles sharing one multiplicity vector.
+  one-class view.
 
 The defaults expand classes to the full N-vector and delegate to the
 per-user paths (exact, but O(N)); disciplines with closed forms
@@ -70,7 +80,7 @@ import numpy as np
 
 from repro.numerics.diff import diff_step
 from repro.numerics.diff import gradient as numeric_gradient
-from repro.numerics.diff import partial_derivative, second_partial
+from repro.numerics.diff import second_partial
 from repro.numerics.rng import default_rng
 from repro.queueing.constraints import FeasibilitySet
 from repro.queueing.service_curves import MM1Curve, ServiceCurve
@@ -146,7 +156,71 @@ def check_classes(class_rates: Sequence[float], counts: Sequence[int]
     return c, m
 
 
-class AllocationFunction(ABC):
+class Differentiable(ABC):
+    """A congestion map ``r -> C(r)`` and its derivatives.
+
+    The contract: a map implements :meth:`congestion_i` and may write
+    two rows per user,
+
+    * :meth:`gradient_i` — ``dC_i/dr_j`` over ``j``;
+    * :meth:`second_gradient_i` — ``d^2 C_i/dr_i dr_j`` over ``j``.
+
+    Both default to central differences of :meth:`congestion_i`
+    (:mod:`repro.numerics.diff`).  A row may hold ``inf`` where user
+    ``i``'s congestion is infinite.  Every other derivative is one read
+    of a row: :meth:`own_derivative` and :meth:`cross_derivative` are
+    entries of the first, :meth:`jacobian` stacks the first rows, and
+    :meth:`own_second_derivative` and :meth:`mixed_second_derivative`
+    are entries of the second.  A map may shortcut a derived hook only
+    with the row entry's exact value, bit for bit (Fair Share's
+    :meth:`own_derivative` skips the O(N^2) row).
+    """
+
+    @abstractmethod
+    def congestion_i(self, rates: Sequence[float], i: int) -> float:
+        """``C_i(r)``."""
+
+    def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``dC_i/dr_j`` over ``j``: row ``i`` of the Jacobian."""
+        r = np.asarray(rates, dtype=float)
+        return numeric_gradient(lambda x: self.congestion_i(x, i), r)
+
+    def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``d^2 C_i/dr_i dr_j`` over ``j``."""
+        r = np.asarray(rates, dtype=float)
+        return np.asarray(
+            [second_partial(lambda x: self.congestion_i(x, i), r, i, j)
+             for j in range(r.size)], dtype=float)
+
+    def own_derivative(self, rates: Sequence[float], i: int) -> float:
+        """``dC_i/dr_i``."""
+        return float(self.gradient_i(rates, i)[i])
+
+    def cross_derivative(self, rates: Sequence[float], i: int,
+                         j: int) -> float:
+        """``dC_i/dr_j``."""
+        return float(self.gradient_i(rates, i)[j])
+
+    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
+        """Matrix ``J[i, j] = dC_i/dr_j``, one :meth:`gradient_i` row
+        per user."""
+        r = np.asarray(rates, dtype=float)
+        out = np.empty((r.size, r.size))
+        for i in range(r.size):
+            out[i] = self.gradient_i(r, i)
+        return out
+
+    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
+        """``d^2 C_i/dr_i^2``."""
+        return float(self.second_gradient_i(rates, i)[i])
+
+    def mixed_second_derivative(self, rates: Sequence[float], i: int,
+                                j: int) -> float:
+        """``d^2 C_i/dr_i dr_j``."""
+        return float(self.second_gradient_i(rates, i)[j])
+
+
+class AllocationFunction(Differentiable):
     """Map from rate vectors to per-user congestion vectors.
 
     Attributes
@@ -163,9 +237,9 @@ class AllocationFunction(ABC):
 
     #: True when :meth:`grid_evaluator`/:meth:`congestion_many` are
     #: real one-pass numpy implementations rather than the scalar-loop
-    #: fallback.  Solvers read it to pick their one path: the batched
-    #: grid zoom when True, the scalar scan over :meth:`congestion_i`
-    #: when False.
+    #: fallback.  Best responses read it to pick their one path: the
+    #: batched grid zoom when True, the scalar scan over
+    #: :meth:`congestion_i` when False.
     vectorized_grid: bool = False
 
     def __init__(self, curve: Optional[ServiceCurve] = None) -> None:
@@ -327,74 +401,6 @@ class AllocationFunction(ABC):
         pair = evaluator(np.asarray([lo, x + h]))
         return float((pair[1] - pair[0]) / (x + h - lo))
 
-    def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
-                              counts: Sequence[int]) -> np.ndarray:
-        """Per-class congestion for a batch of class-rate profiles.
-
-        Row ``b`` equals ``class_congestion(class_profiles[b],
-        counts)``; the multiplicity vector is shared by the whole
-        batch.  The default is a row loop; vectorized disciplines
-        evaluate the batch in one pass.
-        """
-        batch = np.asarray(class_profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"class_profiles must be 2-D (batch, classes), got "
-                f"{batch.shape}")
-        return np.stack([self.class_congestion(row, counts)
-                         for row in batch])
-
-    # -- derivatives -----------------------------------------------------
-
-    def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``dC_i/dr_i``; numeric central difference by default."""
-        r = np.asarray(rates, dtype=float)
-        return partial_derivative(lambda x: self.congestion_i(x, i), r, i)
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        """``dC_i/dr_j``; numeric central difference by default."""
-        r = np.asarray(rates, dtype=float)
-        return partial_derivative(lambda x: self.congestion_i(x, i), r, j)
-
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        """Matrix ``J[i, j] = dC_i/dr_j``."""
-        r = np.asarray(rates, dtype=float)
-        n = r.size
-        out = np.empty((n, n))
-        for i in range(n):
-            out[i] = numeric_gradient(lambda x, k=i: self.congestion_i(x, k),
-                                      r)
-        return out
-
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``d^2 C_i / dr_i^2``; numeric by default."""
-        r = np.asarray(rates, dtype=float)
-        return second_partial(lambda x: self.congestion_i(x, i), r, i, i)
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        """``d^2 C_i / dr_i dr_j``; numeric by default."""
-        r = np.asarray(rates, dtype=float)
-        return second_partial(lambda x: self.congestion_i(x, i), r, i, j)
-
-    def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
-        """Row ``i`` of the Jacobian: the vector ``dC_i/dr_j``.
-
-        Numeric central differences by default (identical to the
-        matching :meth:`jacobian` row); Fair Share and the
-        proportional discipline override it with their closed forms.
-        """
-        r = np.asarray(rates, dtype=float)
-        return numeric_gradient(lambda x: self.congestion_i(x, i), r)
-
-    def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
-        """The vector ``d^2 C_i / dr_i dr_j`` over ``j`` (numeric default)."""
-        r = np.asarray(rates, dtype=float)
-        return np.asarray(
-            [second_partial(lambda x: self.congestion_i(x, i), r, i, j)
-             for j in range(r.size)], dtype=float)
-
     # -- structure ---------------------------------------------------------
 
     def in_domain(self, rates: Sequence[float]) -> bool:
@@ -441,7 +447,7 @@ class AllocationFunction(ABC):
         return f"{type(self).__name__}(curve={self.curve!r})"
 
 
-class Subsystem:
+class Subsystem(Differentiable):
     """An induced allocation function with some rates held constant.
 
     The paper requires the desirable properties to hold in every
@@ -449,7 +455,8 @@ class Subsystem:
     frozen (e.g. non-optimizing users).  Induced allocations are not
     symmetric in general, so this is deliberately *not* an
     :class:`AllocationFunction` subclass; it exposes the same
-    evaluation/derivative interface for the free users.
+    evaluation interface for the free users, and
+    :class:`Differentiable`'s numeric derivatives over them.
     """
 
     def __init__(self, parent: AllocationFunction,
@@ -540,52 +547,6 @@ class Subsystem:
 
     def __call__(self, free_rates: Sequence[float]) -> np.ndarray:
         return self.congestion(free_rates)
-
-    def own_derivative(self, free_rates: Sequence[float], i: int) -> float:
-        """``dC_i/dr_i`` over the free users (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return partial_derivative(lambda x: self.congestion_i(x, i), r, i)
-
-    def cross_derivative(self, free_rates: Sequence[float], i: int,
-                         j: int) -> float:
-        """``dC_i/dr_j`` over the free users (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return partial_derivative(lambda x: self.congestion_i(x, i), r, j)
-
-    def jacobian(self, free_rates: Sequence[float]) -> np.ndarray:
-        """``dC_i/dr_j`` over the free users (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        n = r.size
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.cross_derivative(r, i, j)
-        return out
-
-    def own_second_derivative(self, free_rates: Sequence[float],
-                              i: int) -> float:
-        """``d^2 C_i/dr_i^2`` over the free users (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return second_partial(lambda x: self.congestion_i(x, i), r, i, i)
-
-    def mixed_second_derivative(self, free_rates: Sequence[float], i: int,
-                                j: int) -> float:
-        """``d^2 C_i/dr_i dr_j`` over the free users (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return second_partial(lambda x: self.congestion_i(x, i), r, i, j)
-
-    def gradient_i(self, free_rates: Sequence[float], i: int) -> np.ndarray:
-        """Row ``i`` of the free-user Jacobian (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return np.asarray([self.cross_derivative(r, i, j)
-                           for j in range(r.size)], dtype=float)
-
-    def second_gradient_i(self, free_rates: Sequence[float],
-                          i: int) -> np.ndarray:
-        """``d^2 C_i/dr_i dr_j`` over free ``j`` as a vector (numeric)."""
-        r = np.asarray(free_rates, dtype=float)
-        return np.asarray([self.mixed_second_derivative(r, i, j)
-                           for j in range(r.size)], dtype=float)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Subsystem({self.parent!r}, fixed={self.fixed})"

@@ -376,148 +376,50 @@ class FairShareAllocation(AllocationFunction):
             return math.inf
         return self.curve.derivative(own_load)
 
-    def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
-                              counts: Sequence[int]) -> np.ndarray:
-        """Whole-batch class congestion: row-wise weighted ladders."""
-        batch = np.asarray(class_profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"class_profiles must be 2-D (batch, classes), got "
-                f"{batch.shape}")
-        m = np.asarray(counts, dtype=int)
-        if m.ndim != 1 or m.size != batch.shape[1]:
-            raise ValueError(
-                f"counts must be 1-D of length {batch.shape[1]}, got "
-                f"shape {m.shape}")
-        if m.size and int(m.min()) < 1:
-            raise ValueError(f"class counts must be positive, got {m}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        order = np.argsort(batch, axis=1, kind="stable")
-        s = np.take_along_axis(batch, order, axis=1)
-        w = m.astype(float)[order]
-        n_total = float(m.sum())
-        zeros = np.zeros((batch.shape[0], 1))
-        before = np.concatenate(
-            (zeros, np.cumsum(w, axis=1)[:, :-1]), axis=1)
-        prefix = np.concatenate(
-            (zeros, np.cumsum(w * s, axis=1)[:, :-1]), axis=1)
-        rem = n_total - before
-        loads = rem * s + prefix
-        g = self.curve.values(loads)
-        finite = np.isfinite(g)
-        if finite.all():
-            increments = np.diff(g, prepend=0.0, axis=1)
-            sorted_c = np.cumsum(increments / rem, axis=1)
-        else:
-            g_clipped = np.where(finite, g, 0.0)
-            increments = np.diff(g_clipped, prepend=0.0, axis=1)
-            sorted_c = np.cumsum(
-                np.where(finite, increments / rem, 0.0), axis=1)
-            overloaded = np.maximum.accumulate(~finite, axis=1)
-            sorted_c = np.where(overloaded, math.inf, sorted_c)
-        out = np.empty_like(sorted_c)
-        np.put_along_axis(out, order, sorted_c, axis=1)
-        return out
-
     # -- analytic derivatives ----------------------------------------------
 
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        """Full derivative matrix, lower triangular in sorted order."""
-        sorted_r, order = self._sorted_view(rates)
-        n = sorted_r.size
-        loads = self.ladder_loads(sorted_r)
-        if np.any(loads >= self.curve.capacity):
-            return self._jacobian_with_overload(sorted_r, order, loads)
-        gp = np.array([self.curve.derivative(float(x)) for x in loads])
-        jac_sorted = np.zeros((n, n))
-        for q in range(n):           # sorted position of the varied rate
-            # Partial sums of dC_(k)/dr_(q) accumulated over classes m.
-            running = 0.0
-            for k in range(q, n):
-                if k == q:
-                    running += gp[q]
-                elif k == q + 1:
-                    running += (gp[q + 1] - gp[q] * (n - q)) / (n - q - 1)
-                else:
-                    running += (gp[k] - gp[k - 1]) / (n - k)
-                jac_sorted[k, q] = running
-        out = np.zeros((n, n))
-        for k in range(n):
-            for q in range(n):
-                out[order[k], order[q]] = jac_sorted[k, q]
-        return out
-
-    def _jacobian_with_overload(self, sorted_r: np.ndarray,
-                                order: np.ndarray,
-                                loads: np.ndarray) -> np.ndarray:
-        """Jacobian when some ladder classes are unstable.
-
-        Rows of overloaded users are ``inf`` on and below the diagonal
-        (in sorted order); stable users' rows are computed as usual on
-        the truncated ladder.
-        """
-        n = sorted_r.size
-        stable = int(np.searchsorted(loads >= self.curve.capacity, True))
-        jac_sorted = np.zeros((n, n))
-        gp = np.array([self.curve.derivative(float(x))
-                       for x in loads[:stable]])
-        for q in range(stable):
-            running = 0.0
-            for k in range(q, stable):
-                if k == q:
-                    running += gp[q]
-                elif k == q + 1:
-                    running += (gp[q + 1] - gp[q] * (n - q)) / (n - q - 1)
-                else:
-                    running += (gp[k] - gp[k - 1]) / (n - k)
-                jac_sorted[k, q] = running
-        for k in range(stable, n):
-            jac_sorted[k, : k + 1] = math.inf
-        out = np.zeros((n, n))
-        for k in range(n):
-            for q in range(n):
-                out[order[k], order[q]] = jac_sorted[k, q]
-        return out
-
     def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
-        """Row ``i`` of the Jacobian in closed form (one sort, no FD).
+        """``dC_i/dr_j`` over ``j``: zero above ``i`` in sorted order.
 
-        Same entries as ``jacobian(rates)[i]`` — the running-sum
-        recursion telescoped into prefix sums — at the cost of a
-        single ladder evaluation instead of the full matrix.
+        With ``k`` the sorted position of ``i``, entry ``q <= k`` (in
+        sorted order) is the running sum, over the classes ``m = q..k``,
+        of the change in class ``m``'s share as ``r_(q)`` moves:
+        ``g'(R_q)`` at ``m = q``, then the bridge
+        ``(g'(R_{q+1}) - g'(R_q) (N - q)) / (N - q - 1)``, then
+        ``(g'(R_m) - g'(R_{m-1})) / (N - m)``.  A user at or past the
+        first unstable ladder class gets ``inf`` on and below the
+        diagonal; the rows below it stay finite (protection).
         """
         sorted_r, order = self._sorted_view(rates)
         n = sorted_r.size
         loads = self.ladder_loads(sorted_r)
         k = int(np.nonzero(order == i)[0][0])
-        row_sorted = np.zeros(n)
         overloaded = loads >= self.curve.capacity
         stable = int(np.searchsorted(overloaded, True)) if overloaded.any() \
             else n
+        row_sorted = np.zeros(n)
         if k >= stable:
             row_sorted[: k + 1] = math.inf
         else:
-            gp = self.curve.derivatives(loads[: k + 1])
-            row_sorted[k] = gp[k]
-            if k > 0:
-                qs = np.arange(k)
-                # D_m = (g'(R_m) - g'(R_{m-1})) / (n - m), m = 1..k
-                d = np.concatenate(
-                    ([0.0], (gp[1:] - gp[:-1]) / (n - np.arange(1, k + 1))))
-                cum_d = np.cumsum(d)
-                bridge = (gp[1: k + 1] - gp[:k] * (n - qs)) / (n - qs - 1)
-                row_sorted[:k] = gp[:k] + bridge + (cum_d[k] - cum_d[qs + 1])
+            gp = np.array([self.curve.derivative(float(x))
+                           for x in loads[: k + 1]])
+            for q in range(k + 1):
+                running = 0.0
+                for m in range(q, k + 1):
+                    if m == q:
+                        running += gp[q]
+                    elif m == q + 1:
+                        running += (gp[q + 1] - gp[q] * (n - q)) / (n - q - 1)
+                    else:
+                        running += (gp[m] - gp[m - 1]) / (n - m)
+                row_sorted[q] = running
         out = np.zeros(n)
         out[order] = row_sorted
         return out
 
     def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
-        """``d^2 C_i/dr_i dr_j`` over ``j``: ``g''(R_k)`` below, 0 above.
-
-        One sort for the whole row instead of ``N`` scalar
-        :meth:`mixed_second_derivative` calls (each of which sorts).
-        """
+        """``d^2 C_i/dr_i dr_j`` over ``j``: ``g''(R_k)`` for
+        ``r_j < r_i``, ``g''(R_k) (N - k)`` on the diagonal, 0 elsewhere."""
         r = np.asarray(rates, dtype=float)
         sorted_r, order = self._sorted_view(r)
         n = sorted_r.size
@@ -532,44 +434,14 @@ class FairShareAllocation(AllocationFunction):
         return out
 
     def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``dC_i/dr_i = g'(R_k)`` with ``k`` the sorted position of ``i``."""
+        """``dC_i/dr_i = g'(R_k)`` with ``k`` the sorted position of ``i``:
+        the diagonal of :meth:`gradient_i` without the O(N^2) row."""
         sorted_r, order = self._sorted_view(rates)
         k = int(np.nonzero(order == i)[0][0])
         load = float(self.ladder_loads(sorted_r)[k])
         if load >= self.curve.capacity:
             return math.inf
         return self.curve.derivative(load)
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        if i == j:
-            return self.own_derivative(rates, i)
-        return float(self.jacobian(rates)[i, j])
-
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``d^2 C_i/dr_i^2 = g''(R_k) (N - k + 1)``."""
-        sorted_r, order = self._sorted_view(rates)
-        n = sorted_r.size
-        k = int(np.nonzero(order == i)[0][0])
-        load = float(self.ladder_loads(sorted_r)[k])
-        if load >= self.curve.capacity:
-            return math.inf
-        return self.curve.second_derivative(load) * (n - k)
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        """``d^2 C_i/dr_i dr_j``: ``g''(R_k)`` if ``r_j < r_i`` else 0."""
-        if i == j:
-            return self.own_second_derivative(rates, i)
-        r = np.asarray(rates, dtype=float)
-        if r[j] >= r[i]:
-            return 0.0
-        sorted_r, order = self._sorted_view(rates)
-        k = int(np.nonzero(order == i)[0][0])
-        load = float(self.ladder_loads(sorted_r)[k])
-        if load >= self.curve.capacity:
-            return math.inf
-        return self.curve.second_derivative(load)
 
     # -- protection bound ----------------------------------------------------
 

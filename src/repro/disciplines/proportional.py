@@ -149,18 +149,6 @@ class ProportionalAllocation(AllocationFunction):
         return self._rows(class_opponent_totals(class_rates, counts, classes,
                                                 include_self))
 
-    def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
-                              counts: Sequence[int]) -> np.ndarray:
-        batch = np.asarray(class_profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"class_profiles must be 2-D (batch, classes), got "
-                f"{batch.shape}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        weights = np.asarray(counts, dtype=float)
-        return self._scaled_phi(batch, (batch @ weights)[:, None])
-
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,
                              include_self: bool = False) -> float:
@@ -178,35 +166,6 @@ class ProportionalAllocation(AllocationFunction):
         return self._phi(total) + x * self._psi(total)
 
     # -- analytic derivatives ----------------------------------------------
-
-    def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return self._phi(total) + float(r[i]) * self._psi(total)
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        if i == j:
-            return self.own_derivative(rates, i)
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return float(r[i]) * self._psi(total)
-
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        n = r.size
-        if total >= self.curve.capacity:
-            return np.full((n, n), math.inf)
-        psi = self._psi(total)
-        phi = self._phi(total)
-        out = np.outer(r, np.ones(n)) * psi
-        out[np.diag_indices(n)] += phi
-        return out
 
     def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
         """Row ``i`` of the Jacobian: ``r_i psi(S)`` off-diagonal,
@@ -231,20 +190,3 @@ class ProportionalAllocation(AllocationFunction):
         out = np.full(r.shape, psi + float(r[i]) * psi_prime)
         out[i] = 2.0 * psi + float(r[i]) * psi_prime
         return out
-
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return 2.0 * self._psi(total) + float(r[i]) * self._psi_prime(total)
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        if i == j:
-            return self.own_second_derivative(rates, i)
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return self._psi(total) + float(r[i]) * self._psi_prime(total)

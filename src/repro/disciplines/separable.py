@@ -125,17 +125,6 @@ class SeparableAllocation(AllocationFunction):
         c, _ = check_classes(class_rates, counts)
         return self.constraint.a * c * c
 
-    def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
-                              counts: Sequence[int]) -> np.ndarray:
-        batch = np.asarray(class_profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"class_profiles must be 2-D (batch, classes), got "
-                f"{batch.shape}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        return self.constraint.a * batch * batch
-
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,
                              include_self: bool = False) -> float:
@@ -144,38 +133,18 @@ class SeparableAllocation(AllocationFunction):
         return 2.0 * self.constraint.a * float(c[i])
 
     def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``df_hat/dr_i = 2 a r_i`` on the diagonal, 0 off it."""
         r = np.asarray(rates, dtype=float)
         out = np.zeros(r.shape)
         out[i] = self.constraint.partial(r, i)
         return out
 
     def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``2 a`` on the diagonal, 0 off it."""
         r = np.asarray(rates, dtype=float)
         out = np.zeros(r.shape)
         out[i] = 2.0 * self.constraint.a
         return out
-
-    def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        return self.constraint.partial(rates, i)
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        if i == j:
-            return self.own_derivative(rates, i)
-        return 0.0
-
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
-        return 2.0 * self.constraint.a
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        if i == j:
-            return self.own_second_derivative(rates, i)
-        return 0.0
-
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        return np.diag(2.0 * self.constraint.a * r)
 
     # The separable world has no capacity pole; every positive rate
     # vector is admissible and the allocation is feasible by

@@ -115,24 +115,6 @@ class PivotAllocation(AllocationFunction):
         return self._rows(class_opponent_totals(class_rates, counts, classes,
                                                 include_self))
 
-    def class_congestion_many(self, class_profiles: Sequence[Sequence[float]],
-                              counts: Sequence[int]) -> np.ndarray:
-        batch = np.asarray(class_profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"class_profiles must be 2-D (batch, classes), got "
-                f"{batch.shape}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        weights = np.asarray(counts, dtype=float)
-        totals = batch @ weights
-        out = np.full(batch.shape, math.inf)
-        ok = totals < self.curve.capacity
-        g_totals = self.curve.values(totals[ok])
-        out[ok] = g_totals[:, None] - self.curve.values(
-            totals[ok, None] - batch[ok])
-        return out
-
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,
                              include_self: bool = False) -> float:
@@ -148,51 +130,27 @@ class PivotAllocation(AllocationFunction):
             return math.inf
         return self.curve.derivative(total)
 
-    def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``dC_i/dr_i = g'(S)`` — the Pareto marginal, by design."""
+    def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``dC_i/dr_j``: ``g'(S)`` on the diagonal — the Pareto
+        marginal, by design — and ``g'(S) - g'(S - r_i)`` off it."""
         r = np.asarray(rates, dtype=float)
         total = float(r.sum())
         if total >= self.curve.capacity:
-            return math.inf
-        return self.curve.derivative(total)
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        if i == j:
-            return self.own_derivative(rates, i)
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return (self.curve.derivative(total)
-                - self.curve.derivative(total - float(r[i])))
-
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        n = r.size
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.cross_derivative(r, i, j)
+            return np.full(r.shape, math.inf)
+        marginal = self.curve.derivative(total)
+        out = np.full(r.shape, marginal
+                      - self.curve.derivative(total - float(r[i])))
+        out[i] = marginal
         return out
 
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
+    def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``d^2 C_i/dr_i dr_j = g''(S)`` for every ``j``: the
+        derivative of ``dC_i/dr_i = g'(S)``."""
         r = np.asarray(rates, dtype=float)
         total = float(r.sum())
         if total >= self.curve.capacity:
-            return math.inf
-        return self.curve.second_derivative(total)
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        if i == j:
-            return self.curve.second_derivative(total)
-        return (self.curve.second_derivative(total)
-                - self.curve.second_derivative(total - float(r[i])))
+            return np.full(r.shape, math.inf)
+        return np.full(r.shape, self.curve.second_derivative(total))
 
     def stalling_overhead(self, rates: Sequence[float]) -> float:
         """``sum C_i - g(S)``: the service deliberately burnt.

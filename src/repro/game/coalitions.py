@@ -85,37 +85,29 @@ def coalition_gain(allocation, profile: Sequence[Utility],
         grids.append(grid)
     best_gain = 0.0
     best_joint = base[list(members)].copy()
-    if getattr(allocation, "vectorized_grid", False):
-        # All joint combinations in one congestion_many batch.  The
-        # meshgrid flattening enumerates combinations in the same
-        # (C-order) sequence as itertools.product, and argmax keeps the
-        # first maximum, so ties resolve exactly like the scalar loop.
-        mesh = np.meshgrid(*grids, indexing="ij")
-        combos = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        candidates = np.tile(base, (combos.shape[0], 1))
-        candidates[:, list(members)] = np.maximum(combos, 1e-6)
-        congestion = allocation.congestion_many(candidates)
-        worst = np.full(combos.shape[0], np.inf)
-        finite = np.ones(combos.shape[0], dtype=bool)
-        with np.errstate(invalid="ignore"):
-            for k, m in enumerate(members):
-                values = profile[m].value_grid(candidates[:, m],
-                                               congestion[:, m])
-                finite &= np.isfinite(values)
-                worst = np.minimum(worst, values - base_u[k])
-        scores = np.where(finite, worst, -1e9)
-        pick = int(np.argmax(scores))
-        if float(scores[pick]) > best_gain:
-            best_gain = float(scores[pick])
-            best_joint = combos[pick].astype(float)
-        obs.add("solver.congestion_evals", combos.shape[0])
-        obs.add("solver.grid_calls")
-    else:
-        for joint in itertools.product(*grids):
-            gain = min_gain(np.asarray(joint))
-            if gain > best_gain:
-                best_gain = gain
-                best_joint = np.asarray(joint, dtype=float)
+    # All joint combinations in one congestion_many batch.  The meshgrid
+    # flattening enumerates combinations in itertools.product order, and
+    # argmax keeps the first maximum.
+    mesh = np.meshgrid(*grids, indexing="ij")
+    combos = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    candidates = np.tile(base, (combos.shape[0], 1))
+    candidates[:, list(members)] = np.maximum(combos, 1e-6)
+    congestion = allocation.congestion_many(candidates)
+    worst = np.full(combos.shape[0], np.inf)
+    finite = np.ones(combos.shape[0], dtype=bool)
+    with np.errstate(invalid="ignore"):
+        for k, m in enumerate(members):
+            values = profile[m].value_grid(candidates[:, m],
+                                           congestion[:, m])
+            finite &= np.isfinite(values)
+            worst = np.minimum(worst, values - base_u[k])
+    scores = np.where(finite, worst, -1e9)
+    pick = int(np.argmax(scores))
+    if float(scores[pick]) > best_gain:
+        best_gain = float(scores[pick])
+        best_joint = combos[pick].astype(float)
+    obs.add("solver.congestion_evals", combos.shape[0])
+    obs.add("solver.grid_calls")
     if refine:
         result = sp_optimize.minimize(
             lambda x: -min_gain(x), best_joint, method="Nelder-Mead",

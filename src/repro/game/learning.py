@@ -18,7 +18,6 @@ a stochastic better-reply process as a concrete "naive learner".
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -61,30 +60,17 @@ def _payoff_table(allocation, profile: Sequence[Utility],
     elimination experiments use N <= 3 and modest grids.
     """
     shapes = tuple(len(g) for g in grids)
-    n = len(grids)
-    tables = [np.empty(shapes) for _ in range(n)]
-    if getattr(allocation, "vectorized_grid", False):
-        # The whole candidate product as one (prod(shapes), n) batch;
-        # C-order meshgrid flattening matches itertools.product, so
-        # reshaping back to ``shapes`` lands every entry where the
-        # scalar loop would have written it.
-        mesh = np.meshgrid(*grids, indexing="ij")
-        profiles_flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        congestion = allocation.congestion_many(profiles_flat)
-        for i in range(n):
-            values = profile[i].value_grid(profiles_flat[:, i],
-                                           congestion[:, i])
-            tables[i] = values.reshape(shapes)
-        obs.add("solver.congestion_evals", profiles_flat.shape[0])
-        obs.add("solver.grid_calls")
-    else:
-        for index in itertools.product(*(range(s) for s in shapes)):
-            rates = np.array([grids[j][index[j]] for j in range(n)])
-            congestion_row = allocation.congestion(rates)
-            for i in range(n):
-                tables[i][index] = profile[i].value(
-                    float(rates[i]), float(congestion_row[i]))
-        obs.add("solver.congestion_evals", int(np.prod(shapes)))
+    # The whole candidate product as one (prod(shapes), n) batch; C-order
+    # meshgrid flattening matches itertools.product, so reshaping back to
+    # ``shapes`` lands every entry at its grid index.
+    mesh = np.meshgrid(*grids, indexing="ij")
+    profiles_flat = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    congestion = allocation.congestion_many(profiles_flat)
+    tables = [profile[i].value_grid(profiles_flat[:, i],
+                                    congestion[:, i]).reshape(shapes)
+              for i in range(len(grids))]
+    obs.add("solver.congestion_evals", profiles_flat.shape[0])
+    obs.add("solver.grid_calls")
     return tables
 
 

@@ -92,31 +92,18 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
         rates = np.insert(np.abs(opponents), i, own_rate)
         return float(allocation.congestion_i(rates, i))
 
-    worst_value = -math.inf
-    worst_opponents = np.zeros(n_users - 1)
-    if getattr(allocation, "vectorized_grid", False):
-        # One (n_samples, n-1) draw consumes the identical RNG stream
-        # as n_samples sequential size-(n-1) draws, so the batched scan
-        # visits the same adversaries; argmax keeps the first maximum,
-        # matching the strict ``>`` of the sequential loop.
-        draws = generator.uniform(0.0, opponent_cap,
-                                  size=(n_samples, n_users - 1))
-        profiles = np.insert(np.abs(draws), i, own_rate, axis=1)
-        values = allocation.congestion_many(profiles)[:, i]
-        best = int(np.argmax(values))
-        worst_value = float(values[best])
-        worst_opponents = draws[best]
-        obs.add("solver.congestion_evals", n_samples)
-        obs.add("solver.grid_calls")
-    else:
-        for _ in range(n_samples):
-            opponents = generator.uniform(0.0, opponent_cap,
-                                          size=n_users - 1)
-            value = congestion_of(opponents)
-            if value > worst_value:
-                worst_value = value
-                worst_opponents = opponents
-        obs.add("solver.congestion_evals", n_samples)
+    # One (n_samples, n-1) draw consumes the identical RNG stream as
+    # n_samples sequential size-(n-1) draws; argmax keeps the first
+    # maximum.
+    draws = generator.uniform(0.0, opponent_cap,
+                              size=(n_samples, n_users - 1))
+    profiles = np.insert(np.abs(draws), i, own_rate, axis=1)
+    values = allocation.congestion_many(profiles)[:, i]
+    best = int(np.argmax(values))
+    worst_value = float(values[best])
+    worst_opponents = draws[best]
+    obs.add("solver.congestion_evals", n_samples)
+    obs.add("solver.grid_calls")
     if refine and math.isfinite(worst_value):
         result = sp_optimize.minimize(
             lambda x: -congestion_of(x), worst_opponents,

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.disciplines.base import AllocationFunction
+from repro.disciplines.base import AllocationFunction, Differentiable
 from repro.exceptions import DisciplineError
 
 
@@ -69,7 +69,7 @@ class _CapacityShim:
         self.capacity = capacity
 
 
-class NetworkAllocation:
+class NetworkAllocation(Differentiable):
     """Per-switch disciplines composed over user routes.
 
     Parameters
@@ -146,72 +146,39 @@ class NetworkAllocation:
     def __call__(self, rates: Sequence[float]) -> np.ndarray:
         return self.congestion(rates)
 
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """Congestion matrix for a batch of profiles, shape ``(B, n)``:
+        row ``b`` is ``congestion(profiles[b])``."""
+        batch = np.asarray(profiles, dtype=float)
+        return np.stack([self.congestion(row) for row in batch])
+
     # -- derivatives -----------------------------------------------------
 
-    def jacobian(self, rates: Sequence[float]) -> np.ndarray:
-        """``dC_i/dr_j`` summed over shared switches (chain rule)."""
+    def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``dC_i/dr_j`` over ``j``: each switch on user ``i``'s route
+        adds its own row, divided by its speed (the chain rule)."""
+        return self._route_sum(rates, i, second=False)
+
+    def second_gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
+        """``d^2 C_i/dr_i dr_j`` over ``j``: each switch on user ``i``'s
+        route adds its own row, divided by its speed squared."""
+        return self._route_sum(rates, i, second=True)
+
+    def _route_sum(self, rates: Sequence[float], i: int,
+                   second: bool) -> np.ndarray:
+        """The switches' rows summed in route order, in user space."""
         r = np.asarray(rates, dtype=float)
-        n = self.n_users
-        out = np.zeros((n, n))
-        for alpha, allocation in enumerate(self.switches):
+        out = np.zeros(self.n_users)
+        for alpha in self.routes[i]:
+            switch = self.switches[alpha]
             members = self.members[alpha]
-            if members.size == 0:
-                continue
-            local = allocation.jacobian(r[members] / self.speeds[alpha])
-            out[np.ix_(members, members)] += local / self.speeds[alpha]
+            speed = self.speeds[alpha]
+            row = switch.second_gradient_i if second else switch.gradient_i
+            local = row(r[members] / speed,
+                        int(np.nonzero(members == i)[0][0]))
+            out[members] += local / speed ** (2 if second else 1)
         return out
-
-    def own_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``dC_i/dr_i`` summed over user ``i``'s route."""
-        r = np.asarray(rates, dtype=float)
-        total = 0.0
-        for alpha in self.routes[i]:
-            allocation = self.switches[alpha]
-            members = self.members[alpha]
-            local_index = int(np.nonzero(members == i)[0][0])
-            slope = allocation.own_derivative(
-                r[members] / self.speeds[alpha], local_index)
-            total += slope / self.speeds[alpha]
-        return total
-
-    def cross_derivative(self, rates: Sequence[float], i: int,
-                         j: int) -> float:
-        """``dC_i/dr_j`` through the switches both routes share."""
-        if i == j:
-            return self.own_derivative(rates, i)
-        return float(self.jacobian(rates)[i, j])
-
-    def own_second_derivative(self, rates: Sequence[float], i: int) -> float:
-        """``d^2 C_i/dr_i^2`` summed over user ``i``'s route."""
-        r = np.asarray(rates, dtype=float)
-        total = 0.0
-        for alpha in self.routes[i]:
-            allocation = self.switches[alpha]
-            members = self.members[alpha]
-            local_index = int(np.nonzero(members == i)[0][0])
-            curve = allocation.own_second_derivative(
-                r[members] / self.speeds[alpha], local_index)
-            total += curve / self.speeds[alpha] ** 2
-        return total
-
-    def mixed_second_derivative(self, rates: Sequence[float], i: int,
-                                j: int) -> float:
-        """``d^2 C_i/dr_i dr_j`` through shared switches."""
-        if i == j:
-            return self.own_second_derivative(rates, i)
-        r = np.asarray(rates, dtype=float)
-        total = 0.0
-        for alpha in self.routes[i]:
-            if not self.routes[j].crosses(alpha):
-                continue
-            allocation = self.switches[alpha]
-            members = self.members[alpha]
-            local_i = int(np.nonzero(members == i)[0][0])
-            local_j = int(np.nonzero(members == j)[0][0])
-            curve = allocation.mixed_second_derivative(
-                r[members] / self.speeds[alpha], local_i, local_j)
-            total += curve / self.speeds[alpha] ** 2
-        return total
 
     # -- structure ---------------------------------------------------------
 

@@ -10,18 +10,28 @@
   least as much (insularity), so once the ``j - 1`` smallest rates are
   fixed, each remaining user's problem is one-dimensional.
 * :class:`ScalarOnly` wraps an allocation so that every solver takes
-  its scalar path: the golden-section scan over ``congestion_i`` and
-  the point-by-point loops of the adversarial searches.
+  its scalar path: the golden-section scan over ``congestion_i``.
+* :func:`payoff_table_loop`, :func:`coalition_scan_loop` and
+  :func:`worst_case_loop` are the elimination, coalition and
+  adversarial scans point by point: congestion one profile at a time,
+  in ``itertools.product`` order, the best point kept by a strict
+  ``>``.  The scans batch every point in one ``congestion_many`` call.
+* :func:`numeric_gradient`, :func:`numeric_jacobian`,
+  :func:`numeric_second_partial` and :func:`numeric_second_gradient`
+  are central differences of ``congestion_i``, the references for every
+  closed-form derivative row.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.game.best_response import MIN_RATE, _default_rate_cap
+from repro.numerics import diff
 from repro.numerics.optimize import multistart_maximize
 from repro.users.utility import Utility
 
@@ -37,6 +47,65 @@ class ScalarOnly:
 
     def __getattr__(self, name: str):
         return getattr(self.allocation, name)
+
+
+def payoff_table_loop(allocation, profile: Sequence[Utility],
+                      grids: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """``game.learning._payoff_table`` point by point."""
+    points = np.array(list(itertools.product(*grids)), dtype=float)
+    congestion = np.stack([allocation.congestion(row) for row in points])
+    shapes = tuple(len(g) for g in grids)
+    return [profile[i].value_grid(points[:, i],
+                                  congestion[:, i]).reshape(shapes)
+            for i in range(len(grids))]
+
+
+def coalition_scan_loop(allocation, profile: Sequence[Utility],
+                        rates: Sequence[float], members: Sequence[int],
+                        grid_points: int = 9, span: float = 0.5
+                        ) -> Tuple[float, np.ndarray]:
+    """``(gain, joint)`` of ``game.coalitions.coalition_gain``'s grid
+    stage point by point: the first joint deviation whose worst member
+    gains most, if that gain is positive."""
+    base = np.asarray(rates, dtype=float)
+    members = list(members)
+    base_c = allocation.congestion(base)
+    base_u = [profile[m].value(float(base[m]), float(base_c[m]))
+              for m in members]
+    grids = [np.unique(np.concatenate((np.linspace(
+        max(base[m] * (1.0 - span), 1e-6), base[m] * (1.0 + span) + 0.02,
+        grid_points), [base[m]]))) for m in members]
+    joints = np.array(list(itertools.product(*grids)), dtype=float)
+    candidates = np.tile(base, (joints.shape[0], 1))
+    candidates[:, members] = np.maximum(joints, 1e-6)
+    congestion = np.stack([allocation.congestion(row)
+                           for row in candidates])
+    values = [profile[m].value_grid(candidates[:, m], congestion[:, m])
+              for m in members]
+    best_gain, best_joint = 0.0, base[members].copy()
+    for b, joint in enumerate(joints):
+        gains = [float(v[b]) - u for v, u in zip(values, base_u)]
+        finite = all(math.isfinite(float(v[b])) for v in values)
+        gain = min(gains) if finite else -1e9
+        if gain > best_gain:
+            best_gain, best_joint = gain, joint
+    return best_gain, best_joint
+
+
+def worst_case_loop(allocation, i: int, own_rate: float, n_users: int,
+                    rng: np.random.Generator, n_samples: int,
+                    opponent_cap: float = 2.0) -> Tuple[float, np.ndarray]:
+    """``(C_i, opponents)`` of ``game.protection.worst_case_congestion``'s
+    sampling stage point by point: one size ``n_users - 1`` draw per
+    sample."""
+    worst_value, worst_opponents = -math.inf, np.zeros(n_users - 1)
+    for _ in range(n_samples):
+        opponents = rng.uniform(0.0, opponent_cap, size=n_users - 1)
+        value = allocation.congestion_i(
+            np.insert(np.abs(opponents), i, own_rate), i)
+        if value > worst_value:
+            worst_value, worst_opponents = value, opponents
+    return worst_value, worst_opponents
 
 
 def plain_damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
@@ -99,3 +168,34 @@ def serial_nash(allocation, profile: Sequence[Utility]) -> np.ndarray:
         total += x
         floor = x
     return rates
+
+
+def numeric_gradient(allocation, rates: Sequence[float],
+                     i: int) -> np.ndarray:
+    """``dC_i/dr_j`` over ``j`` by central differences of
+    ``congestion_i``."""
+    r = np.asarray(rates, dtype=float)
+    return diff.gradient(lambda x: allocation.congestion_i(x, i), r)
+
+
+def numeric_jacobian(allocation, rates: Sequence[float]) -> np.ndarray:
+    """``J[i, j] = dC_i/dr_j`` by central differences."""
+    r = np.asarray(rates, dtype=float)
+    return np.stack([numeric_gradient(allocation, r, i)
+                     for i in range(r.size)])
+
+
+def numeric_second_partial(allocation, rates: Sequence[float], i: int,
+                           j: int) -> float:
+    """``d^2 C_i/dr_i dr_j`` by central differences."""
+    r = np.asarray(rates, dtype=float)
+    return diff.second_partial(lambda x: allocation.congestion_i(x, i), r,
+                               i, j)
+
+
+def numeric_second_gradient(allocation, rates: Sequence[float],
+                            i: int) -> np.ndarray:
+    """``d^2 C_i/dr_i dr_j`` over ``j`` by central differences."""
+    r = np.asarray(rates, dtype=float)
+    return np.array([numeric_second_partial(allocation, r, i, j)
+                     for j in range(r.size)])

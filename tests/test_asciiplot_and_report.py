@@ -1,5 +1,7 @@
 """Tests for the ASCII chart renderer and the markdown report."""
 
+import re
+
 import pytest
 
 from repro.experiments.asciiplot import AsciiChart
@@ -95,3 +97,7 @@ class TestGenerateReport:
         assert out.exists()
         assert "poa_sweep" in out.read_text()
         assert any("running poa_sweep" in m for m in messages)
+        # The host's timing goes to the echo line, never the document.
+        assert "wall time" not in out.read_text()
+        assert re.fullmatch(r"wrote .*r\.md: 1/1 passed in \d+s",
+                            messages[-1])

@@ -5,8 +5,8 @@ with a scalar ``congestion_i`` / ``congestion`` loop — including at
 ties, at (and beyond) capacity, and through subsystems — its class
 deviation rows must agree with ``congestion_i`` of a deviating member
 of the expanded profile on generated class profiles, and the analytic
-``gradient_i`` / ``second_gradient_i`` overrides must match the
-numeric finite-difference defaults.
+``gradient_i`` / ``second_gradient_i`` rows must match the numeric
+finite-difference oracles.
 """
 
 import hashlib
@@ -23,6 +23,7 @@ from repro.disciplines.proportional import ProportionalAllocation
 from repro.disciplines.registry import available_disciplines, make_discipline
 from repro.disciplines.separable import SeparableAllocation
 from repro.numerics.rng import default_rng
+from tests.oracles import numeric_gradient, numeric_second_gradient
 
 #: Batched-vs-scalar congestion values must agree essentially exactly.
 GRID_RTOL = 1e-12
@@ -181,7 +182,7 @@ class TestSubsystemBatching:
 
 
 class TestAnalyticGradients:
-    """Closed-form gradient rows vs the numeric base-class defaults."""
+    """Closed-form gradient rows vs the finite-difference oracles."""
 
     INTERIOR = np.array([0.08, 0.22, 0.31, 0.14])
 
@@ -191,8 +192,7 @@ class TestAnalyticGradients:
     def test_gradient_matches_numeric(self, allocation):
         for i in range(self.INTERIOR.size):
             analytic = allocation.gradient_i(self.INTERIOR, i)
-            numeric = AllocationFunction.gradient_i(
-                allocation, self.INTERIOR, i)
+            numeric = numeric_gradient(allocation, self.INTERIOR, i)
             np.testing.assert_allclose(analytic, numeric,
                                        rtol=1e-6, atol=1e-8)
 
@@ -202,8 +202,8 @@ class TestAnalyticGradients:
     def test_second_gradient_matches_numeric(self, allocation):
         for i in range(self.INTERIOR.size):
             analytic = allocation.second_gradient_i(self.INTERIOR, i)
-            numeric = AllocationFunction.second_gradient_i(
-                allocation, self.INTERIOR, i)
+            numeric = numeric_second_gradient(allocation, self.INTERIOR,
+                                              i)
             np.testing.assert_allclose(analytic, numeric,
                                        rtol=1e-4, atol=1e-5)
 
@@ -227,14 +227,16 @@ class TestAnalyticGradients:
 
     def test_tied_rates_gradient(self):
         # Ties exercise the strict r_j < r_i split of the FS Jacobian.
-        # C_i has a kink at exact ties, so the oracle here is the
-        # analytic jacobian row, not a finite difference straddling it.
+        # C_i has a kink at exact ties, so the oracle here is the closed
+        # form, not a finite difference straddling it: insularity makes
+        # each tied row g'(N r) on the diagonal and 0 off it.
         fs = FairShareAllocation()
         rates = np.array([0.2, 0.2, 0.2])
-        jac = fs.jacobian(rates)
+        slope = fs.curve.derivative(0.6)
         for i in range(3):
-            np.testing.assert_allclose(fs.gradient_i(rates, i), jac[i],
-                                       rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(fs.gradient_i(rates, i),
+                                       slope * np.eye(3)[i],
+                                       rtol=1e-12, atol=1e-9)
 
 
 class TestGenericFallback:

@@ -9,10 +9,10 @@ unit tests still pass.
 import numpy as np
 import pytest
 
-from repro.disciplines.base import AllocationFunction
 from repro.disciplines.registry import make_discipline
 from repro.game.nash import solve_nash
 from repro.users.families import PowerUtility
+from tests.oracles import numeric_jacobian
 
 #: Work-conserving M/M/1 disciplines: allocations must sum to g(S).
 WORK_CONSERVING = ["fifo", "fair-share", "priority-ascending",
@@ -65,7 +65,7 @@ class TestDerivativeConsistency:
         allocation = make_discipline(name)
         rates = (rates3 if name != "separable"
                  else np.array([0.4, 0.7, 1.1]))
-        numeric = AllocationFunction.jacobian(allocation, rates)
+        numeric = numeric_jacobian(allocation, rates)
         assert np.allclose(allocation.jacobian(rates), numeric,
                            atol=1e-5)
 

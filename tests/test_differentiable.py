@@ -1,0 +1,219 @@
+"""The derivative contract of every congestion map.
+
+A congestion map writes two rows per user, ``gradient_i`` (``dC_i/dr_j``
+over ``j``) and ``second_gradient_i`` (``d^2 C_i/dr_i dr_j`` over ``j``);
+``own_derivative``, ``cross_derivative``, ``jacobian``,
+``own_second_derivative`` and ``mixed_second_derivative`` read them.
+
+* :data:`DERIVATIVE_DIGESTS` pins those five hooks bit for bit on
+  profiles with ties and overload, for every discipline, a subsystem of
+  each and a three-switch network.
+* The generated tests hold every map's rows to the finite-difference
+  oracles of :mod:`tests.oracles`, and every hook to its row entry.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.disciplines.parametric import WeightedProportionalAllocation
+from repro.disciplines.registry import available_disciplines, make_discipline
+from repro.network.model import NetworkAllocation
+from tests.oracles import numeric_gradient, numeric_second_gradient
+
+
+def _network():
+    """Three switches of different disciplines and speeds; the routes
+    list their switches in index order."""
+    return NetworkAllocation(
+        [make_discipline("fair-share"), make_discipline("fifo"),
+         make_discipline("priority")],
+        [[0], [0, 1], [1, 2], [0, 1, 2], [0, 2]], speeds=[1.0, 1.25, 0.8])
+
+
+def _make(name, n):
+    """The discipline ``name`` for an ``n``-user profile."""
+    if name == "weighted-proportional":
+        return WeightedProportionalAllocation(np.linspace(0.5, 2.0, n))
+    return make_discipline(name)
+
+
+#: Interior, tied, six-user and overloaded profiles.  The network has
+#: five users, so it sees the five-user profiles only.
+DIGEST_PROFILES = (
+    [0.05, 0.12, 0.2],
+    [0.1, 0.1, 0.05, 0.25],
+    [0.04, 0.3, 0.08, 0.3, 0.11],
+    [0.05, 0.12, 0.2, 0.08, 0.02, 0.3],
+    [0.2, 0.5, 0.1, 0.35],
+    [0.3, 0.45, 0.2, 0.1, 0.25],
+)
+
+HOOKS = ("own_derivative", "cross_derivative", "jacobian",
+         "own_second_derivative", "mixed_second_derivative")
+
+
+def _hook_values(subject, rates, hook):
+    """Every value of one hook at ``rates`` as a float array."""
+    n = len(rates)
+    method = getattr(subject, hook)
+    if hook == "jacobian":
+        return np.asarray(method(rates), dtype=float)
+    if hook.startswith("own"):
+        return np.array([method(rates, i) for i in range(n)], dtype=float)
+    return np.array([[method(rates, i, j) for j in range(n)]
+                     for i in range(n)], dtype=float)
+
+
+def _subject_cases(label):
+    """``(subject, rates)`` pairs for one digest subject."""
+    if label == "network":
+        return [(_network(), np.array(r)) for r in DIGEST_PROFILES
+                if len(r) == 5]
+    name, _, sub = label.partition("|")
+    cases = []
+    for profile in DIGEST_PROFILES:
+        r = np.array(profile)
+        allocation = _make(name, r.size)
+        if sub:
+            cases.append((allocation.subsystem({1: r[1]}), np.delete(r, 1)))
+        else:
+            cases.append((allocation, r))
+    return cases
+
+
+def derivative_digests(label):
+    """One SHA-256 prefix per hook, over every case of ``label``."""
+    digests = []
+    for hook in HOOKS:
+        digest = hashlib.sha256()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for subject, rates in _subject_cases(label):
+                digest.update(_hook_values(subject, rates, hook).tobytes())
+        digests.append(digest.hexdigest()[:16])
+    return tuple(digests)
+
+
+#: SHA-256 prefixes of the five hooks, in :data:`HOOKS` order,
+#: recorded while each discipline still wrote every hook by hand.
+#: ``cross_derivative`` and ``jacobian`` hash the same matrix.  The one
+#: entry recorded since is the stalling pivot's mixed second
+#: derivative, whose hand-written form was wrong off the diagonal
+#: (``g''(S) - g''(S - r_i)``, recorded as ``19ac2d2f08c7263f``; the
+#: mixed partial is ``g''(S)``).
+DERIVATIVE_DIGESTS = {
+    "fair-share": ("4eb34c4cab577d4e", "f7c106c6c0f2e26b",
+                   "f7c106c6c0f2e26b", "720cc4c5d19d39b3",
+                   "22e11971bc3f9271"),
+    "fair-share|fixed": ("aa443a1b8ad17b16", "f1b2c00d157f0fa9",
+                         "f1b2c00d157f0fa9", "0e7c5f297013b750",
+                         "243965a9db7b1ddf"),
+    "fifo": ("fe71c9b5646ab642", "65d20c2467a41177", "65d20c2467a41177",
+             "097f6cce3313e2e6", "9f8931cf0b25a9ca"),
+    "fifo|fixed": ("62b7dde3239f90a4", "989bdc48ba7723cd",
+                   "989bdc48ba7723cd", "0e1933992cf9c802",
+                   "6445f3671bcd83e1"),
+    "network": ("81bbe28e34f3dd34", "fad80ab225122d90", "fad80ab225122d90",
+                "b9bb12487c93d1ea", "5d58f4edf8499b75"),
+    "priority": ("1c8320207a746c69", "bec1078ac0aceee3",
+                 "bec1078ac0aceee3", "536fb7399ebbd52d",
+                 "00151f48fa2c8f8d"),
+    "priority|fixed": ("46353c84274cb4f9", "416a68290ac11c13",
+                       "416a68290ac11c13", "639c7460161cc8c5",
+                       "579d4cb2e9863376"),
+    "separable": ("f8b85bda4f542f5e", "076d816acf22fdc6",
+                  "076d816acf22fdc6", "df74c7b3e975fd97",
+                  "bfa7746ce2647ba1"),
+    "separable|fixed": ("143516301295f540", "ad252c10932cb8d6",
+                        "ad252c10932cb8d6", "b8e460931d5c5ce0",
+                        "767f690b6d54d3e0"),
+    "stalling-pivot": ("9d56058e5452d110", "281d6d7a63b4c178",
+                       "281d6d7a63b4c178", "1848874c10ea8976",
+                       "0593f028d164f7d0"),
+    "stalling-pivot|fixed": ("46f7531131093e2e", "579f40261481fd7d",
+                             "579f40261481fd7d", "d0d5819aa681b9b1",
+                             "96cc5af62d8ef89e"),
+    "weighted-proportional": ("7c2f47789b2ee256", "88389aa1a9f58bee",
+                              "88389aa1a9f58bee", "99a12ff39e7a7464",
+                              "8f5233235e548640"),
+    "weighted-proportional|fixed": ("69f5d8fa7e876781", "94fb2f92b06dd62f",
+                                    "94fb2f92b06dd62f", "15f6474b3f29f923",
+                                    "daf9298cc9136cee"),
+}
+
+
+class TestDerivativeDigests:
+    @pytest.mark.parametrize("label", sorted(DERIVATIVE_DIGESTS))
+    def test_hooks_unchanged(self, label):
+        assert derivative_digests(label) == DERIVATIVE_DIGESTS[label]
+
+
+#: Every registered discipline and the weighted-proportional family, a
+#: subsystem of each (one user frozen), and the network.
+CONTRACT_LABELS = sorted(
+    [label for name in (*available_disciplines(), "weighted-proportional")
+     for label in (name, f"{name}|fixed")] + ["network"])
+
+
+@st.composite
+def contract_cases(draw, max_load):
+    """A congestion map and a profile loading the busiest switch to at
+    most ``max_load`` (a subsystem's frozen user counted), with rates
+    far enough apart that no finite difference straddles a tie."""
+    label = draw(st.sampled_from(CONTRACT_LABELS))
+    load = draw(st.floats(0.1, max_load))
+    name, _, sub = label.partition("|")
+    n = 5 if label == "network" else draw(st.integers(2, 5)) + bool(sub)
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    rates = np.cumsum(gaps)[list(order)]
+    if label == "network":
+        subject = _network()
+        loads = [rates[m].sum() / s
+                 for m, s in zip(subject.members, subject.speeds)]
+        return subject, rates * (load / max(loads))
+    rates *= load / rates.sum()
+    subject = _make(name, n)
+    if sub:
+        return subject.subsystem({0: rates[0]}), rates[1:]
+    return subject, rates
+
+
+class TestRowsAndHooks:
+    @given(case=contract_cases(max_load=0.8))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_numeric_oracles(self, case):
+        subject, rates = case
+        for i in range(rates.size):
+            np.testing.assert_allclose(
+                subject.gradient_i(rates, i),
+                numeric_gradient(subject, rates, i), rtol=1e-6, atol=1e-8)
+            np.testing.assert_allclose(
+                subject.second_gradient_i(rates, i),
+                numeric_second_gradient(subject, rates, i),
+                rtol=1e-4, atol=1e-6)
+
+    @given(case=contract_cases(max_load=1.4))
+    @settings(max_examples=40, deadline=None)
+    def test_hooks_read_their_rows_bitwise(self, case):
+        """Also past capacity, where a numeric row may hold inf or nan."""
+        subject, rates = case
+        n = rates.size
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rows = np.stack([subject.gradient_i(rates, i)
+                             for i in range(n)])
+            second = np.stack([subject.second_gradient_i(rates, i)
+                               for i in range(n)])
+            hooks = {hook: _hook_values(subject, rates, hook)
+                     for hook in HOOKS}
+        assert hooks["jacobian"].tobytes() == rows.tobytes()
+        assert hooks["cross_derivative"].tobytes() == rows.tobytes()
+        assert hooks["own_derivative"].tobytes() == \
+            np.diag(rows).tobytes()
+        assert hooks["mixed_second_derivative"].tobytes() == \
+            second.tobytes()
+        assert hooks["own_second_derivative"].tobytes() == \
+            np.diag(second).tobytes()

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.disciplines.base import AllocationFunction
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.queueing.service_curves import MG1Curve
+from tests.oracles import numeric_jacobian, numeric_second_partial
 
 
 def g(x):
@@ -109,7 +109,7 @@ class TestDerivatives:
         self.fs = FairShareAllocation()
 
     def test_jacobian_matches_numeric(self, rates3):
-        numeric = AllocationFunction.jacobian(self.fs, rates3)
+        numeric = numeric_jacobian(self.fs, rates3)
         assert np.allclose(self.fs.jacobian(rates3), numeric, atol=1e-6)
 
     def test_jacobian_lower_triangular_in_rate_order(self):
@@ -157,13 +157,11 @@ class TestDerivatives:
 
     def test_second_derivatives_match_numeric(self, rates3):
         for i in range(3):
-            numeric = AllocationFunction.own_second_derivative(
-                self.fs, rates3, i)
+            numeric = numeric_second_partial(self.fs, rates3, i, i)
             assert self.fs.own_second_derivative(
                 rates3, i) == pytest.approx(numeric, rel=1e-3)
         # Mixed: dC_2/dr_2 dr_0 should be g''(R_2); dC_0/dr_0 dr_2 = 0.
-        numeric_mixed = AllocationFunction.mixed_second_derivative(
-            self.fs, rates3, 2, 0)
+        numeric_mixed = numeric_second_partial(self.fs, rates3, 2, 0)
         assert self.fs.mixed_second_derivative(
             rates3, 2, 0) == pytest.approx(numeric_mixed, rel=1e-3)
         assert self.fs.mixed_second_derivative(rates3, 0, 2) == 0.0
@@ -198,5 +196,5 @@ class TestOtherCurves:
         rates = np.array([0.1, 0.2, 0.3])
         congestion = fs.congestion(rates)
         assert congestion.sum() == pytest.approx(fs.curve.value(0.6))
-        numeric = AllocationFunction.jacobian(fs, rates)
+        numeric = numeric_jacobian(fs, rates)
         assert np.allclose(fs.jacobian(rates), numeric, atol=1e-6)

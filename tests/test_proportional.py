@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.disciplines.base import AllocationFunction
 from repro.disciplines.proportional import ProportionalAllocation
 from repro.queueing.service_curves import MG1Curve
+from tests.oracles import numeric_jacobian, numeric_second_partial
 
 
 class TestValues:
@@ -44,7 +44,7 @@ class TestDerivatives:
         self.alloc = ProportionalAllocation()
 
     def test_jacobian_matches_numeric(self, rates3):
-        numeric = AllocationFunction.jacobian(self.alloc, rates3)
+        numeric = numeric_jacobian(self.alloc, rates3)
         analytic = self.alloc.jacobian(rates3)
         assert np.allclose(numeric, analytic, atol=1e-6)
 
@@ -63,12 +63,11 @@ class TestDerivatives:
 
     def test_second_derivatives_match_numeric(self, rates3):
         for i in range(3):
-            numeric = AllocationFunction.own_second_derivative(
-                self.alloc, rates3, i)
+            numeric = numeric_second_partial(self.alloc, rates3, i, i)
             assert self.alloc.own_second_derivative(
                 rates3, i) == pytest.approx(numeric, rel=1e-3)
             for j in range(3):
-                numeric_mixed = AllocationFunction.mixed_second_derivative(
+                numeric_mixed = numeric_second_partial(
                     self.alloc, rates3, i, j)
                 assert self.alloc.mixed_second_derivative(
                     rates3, i, j) == pytest.approx(numeric_mixed,
@@ -94,7 +93,7 @@ class TestOtherCurves:
     def test_md1_jacobian_matches_numeric(self):
         alloc = ProportionalAllocation(curve=MG1Curve(cv=0.0))
         rates = np.array([0.2, 0.4])
-        numeric = AllocationFunction.jacobian(alloc, rates)
+        numeric = numeric_jacobian(alloc, rates)
         assert np.allclose(alloc.jacobian(rates), numeric, atol=1e-6)
 
 

@@ -8,12 +8,13 @@ propagation of a row evaluator's errors, the agreement of
 with the scalar scan that :class:`tests.oracles.ScalarOnly` selects
 (also on generated profiles, and for Fair Share with the serial
 construction), the batched adversarial, coalition and elimination scans
-against their scalar loops, the :mod:`repro.numerics.instrumentation`
+against their point-by-point oracles, the :mod:`repro.numerics.instrumentation`
 counters and the curve-less ``_default_rate_cap`` fallback.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from repro.game.best_response import (
 )
 from repro.game.classes import class_best_response, class_best_response_map
 from repro.game.coalitions import coalition_gain
+from repro.game import learning
 from repro.game.learning import _payoff_table, iterated_elimination
 from repro.game.nash import solve_nash
 from repro.game.protection import worst_case_congestion
@@ -49,7 +51,8 @@ from repro.users.families import (BiconvexUtility, ExponentialUtility,
                                   LinearUtility, PowerUtility,
                                   QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
-from tests.oracles import ScalarOnly, serial_nash
+from tests.oracles import (ScalarOnly, coalition_scan_loop,
+                           payoff_table_loop, serial_nash, worst_case_loop)
 
 #: Fair Share rates against the serial construction.
 SERIAL_TOL = 1e-7
@@ -615,33 +618,32 @@ def scan_cases(draw):
 class TestBatchedScansMatchScalarLoops:
     """The adversarial, coalition and elimination scans score every
     candidate in one ``congestion_many`` batch; each equals its
-    point-by-point loop bit for bit."""
+    point-by-point loop in :mod:`tests.oracles` bit for bit."""
 
     @given(case=scan_cases(), seed=st.integers(0, 2 ** 16),
            own=st.floats(0.01, 0.5))
     @settings(max_examples=15, deadline=None)
     def test_worst_case_congestion(self, case, seed, own):
         allocation, rates, _ = case
-        batched, scalar = [worst_case_congestion(
-            alloc, 0, own, rates.size, rng=default_rng(seed),
+        batched = worst_case_congestion(
+            allocation, 0, own, rates.size, rng=default_rng(seed),
             n_samples=50, refine=False)
-            for alloc in (allocation, ScalarOnly(allocation))]
-        assert float(batched.worst_congestion).hex() == \
-            float(scalar.worst_congestion).hex()
-        assert batched.worst_opponents.tobytes() == \
-            scalar.worst_opponents.tobytes()
+        value, opponents = worst_case_loop(
+            allocation, 0, own, rates.size, default_rng(seed), 50)
+        assert float(batched.worst_congestion).hex() == float(value).hex()
+        assert batched.worst_opponents.tobytes() == opponents.tobytes()
 
     @given(case=scan_cases(), pair=st.booleans())
     @settings(max_examples=15, deadline=None)
     def test_coalition_gain(self, case, pair):
         allocation, rates, profile = case
         members = [0, 1] if pair else list(range(rates.size))
-        batched, scalar = [coalition_gain(alloc, profile, rates, members,
-                                          grid_points=5, refine=False)
-                           for alloc in (allocation,
-                                         ScalarOnly(allocation))]
-        assert float(batched.gain).hex() == float(scalar.gain).hex()
-        assert batched.deviation.tobytes() == scalar.deviation.tobytes()
+        batched = coalition_gain(allocation, profile, rates, members,
+                                 grid_points=5, refine=False)
+        gain, joint = coalition_scan_loop(allocation, profile, rates,
+                                          members, grid_points=5)
+        assert float(batched.gain).hex() == float(gain).hex()
+        assert batched.deviation.tobytes() == joint.tobytes()
 
     @given(case=scan_cases(), points=st.integers(2, 6))
     @settings(max_examples=15, deadline=None)
@@ -651,12 +653,13 @@ class TestBatchedScansMatchScalarLoops:
         grids = [np.linspace(0.5 * r, 1.5 * r, points)
                  for r in rates[:3]]
         batched = _payoff_table(allocation, profile, grids)
-        scalar = _payoff_table(ScalarOnly(allocation), profile, grids)
+        looped = payoff_table_loop(allocation, profile, grids)
         assert [t.tobytes() for t in batched] == \
-            [t.tobytes() for t in scalar]
+            [t.tobytes() for t in looped]
         fast = iterated_elimination(allocation, profile, grids)
-        slow = iterated_elimination(ScalarOnly(allocation), profile,
-                                    grids)
+        with mock.patch.object(learning, "_payoff_table",
+                               payoff_table_loop):
+            slow = iterated_elimination(allocation, profile, grids)
         assert [a.tobytes() for a in fast.survivors] == \
             [a.tobytes() for a in slow.survivors]
         assert fast.rounds == slow.rounds

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.disciplines.base import AllocationFunction
 from repro.disciplines.stalling import PivotAllocation
 from repro.game.nash import solve_nash
 from repro.game.pareto import ConstraintAdapter, pareto_fdc_residuals
 from repro.users.families import PowerUtility
+from tests.oracles import numeric_jacobian, numeric_second_partial
 
 
 class TestPivotAllocation:
@@ -32,14 +32,27 @@ class TestPivotAllocation:
                 marginal)
 
     def test_derivatives_match_numeric(self, rates3):
-        numeric = AllocationFunction.jacobian(self.pivot, rates3)
+        numeric = numeric_jacobian(self.pivot, rates3)
         assert np.allclose(self.pivot.jacobian(rates3), numeric,
                            atol=1e-6)
         for i in range(3):
             assert self.pivot.own_second_derivative(
                 rates3, i) == pytest.approx(
-                    AllocationFunction.own_second_derivative(
-                        self.pivot, rates3, i), rel=1e-3)
+                    numeric_second_partial(self.pivot, rates3, i, i),
+                    rel=1e-3)
+
+    def test_mixed_second_derivative_is_g_second_at_total(self):
+        # dC_i/dr_i = g'(S), so d^2 C_i/dr_i dr_j = g''(S) for every j;
+        # g''(S) - g''(S - r_i) is d^2 C_i/dr_j^2 instead.
+        rates = np.array([0.05, 0.12, 0.2, 0.08])
+        g_second = self.pivot.curve.second_derivative(0.45)
+        assert g_second == pytest.approx(12.0210, abs=1e-4)
+        for i in range(4):
+            for j in range(4):
+                mixed = self.pivot.mixed_second_derivative(rates, i, j)
+                assert mixed == pytest.approx(g_second, rel=1e-12)
+                assert mixed == pytest.approx(numeric_second_partial(
+                    self.pivot, rates, i, j), rel=1e-4)
 
     def test_stalling_overhead_nonnegative(self, rates3, rng):
         assert self.pivot.stalling_overhead(rates3) > 0.0
