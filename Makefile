@@ -3,6 +3,9 @@
 PYTHON ?= python
 STRICT_PKGS = -p repro.queueing -p repro.costsharing -p repro.disciplines
 
+# Every target imports `repro` from src/, whether or not it is installed.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test test-fast bench bench-micro bench-solver \
         bench-stats bench-staticcheck bench-sweep experiments report \
         examples clean lint lint-ruff lint-mypy check check-sarif
@@ -29,11 +32,11 @@ lint-mypy:
 	fi
 
 check:
-	PYTHONPATH=src $(PYTHON) -m repro check src tests benchmarks \
+	$(PYTHON) -m repro check src tests benchmarks \
 		examples --stats
 
 check-sarif:
-	PYTHONPATH=src $(PYTHON) -m repro check src tests benchmarks \
+	$(PYTHON) -m repro check src tests benchmarks \
 		examples --format sarif -o greedwork.sarif
 	@echo "wrote greedwork.sarif"
 
@@ -49,30 +52,30 @@ bench:
 # Event-loop throughput matrix; appends to the BENCH_sim.json
 # trajectory so engine changes are comparable across commits.
 bench-micro:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_micro.py -o BENCH_sim.json
+	$(PYTHON) benchmarks/bench_micro.py -o BENCH_sim.json
 
 # Solver matrix (best response / Nash solve / adversarial search,
 # vectorized vs scalar); appends to the BENCH_solver.json trajectory.
 # The repository root is on the path for the scalar oracle in
 # tests/oracles.py.
 bench-solver:
-	PYTHONPATH=src:. $(PYTHON) benchmarks/bench_solver.py -o BENCH_solver.json
+	PYTHONPATH=$(PYTHONPATH):. $(PYTHON) benchmarks/bench_solver.py -o BENCH_solver.json
 
 # Events-to-target-CI matrix (fixed horizon vs control variates vs
 # CRN pairing vs sequential stopping); appends to BENCH_sim.json.
 bench-stats:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_stats.py -o BENCH_sim.json
+	$(PYTHON) benchmarks/bench_stats.py -o BENCH_sim.json
 
 # Sweep-orchestrator phases (cold utilization, warm dedup, journal
 # resume) over the ~200-cell paper catalog; appends BENCH_sweep.json
 # and writes the cold run's Pareto artifact to sweep_report.json.
 bench-sweep:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_sweep.py -o BENCH_sweep.json
+	$(PYTHON) benchmarks/bench_sweep.py -o BENCH_sweep.json
 
 # Static-analysis wall time (cold and warm check); appends to the
 # BENCH_staticcheck.json trajectory.
 bench-staticcheck:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_staticcheck.py \
+	$(PYTHON) benchmarks/bench_staticcheck.py \
 		-o BENCH_staticcheck.json
 
 experiments:
@@ -85,9 +88,10 @@ report:
 examples:
 	for script in examples/*.py; do $(PYTHON) $$script || exit 1; done
 
+# Leaves the committed BENCH_solver.json, BENCH_staticcheck.json and
+# BENCH_sweep.json trajectories alone.
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks \
 		.greedwork_cache greedwork.sarif BENCH_sim.json \
-		BENCH_solver.json BENCH_staticcheck.json BENCH_sweep.json \
 		sweep_report.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

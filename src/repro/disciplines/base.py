@@ -7,14 +7,25 @@ Outside ``D`` they are still defined, possibly assigning infinite
 congestion (needed so that learning dynamics can wander out of the
 stable region, Section 4.2.2).
 
-Derivatives (one base for every congestion map)
------------------------------------------------
+Values and derivatives (one base for every congestion map)
+----------------------------------------------------------
+
+:class:`Differentiable` holds everything a map does not write.  A map
+writes one full-profile value form,
+
+* :meth:`Differentiable.congestion` — ``C(r)`` for one profile, or
+* :meth:`Differentiable.congestion_many` — ``C`` for a batch of
+  profiles,
+
+and the base derives the other (row 0 of a one-row batch, or a row
+loop), :meth:`~Differentiable.congestion_i`, ``__call__`` and
+:meth:`~Differentiable.congestion_grid`.  A map that writes neither
+raises ``TypeError``.
 
 The paper's results are statements about derivatives of ``C(r)``: the
 Nash first-derivative condition, MAC's signs of ``dC_i/dr_j``, Fair
 Share's lower-triangular Jacobian and Theorem 7's relaxation matrix
-of ``d^2 C_i/dr_i dr_j``.  :class:`Differentiable` holds them once.  A
-map writes two rows per user,
+of ``d^2 C_i/dr_i dr_j``.  A map writes two rows per user,
 
 * :meth:`Differentiable.gradient_i` — ``dC_i/dr_j`` over ``j``;
 * :meth:`Differentiable.second_gradient_i` —
@@ -28,21 +39,16 @@ with closed forms write them as their two rows.
 Batched evaluation (the vectorized solver core)
 -----------------------------------------------
 
-Solvers scan candidate rates in bulk, so :class:`AllocationFunction`
-also exposes
-
-* :meth:`AllocationFunction.grid_evaluator` — the hook a discipline
-  implements: several users' congestion over candidate own-rates, one
-  candidate row per user, opponents held fixed, with the
-  opponent-side precomputation done once for repeated calls;
-* :meth:`AllocationFunction.congestion_grid` — its one-user view;
-* :meth:`AllocationFunction.congestion_many` — the full congestion
-  matrix for a batch of rate profiles.
-
-The defaults fall back to scalar loops (bit-identical to calling
-:meth:`congestion_i` per point); disciplines with closed forms
-override them and set :attr:`vectorized_grid` so solvers know a
-batched call is genuinely one numpy pass.
+Solvers scan candidate rates in bulk through
+:meth:`Differentiable.grid_evaluator`: several users' congestion over
+candidate own-rates, one candidate row per user, opponents held fixed,
+with the opponent-side precomputation done once for repeated calls.
+:meth:`~Differentiable.congestion_grid` is its one-user view.  The
+batched value form is the discipline's :meth:`congestion_many` (the
+proportional, Fair Share, separable and pivot disciplines write it; the
+priority and weighted disciplines write ``congestion``).  A discipline
+whose rows are one numpy pass sets :attr:`vectorized_grid`, so solvers
+know a batched call is genuinely one pass.
 
 Symmetry-class evaluation (the class-space solver core)
 -------------------------------------------------------
@@ -56,24 +62,25 @@ counts)`` alone.  The base class exposes
 
 * :meth:`AllocationFunction.class_congestion` — per-class congestion
   for a class-symmetric profile;
-* :meth:`AllocationFunction.class_deviation_rows` — the hook a
-  discipline implements: a member of each of several classes
-  deviating unilaterally, one candidate row per class, so a
-  class-space best-response round is one batched call
-  (``include_self=True`` keeps the deviator's class mass intact, the
-  mean-field closure where a single agent is infinitesimal);
+* :meth:`AllocationFunction.class_deviation_rows` — the rows a
+  discipline writes: a member of each of several classes deviating
+  unilaterally, one candidate row per class, so a class-space
+  best-response round is one batched call (``include_self=True``
+  keeps the deviator's class mass intact, the mean-field closure where
+  a single agent is infinitesimal);
 * :meth:`AllocationFunction.class_deviation_evaluator` — its
   one-class view.
 
-The defaults expand classes to the full N-vector and delegate to the
-per-user paths (exact, but O(N)); disciplines with closed forms
-override them with O(K) passes.
+A discipline's per-user rows are its class rows with every count one
+(each user a class of its own): :meth:`AllocationFunction.grid_evaluator`
+reads them.  The class defaults expand classes to the full N-vector,
+the rows looping over :meth:`congestion_i` (exact, but O(N) per
+candidate); disciplines with closed forms write O(K) passes.
 """
 
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -107,6 +114,26 @@ def opponent_rows(rates: np.ndarray, users: np.ndarray) -> np.ndarray:
     rows = np.arange(rates.size)[users]
     cols = np.arange(rates.size - 1)
     return rates[cols + (cols >= rows[:, None])]
+
+
+def point_rows(subject: "Differentiable", profiles: Sequence[np.ndarray],
+               users: Sequence[int]) -> RowEvaluator:
+    """Row ``b``: ``congestion_i`` of user ``users[b]`` of
+    ``profiles[b]``, that user moved to each candidate in turn."""
+    bases = [np.array(profile, dtype=float) for profile in profiles]
+    rows = [int(i) for i in users]
+
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        cand = np.asarray(xs, dtype=float)
+        out = np.empty(cand.shape)
+        for b, (base, i) in enumerate(zip(bases, rows)):
+            full = base.copy()
+            for k, x in enumerate(cand[b].tolist()):
+                full[i] = x
+                out[b, k] = subject.congestion_i(full, i)
+        return out
+
+    return evaluate
 
 
 def class_opponent_totals(class_rates: Sequence[float],
@@ -156,11 +183,15 @@ def check_classes(class_rates: Sequence[float], counts: Sequence[int]
     return c, m
 
 
-class Differentiable(ABC):
-    """A congestion map ``r -> C(r)`` and its derivatives.
+class Differentiable:
+    """A congestion map ``r -> C(r)``, its value views and derivatives.
 
-    The contract: a map implements :meth:`congestion_i` and may write
-    two rows per user,
+    The contract: a map writes one full-profile value form,
+    :meth:`congestion` or :meth:`congestion_many`; the other is derived
+    from it, as are :meth:`congestion_i`, ``__call__`` and
+    :meth:`congestion_grid`.  A map may write
+    :meth:`grid_evaluator`'s rows (the default loops over
+    :meth:`congestion_i`) and two derivative rows per user,
 
     * :meth:`gradient_i` — ``dC_i/dr_j`` over ``j``;
     * :meth:`second_gradient_i` — ``d^2 C_i/dr_i dr_j`` over ``j``.
@@ -176,9 +207,59 @@ class Differentiable(ABC):
     :meth:`own_derivative` skips the O(N^2) row).
     """
 
-    @abstractmethod
+    # -- values --------------------------------------------------------------
+
+    def congestion(self, rates: Sequence[float]) -> np.ndarray:
+        """Per-user congestion vector ``C(r)`` (entries may be ``inf``):
+        row 0 of :meth:`congestion_many` on the one-row batch."""
+        if type(self).congestion_many is Differentiable.congestion_many:
+            raise TypeError(f"{type(self).__name__} must write congestion "
+                            f"or congestion_many")
+        return self.congestion_many(np.asarray(rates, dtype=float)[None])[0]
+
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """Congestion matrix for a batch of profiles, shape ``(B, n)``:
+        row ``b`` is :meth:`congestion` of ``profiles[b]``."""
+        return np.stack([self.congestion(row)
+                         for row in np.asarray(profiles, dtype=float)])
+
     def congestion_i(self, rates: Sequence[float], i: int) -> float:
         """``C_i(r)``."""
+        return float(self.congestion(rates)[i])
+
+    def __call__(self, rates: Sequence[float]) -> np.ndarray:
+        return self.congestion(rates)
+
+    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
+                       ) -> RowEvaluator:
+        """A reusable row evaluator for ``users``, the opponents fixed.
+
+        ``evaluate(X)`` takes candidate own-rates of shape
+        ``(len(users), K)``; entry ``[b, k]`` of the result is
+        ``congestion_i(r with r[users[b]] := X[b, k], users[b])``, and
+        a row does not depend on the other rows.  Iterative solvers
+        (the batched grid zoom) evaluate many candidate grids against
+        the *same* profile — for a simultaneous best-response round,
+        one row per user — so a map may hoist the opponent-only
+        precomputation (sort, ladder, prefix sums) out of the per-grid
+        call and share one pass across the rows.  The default loops
+        over the candidates (same work as a scalar scan).
+        """
+        r = np.array(rates, dtype=float)
+        return point_rows(self, [r] * len(users), users)
+
+    def congestion_grid(self, rates: Sequence[float], i: int,
+                        xs: Sequence[float]) -> np.ndarray:
+        """``C_i`` over candidate own-rates ``xs``, opponents fixed.
+
+        Entry ``k`` equals ``congestion_i(r with r[i] := xs[k], i)``;
+        the value of ``rates[i]`` itself is irrelevant.  The one-user
+        view of :meth:`grid_evaluator`.
+        """
+        return one_row(self.grid_evaluator(rates, [i]))(xs)
+
+    # -- derivatives ---------------------------------------------------------
 
     def gradient_i(self, rates: Sequence[float], i: int) -> np.ndarray:
         """``dC_i/dr_j`` over ``j``: row ``i`` of the Jacobian."""
@@ -246,71 +327,12 @@ class AllocationFunction(Differentiable):
         self.curve = curve if curve is not None else MM1Curve()
         self.feasibility = FeasibilitySet(self.curve)
 
-    # -- core ----------------------------------------------------------------
-
-    @abstractmethod
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        """Per-user mean queue vector ``C(r)`` (entries may be ``inf``)."""
-
-    def congestion_i(self, rates: Sequence[float], i: int) -> float:
-        """``C_i(r)``; subclasses may shortcut this."""
-        return float(self.congestion(rates)[i])
-
-    def congestion_grid(self, rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i`` over candidate own-rates ``xs``, opponents fixed.
-
-        Entry ``k`` equals ``congestion_i(r with r[i] := xs[k], i)``;
-        the value of ``rates[i]`` itself is irrelevant.  The one-user
-        view of :meth:`grid_evaluator`.
-        """
-        return one_row(self.grid_evaluator(rates, [i]))(xs)
-
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
-        """A reusable row evaluator for ``users``, the opponents fixed.
-
-        ``evaluate(X)`` takes candidate own-rates of shape
-        ``(len(users), K)``; entry ``[b, k]`` of the result is
-        ``congestion_i(r with r[users[b]] := X[b, k], users[b])``, and
-        a row does not depend on the other rows.  Iterative solvers
-        (the batched grid zoom) evaluate many candidate grids against
-        the *same* profile — for a simultaneous best-response round,
-        one row per user — so this hook lets a discipline hoist the
-        opponent-only precomputation (sort, ladder, prefix sums) out
-        of the per-grid call and share one pass across the rows.  The
-        default loops over the candidates (same work as a scalar
-        scan); vectorized disciplines override it with one numpy pass
-        over all rows.
-        """
-        r = np.array(rates, dtype=float)
-        rows = [int(i) for i in users]
-
-        def evaluate(xs: np.ndarray) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            out = np.empty(cand.shape)
-            for b, i in enumerate(rows):
-                base = r.copy()
-                for k, x in enumerate(cand[b].tolist()):
-                    base[i] = x
-                    out[b, k] = self.congestion_i(base, i)
-            return out
-
-        return evaluate
-
-    def congestion_many(self, profiles: Sequence[Sequence[float]]
-                        ) -> np.ndarray:
-        """Congestion matrix for a batch of profiles, shape ``(B, n)``.
-
-        Row ``b`` equals ``congestion(profiles[b])``.  The default is a
-        row loop; vectorized disciplines evaluate the whole batch in
-        one pass.
-        """
-        batch = np.asarray(profiles, dtype=float)
-        return np.stack([self.congestion(row) for row in batch])
-
-    def __call__(self, rates: Sequence[float]) -> np.ndarray:
-        return self.congestion(rates)
+        """The per-user rows: :meth:`class_deviation_rows` with every
+        count one, user ``i`` the only member of class ``i``."""
+        r = np.asarray(rates, dtype=float)
+        return self.class_deviation_rows(r, np.ones(r.size, dtype=int), users)
 
     # -- symmetry-class evaluation -------------------------------------------
 
@@ -357,28 +379,21 @@ class AllocationFunction(Differentiable):
         O(1/N).  The class-space solvers run one batched zoom round for
         all K classes through it.
 
-        The default expands each row's opponents to a full vector and
-        delegates to a one-user :meth:`grid_evaluator` (exact, O(N)
-        setup per row); disciplines with closed forms override it with
-        one O(K) pass over all rows.
+        The default expands each row to a full vector, the deviator at
+        the start of its class block, and loops over
+        :meth:`congestion_i` (exact, O(N) per candidate); disciplines
+        with closed forms override it with one O(K) pass over all rows.
         """
         c, m = check_classes(class_rates, counts)
-        evaluators = []
+        profiles, users = [], []
         for i in classes:
             opp = m.copy()
             if not include_self:
                 opp[i] -= 1
-            full = np.concatenate((np.repeat(c, opp), [0.0]))
-            evaluators.append(self.grid_evaluator(full, [full.size - 1]))
-
-        def evaluate(xs: np.ndarray) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            out = np.empty(cand.shape)
-            for b, evaluator in enumerate(evaluators):
-                out[b] = evaluator(cand[b:b + 1])[0]
-            return out
-
-        return evaluate
+            at = int(opp[:i].sum())
+            profiles.append(np.insert(np.repeat(c, opp), at, 0.0))
+            users.append(at)
+        return point_rows(self, profiles, users)
 
     def class_own_derivative(self, class_rates: Sequence[float],
                              counts: Sequence[int], i: int,
@@ -454,9 +469,11 @@ class Subsystem(Differentiable):
     *subsystem* — the same allocation function with a subset of users
     frozen (e.g. non-optimizing users).  Induced allocations are not
     symmetric in general, so this is deliberately *not* an
-    :class:`AllocationFunction` subclass; it exposes the same
-    evaluation interface for the free users, and
-    :class:`Differentiable`'s numeric derivatives over them.
+    :class:`AllocationFunction` subclass.  It writes the batched
+    :meth:`congestion_many` and the per-user rows, both the parent's at
+    the free users' original indices, and :class:`Differentiable`
+    derives the other value views and the numeric derivatives over the
+    free users.
     """
 
     def __init__(self, parent: AllocationFunction,
@@ -490,51 +507,31 @@ class Subsystem(Differentiable):
                 full[i] = next(free_iter)
         return full
 
-    def congestion(self, free_rates: Sequence[float]) -> np.ndarray:
-        """Congestions of the free users only."""
-        full = self.embed(free_rates)
-        all_c = self.parent.congestion(full)
-        free = self.free_indices(full.size)
-        return all_c[free]
-
-    def congestion_i(self, free_rates: Sequence[float], i: int) -> float:
-        """``C_i`` of the ``i``-th *free* user."""
-        return float(self.congestion(free_rates)[i])
-
     @property
     def vectorized_grid(self) -> bool:
         """Whether the parent discipline has a one-pass grid path."""
         return self.parent.vectorized_grid
 
-    def congestion_grid(self, free_rates: Sequence[float], i: int,
-                        xs: Sequence[float]) -> np.ndarray:
-        """``C_i`` of free user ``i`` over candidates ``xs``.
-
-        Delegates to the parent's grid at the embedded (original)
-        index, so a vectorized parent keeps its one-pass path inside
-        subsystems.
-        """
-        full = self.embed(free_rates)
-        orig = self.free_indices(full.size)[i]
-        return self.parent.congestion_grid(full, orig, xs)
-
     def grid_evaluator(self, free_rates: Sequence[float],
                        users: Sequence[int]) -> RowEvaluator:
-        """Reusable row evaluator for free ``users`` (see the
-        :meth:`AllocationFunction.grid_evaluator` hook); the embedding
-        and the parent's opponent precomputation both happen once, at
-        the users' original indices."""
+        """Reusable row evaluator for free ``users`` (see
+        :meth:`Differentiable.grid_evaluator`): the parent's rows at the
+        users' original indices, so the embedding and the parent's
+        opponent precomputation both happen once and a vectorized
+        parent keeps its one-pass path inside subsystems."""
         full = self.embed(free_rates)
         free = self.free_indices(full.size)
         return self.parent.grid_evaluator(full, [free[i] for i in users])
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
-        """Free-user congestion matrix for a batch of free profiles.
+        """Free-user congestion matrix for a batch of free profiles:
+        the written form, from which :class:`Differentiable` derives
+        the rest.
 
         Embeds the whole batch at once and delegates to the parent's
-        :meth:`AllocationFunction.congestion_many`, keeping a
-        vectorized parent one-pass inside subsystems.
+        :meth:`~Differentiable.congestion_many`, keeping a vectorized
+        parent one-pass inside subsystems.
         """
         batch = np.asarray(profiles, dtype=float)
         n_total = batch.shape[1] + len(self.fixed)
@@ -544,9 +541,6 @@ class Subsystem(Differentiable):
             full[:, idx] = rate
         full[:, free] = batch
         return self.parent.congestion_many(full)[:, free]
-
-    def __call__(self, free_rates: Sequence[float]) -> np.ndarray:
-        return self.congestion(free_rates)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Subsystem({self.parent!r}, fixed={self.fixed})"

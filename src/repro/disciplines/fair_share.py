@@ -36,7 +36,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.disciplines.base import (AllocationFunction, RowEvaluator,
-                                    check_classes, opponent_rows)
+                                    check_classes)
 
 
 class FairShareAllocation(AllocationFunction):
@@ -82,131 +82,6 @@ class FairShareAllocation(AllocationFunction):
 
     # -- allocation ----------------------------------------------------------
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        sorted_r, order = self._sorted_view(rates)
-        n = sorted_r.size
-        loads = self.ladder_loads(sorted_r)
-        if loads.size and loads[-1] < self.curve.capacity:
-            # Fast fully-stable path: one vectorized pass over the ladder.
-            g_values = self.curve.values(loads)
-            increments = np.diff(np.concatenate(([0.0], g_values)))
-            multiplicity = n - np.arange(n)
-            sorted_c = np.cumsum(increments / multiplicity)
-        else:
-            sorted_c = np.empty(n)
-            cumulative = 0.0
-            prev_g = 0.0
-            for m in range(n):
-                if (loads[m] >= self.curve.capacity
-                        or math.isinf(cumulative)):
-                    cumulative = math.inf
-                else:
-                    g = self.curve.value(float(loads[m]))
-                    cumulative += (g - prev_g) / (n - m)
-                    prev_g = g
-                sorted_c[m] = cumulative
-        out = np.empty(n)
-        out[order] = sorted_c
-        return out
-
-    # -- batched evaluation --------------------------------------------------
-
-    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
-                       ) -> RowEvaluator:
-        """``C_i`` over candidate own-rates by the insertion trick.
-
-        The opponents' ladder is computed once.  A candidate ``x``
-        inserts at sorted position ``p`` (the number of opponents
-        strictly below it); the classes below ``p`` are unaffected by
-        the insertion, so ``C_i(x)`` is the prefix share sum ``H_p``
-        plus user ``i``'s own class increment::
-
-            C_i(x) = H_p + [g((n - p) x + prefix_p) - g(L_{p-1})] / (n - p)
-
-        where ``L_m`` are the opponents-only ladder loads and
-        ``prefix_p`` the sum of the ``p`` smallest opponent rates.
-        Tied candidates contribute zero ``g``-increments within their
-        tie block, so the position within a block is irrelevant and
-        the result matches the scalar :meth:`congestion_i` exactly.
-
-        Row ``b`` is user ``users[b]``; each row's sorted opponents
-        (the sorted rate vector less one copy of that user's rate),
-        prefix sums, ``g``-share table and first unstable class are
-        built once, in one pass over all rows — the grid zoom calls the
-        evaluator ~10 times per best-response round against the same
-        opponents.  A candidate's insertion position is its rank in the
-        sorted rate vector minus the user's own (stale) rate, so a call
-        costs O(K log N) per row and each row's tables O(N).
-        """
-        r = np.asarray(rates, dtype=float)
-        rows = np.asarray(users, dtype=int)
-        n = r.size
-        cap = self.curve.capacity
-        ranked = np.sort(r)
-        own = r[rows][:, None]
-        # Sorted opponents: the ranked vector less one copy of r_i.
-        s = opponent_rows(ranked, np.searchsorted(ranked, own[:, 0]))
-        if s.size and float(s.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        zero = np.zeros((rows.size, 1))
-        # A spare last column keeps a NaN candidate (ranked past every
-        # rate) in bounds; its load is NaN, so it scores inf.
-        prefix = np.concatenate((zero, np.cumsum(s, axis=1), zero), axis=1)
-        m_idx = np.arange(n - 1)
-        opp_loads = (n - m_idx) * s + prefix[:, :-2]
-        # First opponent class at/over capacity (ladder loads ascend);
-        # the sentinel column stands for "none".
-        unstable = np.concatenate(
-            (opp_loads >= cap, np.ones((rows.size, 1), dtype=bool)), axis=1)
-        k_bad = np.argmax(unstable, axis=1)[:, None]
-        stable = m_idx < k_bad
-        g_opp = np.zeros(s.shape)
-        g_opp[stable] = self.curve.values(opp_loads[stable])
-        shares = np.diff(g_opp, prepend=0.0, axis=1) / (n - m_idx)
-        h = np.concatenate((zero, np.cumsum(shares, axis=1), zero), axis=1)
-        g_prev = np.concatenate((zero, g_opp, zero), axis=1)
-        # Past the first unstable opponent class, an infinite prefix
-        # puts a candidate over capacity, as its ladder load would be.
-        prefix[np.arange(n + 1) > k_bad] = math.inf
-        # Rows of the tables, flattened: entry p of row b is at b*(n+1)+p.
-        tables = [t.ravel() for t in (prefix, h, g_prev)]
-        offsets = np.arange(rows.size)[:, None] * (n + 1)
-
-        def evaluate(xs: np.ndarray) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            if cand.size and float(cand.min()) < 0.0:
-                raise ValueError("rates must be nonnegative")
-            p = ranked.searchsorted(cand, side="left") - (own < cand)
-            return self._insert(cand, p + offsets, n - p, *tables)
-
-        return evaluate
-
-    def _insert(self, cand: np.ndarray, at: np.ndarray, rem: np.ndarray,
-                prefix: np.ndarray, h: np.ndarray,
-                g_prev: np.ndarray) -> np.ndarray:
-        """The insertion formula for candidates at table entries ``at``.
-
-        ``rem`` holds, per candidate ``x``, the users at or above its
-        rank.  The flat tables hold, per row and opponent count ``p``
-        below a candidate: the opponent rate below it (``prefix``,
-        ``inf`` once an opponent class below is unstable), the share
-        sum below it (``h``) and ``g`` at the last rung below it
-        (``g_prev``).  ``C = h + [g(rem x + prefix) - g_prev] / rem``
-        where the own ladder load ``rem x + prefix`` is under capacity;
-        ``inf`` elsewhere.  Masked ufuncs keep the discarded entries out
-        of the arithmetic (no ``inf - inf``), and the curve sees the
-        kept loads only (0 stands in for the rest), so a negative load
-        raises as it always has.
-        """
-        own_loads = rem * cand + prefix.take(at)
-        ok = own_loads < self.curve.capacity
-        g = self.curve.values(np.where(ok, own_loads, 0.0))
-        # out=None: the entries outside ``ok`` stay unset and unread.
-        share = np.subtract(g, g_prev.take(at), out=None, where=ok)
-        np.divide(share, rem, out=share, where=ok)
-        return np.add(h.take(at), share, out=np.full(cand.shape, math.inf),
-                      where=ok)
-
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
         """Whole-batch congestion: row-wise sort + cumsum, one pass."""
@@ -216,29 +91,32 @@ class FairShareAllocation(AllocationFunction):
                 f"profiles must be 2-D (batch, users), got {batch.shape}")
         if batch.size and float(batch.min()) < 0.0:
             raise ValueError("rates must be nonnegative")
-        n = batch.shape[1]
+        b, n = batch.shape
+        rows = np.arange(b)[:, None]
         order = np.argsort(batch, axis=1, kind="stable")
-        sorted_r = np.take_along_axis(batch, order, axis=1)
+        sorted_r = batch[rows, order]
         # Exclusive prefix sums, bit-identical to ladder_loads().
-        prefix = np.concatenate(
-            (np.zeros((batch.shape[0], 1)), np.cumsum(sorted_r, axis=1)[:, :-1]),
-            axis=1)
+        prefix = np.zeros((b, n))
+        np.cumsum(sorted_r[:, :-1], axis=1, out=prefix[:, 1:])
         mult = (n - np.arange(n))[None, :]
         loads = mult * sorted_r + prefix
         g = self.curve.values(loads)
         finite = np.isfinite(g)
-        if finite.all():
-            increments = np.diff(g, prepend=0.0, axis=1)
-            sorted_c = np.cumsum(increments / mult, axis=1)
+        stable = bool(finite.all())
+        if not stable:
+            g = np.where(finite, g, 0.0)
+        # The shares (g_m - g_{m-1}) / (N - m), g_{-1} = 0.
+        increments = g.copy()
+        np.subtract(g[:, 1:], g[:, :-1], out=increments[:, 1:])
+        increments /= mult
+        if stable:
+            sorted_c = np.cumsum(increments, axis=1)
         else:
-            g_clipped = np.where(finite, g, 0.0)
-            increments = np.diff(g_clipped, prepend=0.0, axis=1)
-            sorted_c = np.cumsum(
-                np.where(finite, increments / mult, 0.0), axis=1)
+            sorted_c = np.cumsum(np.where(finite, increments, 0.0), axis=1)
             overloaded = np.maximum.accumulate(~finite, axis=1)
             sorted_c = np.where(overloaded, math.inf, sorted_c)
-        out = np.empty_like(sorted_c)
-        np.put_along_axis(out, order, sorted_c, axis=1)
+        out = np.empty((b, n))
+        out[rows, order] = sorted_c
         return out
 
     # -- symmetry-class evaluation -------------------------------------------
@@ -278,16 +156,31 @@ class FairShareAllocation(AllocationFunction):
     def class_deviation_rows(self, class_rates: Sequence[float],
                              counts: Sequence[int], classes: Sequence[int],
                              include_self: bool = False) -> RowEvaluator:
-        """The insertion trick against class-aggregated opponents.
+        """``C`` over candidate own-rates by the insertion trick.
 
-        Identical structure to :meth:`grid_evaluator`, with the
-        opponent ladder carrying one rung per class weighted by its
-        multiplicity — O(K) setup per row, O(log K) per candidate.
         Row ``b`` is a member of class ``classes[b]`` deviating: that
         class loses one member, and a class left empty loses its rung
         (a zero-weight rung would round the share sums differently).
         With ``include_self`` every class keeps its full count and the
-        candidate inserts as an extra (N+1)-th user.
+        candidate inserts as an extra (N+1)-th user.  With every count
+        one these are the per-user rows (:meth:`grid_evaluator`).
+
+        The opponents' ladder, one rung per class weighted by its
+        multiplicity, is computed once per row.  A candidate ``x``
+        inserts at rank ``p`` (the opponent classes strictly below it);
+        the classes below ``p`` are unaffected by the insertion, so
+        ``C(x)`` is the prefix share sum ``H_p`` plus the deviator's own
+        class increment::
+
+            C(x) = H_p + [g(u x + P_p) - g(L_{p-1})] / u
+
+        where ``u`` counts the users at or above ``x``, ``L_m`` are the
+        opponents-only ladder loads and ``P_p`` the opponent rate below
+        ``x``.  Tied candidates contribute zero ``g``-increments within
+        their tie block, so the position within a block is irrelevant.
+        Setup is O(K) per row and a candidate costs O(log K); the grid
+        zoom calls the evaluator ~10 times per best-response round
+        against the same opponents.
         """
         c, m = check_classes(class_rates, counts)
         rows = np.asarray(classes, dtype=int)
@@ -310,8 +203,10 @@ class FairShareAllocation(AllocationFunction):
         w = np.append(m[order], 0.0)[at]
         if not include_self:
             w -= at == own_rank
-        # Per deviator: the users at or above each rank, and the
-        # insertion tables of _insert.
+        # Per deviator and opponent rank p: the users at or above it
+        # (rem), the opponent rate below it (prefix, inf once an
+        # opponent class below is unstable), the share sum below it (h)
+        # and g at the last rung below it (g_prev).
         tables = np.zeros((4, b, k + 1))
         rem, prefix, h, g_prev = tables
         np.cumsum(w, axis=1, out=rem[:, 1:])
@@ -331,7 +226,9 @@ class FairShareAllocation(AllocationFunction):
         shares = np.subtract(g_opp, g_prev[:, :-1])      # diff, prepend 0
         shares /= rem[:, :-1]
         np.cumsum(shares, axis=1, out=h[:, 1:])
-        prefix[np.arange(k + 1) > k_bad] = math.inf   # as in grid_evaluator
+        # Past the first unstable opponent class, an infinite prefix
+        # puts a candidate over capacity, as its ladder load would be.
+        prefix[np.arange(k + 1) > k_bad] = math.inf
         # Rows of the tables, flattened: entry p of row b is at b*(k+1)+p.
         rem, prefix, h, g_prev = tables.reshape(4, -1)
         offsets = np.arange(b)[:, None] * (k + 1)
@@ -342,7 +239,19 @@ class FairShareAllocation(AllocationFunction):
                 raise ValueError("rates must be nonnegative")
             p = ranked.searchsorted(cand, side="left") - (own < cand)
             at = p + offsets
-            return self._insert(cand, at, rem.take(at), prefix, h, g_prev)
+            users_above = rem.take(at)
+            own_loads = users_above * cand + prefix.take(at)
+            ok = own_loads < self.curve.capacity
+            # Masked ufuncs keep the discarded entries out of the
+            # arithmetic (no inf - inf), and the curve sees the kept
+            # loads only (0 stands in for the rest), so a negative load
+            # raises as it always has.  out=None: the entries outside
+            # ``ok`` stay unset and unread.
+            g = self.curve.values(np.where(ok, own_loads, 0.0))
+            share = np.subtract(g, g_prev.take(at), out=None, where=ok)
+            np.divide(share, users_above, out=share, where=ok)
+            return np.add(h.take(at), share,
+                          out=np.full(cand.shape, math.inf), where=ok)
 
         return evaluate
 

@@ -83,31 +83,24 @@ class ProportionalAllocation(AllocationFunction):
 
     # -- allocation ----------------------------------------------------------
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        if np.any(r < 0.0):
-            raise ValueError(f"rates must be nonnegative, got {r}")
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return np.full(r.shape, math.inf)
-        return r * self._phi(total)
-
-    def congestion_i(self, rates: Sequence[float], i: int) -> float:
-        r = np.asarray(rates, dtype=float)
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return math.inf
-        return float(r[i]) * self._phi(total)
-
-    # -- batched evaluation --------------------------------------------------
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """``C_i = r_i phi(S)`` for each profile of the batch."""
+        batch = np.asarray(profiles, dtype=float)
+        if batch.ndim != 2:
+            raise ValueError(
+                f"profiles must be 2-D (batch, users), got {batch.shape}")
+        if batch.size and float(batch.min()) < 0.0:
+            raise ValueError("rates must be nonnegative")
+        return self._scaled_phi(batch, batch.sum(axis=1)[:, None])
 
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
         """``C_i(x) = x phi(S_{-i} + x)``, each user's opponent total
         hoisted out of repeated row calls.
 
-        Each row sums its own opponents (``total - r_i`` would round
-        differently from the one-user sum).
+        Each row sums its own opponents: the class rows' ``np.dot``
+        (and ``total - r_i``) would round differently.
         """
         r = np.asarray(rates, dtype=float)
         return self._rows(opponent_rows(
@@ -120,16 +113,6 @@ class ProportionalAllocation(AllocationFunction):
             return self._scaled_phi(cand, opponent_total + cand)
 
         return evaluate
-
-    def congestion_many(self, profiles: Sequence[Sequence[float]]
-                        ) -> np.ndarray:
-        batch = np.asarray(profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"profiles must be 2-D (batch, users), got {batch.shape}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        return self._scaled_phi(batch, batch.sum(axis=1)[:, None])
 
     # -- symmetry-class evaluation -------------------------------------------
 

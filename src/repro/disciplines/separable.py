@@ -80,33 +80,6 @@ class SeparableAllocation(AllocationFunction):
         # Nash solvers.  Feasibility checks are overridden below.
         super().__init__(curve=QuadraticCurve(self.constraint.a))
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        if np.any(r < 0.0):
-            raise ValueError(f"rates must be nonnegative, got {r}")
-        return self.constraint.a * r * r
-
-    def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
-                       ) -> RowEvaluator:
-        """``C(x) = a x^2`` on every row — the opponents do not matter
-        at all, so there is nothing to hoist but ``a``."""
-        coefficient = self.constraint.a
-
-        def evaluate(xs: np.ndarray) -> np.ndarray:
-            cand = np.asarray(xs, dtype=float)
-            if cand.size and float(cand.min()) < 0.0:
-                raise ValueError("rates must be nonnegative")
-            return coefficient * cand * cand
-
-        return evaluate
-
-    def class_deviation_rows(self, class_rates: Sequence[float],
-                             counts: Sequence[int], classes: Sequence[int],
-                             include_self: bool = False) -> RowEvaluator:
-        """``C(x) = a x^2`` — opponents (and multiplicities) don't matter."""
-        check_classes(class_rates, counts)
-        return self.grid_evaluator(class_rates, classes)
-
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:
         batch = np.asarray(profiles, dtype=float)
@@ -118,6 +91,23 @@ class SeparableAllocation(AllocationFunction):
         return self.constraint.a * batch * batch
 
     # -- symmetry-class evaluation -------------------------------------------
+
+    def class_deviation_rows(self, class_rates: Sequence[float],
+                             counts: Sequence[int], classes: Sequence[int],
+                             include_self: bool = False) -> RowEvaluator:
+        """``C(x) = a x^2`` on every row — the opponents (and
+        multiplicities) do not matter at all, so there is nothing to
+        hoist but ``a``."""
+        check_classes(class_rates, counts)
+        coefficient = self.constraint.a
+
+        def evaluate(xs: np.ndarray) -> np.ndarray:
+            cand = np.asarray(xs, dtype=float)
+            if cand.size and float(cand.min()) < 0.0:
+                raise ValueError("rates must be nonnegative")
+            return coefficient * cand * cand
+
+        return evaluate
 
     def class_congestion(self, class_rates: Sequence[float],
                          counts: Sequence[int]) -> np.ndarray:

@@ -43,21 +43,27 @@ class PivotAllocation(AllocationFunction):
     name = "stalling-pivot"
     vectorized_grid = True
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        if np.any(r < 0.0):
-            raise ValueError(f"rates must be nonnegative, got {r}")
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return np.full(r.shape, math.inf)
-        g_total = self.curve.value(total)
-        return np.array([g_total - self.curve.value(total - float(x))
-                         for x in r])
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        batch = np.asarray(profiles, dtype=float)
+        if batch.ndim != 2:
+            raise ValueError(
+                f"profiles must be 2-D (batch, users), got {batch.shape}")
+        if batch.size and float(batch.min()) < 0.0:
+            raise ValueError("rates must be nonnegative")
+        totals = batch.sum(axis=1)
+        out = np.full(batch.shape, math.inf)
+        ok = totals < self.curve.capacity
+        g_totals = self.curve.values(totals[ok])
+        out[ok] = g_totals[:, None] - self.curve.values(
+            totals[ok, None] - batch[ok])
+        return out
 
     def grid_evaluator(self, rates: Sequence[float], users: Sequence[int]
                        ) -> RowEvaluator:
-        """:meth:`_rows` at each user's opponent total (each row sums
-        its own opponents, as the one-user sum does)."""
+        """:meth:`_rows` at each user's opponent total.  Each row sums
+        its own opponents: the class rows' ``np.dot`` would round
+        differently."""
         opp = opponent_rows(np.asarray(rates, dtype=float),
                             np.asarray(users, dtype=int))
         if opp.size and float(opp.min()) < 0.0:
@@ -80,22 +86,6 @@ class PivotAllocation(AllocationFunction):
                                where=ok)
 
         return evaluate
-
-    def congestion_many(self, profiles: Sequence[Sequence[float]]
-                        ) -> np.ndarray:
-        batch = np.asarray(profiles, dtype=float)
-        if batch.ndim != 2:
-            raise ValueError(
-                f"profiles must be 2-D (batch, users), got {batch.shape}")
-        if batch.size and float(batch.min()) < 0.0:
-            raise ValueError("rates must be nonnegative")
-        totals = batch.sum(axis=1)
-        out = np.full(batch.shape, math.inf)
-        ok = totals < self.curve.capacity
-        g_totals = self.curve.values(totals[ok])
-        out[ok] = g_totals[:, None] - self.curve.values(
-            totals[ok, None] - batch[ok])
-        return out
 
     # -- symmetry-class evaluation -------------------------------------------
 

@@ -22,24 +22,6 @@ class FeasibilityError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """An iterative solver failed to reach its tolerance.
-
-    Attributes
-    ----------
-    iterations:
-        Number of iterations completed before giving up.
-    residual:
-        Final residual (solver specific; ``nan`` when unavailable).
-    """
-
-    def __init__(self, message: str, iterations: int = 0,
-                 residual: float = float("nan")) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
-
 class UtilityDomainError(ReproError):
     """A utility function was evaluated outside its admissible domain."""
 

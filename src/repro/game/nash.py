@@ -37,8 +37,8 @@ from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
 
-#: Population above which :func:`find_all_nash` seeds starts per class
-#: by default.  An N-dimensional Dirichlet concentrates as N grows
+#: Population from which :func:`find_all_nash` seeds starts per class.
+#: An N-dimensional Dirichlet concentrates as N grows
 #: (every start degenerates to the equal split), so large-N multistart
 #: needs the class structure to stay diverse.
 CLASS_START_MIN_USERS = 100
@@ -200,8 +200,7 @@ def find_all_nash(allocation, profile: Sequence[Utility],
                   rng: Optional[np.random.Generator] = None,
                   gain_tol: float = 1e-6,
                   distinct_tol: float = 1e-3,
-                  max_iter: int = 400,
-                  class_starts: Optional[bool] = None) -> List[NashResult]:
+                  max_iter: int = 400) -> List[NashResult]:
     """Multistart equilibrium search with clustering.
 
     Runs best-response iteration (:func:`solve_nash`) from
@@ -210,23 +209,18 @@ def find_all_nash(allocation, profile: Sequence[Utility],
     norm.  Returns the distinct equilibria found (possibly empty if
     nothing certified).
 
-    ``class_starts`` controls the start distribution: ``True`` seeds
-    per utility class (:func:`_class_seeded_start`), ``False`` uses
-    the flat N-dimensional Dirichlet, and ``None`` (default) picks
-    class seeding exactly when ``len(profile) >=``
-    :data:`CLASS_START_MIN_USERS` and the profile actually has fewer
-    classes than users — below the threshold the RNG draw sequence is
-    byte-identical to the historical behaviour.
+    Starts are seeded per utility class (:func:`_class_seeded_start`)
+    exactly when ``len(profile) >=`` :data:`CLASS_START_MIN_USERS` and
+    the profile has fewer classes than users; otherwise they are flat
+    N-dimensional Dirichlet draws.
     """
     generator = default_rng(rng if rng is not None else 0)
     n = len(profile)
     capacity = getattr(getattr(allocation, "curve", None), "capacity",
                        math.inf)
     max_total = 0.95 * capacity if math.isfinite(capacity) else 2.0
-    use_classes = (n >= CLASS_START_MIN_USERS if class_starts is None
-                   else bool(class_starts))
     grouping: Optional[ClassProfile] = None
-    if use_classes:
+    if n >= CLASS_START_MIN_USERS:
         grouping = detect_classes(profile)
         if grouping.n_classes >= n:
             grouping = None         # no symmetry to exploit

@@ -15,10 +15,12 @@ is the vector of rates crossing it.
 
 :class:`NetworkAllocation` exposes the same evaluation/derivative
 interface as a single-switch allocation function, so the whole game
-layer runs on networks unchanged.  It is *not* symmetric in general
-(users with different routes are not interchangeable), which is
-exactly why the paper says the single-switch fairness notion loses its
-meaning on networks.
+layer runs on networks unchanged: it writes the batched
+``congestion_many`` and two derivative rows, and
+:class:`~repro.disciplines.base.Differentiable` derives the rest.  It
+is *not* symmetric in general (users with different routes are not
+interchangeable), which is exactly why the paper says the
+single-switch fairness notion loses its meaning on networks.
 """
 
 from __future__ import annotations
@@ -124,34 +126,23 @@ class NetworkAllocation(Differentiable):
 
     # -- evaluation ----------------------------------------------------------
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        """Total per-user congestion summed along routes."""
-        r = np.asarray(rates, dtype=float)
-        if r.size != self.n_users:
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """Total per-user congestion summed along routes, for a batch of
+        profiles: each switch's batch, summed over its members."""
+        batch = np.asarray(profiles, dtype=float)
+        if batch.ndim != 2 or batch.shape[1] != self.n_users:
             raise DisciplineError(
-                f"expected {self.n_users} rates, got {r.size}")
-        totals = np.zeros(self.n_users)
+                f"expected profiles of {self.n_users} rates, got shape "
+                f"{batch.shape}")
+        totals = np.zeros(batch.shape)
         for alpha, allocation in enumerate(self.switches):
             members = self.members[alpha]
             if members.size == 0:
                 continue
-            local = allocation.congestion(r[members] / self.speeds[alpha])
-            totals[members] += local
+            totals[:, members] += allocation.congestion_many(
+                batch[:, members] / self.speeds[alpha])
         return totals
-
-    def congestion_i(self, rates: Sequence[float], i: int) -> float:
-        """User ``i``'s total congestion along her route."""
-        return float(self.congestion(rates)[i])
-
-    def __call__(self, rates: Sequence[float]) -> np.ndarray:
-        return self.congestion(rates)
-
-    def congestion_many(self, profiles: Sequence[Sequence[float]]
-                        ) -> np.ndarray:
-        """Congestion matrix for a batch of profiles, shape ``(B, n)``:
-        row ``b`` is ``congestion(profiles[b])``."""
-        batch = np.asarray(profiles, dtype=float)
-        return np.stack([self.congestion(row) for row in batch])
 
     # -- derivatives -----------------------------------------------------
 

@@ -62,7 +62,6 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 import repro.obs as obs
-from repro.exceptions import ConvergenceError
 
 #: Difference pairs the extrapolation solves over.
 ANDERSON_MEMORY = 4
@@ -96,16 +95,12 @@ class FixedPointResult:
         Number of map evaluations performed (at most ``max_iter``).
     residual:
         Sup-norm residual ``||B(x) - x||`` at :attr:`x`.
-    history:
-        The start point followed by every map output, when recording
-        was requested, else ``None``.
     """
 
     x: np.ndarray
     converged: bool
     iterations: int
     residual: float
-    history: Optional[np.ndarray] = None
 
 
 def _extrapolate(xs: List[np.ndarray], outputs: List[np.ndarray],
@@ -142,9 +137,6 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
                        damping: float = 0.5,
                        tol: float = 1e-10,
                        max_iter: int = 500,
-                       adapt: bool = True,
-                       record: bool = False,
-                       raise_on_failure: bool = False,
                        weights: Optional[Sequence[float]] = None
                        ) -> FixedPointResult:
     """Find ``x = B(x)``, stopping when ``||B(x) - x||_inf < tol``.
@@ -159,19 +151,12 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
         Initial fraction ``d`` in (0, 1] of the plain step
         ``x <- (1-d) x + d B(x)``, which starts the iteration, follows
         a rejected extrapolation and finishes it near the fixed point.
+        The damping halves whenever plain steps fail to shrink the
+        residual for several consecutive iterations (helps FIFO's
+        near-oscillatory best-response dynamics); extrapolated steps
+        do not use the damping and do not count.
     max_iter:
         Map evaluations allowed, rejected extrapolations included.
-    adapt:
-        Halve the damping whenever plain steps fail to shrink the
-        residual for several consecutive iterations (helps FIFO's
-        near-oscillatory best-response dynamics).  Extrapolated steps
-        do not use the damping and do not count.
-    record:
-        Keep the start point and every map output in
-        :attr:`FixedPointResult.history`.
-    raise_on_failure:
-        Raise :class:`~repro.exceptions.ConvergenceError` instead of
-        returning a non-converged result.
     weights:
         Positive per-coordinate multiplicities weighting the
         extrapolation's least squares.  A class-space map passes its
@@ -183,7 +168,6 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
     x = np.asarray(x0, dtype=float).copy()
     scale = np.sqrt(np.ones(x.size) if weights is None
                     else np.asarray(weights, dtype=float))
-    trail = [x.copy()] if record else None
     d = damping
     last_residual = np.inf
     stall = 0
@@ -201,13 +185,9 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
         target = np.asarray(mapping(x), dtype=float)
         residual = float(np.max(np.abs(target - x)))
         obs.add("fixed_point.map_evals")
-        if record:
-            trail.append(target.copy())
         if residual < tol:
-            history = np.array(trail) if record else None
             return FixedPointResult(x=x, converged=True,
-                                    iterations=iteration,
-                                    residual=residual, history=history)
+                                    iterations=iteration, residual=residual)
         if residual < best_residual:
             best_x, best_residual = x, residual
         if source is not None and not residual < REJECT_FACTOR * source[2]:
@@ -221,7 +201,7 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
         xs.append(x)
         outputs.append(target)
         del xs[:-ANDERSON_MEMORY - 1], outputs[:-ANDERSON_MEMORY - 1]
-        if adapt and source is None:
+        if source is None:
             if residual >= last_residual * 0.999:
                 stall += 1
                 if stall >= 3 and d > 1.0 / 64.0:
@@ -251,12 +231,5 @@ def damped_fixed_point(mapping: Callable[[np.ndarray], np.ndarray],
             source = (x, target, residual, clipped)
             x = point
     obs.add("fixed_point.unconverged")
-    if raise_on_failure:
-        raise ConvergenceError(
-            "fixed-point iteration did not converge "
-            f"(residual {best_residual:.3e} after {iteration} iterations)",
-            iterations=iteration, residual=best_residual)
-    history = np.array(trail) if record else None
     return FixedPointResult(x=best_x, converged=False,
-                            iterations=iteration, residual=best_residual,
-                            history=history)
+                            iterations=iteration, residual=best_residual)

@@ -127,6 +127,25 @@ def _canonical_value(value: Any) -> Any:
     raise TypeError(f"uncacheable config value {value!r}")
 
 
+def _key(config: Any, header: Dict[str, Any], prefix: str = "",
+         skip: str = "") -> Optional[str]:
+    """``prefix`` plus the SHA-256 of ``header`` and every dataclass
+    field of ``config`` but ``skip``, as canonical JSON; ``None`` when a
+    name-configured policy or a canonical field value is missing."""
+    if not isinstance(getattr(config, "policy", None), str):
+        return None
+    payload = dict(header)
+    try:
+        for spec in fields(config):
+            if spec.name != skip:
+                payload[spec.name] = _canonical_value(
+                    getattr(config, spec.name))
+    except TypeError:
+        return None
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return prefix + hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def config_key(config: Any, engine_version: str) -> Optional[str]:
     """Content hash of a config, or ``None`` when it is uncacheable.
 
@@ -135,17 +154,7 @@ def config_key(config: Any, engine_version: str) -> Optional[str]:
     field the canonicalizer does not understand makes the config
     uncacheable rather than silently colliding).
     """
-    if not isinstance(getattr(config, "policy", None), str):
-        return None
-    payload: Dict[str, Any] = {"__engine__": engine_version}
-    try:
-        for spec in fields(config):
-            payload[spec.name] = _canonical_value(
-                getattr(config, spec.name))
-    except TypeError:
-        return None
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _key(config, {"__engine__": engine_version})
 
 
 def state_key(config: Any, engine_version: str) -> Optional[str]:
@@ -158,21 +167,8 @@ def state_key(config: Any, engine_version: str) -> Optional[str]:
     """
     if getattr(config, "batch_quota", None) is None:
         return None
-    if not isinstance(getattr(config, "policy", None), str):
-        return None
-    payload: Dict[str, Any] = {"__engine__": engine_version,
-                               "__kind__": "state"}
-    try:
-        for spec in fields(config):
-            if spec.name == "horizon":
-                continue
-            payload[spec.name] = _canonical_value(
-                getattr(config, spec.name))
-    except TypeError:
-        return None
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "state-" + hashlib.sha256(
-        blob.encode("utf-8")).hexdigest()
+    return _key(config, {"__engine__": engine_version, "__kind__": "state"},
+                prefix="state-", skip="horizon")
 
 
 def precision_key(config: Any, engine_version: str,
@@ -189,9 +185,7 @@ def precision_key(config: Any, engine_version: str,
     straight to the final rung instead of re-walking and re-summarizing
     every chunk.
     """
-    if not isinstance(getattr(config, "policy", None), str):
-        return None
-    payload: Dict[str, Any] = {
+    return _key(config, {
         "__engine__": engine_version,
         "__kind__": "precision",
         "__target__": float(target_halfwidth),
@@ -199,16 +193,7 @@ def precision_key(config: Any, engine_version: str,
         "__growth__": float(growth),
         "__max_horizon__": float(max_horizon),
         "__controls__": bool(use_control_variates),
-    }
-    try:
-        for spec in fields(config):
-            payload[spec.name] = _canonical_value(
-                getattr(config, spec.name))
-    except TypeError:
-        return None
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return "prec-" + hashlib.sha256(
-        blob.encode("utf-8")).hexdigest()
+    }, prefix="prec-")
 
 
 def _store() -> RecordStore:

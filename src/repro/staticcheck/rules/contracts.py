@@ -8,9 +8,10 @@ registered name through the registry module's import statements to its
 defining module inside ``disciplines/`` and inspecting the class there:
 
 * the class must (transitively) subclass ``AllocationFunction``;
-* it must define a concrete ``congestion(self, rates)`` somewhere in
-  its chain below the abstract base, with no extra required
-  parameters;
+* it must write a full-profile value form somewhere in its chain below
+  the base: a concrete ``congestion(self, rates)`` or
+  ``congestion_many(self, profiles)``, with no extra required
+  parameters (the base derives the other form from it);
 * it must carry a string ``name`` class attribute (its table label);
 * the registered factory must be callable with zero arguments — for a
   bare class that means every ``__init__`` parameter has a default;
@@ -35,6 +36,9 @@ from repro.staticcheck.core import FileContext, Finding, NodeIndex, Rule, \
 
 BASE_CLASS = "AllocationFunction"
 BASE_MODULE_SUFFIX = ".base"
+#: The full-profile value forms a discipline may write, with the name
+#: of each one's parameter.
+VALUE_FORMS = (("congestion", "rates"), ("congestion_many", "profiles"))
 
 
 @dataclass
@@ -291,23 +295,23 @@ class DisciplineContractRule(Rule):
                           anchor: ast.expr,
                           chain: List[_ClassInfo]) -> Iterable[Finding]:
         for info in chain:
-            method = _find_method(info.node, "congestion")
-            if method is None:
-                continue
-            if self._is_abstract(method):
-                continue
-            required = _required_params(method)
-            if len(required) != 1:
-                yield self.finding(
-                    ctx, anchor,
-                    f"entry {key!r}: {info.node.name}.congestion must "
-                    f"take exactly one required parameter (rates), "
-                    f"has {required}")
-            return
+            for form, param in VALUE_FORMS:
+                method = _find_method(info.node, form)
+                if method is None or self._is_abstract(method):
+                    continue
+                required = _required_params(method)
+                if len(required) != 1:
+                    yield self.finding(
+                        ctx, anchor,
+                        f"entry {key!r}: {info.node.name}.{form} must "
+                        f"take exactly one required parameter ({param}), "
+                        f"has {required}")
+                return
         yield self.finding(
             ctx, anchor,
-            f"entry {key!r}: no concrete congestion() implementation "
-            f"found on {chain[0].node.name} or its bases")
+            f"entry {key!r}: no concrete congestion() or "
+            f"congestion_many() implementation found on "
+            f"{chain[0].node.name} or its bases")
 
     @staticmethod
     def _is_abstract(fn: ast.FunctionDef) -> bool:

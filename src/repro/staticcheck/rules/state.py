@@ -330,9 +330,12 @@ class CacheKeyCompletenessRule(ProjectRule):
     Fix:
         Iterate ``dataclasses.fields(config)`` so new fields enter the
         key automatically; exclude a field only with an explicit
-        ``spec.name == "..."`` comparison (the horizon exclusion in
-        ``state_key`` is the sanctioned example).  Suppress only with
-        a proof the field cannot affect results:
+        ``spec.name == "..."`` comparison.  A key function may instead
+        hand ``config`` to a module function that iterates its fields;
+        a skip that function compares against a parameter is then a
+        string the caller passes (``skip="horizon"`` in ``state_key``
+        is the sanctioned example), and is checked the same way.
+        Suppress only with a proof the field cannot affect results:
         ``# greedwork: ignore[GW403] -- <why>``.
     """
 
@@ -351,18 +354,23 @@ class CacheKeyCompletenessRule(ProjectRule):
         config_fields = self._config_fields(project)
         if config_fields is None:
             return
-        for node in cache_info.ctx.tree.body:
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if "key" not in node.name:
-                continue
-            params = {a.arg for a in (list(node.args.posonlyargs)
-                                      + list(node.args.args))}
-            if "config" not in params:
-                continue
-            yield from self._check_key_function(cache_info, node,
-                                                config_fields)
+        functions = [node for node in cache_info.ctx.tree.body
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                     and "config" in {a.arg for a in (
+                         list(node.args.posonlyargs)
+                         + list(node.args.args))}]
+        # Functions iterating fields(config), by name: the parameters
+        # their loop compares field names against.
+        walkers = {}
+        for node in functions:
+            loop = self._fields_loop(node)
+            if loop is not None:
+                walkers[node.name] = self._skip_params(loop)
+        for node in functions:
+            if "key" in node.name:
+                yield from self._check_key_function(
+                    cache_info, node, config_fields, walkers)
 
     @staticmethod
     def _config_fields(project: ProjectContext) -> Optional[Set[str]]:
@@ -375,11 +383,17 @@ class CacheKeyCompletenessRule(ProjectRule):
         return None
 
     def _check_key_function(self, info: ModuleInfo, func: ast.AST,
-                            config_fields: Set[str]
+                            config_fields: Set[str],
+                            walkers: Dict[str, Set[str]]
                             ) -> Iterable[Finding]:
         loop = self._fields_loop(func)
-        if loop is not None:
-            for name, node in self._skipped_names(loop):
+        call = None if loop is not None else self._delegation(func,
+                                                               walkers)
+        if loop is not None or call is not None:
+            skipped = (self._skipped_names(loop) if loop is not None
+                       else self._passed_skips(call,
+                                               walkers[call.func.id]))
+            for name, node in skipped:
                 if name not in config_fields:
                     yield self.finding(
                         info.ctx, node,
@@ -422,6 +436,45 @@ class CacheKeyCompletenessRule(ProjectRule):
                         for arg in node.iter.args):
                     return node
         return None
+
+    @staticmethod
+    def _delegation(func: ast.AST, walkers: Dict[str, Set[str]]
+                    ) -> Optional[ast.Call]:
+        """A call in ``func`` handing ``config`` to a fields walker."""
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id in walkers \
+                    and node.func.id != getattr(func, "name", None) \
+                    and any(isinstance(arg, ast.Name)
+                            and arg.id == "config"
+                            for arg in node.args + [kw.value for kw
+                                                    in node.keywords]):
+                return node
+        return None
+
+    @staticmethod
+    def _skip_params(loop: ast.For) -> Set[str]:
+        """Names a fields loop compares ``spec.name`` against."""
+        return {node.comparators[0].id for node in ast.walk(loop)
+                if isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.left, ast.Attribute)
+                and node.left.attr == "name"
+                and isinstance(node.comparators[0], ast.Name)}
+
+    @staticmethod
+    def _passed_skips(call: ast.Call, params: Set[str]):
+        """String constants a call passes for a walker's skip
+        parameters, with their nodes."""
+        for kw in call.keywords:
+            if kw.arg not in params:
+                continue
+            values = (kw.value.elts if isinstance(kw.value, (
+                ast.Tuple, ast.List, ast.Set)) else [kw.value])
+            for value in values:
+                if isinstance(value, ast.Constant) \
+                        and isinstance(value.value, str):
+                    yield value.value, value
 
     @staticmethod
     def _skipped_names(loop: ast.For):

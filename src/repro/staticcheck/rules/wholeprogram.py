@@ -2,8 +2,8 @@
 
 ``GW302``  stateful discipline — a subclass of
            :class:`~repro.disciplines.base.AllocationFunction` whose
-           allocation methods (``congestion``/``__call__``/
-           ``allocate``) write module-level state.  The paper's
+           allocation methods (``congestion``/``congestion_many``/
+           ``__call__``/``allocate``) write module-level state.  The paper's
            allocation function is a *pure map* from rate vectors to
            congestion vectors; hidden state breaks the Nash/Pareto
            machinery (and any parallel evaluation) silently.
@@ -31,7 +31,8 @@ from repro.staticcheck.project import (
 )
 
 #: Methods forming the allocation surface of a discipline.
-ALLOCATION_METHODS = frozenset({"congestion", "__call__", "allocate"})
+ALLOCATION_METHODS = frozenset({"congestion", "congestion_many", "__call__",
+                                "allocate"})
 
 
 @register_rule
@@ -41,9 +42,9 @@ class StatefulDisciplineRule(ProjectRule):
     rule_id = "GW302"
     name = "stateful-discipline"
     description = ("AllocationFunction subclasses must keep "
-                   "congestion/__call__/allocate pure: no writes to "
-                   "module-level state (the paper's allocation "
-                   "function is a pure map r -> c)")
+                   "congestion/congestion_many/__call__/allocate pure: "
+                   "no writes to module-level state (the paper's "
+                   "allocation function is a pure map r -> c)")
 
     def check_project(self, project: ProjectContext
                       ) -> Iterable[Finding]:

@@ -37,6 +37,7 @@ from repro.game.classes import (
     solve_nash_classes_fdc,
 )
 from repro.game.best_response import best_response, utility_improvement
+import repro.game.nash as nash_module
 from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
@@ -432,18 +433,26 @@ class TestCertifyExpansion:
 
 
 class TestFindAllNashClassSeeding:
-    def test_small_n_byte_identical(self):
-        """Below the population threshold the flat Dirichlet draws are
-        untouched: default and class_starts=False agree exactly."""
+    def test_small_n_byte_identical(self, monkeypatch):
+        """Below the population threshold the starts are the flat
+        Dirichlet draws, byte for byte: a replay of the draws matches
+        every start the search solves from."""
         fs = make_discipline("fair-share")
         profile = [LinearUtility(gamma=g) for g in (0.3, 0.5, 0.7)]
-        default = find_all_nash(fs, profile, n_starts=4,
-                                rng=default_rng(7))
-        flat = find_all_nash(fs, profile, n_starts=4,
-                             rng=default_rng(7), class_starts=False)
-        assert len(default) == len(flat)
-        for a, b in zip(default, flat):
-            assert np.array_equal(a.rates, b.rates)
+        starts = []
+
+        def recording_solve(allocation, profile, r0, **kwargs):
+            starts.append(np.array(r0))
+            return solve_nash(allocation, profile, r0=r0, **kwargs)
+
+        monkeypatch.setattr(nash_module, "solve_nash", recording_solve)
+        find_all_nash(fs, profile, n_starts=4, rng=default_rng(7))
+        replay = default_rng(7)
+        for start in starts:
+            direction = replay.dirichlet(np.ones(len(profile)))
+            load = replay.uniform(0.05, 0.95 * fs.curve.capacity)
+            assert (direction * load).tobytes() == start.tobytes()
+        assert len(starts) == 4
 
     def test_class_seeded_search_certifies(self):
         """Per-class seeding at N=120 still lands on certified
@@ -453,7 +462,7 @@ class TestFindAllNashClassSeeding:
         utilities, counts = class_setup(120, 3)
         profile = expand_profile(utilities, counts)
         found = find_all_nash(fs, profile, n_starts=2,
-                              rng=default_rng(11), class_starts=True)
+                              rng=default_rng(11))
         assert found
         for result in found:
             assert result.max_gain <= 1e-6

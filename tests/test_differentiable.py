@@ -1,15 +1,20 @@
-"""The derivative contract of every congestion map.
+"""The value and derivative contract of every congestion map.
 
-A congestion map writes two rows per user, ``gradient_i`` (``dC_i/dr_j``
-over ``j``) and ``second_gradient_i`` (``d^2 C_i/dr_i dr_j`` over ``j``);
+A congestion map writes one full-profile value form, ``congestion`` or
+the batched ``congestion_many``, and the base derives the other, with
+``congestion_i``, ``__call__`` and ``congestion_grid``.  It writes two
+rows per user, ``gradient_i`` (``dC_i/dr_j`` over ``j``) and
+``second_gradient_i`` (``d^2 C_i/dr_i dr_j`` over ``j``);
 ``own_derivative``, ``cross_derivative``, ``jacobian``,
 ``own_second_derivative`` and ``mixed_second_derivative`` read them.
 
-* :data:`DERIVATIVE_DIGESTS` pins those five hooks bit for bit on
+* :data:`CONGESTION_DIGESTS` pins the values, and
+  :data:`DERIVATIVE_DIGESTS` the five derivative hooks, bit for bit on
   profiles with ties and overload, for every discipline, a subsystem of
   each and a three-switch network.
 * The generated tests hold every map's rows to the finite-difference
-  oracles of :mod:`tests.oracles`, and every hook to its row entry.
+  oracles of :mod:`tests.oracles`, every hook to its row entry, and
+  every value view to the written form.
 """
 
 import hashlib
@@ -19,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disciplines.base import AllocationFunction, Differentiable
 from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.disciplines.registry import available_disciplines, make_discipline
 from repro.network.model import NetworkAllocation
@@ -151,6 +157,113 @@ class TestDerivativeDigests:
         assert derivative_digests(label) == DERIVATIVE_DIGESTS[label]
 
 
+#: Class-symmetric profiles: singleton classes, tied class rates and an
+#: overloaded one.
+CLASS_PROFILES = (([0.05, 0.1, 0.2], [1, 3, 2]),
+                  ([0.1, 0.1, 0.05, 0.3], [2, 1, 1, 1]),
+                  ([0.2, 0.45], [2, 1]), ([0.07], [1]),
+                  ([0.12, 0.2, 0.03], [2, 3, 1]))
+
+#: Own-rate candidates for ``congestion_grid``, zero and past capacity
+#: included.
+CANDIDATES = np.concatenate((np.linspace(0.0, 0.6, 13), [0.1, 0.95, 1.5]))
+
+VALUES = ("congestion", "congestion_i", "congestion_many",
+          "congestion_grid", "class_congestion")
+
+
+def _values(subject, rates, method):
+    """Every value of one view at ``rates`` as a float array; the batch
+    holds the profile reversed, halved, overloaded and all at its top
+    rate."""
+    n = rates.size
+    if method == "congestion":
+        return np.concatenate((subject.congestion(rates), subject(rates)))
+    if method == "congestion_i":
+        return np.array([subject.congestion_i(rates, i) for i in range(n)])
+    if method == "congestion_many":
+        batch = np.stack((rates, rates[::-1], 0.5 * rates, 1.6 * rates,
+                          np.full(n, rates.max())))
+        return subject.congestion_many(batch)
+    return np.stack([subject.congestion_grid(rates, i, CANDIDATES)
+                     for i in range(n)])
+
+
+def congestion_digests(label):
+    """One SHA-256 prefix per value view, over every case of ``label``;
+    ``None`` for a view the subject did not have when they were
+    recorded (class congestion off the symmetric disciplines, a grid on
+    the network)."""
+    name, _, sub = label.partition("|")
+    digests = []
+    for method in VALUES:
+        if (method == "class_congestion" and (sub or label == "network")
+                or method == "congestion_grid" and label == "network"):
+            digests.append(None)
+            continue
+        digest = hashlib.sha256()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            if method == "class_congestion":
+                for c, m in CLASS_PROFILES:
+                    digest.update(_make(name, sum(m)).class_congestion(
+                        c, m).tobytes())
+            else:
+                for subject, rates in _subject_cases(label):
+                    digest.update(_values(subject, rates, method).tobytes())
+        digests.append(digest.hexdigest()[:16])
+    return tuple(digests)
+
+
+#: SHA-256 prefixes of the five value views, in :data:`VALUES` order,
+#: recorded while every discipline still wrote each view by hand.
+CONGESTION_DIGESTS = {
+    "fair-share": ("2ca193fc77e51ef3", "c1b0b805ab471e5c",
+                   "5a2b3b999e1781c5", "eb2f3c95e49aca77",
+                   "d1049791ddca31ed"),
+    "fair-share|fixed": ("ecec2dc9b96d486a", "9da0abd0d2473815",
+                         "d358c1c53434b8f8", "a8cb713d2fc4bb9c", None),
+    "fifo": ("0a5e02f0fed2fef0", "8081cbc9568a526b", "4992b50d794a17a7",
+             "a92cb51033510e13", "55e0408e0fdc967f"),
+    "fifo|fixed": ("0c36f0c63ce15a1a", "b727fd62565aa637",
+                   "dc9992078fdd5ff5", "2cdd679b2dd4763c", None),
+    "network": ("5a3944d0a564371c", "cdee4dbfb4945a96",
+                "904a2d0338d0b615", None, None),
+    "priority": ("657076f981bb520a", "8344cf9cf4511064",
+                 "0d94c89a537378aa", "a16b22469e73cbe9",
+                 "033d0511d068d9a4"),
+    "priority-descending": ("9222a8a0c6453d94", "509d7d052386d02b",
+                            "265790539e473380", "fa4d2dd1d7bd2af4",
+                            "2846ad4c701254c6"),
+    "priority-descending|fixed": ("d66c2d396ae52800", "defbd452fe851ed5",
+                                  "af87573bc7fcb9ff", "4eacd9a52e139462",
+                                  None),
+    "priority|fixed": ("994a593e8bca9401", "ea4c45b0e1d3260e",
+                       "e7fad7b3253f4171", "a766b34cfaae188c", None),
+    "separable": ("bebf868054d76b2d", "aa9d464273b0022c",
+                  "a8b2dfcc56e43368", "31bae07c686ef4f5",
+                  "5381103ebeef16ef"),
+    "separable|fixed": ("bdeb19e95c981199", "0d43819a0f498dbf",
+                        "05c2dd2493e36579", "89dab19dd0e7f4ce", None),
+    "stalling-pivot": ("ee79d997c486479e", "5c04be0c77d06499",
+                       "8b6bff37bf0f94be", "beaa595321603060",
+                       "beda881e1f4b5e08"),
+    "stalling-pivot|fixed": ("0db8630f1e155f38", "742dbeafccfbbfed",
+                             "3fa30a8481d96391", "364fb74e0f003cf8", None),
+    "weighted-proportional": ("6d1ab9ecd469ac1b", "cff84573ca3d7cb4",
+                              "48e4bee344121204", "0cbfe9adcc86bd71",
+                              "02add4db17bd7d6a"),
+    "weighted-proportional|fixed": ("870251c854d8a601", "5673265070c13539",
+                                    "1a0a1f3bdffeb2b2", "6477ceac721a986a",
+                                    None),
+}
+
+
+class TestCongestionDigests:
+    @pytest.mark.parametrize("label", sorted(CONGESTION_DIGESTS))
+    def test_values_unchanged(self, label):
+        assert congestion_digests(label) == CONGESTION_DIGESTS[label]
+
+
 #: Every registered discipline and the weighted-proportional family, a
 #: subsystem of each (one user frozen), and the network.
 CONTRACT_LABELS = sorted(
@@ -217,3 +330,64 @@ class TestRowsAndHooks:
             second.tobytes()
         assert hooks["own_second_derivative"].tobytes() == \
             np.diag(second).tobytes()
+
+
+class TestValueViews:
+    @given(case=contract_cases(max_load=1.4))
+    @settings(max_examples=40, deadline=None)
+    def test_views_read_the_written_form_bitwise(self, case):
+        """``congestion``, ``__call__``, ``congestion_i`` and each row of
+        ``congestion_many`` agree bit for bit, also past capacity."""
+        subject, rates = case
+        batch = np.stack((rates[::-1], rates, 0.5 * rates))
+        full = subject.congestion(rates)
+        assert subject(rates).tobytes() == full.tobytes()
+        assert subject.congestion_many(batch)[1].tobytes() == full.tobytes()
+        assert np.array([subject.congestion_i(rates, i)
+                         for i in range(rates.size)]).tobytes() == \
+            full.tobytes()
+        for b, row in enumerate(batch):
+            assert subject.congestion_many(batch)[b].tobytes() == \
+                subject.congestion(row).tobytes()
+
+    @given(case=contract_cases(max_load=1.4))
+    @settings(max_examples=40, deadline=None)
+    def test_singleton_class_rows_are_the_per_user_rows(self, case):
+        """Rows of a class profile with every count one are the per-user
+        rows, bit for bit.  FIFO and the pivot are left out: their
+        class rows sum the opponents with ``np.dot``, which rounds
+        differently from their per-user sums."""
+        subject, rates = case
+        if not isinstance(subject, AllocationFunction) or \
+                subject.name in ("proportional", "stalling-pivot"):
+            return
+        users = list(range(rates.size))[::-1]
+        xs = np.tile(np.concatenate((CANDIDATES, rates)), (rates.size, 1))
+        rows = subject.class_deviation_rows(
+            rates, np.ones(rates.size, dtype=int), users)(xs)
+        assert subject.grid_evaluator(rates, users)(xs).tobytes() == \
+            rows.tobytes()
+
+
+class _Neither(AllocationFunction):
+    """A discipline that writes no value form."""
+
+    name = "neither"
+
+
+class _NeitherMap(Differentiable):
+    """A congestion map that writes no value form."""
+
+
+class TestMissingValueForm:
+    @pytest.mark.parametrize("cls", [_Neither, _NeitherMap])
+    def test_every_value_view_raises_type_error(self, cls):
+        subject = cls()
+        rates = [0.1, 0.2]
+        calls = (lambda: subject.congestion(rates), lambda: subject(rates),
+                 lambda: subject.congestion_i(rates, 0),
+                 lambda: subject.congestion_many([rates]))
+        for call in calls:
+            with pytest.raises(TypeError, match="congestion or "
+                                                "congestion_many"):
+                call()

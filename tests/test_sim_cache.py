@@ -67,6 +67,35 @@ class TestKeying:
         config = replace(CONFIG, policy=StartTimeFairQueue(2))
         assert sim_cache.config_key(config, "v1") is None
 
+    #: ``(config_key, state_key, precision_key)`` hex of two configs,
+    #: recorded before the three builders shared one helper.  Persisted
+    #: caches, snapshots and sweep journals are keyed by them, so they
+    #: may never change.
+    PINNED_KEYS = (
+        (replace(CONFIG, batch_quota=50.0),
+         ("600983a80dd43ac83c6a4eeddcde889e54eda87f4b4a2c92b2c4b050317e2af6",
+          "state-192c6641076f7f50032c21753c5ac27450ec6746a4367a30d5b199dc3"
+          "b68d728",
+          "prec-e469c071f33650efb83758b480e3057662f951e68192e3d34147d56bee"
+          "dc293e")),
+        (SimulationConfig(rates=(0.05, 0.3, 0.15), policy="fair-share",
+                          horizon=5000.0, warmup=250.0, seed=11,
+                          batch_quota=125.0,
+                          arrival_process="hyperexponential"),
+         ("383ea7c1eb1969c0ecf204ed7df2f9bb19fa59e13e9dfbb8eed803aafe29d7ef",
+          "state-3d8bbe98e2abd71fad6992e4e9543d6d77fae18bc313ba0dcaffb8b2c"
+          "12290a2",
+          "prec-7e6ffe4f0353a0954234558fe8b446767fc136008d9d11aedbd3b3ed89"
+          "f085d7")),
+    )
+
+    @pytest.mark.parametrize("config, keys", PINNED_KEYS)
+    def test_keys_pinned(self, config, keys):
+        assert (sim_cache.config_key(config, "v1"),
+                sim_cache.state_key(config, "v1"),
+                sim_cache.precision_key(config, "v1", 0.05, 0.95, 2.0,
+                                        1e5, True)) == keys
+
 
 class TestSimulateThroughCache:
     def test_hit_returns_equal_result(self, cache_on, counted):

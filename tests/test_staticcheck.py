@@ -347,6 +347,45 @@ class TestDisciplineContract:
         assert "exactly one required parameter" in \
             result.findings[0].message
 
+    def test_batched_form_alone_passes(self, tmp_path):
+        """A discipline may write ``congestion_many`` instead of
+        ``congestion``: the base derives the one from the other."""
+        registry = self._tree(tmp_path, """\
+            from repro.disciplines.nice import NiceAllocation
+
+            _FACTORIES = {"nice": NiceAllocation}
+        """, discipline_src="""\
+            from repro.disciplines.base import AllocationFunction
+
+
+            class NiceAllocation(AllocationFunction):
+                name = "nice"
+
+                def congestion_many(self, profiles):
+                    return profiles
+        """)
+        assert findings_for(registry, "GW002").findings == []
+
+    def test_wrong_batched_signature_fails(self, tmp_path):
+        registry = self._tree(tmp_path, """\
+            from repro.disciplines.nice import NiceAllocation
+
+            _FACTORIES = {"nice": NiceAllocation}
+        """, discipline_src="""\
+            from repro.disciplines.base import AllocationFunction
+
+
+            class NiceAllocation(AllocationFunction):
+                name = "nice"
+
+                def congestion_many(self):
+                    return None
+        """)
+        result = findings_for(registry, "GW002")
+        assert len(result.findings) == 1
+        assert "congestion_many must take exactly one required " \
+            "parameter (profiles)" in result.findings[0].message
+
     def test_not_subclassing_base_fails(self, tmp_path):
         registry = self._tree(tmp_path, """\
             from repro.disciplines.nice import NiceAllocation
@@ -1035,6 +1074,26 @@ class TestStatefulDiscipline:
         assert "_CALLS" in result.findings[0].message
         assert "pure map" in result.findings[0].message
 
+    def test_batched_form_mutation_fails(self, tmp_path):
+        impl = self._tree(tmp_path, """\
+            from repro.disciplines.base import AllocationFunction
+
+            _CALLS = []
+
+
+            class LoggingAllocation(AllocationFunction):
+                name = "logging"
+
+                def congestion_many(self, profiles):
+                    _CALLS.append(len(profiles))
+                    return profiles
+        """)
+        result = run_checks([impl], rules=[get_rule("GW302")],
+                            project_root=tmp_path)
+        assert len(result.findings) == 1
+        assert "LoggingAllocation.congestion_many" in \
+            result.findings[0].message
+
     def test_global_statement_fails(self, tmp_path):
         impl = self._tree(tmp_path, """\
             from repro.disciplines.base import AllocationFunction
@@ -1488,6 +1547,41 @@ class TestCacheKeyCompleteness:
                             rules=[get_rule("GW403")],
                             project_root=tmp_path)
         assert result.findings == []
+
+    DELEGATING = """\
+        from dataclasses import fields
+
+
+        def _key(config, version, skip=""):
+            payload = {"version": version}
+            for spec in fields(config):
+                if spec.name != skip:
+                    payload[spec.name] = getattr(config, spec.name)
+            return repr(sorted(payload.items()))
+
+
+        def config_key(config, version):
+            return _key(config, version)
+
+
+        def state_key(config, version):
+            return _key(config, version, skip=SKIP)
+    """
+
+    def test_delegation_to_fields_walker_passes(self, tmp_path):
+        self._tree(tmp_path, self.DELEGATING.replace("SKIP", '"horizon"'))
+        result = run_checks([tmp_path / "src"],
+                            rules=[get_rule("GW403")],
+                            project_root=tmp_path)
+        assert result.findings == []
+
+    def test_delegated_skip_typo_fails(self, tmp_path):
+        self._tree(tmp_path, self.DELEGATING.replace("SKIP", '"horzon"'))
+        result = run_checks([tmp_path / "src"],
+                            rules=[get_rule("GW403")],
+                            project_root=tmp_path)
+        assert len(result.findings) == 1
+        assert "state_key skips 'horzon'" in result.findings[0].message
 
 
 class TestVariateContract:
