@@ -96,7 +96,7 @@ def test_fs_analytic_jacobian(benchmark):
 
 
 def test_best_response_fs(benchmark):
-    """One golden-section best response under Fair Share."""
+    """One grid-zoom best response under Fair Share."""
     utility = LinearUtility(gamma=0.3)
     rates = np.array([0.0, 0.2, 0.3])
     result = benchmark(best_response, FS, utility, rates, 0)

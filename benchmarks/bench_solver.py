@@ -1,12 +1,13 @@
-"""Benchmarks of the vectorized solver core against the scalar path.
+"""Benchmarks of the vectorized solver core against the scalar oracle.
 
-The game layer's hot loops — golden-section best responses, damped
+The game layer's hot loops — grid-zoom best responses, damped
 best-response Nash solves, and the adversarial protection search — all
 reduce to evaluating an allocation function over many candidate rate
-vectors, in batches (``grid_evaluator`` / ``congestion_many``).  The
-best responses and Nash solves keep a scalar scan, so these benchmarks
-time both of their paths and track the speedup per discipline and per
-user count; the protection search has one path, the batched scan, timed
+vectors, in batches (``grid_evaluator`` / ``congestion_many``).  Best
+responses and Nash solves have one path, the batched zoom; these
+benchmarks time it against the golden-section scan it replaced, kept
+as a test oracle, and track the speedup per discipline and per user
+count.  The protection search has one path, the batched scan, timed
 by :func:`test_adversarial_search_vectorized`.
 
 Running this file as a script times the matrix
@@ -14,15 +15,16 @@ Running this file as a script times the matrix
 appends the rows to ``BENCH_solver.json`` (one entry per run, tagged
 with the mode and the solver counters) so the trajectory is comparable
 across commits.  It needs the repository root on the path, for the
-scalar oracle in ``tests/oracles.py``::
+scalar oracles in ``tests/oracles.py``::
 
     PYTHONPATH=src:. python benchmarks/bench_solver.py -o BENCH_solver.json
 
-A ``vectorized`` row times the discipline as it is; a ``scalar`` row
-times :class:`tests.oracles.ScalarOnly` around it, which reports no
-one-pass grid, so every solver takes its scalar scan.  Each vectorized
-row carries ``speedup`` — the scalar best-of over the vectorized
-best-of for the same cell on the same box.
+A ``vectorized`` row times ``best_response``/``solve_nash``; a
+``scalar`` row times the golden-section oracles
+:func:`tests.oracles.scalar_best_response` and
+:func:`tests.oracles.scalar_nash` on the same discipline.  Each
+vectorized row carries ``speedup`` — the scalar best-of over the
+vectorized best-of for the same cell on the same box.
 
 Every appended row records where it ran: ``cpu_count``, the git
 revision of the measured checkout (``git_rev``; ``-dirty`` marks
@@ -40,6 +42,7 @@ fair-share Nash solve under five seconds.
 import argparse
 import json
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -54,7 +57,7 @@ from repro.game.protection import worst_case_congestion
 from repro.numerics.instrumentation import track_solver
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
-from tests.oracles import ScalarOnly
+from tests.oracles import scalar_best_response, scalar_nash
 
 #: The solver matrix: the disciplines with batched grids, at two sizes.
 SOLVER_DISCIPLINES = ("fair-share", "fifo", "priority", "separable")
@@ -76,15 +79,14 @@ def interior_rates(n):
     return np.linspace(0.02, 0.09, n)
 
 
-def run_best_response(allocation, n):
-    """One golden-section best response for user 0."""
-    return best_response(allocation, solver_profile(n)[0],
-                         interior_rates(n), 0)
+def run_best_response(allocation, n, respond=best_response):
+    """One best response for user 0 (``respond`` is the solver)."""
+    return respond(allocation, solver_profile(n)[0], interior_rates(n), 0)
 
 
-def run_solve_nash(allocation, n):
+def run_solve_nash(allocation, n, solve=solve_nash):
     """A damped best-response Nash solve over the full profile."""
-    return solve_nash(allocation, solver_profile(n))
+    return solve(allocation, solver_profile(n))
 
 
 def run_adversarial(allocation, n):
@@ -98,10 +100,16 @@ def run_adversarial(allocation, n):
                                  refine=False)
 
 
-#: kind label -> the callable timed for that row (both paths).
+#: kind label -> mode -> the callable timed for that row.
 SOLVER_KINDS = {
-    "best-response": run_best_response,
-    "solve-nash": run_solve_nash,
+    "best-response": {
+        "scalar": partial(run_best_response, respond=scalar_best_response),
+        "vectorized": run_best_response,
+    },
+    "solve-nash": {
+        "scalar": partial(run_solve_nash, solve=scalar_nash),
+        "vectorized": run_solve_nash,
+    },
 }
 
 
@@ -226,10 +234,9 @@ def measure_solver(rounds: int = 3):
     ``speedup`` over the scalar row of the same cell.
     """
     runs = []
-    for kind, runner in SOLVER_KINDS.items():
+    for kind, runners in SOLVER_KINDS.items():
         for name in SOLVER_DISCIPLINES:
-            grid = make_discipline(name)
-            allocations = {"scalar": ScalarOnly(grid), "vectorized": grid}
+            allocation = make_discipline(name)
             for n in SOLVER_SIZES:
                 # Sub-millisecond cells need many samples: resolving a
                 # ratio near 1.0x against container timer jitter takes
@@ -240,17 +247,17 @@ def measure_solver(rounds: int = 3):
                 # Interleave the modes round-by-round: measuring one
                 # mode's rounds back-to-back lets thermal/frequency
                 # drift masquerade as a mode difference.
-                best = dict.fromkeys(allocations, float("inf"))
-                counters = dict.fromkeys(allocations)
+                best = dict.fromkeys(runners, float("inf"))
+                counters = dict.fromkeys(runners)
                 for _ in range(cell_rounds):
-                    for mode, allocation in allocations.items():
+                    for mode, runner in runners.items():
                         seconds, stats = _time_cell(
                             runner, allocation, n, 1, reps=reps)
                         if seconds < best[mode]:
                             best[mode] = seconds
                             counters[mode] = stats
                 rows = {}
-                for mode in allocations:
+                for mode in runners:
                     rows[mode] = {
                         "kind": kind,
                         "discipline": name,

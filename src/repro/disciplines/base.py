@@ -44,11 +44,11 @@ Solvers scan candidate rates in bulk through
 candidate own-rates, one candidate row per user, opponents held fixed,
 with the opponent-side precomputation done once for repeated calls.
 :meth:`~Differentiable.congestion_grid` is its one-user view.  The
-batched value form is the discipline's :meth:`congestion_many` (the
-proportional, Fair Share, separable and pivot disciplines write it; the
-priority and weighted disciplines write ``congestion``).  A discipline
-whose rows are one numpy pass sets :attr:`vectorized_grid`, so solvers
-know a batched call is genuinely one pass.
+batched value form is the map's :meth:`congestion_many` (the priority
+discipline alone writes ``congestion``).  A map that writes no rows of
+its own gets :func:`point_rows`, which scores a whole round of
+candidates in one :meth:`congestion_many` call, so every map's rows
+are one batch per round and best responses have one path.
 
 Symmetry-class evaluation (the class-space solver core)
 -------------------------------------------------------
@@ -73,8 +73,8 @@ counts)`` alone.  The base class exposes
 
 A discipline's per-user rows are its class rows with every count one
 (each user a class of its own): :meth:`AllocationFunction.grid_evaluator`
-reads them.  The class defaults expand classes to the full N-vector,
-the rows looping over :meth:`congestion_i` (exact, but O(N) per
+reads them.  The class defaults expand classes to the full N-vector
+and score the rows through :func:`point_rows` (exact, but O(N) per
 candidate); disciplines with closed forms write O(K) passes.
 """
 
@@ -119,19 +119,28 @@ def opponent_rows(rates: np.ndarray, users: np.ndarray) -> np.ndarray:
 def point_rows(subject: "Differentiable", profiles: Sequence[np.ndarray],
                users: Sequence[int]) -> RowEvaluator:
     """Row ``b``: ``congestion_i`` of user ``users[b]`` of
-    ``profiles[b]``, that user moved to each candidate in turn."""
-    bases = [np.array(profile, dtype=float) for profile in profiles]
-    rows = [int(i) for i in users]
+    ``profiles[b]``, that user moved to each candidate in turn.
+
+    The profiles share one length N.  A round of B rows by K
+    candidates is one :meth:`~Differentiable.congestion_many` call over
+    its B·K candidate profiles, entry ``[b, k]`` read off profile
+    ``b·K + k``; since a batch row equals its one-profile call bit for
+    bit, so does each entry its ``congestion_i``.  The round holds
+    B·K·N floats: fine for the maps on these rows (the network and
+    weighted-proportional sharing run at N <= 5); a large population
+    belongs on a map's own rows or in class space.
+    """
+    bases = np.array(profiles, dtype=float)
+    rows = np.asarray(users, dtype=int)
 
     def evaluate(xs: np.ndarray) -> np.ndarray:
         cand = np.asarray(xs, dtype=float)
-        out = np.empty(cand.shape)
-        for b, (base, i) in enumerate(zip(bases, rows)):
-            full = base.copy()
-            for k, x in enumerate(cand[b].tolist()):
-                full[i] = x
-                out[b, k] = subject.congestion_i(full, i)
-        return out
+        batch = np.repeat(bases, cand.shape[1], axis=0)
+        flat = np.arange(batch.shape[0])
+        moved = np.repeat(rows, cand.shape[1])
+        batch[flat, moved] = cand.ravel()
+        return subject.congestion_many(batch)[flat, moved].reshape(
+            cand.shape)
 
     return evaluate
 
@@ -190,8 +199,9 @@ class Differentiable:
     :meth:`congestion` or :meth:`congestion_many`; the other is derived
     from it, as are :meth:`congestion_i`, ``__call__`` and
     :meth:`congestion_grid`.  A map may write
-    :meth:`grid_evaluator`'s rows (the default loops over
-    :meth:`congestion_i`) and two derivative rows per user,
+    :meth:`grid_evaluator`'s rows (the default, :func:`point_rows`,
+    scores each round in one :meth:`congestion_many` call) and two
+    derivative rows per user,
 
     * :meth:`gradient_i` — ``dC_i/dr_j`` over ``j``;
     * :meth:`second_gradient_i` — ``d^2 C_i/dr_i dr_j`` over ``j``.
@@ -243,8 +253,9 @@ class Differentiable:
         the *same* profile — for a simultaneous best-response round,
         one row per user — so a map may hoist the opponent-only
         precomputation (sort, ladder, prefix sums) out of the per-grid
-        call and share one pass across the rows.  The default loops
-        over the candidates (same work as a scalar scan).
+        call and share one pass across the rows.  The default,
+        :func:`point_rows`, scores a round in one
+        :meth:`congestion_many` call.
         """
         r = np.array(rates, dtype=float)
         return point_rows(self, [r] * len(users), users)
@@ -316,13 +327,6 @@ class AllocationFunction(Differentiable):
 
     name: str = "allocation"
 
-    #: True when :meth:`grid_evaluator`/:meth:`congestion_many` are
-    #: real one-pass numpy implementations rather than the scalar-loop
-    #: fallback.  Best responses read it to pick their one path: the
-    #: batched grid zoom when True, the scalar scan over
-    #: :meth:`congestion_i` when False.
-    vectorized_grid: bool = False
-
     def __init__(self, curve: Optional[ServiceCurve] = None) -> None:
         self.curve = curve if curve is not None else MM1Curve()
         self.feasibility = FeasibilitySet(self.curve)
@@ -380,8 +384,8 @@ class AllocationFunction(Differentiable):
         all K classes through it.
 
         The default expands each row to a full vector, the deviator at
-        the start of its class block, and loops over
-        :meth:`congestion_i` (exact, O(N) per candidate); disciplines
+        the start of its class block, and scores them through
+        :func:`point_rows` (exact, O(N) per candidate); disciplines
         with closed forms override it with one O(K) pass over all rows.
         """
         c, m = check_classes(class_rates, counts)
@@ -507,18 +511,13 @@ class Subsystem(Differentiable):
                 full[i] = next(free_iter)
         return full
 
-    @property
-    def vectorized_grid(self) -> bool:
-        """Whether the parent discipline has a one-pass grid path."""
-        return self.parent.vectorized_grid
-
     def grid_evaluator(self, free_rates: Sequence[float],
                        users: Sequence[int]) -> RowEvaluator:
         """Reusable row evaluator for free ``users`` (see
         :meth:`Differentiable.grid_evaluator`): the parent's rows at the
         users' original indices, so the embedding and the parent's
-        opponent precomputation both happen once and a vectorized
-        parent keeps its one-pass path inside subsystems."""
+        opponent precomputation both happen once and the parent's rows
+        stay one pass inside subsystems."""
         full = self.embed(free_rates)
         free = self.free_indices(full.size)
         return self.parent.grid_evaluator(full, [free[i] for i in users])
@@ -530,8 +529,8 @@ class Subsystem(Differentiable):
         the rest.
 
         Embeds the whole batch at once and delegates to the parent's
-        :meth:`~Differentiable.congestion_many`, keeping a vectorized
-        parent one-pass inside subsystems.
+        :meth:`~Differentiable.congestion_many`, keeping the parent's
+        batch one pass inside subsystems.
         """
         batch = np.asarray(profiles, dtype=float)
         n_total = batch.shape[1] + len(self.fixed)

@@ -43,7 +43,6 @@ class FairShareAllocation(AllocationFunction):
     """Fair Share / serial cost sharing on a convex service curve."""
 
     name = "fair-share"
-    vectorized_grid = True
 
     # -- ladder geometry ---------------------------------------------------
 

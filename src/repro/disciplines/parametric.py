@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.disciplines.base import AllocationFunction
 from repro.exceptions import DisciplineError
-from repro.numerics.tolerances import is_zero
+from repro.numerics.tolerances import ZERO_ATOL
 from repro.queueing.service_curves import ServiceCurve
 
 
@@ -51,18 +51,27 @@ class WeightedProportionalAllocation(AllocationFunction):
         """A copy of this discipline with different signalling weights."""
         return WeightedProportionalAllocation(weights, curve=self.curve)
 
-    def congestion(self, rates: Sequence[float]) -> np.ndarray:
-        r = np.asarray(rates, dtype=float)
-        if r.size != self.weights.size:
+    def congestion_many(self, profiles: Sequence[Sequence[float]]
+                        ) -> np.ndarray:
+        """The split for each profile of the batch: ``inf`` for every
+        user at or past capacity, and 0 where the weighted total
+        ``sum_j w_j r_j`` is zero (within ``ZERO_ATOL``, as
+        :func:`~repro.numerics.tolerances.is_zero` has it)."""
+        batch = np.asarray(profiles, dtype=float)
+        if batch.ndim != 2 or batch.shape[1] != self.weights.size:
             raise DisciplineError(
-                f"expected {self.weights.size} rates, got {r.size}")
-        if np.any(r < 0.0):
-            raise DisciplineError(f"rates must be nonnegative, got {r}")
-        total = float(r.sum())
-        if total >= self.curve.capacity:
-            return np.full(r.shape, math.inf)
-        weighted = self.weights * r
-        denom = float(weighted.sum())
-        if is_zero(denom):
-            return np.zeros_like(r)
-        return (self.curve.value(total) / denom) * weighted
+                f"expected profiles of {self.weights.size} rates, got "
+                f"shape {batch.shape}")
+        if np.any(batch < 0.0):
+            raise DisciplineError(f"rates must be nonnegative, got {batch}")
+        totals = batch.sum(axis=1)
+        weighted = self.weights * batch
+        denoms = weighted.sum(axis=1)
+        over = totals >= self.curve.capacity
+        split = ~over & (np.abs(denoms) > ZERO_ATOL)
+        g = self.curve.values(np.where(over, 0.0, totals))
+        scale = np.divide(g, denoms, where=split,
+                          out=np.zeros(denoms.shape))
+        out = scale[:, None] * weighted
+        out[over] = math.inf
+        return out

@@ -32,8 +32,6 @@ from repro.queueing.service_curves import ServiceCurve
 class PriorityAllocation(AllocationFunction):
     """Per-user preemptive priority ordered by rate."""
 
-    vectorized_grid = True
-
     def __init__(self, curve: Optional[ServiceCurve] = None,
                  ascending: bool = True) -> None:
         super().__init__(curve)

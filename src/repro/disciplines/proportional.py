@@ -34,7 +34,6 @@ class ProportionalAllocation(AllocationFunction):
     """
 
     name = "proportional"
-    vectorized_grid = True
 
     # -- curve helpers -----------------------------------------------------
 

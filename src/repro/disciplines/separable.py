@@ -70,7 +70,6 @@ class SeparableAllocation(AllocationFunction):
     """
 
     name = "separable"
-    vectorized_grid = True
 
     def __init__(self, constraint: SumOfSquaresConstraint = None) -> None:
         self.constraint = (constraint if constraint is not None

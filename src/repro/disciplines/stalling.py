@@ -41,7 +41,6 @@ class PivotAllocation(AllocationFunction):
     """The stalling pivot mechanism ``C_i = g(S) - g(S - r_i)``."""
 
     name = "stalling-pivot"
-    vectorized_grid = True
 
     def congestion_many(self, profiles: Sequence[Sequence[float]]
                         ) -> np.ndarray:

@@ -3,28 +3,28 @@
 The paper's users are selfish: user ``i`` varies ``r_i`` to maximize
 ``U_i(r_i, C_i(r |^i r_i))`` with the other rates held fixed.  The
 objective is smooth inside the stable region and drops to ``-inf``
-where the user's own congestion diverges, so a scan + golden-section
-maximization is both robust and accurate.
+where the user's own congestion diverges, so a coarse scan followed
+by local refinement is both robust and accurate.
 
-When the discipline advertises a one-pass grid
-(:attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`),
-a best response is a handful of batched grid-zoom rounds
-(:func:`~repro.numerics.optimize.grid_maximize_rows`) over the
-discipline's row evaluator instead of ~100 scalar congestion
-evaluations.  The simultaneous map :func:`best_response_map` and the
-certificate :func:`utility_improvements` run one zoom for *all* N
-users: each round is one multi-user ``grid_evaluator`` pass and one
-row-wise utility pass (a columnar one for a profile of one parametric
-family), and a lone :func:`best_response` is the same zoom with one
-row, so a row's result does not depend on the other rows.  The
-class-space solvers batch their K classes the same way, and their
-expansion certificate scores its spot-check users through the same
-batched call.  An exception from the evaluator propagates.  A
-discipline without a one-pass grid (a ``NetworkAllocation``, weighted
-proportional sharing) takes the scalar golden-section scan over
-``congestion_i``, its only path.  Every best response adds its
-evaluation counts to the ``solver.*`` counters of :mod:`repro.obs`,
-counted per user either way.
+Every congestion map answers through one path: a best response is a
+handful of batched grid-zoom rounds
+(:func:`~repro.numerics.optimize.grid_maximize_rows`) over the map's
+row evaluator, a :data:`SCAN_POINTS`-point scan of
+``[MIN_RATE, cap]`` and zoom rounds down to :data:`ZOOM_TOL`.  The
+simultaneous map :func:`best_response_map` and the certificate
+:func:`utility_improvements` run one zoom for *all* N users: each
+round is one multi-user ``grid_evaluator`` pass and one row-wise
+utility pass (a columnar one for a profile of one parametric family),
+and a lone :func:`best_response` is the same zoom with one row, so a
+row's result does not depend on the other rows.  A map without rows
+of its own (a ``NetworkAllocation``, weighted proportional sharing)
+scores a round through the default
+:func:`~repro.disciplines.base.point_rows`, one ``congestion_many``
+batch.  The class-space solvers batch their K classes the same way,
+and their expansion certificate scores its spot-check users through
+the same batched call.  An exception from the evaluator propagates.
+Every best response adds its evaluation counts to the ``solver.*``
+counters of :mod:`repro.obs`, counted per user.
 """
 
 from __future__ import annotations
@@ -35,13 +35,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 import repro.obs as obs
-from repro.numerics.optimize import (ScalarMaxResult, grid_maximize_rows,
-                                     multistart_maximize)
+from repro.numerics.optimize import ScalarMaxResult, grid_maximize_rows
 from repro.users.families import value_grid_rows
 from repro.users.utility import Utility
 
 #: Smallest rate a user will consider (the paper requires ``r_i > 0``).
 MIN_RATE = 1e-6
+
+#: Points of the coarse scan that opens every best response.
+SCAN_POINTS = 65
+
+#: Bracket width at which a best response's zoom stops.
+ZOOM_TOL = 1e-11
 
 
 def _default_rate_cap(allocation) -> float:
@@ -71,99 +76,63 @@ def _count(results: Sequence[ScalarMaxResult]) -> None:
 
 
 def best_response(allocation, utility: Utility, rates: Sequence[float],
-                  i: int, r_max: Optional[float] = None,
-                  n_scan: int = 65, tol: float = 1e-11) -> ScalarMaxResult:
+                  i: int) -> ScalarMaxResult:
     """Maximize user ``i``'s utility along its own rate axis.
 
-    The discipline picks the path: with
-    :attr:`~repro.disciplines.base.AllocationFunction.vectorized_grid`
-    set, the scan and refinement are a one-row grid zoom over its
-    ``grid_evaluator`` (row ``i`` of :func:`best_response_map`);
-    otherwise they are the scalar golden-section scan over
-    ``congestion_i``.
+    Row ``i`` of :func:`best_response_map`: a one-row grid zoom over
+    the map's ``grid_evaluator``, searching ``[MIN_RATE, cap]`` with
+    the cap just under the capacity pole.
 
     Parameters
     ----------
     allocation:
-        An allocation function (or subsystem) exposing ``congestion_i``.
+        A congestion map (:class:`~repro.disciplines.base.Differentiable`).
     utility:
         User ``i``'s utility.
     rates:
         Current full rate vector; entry ``i`` is ignored.
-    r_max:
-        Upper search bound; defaults to just under the capacity pole.
-    n_scan:
-        Grid size of the global scan preceding local refinement.
     """
-    r = np.asarray(rates, dtype=float)
-    if getattr(allocation, "vectorized_grid", False):
-        return _zoom_rows(allocation.grid_evaluator(r, [i]), [utility],
-                          allocation, r_max, n_scan, tol)[0]
-    base = r.copy()
-    hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
-
-    def objective(x: float) -> float:
-        base[i] = x
-        congestion = allocation.congestion_i(base, i)
-        return utility.value(x, congestion)
-
-    result = multistart_maximize(objective, MIN_RATE, hi, n_scan=n_scan,
-                                 tol=tol)
-    _count([result])
-    return result
+    return _best_responses(allocation, [utility], rates, users=[i])[0]
 
 
 def _best_responses(allocation, profile: Sequence[Utility],
                    rates: Sequence[float],
-                   r_max: Optional[float] = None,
-                   n_scan: int = 65,
-                   tol: float = 1e-11,
                    users: Optional[Sequence[int]] = None
                    ) -> List[ScalarMaxResult]:
     """Every user's :func:`best_response` against the same ``rates``.
 
     ``profile[b]`` is the utility of user ``users[b]`` (by default
-    user ``b``: the whole population).  On the grid path the
-    maximizations run as one row-wise zoom
-    (:func:`~repro.numerics.optimize.grid_maximize_rows`): each round
-    is one multi-user ``grid_evaluator`` call plus one
+    user ``b``: the whole population).  The maximizations run as one
+    row-wise zoom (:func:`~repro.numerics.optimize.grid_maximize_rows`):
+    each round is one multi-user ``grid_evaluator`` call plus one
     :func:`~repro.users.families.value_grid_rows` pass, and row ``b``
     does exactly the arithmetic of user ``users[b]``'s one-row zoom,
     so results and ``solver.*`` counts equal the per-user ones bit for
-    bit.  Off the grid path users are solved one at a time through
-    :func:`best_response`.  A batched Fair Share round holds every
-    user's opponent tables, O(N^2) floats; per-user solves past a few
-    thousand users belong in class space (:mod:`repro.game.classes`)
-    anyway.
+    bit.  A batched Fair Share round holds every user's opponent
+    tables, O(N^2) floats; per-user solves past a few thousand users
+    belong in class space (:mod:`repro.game.classes`) anyway.
     """
     r = np.asarray(rates, dtype=float)
     rows = range(len(profile)) if users is None else users
-    if getattr(allocation, "vectorized_grid", False):
-        return _zoom_rows(allocation.grid_evaluator(r, rows), profile,
-                          allocation, r_max, n_scan, tol)
-    return [best_response(allocation, utility, r, i, r_max=r_max,
-                          n_scan=n_scan, tol=tol)
-            for i, utility in zip(rows, profile)]
+    return _zoom_rows(allocation.grid_evaluator(r, rows), profile,
+                      allocation)
 
 
-def _zoom_rows(evaluate, utilities: Sequence[Utility], allocation,
-               r_max: Optional[float], n_scan: int,
-               tol: float) -> List[ScalarMaxResult]:
+def _zoom_rows(evaluate, utilities: Sequence[Utility],
+               allocation) -> List[ScalarMaxResult]:
     """One row-wise zoom: row ``b`` maximizes ``utilities[b]`` over the
     congestion ``evaluate`` gives its row; counted per row."""
-    hi = _default_rate_cap(allocation) if r_max is None else float(r_max)
     values = value_grid_rows(utilities)
     results = grid_maximize_rows(lambda xs: values(xs, evaluate(xs)),
-                                 len(utilities), MIN_RATE, hi,
-                                 n_scan=n_scan, tol=tol)
+                                 len(utilities), MIN_RATE,
+                                 _default_rate_cap(allocation),
+                                 n_scan=SCAN_POINTS, tol=ZOOM_TOL)
     _count(results)
     return results
 
 
 def best_response_map(allocation, profile: Sequence[Utility],
-                      rates: Sequence[float],
-                      r_max: Optional[float] = None,
-                      n_scan: int = 65, tol: float = 1e-11) -> np.ndarray:
+                      rates: Sequence[float]) -> np.ndarray:
     """Simultaneous best responses: ``B(r)_i = argmax_x U_i(x, C_i)``.
 
     Fixed points of this map are exactly the Nash equilibria.
@@ -172,8 +141,7 @@ def best_response_map(allocation, profile: Sequence[Utility],
     if len(profile) != r.size:
         raise ValueError(
             f"profile has {len(profile)} utilities for {r.size} rates")
-    results = _best_responses(allocation, profile, r, r_max=r_max,
-                              n_scan=n_scan, tol=tol)
+    results = _best_responses(allocation, profile, r)
     return np.array([result.x for result in results], dtype=float)
 
 
@@ -194,8 +162,7 @@ def _gain(current: float, best: ScalarMaxResult) -> float:
 
 
 def utility_improvement(allocation, utility: Utility,
-                        rates: Sequence[float], i: int,
-                        r_max: Optional[float] = None) -> float:
+                        rates: Sequence[float], i: int) -> float:
     """How much user ``i`` could gain by deviating unilaterally.
 
     Zero (up to solver tolerance) at a Nash equilibrium.  Used as the
@@ -206,30 +173,26 @@ def utility_improvement(allocation, utility: Utility,
     """
     r = np.asarray(rates, dtype=float)
     current = _current_value(allocation, utility, r, i)
-    return _gain(current, best_response(allocation, utility, r, i,
-                                        r_max=r_max))
+    return _gain(current, best_response(allocation, utility, r, i))
 
 
 def utility_improvements(allocation, profile: Sequence[Utility],
-                         rates: Sequence[float],
-                         r_max: Optional[float] = None) -> List[float]:
+                         rates: Sequence[float]) -> List[float]:
     """:func:`utility_improvement` for every user of ``profile``.
 
     Each user's current value is evaluated as in the one-user call;
     the best responses run batched, as in :func:`best_response_map`.
     """
-    return _improvements(allocation, profile, rates,
-                         range(len(profile)), r_max=r_max)
+    return _improvements(allocation, profile, rates, range(len(profile)))
 
 
 def _improvements(allocation, utilities: Sequence[Utility],
-                  rates: Sequence[float], users: Sequence[int],
-                  r_max: Optional[float] = None) -> List[float]:
+                  rates: Sequence[float],
+                  users: Sequence[int]) -> List[float]:
     """:func:`utility_improvement` of user ``users[b]`` with utility
     ``utilities[b]``, for every ``b``, the best responses batched."""
     r = np.asarray(rates, dtype=float)
     currents = [_current_value(allocation, utility, r, i)
                 for i, utility in zip(users, utilities)]
-    bests = _best_responses(allocation, utilities, r, r_max=r_max,
-                            users=users)
+    bests = _best_responses(allocation, utilities, r, users=users)
     return [_gain(current, best) for current, best in zip(currents, bests)]

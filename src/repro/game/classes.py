@@ -172,10 +172,7 @@ def detect_classes(profile: Sequence[Utility]) -> ClassProfile:
 def class_best_response(allocation, utility: Utility,
                         class_rates: Sequence[float],
                         counts: Sequence[int], i: int,
-                        include_self: bool = False,
-                        r_max: Optional[float] = None,
-                        n_scan: int = 65,
-                        tol: float = 1e-11) -> ScalarMaxResult:
+                        include_self: bool = False) -> ScalarMaxResult:
     """Best response of one member of class ``i`` in class space.
 
     The same scan + grid-zoom maximization as
@@ -187,7 +184,6 @@ def class_best_response(allocation, utility: Utility,
     """
     return _class_best_responses(allocation, [utility], class_rates,
                                  counts, include_self=include_self,
-                                 r_max=r_max, n_scan=n_scan, tol=tol,
                                  classes=[i])[0]
 
 
@@ -195,9 +191,6 @@ def _class_best_responses(allocation, utilities: Sequence[Utility],
                           class_rates: Sequence[float],
                           counts: Sequence[int],
                           include_self: bool = False,
-                          r_max: Optional[float] = None,
-                          n_scan: int = 65,
-                          tol: float = 1e-11,
                           classes: Optional[Sequence[int]] = None
                           ) -> List[ScalarMaxResult]:
     """Every class's :func:`class_best_response` against ``class_rates``.
@@ -215,15 +208,13 @@ def _class_best_responses(allocation, utilities: Sequence[Utility],
     rows = range(len(utilities)) if classes is None else classes
     return _zoom_rows(allocation.class_deviation_rows(
         class_rates, counts, rows, include_self=include_self), utilities,
-        allocation, r_max, n_scan, tol)
+        allocation)
 
 
 def class_best_response_map(allocation, utilities: Sequence[Utility],
                             class_rates: Sequence[float],
                             counts: Sequence[int],
-                            include_self: bool = False,
-                            r_max: Optional[float] = None,
-                            n_scan: int = 65) -> np.ndarray:
+                            include_self: bool = False) -> np.ndarray:
     """Simultaneous class best responses ``B(c)_k``.
 
     Fixed points are exactly the class-symmetric Nash equilibria of
@@ -236,8 +227,7 @@ def class_best_response_map(allocation, utilities: Sequence[Utility],
         raise ValueError(
             f"{len(utilities)} utilities for {c.size} classes")
     results = _class_best_responses(allocation, utilities, c, m,
-                                    include_self=include_self,
-                                    r_max=r_max, n_scan=n_scan)
+                                    include_self=include_self)
     return np.array([result.x for result in results], dtype=float)
 
 

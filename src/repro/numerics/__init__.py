@@ -16,7 +16,6 @@ from repro.numerics.diff import (
 from repro.numerics.optimize import (
     ScalarMaxResult,
     golden_section_max,
-    maximize_scalar,
     multistart_maximize,
 )
 from repro.numerics.iterate import (
@@ -39,7 +38,6 @@ __all__ = [
     "second_partial",
     "ScalarMaxResult",
     "golden_section_max",
-    "maximize_scalar",
     "multistart_maximize",
     "FixedPointResult",
     "damped_fixed_point",

@@ -8,8 +8,8 @@ boundary.  The helpers here therefore combine golden-section search with
 a coarse multistart scan, and treat non-finite objective values as
 ``-inf`` rather than propagating exceptions.
 
-The grid path replaces golden-section search with a batched grid zoom,
-:func:`grid_maximize_rows`, which maximizes many independent
+Best responses replace golden-section search with a batched grid
+zoom, :func:`grid_maximize_rows`, which maximizes many independent
 objectives at once — one row each, as in a simultaneous best-response
 round over N users or K utility classes; a lone best response is its
 one-row case.  A round on arrays of about (8, 33) costs numpy call
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List
 
 import numpy as np
 
@@ -110,12 +110,6 @@ def golden_section_max(func: Callable[[float], float], lo: float, hi: float,
     if yc > yd:
         return ScalarMaxResult(x=c, value=yc, evaluations=evals)
     return ScalarMaxResult(x=d, value=yd, evaluations=evals)
-
-
-def maximize_scalar(func: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10) -> ScalarMaxResult:
-    """Maximize ``func`` on ``[lo, hi]`` assuming it is unimodal."""
-    return golden_section_max(func, lo, hi, tol=tol)
 
 
 #: Points per refinement round of the batched zoom (bracket shrinks by
@@ -221,10 +215,9 @@ def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,
 
     The scalar scan: accurate for unimodal objectives and resistant to
     the mild multimodality that arises under non-Fair-Share disciplines
-    out of equilibrium.  Best responses on a discipline without a
-    one-pass grid, the Stackelberg leader and the cost-sharing demand
-    game run through it; :func:`grid_maximize_rows` is its batched
-    counterpart.
+    out of equilibrium.  The Stackelberg leader, the cost-sharing
+    demand game and the symmetric social optimum run through it; best
+    responses take :func:`grid_maximize_rows`, its batched counterpart.
     """
     if n_scan < 3:
         raise ValueError("n_scan must be at least 3")
@@ -243,18 +236,3 @@ def multistart_maximize(func: Callable[[float], float], lo: float, hi: float,
         return ScalarMaxResult(x=xs[best], value=ys[best], evaluations=evals)
     return ScalarMaxResult(x=refined.x, value=refined.value,
                            evaluations=evals)
-
-
-def argmax_on_grid(func: Callable[[float], float],
-                   grid: Sequence[float]) -> float:
-    """Return the grid point maximizing ``func`` (ties go to the first)."""
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    safe = _safe(func)
-    best_x = grid[0]
-    best_y = safe(grid[0])
-    for x in grid[1:]:
-        y = safe(x)
-        if y > best_y:
-            best_x, best_y = x, y
-    return best_x

@@ -9,8 +9,13 @@
   only on its own rate, the smaller rates and how many users send at
   least as much (insularity), so once the ``j - 1`` smallest rates are
   fixed, each remaining user's problem is one-dimensional.
-* :class:`ScalarOnly` wraps an allocation so that every solver takes
-  its scalar path: the golden-section scan over ``congestion_i``.
+* :func:`scalar_best_response` and :func:`scalar_nash` are the best
+  response and ``solve_nash`` by golden section: a scan of
+  ``congestion_i`` point by point, refined by
+  ``multistart_maximize``, iterated by the repository's
+  ``damped_fixed_point`` from ``default_start`` and certified by the
+  same scan.  Every solver best-responds through batched grid-zoom
+  rows instead.
 * :func:`payoff_table_loop`, :func:`coalition_scan_loop` and
   :func:`worst_case_loop` are the elimination, coalition and
   adversarial scans point by point: congestion one profile at a time,
@@ -30,23 +35,56 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.game.best_response import MIN_RATE, _default_rate_cap
+from repro.game.best_response import (MIN_RATE, SCAN_POINTS, ZOOM_TOL,
+                                      _count, _current_value,
+                                      _default_rate_cap, _gain)
+from repro.game.nash import NashResult, default_start
 from repro.numerics import diff
-from repro.numerics.optimize import multistart_maximize
+from repro.numerics.iterate import damped_fixed_point
+from repro.numerics.optimize import ScalarMaxResult, multistart_maximize
 from repro.users.utility import Utility
 
 
-class ScalarOnly:
-    """``allocation`` with every attribute forwarded, except that it
-    reports no one-pass grid (``vectorized_grid`` is False)."""
+def scalar_best_response(allocation, utility: Utility,
+                         rates: Sequence[float], i: int) -> ScalarMaxResult:
+    """User ``i``'s best response by golden section over
+    ``congestion_i``, on the interval and to the tolerance of
+    ``best_response``; counted in the ``solver.*`` counters."""
+    base = np.array(rates, dtype=float)
 
-    vectorized_grid = False
+    def objective(x: float) -> float:
+        base[i] = x
+        return utility.value(x, allocation.congestion_i(base, i))
 
-    def __init__(self, allocation) -> None:
-        self.allocation = allocation
+    result = multistart_maximize(objective, MIN_RATE,
+                                 _default_rate_cap(allocation),
+                                 n_scan=SCAN_POINTS, tol=ZOOM_TOL)
+    _count([result])
+    return result
 
-    def __getattr__(self, name: str):
-        return getattr(self.allocation, name)
+
+def scalar_nash(allocation, profile: Sequence[Utility]) -> NashResult:
+    """``solve_nash`` with every best response a
+    :func:`scalar_best_response`: the same driver, start and defaults,
+    and ``max_gain`` the largest deviation gain that scan finds."""
+    def mapping(r: np.ndarray) -> np.ndarray:
+        return np.array([scalar_best_response(allocation, u, r, i).x
+                         for i, u in enumerate(profile)])
+
+    outcome = damped_fixed_point(
+        mapping, default_start(len(profile), allocation), damping=0.5,
+        tol=1e-9, max_iter=400)
+    rates = np.asarray(outcome.x, dtype=float)
+    congestion = allocation.congestion(rates)
+    gains = [_gain(_current_value(allocation, u, rates, i),
+                   scalar_best_response(allocation, u, rates, i))
+             for i, u in enumerate(profile)]
+    return NashResult(
+        rates=rates, congestion=congestion,
+        utilities=np.array([u.value(float(rates[i]), float(congestion[i]))
+                            for i, u in enumerate(profile)]),
+        converged=outcome.converged, iterations=outcome.iterations,
+        max_gain=float(max(gains)), method="scalar-scan")
 
 
 def payoff_table_loop(allocation, profile: Sequence[Utility],

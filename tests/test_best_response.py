@@ -43,12 +43,6 @@ class TestBestResponse:
         result = best_response(fifo, utility, np.array([0.0, 0.2]), 0)
         assert result.x < 1e-4
 
-    def test_respects_r_max(self, fifo):
-        utility = LinearUtility(gamma=0.01)
-        result = best_response(fifo, utility, np.array([0.0, 0.1]), 0,
-                               r_max=0.3)
-        assert result.x <= 0.3 + 1e-9
-
     def test_does_not_mutate_rates(self, fifo):
         rates = np.array([0.15, 0.2])
         best_response(fifo, LinearUtility(gamma=0.5), rates, 0)

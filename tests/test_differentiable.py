@@ -13,8 +13,10 @@ rows per user, ``gradient_i`` (``dC_i/dr_j`` over ``j``) and
   profiles with ties and overload, for every discipline, a subsystem of
   each and a three-switch network.
 * The generated tests hold every map's rows to the finite-difference
-  oracles of :mod:`tests.oracles`, every hook to its row entry, and
-  every value view to the written form.
+  oracles of :mod:`tests.oracles`, every hook to its row entry, every
+  value view to the written form, and the default candidate rows (the
+  network's, weighted-proportional sharing's and their subsystems') to
+  ``congestion_i``.
 """
 
 import hashlib
@@ -264,32 +266,40 @@ class TestCongestionDigests:
         assert congestion_digests(label) == CONGESTION_DIGESTS[label]
 
 
-#: Every registered discipline and the weighted-proportional family, a
-#: subsystem of each (one user frozen), and the network.
+#: Every registered discipline, the weighted-proportional family and
+#: the network, and a subsystem of each (one user frozen).
 CONTRACT_LABELS = sorted(
-    [label for name in (*available_disciplines(), "weighted-proportional")
-     for label in (name, f"{name}|fixed")] + ["network"])
+    label for name in (*available_disciplines(), "weighted-proportional",
+                       "network")
+    for label in (name, f"{name}|fixed"))
+
+#: The maps that write no rows of their own, so their rows are the
+#: base's default, ``point_rows``, a subsystem's its parent's.
+DEFAULT_ROW_LABELS = [label for label in CONTRACT_LABELS
+                      if label.partition("|")[0] in
+                      ("network", "weighted-proportional")]
 
 
 @st.composite
-def contract_cases(draw, max_load):
+def contract_cases(draw, max_load, labels=CONTRACT_LABELS):
     """A congestion map and a profile loading the busiest switch to at
     most ``max_load`` (a subsystem's frozen user counted), with rates
     far enough apart that no finite difference straddles a tie."""
-    label = draw(st.sampled_from(CONTRACT_LABELS))
+    label = draw(st.sampled_from(labels))
     load = draw(st.floats(0.1, max_load))
     name, _, sub = label.partition("|")
-    n = 5 if label == "network" else draw(st.integers(2, 5)) + bool(sub)
+    n = 5 if name == "network" else draw(st.integers(2, 5)) + bool(sub)
     gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
     rates = np.cumsum(gaps)[list(order)]
-    if label == "network":
+    if name == "network":
         subject = _network()
         loads = [rates[m].sum() / s
                  for m, s in zip(subject.members, subject.speeds)]
-        return subject, rates * (load / max(loads))
-    rates *= load / rates.sum()
-    subject = _make(name, n)
+        rates *= load / max(loads)
+    else:
+        rates *= load / rates.sum()
+        subject = _make(name, n)
     if sub:
         return subject.subsystem({0: rates[0]}), rates[1:]
     return subject, rates
@@ -367,6 +377,24 @@ class TestValueViews:
             rates, np.ones(rates.size, dtype=int), users)(xs)
         assert subject.grid_evaluator(rates, users)(xs).tobytes() == \
             rows.tobytes()
+
+    @given(case=contract_cases(max_load=1.4, labels=DEFAULT_ROW_LABELS))
+    @settings(max_examples=40, deadline=None)
+    def test_default_rows_are_congestion_i(self, case):
+        """Entry ``[b, k]`` of the default rows is ``congestion_i`` of
+        user ``users[b]`` moved to candidate ``k``, bit for bit, also
+        past capacity."""
+        subject, rates = case
+        users = list(range(rates.size))[::-1]
+        xs = np.tile(np.concatenate((CANDIDATES, rates)), (rates.size, 1))
+        rows = subject.grid_evaluator(rates, users)(xs)
+        for b, i in enumerate(users):
+            moved = rates.copy()
+            points = []
+            for x in xs[b]:
+                moved[i] = x
+                points.append(subject.congestion_i(moved, i))
+            assert rows[b].tobytes() == np.array(points).tobytes()
 
 
 class _Neither(AllocationFunction):

@@ -4,12 +4,7 @@ import math
 
 import pytest
 
-from repro.numerics.optimize import (
-    argmax_on_grid,
-    golden_section_max,
-    maximize_scalar,
-    multistart_maximize,
-)
+from repro.numerics.optimize import golden_section_max, multistart_maximize
 
 
 class TestGoldenSection:
@@ -71,18 +66,5 @@ class TestMultistart:
     def test_unimodal_agrees_with_golden(self):
         objective = lambda x: -(x - 0.42) ** 2
         multi = multistart_maximize(objective, 0.0, 1.0)
-        single = maximize_scalar(objective, 0.0, 1.0)
+        single = golden_section_max(objective, 0.0, 1.0)
         assert multi.x == pytest.approx(single.x, abs=1e-7)
-
-
-class TestArgmaxOnGrid:
-    def test_basic(self):
-        assert argmax_on_grid(lambda x: -(x - 2.0) ** 2,
-                              [0.0, 1.0, 2.0, 3.0]) == 2.0
-
-    def test_empty_grid_raises(self):
-        with pytest.raises(ValueError):
-            argmax_on_grid(lambda x: x, [])
-
-    def test_tie_goes_to_first(self):
-        assert argmax_on_grid(lambda x: 0.0, [5.0, 6.0]) == 5.0

@@ -4,14 +4,18 @@ Covers the batched grid zoom (``grid_maximize_rows``, one row or
 many), the batched best-response map and certificate (bit-identical
 to the per-user one-row zooms, pinned by float.hex goldens), the
 propagation of a row evaluator's errors, the agreement of
-``best_response``/``solve_nash`` on the grid
-with the scalar scan that :class:`tests.oracles.ScalarOnly` selects
-(also on generated profiles, and for Fair Share with the serial
-construction), the batched adversarial, coalition and elimination scans
-against their point-by-point oracles, the :mod:`repro.numerics.instrumentation`
-counters and the curve-less ``_default_rate_cap`` fallback.
+``best_response``/``solve_nash`` with the golden-section oracles
+:func:`tests.oracles.scalar_best_response` and
+:func:`tests.oracles.scalar_nash` (also on generated profiles, on
+weighted-proportional sharing and the crossing network, and for Fair
+Share with the serial construction), one switch batch per zoom round
+on a network, the batched adversarial, coalition and elimination
+scans against their point-by-point oracles, the
+:mod:`repro.numerics.instrumentation` counters and the curve-less
+``_default_rate_cap`` fallback.
 """
 
+import importlib
 import math
 import warnings
 from unittest import mock
@@ -21,10 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disciplines.base import Differentiable
 from repro.disciplines.fair_share import FairShareAllocation
+from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.disciplines.registry import make_discipline
 from repro.experiments import registry as experiment_registry
 from repro.experiments.base import ExperimentReport
+from repro.experiments.network_extension import _crossing_network
 from repro.game.best_response import (
     best_response,
     best_response_map,
@@ -51,8 +58,9 @@ from repro.users.families import (BiconvexUtility, ExponentialUtility,
                                   LinearUtility, PowerUtility,
                                   QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
-from tests.oracles import (ScalarOnly, coalition_scan_loop,
-                           payoff_table_loop, serial_nash, worst_case_loop)
+from tests.oracles import (coalition_scan_loop, payoff_table_loop,
+                           scalar_best_response, scalar_nash, serial_nash,
+                           worst_case_loop)
 
 #: Fair Share rates against the serial construction.
 SERIAL_TOL = 1e-7
@@ -154,18 +162,15 @@ class TestGridMaximize:
         assert not hasattr(result, "wall_time")
 
 
-class CurvelessAllocation:
-    """Minimal allocation with no service curve attribute at all."""
+class CurvelessAllocation(Differentiable):
+    """Minimal congestion map with no service curve attribute at all;
+    its rows are the base's default."""
 
     name = "curveless-stub"
-    vectorized_grid = False
 
     def congestion(self, rates):
         r = np.asarray(rates, dtype=float)
         return r * np.sum(r)
-
-    def congestion_i(self, rates, i):
-        return float(self.congestion(rates)[i])
 
 
 class TestCurvelessRateCap:
@@ -187,7 +192,7 @@ class TestVectorScalarAgreement:
         utility = LinearUtility(gamma=0.25)
         rates = np.array([0.0, 0.25, 0.1])
         fast = best_response(fair_share, utility, rates, 0)
-        slow = best_response(ScalarOnly(fair_share), utility, rates, 0)
+        slow = scalar_best_response(fair_share, utility, rates, 0)
         assert fast.grid_calls > 0
         assert slow.grid_calls == 0
         assert fast.x == pytest.approx(slow.x, abs=1e-8)
@@ -196,7 +201,7 @@ class TestVectorScalarAgreement:
     def test_solve_nash_matches_scalar(self, fair_share):
         profile = [LinearUtility(gamma=0.2), LinearUtility(gamma=0.35)]
         fast = solve_nash(fair_share, profile)
-        slow = solve_nash(ScalarOnly(fair_share), profile)
+        slow = scalar_nash(fair_share, profile)
         assert fast.converged and slow.converged
         np.testing.assert_allclose(fast.rates, slow.rates, atol=1e-7)
         assert fast.max_gain <= 1e-6 and slow.max_gain <= 1e-6
@@ -561,17 +566,32 @@ class TestNashGoldens:
         assert np.max(np.abs(result.rates - damped)) <= DAMPED_DRIFT_TOL
 
 
+def _contract_map(name, n):
+    """The map ``name`` for ``n`` users (the network, Fair Share at
+    both switches of ``network_extension``'s crossing, has three)."""
+    if name == "network":
+        return _crossing_network(FairShareAllocation)
+    if name == "weighted-proportional":
+        return WeightedProportionalAllocation(np.linspace(0.5, 2.0, n))
+    return make_discipline(name)
+
+
 class TestGeneratedVectorScalarContract:
     """The grid and the scalar scan agree on generated profiles, and
-    for Fair Share both match the serial construction."""
+    for Fair Share both match the serial construction.  Weighted
+    proportional sharing and the crossing network score their rounds
+    through the default rows."""
 
     @given(n=st.integers(2, 5),
            tastes=st.sampled_from(["spread", "jittered", "power"]),
            jitter=st.lists(st.floats(-0.25, 0.25), min_size=5,
                            max_size=5),
-           name=st.sampled_from(["fair-share", "fifo", "separable"]))
+           name=st.sampled_from(["fair-share", "fifo", "separable",
+                                 "weighted-proportional", "network"]))
     @settings(max_examples=10, deadline=None)
     def test_solve_nash_modes_agree(self, n, tastes, jitter, name):
+        if name == "network":
+            n = 3
         step = 0.6 / (n - 1)
         gammas = np.linspace(0.2, 0.8, n)
         if tastes == "jittered":
@@ -581,9 +601,9 @@ class TestGeneratedVectorScalarContract:
                        for g in gammas]
         else:
             profile = [LinearUtility(gamma=float(g)) for g in gammas]
-        allocation = make_discipline(name)
+        allocation = _contract_map(name, n)
         fast = solve_nash(allocation, profile)
-        slow = solve_nash(ScalarOnly(allocation), profile)
+        slow = scalar_nash(allocation, profile)
         assert fast.converged == slow.converged
         assert fast.is_equilibrium(1e-6) == slow.is_equilibrium(1e-6)
         np.testing.assert_allclose(fast.rates, slow.rates, rtol=0.0,
@@ -593,7 +613,33 @@ class TestGeneratedVectorScalarContract:
             assert np.max(np.abs(fast.rates - serial)) <= SERIAL_TOL
 
 
-#: The registry's distinct disciplines, each with a one-pass grid.
+class TestDefaultRowsBatchPerRound:
+    """A map on the default rows scores each zoom round in one
+    ``congestion_many`` batch, so a network asks each switch once."""
+
+    def test_each_switch_batched_once_per_round(self):
+        network = _crossing_network(FairShareAllocation)
+        profile = [PowerUtility(gamma=g, q=1.5) for g in (0.5, 0.8, 0.6)]
+        module = importlib.import_module("repro.game.best_response")
+        rounds = []
+
+        def zoom(*args, **kwargs):
+            results = grid_maximize_rows(*args, **kwargs)
+            rounds.append(max(result.grid_calls for result in results))
+            return results
+
+        first, second = network.switches
+        with mock.patch.object(module, "grid_maximize_rows", zoom), \
+                mock.patch.object(first, "congestion_many",
+                                  wraps=first.congestion_many) as one, \
+                mock.patch.object(second, "congestion_many",
+                                  wraps=second.congestion_many) as two:
+            best_response_map(network, profile, np.array([0.2, 0.3, 0.1]))
+        assert len(rounds) == 1 and rounds[0] > 1
+        assert one.call_count == two.call_count == rounds[0]
+
+
+#: The registry's distinct disciplines.
 SCAN_NAMES = ["fair-share", "fifo", "priority", "separable",
               "stalling-pivot"]
 
