@@ -19,18 +19,13 @@ across engine changes::
 
     PYTHONPATH=src python benchmarks/bench_micro.py -o BENCH_sim.json
 
-The sharded rows report *aggregate* events/s over an 8-switch ring
-(32 users, two hops each) at per-switch utilization 0.9, for each
-jobs count up to the box's core count.  On a single-core runner the
-extra worker processes only add IPC overhead, so the jobs=1 row is
-the honest aggregate figure there.  The switches share no state
-between window barriers, so scaling should be close to linear in
-cores; that is unverified until rows from 4 or more cores exist.
+The sharded row reports *aggregate* events/s over an 8-switch ring
+(32 users, two hops each) at per-switch utilization 0.9, all switch
+engines running in one process.
 """
 
 import argparse
 import json
-import os
 import time
 
 import numpy as np
@@ -195,41 +190,28 @@ def ring_config(n_switches: int = 8,
 
 
 def measure_sharded(rounds: int = 2):
-    """Aggregate sharded throughput for each jobs count up to cores.
-
-    Worker placement never changes the measurements (that is golden-
-    tested), only the wall clock, so the rows differ solely in
-    ``jobs``/``seconds``.  ``cpu_count`` is recorded with every row:
-    on boxes with fewer cores than workers the extra processes add
-    only IPC overhead, so any speedup is bounded by *cores*, not by
-    jobs.
-    """
-    cores = os.cpu_count() or 1
+    """Aggregate throughput of the sharded ring: one row, best of
+    ``rounds`` runs."""
     config = ring_config()
-    runs = []
-    for jobs in sorted({1, min(2, cores), min(4, cores)}):
-        best = float("inf")
-        events = 0
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = simulate_sharded(config, jobs=jobs)
-            elapsed = time.perf_counter() - started
-            events = result.events
-            best = min(best, elapsed)
-        runs.append({
-            "engine_version": ENGINE_VERSION,
-            "benchmark": "sharded-aggregate",
-            "topology": "fifo-ring",
-            "n_switches": len(config.policies),
-            "n_users": len(config.rates),
-            "jobs": jobs,
-            "cpu_count": cores,
-            "window": config.window,
-            "events": events,
-            "seconds": round(best, 6),
-            "events_per_sec": round(events / best, 1),
-        })
-    return runs
+    best = float("inf")
+    events = 0
+    for _ in range(rounds):
+        started = time.perf_counter()
+        result = simulate_sharded(config)
+        elapsed = time.perf_counter() - started
+        events = result.events
+        best = min(best, elapsed)
+    return {
+        "engine_version": ENGINE_VERSION,
+        "benchmark": "sharded-aggregate",
+        "topology": "fifo-ring",
+        "n_switches": len(config.policies),
+        "n_users": len(config.rates),
+        "window": config.window,
+        "events": events,
+        "seconds": round(best, 6),
+        "events_per_sec": round(events / best, 1),
+    }
 
 
 def append_trajectory(path: str, runs) -> None:
@@ -266,15 +248,13 @@ def main(argv=None) -> int:
         print(f"{run['backend']:8s} {run['policy']:14s} "
               f"{run['rho']:5.2f} {run['events']:8d} "
               f"{run['seconds']:9.4f} {run['events_per_sec']:12,.0f}")
-    sharded_runs = measure_sharded()
-    print(f"\n{'sharded ring':23s} {'jobs':>4s} {'events':>9s} "
-          f"{'seconds':>9s} {'agg ev/s':>12s}")
-    for run in sharded_runs:
-        print(f"{run['n_switches']:2d} switches, "
-              f"{run['cpu_count']} core(s) {run['jobs']:4d} "
-              f"{run['events']:9d} {run['seconds']:9.4f} "
-              f"{run['events_per_sec']:12,.0f}")
-    runs = runs + sharded_runs
+    sharded = measure_sharded()
+    print(f"\n{'sharded ring':12s} {'events':>9s} {'seconds':>9s} "
+          f"{'agg ev/s':>12s}")
+    print(f"{sharded['n_switches']:2d} switches "
+          f"{sharded['events']:9d} {sharded['seconds']:9.4f} "
+          f"{sharded['events_per_sec']:12,.0f}")
+    runs.append(sharded)
     stamp = provenance()
     for run in runs:
         run.update(stamp)

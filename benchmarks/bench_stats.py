@@ -70,7 +70,8 @@ POLICIES = ("fifo", "fair-share", "fair-queueing")
 RHOS = (0.5, 0.9)
 
 #: Geometric ladder shared by every protocol: the restart protocols
-#: walk it from scratch, ``simulate_to_precision`` walks it delta-only.
+#: walk it from scratch, ``simulate_to_precision`` walks it delta-only
+#: (``GROWTH`` is its fixed doubling of the post-warmup horizon).
 INITIAL_HORIZON = 8000.0
 WARMUP = 1000.0
 GROWTH = 2.0
@@ -126,7 +127,7 @@ def measure_plain_sequential(config: SimulationConfig, target: float):
     regress on the exactly-known per-user arrived work.)
     """
     precision = simulate_to_precision(
-        config, target_halfwidth=target, growth=GROWTH,
+        config, target_halfwidth=target,
         max_horizon=REFERENCE_HORIZON, use_control_variates=False)
     return (precision.events,
             float(np.max(precision.summary.half_widths)))
@@ -188,7 +189,7 @@ def measure_crn_paired(config: SimulationConfig, target: float):
 def measure_sequential(config: SimulationConfig, target: float):
     """Resumable sequential stopping: delta-only ladder walk."""
     precision = simulate_to_precision(
-        config, target_halfwidth=target, growth=GROWTH,
+        config, target_halfwidth=target,
         max_horizon=REFERENCE_HORIZON)
     return (precision.events,
             float(np.max(precision.summary.half_widths)),

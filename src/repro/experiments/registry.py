@@ -3,8 +3,8 @@
 Besides the id -> ``run(seed, fast)`` lookup, this module owns
 :func:`run_experiments`, the fan-out used by ``greedwork run`` and
 ``greedwork report``: it executes a list of experiments either serially
-or across a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``--jobs N``).  Experiments seed their own generators from the
+or across a :class:`~repro.parallel.WorkerPool` (``--jobs N``).
+Experiments seed their own generators from the
 ``seed`` argument, so parallel execution returns byte-identical
 reports in the submitted order; a crashing experiment is isolated into
 a synthesized FAIL report carrying its traceback instead of killing
@@ -137,17 +137,14 @@ def _run_one(experiment_id: str, seed: int, fast: bool,
 
 def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
                     fast: bool = False, jobs: int = 1,
-                    pool: Optional[WorkerPool] = None,
                     ) -> List[ExperimentReport]:
     """Run experiments, optionally in parallel; reports in input order.
 
-    ``jobs > 1`` fans the experiments out over a process pool.  Each
-    experiment derives all randomness from ``seed``, so the reports are
-    identical to a serial run — only wall time changes.  Passing an
-    existing :class:`~repro.parallel.WorkerPool` as ``pool`` reuses
-    its (already warm) workers instead of spinning up and tearing
-    down a pool per call — ``greedwork report --jobs N`` regenerates
-    several report sections back to back and pays startup once.
+    ``jobs > 1`` fans the experiments out over a
+    :class:`~repro.parallel.WorkerPool` of up to ``jobs`` workers,
+    built and shut down by this call.  Each experiment derives all
+    randomness from ``seed``, so the reports are identical to a serial
+    run — only wall time changes.
     Unknown ids raise :class:`~repro.exceptions.ReproError` up front
     (before any work starts); an experiment that *crashes* comes back
     as a FAIL report with the worker traceback in its notes.
@@ -155,17 +152,11 @@ def run_experiments(experiment_ids: Sequence[str], seed: int = 0,
     ids = list(experiment_ids)
     for experiment_id in ids:           # validate before spawning
         get_experiment(experiment_id)
-    if (jobs > 1 or pool is not None) and len(ids) > 1:
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(min(jobs, len(ids)))
-        try:
+    if jobs > 1 and len(ids) > 1:
+        with WorkerPool(min(jobs, len(ids))) as pool:
             outcomes = list(pool.map(
                 _run_one, ids, [seed] * len(ids), [fast] * len(ids),
                 [sim_cache.enabled()] * len(ids)))
-        finally:
-            if own_pool:
-                pool.shutdown()
     else:
         outcomes = [_run_one(experiment_id, seed, fast)
                     for experiment_id in ids]

@@ -66,21 +66,19 @@ def render_markdown(reports: Sequence[ExperimentReport],
 
 def generate_report(output_path: str, fast: bool = True, seed: int = 0,
                     experiment_ids: Optional[Sequence[str]] = None,
-                    jobs: int = 1, echo=print, pool=None) -> int:
+                    jobs: int = 1, echo=print) -> int:
     """Run experiments and write the markdown report.
 
     ``jobs > 1`` runs the experiments across a process pool (the
     report content is unchanged — experiments are deterministic in
-    ``seed``); an existing :class:`~repro.parallel.WorkerPool` passed
-    as ``pool`` is reused instead of spinning one up here.  Returns
-    the number of failed experiments (0 = green).
+    ``seed``).  Returns the number of failed experiments (0 = green).
     """
     ids = list(experiment_ids) if experiment_ids else all_experiments()
     started = time.monotonic()
     for experiment_id in ids:
         echo(f"running {experiment_id} ...")
     reports: List[ExperimentReport] = run_experiments(
-        ids, seed=seed, fast=fast, jobs=jobs, pool=pool)
+        ids, seed=seed, fast=fast, jobs=jobs)
     elapsed = time.monotonic() - started
     document = render_markdown(reports, fast=fast, seed=seed)
     with open(output_path, "w") as handle:

@@ -50,6 +50,8 @@ import numpy as np
 from scipy import optimize as sp_optimize
 
 from repro.disciplines.base import check_classes, expand_class_rates
+from repro.disciplines.parametric import WeightedProportionalAllocation
+from repro.exceptions import DisciplineError
 from repro.game.best_response import _improvements, _zoom_rows
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult
@@ -354,7 +356,18 @@ def _resolve_classes(allocation, profile: Sequence[Utility],
                      counts: Optional[Sequence[int]]
                      ) -> Tuple[Tuple[Utility, ...], np.ndarray,
                                 Optional[Tuple[Tuple[int, ...], ...]]]:
-    """Normalize a per-user or class-form profile to class form."""
+    """Normalize a per-user or class-form profile to class form.
+
+    Class space treats the members of a class as interchangeable, so a
+    map whose congestion depends on user order is refused here, the
+    one entry of every class-space and mean-field solver.
+    """
+    if isinstance(allocation, WeightedProportionalAllocation):
+        raise DisciplineError(
+            "weighted-proportional congestion depends on user order "
+            "(each user position carries its own weight), so the "
+            "members of a class are not interchangeable; solve per "
+            "user with repro.game.nash.solve_nash")
     if counts is None:
         detected = detect_classes(profile)
         return detected.utilities, detected.counts_array(), detected.members

@@ -12,8 +12,8 @@ package builds that model:
   dynamics) runs on networks unchanged;
 * :func:`repro.network.sharded.simulate_sharded` is the packet-level
   simulator for arbitrary switch graphs: each switch runs its own
-  chunked event engine (optionally in a worker process), with
-  deterministic inter-switch handoff via conservative time windows.
+  chunked event engine, with deterministic inter-switch handoff via
+  conservative time windows.
   Its two-hop line (:func:`~repro.network.sharded.tandem_config`)
   probes the Poisson-output approximation: exact for FIFO tandems
   (Burke/Jackson), approximate for Fair Share ladders.
@@ -22,8 +22,6 @@ package builds that model:
 from repro.network.model import NetworkAllocation, Route
 from repro.network.sharded import (
     ShardedResult,
-    ShardedSimulation,
-    ShardedState,
     SwitchGraphConfig,
     simulate_sharded,
     tandem_config,
@@ -33,9 +31,7 @@ __all__ = [
     "Route",
     "NetworkAllocation",
     "SwitchGraphConfig",
-    "ShardedSimulation",
     "ShardedResult",
-    "ShardedState",
     "simulate_sharded",
     "tandem_config",
 ]

@@ -11,35 +11,29 @@ switch engine picks its own loop, like every chunked engine: the C
 kernel when one is built, the inherited scalar loop otherwise, with
 the same handoff order and byte-identical results.
 
-Determinism and sharding
-------------------------
+Determinism
+-----------
 Switch engines are coupled only through packet handoffs, which makes a
 *conservative time-window* synchronization exact: with
 ``link_delay >= window``, every departure inside window ``k`` arrives
 at its next hop no earlier than the start of window ``k + 1``, so each
-window can be simulated for all switches independently — in one
-process or many — with no possibility of a causality violation and
-therefore no rollback.  Between windows the master gathers each
-switch's departure log, maps departures to next-hop injections, and
-delivers them before the next window runs.  The switch engines one
-process owns form a shard: ``jobs=1`` runs one shard in-process,
-``jobs>1`` one per worker process, and the master makes the same
-four calls on either.
+window can be simulated for every switch independently, with no
+possibility of a causality violation and therefore no rollback.
+:func:`simulate_sharded` runs every switch engine to the end of a
+window, maps their departure logs to next-hop injections, and
+delivers them before the next window runs.
 
 Handoff ordering is fully deterministic: injections are delivered in
 ascending ``(delivery window, source switch, departure order)`` and
 merged into each receiving engine's pending array stably by
-``(arrival time, user)``, so two runs with different ``jobs`` produce
-byte-identical per-switch engines.  The regression tests assert
-exactly this: ``jobs=1``, ``jobs=2`` and ``jobs=4`` runs match
-snapshot-for-snapshot.
+``(arrival time, user)``.  The regression tests pin exact ties
+against the scalar loop and the kernel against the scalar loop on
+generated graphs.
 
 Randomness follows the single-switch contract one level up:
 ``spawn_seeds(seed, n_switches)`` gives each switch an independent
 seed, and each switch engine spawns its usual per-source arrival
-streams, service stream, and policy stream from it.  Worker placement
-never touches a generator, which is the other half of the
-jobs-independence guarantee.
+streams, service stream, and policy stream from it.
 
 Scope: memoryless policies (FIFO and the Fair Share ladder) whose
 chunked kernels expose the departure-log channel.  Service at every
@@ -52,9 +46,8 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,8 +55,7 @@ from repro.exceptions import SimulationError
 from repro.network.model import Route
 from repro.numerics.rng import spawn_seeds
 from repro.sim.chunked import ChunkedSimulationEngine
-from repro.sim.runner import (ENGINE_VERSION, EngineState, SimulationConfig,
-                              SimulationResult)
+from repro.sim.runner import SimulationConfig, SimulationResult
 
 #: Policies whose chunked kernels implement the departure-log channel.
 SHARDED_POLICIES = ("fifo", "fair-share")
@@ -96,12 +88,11 @@ class SwitchGraphConfig:
         handoffs only at multiples of ``window``.
     link_delay:
         Propagation delay added to every handoff.  Must be at least
-        ``window`` — that inequality is what makes window-parallel
-        execution exact (see the module docstring).
-    batch_quota, n_batches:
-        Batch layout per switch tracker, exactly as in
-        :class:`~repro.sim.runner.SimulationConfig`.  Snapshots
-        require an explicit ``batch_quota``.
+        ``window`` — that inequality is what makes the window loop
+        exact (see the module docstring).
+    n_batches:
+        Batches per switch tracker, exactly as in
+        :class:`~repro.sim.runner.SimulationConfig`.
     """
 
     rates: Sequence[float]
@@ -113,7 +104,6 @@ class SwitchGraphConfig:
     seed: int = 0
     window: float = 500.0
     link_delay: float = 500.0
-    batch_quota: Optional[float] = None
     n_batches: int = 20
 
 
@@ -143,7 +133,7 @@ class ShardedResult:
         included) across all switch engines — the numerator of the
         aggregate events/second figure.
     windows:
-        Number of synchronization windows executed.
+        Number of synchronization windows run.
     """
 
     mean_queues: np.ndarray
@@ -153,19 +143,6 @@ class ShardedResult:
     arrivals: int
     events: int
     windows: int
-
-
-@dataclass
-class ShardedState:
-    """A picklable snapshot of a sharded run at a window boundary."""
-
-    window_index: int
-    engine_states: List[EngineState]
-    pending_times: List[np.ndarray]
-    pending_users: List[np.ndarray]
-    n_switches: int
-    events: int = 0
-    engine_version: str = ENGINE_VERSION
 
 
 class ShardSwitchEngine(ChunkedSimulationEngine):
@@ -178,8 +155,8 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
       arrival stream — their heap entry is pinned at infinity and all
       of their packets arrive through :meth:`inject`;
     * every departure is captured in a log (by the C kernels, or by
-      the inherited scalar loop when no kernel runs) for the master to
-      turn into next-hop injections.
+      the inherited scalar loop when no kernel runs) for
+      :func:`simulate_sharded` to turn into next-hop injections.
 
     Injected arrivals are one more sorted input to the arrival merge
     of the kernels and of the scalar loop alike.  Both take arrivals
@@ -193,31 +170,16 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         super().__init__(config)
         source = set(int(u) for u in source_users)
         # Non-source users keep their streams (the construction draw
-        # already happened, identically for every jobs placement) but
-        # are never drawn from again.
+        # already happened) but are never drawn from again.
         self.arrivals_heap = [
             (time if user in source else math.inf, user)
             for time, user in sorted(self.arrivals_heap,
                                      key=lambda entry: entry[1])]
         heapq.heapify(self.arrivals_heap)
-        self._init_shard_fields(_EMPTY_F, _EMPTY_I)
-
-    def _init_shard_fields(self, inj_times: np.ndarray,
-                           inj_users: np.ndarray) -> None:
         self._dep_log = []
         self._inj_times = _EMPTY_F
         self._inj_users = _EMPTY_I
         self._inj_pos = 0
-        self.inject(inj_times, inj_users)
-
-    @classmethod
-    def resume_shard(cls, state: EngineState, config: SimulationConfig,
-                     inj_times: np.ndarray,
-                     inj_users: np.ndarray) -> "ShardSwitchEngine":
-        """Rebuild a switch engine from a window-boundary snapshot."""
-        engine = cls.resume(state, config)
-        engine._init_shard_fields(inj_times, inj_users)
-        return engine
 
     # -- handoff plumbing ---------------------------------------------
 
@@ -247,11 +209,6 @@ class ShardSwitchEngine(ChunkedSimulationEngine):
         self._inj_users = np.ascontiguousarray(merged_u[order])
         self._inj_pos = 0
 
-    def pending_injections(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Handoffs delivered but not yet simulated (for snapshots)."""
-        return (self._inj_times[self._inj_pos:].copy(),
-                self._inj_users[self._inj_pos:].copy())
-
     def drain_dep_log(self) -> Tuple[np.ndarray, np.ndarray]:
         """This run's departures (time-ordered), clearing the log."""
         if not self._dep_log:
@@ -279,7 +236,7 @@ class _Graph:
     sources: List[np.ndarray]          # switch -> local source users
     fwd_switch: List[np.ndarray]       # switch -> local -> next switch
     fwd_local: List[np.ndarray]        # switch -> local -> next local
-    windows: List[float] = field(default_factory=list)
+    windows: List[float]               # window boundaries, in order
 
 
 def _compile_graph(config: SwitchGraphConfig) -> _Graph:
@@ -377,306 +334,80 @@ def _switch_config(config: SwitchGraphConfig, graph: _Graph,
         warmup=config.warmup,
         service_rate=float(graph.speeds[alpha]),
         seed=seed,
-        n_batches=config.n_batches,
-        batch_quota=config.batch_quota)
+        n_batches=config.n_batches)
 
 
-class _Shard:
-    """The switch engines one process owns, behind four calls.
+def _route_handoffs(config: SwitchGraphConfig, graph: _Graph,
+                    logs: List[Tuple[np.ndarray, np.ndarray]]
+                    ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Departure logs -> per-switch next-hop injections.
 
-    ``window``, ``inject``, ``snapshot`` and ``result`` each answer
-    with a dict keyed by switch.  :class:`ShardedSimulation` calls one
-    shard in-process for ``jobs=1`` and one per worker process, over a
-    pipe, for ``jobs>1`` (see :func:`_serve`).
+    Iterates source switches in ascending index with each log in
+    departure order, so delivery order — and therefore the stable
+    merge inside :meth:`ShardSwitchEngine.inject` — is a pure
+    function of the simulated trajectory.
     """
-
-    def __init__(self, config: SwitchGraphConfig, graph: _Graph,
-                 owned: List[int], seeds: List[int],
-                 resumes: Optional[dict]) -> None:
-        self.engines: Dict[int, ShardSwitchEngine] = {}
-        for alpha in owned:
-            switch = _switch_config(config, graph, alpha, seeds[alpha])
-            if resumes is None:
-                self.engines[alpha] = ShardSwitchEngine(
-                    switch, graph.sources[alpha])
-            else:
-                state, inj_t, inj_u = resumes[alpha]
-                self.engines[alpha] = ShardSwitchEngine.resume_shard(
-                    state, switch, inj_t, inj_u)
-
-    def window(self, horizon: float) -> dict:
-        """Run every engine to ``horizon``: events and departure log."""
-        return {alpha: (engine.run_to(horizon), *engine.drain_dep_log())
-                for alpha, engine in self.engines.items()}
-
-    def inject(self, delivered: dict) -> dict:
-        for alpha, (times, users) in delivered.items():
-            self.engines[alpha].inject(times, users)
-        return {}
-
-    def snapshot(self) -> dict:
-        return {alpha: (engine.snapshot(), *engine.pending_injections())
-                for alpha, engine in self.engines.items()}
-
-    def result(self) -> dict:
-        return {alpha: engine.result()
-                for alpha, engine in self.engines.items()}
+    per_switch_t: Dict[int, List[np.ndarray]] = {}
+    per_switch_u: Dict[int, List[np.ndarray]] = {}
+    for alpha, (times, users) in enumerate(logs):
+        if times.size == 0:
+            continue
+        fwd_s = graph.fwd_switch[alpha][users]
+        fwd_l = graph.fwd_local[alpha][users]
+        arrive = times + config.link_delay
+        keep = (fwd_s >= 0) & (arrive < config.horizon)
+        if not np.any(keep):
+            continue
+        fwd_s = fwd_s[keep]
+        fwd_l = fwd_l[keep]
+        arrive = arrive[keep]
+        for nxt in np.unique(fwd_s):
+            mask = fwd_s == nxt
+            per_switch_t.setdefault(int(nxt), []).append(arrive[mask])
+            per_switch_u.setdefault(int(nxt), []).append(fwd_l[mask])
+    return {alpha: (np.concatenate(per_switch_t[alpha]),
+                    np.concatenate(per_switch_u[alpha]))
+            for alpha in per_switch_t}
 
 
-def _serve(conn, *shard_args) -> None:
-    """A worker process: one shard answering ``(method, args)`` calls.
+def simulate_sharded(config: SwitchGraphConfig) -> ShardedResult:
+    """Run one switch-graph simulation to its horizon.
 
-    Every call gets a reply; ``stop`` gets an empty one and ends the
-    worker, whose engines live only as long as it does.
+    Every switch engine runs to the end of a window; the handoffs its
+    departures produce are routed and delivered before the next window
+    runs.  Handoffs crossing the final boundary stay in flight: their
+    packets left every tracker before the horizon.
     """
-    shard = _Shard(*shard_args)
-    method = None
-    while method != "stop":
-        method, args = conn.recv()
-        conn.send({} if method == "stop"
-                  else getattr(shard, method)(*args))
-    conn.close()
-
-
-class ShardedSimulation:
-    """Driver of one switch-graph run, serial or multi-process.
-
-    Switch ``alpha`` belongs to shard ``alpha % jobs`` (a
-    :class:`_Shard`).  ``jobs=1`` keeps its one shard in-process;
-    ``jobs>1`` runs each shard in a ``multiprocessing.Process`` that
-    holds its engines across windows.  Both placements produce
-    byte-identical engines — see the module docstring.
-    """
-
-    def __init__(self, config: SwitchGraphConfig, jobs: int = 1,
-                 _resume: Optional[ShardedState] = None) -> None:
-        if jobs < 1:
-            raise SimulationError(f"jobs must be >= 1, got {jobs}")
-        self.config = config
-        self.graph = _compile_graph(config)
-        n_switches = self.graph.n_switches
-        self.jobs = min(jobs, n_switches)
-        self.seeds = spawn_seeds(config.seed, n_switches)
-        self.window_index = 0
-        self.events = 0
-        resumes = None
-        if _resume is not None:
-            if _resume.engine_version != ENGINE_VERSION:
-                raise SimulationError(
-                    f"sharded snapshot from engine "
-                    f"{_resume.engine_version!r} cannot resume under "
-                    f"{ENGINE_VERSION!r}")
-            if _resume.n_switches != n_switches:
-                raise SimulationError(
-                    f"snapshot has {_resume.n_switches} switches; "
-                    f"config compiles to {n_switches}")
-            self.window_index = _resume.window_index
-            self.events = _resume.events
-            resumes = {alpha: (_resume.engine_states[alpha],
-                               _resume.pending_times[alpha],
-                               _resume.pending_users[alpha])
-                       for alpha in range(n_switches)}
-        self._owned = [list(range(shard, n_switches, self.jobs))
-                       for shard in range(self.jobs)]
-        shard_args = [
-            (config, self.graph, owned, self.seeds,
-             None if resumes is None
-             else {alpha: resumes[alpha] for alpha in owned})
-            for owned in self._owned]
-        self._local: Optional[_Shard] = None
-        self._workers: List[Tuple[Any, Any]] = []
-        if self.jobs == 1:
-            self._local = _Shard(*shard_args[0])
-            return
-        context = multiprocessing.get_context()
-        for args in shard_args:
-            parent, child = context.Pipe()
-            process = context.Process(target=_serve, args=(child, *args),
-                                      daemon=True)
-            process.start()
-            child.close()
-            self._workers.append((parent, process))
-
-    def _call(self, method: str,
-              args: Optional[List[tuple]] = None) -> Dict[int, Any]:
-        """Call ``method`` on every shard; the replies merged by switch.
-
-        ``args`` holds one argument tuple per shard (none by default).
-        This is the one place that talks to worker pipes.  A worker
-        that has died raises :class:`SimulationError` naming it, its
-        switches and its exit code, after the other workers are
-        stopped.
-        """
-        if args is None:
-            args = [()] * self.jobs
-        if self._local is not None:
-            return getattr(self._local, method)(*args[0])
-        if self._closed():
-            raise SimulationError("the sharded simulation is closed")
-        merged: Dict[int, Any] = {}
-        worker = 0
-        try:
-            for worker, (conn, _process) in enumerate(self._workers):
-                conn.send((method, args[worker]))
-            for worker, (conn, _process) in enumerate(self._workers):
-                merged.update(conn.recv())
-        except (EOFError, OSError):
-            process = self._workers[worker][1]
-            process.join(timeout=5.0)
-            message = (f"sharded worker {worker} (switches "
-                       f"{self._owned[worker]}) died with exit code "
-                       f"{process.exitcode} before answering "
-                       f"{method!r}")
-            self._stop_workers(kill=True)
-            raise SimulationError(message) from None
-        return merged
-
-    def _closed(self) -> bool:
-        return any(conn.closed for conn, _process in self._workers)
-
-    def _stop_workers(self, kill: bool) -> None:
-        for conn, process in self._workers:
-            if kill:
-                process.kill()
-            conn.close()
-            process.join(timeout=10.0)
-
-    # -- window loop --------------------------------------------------
-
-    def _route_handoffs(self, ran: Dict[int, tuple]
-                        ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-        """Departure logs -> per-switch next-hop injections.
-
-        Iterates source switches in ascending index with each log in
-        departure order, so delivery order — and therefore the stable
-        merge inside :meth:`ShardSwitchEngine.inject` — is a pure
-        function of the simulated trajectory.
-        """
-        per_switch_t: Dict[int, List[np.ndarray]] = {}
-        per_switch_u: Dict[int, List[np.ndarray]] = {}
-        horizon = self.config.horizon
-        for alpha in range(self.graph.n_switches):
-            _events, times, users = ran[alpha]
-            if times.size == 0:
-                continue
-            fwd_s = self.graph.fwd_switch[alpha][users]
-            fwd_l = self.graph.fwd_local[alpha][users]
-            arrive = times + self.config.link_delay
-            keep = (fwd_s >= 0) & (arrive < horizon)
-            if not np.any(keep):
-                continue
-            fwd_s = fwd_s[keep]
-            fwd_l = fwd_l[keep]
-            arrive = arrive[keep]
-            for nxt in np.unique(fwd_s):
-                mask = fwd_s == nxt
-                per_switch_t.setdefault(int(nxt), []).append(arrive[mask])
-                per_switch_u.setdefault(int(nxt), []).append(fwd_l[mask])
-        return {alpha: (np.concatenate(per_switch_t[alpha]),
-                        np.concatenate(per_switch_u[alpha]))
-                for alpha in per_switch_t}
-
-    def run_windows(self, count: Optional[int] = None) -> int:
-        """Advance up to ``count`` windows (all remaining if None).
-
-        Returns the number of windows executed.  Handoffs produced in
-        a window are routed and delivered before the next one runs.
-        """
-        boundaries = self.graph.windows
-        executed = 0
-        while self.window_index < len(boundaries):
-            if count is not None and executed >= count:
-                break
-            horizon = boundaries[self.window_index]
-            ran = self._call("window", [(horizon,)] * self.jobs)
-            self.events += sum(events for events, _, _ in ran.values())
-            # Deliver immediately so engine state (and any snapshot
-            # taken at this boundary) carries the in-flight handoffs.
-            # Each shard is sent only its own switches' handoffs.
-            injections = self._route_handoffs(ran)
-            if injections:
-                self._call("inject", [
-                    ({alpha: injections[alpha] for alpha in owned
-                      if alpha in injections},)
-                    for owned in self._owned])
-            self.window_index += 1
-            executed += 1
-        # Handoffs crossing the final boundary stay in flight; their
-        # packets left every tracker before the horizon.
-        return executed
-
-    # -- snapshot / results -------------------------------------------
-
-    def snapshot(self) -> ShardedState:
-        """Capture all switch engines at the current window boundary."""
-        if self.config.batch_quota is None:
-            raise SimulationError(
-                "sharded snapshots require an explicit batch_quota "
-                "(the batch layout must not depend on the horizon)")
-        taken = self._call("snapshot")
-        switches = range(self.graph.n_switches)
-        return ShardedState(window_index=self.window_index,
-                            engine_states=[taken[a][0] for a in switches],
-                            pending_times=[taken[a][1] for a in switches],
-                            pending_users=[taken[a][2] for a in switches],
-                            n_switches=self.graph.n_switches,
-                            events=self.events)
-
-    @classmethod
-    # greedwork: ignore[GW401] -- restoration is delegated to
-    # __init__ via the _resume parameter, which rebuilds the worker
-    # processes alongside the restored counters.
-    def resume(cls, state: ShardedState, config: SwitchGraphConfig,
-               jobs: int = 1) -> "ShardedSimulation":
-        """Rebuild a driver from a window-boundary snapshot."""
-        return cls(config, jobs=jobs, _resume=state)
-
-    def result(self) -> ShardedResult:
-        """Assemble the network-wide outcome at the current horizon."""
-        results = self._call("result")
-        per_switch = [results[alpha]
-                      for alpha in range(self.graph.n_switches)]
-        n_users = self.graph.rates.size
-        mean_queues = np.zeros((self.graph.n_switches, n_users))
-        events = 0
-        arrivals = 0
-        for alpha, res in enumerate(per_switch):
-            mean_queues[alpha, self.graph.members[alpha]] = \
-                res.mean_queues
-            events += res.arrivals + res.departures
-            arrivals += res.arrivals
-        return ShardedResult(
-            mean_queues=mean_queues,
-            total_mean_queues=mean_queues.sum(axis=0),
-            per_switch=per_switch,
-            members=[m.copy() for m in self.graph.members],
-            arrivals=arrivals,
-            events=events,
-            windows=self.window_index)
-
-    def close(self) -> None:
-        """Stop the worker processes (no-op for in-process runs)."""
-        if not self._workers or self._closed():
-            return
-        try:
-            self._call("stop")
-        except SimulationError:
-            return          # a worker had died; _call stopped the rest
-        self._stop_workers(kill=False)
-
-    def __enter__(self) -> "ShardedSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def simulate_sharded(config: SwitchGraphConfig,
-                     jobs: int = 1) -> ShardedResult:
-    """Run one sharded switch-graph simulation to its horizon."""
-    with ShardedSimulation(config, jobs=jobs) as sim:
-        sim.run_windows()
-        return sim.result()
+    graph = _compile_graph(config)
+    seeds = spawn_seeds(config.seed, graph.n_switches)
+    engines = [ShardSwitchEngine(_switch_config(config, graph, alpha,
+                                                seeds[alpha]),
+                                 graph.sources[alpha])
+               for alpha in range(graph.n_switches)]
+    for horizon in graph.windows:
+        logs = []
+        for engine in engines:
+            engine.run_to(horizon)
+            logs.append(engine.drain_dep_log())
+        for alpha, (times, users) in _route_handoffs(config, graph,
+                                                     logs).items():
+            engines[alpha].inject(times, users)
+    per_switch = [engine.result() for engine in engines]
+    mean_queues = np.zeros((graph.n_switches, graph.rates.size))
+    events = 0
+    arrivals = 0
+    for alpha, res in enumerate(per_switch):
+        mean_queues[alpha, graph.members[alpha]] = res.mean_queues
+        events += res.arrivals + res.departures
+        arrivals += res.arrivals
+    return ShardedResult(
+        mean_queues=mean_queues,
+        total_mean_queues=mean_queues.sum(axis=0),
+        per_switch=per_switch,
+        members=graph.members,
+        arrivals=arrivals,
+        events=events,
+        windows=len(graph.windows))
 
 
 def tandem_config(rates: Sequence[float], policies: Sequence[str],

@@ -1,22 +1,23 @@
 """Reusable process-pool handles for every fan-out in the library.
 
-:class:`WorkerPool` is a lazily started, explicitly reusable handle
-that :func:`repro.experiments.registry.run_experiments`,
-:func:`repro.sim.runner.replicate` and the sweep scheduler thread
-through any number of batches, so pool spin-up (worker fork, imports)
-is paid once per session rather than once per batch.
+:class:`WorkerPool` is a lazily started, explicitly reusable handle.
+:func:`repro.experiments.registry.run_experiments` builds one per call
+for ``jobs > 1``; the sweep scheduler takes one through
+:func:`repro.sweep.scheduler.run_sweep`, so a caller running several
+sweeps pays pool spin-up (worker fork, imports) once rather than once
+per sweep.
 
 Two usage patterns::
 
-    # One-shot (equivalent to the old per-call executor):
+    # One-shot:
     with WorkerPool(jobs=4) as pool:
         outcomes = list(pool.map(work, payloads))
 
-    # Reused across batches (orchestrator, report regeneration):
+    # Reused across sweeps (benchmarks, orchestration):
     pool = WorkerPool(jobs=4)
     try:
-        run_experiments(ids_a, jobs=4, pool=pool)
-        run_experiments(ids_b, jobs=4, pool=pool)
+        run_sweep(catalog_a, jobs=4, pool=pool)
+        run_sweep(catalog_b, jobs=4, pool=pool)
     finally:
         pool.shutdown()
 

@@ -36,7 +36,6 @@ from repro.sim.queues import (
 from repro.sim.measurements import BatchMeans, QueueTracker
 from repro.sim.runner import (
     PrecisionResult,
-    ReplicationPrecision,
     ReplicationSummary,
     SimulationConfig,
     SimulationEngine,
@@ -44,7 +43,6 @@ from repro.sim.runner import (
     control_variate_summary,
     paired_configs,
     replicate,
-    replicate_to_precision,
     simulate,
     simulate_to_precision,
 )
@@ -57,7 +55,6 @@ from repro.sim.agents import AgentConfig, HillClimbingAgent, run_selfish_loop
 
 __all__ = [
     "PrecisionResult",
-    "ReplicationPrecision",
     "ReplicationSummary",
     "SimulationEngine",
     "ControlVariateSummary",
@@ -65,7 +62,6 @@ __all__ = [
     "control_variate_summary",
     "paired_configs",
     "replicate",
-    "replicate_to_precision",
     "simulate_to_precision",
     "t_quantile",
     "Packet",

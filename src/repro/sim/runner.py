@@ -86,7 +86,6 @@ import numpy as np
 import repro.obs as obs
 from repro.exceptions import SimulationError
 from repro.numerics.rng import spawn_generators, spawn_seeds
-from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.arrivals import VariateStream
 from repro.sim.measurements import BatchMeans, QueueTracker
@@ -104,6 +103,12 @@ from repro.sim.stats import (ControlVariateSummary, control_specs_for,
 #: the realized RNG sequences themselves are unchanged, but snapshots
 #: and cached results now carry the extra channel.
 ENGINE_VERSION = "2026.08-chunked-3"
+
+#: Two-sided level of every confidence interval this module reports.
+_CONFIDENCE = 0.95
+
+#: Ratio of consecutive post-warmup horizons on a precision ladder.
+_GROWTH = 2.0
 
 
 @dataclass
@@ -360,9 +365,9 @@ class SimulationEngine:
         self.horizon_reached = 0.0
 
     @classmethod
-    # greedwork: ignore[GW401] -- _inj_pos is the handoff cursor of a
-    # sharded switch engine; ShardedState records the pending handoffs
-    # through pending_injections() and resume_shard() restores them.
+    # greedwork: ignore[GW401] -- _inj_pos is the handoff cursor; only
+    # a sharded switch engine moves it, and that engine is never
+    # snapshotted.
     def resume(cls, state: EngineState,
                config: SimulationConfig) -> "SimulationEngine":
         """Rebuild an engine from a snapshot taken at a lower horizon."""
@@ -630,10 +635,9 @@ def config_sized(config: SimulationConfig) -> bool:
 
 
 def control_variate_summary(result: SimulationResult,
-                            confidence: float = 0.95,
                             use_control_variates: bool = True,
                             ) -> ControlVariateSummary:
-    """Control-variate-adjusted per-user CI for a finished run.
+    """Control-variate-adjusted per-user 95% CI for a finished run.
 
     Builds the exactly-known controls valid for the run's model (see
     :func:`repro.sim.stats.control_specs_for`) and regresses them out
@@ -663,7 +667,7 @@ def control_variate_summary(result: SimulationResult,
             # deserialize without per_batch_sizes.
             per_batch_sizes=getattr(batch, "per_batch_sizes", None))
     return control_variate_adjust(batch.per_batch, specs,
-                                  confidence=confidence)
+                                  confidence=_CONFIDENCE)
 
 
 @dataclass
@@ -791,14 +795,11 @@ class _Schedule:
 
     base: SimulationConfig
     target_halfwidth: float
-    confidence: float
-    growth: float
     max_horizon: float
     use_control_variates: bool
 
     @classmethod
     def plan(cls, config: SimulationConfig, target_halfwidth: float,
-             confidence: float, growth: float,
              max_horizon: Optional[float],
              use_control_variates: bool) -> "_Schedule":
         """Validate the arguments and normalize the config.
@@ -812,8 +813,6 @@ class _Schedule:
             raise SimulationError(
                 f"target half-width must be positive, got "
                 f"{target_halfwidth}")
-        if growth <= 1.0:
-            raise SimulationError(f"growth must exceed 1, got {growth}")
         base = config
         if base.batch_quota is None:
             base = replace(base, batch_quota=(base.horizon - base.warmup)
@@ -824,14 +823,14 @@ class _Schedule:
             base = replace(base, policy=copy.deepcopy(base.policy))
         if max_horizon is None:
             max_horizon = base.warmup + 32.0 * (base.horizon - base.warmup)
-        return cls(base, target_halfwidth, confidence, growth,
-                   max_horizon, use_control_variates)
+        return cls(base, target_halfwidth, max_horizon,
+                   use_control_variates)
 
     def horizons(self) -> Iterator[float]:
         """The rungs of the geometric ladder, in order.
 
         ``h_0`` is the config's horizon and
-        ``h_{k+1} = min(max_horizon, warmup + (h_k - warmup) * growth)``;
+        ``h_{k+1} = min(max_horizon, warmup + (h_k - warmup) * 2)``;
         the ladder ends with the first rung at or past ``max_horizon``.
         """
         horizon = self.base.horizon
@@ -841,14 +840,13 @@ class _Schedule:
             if horizon >= self.max_horizon:
                 return
             horizon = min(self.max_horizon,
-                          warmup + (horizon - warmup) * self.growth)
+                          warmup + (horizon - warmup) * _GROWTH)
 
     def assess(self, result: SimulationResult,
                horizons: List[float]) -> PrecisionResult:
         """Apply the stopping rule to the result of the last rung."""
         summary = control_variate_summary(
-            result, confidence=self.confidence,
-            use_control_variates=self.use_control_variates)
+            result, use_control_variates=self.use_control_variates)
         return PrecisionResult(
             result=result, summary=summary,
             target_halfwidth=self.target_halfwidth, horizons=horizons,
@@ -876,7 +874,7 @@ class _Schedule:
     def _index_key(self) -> Optional[str]:
         return sim_cache.precision_key(
             self.base, ENGINE_VERSION, self.target_halfwidth,
-            self.confidence, self.growth, self.max_horizon,
+            _CONFIDENCE, _GROWTH, self.max_horizon,
             self.use_control_variates)
 
     def store_index(self, horizons: List[float]) -> None:
@@ -911,23 +909,21 @@ class _Schedule:
 
 def simulate_to_precision(config: SimulationConfig,
                           target_halfwidth: float,
-                          confidence: float = 0.95,
-                          growth: float = 2.0,
                           max_horizon: Optional[float] = None,
                           use_control_variates: bool = True,
                           ) -> PrecisionResult:
     """Simulate just long enough for the per-user CI to meet a target.
 
     Runs the engine in geometrically growing horizon chunks
-    (``h_k = warmup + (h_0 - warmup) * growth**k``, ``h_0`` the
-    config's horizon), assessing the control-variate-adjusted
-    Student-t half-widths after each chunk and stopping as soon as
-    every user's half-width is at or below ``target_halfwidth``.  One
-    engine is carried across chunks, so the *total* simulated events
-    equal those of the final horizon alone; with the persistent cache
-    on, a warm rerun replays the whole schedule without simulating at
-    all, and a re-run with a tighter target resumes the cached engine
-    snapshot and simulates only the extension.
+    (``h_k = warmup + (h_0 - warmup) * 2**k``, ``h_0`` the config's
+    horizon), assessing the control-variate-adjusted 95% Student-t
+    half-widths after each chunk and stopping as soon as every user's
+    half-width is at or below ``target_halfwidth``.  One engine is
+    carried across chunks, so the *total* simulated events equal those
+    of the final horizon alone; with the persistent cache on, a warm
+    rerun replays the whole schedule without simulating at all, and a
+    re-run with a tighter target resumes the cached engine snapshot
+    and simulates only the extension.
 
     The chunk schedule is a pure function of the config and the
     arguments — never of cache contents — so cold and warm runs visit
@@ -938,8 +934,8 @@ def simulate_to_precision(config: SimulationConfig,
     returned ``achieved`` flag is False and the summary reports the
     half-widths actually reached.
     """
-    schedule = _Schedule.plan(config, target_halfwidth, confidence,
-                              growth, max_horizon, use_control_variates)
+    schedule = _Schedule.plan(config, target_halfwidth, max_horizon,
+                              use_control_variates)
     carry = _Carry()
     precision = schedule.walk(lambda chunk: _chunk_simulate(chunk, carry))
     carry.save_state(precision.horizons[-1])
@@ -952,8 +948,6 @@ def simulate_to_precision(config: SimulationConfig,
 
 def cached_precision(config: SimulationConfig,
                      target_halfwidth: float,
-                     confidence: float = 0.95,
-                     growth: float = 2.0,
                      max_horizon: Optional[float] = None,
                      use_control_variates: bool = True,
                      ) -> Optional[PrecisionResult]:
@@ -970,8 +964,8 @@ def cached_precision(config: SimulationConfig,
     """
     if not sim_cache.enabled():
         return None
-    schedule = _Schedule.plan(config, target_halfwidth, confidence,
-                              growth, max_horizon, use_control_variates)
+    schedule = _Schedule.plan(config, target_halfwidth, max_horizon,
+                              use_control_variates)
     horizons = schedule.indexed_horizons()
     if horizons is not None:
         result = _peek_rung(replace(schedule.base, horizon=horizons[-1]))
@@ -987,11 +981,7 @@ def replication_configs(config: SimulationConfig,
     ``dataclasses.replace`` keeps every field of ``config`` (including
     ``service_process`` and anything added later); only the seed
     varies, derived via :func:`repro.numerics.rng.spawn_seeds` so the
-    replication plan is a pure function of ``config.seed`` — which is
-    what makes parallel and serial replication byte-identical, and
-    (because spawned seeds are prefix-stable) lets
-    :func:`replicate_to_precision` grow the replication count while
-    reusing every earlier run from the cache.
+    replication plan is a pure function of ``config.seed``.
     """
     seeds = spawn_seeds(config.seed, n_replications)
     return [replace(config, seed=seed) for seed in seeds]
@@ -1025,42 +1015,21 @@ def antithetic_configs(config: SimulationConfig,
     return out
 
 
-def _simulate_pinned(config: SimulationConfig,
-                     cache_enabled: bool) -> SimulationResult:
-    """:func:`simulate` in a pool worker, under the parent's cache flag.
-
-    Worker processes do not inherit the parent's in-memory cache
-    override, so :func:`replicate` ships its effective flag with each
-    config.
-    """
-    sim_cache.set_enabled(cache_enabled)
-    return simulate(config)
-
-
 def replicate(config: SimulationConfig, n_replications: int = 5,
-              jobs: int = 1, antithetic: bool = False,
-              confidence: float = 0.95,
-              pool: Optional[WorkerPool] = None) -> "ReplicationSummary":
+              antithetic: bool = False) -> "ReplicationSummary":
     """Run independent replications (different seeds) and pool them.
 
-    Half-widths use the Student-t quantile at the replication count's
+    Half-widths are 95% Student-t intervals at the replication count's
     degrees of freedom — at ``n=3`` the correct multiplier is 4.30,
     more than twice the normal 1.96 the naive formula would use.
     With ``antithetic=True`` replications come in mirrored pairs
     (see :func:`antithetic_configs`) and the CI is computed over the
     *pair averages*, which are genuinely independent.
 
-    ``jobs > 1`` fans the replications across a process pool; each
-    task is a pure function of its config, so the pooled output is
-    byte-identical to the serial run, and the pool folds each task's
-    counts into the parent.  Passing an existing
-    :class:`~repro.parallel.WorkerPool` as ``pool`` reuses its workers
-    instead of paying pool spin-up per call (the pool's size then
-    wins over ``jobs``).  Configs carrying a ``QueuePolicy``
-    *instance* always run serially in-process (instances are not
-    safely picklable); each replication gets a deep copy of the
-    instance so one run's leftover backlog cannot contaminate the
-    next.
+    The replications run one after another in this process.  A config
+    carrying a ``QueuePolicy`` *instance* gives each replication a
+    deep copy of the instance, so one run's leftover backlog cannot
+    contaminate the next.
     """
     if n_replications < 1:
         raise SimulationError("need at least one replication")
@@ -1068,20 +1037,7 @@ def replicate(config: SimulationConfig, n_replications: int = 5,
         configs = antithetic_configs(config, n_replications)
     else:
         configs = replication_configs(config, n_replications)
-    parallel = ((jobs > 1 or pool is not None)
-                and n_replications > 1
-                and isinstance(config.policy, str))
-    if parallel:
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(min(jobs, n_replications))
-        try:
-            runs = list(pool.map(_simulate_pinned, configs,
-                                 [sim_cache.enabled()] * len(configs)))
-        finally:
-            if own_pool:
-                pool.shutdown()
-    elif isinstance(config.policy, str):
+    if isinstance(config.policy, str):
         runs = [simulate(cfg) for cfg in configs]
     else:
         runs = [simulate(replace(cfg,
@@ -1095,13 +1051,12 @@ def replicate(config: SimulationConfig, n_replications: int = 5,
     means = queues.mean(axis=0)
     n_points = queues.shape[0]
     if n_points >= 2:
-        half = (t_quantile(confidence, n_points - 1)
+        half = (t_quantile(_CONFIDENCE, n_points - 1)
                 * queues.std(axis=0, ddof=1) / math.sqrt(n_points))
     else:
         half = np.full(means.shape, math.nan)
     return ReplicationSummary(mean_queues=means, half_widths=half,
                               runs=runs, n_replications=n_replications,
-                              confidence=confidence,
                               antithetic=antithetic)
 
 
@@ -1113,7 +1068,6 @@ class ReplicationSummary:
     half_widths: np.ndarray
     runs: list
     n_replications: int = 0
-    confidence: float = 0.95
     antithetic: bool = False
 
     def half_width_labels(self) -> List[str]:
@@ -1126,61 +1080,3 @@ class ReplicationSummary:
         if self.n_replications <= 1 or self.mean_queues.size == 0:
             return ["n/a"] * int(self.mean_queues.size)
         return [f"{h:.4f}" for h in np.asarray(self.half_widths)]
-
-
-@dataclass
-class ReplicationPrecision:
-    """Outcome of replication-count sequential stopping."""
-
-    summary: ReplicationSummary
-    target_halfwidth: float
-    schedule: List[int]
-    achieved: bool
-
-
-def replicate_to_precision(config: SimulationConfig,
-                           target_halfwidth: float,
-                           n_initial: int = 4,
-                           max_replications: int = 64,
-                           growth: float = 2.0,
-                           jobs: int = 1,
-                           antithetic: bool = False,
-                           confidence: float = 0.95,
-                           ) -> ReplicationPrecision:
-    """Grow the replication count until the pooled CI meets a target.
-
-    Counts follow ``n_{k+1} = ceil(n_k * growth)`` (rounded up to even
-    under ``antithetic``).  Spawned seeds are prefix-stable, so every
-    round re-issues the earlier replications' exact configs and — with
-    the cache on — re-simulates nothing; only the new replications
-    cost events.
-    """
-    if target_halfwidth <= 0.0:
-        raise SimulationError(
-            f"target half-width must be positive, got {target_halfwidth}")
-    if growth <= 1.0:
-        raise SimulationError(f"growth must exceed 1, got {growth}")
-    if n_initial < 2:
-        raise SimulationError(
-            f"need at least two initial replications, got {n_initial}")
-    if antithetic:
-        # Pairing needs even counts throughout; an odd cap would make
-        # the even-rounding oscillate below it.
-        max_replications -= max_replications % 2
-        n_initial += n_initial % 2
-    n = min(n_initial, max_replications)
-    schedule: List[int] = []
-    while True:
-        summary = replicate(config, n, jobs=jobs, antithetic=antithetic,
-                            confidence=confidence)
-        schedule.append(n)
-        achieved = _meets_target(summary.half_widths, target_halfwidth)
-        if achieved or n >= max_replications:
-            return ReplicationPrecision(summary=summary,
-                                        target_halfwidth=target_halfwidth,
-                                        schedule=schedule,
-                                        achieved=achieved)
-        n = int(math.ceil(n * growth))
-        if antithetic:
-            n += n % 2
-        n = min(max_replications, n)

@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.disciplines.registry import make_discipline
+from repro.exceptions import DisciplineError
 from repro.game.classes import (
     ClassProfile,
     _class_gains,
@@ -38,6 +40,7 @@ from repro.game.classes import (
 )
 from repro.game.best_response import best_response, utility_improvement
 import repro.game.nash as nash_module
+from repro.game.meanfield import solve_nash_meanfield
 from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
@@ -414,6 +417,20 @@ class TestClassProfileValidation:
         with pytest.raises(ValueError, match="counts"):
             solve_nash_classes(fs, [LinearUtility(gamma=0.5)],
                                counts=[2, 2])
+
+    @pytest.mark.parametrize("solver", [solve_nash_classes,
+                                        solve_nash_classes_fdc,
+                                        solve_nash_meanfield],
+                             ids=lambda solver: solver.__name__)
+    def test_user_order_dependent_map_is_refused(self, solver):
+        # Weights tie congestion to user positions, so two members of
+        # one class are not interchangeable, and a class-space point
+        # need not be an equilibrium of the expanded game.
+        weighted = WeightedProportionalAllocation((0.5, 2.0, 1.0, 1.0))
+        profile = [LinearUtility(gamma=0.3), LinearUtility(gamma=0.5)]
+        with pytest.raises(DisciplineError,
+                           match="depends on user order.*solve_nash"):
+            solver(weighted, profile, counts=[2, 2])
 
 
 class TestCertifyExpansion:

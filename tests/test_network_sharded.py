@@ -1,15 +1,15 @@
-"""Sharded switch-graph goldens: placement-independent simulation.
+"""Sharded switch-graph goldens: the kernel against the scalar loop.
 
-The sharded simulator's contract is that worker placement is
-unobservable: ``jobs=1``, ``jobs=2`` and ``jobs=4`` runs — and runs
-resumed from a window-boundary snapshot under a *different* jobs
-count — produce byte-identical per-switch measurements.  The tests
-also pin the Jackson-network sanity check (FIFO tandem hops behave as
-independent M/M/1 queues) and the conservative-synchronization
-validation (``link_delay >= window``).
+The sharded simulator's contract is that the loop each switch engine
+runs is unobservable: with the C kernels or with the scalar loop, a
+run produces byte-identical per-switch measurements, on a hand-picked
+graph and on generated ones, and exact ties between source arrivals
+and handoffs resolve the same way in both.  The tests also pin the
+Jackson-network sanity check (FIFO tandem hops behave as independent
+M/M/1 queues) and the conservative-synchronization validation
+(``link_delay >= window``).
 """
 
-import pickle
 from unittest import mock
 
 import numpy as np
@@ -23,8 +23,6 @@ from repro.exceptions import SimulationError
 from repro.network.sharded import (
     SHARDED_POLICIES,
     ShardedResult,
-    ShardedSimulation,
-    ShardedState,
     ShardSwitchEngine,
     SwitchGraphConfig,
     simulate_sharded,
@@ -39,7 +37,7 @@ def graph_config(**overrides):
                 routes=[(0, 1), (0, 2), (1, 2)],
                 policies=["fifo", "fair-share", "fifo"],
                 horizon=6000.0, warmup=400.0, seed=5,
-                window=400.0, link_delay=400.0, batch_quota=250.0)
+                window=400.0, link_delay=400.0)
     base.update(overrides)
     return SwitchGraphConfig(**base)
 
@@ -57,16 +55,13 @@ def fingerprint(result):
 
 
 class TestPlacementIndependence:
-    def test_jobs_2_and_4_match_serial(self):
-        serial = simulate_sharded(graph_config(), jobs=1)
-        for jobs in (2, 4):
-            parallel = simulate_sharded(graph_config(), jobs=jobs)
-            assert fingerprint(serial) == fingerprint(parallel)
+    """Whether a switch engine runs on a kernel or on the scalar loop
+    is unobservable."""
 
     def test_scalar_fallback_matches_chunked(self, monkeypatch):
-        chunked = simulate_sharded(graph_config(), jobs=1)
+        chunked = simulate_sharded(graph_config())
         monkeypatch.setattr(kernels, "load_kernels", lambda: None)
-        scalar = simulate_sharded(graph_config(), jobs=1)
+        scalar = simulate_sharded(graph_config())
         assert fingerprint(chunked) == fingerprint(scalar)
 
 
@@ -76,9 +71,7 @@ def switch_graphs(draw):
 
     2-4 switches and 2-5 users; each route crosses 1-3 distinct
     switches and together they cover every switch; every switch runs
-    below load 0.9; ``window == link_delay``, with an explicit batch
-    quota so snapshots are allowed.  Also returns the window after
-    which to snapshot, and the jobs count to snapshot under.
+    below load 0.9; ``window == link_delay``.
     """
     n_switches = draw(st.integers(2, 4))
     n_users = draw(st.integers(2, 5))
@@ -100,37 +93,25 @@ def switch_graphs(draw):
     window = draw(st.sampled_from([150.0, 250.0]))
     n_full = draw(st.integers(3, 6))
     horizon = window * n_full + draw(st.sampled_from([0.0, 0.5])) * window
-    config = SwitchGraphConfig(
+    return SwitchGraphConfig(
         rates=rates.tolist(), routes=routes,
         policies=[draw(st.sampled_from(SHARDED_POLICIES))
                   for _ in range(n_switches)],
         horizon=horizon, warmup=window / 2.0,
         seed=draw(st.integers(0, 2**16)), window=window,
-        link_delay=window, batch_quota=draw(st.sampled_from([40.0, 70.0])))
-    return (config, draw(st.integers(1, n_full - 1)),
-            draw(st.sampled_from([1, 2])))
+        link_delay=window)
 
 
 class TestGeneratedGraphs:
-    """The three placement contracts on generated switch graphs:
-    any jobs count, kernel or scalar loop, and a snapshot resumed
-    under the other jobs count all give the same measurements."""
+    """The kernel and the scalar loop give the same measurements on
+    generated switch graphs."""
 
     @settings(max_examples=20, deadline=None)
     @given(switch_graphs())
-    def test_placement_loop_and_resume_are_unobservable(self, drawn):
-        config, snap_after, snap_jobs = drawn
-        serial = fingerprint(simulate_sharded(config, jobs=1))
-        assert fingerprint(simulate_sharded(config, jobs=2)) == serial
+    def test_kernel_and_scalar_loop_agree(self, config):
+        kernel = fingerprint(simulate_sharded(config))
         with mock.patch.object(kernels, "load_kernels", lambda: None):
-            assert fingerprint(simulate_sharded(config, jobs=1)) == serial
-        with ShardedSimulation(config, jobs=snap_jobs) as sim:
-            sim.run_windows(snap_after)
-            state = pickle.loads(pickle.dumps(sim.snapshot()))
-        with ShardedSimulation.resume(state, config,
-                                      jobs=3 - snap_jobs) as resumed:
-            resumed.run_windows()
-            assert fingerprint(resumed.result()) == serial
+            assert fingerprint(simulate_sharded(config)) == kernel
 
 
 def tie_engine(policy):
@@ -151,8 +132,14 @@ def tie_engine(policy):
     return engine
 
 
+def pending_handoffs(engine):
+    """The handoffs delivered to ``engine`` but not yet simulated."""
+    return (engine._inj_times[engine._inj_pos:],
+            engine._inj_users[engine._inj_pos:])
+
+
 def test_pending_handoffs_sort_by_time_then_user():
-    times, users = tie_engine("fifo").pending_injections()
+    times, users = pending_handoffs(tie_engine("fifo"))
     np.testing.assert_array_equal(
         times, [4.0, 8.0, 8.0, 8.0, 12.0, 12.0, 12.0, 12.0, 40.0, 40.0,
                 40.0])
@@ -170,7 +157,7 @@ def tie_fingerprint(engine):
             engine.service_stream._rng.bit_generator.state["state"],
             times.tobytes(), users.tobytes(), engine.now,
             tuple(sorted(engine.arrivals_heap)),
-            engine.pending_injections()[0].tobytes())
+            pending_handoffs(engine)[0].tobytes())
 
 
 @pytest.mark.skipif(not kernels.kernels_available(),
@@ -196,70 +183,6 @@ class TestHandoffTies:
         assert tie_fingerprint(scalar) == tie_fingerprint(fast)
 
 
-class TestSnapshotResume:
-    def test_mid_run_snapshot_resumes_under_other_jobs(self):
-        straight = simulate_sharded(graph_config(), jobs=1)
-        sim = ShardedSimulation(graph_config(), jobs=1)
-        sim.run_windows(5)
-        state = pickle.loads(pickle.dumps(sim.snapshot()))
-        with ShardedSimulation.resume(state, graph_config(),
-                                      jobs=2) as resumed:
-            resumed.run_windows()
-            assert fingerprint(straight) == fingerprint(
-                resumed.result())
-
-    def test_parallel_snapshot_resumes_serially(self):
-        straight = simulate_sharded(graph_config(), jobs=1)
-        with ShardedSimulation(graph_config(), jobs=2) as sim:
-            sim.run_windows(9)
-            state = pickle.loads(pickle.dumps(sim.snapshot()))
-        resumed = ShardedSimulation.resume(state, graph_config(),
-                                           jobs=1)
-        resumed.run_windows()
-        assert fingerprint(straight) == fingerprint(resumed.result())
-
-    def test_snapshot_requires_batch_quota(self):
-        sim = ShardedSimulation(graph_config(batch_quota=None),
-                                jobs=1)
-        sim.run_windows(2)
-        with pytest.raises(SimulationError):
-            sim.snapshot()
-
-    def test_snapshot_preserves_event_counter(self):
-        sim = ShardedSimulation(graph_config(), jobs=1)
-        sim.run_windows()
-        state = sim.snapshot()
-        assert isinstance(state, ShardedState)
-        resumed = ShardedSimulation.resume(state, graph_config())
-        assert resumed.events == sim.events
-
-    def test_serial_engines_are_shard_switch_engines(self):
-        sim = ShardedSimulation(graph_config(), jobs=1)
-        engines = sim._local.engines
-        assert sorted(engines) == [0, 1, 2]
-        assert all(isinstance(engine, ShardSwitchEngine)
-                   for engine in engines.values())
-
-
-class TestDeadWorker:
-    def test_killed_worker_raises_a_clear_error(self):
-        sim = ShardedSimulation(graph_config(), jobs=2)
-        try:
-            sim.run_windows(1)
-            process = sim._workers[0][1]
-            process.kill()
-            process.join()
-            with pytest.raises(SimulationError,
-                               match=r"worker 0 \(switches \[0, 2\]\) "
-                                     r"died with exit code -9"):
-                sim.run_windows(1)
-        finally:
-            sim.close()
-        sim.close()
-        with pytest.raises(SimulationError, match="closed"):
-            sim.result()
-
-
 class TestPhysics:
     def test_fifo_tandem_is_jackson(self):
         # Burke's theorem: both hops of a FIFO tandem at rho = 0.5
@@ -267,7 +190,7 @@ class TestPhysics:
         config = SwitchGraphConfig(
             rates=[0.5], routes=[(0, 1)], policies=["fifo", "fifo"],
             horizon=40000.0, warmup=2000.0, seed=1,
-            window=500.0, link_delay=500.0, batch_quota=1900.0)
+            window=500.0, link_delay=500.0)
         result = simulate_sharded(config)
         np.testing.assert_allclose(result.mean_queues.ravel(),
                                    [1.0, 1.0], rtol=0.1)
@@ -311,19 +234,19 @@ class TestPhysics:
 class TestValidation:
     def test_link_delay_below_window_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedSimulation(graph_config(link_delay=100.0))
+            simulate_sharded(graph_config(link_delay=100.0))
 
     def test_unsupported_policy_rejected(self):
         assert "fq" not in SHARDED_POLICIES
         with pytest.raises(SimulationError):
-            ShardedSimulation(graph_config(
+            simulate_sharded(graph_config(
                 policies=["fifo", "fq", "fifo"]))
 
     def test_route_and_rate_shape_mismatch_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedSimulation(graph_config(rates=[0.3, 0.25]))
+            simulate_sharded(graph_config(rates=[0.3, 0.25]))
 
     def test_switch_without_routes_rejected(self):
         with pytest.raises(SimulationError):
-            ShardedSimulation(graph_config(
+            simulate_sharded(graph_config(
                 routes=[(0, 1), (0, 1), (0, 3)]))

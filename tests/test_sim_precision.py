@@ -7,10 +7,10 @@ adds on top of the event engine:
   identical arrival variate consumption (golden per-stream draw
   counts), which is what keeps paired discipline comparisons paired
   across engine versions;
-* **sequential stopping** — ``simulate_to_precision`` /
-  ``replicate_to_precision`` grow deterministically and stop at the
-  target (or the cap, with ``achieved=False``), and
-  ``cached_precision`` replays a finished schedule from the cache;
+* **sequential stopping** — ``simulate_to_precision`` grows the
+  horizon deterministically and stops at the target (or the cap, with
+  ``achieved=False``), and ``cached_precision`` replays a finished
+  schedule from the cache;
 * **replication CIs** — Student-t half-widths (the 1.96 hardcode is
   gone), ``"n/a"`` rendering for a single replication, antithetic
   pair mechanics.
@@ -31,7 +31,6 @@ from repro.sim.runner import (
     control_variate_summary,
     paired_configs,
     replicate,
-    replicate_to_precision,
     simulate,
     simulate_to_precision,
 )
@@ -120,9 +119,6 @@ class TestSimulateToPrecision:
     def test_rejects_bad_arguments(self):
         with pytest.raises(SimulationError):
             simulate_to_precision(BASE, target_halfwidth=0.0)
-        with pytest.raises(SimulationError):
-            simulate_to_precision(BASE, target_halfwidth=0.1,
-                                  growth=1.0)
 
     def test_schedule_is_deterministic(self):
         first = simulate_to_precision(BASE, target_halfwidth=0.08)
@@ -244,41 +240,3 @@ class TestAntithetic:
         expected = (t_quantile(0.95, 1)
                     * pair_avg.std(axis=0, ddof=1) / math.sqrt(2))
         np.testing.assert_allclose(summary.half_widths, expected)
-
-
-class TestReplicateToPrecision:
-    CONFIG = SimulationConfig(rates=RATES, policy="fifo",
-                              horizon=4000.0, warmup=500.0, seed=5)
-
-    def test_grows_until_target(self):
-        precision = replicate_to_precision(
-            self.CONFIG, target_halfwidth=0.2, n_initial=2,
-            max_replications=32)
-        assert precision.achieved
-        assert np.max(precision.summary.half_widths) <= 0.2
-        assert precision.schedule == sorted(precision.schedule)
-        assert precision.schedule[0] == 2
-
-    def test_cap_reported_as_not_achieved(self):
-        precision = replicate_to_precision(
-            self.CONFIG, target_halfwidth=1e-9, n_initial=2,
-            max_replications=4)
-        assert not precision.achieved
-        assert precision.schedule[-1] == 4
-
-    def test_antithetic_keeps_counts_even(self):
-        precision = replicate_to_precision(
-            self.CONFIG, target_halfwidth=1e-9, n_initial=3,
-            max_replications=7, antithetic=True)
-        assert all(n % 2 == 0 for n in precision.schedule)
-        assert precision.schedule[-1] == 6  # odd cap rounded down
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(SimulationError):
-            replicate_to_precision(self.CONFIG, target_halfwidth=0.0)
-        with pytest.raises(SimulationError):
-            replicate_to_precision(self.CONFIG, target_halfwidth=0.1,
-                                   n_initial=1)
-        with pytest.raises(SimulationError):
-            replicate_to_precision(self.CONFIG, target_halfwidth=0.1,
-                                   growth=0.5)

@@ -11,12 +11,10 @@ import pytest
 
 from dataclasses import replace
 
-import repro.obs as obs
 from repro.disciplines.fair_share import FairShareAllocation
 from repro.exceptions import SimulationError
 from repro.queueing.mm1 import mm1_mean_queue, proportional_split
 from repro.queueing.priority import nonpreemptive_priority_queues
-from repro.sim import cache as sim_cache
 from repro.sim.runner import (
     ReplicationSummary,
     SimulationConfig,
@@ -24,7 +22,6 @@ from repro.sim.runner import (
     replication_configs,
     simulate,
 )
-from repro.sim.store import RecordStore
 
 RATES = (0.1, 0.2, 0.3)
 HORIZON = 40000.0
@@ -192,51 +189,6 @@ class TestReplicationConfigs:
 
 
 class TestParallelReplication:
-    def test_parallel_matches_serial_exactly(self):
-        config = SimulationConfig(rates=[0.15, 0.3], policy="fifo",
-                                  horizon=4000.0, warmup=200.0, seed=1)
-        serial = replicate(config, n_replications=4, jobs=1)
-        parallel = replicate(config, n_replications=4, jobs=2)
-        assert np.array_equal(serial.mean_queues, parallel.mean_queues)
-        assert np.array_equal(serial.half_widths, parallel.half_widths)
-        for left, right in zip(serial.runs, parallel.runs):
-            assert np.array_equal(left.mean_queues, right.mean_queues)
-            assert left.departures == right.departures
-
-    def test_pooled_cache_counts_match_serial(self, tmp_path,
-                                             monkeypatch):
-        config = SimulationConfig(rates=[0.15, 0.3], policy="fifo",
-                                  horizon=4000.0, warmup=200.0, seed=1)
-        sim_cache.set_enabled(True)
-        deltas = []
-        for jobs in (1, 2):
-            monkeypatch.setenv(sim_cache.ENV_DIR,
-                               str(tmp_path / f"sim-jobs{jobs}"))
-            with obs.Scope() as counted:
-                replicate(config, n_replications=4, jobs=jobs)
-            deltas.append(counted.delta)
-        serial, pooled = deltas
-        assert serial["sim.cache.misses"] == 4
-        assert serial["sim.cache.fresh_events"] > 0
-        assert pooled == serial
-
-    def test_pooled_records_are_byte_identical_to_serial(
-            self, tmp_path, monkeypatch):
-        config = SimulationConfig(rates=[0.2, 0.3], policy="fifo",
-                                  horizon=2000.0, seed=5)
-        sim_cache.set_enabled(True)
-        records = []
-        for jobs in (1, 2):
-            directory = str(tmp_path / f"sim-jobs{jobs}")
-            monkeypatch.setenv(sim_cache.ENV_DIR, directory)
-            replicate(config, n_replications=4, jobs=jobs)
-            with RecordStore(directory) as store:
-                records.append({key: store.get(key)
-                                for key in store.keys()})
-        serial, pooled = records
-        assert len(serial) == 4
-        assert pooled == serial
-
     def test_policy_instance_falls_back_to_serial(self):
         from repro.sim.queues import FairShareLadderQueue
 
@@ -244,7 +196,7 @@ class TestParallelReplication:
             rates=[0.1, 0.2],
             policy=FairShareLadderQueue([0.1, 0.2]),
             horizon=2000.0, warmup=100.0, seed=4)
-        summary = replicate(config, n_replications=2, jobs=4)
+        summary = replicate(config, n_replications=2)
         assert summary.mean_queues.shape == (2,)
 
 

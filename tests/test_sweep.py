@@ -23,6 +23,7 @@ from repro.exceptions import SweepError
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.runner import ENGINE_VERSION
+from repro.sim.store import RecordStore
 from repro.sweep import (
     Catalog,
     CellOutcome,
@@ -380,6 +381,31 @@ class TestScheduler:
             == [o.as_dict() for o in parallel.outcomes]
         assert parallel.fresh_events == serial.fresh_events
         assert parallel.busy_s > 0.0
+
+    @pytest.mark.slow
+    def test_pooled_records_are_byte_identical_to_serial(
+            self, sweep_env, tmp_path, monkeypatch):
+        """A cold sweep stores the same result and precision-index
+        records, byte for byte, whether its cells ran here or in pool
+        workers.  Engine snapshots (``state-`` records) are left out:
+        they carry the process-global packet counter, which depends on
+        what the process ran before."""
+        catalog = expand_catalog(tiny_spec(rhos=[0.3, 0.5]))
+        records = []
+        for jobs in (1, 2):
+            directory = str(tmp_path / f"sim-jobs{jobs}")
+            monkeypatch.setenv(sim_cache.ENV_DIR, directory)
+            run_sweep(catalog, jobs=jobs, journal=False,
+                      cache_enabled=True)
+            with RecordStore(directory) as store:
+                records.append({key: store.get(key)
+                                for key in store.keys()
+                                if not key.startswith("state-")})
+        serial, pooled = records
+        assert sum(key.startswith("prec-") for key in serial) \
+            == len(catalog)
+        assert len(serial) > len(catalog)
+        assert pooled == serial
 
     @pytest.mark.slow
     def test_serial_and_pooled_sweeps_count_alike(self, sweep_env,
