@@ -30,7 +30,7 @@ counters of :mod:`repro.obs`, counted per user.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Sized
 
 import numpy as np
 
@@ -49,6 +49,13 @@ SCAN_POINTS = 65
 ZOOM_TOL = 1e-11
 
 
+def _capacity(allocation) -> float:
+    """The capacity pole of the allocation's service curve: ``inf`` for
+    pole-free constraints and for maps that carry no curve at all."""
+    return getattr(getattr(allocation, "curve", None), "capacity",
+                   math.inf)
+
+
 def _default_rate_cap(allocation) -> float:
     """Upper end of the rate interval a user searches.
 
@@ -59,11 +66,27 @@ def _default_rate_cap(allocation) -> float:
     generous fixed cap; utilities in AU eventually punish congestion
     enough to keep optima interior.
     """
-    curve = getattr(allocation, "curve", None)
-    capacity = getattr(curve, "capacity", math.inf)
+    capacity = _capacity(allocation)
     if math.isfinite(capacity):
         return capacity * (1.0 - 1e-6)
     return 4.0
+
+
+def _require_users(profile: Sized) -> None:
+    """Refuse an empty profile (or class counts), at the entry of every
+    Nash solver."""
+    if len(profile) == 0:
+        raise ValueError("profile must contain at least one utility")
+
+
+def _equal_split(allocation, counts: np.ndarray) -> np.ndarray:
+    """Every solver's default start: half the capacity (1 without a
+    pole) split equally among all users, one entry per class of
+    ``counts`` users (per user when every count is one)."""
+    _require_users(counts)
+    capacity = _capacity(allocation)
+    level = capacity if math.isfinite(capacity) else 1.0
+    return np.full(len(counts), 0.5 * level / int(np.sum(counts)))
 
 
 def _count(results: Sequence[ScalarMaxResult]) -> None:

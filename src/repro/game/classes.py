@@ -17,8 +17,15 @@ through the O(K) class-space paths
 making exact equilibria tractable at N=10^4+ where the per-user
 solver's O(N) inner loop is prohibitive.
 
-Each class-space round — the map, its certificate and the mean-field
-twins in :mod:`repro.game.meanfield` — is one K-row grid zoom
+:func:`solve_nash_classes_fdc` roots the class-space first-derivative
+conditions through the one FDC root,
+:func:`repro.game.dynamics.fdc_root`; the mean-field limit
+(:mod:`repro.game.meanfield`) is the same root under the
+``include_self=True`` closure.  All three solvers make their result
+in one function.
+
+Each class-space round — the map and the certificate of every solver
+here and in :mod:`repro.game.meanfield` — is one K-row grid zoom
 (:func:`~repro.numerics.optimize.grid_maximize_rows`) over the
 discipline's row-wise
 :meth:`~repro.disciplines.base.AllocationFunction.class_deviation_rows`
@@ -28,11 +35,11 @@ and ``solver.*`` counts equal the per-class calls bit for bit.  An
 exception from the row evaluator propagates.
 
 Results are *certified twice*: in class space (the max class deviation
-gain, exact for the full game by symmetry) and by expansion — a
-bounded number of per-user :func:`~repro.game.best_response
-.utility_improvement` spot checks against the expanded N-vector,
-scored in one batched call, which exercise the completely independent
-per-user evaluation path.
+gain, exact for the full game by symmetry) and by expansion — one
+per-user :func:`~repro.game.best_response.utility_improvement` spot
+check per class against the expanded N-vector, scored in one batched
+call, which exercises the completely independent per-user evaluation
+path.
 
 Per-user O(N) loops do not belong in this module; the GW107
 staticcheck rule enforces that.  The expansion certificate's bounded
@@ -47,12 +54,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from repro.disciplines.base import check_classes, expand_class_rates
 from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.exceptions import DisciplineError
-from repro.game.best_response import _improvements, _zoom_rows
+from repro.game.best_response import (_equal_split, _improvements,
+                                      _require_users, _zoom_rows)
+from repro.game.dynamics import fdc_root
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult
 from repro.users.utility import Utility
@@ -117,12 +125,20 @@ class ClassProfile:
             raise ValueError(
                 f"expected {self.n_classes} class values, "
                 f"got {values.size}")
-        if self.members is None:
-            return np.repeat(values, self.counts_array())
-        out = np.empty(self.n_users)
-        for k, indices in enumerate(self.members):
-            out[list(indices)] = values[k]
-        return out
+        return _scatter(values, self.counts_array(), self.members)
+
+
+def _scatter(values: np.ndarray, counts: np.ndarray,
+             members: Optional[Tuple[Tuple[int, ...], ...]]
+             ) -> np.ndarray:
+    """Per-user vector from per-class ``values``: in original user
+    order when ``members`` is known, class-block order otherwise."""
+    if members is None:
+        return np.repeat(values, counts)
+    out = np.empty(int(np.sum(counts)))
+    for k, indices in enumerate(members):
+        out[list(indices)] = values[k]
+    return out
 
 
 def _utility_key(utility: Utility) -> Tuple[object, ...]:
@@ -151,8 +167,7 @@ def detect_classes(profile: Sequence[Utility]) -> ClassProfile:
     user's original index so expanded results come back in input
     order.
     """
-    if not profile:
-        raise ValueError("profile must contain at least one utility")
+    _require_users(profile)
     groups: Dict[Tuple[object, ...], int] = {}
     utilities: List[Utility] = []
     members: List[List[int]] = []
@@ -245,18 +260,21 @@ class ClassNashResult:
     counts:
         Users per class.
     converged:
-        Whether the damped fixed point met its tolerance.
+        Whether the damped fixed point met its tolerance, or the FDC
+        root converged to positive rates.
     iterations:
-        Fixed-point iterations used.
+        Map evaluations of the fixed point, or residual evaluations
+        of the root.
     max_gain:
         Largest class-space deviation gain — by symmetry this *is*
         the max unilateral gain over all N users (certificate).
     spot_gain:
-        Largest gain among the expanded per-user spot checks
-        (``nan`` when certification was skipped); computed through
-        the independent per-user evaluation path.
+        Largest gain among the expanded per-user spot checks, one
+        member per class; computed through the independent per-user
+        evaluation path.
     method:
-        Solver tag (``"class-space"``).
+        Solver tag: ``"class-space"``, ``"fdc-root-class"`` or
+        ``"mean-field"``.
     members:
         Original user indices per class when known (see
         :class:`ClassProfile`).
@@ -277,25 +295,17 @@ class ClassNashResult:
     def n_users(self) -> int:
         return int(self.counts.sum())
 
-    def _scatter(self, values: np.ndarray) -> np.ndarray:
-        if self.members is None:
-            return np.repeat(values, self.counts)
-        out = np.empty(self.n_users)
-        for k, indices in enumerate(self.members):
-            out[list(indices)] = values[k]
-        return out
-
     def expand_rates(self) -> np.ndarray:
         """The equilibrium as a full per-user rate vector."""
-        return self._scatter(self.class_rates)
+        return _scatter(self.class_rates, self.counts, self.members)
 
     def expand_congestion(self) -> np.ndarray:
         """Per-user congestion at the equilibrium."""
-        return self._scatter(self.class_congestion)
+        return _scatter(self.class_congestion, self.counts, self.members)
 
     def expand_utilities(self) -> np.ndarray:
         """Per-user utility levels at the equilibrium."""
-        return self._scatter(self.class_utilities)
+        return _scatter(self.class_utilities, self.counts, self.members)
 
     def is_equilibrium(self, tol: float = 1e-6) -> bool:
         """Whether no user can gain more than ``tol`` by deviating."""
@@ -358,9 +368,10 @@ def _resolve_classes(allocation, profile: Sequence[Utility],
                                 Optional[Tuple[Tuple[int, ...], ...]]]:
     """Normalize a per-user or class-form profile to class form.
 
-    Class space treats the members of a class as interchangeable, so a
-    map whose congestion depends on user order is refused here, the
-    one entry of every class-space and mean-field solver.
+    The one entry of every class-space and mean-field solver.  Class
+    space treats the members of a class as interchangeable, so a map
+    whose congestion depends on user order is refused here, as is an
+    empty profile.
     """
     if isinstance(allocation, WeightedProportionalAllocation):
         raise DisciplineError(
@@ -368,6 +379,7 @@ def _resolve_classes(allocation, profile: Sequence[Utility],
             "(each user position carries its own weight), so the "
             "members of a class are not interchangeable; solve per "
             "user with repro.game.nash.solve_nash")
+    _require_users(profile)
     if counts is None:
         detected = detect_classes(profile)
         return detected.utilities, detected.counts_array(), detected.members
@@ -377,19 +389,59 @@ def _resolve_classes(allocation, profile: Sequence[Utility],
         raise ValueError(
             f"counts must be 1-D of length {len(utilities)}, got shape "
             f"{counts_arr.shape}")
-    if counts_arr.size and int(counts_arr.min()) < 1:
+    if int(counts_arr.min()) < 1:
         raise ValueError(f"class counts must be positive, got {counts_arr}")
     return utilities, counts_arr, None
 
 
-def _default_class_start(allocation, counts: np.ndarray) -> np.ndarray:
-    """Equal split at 50% load — :func:`repro.game.nash.default_start`
-    collapsed to class space."""
-    n_users = int(counts.sum())
-    capacity = getattr(getattr(allocation, "curve", None), "capacity",
-                       math.inf)
-    level = capacity if math.isfinite(capacity) else 1.0
-    return np.full(counts.size, 0.5 * level / n_users)
+def _class_outcome(allocation, utilities: Sequence[Utility],
+                   class_rates: np.ndarray, counts: np.ndarray,
+                   members: Optional[Tuple[Tuple[int, ...], ...]],
+                   converged: bool, iterations: int,
+                   method: str) -> ClassNashResult:
+    """A class-space solve's result, certified against the *exact*
+    game whatever closure found the point: the class-space gain
+    (:func:`_class_gains`) and one expanded per-user spot check per
+    class (:func:`certify_expansion`).  At a mean-field point the
+    residual gain a real, self-excluded user retains is the mean-field
+    error expressed in utility."""
+    congestion = allocation.class_congestion(class_rates, counts)
+    class_utilities = np.asarray(
+        [utility.value(float(class_rates[k]), float(congestion[k]))
+         for k, utility in enumerate(utilities)], dtype=float)
+    return ClassNashResult(
+        class_rates=class_rates, class_congestion=congestion,
+        class_utilities=class_utilities, counts=counts,
+        converged=converged, iterations=iterations,
+        max_gain=_class_gains(allocation, utilities, class_rates, counts,
+                              class_utilities),
+        spot_gain=certify_expansion(allocation, utilities, class_rates,
+                                    counts),
+        method=method, members=members)
+
+
+def _fdc_residuals(allocation, utilities: Sequence[Utility],
+                   class_rates: Sequence[float], counts: Sequence[int],
+                   include_self: bool) -> np.ndarray:
+    """Class-space FDC residuals under either closure: the body of
+    :func:`class_fdc_residuals` (``include_self=False``) and
+    :func:`repro.game.meanfield.meanfield_fdc_residuals` (``True``).
+    A class with infinite congestion has no residual (``nan``), as in
+    :func:`repro.game.dynamics.fdc_residuals`."""
+    c, m = check_classes(class_rates, counts)
+    if len(utilities) != c.size:
+        raise ValueError(
+            f"{len(utilities)} utilities for {c.size} classes")
+    congestion = allocation.class_congestion(c, m)
+    out = np.empty(c.size)
+    for k, utility in enumerate(utilities):
+        if not math.isfinite(float(congestion[k])):
+            out[k] = math.nan
+            continue
+        ratio = utility.marginal_ratio(float(c[k]), float(congestion[k]))
+        out[k] = ratio + allocation.class_own_derivative(
+            c, m, k, include_self=include_self)
+    return out
 
 
 def class_fdc_residuals(allocation, utilities: Sequence[Utility],
@@ -404,26 +456,32 @@ def class_fdc_residuals(allocation, utilities: Sequence[Utility],
     .class_own_derivative` (analytic for the core families), so the
     residual costs O(K) per call.
     """
-    c, m = check_classes(class_rates, counts)
-    if len(utilities) != c.size:
-        raise ValueError(
-            f"{len(utilities)} utilities for {c.size} classes")
-    congestion = allocation.class_congestion(c, m)
-    out = np.empty(c.size)
-    for k, utility in enumerate(utilities):
-        if not math.isfinite(float(congestion[k])):
-            out[k] = 1e6
-            continue
-        ratio = utility.marginal_ratio(float(c[k]), float(congestion[k]))
-        out[k] = ratio + allocation.class_own_derivative(c, m, k)
-    return out
+    return _fdc_residuals(allocation, utilities, class_rates, counts,
+                          include_self=False)
+
+
+def _class_root(allocation, profile: Sequence[Utility],
+                counts: Optional[Sequence[int]],
+                r0: Optional[Sequence[float]], include_self: bool,
+                method: str) -> ClassNashResult:
+    """The FDC root (:func:`~repro.game.dynamics.fdc_root`) of the
+    class form under one closure: the exact game
+    (:func:`solve_nash_classes_fdc`) or the mean-field limit
+    (:func:`repro.game.meanfield.solve_nash_meanfield`)."""
+    utilities, m, members = _resolve_classes(allocation, profile, counts)
+    start = (_equal_split(allocation, m) if r0 is None
+             else np.asarray(r0, dtype=float))
+    class_rates, converged, evaluations = fdc_root(
+        lambda c: _fdc_residuals(allocation, utilities, c, m,
+                                 include_self=include_self), start)
+    return _class_outcome(allocation, utilities, class_rates, m, members,
+                          converged, evaluations, method)
 
 
 def solve_nash_classes_fdc(allocation, profile: Sequence[Utility],
                            counts: Optional[Sequence[int]] = None,
-                           r0: Optional[Sequence[float]] = None,
-                           tol: float = 1e-10,
-                           certify_users: int = 1) -> ClassNashResult:
+                           r0: Optional[Sequence[float]] = None
+                           ) -> ClassNashResult:
     """Root-find the class-space Nash first-derivative conditions.
 
     The K-dimensional twin of :func:`repro.game.nash.solve_nash_fdc`:
@@ -434,44 +492,14 @@ def solve_nash_classes_fdc(allocation, profile: Sequence[Utility],
     ``r0`` (typically a :func:`solve_nash_classes` result) to select
     the basin when equilibria are not unique.
     """
-    utilities, counts_arr, members = _resolve_classes(
-        allocation, profile, counts)
-    _, m = check_classes(np.zeros(counts_arr.size), counts_arr)
-    start = (_default_class_start(allocation, m) if r0 is None
-             else np.asarray(r0, dtype=float))
-
-    def residuals(c: np.ndarray) -> np.ndarray:
-        return class_fdc_residuals(allocation, utilities, np.abs(c), m)
-
-    solution = sp_optimize.root(residuals, start, method="hybr",
-                                options={"xtol": tol})
-    class_rates = np.abs(np.asarray(solution.x, dtype=float))
-    converged = bool(solution.success) and bool(np.all(class_rates > 0.0))
-    congestion = allocation.class_congestion(class_rates, m)
-    class_utilities = np.asarray(
-        [utility.value(float(class_rates[k]), float(congestion[k]))
-         for k, utility in enumerate(utilities)], dtype=float)
-    max_gain = _class_gains(allocation, utilities, class_rates, m,
-                            class_utilities)
-    spot_gain = math.nan
-    if certify_users > 0:
-        spot_gain = certify_expansion(allocation, utilities, class_rates,
-                                      m, users_per_class=certify_users)
-    return ClassNashResult(class_rates=class_rates,
-                           class_congestion=congestion,
-                           class_utilities=class_utilities,
-                           counts=m, converged=converged,
-                           iterations=int(solution.nfev),
-                           max_gain=max_gain, spot_gain=spot_gain,
-                           method="fdc-root-class", members=members)
+    return _class_root(allocation, profile, counts, r0,
+                       include_self=False, method="fdc-root-class")
 
 
 def solve_nash_classes(allocation, profile: Sequence[Utility],
                        counts: Optional[Sequence[int]] = None,
-                       r0: Optional[Sequence[float]] = None,
-                       damping: float = 0.5, tol: float = 1e-9,
-                       max_iter: int = 400,
-                       certify_users: int = 1) -> ClassNashResult:
+                       tol: float = 1e-9,
+                       max_iter: int = 400) -> ClassNashResult:
     """Best-response iteration on the K-class reduced game.
 
     Parameters
@@ -486,49 +514,25 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
         utility per class.
     counts:
         Users per class when ``profile`` is already in class form.
-    r0:
-        K-dimensional starting point; defaults to the equal split at
-        50% load, matching :func:`repro.game.nash.default_start` for
-        the expanded game.
-    certify_users:
-        Per-user expansion spot checks per class (0 skips the
-        expansion certificate; the class-space ``max_gain``
-        certificate is always computed).
 
-    From a class-symmetric start the iteration is the per-user
+    The iteration starts at the equal split at 50% load, which is
+    :func:`repro.game.nash.default_start` for the expanded game, and
+    from that class-symmetric start it is the per-user
     :func:`~repro.game.nash.solve_nash` iteration on the expanded game
     restricted to class-symmetric points (the driver weights its
     extrapolation by ``counts``), so the result matches the exact
     solver to solver tolerance while doing O(K) work per step instead
-    of O(N).
+    of O(N).  Both certificates are computed: the class-space
+    ``max_gain`` and one expanded per-user spot check per class
+    (``spot_gain``).
     """
-    utilities, counts_arr, members = _resolve_classes(
-        allocation, profile, counts)
-    c0, m = check_classes(
-        np.zeros(len(utilities)) if r0 is None else r0, counts_arr)
-    if r0 is None:
-        c0 = _default_class_start(allocation, m)
+    utilities, m, members = _resolve_classes(allocation, profile, counts)
 
     def mapping(c: np.ndarray) -> np.ndarray:
         return class_best_response_map(allocation, utilities, c, m)
 
-    outcome = damped_fixed_point(mapping, c0, damping=damping, tol=tol,
-                                 max_iter=max_iter, weights=m)
-    class_rates = np.asarray(outcome.x, dtype=float)
-    congestion = allocation.class_congestion(class_rates, m)
-    class_utilities = np.asarray(
-        [utility.value(float(class_rates[k]), float(congestion[k]))
-         for k, utility in enumerate(utilities)], dtype=float)
-    max_gain = _class_gains(allocation, utilities, class_rates, m,
-                            class_utilities)
-    spot_gain = math.nan
-    if certify_users > 0:
-        spot_gain = certify_expansion(allocation, utilities, class_rates,
-                                      m, users_per_class=certify_users)
-    return ClassNashResult(class_rates=class_rates,
-                           class_congestion=congestion,
-                           class_utilities=class_utilities,
-                           counts=m, converged=outcome.converged,
-                           iterations=outcome.iterations,
-                           max_gain=max_gain, spot_gain=spot_gain,
-                           method="class-space", members=members)
+    outcome = damped_fixed_point(mapping, _equal_split(allocation, m),
+                                 tol=tol, max_iter=max_iter, weights=m)
+    return _class_outcome(allocation, utilities, outcome.x, m, members,
+                          outcome.converged, outcome.iterations,
+                          "class-space")

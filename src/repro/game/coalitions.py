@@ -20,6 +20,13 @@ from scipy import optimize as sp_optimize
 import repro.obs as obs
 from repro.users.utility import Utility
 
+#: Half-width of a member's candidate grid, relative to her rate: the
+#: grid runs from ``(1 - SPAN) r`` to ``(1 + SPAN) r + 0.02``.
+SPAN = 0.5
+
+#: Smallest coalition gain :func:`search_profitable_coalitions` reports.
+GAIN_TOL = 1e-6
+
 
 @dataclass
 class CoalitionOutcome:
@@ -44,14 +51,13 @@ class CoalitionOutcome:
 def coalition_gain(allocation, profile: Sequence[Utility],
                    rates: Sequence[float], members: Sequence[int],
                    grid_points: int = 9,
-                   span: float = 0.5,
                    refine: bool = True) -> CoalitionOutcome:
     """Max-min utility gain a coalition can grab by deviating jointly.
 
     Each member's candidate rates form a grid around (and including)
-    her current rate; all joint combinations are evaluated and the one
-    maximizing the *worst member's* gain is polished with Nelder-Mead.
-    Non-members keep their rates.
+    her current rate (see :data:`SPAN`); all joint combinations are
+    evaluated and the one maximizing the *worst member's* gain is
+    polished with Nelder-Mead.  Non-members keep their rates.
     """
     base = np.asarray(rates, dtype=float)
     members = tuple(int(m) for m in members)
@@ -78,8 +84,8 @@ def coalition_gain(allocation, profile: Sequence[Utility],
 
     grids = []
     for m in members:
-        lo = max(base[m] * (1.0 - span), 1e-6)
-        hi = base[m] * (1.0 + span) + 0.02
+        lo = max(base[m] * (1.0 - SPAN), 1e-6)
+        hi = base[m] * (1.0 + SPAN) + 0.02
         grid = np.unique(np.concatenate(
             (np.linspace(lo, hi, grid_points), [base[m]])))
         grids.append(grid)
@@ -123,15 +129,16 @@ def coalition_gain(allocation, profile: Sequence[Utility],
 def search_profitable_coalitions(allocation, profile: Sequence[Utility],
                                  rates: Sequence[float],
                                  max_size: int = 2,
-                                 grid_points: int = 9,
-                                 tol: float = 1e-6) -> List[CoalitionOutcome]:
-    """All coalitions up to ``max_size`` that profit from deviating."""
+                                 grid_points: int = 9
+                                 ) -> List[CoalitionOutcome]:
+    """All coalitions up to ``max_size`` that profit from deviating:
+    every member gains more than :data:`GAIN_TOL`."""
     n = len(profile)
     profitable: List[CoalitionOutcome] = []
     for size in range(2, max_size + 1):
         for members in itertools.combinations(range(n), size):
             outcome = coalition_gain(allocation, profile, rates,
                                      members, grid_points=grid_points)
-            if outcome.gain > tol:
+            if outcome.gain > GAIN_TOL:
                 profitable.append(outcome)
     return profitable

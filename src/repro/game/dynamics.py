@@ -1,4 +1,5 @@
-"""Newton self-optimization dynamics and the relaxation matrix (§4.2.3).
+"""Newton self-optimization dynamics, the relaxation matrix (§4.2.3)
+and the one root-finder of the Nash first-derivative conditions.
 
 Each user measures how far she is from her Nash condition,
 ``E_i = M_i(r_i, C_i(r)) + dC_i/dr_i``, and updates
@@ -14,13 +15,17 @@ dynamics die in at most ``N`` steps — and Fair Share is the only MAC
 discipline with that property.  Under FIFO with identical linear
 utilities the leading eigenvalue approaches ``1 - N``: unstable for
 ``N > 2``.
+
+:func:`fdc_root` roots the same conditions for every population form:
+per user (:func:`repro.game.nash.solve_nash_fdc`), in symmetry classes
+and under the mean-field closure (:mod:`repro.game.classes`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize as sp_optimize
@@ -28,6 +33,15 @@ from scipy import optimize as sp_optimize
 from repro.users.utility import Utility
 
 _H = 1e-6
+
+#: ``xtol`` of every FDC root.
+FDC_TOL = 1e-10
+
+#: What a non-finite residual entry reads as inside an FDC root.
+FDC_PENALTY = 1e6
+
+#: Residual sup-norm at which Newton dynamics count as converged.
+NEWTON_TOL = 1e-8
 
 
 def fdc_residuals(allocation, profile: Sequence[Utility],
@@ -43,6 +57,26 @@ def fdc_residuals(allocation, profile: Sequence[Utility],
         m = utility.marginal_ratio(float(r[i]), float(congestion[i]))
         out[i] = m + allocation.own_derivative(r, i)
     return out
+
+
+def fdc_root(residuals: Callable[[np.ndarray], np.ndarray],
+             start: Sequence[float]) -> Tuple[np.ndarray, bool, int]:
+    """Root first-derivative conditions by Powell's hybrid method.
+
+    ``residuals`` is evaluated at ``|x|``, since the root may step
+    through non-positive rates on its way, and a non-finite entry reads
+    as :data:`FDC_PENALTY`.  Returns ``(|x|, converged, evaluations)``:
+    converged when hybr succeeds with every rate positive.
+    """
+    def penalized(x: np.ndarray) -> np.ndarray:
+        out = np.asarray(residuals(np.abs(x)), dtype=float)
+        return np.where(np.isfinite(out), out, FDC_PENALTY)
+
+    solution = sp_optimize.root(penalized, start, method="hybr",
+                                options={"xtol": FDC_TOL})
+    rates = np.abs(np.asarray(solution.x, dtype=float))
+    converged = bool(solution.success) and bool(np.all(rates > 0.0))
+    return rates, converged, int(solution.nfev)
 
 
 def _marginal_ratio_partials(utility: Utility, r: float,
@@ -103,21 +137,17 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def newton_step(allocation, profile: Sequence[Utility],
-                rates: Sequence[float],
-                max_step: Optional[float] = None) -> np.ndarray:
+                rates: Sequence[float]) -> np.ndarray:
     """One synchronous Newton update of all users' rates.
 
-    ``max_step`` optionally clamps each user's move — pure Newton (the
-    paper's Section 4.2.3 dynamics) is exact in the linear regime but
-    can overshoot from far starts, like any Newton method.
+    Pure Newton, the paper's Section 4.2.3 dynamics: exact in the
+    linear regime, and free to overshoot from far starts like any
+    Newton method.  Rates stay at or above 1e-9.
     """
     r = np.asarray(rates, dtype=float)
     e = fdc_residuals(allocation, profile, r)
     de = fdc_jacobian(allocation, profile, r)
-    delta = -e / np.diag(de)
-    if max_step is not None:
-        delta = np.clip(delta, -max_step, max_step)
-    updated = r + delta
+    updated = r - e / np.diag(de)
     return np.maximum(updated, 1e-9)
 
 
@@ -147,8 +177,7 @@ class NewtonTrajectory:
 
 
 def _async_newton_step(allocation, profile: Sequence[Utility],
-                       rates: np.ndarray,
-                       max_step: Optional[float]) -> np.ndarray:
+                       rates: np.ndarray) -> np.ndarray:
     """One Gauss-Seidel sweep: users update in turn, seeing the
     freshest rates of everyone before them."""
     r = rates.copy()
@@ -163,19 +192,18 @@ def _async_newton_step(allocation, profile: Sequence[Utility],
                                                 float(congestion_i))
         de_ii = (dm_dr + dm_dc * allocation.own_derivative(r, i)
                  + allocation.own_second_derivative(r, i))
-        delta = -e_i / de_ii
-        if max_step is not None:
-            delta = min(max(delta, -max_step), max_step)
-        r[i] = max(r[i] + delta, 1e-9)
+        r[i] = max(r[i] - e_i / de_ii, 1e-9)
     return r
 
 
 def run_newton_dynamics(allocation, profile: Sequence[Utility],
                         r0: Sequence[float], n_steps: int = 50,
-                        tol: float = 1e-8,
-                        max_step: Optional[float] = None,
                         synchronous: bool = True) -> NewtonTrajectory:
     """Run Newton self-optimization dynamics from ``r0``.
+
+    Runs at most ``n_steps`` steps, stopping once the residual
+    sup-norm is below :data:`NEWTON_TOL` (converged) or non-finite or
+    above 1e8 (diverged).
 
     ``synchronous=True`` is the paper's Section-4.2.3 model: everyone
     updates at once (Jacobi), and the relaxation-matrix analysis
@@ -198,14 +226,14 @@ def run_newton_dynamics(allocation, profile: Sequence[Utility],
         if not math.isfinite(norm) or norm > 1e8:
             diverged = True
             break
-        if norm < tol:
+        if norm < NEWTON_TOL:
             converged = True
             steps_to_converge = step
             break
         if synchronous:
-            r = newton_step(allocation, profile, r, max_step=max_step)
+            r = newton_step(allocation, profile, r)
         else:
-            r = _async_newton_step(allocation, profile, r, max_step)
+            r = _async_newton_step(allocation, profile, r)
         trail.append(r.copy())
     return NewtonTrajectory(rates=np.array(trail),
                             residual_norms=np.array(norms),

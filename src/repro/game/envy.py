@@ -11,13 +11,17 @@ FIFO does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.game.best_response import best_response
+from repro.game.best_response import _require_users, best_response
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
+
+#: Upper end of the total opponent load :func:`search_unilateral_envy`
+#: draws (the lower end is 0.1).
+MAX_PROBE_LOAD = 0.95
 
 
 def envy_matrix(profile: Sequence[Utility], rates: Sequence[float],
@@ -99,26 +103,28 @@ def unilateral_envy(allocation, profile: Sequence[Utility],
 
 def search_unilateral_envy(allocation, profile: Sequence[Utility],
                            n_trials: int = 50,
-                           rng: Optional[np.random.Generator] = None,
-                           load_high: float = 0.95) -> UnilateralEnvyOutcome:
+                           rng: Optional[np.random.Generator] = None
+                           ) -> UnilateralEnvyOutcome:
     """Adversarial search for positive unilateral envy.
 
-    Samples random opponent rate vectors, best-responds each user in
+    Samples ``n_trials`` random opponent rate vectors (total load
+    uniform in ``[0.1, MAX_PROBE_LOAD]``), best-responds each user in
     turn, and returns the single worst (most envious) outcome found.
     For Fair Share the returned envy should never be positive; for FIFO
     it usually is.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    _require_users(profile)
     generator = default_rng(rng if rng is not None else 11)
-    n = len(profile)
-    alpha = np.ones(n)
-    worst: Optional[UnilateralEnvyOutcome] = None
-    for _ in range(n_trials):
-        direction = generator.dirichlet(alpha)
-        load = generator.uniform(0.1, load_high)
-        rates = direction * load
-        for i in range(n):
-            outcome = unilateral_envy(allocation, profile, rates, i)
-            if worst is None or outcome.envy > worst.envy:
-                worst = outcome
-    assert worst is not None  # n_trials >= 1 and n >= 1
-    return worst
+    alpha = np.ones(len(profile))
+
+    def outcomes() -> Iterator[UnilateralEnvyOutcome]:
+        for _ in range(n_trials):
+            rates = (generator.dirichlet(alpha)
+                     * generator.uniform(0.1, MAX_PROBE_LOAD))
+            for i in range(len(profile)):
+                yield unilateral_envy(allocation, profile, rates, i)
+
+    # max() keeps the first of equally envious outcomes.
+    return max(outcomes(), key=lambda outcome: outcome.envy)

@@ -28,6 +28,15 @@ import repro.obs as obs
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
 
+#: Elimination rounds after which :func:`iterated_elimination` stops
+#: even if candidates are still falling.
+MAX_ELIMINATION_ROUNDS = 100
+
+#: Standard deviation of :func:`stochastic_better_reply`'s first
+#: perturbation, and the factor it shrinks by every step.
+STEP_SCALE = 0.05
+ANNEAL = 0.999
+
 
 @dataclass
 class EliminationResult:
@@ -75,13 +84,13 @@ def _payoff_table(allocation, profile: Sequence[Utility],
 
 
 def iterated_elimination(allocation, profile: Sequence[Utility],
-                         grids: Sequence[np.ndarray],
-                         max_rounds: int = 100) -> EliminationResult:
+                         grids: Sequence[np.ndarray]) -> EliminationResult:
     """Run exact iterated strict dominance on finite rate grids.
 
     A candidate ``s`` of user ``i`` is eliminated when some surviving
     candidate ``s_hat`` yields strictly higher utility against *every*
-    surviving opponent combination.  Iterates to a fixed point.
+    surviving opponent combination.  Iterates to a fixed point, or for
+    at most :data:`MAX_ELIMINATION_ROUNDS` rounds.
     """
     n = len(profile)
     if len(grids) != n:
@@ -91,7 +100,7 @@ def iterated_elimination(allocation, profile: Sequence[Utility],
     alive = [np.ones(len(g), dtype=bool) for g in grid_arrays]
     rounds = 0
     changed = True
-    while changed and rounds < max_rounds:
+    while changed and rounds < MAX_ELIMINATION_ROUNDS:
         changed = False
         rounds += 1
         for i in range(n):
@@ -224,13 +233,14 @@ def learning_automata(allocation, profile: Sequence[Utility],
 
 def stochastic_better_reply(allocation, profile: Sequence[Utility],
                             r0: Sequence[float], n_steps: int = 2000,
-                            step_scale: float = 0.05,
-                            rng: Optional[np.random.Generator] = None,
-                            anneal: float = 0.999) -> np.ndarray:
+                            rng: Optional[np.random.Generator] = None
+                            ) -> np.ndarray:
     """A concrete naive learner: random local search, keep improvements.
 
     Each step, a random user perturbs her rate by a shrinking random
-    amount and keeps the change iff her *own* utility improved — the
+    amount (normal, standard deviation :data:`STEP_SCALE` shrunk by
+    :data:`ANNEAL` per step) and keeps the change iff her *own* utility
+    improved — the
     "adjust the knob until the picture looks best" behavior from the
     paper's TV-contrast analogy.  Returns the rate trajectory
     (``n_steps + 1`` rows).
@@ -240,7 +250,7 @@ def stochastic_better_reply(allocation, profile: Sequence[Utility],
     n = r.size
     trail = np.empty((n_steps + 1, n))
     trail[0] = r
-    scale = step_scale
+    scale = STEP_SCALE
     for step in range(1, n_steps + 1):
         i = int(generator.integers(0, n))
         candidate = r[i] + generator.normal(0.0, scale)
@@ -253,6 +263,6 @@ def stochastic_better_reply(allocation, profile: Sequence[Utility],
         new_u = profile[i].value(candidate, float(new_c))
         if new_u > current_u:
             r = probe
-        scale *= anneal
+        scale *= ANNEAL
         trail[step] = r
     return trail

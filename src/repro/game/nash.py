@@ -1,6 +1,7 @@
 """Nash equilibrium computation.
 
-Two complementary solvers:
+Two complementary solvers, each with its twin in class space
+(:mod:`repro.game.classes`):
 
 * :func:`solve_nash` — best-response iteration through the shared
   fixed-point driver (:func:`repro.numerics.iterate.damped_fixed_point`):
@@ -9,10 +10,15 @@ Two complementary solvers:
   (Theorem 5), the damped fallback handles FIFO's oscillatory
   coupling, and the extrapolation finishes Fair Share's nilpotent and
   the separable discipline's constant map in a few evaluations.
-* :func:`solve_nash_fdc` — Newton/root-finding on the first-derivative
-  conditions ``E_i(r) = M_i(r_i, C_i(r)) + dC_i/dr_i = 0``.  Fast and
-  precise near a solution; every root is re-certified with actual best
-  responses before being reported.
+* :func:`solve_nash_fdc` — the one FDC root
+  (:func:`repro.game.dynamics.fdc_root`) on the first-derivative
+  conditions ``E_i(r) = M_i(r_i, C_i(r)) + dC_i/dr_i = 0``
+  (:func:`repro.game.dynamics.fdc_residuals`).  Fast and precise near
+  a solution; every root is re-certified with actual best responses
+  before being reported.
+
+Both start from :func:`default_start` unless given ``r0``, and refuse
+an empty profile.
 
 :func:`find_all_nash` runs multistart searches and clusters the
 results — the experimental instrument behind the Theorem-4 uniqueness
@@ -26,13 +32,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from repro.game.best_response import (
+    _capacity,
+    _equal_split,
+    _require_users,
     best_response_map,
     utility_improvements,
 )
 from repro.game.classes import ClassProfile, detect_classes
+from repro.game.dynamics import fdc_residuals, fdc_root
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.rng import default_rng
 from repro.users.utility import Utility
@@ -100,42 +109,39 @@ def _package(allocation, profile: Sequence[Utility], rates: np.ndarray,
 
 def default_start(n_users: int, allocation=None) -> np.ndarray:
     """A safe interior starting point (equal split at 50% load)."""
-    capacity = 1.0
-    if allocation is not None:
-        cap = getattr(getattr(allocation, "curve", None), "capacity",
-                      math.inf)
-        if math.isfinite(cap):
-            capacity = cap
-    return np.full(n_users, 0.5 * capacity / n_users)
+    return _equal_split(allocation, np.ones(n_users, dtype=int))
+
+
+def _start(allocation, profile: Sequence[Utility],
+           r0: Optional[Sequence[float]]) -> np.ndarray:
+    """A per-user solve's start: ``r0``, else :func:`default_start`."""
+    _require_users(profile)
+    if r0 is None:
+        return default_start(len(profile), allocation)
+    return np.asarray(r0, dtype=float)
 
 
 def solve_nash(allocation, profile: Sequence[Utility],
                r0: Optional[Sequence[float]] = None,
-               damping: float = 0.5, tol: float = 1e-9,
-               max_iter: int = 400) -> NashResult:
+               tol: float = 1e-9, max_iter: int = 400) -> NashResult:
     """Best-response iteration to a Nash equilibrium.
 
-    ``damping`` is the fraction of the plain step ``r <- (1-d) r +
-    d B(r)``; the driver extrapolates between plain steps, and
-    ``max_iter`` bounds the best-response maps it evaluates
+    Damped steps ``r <- (r + B(r)) / 2`` start the iteration (the
+    damping halves while the steps stall), with extrapolation between
+    them; ``max_iter`` bounds the best-response maps evaluated
     (``iterations`` in the result).
     """
-    n = len(profile)
-    start = (default_start(n, allocation) if r0 is None
-             else np.asarray(r0, dtype=float))
-
     def mapping(r: np.ndarray) -> np.ndarray:
         return best_response_map(allocation, profile, r)
 
-    outcome = damped_fixed_point(mapping, start, damping=damping, tol=tol,
-                                 max_iter=max_iter)
+    outcome = damped_fixed_point(mapping, _start(allocation, profile, r0),
+                                 tol=tol, max_iter=max_iter)
     return _package(allocation, profile, outcome.x, outcome.converged,
                     outcome.iterations, method="best-response")
 
 
 def solve_nash_fdc(allocation, profile: Sequence[Utility],
-                   r0: Optional[Sequence[float]] = None,
-                   tol: float = 1e-10) -> NashResult:
+                   r0: Optional[Sequence[float]] = None) -> NashResult:
     """Root-find the Nash first-derivative conditions.
 
     ``E_i(r) = M_i(r_i, C_i(r)) + dC_i/dr_i``; a Nash equilibrium in
@@ -144,28 +150,11 @@ def solve_nash_fdc(allocation, profile: Sequence[Utility],
     root need not be a global best response (Lemma 4 is specific to
     Fair Share), and the ``max_gain`` field exposes that.
     """
-    n = len(profile)
-    start = (default_start(n, allocation) if r0 is None
-             else np.asarray(r0, dtype=float))
-
-    def residuals(r: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        congestion = allocation.congestion(r)
-        for i, utility in enumerate(profile):
-            if not math.isfinite(congestion[i]):
-                out[i] = 1e6
-                continue
-            m = utility.marginal_ratio(float(r[i]), float(congestion[i]))
-            out[i] = m + allocation.own_derivative(r, i)
-        return out
-
-    solution = sp_optimize.root(residuals, start, method="hybr",
-                                options={"xtol": tol})
-    rates = np.asarray(solution.x, dtype=float)
-    converged = bool(solution.success) and bool(np.all(rates > 0.0))
-    iterations = int(solution.nfev)
-    return _package(allocation, profile, np.abs(rates), converged,
-                    iterations, method="fdc-root")
+    rates, converged, evaluations = fdc_root(
+        lambda r: fdc_residuals(allocation, profile, r),
+        _start(allocation, profile, r0))
+    return _package(allocation, profile, rates, converged, evaluations,
+                    method="fdc-root")
 
 
 def is_nash(allocation, profile: Sequence[Utility],
@@ -199,8 +188,7 @@ def find_all_nash(allocation, profile: Sequence[Utility],
                   n_starts: int = 12,
                   rng: Optional[np.random.Generator] = None,
                   gain_tol: float = 1e-6,
-                  distinct_tol: float = 1e-3,
-                  max_iter: int = 400) -> List[NashResult]:
+                  distinct_tol: float = 1e-3) -> List[NashResult]:
     """Multistart equilibrium search with clustering.
 
     Runs best-response iteration (:func:`solve_nash`) from
@@ -214,10 +202,10 @@ def find_all_nash(allocation, profile: Sequence[Utility],
     the profile has fewer classes than users; otherwise they are flat
     N-dimensional Dirichlet draws.
     """
+    _require_users(profile)
     generator = default_rng(rng if rng is not None else 0)
     n = len(profile)
-    capacity = getattr(getattr(allocation, "curve", None), "capacity",
-                       math.inf)
+    capacity = _capacity(allocation)
     max_total = 0.95 * capacity if math.isfinite(capacity) else 2.0
     grouping: Optional[ClassProfile] = None
     if n >= CLASS_START_MIN_USERS:
@@ -233,8 +221,7 @@ def find_all_nash(allocation, profile: Sequence[Utility],
             direction = generator.dirichlet(alpha)
             load = generator.uniform(0.05, max_total)
             start = direction * load
-        result = solve_nash(allocation, profile, r0=start,
-                            max_iter=max_iter)
+        result = solve_nash(allocation, profile, r0=start)
         if not result.is_equilibrium(gain_tol):
             continue
         duplicate = any(

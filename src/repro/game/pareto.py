@@ -26,6 +26,13 @@ from repro.numerics.rng import default_rng
 from repro.queueing.service_curves import ServiceCurve
 from repro.users.utility import Utility
 
+#: Largest total load the frontier programs allow, just inside the
+#: M/M/1 stable region (capacity 1).
+RATE_CAP = 0.999
+
+#: Smallest total utility gain :func:`pareto_improvement` reports.
+MIN_GAIN = 1e-6
+
 
 class ConstraintAdapter:
     """Uniform interface over total-congestion constraints.
@@ -154,16 +161,15 @@ def _feasibility_constraints(n: int, constraint: ConstraintAdapter,
 
 def solve_weighted_pareto(profile: Sequence[Utility],
                           weights: Sequence[float],
-                          constraint: ConstraintAdapter,
-                          r0: Optional[Sequence[float]] = None,
-                          c0: Optional[Sequence[float]] = None,
-                          rate_cap: float = 0.999) -> ParetoResult:
+                          constraint: ConstraintAdapter) -> ParetoResult:
     """Maximize ``sum_i W_i U_i`` over the feasible allocation set.
 
     Every maximizer with nonnegative weights is Pareto optimal; sweeping
     weights traces the frontier.  Utilities are ordinal, but that is
     fine here — the weighted sum is only a *generator* of Pareto points,
-    not a welfare statement.
+    not a welfare statement.  SLSQP starts every rate at ``0.5 / N``,
+    with the forced total congestion shared equally, and keeps every
+    rate and the total load at most :data:`RATE_CAP`.
     """
     n = len(profile)
     w = np.asarray(weights, dtype=float)
@@ -171,14 +177,9 @@ def solve_weighted_pareto(profile: Sequence[Utility],
         raise ValueError(f"{w.size} weights for {n} users")
     if np.any(w < 0.0) or w.sum() <= 0.0:
         raise ValueError("weights must be nonnegative and not all zero")
-    start_r = (np.full(n, 0.5 / n) if r0 is None
-               else np.asarray(r0, dtype=float))
-    if c0 is None:
-        total = constraint.total(start_r)
-        start_c = np.full(n, max(total, 1e-3) / n)
-    else:
-        start_c = np.asarray(c0, dtype=float)
-    x0 = np.concatenate([start_r, start_c])
+    start_r = np.full(n, 0.5 / n)
+    total = constraint.total(start_r)
+    x0 = np.concatenate([start_r, np.full(n, max(total, 1e-3) / n)])
 
     def objective(x: np.ndarray) -> float:
         value = 0.0
@@ -189,10 +190,10 @@ def solve_weighted_pareto(profile: Sequence[Utility],
             value += w[i] * u
         return -value
 
-    bounds = ([(1e-5, rate_cap)] * n) + ([(1e-7, None)] * n)
+    bounds = ([(1e-5, RATE_CAP)] * n) + ([(1e-7, None)] * n)
     result = sp_optimize.minimize(
         objective, x0, method="SLSQP", bounds=bounds,
-        constraints=_feasibility_constraints(n, constraint, rate_cap),
+        constraints=_feasibility_constraints(n, constraint, RATE_CAP),
         options={"maxiter": 400, "ftol": 1e-12})
     rates = np.asarray(result.x[:n], dtype=float)
     congestion = np.asarray(result.x[n:], dtype=float)
@@ -207,8 +208,7 @@ def pareto_improvement(profile: Sequence[Utility],
                        rates: Sequence[float],
                        congestion: Sequence[float],
                        constraint: ConstraintAdapter,
-                       rate_cap: float = 0.999,
-                       min_gain: float = 1e-6) -> Optional[ParetoResult]:
+                       rate_cap: float = RATE_CAP) -> Optional[ParetoResult]:
     """Search for a feasible allocation Pareto-dominating the given one.
 
     Maximizes the *sum* of utility gains subject to feasibility and to
@@ -216,8 +216,9 @@ def pareto_improvement(profile: Sequence[Utility],
     gain is positive, is a (weak) Pareto improvement: nobody worse,
     somebody strictly better.  Several jittered starts are tried
     because the base point itself sits on the no-loss constraint
-    boundary.  Returns ``None`` when no dominating point was found
-    (evidence — not proof — of Pareto optimality).
+    boundary.  Returns ``None`` when no dominating point gains at least
+    :data:`MIN_GAIN` in total (evidence — not proof — of Pareto
+    optimality).
     """
     n = len(profile)
     base_r = np.asarray(rates, dtype=float)
@@ -270,7 +271,7 @@ def pareto_improvement(profile: Sequence[Utility],
         if float(gains.min()) >= -1e-8 and float(gains.sum()) > best_total:
             best = np.asarray(result.x, dtype=float)
             best_total = float(gains.sum())
-    if best is None or best_total < min_gain:
+    if best is None or best_total < MIN_GAIN:
         return None
     rates_new = best[:n]
     congestion_new = best[n:]

@@ -23,6 +23,10 @@ import repro.obs as obs
 from repro.numerics.rng import default_rng
 from repro.queueing.service_curves import MM1Curve, ServiceCurve
 
+#: Largest rate an adversarial opponent sends: twice the M/M/1
+#: capacity, deliberately beyond the stable region.
+OPPONENT_CAP = 2.0
+
 
 def protection_bound(own_rate: float, n_users: int,
                      curve: Optional[ServiceCurve] = None) -> float:
@@ -68,11 +72,10 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
                           rng: Optional[np.random.Generator] = None,
                           n_samples: int = 200,
                           refine: bool = True,
-                          opponent_cap: float = 2.0,
                           bound: Optional[float] = None) -> ProtectionReport:
     """Adversarially maximize ``C_i`` over the opponents' rates.
 
-    Opponent rates range over ``[0, opponent_cap]`` — deliberately
+    Opponent rates range over ``[0, OPPONENT_CAP]`` — deliberately
     *beyond* the stable region, since malice is exactly the
     out-of-equilibrium case the guarantee must cover.  Random sampling
     is followed by a Nelder-Mead polish from the worst sample (the
@@ -95,7 +98,7 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
     # One (n_samples, n-1) draw consumes the identical RNG stream as
     # n_samples sequential size-(n-1) draws; argmax keeps the first
     # maximum.
-    draws = generator.uniform(0.0, opponent_cap,
+    draws = generator.uniform(0.0, OPPONENT_CAP,
                               size=(n_samples, n_users - 1))
     profiles = np.insert(np.abs(draws), i, own_rate, axis=1)
     values = allocation.congestion_many(profiles)[:, i]
@@ -121,18 +124,16 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
 
 
 def verify_protective(allocation, n_users: int,
-                      rates_to_check: Optional[np.ndarray] = None,
                       rng: Optional[np.random.Generator] = None,
                       n_samples: int = 120) -> bool:
-    """Check protectiveness for a sweep of own-rates (user 0).
+    """Check protectiveness for user 0 at six own-rates, evenly spaced
+    from 0.02 to ``0.9 / n_users``.
 
     By symmetry checking one user index suffices for symmetric
     allocation functions.
     """
     generator = default_rng(rng if rng is not None else 29)
-    if rates_to_check is None:
-        rates_to_check = np.linspace(0.02, 0.9 / n_users, 6)
-    for own_rate in np.asarray(rates_to_check, dtype=float).tolist():
+    for own_rate in np.linspace(0.02, 0.9 / n_users, 6).tolist():
         report = worst_case_congestion(allocation, 0, float(own_rate),
                                        n_users, rng=generator,
                                        n_samples=n_samples)

@@ -32,8 +32,8 @@ class MechanismOutcome:
     converged: bool
 
 
-def nash_mechanism(allocation, reported_profile: Sequence[Utility],
-                   r0: Optional[Sequence[float]] = None) -> MechanismOutcome:
+def nash_mechanism(allocation, reported_profile: Sequence[Utility]
+                   ) -> MechanismOutcome:
     """``B(reported) =`` the Nash allocation of the reported profile.
 
     With ``allocation`` = Fair Share this is the paper's ``B^FS``
@@ -41,7 +41,7 @@ def nash_mechanism(allocation, reported_profile: Sequence[Utility],
     With other disciplines the mechanism inherits whatever equilibrium
     the solver selects — itself a symptom of non-uniqueness.
     """
-    result = solve_nash(allocation, reported_profile, r0=r0)
+    result = solve_nash(allocation, reported_profile)
     return MechanismOutcome(rates=result.rates,
                             congestion=result.congestion,
                             converged=result.converged)

@@ -11,12 +11,12 @@ exploitation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.game.best_response import _default_rate_cap
 from repro.game.nash import NashResult, solve_nash
 from repro.numerics.optimize import multistart_maximize
 from repro.users.utility import Utility
@@ -48,23 +48,16 @@ class StackelbergResult:
 
 
 def follower_equilibrium(allocation, profile: Sequence[Utility],
-                         leader: int, leader_rate: float,
-                         r0: Optional[Sequence[float]] = None,
-                         tol: float = 1e-9) -> NashResult:
+                         leader: int, leader_rate: float) -> NashResult:
     """Nash equilibrium of the subsystem with the leader's rate frozen.
 
-    Returns a full-length :class:`NashResult` (leader entry included)
-    for convenience.
+    The followers solve from :func:`~repro.game.nash.solve_nash`'s
+    default start and tolerance.  Returns a full-length
+    :class:`NashResult` (leader entry included) for convenience.
     """
-    n = len(profile)
     sub = allocation.subsystem({leader: leader_rate})
     follower_profile = [u for i, u in enumerate(profile) if i != leader]
-    if r0 is None:
-        start = None
-    else:
-        start = np.asarray([r0[i] for i in range(n) if i != leader],
-                           dtype=float)
-    inner = solve_nash(sub, follower_profile, r0=start, tol=tol)
+    inner = solve_nash(sub, follower_profile)
     full = sub.embed(inner.rates)
     congestion = allocation.congestion(full)
     utilities = np.array([u.value(float(full[i]), float(congestion[i]))
@@ -76,21 +69,18 @@ def follower_equilibrium(allocation, profile: Sequence[Utility],
 
 
 def solve_stackelberg(allocation, profile: Sequence[Utility], leader: int,
-                      n_scan: int = 25,
-                      r_max: Optional[float] = None) -> StackelbergResult:
+                      n_scan: int = 25) -> StackelbergResult:
     """Optimize the leader's commitment over follower equilibria.
 
-    The outer problem is one-dimensional; each candidate commitment
-    requires an inner Nash solve for the followers, so the scan is kept
-    coarse and refined by golden-section search around the best
-    candidate.
+    The outer problem is one-dimensional: commitments range over the
+    interval a best response searches, up to just under the capacity
+    pole.  Each candidate commitment requires an inner Nash solve for
+    the followers, so the scan is kept coarse and refined by
+    golden-section search around the best candidate.
     """
     if not 0 <= leader < len(profile):
         raise ValueError(f"leader index {leader} out of range")
-    capacity = getattr(allocation.curve, "capacity", math.inf)
-    hi = (capacity * (1.0 - 1e-6) if math.isfinite(capacity) else 4.0)
-    if r_max is not None:
-        hi = float(r_max)
+    hi = _default_rate_cap(allocation)
 
     cache = {}
 
@@ -114,7 +104,6 @@ def solve_stackelberg(allocation, profile: Sequence[Utility], leader: int,
 
 
 def leader_advantage(allocation, profile: Sequence[Utility], leader: int,
-                     nash: Optional[NashResult] = None,
                      n_scan: int = 25) -> float:
     """``U_leader(Stackelberg) - U_leader(commit to the Nash rate)``.
 
@@ -125,8 +114,7 @@ def leader_advantage(allocation, profile: Sequence[Utility], leader: int,
     incentive to deploy sophisticated flow control; Fair Share drives
     it to zero.
     """
-    if nash is None:
-        nash = solve_nash(allocation, profile)
+    nash = solve_nash(allocation, profile)
     stackelberg = solve_stackelberg(allocation, profile, leader,
                                     n_scan=n_scan)
     baseline = follower_equilibrium(allocation, profile, leader,

@@ -41,7 +41,10 @@ Anything else — adaptive ladders, LIFO, processor sharing, HOL
 priority, finite buffers, sized FIFO and sized round robin — runs
 scalar, as does every config when no C compiler can build the kernels.
 The engine makes that choice itself on each ``run_to``; it is the one
-engine :func:`repro.sim.runner.simulate` builds.
+engine :func:`repro.sim.runner.simulate` builds.  The events a
+fallback simulates count in :mod:`repro.obs` by reason:
+``sim.fallback.no_kernel`` (no kernel covers the config) or
+``sim.fallback.no_compiler`` (the kernels could not be loaded).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import List, Optional
 
 import numpy as np
 
+import repro.obs as obs
 from repro.exceptions import SimulationError
 from repro.sim import kernels as kn
 from repro.sim.fair_queueing import StartTimeFairQueue
@@ -521,7 +525,10 @@ class ChunkedSimulationEngine(SimulationEngine):
             return 0
         kind = self._kernel_kind()
         if kind is None or kn.load_kernels() is None:
-            return super().run_to(horizon)
+            events = super().run_to(horizon)
+            obs.add("sim.fallback.no_kernel" if kind is None
+                    else "sim.fallback.no_compiler", events)
+            return events
         return self._run_chunked(float(horizon), kind)
 
     def _kernel_kind(self) -> Optional[str]:

@@ -16,6 +16,12 @@
   ``damped_fixed_point`` from ``default_start`` and certified by the
   same scan.  Every solver best-responds through batched grid-zoom
   rows instead.
+* :func:`meanfield_fixed_point` is the mean-field equilibrium by
+  damped best-response iteration: ``damped_fixed_point`` over the
+  batched class map under the ``include_self=True`` closure, weighted
+  by the class counts, from the solvers' equal-split start.
+  ``solve_nash_meanfield`` roots the first-derivative conditions of the
+  same closure instead.
 * :func:`payoff_table_loop`, :func:`coalition_scan_loop` and
   :func:`worst_case_loop` are the elimination, coalition and
   adversarial scans point by point: congestion one profile at a time,
@@ -37,10 +43,12 @@ import numpy as np
 
 from repro.game.best_response import (MIN_RATE, SCAN_POINTS, ZOOM_TOL,
                                       _count, _current_value,
-                                      _default_rate_cap, _gain)
+                                      _default_rate_cap, _equal_split,
+                                      _gain)
+from repro.game.classes import class_best_response_map
 from repro.game.nash import NashResult, default_start
 from repro.numerics import diff
-from repro.numerics.iterate import damped_fixed_point
+from repro.numerics.iterate import FixedPointResult, damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult, multistart_maximize
 from repro.users.utility import Utility
 
@@ -85,6 +93,22 @@ def scalar_nash(allocation, profile: Sequence[Utility]) -> NashResult:
                             for i, u in enumerate(profile)]),
         converged=outcome.converged, iterations=outcome.iterations,
         max_gain=float(max(gains)), method="scalar-scan")
+
+
+def meanfield_fixed_point(allocation, utilities: Sequence[Utility],
+                          counts: Sequence[int]) -> FixedPointResult:
+    """The mean-field class rates by damped best-response iteration
+    (``x``, ``converged``, ``iterations`` of ``damped_fixed_point``'s
+    result)."""
+    m = np.asarray(counts, dtype=int)
+
+    def mapping(c: np.ndarray) -> np.ndarray:
+        return class_best_response_map(allocation, utilities, c, m,
+                                       include_self=True)
+
+    return damped_fixed_point(mapping, _equal_split(allocation, m),
+                              damping=0.5, tol=1e-9, max_iter=400,
+                              weights=m)
 
 
 def payoff_table_loop(allocation, profile: Sequence[Utility],

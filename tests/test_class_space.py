@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
@@ -45,7 +45,7 @@ from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
-from tests.oracles import serial_nash
+from tests.oracles import meanfield_fixed_point, serial_nash
 
 #: The agreement tolerance the class reduction is held to.
 AGREEMENT_TOL = 1e-10
@@ -127,7 +127,7 @@ class TestExactAgreement:
         utilities, counts = class_setup(n, k)
         per_user = expand_profile(utilities, counts)
         cls = solve_nash_classes(pr, utilities, counts=counts, tol=1e-10,
-                                 max_iter=1000, certify_users=0)
+                                 max_iter=1000)
         exact = solve_nash(pr, per_user, tol=1e-10, max_iter=1000)
         assert cls.converged and exact.converged
         expanded = cls.expand_rates()
@@ -230,6 +230,42 @@ class TestGeneratedClassAgreement:
         serial = serial_nash(allocation, expand_profile(utilities, [2, 3]))
         assert np.max(np.abs(cls.expand_rates()
                              - serial)) <= GENERATED_TOL
+
+
+class TestGeneratedFDCContracts:
+    """Both class-form FDC roots against their references on generated
+    profiles: the mean-field root against damped best-response
+    iteration under the same closure (the oracle
+    ``meanfield_fixed_point``), and the class root against the
+    per-user root of the expanded game started at it.  Classes of
+    ``PowerUtility(gamma=1, a=(1+w)/sqrt(N), p=0.5, q=1)``, as in the
+    scaling_regimes experiment; a draw counts only when every solve
+    converged."""
+
+    @given(classes=st.lists(st.tuples(st.integers(1, 5),
+                                       st.floats(0.1, 0.9)),
+                            min_size=1, max_size=4),
+           name=st.sampled_from(["fair-share", "fifo"]))
+    @settings(max_examples=25, deadline=None)
+    def test_roots_match_their_references(self, classes, name):
+        counts = [m for m, _ in classes]
+        scale = np.sqrt(sum(counts))
+        utilities = [PowerUtility(gamma=1.0, a=(1.0 + w) / scale, p=0.5,
+                                  q=1.0) for _, w in classes]
+        allocation = make_discipline(name)
+        meanfield = solve_nash_meanfield(allocation, utilities,
+                                         counts=counts)
+        iterated = meanfield_fixed_point(allocation, utilities, counts)
+        cls = solve_nash_classes_fdc(allocation, utilities, counts=counts)
+        exact = solve_nash_fdc(allocation,
+                               expand_profile(utilities, counts),
+                               r0=cls.expand_rates())
+        assume(meanfield.converged and iterated.converged)
+        assume(cls.converged and exact.converged)
+        assert np.max(np.abs(meanfield.class_rates
+                             - iterated.x)) <= 1e-6
+        assert np.max(np.abs(exact.rates
+                             - cls.expand_rates())) <= AGREEMENT_TOL
 
 
 @st.composite

@@ -123,12 +123,6 @@ class TestNewtonDynamics:
                                          n_steps=25)
         assert not trajectory.converged
 
-    def test_step_clamp(self, fair_share, rates3):
-        profile = lemma5_profile(fair_share, rates3)
-        stepped = newton_step(fair_share, profile, rates3 * 1.3,
-                              max_step=0.01)
-        assert np.max(np.abs(stepped - rates3 * 1.3)) <= 0.01 + 1e-12
-
     def test_rates_stay_positive(self, fair_share, rates3):
         profile = lemma5_profile(fair_share, rates3)
         stepped = newton_step(fair_share, profile,

@@ -1,16 +1,17 @@
 """Fault injection: what the simulator does when its environment fails.
 
 Each test covers one failure the ROADMAP names.  A missing C compiler
-falls back to an identical scalar result but emits no event yet (the
-observability item adds one).  The sim cache's record store turns the
-others into a correct result plus a counted ``sim.store.*`` event: a
-full disk loses the store (``failed_writes``), a flipped byte is a miss
-(``corrupt``), and a segment cut mid-record by a killed writer is a
-miss for that record alone (``torn``), with the next append starting
-on a record boundary.  A killed sweep worker breaks its pool at once
-(``BrokenProcessPool``, and the pool refuses reuse) and leaves a
-journal of whole lines, from which ``sweep resume`` re-runs exactly
-the lost cells.
+falls back to an identical scalar result and counts the events that
+loop simulated as ``sim.fallback.no_compiler`` (a config no kernel
+covers counts them as ``sim.fallback.no_kernel``).  The sim cache's
+record store turns the others into a correct result plus a counted
+``sim.store.*`` event: a full disk loses the store
+(``failed_writes``), a flipped byte is a miss (``corrupt``), and a
+segment cut mid-record by a killed writer is a miss for that record
+alone (``torn``), with the next append starting on a record boundary.
+A killed sweep worker breaks its pool at once (``BrokenProcessPool``,
+and the pool refuses reuse) and leaves a journal of whole lines, from
+which ``sweep resume`` re-runs exactly the lost cells.
 """
 
 import errno
@@ -39,6 +40,8 @@ FAIR_SHARE = SimulationConfig(rates=(0.2, 0.3), policy="fair-share",
                               horizon=2000.0, warmup=100.0, seed=7)
 FIFO = SimulationConfig(rates=(0.1, 0.2), policy="fifo",
                         horizon=2000.0, warmup=100.0, seed=3)
+LIFO = SimulationConfig(rates=(0.2, 0.3), policy="lifo",
+                        horizon=2000.0, warmup=100.0, seed=7)
 
 
 @pytest.fixture
@@ -60,13 +63,27 @@ class TestMissingCompiler:
         monkeypatch.setenv(kernels.ENV_KERNEL_DIR, str(tmp_path / "empty"))
         monkeypatch.setattr(kernels, "_lib", None)
         monkeypatch.setattr(kernels, "_load_failed", False)
-        without = simulate(FAIR_SHARE)
+        with obs.Scope() as counted:
+            without = simulate(FAIR_SHARE)
         assert kernels.load_kernels() is None
         np.testing.assert_array_equal(without.mean_queues,
                                       with_kernel.mean_queues)
         np.testing.assert_array_equal(without.batch.per_batch,
                                       with_kernel.batch.per_batch)
         assert without.variate_draws == with_kernel.variate_draws
+        assert counted.get("sim.fallback.no_compiler") == without.events
+        assert counted.get("sim.fallback.no_kernel") == 0
+
+    @pytest.mark.skipif(not kernels.kernels_available(),
+                        reason="needs the compiled kernels")
+    def test_config_without_a_kernel_counts_its_fallback(self):
+        with obs.Scope() as counted:
+            result = simulate(LIFO)
+        assert counted.get("sim.fallback.no_kernel") == result.events > 0
+        assert counted.get("sim.fallback.no_compiler") == 0
+        with obs.Scope() as counted:
+            simulate(FAIR_SHARE)
+        assert counted.get("sim.fallback.no_kernel") == 0
 
 
 def _records_fail(monkeypatch, short=False):

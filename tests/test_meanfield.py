@@ -4,8 +4,9 @@ The mean-field closure drops the self-exclusion from the deviation
 problem — one user out of N mis-counted — so its distance from the
 exact class-space equilibrium must shrink like 1/N.  These tests pin
 the monotone decay over three population decades, the agreement of the
-two mean-field drivers, and the exact-game certificates that turn the
-approximation error into utility terms.
+mean-field FDC root with its best-response oracle
+(``tests.oracles.meanfield_fixed_point``), and the exact-game
+certificates that turn the approximation error into utility terms.
 """
 
 import math
@@ -21,6 +22,7 @@ from repro.game.meanfield import (
     solve_nash_meanfield,
 )
 from repro.users.families import PowerUtility
+from tests.oracles import meanfield_fixed_point
 
 LADDER = (100, 1000, 10000)
 
@@ -99,17 +101,9 @@ class TestMeanfieldDrivers:
         fs = make_discipline("fair-share")
         utilities, counts = class_setup(1000)
         fdc = solve_nash_meanfield(fs, utilities, counts=counts)
-        br = solve_nash_meanfield(fs, utilities, counts=counts,
-                                  method="best-response", tol=1e-9)
+        br = meanfield_fixed_point(fs, utilities, counts)
         assert fdc.converged and br.converged
-        assert np.max(np.abs(fdc.class_rates - br.class_rates)) <= 1e-6
-
-    def test_unknown_method_rejected(self):
-        fs = make_discipline("fair-share")
-        utilities, counts = class_setup(100)
-        with pytest.raises(ValueError, match="unknown mean-field"):
-            solve_nash_meanfield(fs, utilities, counts=counts,
-                                 method="newton")
+        assert np.max(np.abs(fdc.class_rates - br.x)) <= 1e-6
 
     def test_method_tag(self):
         fs = make_discipline("fair-share")

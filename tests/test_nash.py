@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.game.classes import solve_nash_classes, solve_nash_classes_fdc
+from repro.game.envy import search_unilateral_envy
+from repro.game.meanfield import solve_nash_meanfield
 from repro.game.nash import (
     default_start,
     find_all_nash,
@@ -11,7 +14,7 @@ from repro.game.nash import (
     solve_nash_fdc,
 )
 from repro.game.witnesses import witness_profile
-from repro.users.families import MonotoneTransformedUtility
+from repro.users.families import LinearUtility, MonotoneTransformedUtility
 from repro.users.profiles import lemma5_profile
 
 
@@ -114,3 +117,37 @@ class TestDefaultStart:
     def test_infinite_capacity(self, separable):
         start = default_start(2, separable)
         assert np.all(start > 0)
+
+
+EMPTY_PROFILE = "profile must contain at least one utility"
+
+
+class TestEmptyInputs:
+    """Every Nash entry point refuses an empty profile with one clear
+    error, and the envy search refuses to run no trials."""
+
+    @pytest.mark.parametrize("solve,match", [
+        (lambda a: solve_nash(a, []), EMPTY_PROFILE),
+        (lambda a: solve_nash(a, [], r0=[]), EMPTY_PROFILE),
+        (lambda a: solve_nash_fdc(a, []), EMPTY_PROFILE),
+        (lambda a: solve_nash_fdc(a, [], r0=[]), EMPTY_PROFILE),
+        (lambda a: find_all_nash(a, []), EMPTY_PROFILE),
+        (lambda a: default_start(0, a), EMPTY_PROFILE),
+        (lambda a: solve_nash_classes(a, []), EMPTY_PROFILE),
+        (lambda a: solve_nash_classes(a, [], counts=[]), EMPTY_PROFILE),
+        (lambda a: solve_nash_classes_fdc(a, [], counts=[]),
+         EMPTY_PROFILE),
+        (lambda a: solve_nash_meanfield(a, [], counts=[]), EMPTY_PROFILE),
+        (lambda a: search_unilateral_envy(a, []), EMPTY_PROFILE),
+        (lambda a: search_unilateral_envy(
+            a, [LinearUtility(gamma=0.5)], n_trials=0),
+         "n_trials must be at least 1"),
+    ], ids=["solve_nash", "solve_nash-r0", "solve_nash_fdc",
+            "solve_nash_fdc-r0", "find_all_nash", "default_start",
+            "solve_nash_classes",
+            "solve_nash_classes-counts", "solve_nash_classes_fdc",
+            "solve_nash_meanfield", "search_unilateral_envy",
+            "search_unilateral_envy-no-trials"])
+    def test_clear_error(self, fair_share, solve, match):
+        with pytest.raises(ValueError, match=match):
+            solve(fair_share)

@@ -5,6 +5,9 @@ tests pin that surface so refactors cannot silently break it.
 """
 
 import importlib
+import importlib.util
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,3 +88,72 @@ class TestNarrativeIntegration:
                                   float(sim.mean_queues[i]))
             assert measured == pytest.approx(float(eq.utilities[i]),
                                              abs=0.02)
+
+
+def _perfbench_module(name):
+    """A module of the repository benchmark, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _RecordingTracer:
+    """Records what ``install_game_layers`` would wrap, wraps nothing."""
+
+    def __init__(self):
+        self.functions = []
+
+    def patch_function(self, module, attr, **_):
+        self.functions.append((module, attr))
+
+
+class TestBenchmarkFacingSurface:
+    """What ``perfbench`` calls and wraps in ``repro.game``.
+
+    The benchmark's ``nash`` workload calls the four solver entry points
+    with the keywords below and reads the fields below, and its traced
+    pass wraps game functions by module attribute.  A change that drops
+    any of them breaks the benchmark, so it fails here first.
+    """
+
+    def test_solver_keywords_and_fields(self):
+        from repro.game.classes import (solve_nash_classes,
+                                        solve_nash_classes_fdc)
+        from repro.game.meanfield import solve_nash_meanfield
+        from repro.game.nash import solve_nash
+
+        allocation = repro.make_discipline("fair-share")
+        utilities = [repro.PowerUtility(gamma=1.0, a=w / np.sqrt(20),
+                                        p=0.5, q=1.0) for w in (1.2, 1.7)]
+        counts = [10, 10]
+        per_user = [u for u, m in zip(utilities, counts) for _ in range(m)]
+        seeded = solve_nash_classes(allocation, utilities, counts=counts,
+                                    tol=1e-9, max_iter=300)
+        results = [
+            solve_nash(allocation, per_user),
+            seeded,
+            solve_nash_classes_fdc(allocation, utilities, counts=counts,
+                                   r0=seeded.class_rates),
+            solve_nash_meanfield(allocation, utilities, counts=counts),
+        ]
+        for result in results:
+            rates = getattr(result, "class_rates", None)
+            if rates is None:
+                rates = result.rates
+            row = (bool(result.converged), int(result.iterations),
+                   float(result.max_gain),
+                   float(getattr(result, "spot_gain", 0.0)),
+                   [float(r) for r in rates])
+            assert row[0] and row[1] >= 1
+            assert all(map(math.isfinite, row[2:4]))
+            assert len(row[4]) in (2, 20) and min(row[4]) > 0.0
+
+    def test_traced_game_names_resolve(self):
+        tracer = _RecordingTracer()
+        _perfbench_module("tracing").install_game_layers(tracer, [])
+        assert len(tracer.functions) >= 8
+        for owner, name in tracer.functions:
+            assert callable(getattr(owner, name, None)), (owner, name)
