@@ -24,7 +24,12 @@ A ``vectorized`` row times ``best_response``/``solve_nash``; a
 :func:`tests.oracles.scalar_best_response` and
 :func:`tests.oracles.scalar_nash` on the same discipline.  Each
 vectorized row carries ``speedup`` — the scalar best-of over the
-vectorized best-of for the same cell on the same box.
+vectorized best-of for the same cell on the same box.  Every Nash row
+records the result's ``method``: ``solve_nash`` builds Fair Share's
+point instead of iterating to it, so the Fair Share ``vectorized``
+Nash rows (``"serial"``) time that construction against the scalar
+oracle's iteration, and the class-space Fair Share rows time the
+construction plus the FDC polish.
 
 Every appended row records where it ran: ``cpu_count``, the git
 revision of the measured checkout (``git_rev``; ``-dirty`` marks
@@ -85,7 +90,8 @@ def run_best_response(allocation, n, respond=best_response):
 
 
 def run_solve_nash(allocation, n, solve=solve_nash):
-    """A damped best-response Nash solve over the full profile."""
+    """A Nash solve over the full profile (built under Fair Share,
+    iterated otherwise)."""
     return solve(allocation, solver_profile(n))
 
 
@@ -126,7 +132,8 @@ def class_profile(n, k=N_CLASSES):
 
 
 def run_solve_nash_classes(allocation, n):
-    """Exact K-class Nash: damped seed + FDC polish + certification."""
+    """Exact K-class Nash: a seed (Fair Share's construction, else the
+    damped iteration) + FDC polish + certification."""
     utilities, counts = class_profile(n)
     seeded = solve_nash_classes(allocation, utilities, counts=counts,
                                 tol=1e-9, max_iter=300)
@@ -155,11 +162,11 @@ def test_best_response_vectorized_fs8(benchmark):
 
 
 def test_solve_nash_vectorized_fs8(benchmark):
-    """Batched multistart Nash solve, Fair Share, 8 users."""
+    """Fair Share Nash solve by construction, 8 users."""
     fs = make_discipline("fair-share")
     result = benchmark.pedantic(lambda: run_solve_nash(fs, 8),
                                 rounds=3, iterations=1)
-    assert result.converged
+    assert result.converged and result.method == "serial"
 
 
 def test_class_space_nash_n10k_under_5s():
@@ -201,7 +208,8 @@ def test_adversarial_search_vectorized(benchmark, name):
 
 
 def _time_cell(runner, allocation, n, rounds, reps=1):
-    """(best per-call seconds, counters) over ``rounds`` timing samples.
+    """(best per-call seconds, counters, the last call's result) over
+    ``rounds`` timing samples.
 
     ``reps`` calls are timed per sample (and the counters scaled back
     down) for cells fast enough that single-call timings are dominated
@@ -214,7 +222,7 @@ def _time_cell(runner, allocation, n, rounds, reps=1):
         with track_solver() as stats:
             started = time.perf_counter()
             for _ in range(reps):
-                runner(allocation, n)
+                result = runner(allocation, n)
             elapsed = (time.perf_counter() - started) / reps
         if elapsed < best:
             best = elapsed
@@ -223,7 +231,7 @@ def _time_cell(runner, allocation, n, rounds, reps=1):
         counters.objective_evals //= reps
         counters.congestion_evals //= reps
         counters.grid_calls //= reps
-    return best, counters
+    return best, counters, result
 
 
 def measure_solver(rounds: int = 3):
@@ -231,7 +239,8 @@ def measure_solver(rounds: int = 3):
 
     Returns one row per (kind, discipline, n, mode) with the wall time
     and the solver counters; vectorized rows additionally carry
-    ``speedup`` over the scalar row of the same cell.
+    ``speedup`` over the scalar row of the same cell, and Nash rows the
+    result's ``method``.
     """
     runs = []
     for kind, runners in SOLVER_KINDS.items():
@@ -249,9 +258,10 @@ def measure_solver(rounds: int = 3):
                 # drift masquerade as a mode difference.
                 best = dict.fromkeys(runners, float("inf"))
                 counters = dict.fromkeys(runners)
+                results = dict.fromkeys(runners)
                 for _ in range(cell_rounds):
                     for mode, runner in runners.items():
-                        seconds, stats = _time_cell(
+                        seconds, stats, results[mode] = _time_cell(
                             runner, allocation, n, 1, reps=reps)
                         if seconds < best[mode]:
                             best[mode] = seconds
@@ -265,6 +275,8 @@ def measure_solver(rounds: int = 3):
                         "mode": mode,
                         "seconds": round(best[mode], 6),
                     }
+                    if kind == "solve-nash":
+                        rows[mode]["method"] = results[mode].method
                     rows[mode].update(vars(counters[mode]))
                     runs.append(rows[mode])
                 if best["vectorized"] > 0.0:
@@ -286,9 +298,8 @@ def measure_class_space(rounds: int = 3):
         for name in CLASS_DISCIPLINES:
             allocation = make_discipline(name)
             for n in CLASS_SIZES:
-                best, counters = _time_cell(runner, allocation, n,
-                                            rounds)
-                outcome = runner(allocation, n)
+                best, counters, outcome = _time_cell(runner, allocation,
+                                                     n, rounds)
                 row = {
                     "kind": "solve-nash-classes",
                     "discipline": name,
@@ -296,6 +307,7 @@ def measure_class_space(rounds: int = 3):
                     "k": N_CLASSES,
                     "mode": mode,
                     "seconds": round(best, 6),
+                    "method": outcome.method,
                     "converged": bool(outcome.converged),
                     "max_gain": float(outcome.max_gain),
                     "spot_gain": float(outcome.spot_gain),

@@ -240,9 +240,13 @@ def _print_counts(counted: obs.Scope, solver: bool = True) -> None:
                                   counted.delta))
     print(obs.line("sim-cache", cache_counts), file=sys.stderr)
     if solver:
+        from repro.game.classes import SERIAL_COUNTERS
+
         solver_counts = obs.group("solver", instrumentation.COUNTERS,
                                   counted.delta)
         solver_counts.update(obs.group("fixed_point", iterate.COUNTERS,
+                                       counted.delta))
+        solver_counts.update(obs.group("solver", SERIAL_COUNTERS,
                                        counted.delta))
         print(obs.line("solver", solver_counts), file=sys.stderr)
 
@@ -365,7 +369,8 @@ def _cmd_nash(gammas: List[float], discipline: str,
                           float(result.utilities[i]))
         print(table.render())
         print(f"converged: {result.converged}  "
-              f"max unilateral gain: {result.max_gain:.2e}")
+              f"max unilateral gain: {result.max_gain:.2e}  "
+              f"method: {result.method}")
         return 0
 
     class_counts = counts if counts is not None else [1] * len(gammas)
@@ -385,7 +390,8 @@ def _cmd_nash(gammas: List[float], discipline: str,
     print(table.render())
     print(f"converged: {outcome.converged}  "
           f"max class gain: {outcome.max_gain:.2e}  "
-          f"per-user spot gain: {outcome.spot_gain:.2e}")
+          f"per-user spot gain: {outcome.spot_gain:.2e}  "
+          f"method: {outcome.method}")
     return 0
 
 

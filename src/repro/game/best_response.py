@@ -141,13 +141,14 @@ def _best_responses(allocation, profile: Sequence[Utility],
                       allocation)
 
 
-def _zoom_rows(evaluate, utilities: Sequence[Utility],
-               allocation) -> List[ScalarMaxResult]:
+def _zoom_rows(evaluate, utilities: Sequence[Utility], allocation,
+               lo: float = MIN_RATE) -> List[ScalarMaxResult]:
     """One row-wise zoom: row ``b`` maximizes ``utilities[b]`` over the
-    congestion ``evaluate`` gives its row; counted per row."""
+    congestion ``evaluate`` gives its row, on ``[lo, cap]``; counted
+    per row."""
     values = value_grid_rows(utilities)
     results = grid_maximize_rows(lambda xs: values(xs, evaluate(xs)),
-                                 len(utilities), MIN_RATE,
+                                 len(utilities), lo,
                                  _default_rate_cap(allocation),
                                  n_scan=SCAN_POINTS, tol=ZOOM_TOL)
     _count(results)

@@ -17,6 +17,14 @@ through the O(K) class-space paths
 making exact equilibria tractable at N=10^4+ where the per-user
 solver's O(N) inner loop is prohibitive.
 
+Fair Share needs no iteration: :func:`serial_class_rates` builds its
+equilibrium in ascending-rate order, one zoom per class, and both
+:func:`solve_nash_classes` and :func:`repro.game.nash.solve_nash` take
+that construction for
+:class:`~repro.disciplines.fair_share.FairShareAllocation` itself,
+falling back to the iteration when a constructed point does not
+certify.
+
 :func:`solve_nash_classes_fdc` roots the class-space first-derivative
 conditions through the one FDC root,
 :func:`repro.game.dynamics.fdc_root`; the mean-field limit
@@ -55,15 +63,24 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.obs as obs
 from repro.disciplines.base import check_classes, expand_class_rates
+from repro.disciplines.fair_share import FairShareAllocation
 from repro.disciplines.parametric import WeightedProportionalAllocation
 from repro.exceptions import DisciplineError
-from repro.game.best_response import (_equal_split, _improvements,
-                                      _require_users, _zoom_rows)
+from repro.game.best_response import (MIN_RATE, _equal_split,
+                                      _improvements, _require_users,
+                                      _zoom_rows)
 from repro.game.dynamics import fdc_root
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult
 from repro.users.utility import Utility
+
+#: The serial construction's counter, ``solver.<name>`` in
+#: :mod:`repro.obs`, shown after the driver's on the ``[solver]`` line:
+#: a constructed Fair Share point whose certificate missed ``tol``, so
+#: the fixed-point driver solved instead.
+SERIAL_COUNTERS = ("serial_fallbacks",)
 
 
 @dataclass(frozen=True)
@@ -260,11 +277,12 @@ class ClassNashResult:
     counts:
         Users per class.
     converged:
-        Whether the damped fixed point met its tolerance, or the FDC
-        root converged to positive rates.
+        Whether the damped fixed point met its tolerance, the FDC
+        root converged to positive rates, or the construction
+        finished (always).
     iterations:
-        Map evaluations of the fixed point, or residual evaluations
-        of the root.
+        Map evaluations of the fixed point, residual evaluations of
+        the root, or stages of the construction.
     max_gain:
         Largest class-space deviation gain — by symmetry this *is*
         the max unilateral gain over all N users (certificate).
@@ -273,8 +291,8 @@ class ClassNashResult:
         member per class; computed through the independent per-user
         evaluation path.
     method:
-        Solver tag: ``"class-space"``, ``"fdc-root-class"`` or
-        ``"mean-field"``.
+        Solver tag: ``"serial"`` (Fair Share's construction),
+        ``"class-space"``, ``"fdc-root-class"`` or ``"mean-field"``.
     members:
         Original user indices per class when known (see
         :class:`ClassProfile`).
@@ -496,11 +514,72 @@ def solve_nash_classes_fdc(allocation, profile: Sequence[Utility],
                        include_self=False, method="fdc-root-class")
 
 
+def _stage_rows(curve, users: float, total: float, congestion: float,
+                g_fixed: float):
+    """One stage of :func:`serial_class_rates`: the congestion of a
+    rate ``x`` at or above every fixed rate, shared with the ``users``
+    left, ``c + (g(S + m x) - G) / m``, for every candidate row."""
+    def evaluate(xs: np.ndarray) -> np.ndarray:
+        return congestion + (curve.values(total + users * xs)
+                             - g_fixed) / users
+
+    return evaluate
+
+
+def serial_class_rates(allocation: FairShareAllocation,
+                       utilities: Sequence[Utility],
+                       counts: Sequence[int]) -> Tuple[np.ndarray, int]:
+    """Fair Share's Nash class rates, built in ascending order.
+
+    Fair Share is serial cost sharing of ``g``: a user's congestion
+    depends only on its own rate, the smaller rates and how many users
+    send at least as much, which is why its relaxation matrix is
+    nilpotent (Theorem 7).  So its equilibrium is built one stage per
+    class, with no fixed-point iteration.  With the classes of earlier
+    stages fixed (rate mass ``S``, the last block's congestion ``c``
+    and ``G``, the value of ``g`` at its load) and ``m`` users left,
+    every class left maximizes ``U_k(x, c + (g(S + m x) - G) / m)``
+    over ``[floor, cap]``, ``floor`` the last fixed rate
+    (:data:`~repro.game.best_response.MIN_RATE` at first): row ``k``
+    of one :func:`~repro.numerics.optimize.grid_maximize_rows` zoom,
+    counted like any best response.  The class with the smallest
+    maximizer (the first on a tie) is fixed next, every member at that
+    rate; the stages climb the ladder of
+    :meth:`~repro.disciplines.fair_share.FairShareAllocation
+    .class_congestion`.
+
+    Returns the class rates and the number of stages (one per class).
+    The point is a Nash equilibrium where building in ascending order
+    is a best response, as it is in AU; the solvers certify it.
+    """
+    m = np.asarray(counts, dtype=float)
+    curve = allocation.curve
+    rates = np.empty(m.size)
+    left = list(range(m.size))
+    users = float(m.sum())
+    total = congestion = g_fixed = 0.0
+    floor = MIN_RATE
+    while left:
+        results = _zoom_rows(
+            _stage_rows(curve, users, total, congestion, g_fixed),
+            [utilities[k] for k in left], allocation, lo=floor)
+        pick = int(np.argmin([result.x for result in results]))
+        k = left.pop(pick)
+        floor = rates[k] = results[pick].x
+        g_load = curve.value(total + users * floor)
+        congestion += (g_load - g_fixed) / users
+        g_fixed = g_load
+        total += m[k] * floor
+        users -= m[k]
+    return rates, m.size
+
+
 def solve_nash_classes(allocation, profile: Sequence[Utility],
                        counts: Optional[Sequence[int]] = None,
                        tol: float = 1e-9,
                        max_iter: int = 400) -> ClassNashResult:
-    """Best-response iteration on the K-class reduced game.
+    """Class-space Nash: Fair Share's construction, else best-response
+    iteration on the K-class reduced game.
 
     Parameters
     ----------
@@ -515,9 +594,17 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
     counts:
         Users per class when ``profile`` is already in class form.
 
-    The iteration starts at the equal split at 50% load, which is
-    :func:`repro.game.nash.default_start` for the expanded game, and
-    from that class-symmetric start it is the per-user
+    Under :class:`~repro.disciplines.fair_share.FairShareAllocation`
+    itself (not a subclass or a subsystem) the point is built, not
+    iterated: :func:`serial_class_rates`, K stages of one zoom each,
+    reported with ``method="serial"`` and ``iterations`` the stages.
+    A constructed point whose ``max_gain`` or ``spot_gain`` exceeds
+    ``tol`` is not returned: it counts as ``solver.serial_fallbacks``
+    and the iteration below solves instead.
+
+    Every other map iterates, starting at the equal split at 50% load,
+    which is :func:`repro.game.nash.default_start` for the expanded
+    game; from that class-symmetric start it is the per-user
     :func:`~repro.game.nash.solve_nash` iteration on the expanded game
     restricted to class-symmetric points (the driver weights its
     extrapolation by ``counts``), so the result matches the exact
@@ -527,6 +614,13 @@ def solve_nash_classes(allocation, profile: Sequence[Utility],
     (``spot_gain``).
     """
     utilities, m, members = _resolve_classes(allocation, profile, counts)
+    if type(allocation) is FairShareAllocation:
+        class_rates, stages = serial_class_rates(allocation, utilities, m)
+        built = _class_outcome(allocation, utilities, class_rates, m,
+                               members, True, stages, "serial")
+        if built.max_gain <= tol and built.spot_gain <= tol:
+            return built
+        obs.add("solver.serial_fallbacks")
 
     def mapping(c: np.ndarray) -> np.ndarray:
         return class_best_response_map(allocation, utilities, c, m)

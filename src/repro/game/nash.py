@@ -3,13 +3,20 @@
 Two complementary solvers, each with its twin in class space
 (:mod:`repro.game.classes`):
 
-* :func:`solve_nash` — best-response iteration through the shared
-  fixed-point driver (:func:`repro.numerics.iterate.damped_fixed_point`):
-  damped steps plus safeguarded Anderson extrapolation.  Globally
-  robust; under Fair Share it converges for any profile in AU
+* :func:`solve_nash` — Fair Share's equilibrium by construction, every
+  other one by best-response iteration.  Fair Share is serial cost
+  sharing, so its point is built in ascending-rate order, one zoom per
+  utility class (:func:`repro.game.classes.serial_class_rates`), with
+  no fixed-point iteration; the construction applies to
+  :class:`~repro.disciplines.fair_share.FairShareAllocation` itself
+  without ``r0``, and a constructed point that does not certify falls
+  back to the iteration.  The iteration runs the shared fixed-point
+  driver (:func:`repro.numerics.iterate.damped_fixed_point`): damped
+  steps plus safeguarded Anderson extrapolation.  Globally robust;
+  under Fair Share it converges from any start for any profile in AU
   (Theorem 5), the damped fallback handles FIFO's oscillatory
-  coupling, and the extrapolation finishes Fair Share's nilpotent and
-  the separable discipline's constant map in a few evaluations.
+  coupling, and the extrapolation finishes the separable discipline's
+  constant map in a few evaluations.
 * :func:`solve_nash_fdc` — the one FDC root
   (:func:`repro.game.dynamics.fdc_root`) on the first-derivative
   conditions ``E_i(r) = M_i(r_i, C_i(r)) + dC_i/dr_i = 0``
@@ -17,8 +24,8 @@ Two complementary solvers, each with its twin in class space
   a solution; every root is re-certified with actual best responses
   before being reported.
 
-Both start from :func:`default_start` unless given ``r0``, and refuse
-an empty profile.
+The iteration and the root start from :func:`default_start` unless
+given ``r0``; both solvers refuse an empty profile.
 
 :func:`find_all_nash` runs multistart searches and clusters the
 results — the experimental instrument behind the Theorem-4 uniqueness
@@ -33,6 +40,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+import repro.obs as obs
+from repro.disciplines.fair_share import FairShareAllocation
 from repro.game.best_response import (
     _capacity,
     _equal_split,
@@ -40,7 +49,8 @@ from repro.game.best_response import (
     best_response_map,
     utility_improvements,
 )
-from repro.game.classes import ClassProfile, detect_classes
+from repro.game.classes import (ClassProfile, detect_classes,
+                                serial_class_rates)
 from repro.game.dynamics import fdc_residuals, fdc_root
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.rng import default_rng
@@ -66,14 +76,17 @@ class NashResult:
     utilities:
         Per-user utility levels at the equilibrium.
     converged:
-        Whether the solver met its tolerance.
+        Whether the solver met its tolerance (a construction that
+        certified always has).
     iterations:
-        Iterations used by the underlying solver.
+        Iterations used by the underlying solver: map or residual
+        evaluations, or the construction's stages.
     max_gain:
         Largest unilateral utility improvement any user retains
         (certificate; ~0 at a true equilibrium).
     method:
-        Which solver produced the point.
+        Which solver produced the point: ``"serial"`` (Fair Share's
+        construction), ``"best-response"`` or ``"fdc-root"``.
     """
 
     rates: np.ndarray
@@ -124,13 +137,36 @@ def _start(allocation, profile: Sequence[Utility],
 def solve_nash(allocation, profile: Sequence[Utility],
                r0: Optional[Sequence[float]] = None,
                tol: float = 1e-9, max_iter: int = 400) -> NashResult:
-    """Best-response iteration to a Nash equilibrium.
+    """A Nash equilibrium: Fair Share's construction, else best-response
+    iteration.
 
-    Damped steps ``r <- (r + B(r)) / 2`` start the iteration (the
+    Under :class:`~repro.disciplines.fair_share.FairShareAllocation`
+    itself (not a subclass or a subsystem) and without ``r0``, the
+    point is built: the profile's utility classes
+    (:func:`~repro.game.classes.detect_classes`, so tied users get
+    bitwise-equal rates) go through
+    :func:`~repro.game.classes.serial_class_rates`, and the result has
+    ``method="serial"`` and ``iterations`` the stages.  A constructed
+    point whose ``max_gain`` exceeds ``tol`` is not returned: it
+    counts as ``solver.serial_fallbacks`` and the iteration solves
+    instead.  An explicit ``r0`` always iterates, so multistart
+    searches keep their basins.
+
+    The iteration starts with damped steps ``r <- (r + B(r)) / 2`` (the
     damping halves while the steps stall), with extrapolation between
     them; ``max_iter`` bounds the best-response maps evaluated
     (``iterations`` in the result).
     """
+    if r0 is None and type(allocation) is FairShareAllocation:
+        grouping = detect_classes(profile)
+        class_rates, stages = serial_class_rates(
+            allocation, grouping.utilities, grouping.counts_array())
+        built = _package(allocation, profile, grouping.scatter(class_rates),
+                         True, stages, method="serial")
+        if built.max_gain <= tol:
+            return built
+        obs.add("solver.serial_fallbacks")
+
     def mapping(r: np.ndarray) -> np.ndarray:
         return best_response_map(allocation, profile, r)
 

@@ -6,9 +6,12 @@ plain step ``x <- x + d (B(x) - x)`` is globally cautious: under FIFO
 the relaxation matrix has a leading eigenvalue near ``1 - N``
 (Theorem 7), so undamped dynamics diverge for ``N > 2`` and the step
 must be damped, with adaptive halving when the residual stalls.  Under
-Fair Share the same matrix is nilpotent and under a separable
-discipline ``B`` is constant after one step, yet a fixed damping makes
-them crawl at FIFO's pace.
+Fair Share the same matrix is nilpotent, so the Nash solvers build
+Fair Share's point stage by stage instead
+(``repro.game.classes.serial_class_rates``) and this driver meets its
+map only from an explicit start, in a subsystem or in a network.  Under
+a separable discipline ``B`` is constant after one step, yet a fixed
+damping makes it crawl at FIFO's pace.
 
 :func:`damped_fixed_point` therefore extrapolates over its last
 :data:`ANDERSON_MEMORY` ``(x, B(x) - x)`` pairs (type-II Anderson

@@ -8,7 +8,15 @@
   fixed-point iteration at all.  A user's Fair Share congestion depends
   only on its own rate, the smaller rates and how many users send at
   least as much (insularity), so once the ``j - 1`` smallest rates are
-  fixed, each remaining user's problem is one-dimensional.
+  fixed, each remaining user's problem is one-dimensional.  It is the
+  scalar twin of the solvers' own construction
+  (``repro.game.classes.serial_class_rates``): one user per stage, by
+  golden section.
+* :func:`driver_nash` and :func:`driver_class_nash` are Fair Share's
+  Nash point the way ``solve_nash`` and ``solve_nash_classes`` found it
+  before they built it: ``damped_fixed_point`` over
+  ``best_response_map`` or ``class_best_response_map`` from the equal
+  split, certified as the solvers certify.  Any discipline goes.
 * :func:`scalar_best_response` and :func:`scalar_nash` are the best
   response and ``solve_nash`` by golden section: a scan of
   ``congestion_i`` point by point, refined by
@@ -44,9 +52,10 @@ import numpy as np
 from repro.game.best_response import (MIN_RATE, SCAN_POINTS, ZOOM_TOL,
                                       _count, _current_value,
                                       _default_rate_cap, _equal_split,
-                                      _gain)
-from repro.game.classes import class_best_response_map
-from repro.game.nash import NashResult, default_start
+                                      _gain, best_response_map)
+from repro.game.classes import (ClassNashResult, _class_outcome,
+                                class_best_response_map)
+from repro.game.nash import NashResult, _package, default_start
 from repro.numerics import diff
 from repro.numerics.iterate import FixedPointResult, damped_fixed_point
 from repro.numerics.optimize import ScalarMaxResult, multistart_maximize
@@ -93,6 +102,34 @@ def scalar_nash(allocation, profile: Sequence[Utility]) -> NashResult:
                             for i, u in enumerate(profile)]),
         converged=outcome.converged, iterations=outcome.iterations,
         max_gain=float(max(gains)), method="scalar-scan")
+
+
+def driver_nash(allocation, profile: Sequence[Utility]) -> NashResult:
+    """Per-user Nash by the fixed-point driver alone:
+    ``damped_fixed_point`` over ``best_response_map`` from
+    ``default_start`` at ``solve_nash``'s defaults (tol 1e-9, 400
+    maps), packaged and certified by ``solve_nash``'s own
+    ``_package``."""
+    outcome = damped_fixed_point(
+        lambda r: best_response_map(allocation, profile, r),
+        default_start(len(profile), allocation), tol=1e-9, max_iter=400)
+    return _package(allocation, profile, outcome.x, outcome.converged,
+                    outcome.iterations, method="best-response")
+
+
+def driver_class_nash(allocation, utilities: Sequence[Utility],
+                      counts: Sequence[int]) -> ClassNashResult:
+    """Class-space Nash by the fixed-point driver alone:
+    ``damped_fixed_point`` over ``class_best_response_map``, weighted by
+    the class counts, from the equal split at ``solve_nash_classes``'
+    defaults, with both of its certificates."""
+    m = np.asarray(counts, dtype=int)
+    outcome = damped_fixed_point(
+        lambda c: class_best_response_map(allocation, utilities, c, m),
+        _equal_split(allocation, m), tol=1e-9, max_iter=400, weights=m)
+    return _class_outcome(allocation, utilities, outcome.x, m, None,
+                          outcome.converged, outcome.iterations,
+                          "class-space")
 
 
 def meanfield_fixed_point(allocation, utilities: Sequence[Utility],

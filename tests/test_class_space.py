@@ -45,7 +45,8 @@ from repro.game.nash import find_all_nash, solve_nash, solve_nash_fdc
 from repro.numerics import instrumentation
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
-from tests.oracles import meanfield_fixed_point, serial_nash
+from tests.oracles import (driver_class_nash, driver_nash,
+                           meanfield_fixed_point, serial_nash)
 
 #: The agreement tolerance the class reduction is held to.
 AGREEMENT_TOL = 1e-10
@@ -183,7 +184,12 @@ class TestGeneratedClassAgreement:
     FIFO's damped iteration at a corner equilibrium.  Both solvers run
     at the default step tolerance (1e-9): at 1e-10 the damped class
     iteration sometimes hovers at the derivative-free maximizer's noise
-    floor and hits ``max_iter`` with a certified point.
+    floor and hits ``max_iter`` with a certified point.  Both solvers
+    build Fair Share's point by one construction, so there the class
+    point is held to the per-user and class fixed-point drivers it
+    replaced (:func:`tests.oracles.driver_nash`,
+    :func:`tests.oracles.driver_class_nash`) and to the scalar serial
+    construction.
     """
 
     @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -204,28 +210,36 @@ class TestGeneratedClassAgreement:
             utilities = [PowerUtility(gamma=1.0, a=(1.0 + float(w)) / scale,
                                       p=0.5, q=1.0) for w in tastes]
         allocation = make_discipline(name)
+        per_user = expand_profile(utilities, sizes)
         cls = solve_nash_classes(allocation, utilities, counts=sizes)
-        exact = solve_nash(allocation, expand_profile(utilities, sizes))
+        if name == "fair-share":
+            assert cls.method == "serial"
+            exact = driver_nash(allocation, per_user)
+            driven = driver_class_nash(allocation, utilities, sizes)
+            assert driven.converged
+            assert np.max(np.abs(cls.class_rates
+                                 - driven.class_rates)) <= GENERATED_TOL
+            serial = serial_nash(allocation, per_user)
+            assert np.max(np.abs(cls.expand_rates()
+                                 - serial)) <= GENERATED_TOL
+        else:
+            exact = solve_nash(allocation, per_user)
         assert cls.converged and exact.converged
         assert np.max(np.abs(cls.expand_rates()
                              - exact.rates)) <= GENERATED_TOL
-        if name == "fair-share":
-            serial = serial_nash(allocation,
-                                 expand_profile(utilities, sizes))
-            assert np.max(np.abs(cls.expand_rates()
-                                 - serial)) <= GENERATED_TOL
 
     def test_clipped_extrapolation_onto_a_remembered_point(self):
         """A power case from this domain whose clipped extrapolation
         once landed on an iterate still in memory: the driver evaluated
         the same three points 331 times and ended unconverged after
-        400 class evaluations (gain 6.3e-4)."""
+        400 class evaluations (gain 6.3e-4).  ``solve_nash_classes``
+        builds this point now, so the driver runs as its oracle."""
         weights = [float.fromhex("0x1.e042d83baac9bp-3"),
                    float.fromhex("0x1.c58411dd35d08p-1")]
         utilities = [PowerUtility(gamma=1.0, a=(1.0 + w) / np.sqrt(5),
                                   p=0.5, q=1.0) for w in weights]
         allocation = make_discipline("fair-share")
-        cls = solve_nash_classes(allocation, utilities, counts=[2, 3])
+        cls = driver_class_nash(allocation, utilities, [2, 3])
         assert cls.converged and cls.iterations <= 20
         serial = serial_nash(allocation, expand_profile(utilities, [2, 3]))
         assert np.max(np.abs(cls.expand_rates()

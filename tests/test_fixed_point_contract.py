@@ -16,7 +16,8 @@ equilibria, against the serial construction
   positive is never evaluated at a non-positive coordinate;
 * on Fair Share, FIFO and separable games the driver certifies whenever
   the plain iteration does, and Fair Share rates match the serial
-  construction.
+  construction.  ``solve_nash`` builds Fair Share's point, so the
+  driver runs as the oracle :func:`tests.oracles.driver_nash`.
 """
 
 import numpy as np
@@ -25,11 +26,12 @@ from hypothesis import strategies as st
 
 from repro.disciplines.registry import make_discipline
 from repro.game.best_response import best_response_map, utility_improvements
-from repro.game.nash import default_start, solve_nash
+from repro.game.nash import default_start
 from repro.numerics.iterate import damped_fixed_point
 from repro.numerics.rng import default_rng
 from repro.users.families import LinearUtility, PowerUtility
-from tests.oracles import plain_damped_fixed_point, serial_nash
+from tests.oracles import (driver_nash, plain_damped_fixed_point,
+                           serial_nash)
 
 #: How close the two drivers' fixed points of a linear map must be.
 LINEAR_TOL = 1e-8
@@ -127,7 +129,7 @@ class TestNashAgainstOracles:
             self, n, family, jitter, name):
         allocation = make_discipline(name)
         profile = _profile(n, family, jitter)
-        result = solve_nash(allocation, profile)
+        result = driver_nash(allocation, profile)
         plain, _, _ = plain_damped_fixed_point(
             lambda r: best_response_map(allocation, profile, r),
             default_start(n, allocation), tol=1e-9, max_iter=400)

@@ -78,7 +78,7 @@ class TestCLIFlags:
         assert solver_line == ("[solver] objective_evals=0 "
                                "congestion_evals=0 grid_calls=0 "
                                "map_evals=0 rejected_extrapolations=0 "
-                               "unconverged=0")
+                               "unconverged=0 serial_fallbacks=0")
 
     @pytest.mark.slow
     def test_no_sim_cache_flag(self, capsys, monkeypatch):

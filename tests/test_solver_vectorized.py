@@ -7,8 +7,9 @@ propagation of a row evaluator's errors, the agreement of
 ``best_response``/``solve_nash`` with the golden-section oracles
 :func:`tests.oracles.scalar_best_response` and
 :func:`tests.oracles.scalar_nash` (also on generated profiles, on
-weighted-proportional sharing and the crossing network, and for Fair
-Share with the serial construction), one switch batch per zoom round
+weighted-proportional sharing and the crossing network; Fair Share's
+built point against the fixed-point driver it replaced and the scalar
+serial construction), one switch batch per zoom round
 on a network, the batched adversarial, coalition and elimination
 scans against their point-by-point oracles, the
 :mod:`repro.numerics.instrumentation` counters and the curve-less
@@ -58,9 +59,9 @@ from repro.users.families import (BiconvexUtility, ExponentialUtility,
                                   LinearUtility, PowerUtility,
                                   QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
-from tests.oracles import (coalition_scan_loop, payoff_table_loop,
-                           scalar_best_response, scalar_nash, serial_nash,
-                           worst_case_loop)
+from tests.oracles import (coalition_scan_loop, driver_nash,
+                           payoff_table_loop, scalar_best_response,
+                           scalar_nash, serial_nash, worst_case_loop)
 
 #: Fair Share rates against the serial construction.
 SERIAL_TOL = 1e-7
@@ -482,15 +483,18 @@ class TestRowEvaluatorErrorsPropagate:
             _ENTRY_POINTS[entry](_PlantedFault())
 
 
-#: ``solve_nash`` outputs under the extrapolating fixed-point driver, as
-#: float.hex: rates, max_gain, map evaluations, converged and the solver
-#: counts (objective, congestion, grid calls).  Any drift in a row's
-#: arithmetic or in the driver's steps moves them.
+#: ``solve_nash`` outputs, as float.hex: rates, max_gain, iterations,
+#: converged and the solver counts (objective, congestion, grid calls).
+#: The :data:`SERIAL_GOLDENS` are built by Fair Share's construction
+#: (``iterations`` counts its stages); the rest run the extrapolating
+#: fixed-point driver (``iterations`` counts map evaluations).  Any
+#: drift in a row's arithmetic, a stage or the driver's steps moves
+#: them.
 NASH_GOLDENS = {
     "fair-share": (
-        ["0x1.29f5e8386bc9ap-2", "0x1.2c33925743610p-3",
-         "0x1.6bdc817e6dc5ep-4", "0x1.b06d1d109c800p-6"],
-        "0x1.8000000000000p-54", 11, True, [15796, 15796, 432]),
+        ["0x1.29f5e8542ae26p-2", "0x1.2c339284053dfp-3",
+         "0x1.6bdc81a88aa9ep-4", "0x1.b06d1d109c800p-6"],
+        "0x0.0p+0", 4, True, [4610, 4610, 126]),
     "fifo": (
         ["0x1.ed0028c8c5121p-2", "0x1.7b02afc0f3596p-4",
          "0x1.0c6f7a0b5ed8dp-20", "0x1.0c6f7a0b5ed8dp-20"],
@@ -504,21 +508,26 @@ NASH_GOLDENS = {
          "0x1.b06d1c09c226ep-4", "0x1.b06d1c02c4f3ap-4"],
         "0x1.c032def0ca7a2p-6", 18, True, [25008, 25008, 684]),
     "fair-share-mixed": (
-        ["0x1.b84701a285404p-3", "0x1.e7f58eba6327ep-4",
+        ["0x1.b84701a5f114bp-3", "0x1.e7f58f191e716p-4",
          "0x1.e403b33ac06a6p-4"],
-        "0x1.0000000000000p-55", 7, True, [7899, 7899, 216]),
+        "0x0.0p+0", 3, True, [2964, 2964, 81]),
     "fair-share-subsystem": (
         ["0x1.d79386284d3bep-3", "0x1.be113cc00c597p-4",
          "0x1.4e8530069185cp-5"],
         "0x1.0000000000000p-54", 8, True, [8886, 8886, 243]),
 }
 
+#: The goldens whose point Fair Share's construction builds; a
+#: subsystem of Fair Share iterates.
+SERIAL_GOLDENS = ("fair-share", "fair-share-mixed")
+
 #: The same six cases' rates under the plain damped iteration (35, 103,
-#: 33, 38, 32 and 34 map evaluations).  The extrapolating driver must
-#: land within :data:`DAMPED_DRIFT_TOL` of each in sup norm: both stop
-#: at the same residual tolerance, a few best-response noise floors
-#: apart.  Priority's point is a damped fixed point, not a Nash point
-#: (gain 2.7e-2 either way).
+#: 33, 38, 32 and 34 map evaluations).  The extrapolating driver and
+#: the construction must land within :data:`DAMPED_DRIFT_TOL` of each
+#: in sup norm: the iterations stop at the same residual tolerance, a
+#: few best-response noise floors apart, and the construction resolves
+#: each stage to the zoom's tolerance.  Priority's point is a damped
+#: fixed point, not a Nash point (gain 2.7e-2 either way).
 DAMPED_NASH_RATES = {
     "fair-share": ["0x1.29f5e80367836p-2", "0x1.2c33926c467d4p-3",
                    "0x1.6bdc817bd3118p-4", "0x1.b06d1d123064cp-6"],
@@ -561,7 +570,10 @@ class TestNashGoldens:
         assert result.iterations == iterations
         assert result.converged is converged
         assert _counts(scope) == counts
-        assert scope.get("fixed_point.map_evals") == iterations
+        built = label in SERIAL_GOLDENS
+        assert result.method == ("serial" if built else "best-response")
+        assert scope.get("fixed_point.map_evals") == (0 if built
+                                                      else iterations)
         damped = [float.fromhex(x) for x in DAMPED_NASH_RATES[label]]
         assert np.max(np.abs(result.rates - damped)) <= DAMPED_DRIFT_TOL
 
@@ -577,10 +589,12 @@ def _contract_map(name, n):
 
 
 class TestGeneratedVectorScalarContract:
-    """The grid and the scalar scan agree on generated profiles, and
-    for Fair Share both match the serial construction.  Weighted
-    proportional sharing and the crossing network score their rounds
-    through the default rows."""
+    """The grid and the scalar scan agree on generated profiles.
+    ``solve_nash`` builds Fair Share's point, so there the grid side is
+    the fixed-point driver it replaced (:func:`tests.oracles.driver_nash`),
+    and the construction must match that driver and the scalar serial
+    construction.  Weighted proportional sharing and the crossing
+    network score their rounds through the default rows."""
 
     @given(n=st.integers(2, 5),
            tastes=st.sampled_from(["spread", "jittered", "power"]),
@@ -604,13 +618,16 @@ class TestGeneratedVectorScalarContract:
         allocation = _contract_map(name, n)
         fast = solve_nash(allocation, profile)
         slow = scalar_nash(allocation, profile)
+        if name == "fair-share":
+            built, fast = fast, driver_nash(allocation, profile)
+            assert built.method == "serial"
+            assert np.max(np.abs(built.rates - fast.rates)) <= SERIAL_TOL
+            serial = serial_nash(allocation, profile)
+            assert np.max(np.abs(built.rates - serial)) <= SERIAL_TOL
         assert fast.converged == slow.converged
         assert fast.is_equilibrium(1e-6) == slow.is_equilibrium(1e-6)
         np.testing.assert_allclose(fast.rates, slow.rates, rtol=0.0,
                                    atol=1e-6)
-        if name == "fair-share":
-            serial = serial_nash(allocation, profile)
-            assert np.max(np.abs(fast.rates - serial)) <= SERIAL_TOL
 
 
 class TestDefaultRowsBatchPerRound:
