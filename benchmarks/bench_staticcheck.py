@@ -62,6 +62,7 @@ def measure_staticcheck(rounds: int = 3):
                         "files": result.files_checked,
                         "analyzed": result.files_analyzed,
                         "cached": result.files_from_cache,
+                        "project_analyzed": result.project_analyzed,
                         "findings": len(result.findings),
                     }
                 if fresh_cache:
@@ -74,9 +75,11 @@ def measure_staticcheck(rounds: int = 3):
 
 
 def test_check_warm_fully_cached():
-    """A warm run over the repo tree analyzes zero files."""
+    """A warm run over the repo tree analyzes zero files and serves the
+    whole-program rules from the cache."""
     rows = {row["kind"]: row for row in measure_staticcheck(rounds=1)}
     assert rows["check-warm"]["analyzed"] == 0
+    assert rows["check-warm"]["project_analyzed"] is False
 
 
 def append_trajectory(path: str, runs) -> None:

@@ -147,9 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_parser.add_argument("--ignore", default=None,
                               help="comma-separated rule ids or "
                                    "family prefixes to skip")
-    check_parser.add_argument("-j", "--jobs", type=int, default=1,
-                              help="worker processes for per-file "
-                                   "rules (0 = one per CPU)")
     check_parser.add_argument("--no-cache", action="store_true",
                               help="disable the incremental result "
                                    "cache")
@@ -487,7 +484,6 @@ def _cmd_check(args: "argparse.Namespace") -> int:
     try:
         result = run_checks(
             paths, rules=rules,
-            jobs=args.jobs,
             cache=not args.no_cache,
             cache_dir=args.cache_dir)
     except CheckUsageError as exc:

@@ -158,16 +158,12 @@ class VariateStream:
         self._view = memoryview(self._buf)
 
     # ``memoryview`` does not pickle: snapshots carry the block array
-    # alone.  Snapshots written before blocks were arrays hold a list
-    # (pickled as ``(None, slots)``); it converts to the same float64
-    # values, so such a snapshot resumes bit-identically.
+    # alone.
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_view"}
 
-    def __setstate__(self, state) -> None:
-        if isinstance(state, tuple):
-            state = state[1]
+    def __setstate__(self, state: dict) -> None:
         for name, value in state.items():
             setattr(self, name, value)
         self._set_block(self._buf)

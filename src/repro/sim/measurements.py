@@ -139,28 +139,11 @@ class QueueTracker:
         self._segment_arrival_acc = [0] * self.n_users
         self._segment_size_acc = [0.0] * self.n_users
 
-    # Pickles carry the written rows only.  Snapshots written before
-    # the batch matrix hold per-batch array lists instead; they convert
-    # to the same rows (every batch lasted ``_quota``), so they resume
-    # bit-identically.
+    # Pickles carry the written rows only.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_batches"] = self._batches[:self._batch_count]
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        if "_segment_areas" in state:
-            channels = [state.pop(name) for name in (
-                "_segment_areas", "_segment_arrivals", "_segment_sizes")]
-            state.pop("_segment_times", None)
-            count = len(channels[0])
-            batches = np.zeros((count, 3, state["n_users"]))
-            for channel, rows in enumerate(channels):
-                for index, row in enumerate(rows):
-                    batches[index, channel] = row
-            state["_batches"] = batches
-            state["_batch_count"] = count
-        self.__dict__.update(state)
 
     def advance(self, now: float) -> None:
         """Move the clock to ``now`` (crossing batch boundaries).

@@ -663,9 +663,7 @@ def control_variate_summary(result: SimulationResult,
             service_process=result.config.service_process.strip().lower(),
             sized=sized,
             lossless=int(np.sum(result.losses)) == 0,
-            # getattr: results pickled before the size channel existed
-            # deserialize without per_batch_sizes.
-            per_batch_sizes=getattr(batch, "per_batch_sizes", None))
+            per_batch_sizes=batch.per_batch_sizes)
     return control_variate_adjust(batch.per_batch, specs,
                                   confidence=_CONFIDENCE)
 

@@ -17,7 +17,8 @@ table, import graph, approximate call graph, state-flow layer):
 ``GW002``  discipline-contract conformance — everything registered in
            ``repro.disciplines.registry`` must statically implement
            the :class:`~repro.disciplines.base.AllocationFunction`
-           surface and be constructible by its registered factory.
+           surface and be constructible by its registered factory
+           (whole-program).
 ``GW003``  RNG discipline — no stdlib ``random``, no legacy
            ``np.random.*`` global state, no raw
            ``np.random.default_rng``; randomness enters through
@@ -47,9 +48,9 @@ triggering example and the approved fix.  Findings are suppressible
 per line with ``# greedwork: ignore[GW00x]`` (comma-separate several
 ids; a bare ``ignore`` or ``ignore[*]`` silences every rule for that
 line; a comment-only pragma covers the next statement line).  Runs
-are incremental (content-hash cache under ``.greedwork_cache/``),
-parallelizable (``--jobs``) and exportable as SARIF 2.1.0 for GitHub
-code scanning (``--format sarif``).  Run it as ``greedwork check`` or
+are incremental (content-hash cache under ``.greedwork_cache/``; a
+warm run reports what a cold run reports) and exportable as SARIF
+2.1.0 for GitHub code scanning (``--format sarif``).  Run it as ``greedwork check`` or
 programmatically via :func:`run_checks`.
 """
 

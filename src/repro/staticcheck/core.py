@@ -7,7 +7,10 @@ rules never need to reason about suppression themselves.
 
 Rules read a file's nodes from :attr:`FileContext.nodes`, a
 :class:`NodeIndex` built by one walk of the tree the first time a rule
-asks, instead of walking ``ctx.tree`` themselves.
+asks, instead of walking ``ctx.tree`` themselves.  The small AST
+helpers the rules and the project layer share (:func:`dotted_name`,
+:func:`root_name`, :func:`names_under`, :func:`parameter_names`,
+:func:`own_method`) live here, once each.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
     TypeVar,
@@ -153,6 +157,55 @@ def walk_nodes(root: ast.AST) -> List[ast.AST]:
             elif isinstance(value, node_type):
                 append(value)
     return nodes
+
+
+def dotted_name(node: ast.AST) -> str:
+    """``a.b.c`` for a Name/Attribute chain, ``""`` for anything else."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return ""
+
+
+def root_name(node: ast.AST) -> str:
+    """The name under an Attribute/Subscript chain (``x`` for
+    ``x.a[i]``), ``""`` when the chain does not start at a name."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def names_under(node: ast.AST) -> Set[str]:
+    """Every ``Name`` id in the subtree of ``node`` (``a[i]`` gives
+    both)."""
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def parameter_names(func: ast.AST) -> Set[str]:
+    """Every parameter name of a function, ``*args`` and ``**kwargs``
+    included."""
+    args = func.args
+    return {arg.arg for arg in (list(args.posonlyargs) + list(args.args)
+                                + list(args.kwonlyargs)
+                                + ([args.vararg] if args.vararg else [])
+                                + ([args.kwarg] if args.kwarg else []))}
+
+
+def own_method(cls: ast.AST, name: str) -> Optional[ast.AST]:
+    """The method ``name`` defined in the body of class node ``cls``
+    itself (not inherited), sync or async; ``None`` when there is none
+    or ``cls`` is not a class."""
+    if not isinstance(cls, ast.ClassDef):
+        return None
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == name:
+            return node
+    return None
 
 
 class NodeIndex:
@@ -296,9 +349,11 @@ class Rule:
     rule_id: str = "GW000"
     name: str = "unnamed"
     description: str = ""
-    #: ``"file"`` rules see one :class:`FileContext` at a time and may
-    #: run in parallel worker processes; ``"project"`` rules see the
-    #: whole :class:`~repro.staticcheck.project.ProjectContext`.
+    #: ``"file"`` rules see one :class:`FileContext` and nothing else:
+    #: their findings are cached under that file's content hash alone,
+    #: so a fact from another file must come from a ``"project"`` rule,
+    #: which sees the whole
+    #: :class:`~repro.staticcheck.project.ProjectContext`.
     scope: str = "file"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
@@ -357,9 +412,6 @@ def get_rule(rule_id: str) -> Rule:
     """Instantiate one registered rule by id."""
     _load_builtin_rules()
     try:
-        # greedwork: ignore[GW601] -- _REGISTRY is append-only at
-        # import time; every worker re-imports and rebuilds the
-        # identical table, so there is no divergent state.
         return _REGISTRY[rule_id]()
     except KeyError:
         known = ", ".join(sorted(_REGISTRY))
@@ -419,6 +471,9 @@ class CheckResult:
     files_analyzed: int = 0
     #: Files served entirely from the incremental cache.
     files_from_cache: int = 0
+    #: Whether the project rules were evaluated this invocation (not
+    #: served from the project digest, and at least one was active).
+    project_analyzed: bool = False
     #: Wall-clock duration of the run, in seconds.
     duration_s: float = 0.0
 

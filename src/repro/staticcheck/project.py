@@ -52,7 +52,14 @@ from typing import (
     Tuple,
 )
 
-from repro.staticcheck.core import FileContext, walk_nodes
+from repro.staticcheck.core import (
+    FileContext,
+    dotted_name,
+    names_under,
+    parameter_names,
+    root_name,
+    walk_nodes,
+)
 
 #: Directories under the project root that are scanned for *references*
 #: even when the user only asked to check a subset of the tree.
@@ -236,8 +243,8 @@ class ModuleInfo:
         self.symbols[name] = Symbol(
             module=self.module or "", name=name, kind=kind,
             lineno=node.lineno, col=node.col_offset, node=node,
-            decorators=[_dotted(d) for d in decorators],
-            bases=[_dotted(b) for b in bases])
+            decorators=[dotted_name(_callee(d)) for d in decorators],
+            bases=[dotted_name(_callee(b)) for b in bases])
 
     def _index_import(self, node: ast.AST) -> None:
         if isinstance(node, ast.Import):
@@ -313,10 +320,12 @@ class ProjectContext:
         self.infos: List[ModuleInfo] = [
             ModuleInfo(ctx) for ctx in self.analyzed + self.reference_only
             if ctx.tree is not None]
-        #: Dotted repro module name -> its ModuleInfo.
-        self.modules: Dict[str, ModuleInfo] = {
-            info.module: info for info in self.infos
-            if info.module is not None}
+        #: Dotted repro module name -> its ModuleInfo; an analyzed file
+        #: wins over a reference-only file of the same module name.
+        self.modules: Dict[str, ModuleInfo] = {}
+        for info in self.infos:
+            if info.module is not None:
+                self.modules.setdefault(info.module, info)
         self._analyzed_paths = {ctx.display_path for ctx in self.analyzed}
         self._functions: Optional[_FunctionTables] = None
         self._class_states: Dict[str, Optional[ClassStateModel]] = {}
@@ -529,18 +538,10 @@ class ProjectContext:
         return out
 
 
-def _dotted(node: ast.expr) -> str:
-    """``a.b.c`` for a Name/Attribute chain, ``""`` otherwise."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    if isinstance(node, ast.Call):
-        return _dotted(node.func)
-    return ""
+def _callee(node: ast.expr) -> ast.expr:
+    """A decorator or base written as a call stands for its callee
+    (``@dataclass(frozen=True)`` is a ``dataclass`` decorator)."""
+    return node.func if isinstance(node, ast.Call) else node
 
 
 def _target_names(target: ast.expr) -> Iterable[Tuple[str, ast.expr]]:
@@ -592,7 +593,7 @@ def _iter_functions(tree: ast.Module
 # -- state-flow builders ----------------------------------------------------
 
 def _decorator_names(func: ast.AST) -> Set[str]:
-    return {_dotted(d).split(".")[-1]
+    return {dotted_name(_callee(d)).split(".")[-1]
             for d in getattr(func, "decorator_list", [])}
 
 
@@ -705,33 +706,13 @@ def _merge_base_model(model: ClassStateModel,
             model.whole_self_methods.add(method)
 
 
-def _parameter_names(func: ast.AST) -> Set[str]:
-    args = func.args
-    return {arg.arg for arg in (list(args.posonlyargs) + list(args.args)
-                                + list(args.kwonlyargs)
-                                + ([args.vararg] if args.vararg else [])
-                                + ([args.kwarg] if args.kwarg else []))}
-
-
-def _names_under(target: ast.AST) -> Iterable[str]:
-    """Every name in a loop or ``with`` target (``a[i]`` gives both)."""
-    return (sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name))
-
-
-def _expr_root_name(node: ast.AST) -> str:
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
 def _builds_pool(value: ast.expr) -> bool:
     """Whether ``value`` is ``Pool(...)``-like or ``<expr> or Pool(...)``."""
     if isinstance(value, ast.BoolOp) and isinstance(value.op, ast.Or):
         return any(_builds_pool(operand) for operand in value.values)
     return (isinstance(value, ast.Call)
-            and _dotted(value).split(".")[-1] in _POOL_CONSTRUCTORS)
+            and dotted_name(value.func).split(".")[-1]
+            in _POOL_CONSTRUCTORS)
 
 
 def _scan_function(key: str, info: "ModuleInfo", func: ast.AST
@@ -745,7 +726,7 @@ def _scan_function(key: str, info: "ModuleInfo", func: ast.AST
     local is known only after the walk, so the walk collects the
     candidate nodes, in walk order, and the helpers decide after it.
     """
-    local = _parameter_names(func)      # params, stores, loop targets...
+    local = parameter_names(func)       # params, stores, loop targets...
     declared_global: Set[str] = set()
     writes: List[ast.AST] = []          # global, assignments, mutators
     loads: List[ast.Name] = []
@@ -760,7 +741,7 @@ def _scan_function(key: str, info: "ModuleInfo", func: ast.AST
             elif isinstance(node.ctx, ast.Load):
                 loads.append(node)
         elif kind is ast.Call:
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted:
                 resolved = info.resolve_dotted(dotted)
                 if resolved is None and dotted in info.symbols:
@@ -785,10 +766,10 @@ def _scan_function(key: str, info: "ModuleInfo", func: ast.AST
             declared_global.update(node.names)
             writes.append(node)
         elif kind is ast.For or kind is ast.comprehension:
-            local.update(_names_under(node.target))
+            local.update(names_under(node.target))
         elif kind is ast.withitem:
             if node.optional_vars is not None:
-                local.update(_names_under(node.optional_vars))
+                local.update(names_under(node.optional_vars))
                 if isinstance(node.optional_vars, ast.Name) \
                         and _builds_pool(node.context_expr):
                     pool_names.add(node.optional_vars.id)
@@ -821,7 +802,7 @@ def _summarize(key: str, info: "ModuleInfo", func: ast.AST,
                 if name in module_names:
                     summary.global_writes.setdefault(name, node)
         elif isinstance(node, ast.Call):
-            root = _expr_root_name(node.func.value)
+            root = root_name(node.func.value)
             if module_state(root):
                 summary.global_writes.setdefault(root, node)
         else:
@@ -829,7 +810,7 @@ def _summarize(key: str, info: "ModuleInfo", func: ast.AST,
                 else [node.target]
             for target in targets:
                 if isinstance(target, (ast.Subscript, ast.Attribute)):
-                    root = _expr_root_name(target)
+                    root = root_name(target)
                     if module_state(root):
                         summary.global_writes.setdefault(root, node)
     for name_node in loads:
@@ -851,7 +832,7 @@ def _dispatch_targets(info: "ModuleInfo",
             else:
                 resolved = info.resolve(target.id)
         elif isinstance(target, ast.Attribute):
-            dotted = _dotted(target)
+            dotted = dotted_name(target)
             if dotted:
                 resolved = info.resolve_dotted(dotted)
         if resolved is not None and ":" in resolved:

@@ -44,6 +44,7 @@ def render_stats(result: CheckResult) -> str:
             f"cached={result.files_from_cache} "
             f"findings={len(result.findings)} "
             f"suppressed={len(result.suppressed)} "
+            f"project_analyzed={int(result.project_analyzed)} "
             f"duration_s={result.duration_s:.3f}")
 
 

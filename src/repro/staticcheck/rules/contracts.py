@@ -3,9 +3,11 @@
 Every entry of ``_FACTORIES`` in ``repro.disciplines.registry`` must be
 a zero-argument factory producing an
 :class:`~repro.disciplines.base.AllocationFunction`.  This rule checks
-the contract *statically* — no imports are executed — by resolving each
-registered name through the registry module's import statements to its
-defining module inside ``disciplines/`` and inspecting the class there:
+the contract *statically* — no imports are executed — on the parsed
+project: each registered name resolves through the registry module's
+alias table to a class in the project's symbol table, and each base of
+that class resolves the same way through its own module's aliases (or
+to a class that module defines):
 
 * the class must (transitively) subclass ``AllocationFunction``;
 * it must write a full-profile value form somewhere in its chain below
@@ -19,20 +21,21 @@ defining module inside ``disciplines/`` and inspecting the class there:
   parameters of ``Cls.__init__`` and every remaining required
   parameter must be covered.
 
-The rule fires on whichever file defines ``_FACTORIES`` under a
-``disciplines`` package, so test fixtures can exercise it in synthetic
-trees.
+The rule fires on every analyzed module under a ``disciplines``
+package that binds ``_FACTORIES`` to a dict literal, so test fixtures
+can exercise it in synthetic trees.  It reads no file itself: a class
+in a module that is not part of the parsed project (unreadable, not
+parsing, or outside the scanned roots) cannot be located.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.staticcheck.core import FileContext, Finding, NodeIndex, Rule, \
-    register_rule
+from repro.staticcheck.core import FileContext, Finding, ProjectRule, \
+    own_method, parameter_names, register_rule
+from repro.staticcheck.project import ModuleInfo, ProjectContext
 
 BASE_CLASS = "AllocationFunction"
 BASE_MODULE_SUFFIX = ".base"
@@ -41,40 +44,26 @@ BASE_MODULE_SUFFIX = ".base"
 VALUE_FORMS = (("congestion", "rates"), ("congestion_many", "profiles"))
 
 
-@dataclass
-class _ClassInfo:
-    """A class definition plus where it was found."""
+class _ClassInfo(NamedTuple):
+    """A class definition and the module that defines it."""
 
     node: ast.ClassDef
-    module_path: Path
-    imports: Dict[str, str]      # local name -> dotted source module
+    module: ModuleInfo
 
 
-def _module_imports(nodes: Iterable[ast.AST]) -> Dict[str, str]:
-    """Map of names bound by ``from X import Y [as Z]`` among ``nodes``.
-
-    ``nodes`` come in ``ast.walk`` order, so a later import of a name
-    overrides an earlier one.
-    """
-    out: Dict[str, str] = {}
-    for node in nodes:
-        if isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                out[alias.asname or alias.name] = node.module
-    return out
-
-
-def _find_class(tree: ast.AST, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body if isinstance(tree, ast.Module) else []:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _find_method(cls: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
+def _factories(tree: Optional[ast.Module]) -> Optional[ast.Dict]:
+    """The dict literal a module-level statement binds ``_FACTORIES`` to."""
+    for node in tree.body if tree is not None else ():
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if isinstance(node.value, ast.Dict) and any(
+                isinstance(target, ast.Name) and target.id == "_FACTORIES"
+                for target in targets):
+            return node.value
     return None
 
 
@@ -89,14 +78,33 @@ def _required_params(fn: ast.FunctionDef) -> List[str]:
     return [p for p in required if p != "self"]
 
 
-def _param_names(fn: ast.FunctionDef) -> List[str]:
-    args = fn.args
-    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-    return [p for p in names if p != "self"]
+def _resolve_class(project: ProjectContext, module: ModuleInfo,
+                   name: str) -> Tuple[Optional[_ClassInfo], Optional[str]]:
+    """The class ``name`` denotes in ``module``.
+
+    The module's alias table is tried first, then a class the module
+    defines itself.  Returns ``(info, error)``; exactly one is non-None.
+    """
+    error = (f"cannot resolve {name!r}: not defined locally and not "
+             f"imported")
+    target = module.resolve(name)
+    if target is not None and ":" in target:
+        source_name, _, attr = target.partition(":")
+        source = project.modules.get(source_name)
+        symbol = source.symbols.get(attr) if source is not None else None
+        if symbol is not None and isinstance(symbol.node, ast.ClassDef):
+            return _ClassInfo(symbol.node, source), None
+        error = (f"cannot locate module {source_name!r} for {name!r}"
+                 if source is None
+                 else f"{name!r} not found in {source_name!r}")
+    local = module.symbols.get(name)
+    if local is not None and isinstance(local.node, ast.ClassDef):
+        return _ClassInfo(local.node, module), None
+    return None, error
 
 
 @register_rule
-class DisciplineContractRule(Rule):
+class DisciplineContractRule(ProjectRule):
     """Statically verify registered discipline factories (GW002)."""
 
     rule_id = "GW002"
@@ -105,148 +113,79 @@ class DisciplineContractRule(Rule):
                    "statically implement the AllocationFunction surface "
                    "and be zero-argument constructible")
 
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module is None or ".disciplines." not in f"{ctx.module}.":
-            return
-        factories = self._find_factories(ctx.nodes)
-        if factories is None:
-            return
-        imports = _module_imports(ctx.nodes.of(ast.ImportFrom))
-        package_dir = ctx.path.resolve().parent
-        for key_node, value_node in zip(factories.keys, factories.values):
-            key = (key_node.value
-                   if isinstance(key_node, ast.Constant) else None)
-            if not isinstance(key, str):
-                yield self.finding(ctx, key_node or factories,
-                                   "registry keys must be string literals")
+    def check_project(self, project: ProjectContext
+                      ) -> Iterable[Finding]:
+        for registry in project.infos:
+            if registry.module is None \
+                    or ".disciplines." not in f"{registry.module}." \
+                    or not project.is_analyzed(registry.ctx.display_path):
                 continue
-            yield from self._check_entry(ctx, key, value_node, imports,
-                                         package_dir)
-
-    # -- registry parsing --------------------------------------------------
-
-    @staticmethod
-    def _find_factories(nodes: NodeIndex) -> Optional[ast.Dict]:
-        for node in nodes.of(ast.Assign, ast.AnnAssign):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
+            factories = _factories(registry.ctx.tree)
+            if factories is None:
                 continue
-            for target in targets:
-                if (isinstance(target, ast.Name)
-                        and target.id == "_FACTORIES"
-                        and isinstance(value, ast.Dict)):
-                    return value
-        return None
+            for key_node, value_node in zip(factories.keys,
+                                            factories.values):
+                key = (key_node.value
+                       if isinstance(key_node, ast.Constant) else None)
+                if not isinstance(key, str):
+                    yield self.finding(
+                        registry.ctx, key_node or factories,
+                        "registry keys must be string literals")
+                    continue
+                yield from self._check_entry(project, registry, key,
+                                             value_node)
 
-    def _check_entry(self, ctx: FileContext, key: str,
-                     value: ast.expr, imports: Dict[str, str],
-                     package_dir: Path) -> Iterable[Finding]:
+    def _check_entry(self, project: ProjectContext, registry: ModuleInfo,
+                     key: str, value: ast.expr) -> Iterable[Finding]:
         if isinstance(value, ast.Name):
             yield from self._check_class_entry(
-                ctx, key, value, value.id, call=None,
-                imports=imports, package_dir=package_dir)
+                project, registry, key, value, value.id, call=None)
         elif isinstance(value, ast.Lambda):
             if value.args.args or value.args.posonlyargs \
                     or value.args.kwonlyargs:
                 yield self.finding(
-                    ctx, value,
+                    registry.ctx, value,
                     f"factory for {key!r} must take no arguments")
                 return
             body = value.body
             if not (isinstance(body, ast.Call)
                     and isinstance(body.func, ast.Name)):
                 yield self.finding(
-                    ctx, value,
+                    registry.ctx, value,
                     f"factory lambda for {key!r} must directly "
                     f"construct a discipline class")
                 return
             yield from self._check_class_entry(
-                ctx, key, value, body.func.id, call=body,
-                imports=imports, package_dir=package_dir)
+                project, registry, key, value, body.func.id, call=body)
         else:
             yield self.finding(
-                ctx, value,
+                registry.ctx, value,
                 f"factory for {key!r} must be a class name or a "
                 f"zero-argument lambda constructing one")
 
-    # -- class resolution --------------------------------------------------
-
-    def _resolve_class(self, class_name: str, imports: Dict[str, str],
-                       package_dir: Path,
-                       ) -> Tuple[Optional[_ClassInfo], Optional[str]]:
-        """Find the AST of ``class_name``, following one import hop.
-
-        Returns ``(info, error)``; exactly one is non-None.
-        """
-        source_module = imports.get(class_name)
-        if source_module is None:
-            return None, (f"cannot resolve {class_name!r}: not defined "
-                          f"locally and not imported")
-        module_file = self._module_file(source_module, package_dir)
-        if module_file is None:
-            return None, (f"cannot locate module {source_module!r} "
-                          f"for {class_name!r}")
-        try:
-            tree = ast.parse(module_file.read_text(encoding="utf-8"),
-                             filename=str(module_file))
-        except (OSError, UnicodeDecodeError) as exc:
-            return None, f"cannot read {module_file.name}: {exc}"
-        except SyntaxError as exc:
-            return None, f"cannot parse {module_file.name}: {exc.msg}"
-        node = _find_class(tree, class_name)
-        if node is None:
-            return None, (f"{class_name!r} not found in "
-                          f"{source_module!r}")
-        return _ClassInfo(node, module_file,
-                          _module_imports(ast.walk(tree))), None
-
-    @staticmethod
-    def _module_file(dotted: str, package_dir: Path) -> Optional[Path]:
-        """Map ``repro.disciplines.x`` to a file near the registry.
-
-        Only modules inside the same ``disciplines`` package (or its
-        parent package, for ``exceptions`` etc.) are resolvable; the
-        contract only concerns discipline classes, which must live
-        there.
-        """
-        parts = dotted.split(".")
-        if "disciplines" in parts:
-            rel = parts[parts.index("disciplines") + 1:]
-            candidate = package_dir.joinpath(*rel).with_suffix(".py")
-            if candidate.is_file():
-                return candidate
-            init = package_dir.joinpath(*rel, "__init__.py")
-            if init.is_file():
-                return init
-        return None
-
     # -- the contract ------------------------------------------------------
 
-    def _check_class_entry(self, ctx: FileContext, key: str,
+    def _check_class_entry(self, project: ProjectContext,
+                           registry: ModuleInfo, key: str,
                            anchor: ast.expr, class_name: str,
-                           call: Optional[ast.Call],
-                           imports: Dict[str, str],
-                           package_dir: Path) -> Iterable[Finding]:
-        info, error = self._resolve_class(class_name, imports, package_dir)
+                           call: Optional[ast.Call]) -> Iterable[Finding]:
+        info, error = _resolve_class(project, registry, class_name)
         if info is None:
-            yield self.finding(ctx, anchor, f"entry {key!r}: {error}")
+            yield self.finding(registry.ctx, anchor,
+                               f"entry {key!r}: {error}")
             return
-        chain, chain_error = self._base_chain(info, package_dir)
+        chain, chain_error = self._base_chain(project, info)
         if chain_error is not None:
-            yield self.finding(ctx, anchor,
+            yield self.finding(registry.ctx, anchor,
                                f"entry {key!r}: {chain_error}")
             return
-        yield from self._check_congestion(ctx, key, anchor, chain)
-        yield from self._check_name_attr(ctx, key, anchor, chain)
-        yield from self._check_constructible(ctx, key, anchor, chain, call)
+        yield from self._check_congestion(registry.ctx, key, anchor, chain)
+        yield from self._check_name_attr(registry.ctx, key, anchor, chain)
+        yield from self._check_constructible(registry.ctx, key, anchor,
+                                             chain, call)
 
-    def _base_chain(self, info: _ClassInfo, package_dir: Path,
+    @staticmethod
+    def _base_chain(project: ProjectContext, info: _ClassInfo,
                     ) -> Tuple[List[_ClassInfo], Optional[str]]:
         """The single-inheritance chain down to ``AllocationFunction``.
 
@@ -265,7 +204,8 @@ class DisciplineContractRule(Rule):
                                f"subclass {BASE_CLASS}")
             base_name = bases[0].id
             if base_name == BASE_CLASS:
-                source = current.imports.get(BASE_CLASS, "")
+                target = current.module.resolve(BASE_CLASS) or ""
+                source = target.partition(":")[0]
                 if not source.endswith(BASE_MODULE_SUFFIX) \
                         and not source.endswith("disciplines"):
                     return chain, (
@@ -273,20 +213,10 @@ class DisciplineContractRule(Rule):
                         f"{BASE_CLASS!r} from unexpected module "
                         f"{source!r}")
                 return chain, None
-            base_info, error = self._resolve_class(
-                base_name, current.imports, package_dir)
+            base_info, error = _resolve_class(project, current.module,
+                                              base_name)
             if base_info is None:
-                # Try the defining module itself for a local base.
-                try:
-                    tree = ast.parse(current.module_path.read_text(
-                        encoding="utf-8"))
-                except (OSError, UnicodeDecodeError):
-                    return chain, error
-                node = _find_class(tree, base_name)
-                if node is None:
-                    return chain, error
-                base_info = _ClassInfo(node, current.module_path,
-                                       _module_imports(ast.walk(tree)))
+                return chain, error
             chain.append(base_info)
             current = base_info
         return chain, "inheritance chain too deep (cycle?)"
@@ -296,8 +226,9 @@ class DisciplineContractRule(Rule):
                           chain: List[_ClassInfo]) -> Iterable[Finding]:
         for info in chain:
             for form, param in VALUE_FORMS:
-                method = _find_method(info.node, form)
-                if method is None or self._is_abstract(method):
+                method = own_method(info.node, form)
+                if not isinstance(method, ast.FunctionDef) \
+                        or self._is_abstract(method):
                     continue
                 required = _required_params(method)
                 if len(required) != 1:
@@ -372,12 +303,12 @@ class DisciplineContractRule(Rule):
                              anchor: ast.expr, chain: List[_ClassInfo],
                              call: Optional[ast.Call]
                              ) -> Iterable[Finding]:
-        init = None
+        init: Optional[ast.FunctionDef] = None
         owner = chain[0]
         for info in chain:
-            init = _find_method(info.node, "__init__")
-            if init is not None:
-                owner = info
+            method = own_method(info.node, "__init__")
+            if isinstance(method, ast.FunctionDef):
+                init, owner = method, info
                 break
         if init is None:
             # Only object.__init__ — trivially zero-argument.
@@ -388,7 +319,6 @@ class DisciplineContractRule(Rule):
                     f"__init__ but the factory passes arguments")
             return
         required = _required_params(init)
-        accepted = _param_names(init)
         has_kwargs = init.args.kwarg is not None
         has_varargs = init.args.vararg is not None
         if call is None:
@@ -399,6 +329,10 @@ class DisciplineContractRule(Rule):
                     f"required parameters {required}; registered "
                     f"factories must be zero-argument constructible")
             return
+        # Names a keyword may fill: not ``self``, not the ``*args`` name.
+        accepted = parameter_names(init) - {"self"}
+        if init.args.vararg is not None:
+            accepted.discard(init.args.vararg.arg)
         supplied = set()
         positional = init.args.posonlyargs + init.args.args
         pos_names = [a.arg for a in positional if a.arg != "self"]

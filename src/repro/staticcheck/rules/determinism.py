@@ -14,7 +14,7 @@ import ast
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.staticcheck.core import FileContext, Finding, NodeIndex, Rule, \
-    register_rule
+    dotted_name, register_rule
 
 #: Inter-event-time draws: these define the simulation's event order
 #: and must flow through ``VariateStream`` (repro.sim.arrivals).
@@ -65,24 +65,12 @@ def _in_scope(module: Optional[str], prefixes: Tuple[str, ...]) -> bool:
                for p in prefixes)
 
 
-def _call_dotted(node: ast.Call) -> str:
-    parts: List[str] = []
-    cursor = node.func
-    while isinstance(cursor, ast.Attribute):
-        parts.append(cursor.attr)
-        cursor = cursor.value
-    if isinstance(cursor, ast.Name):
-        parts.append(cursor.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
 def _is_set_expression(node: ast.AST) -> bool:
     """Whether iterating ``node`` walks a hash-ordered ``set``."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        dotted = _call_dotted(node)
+        dotted = dotted_name(node.func)
         if dotted in ("set", "frozenset"):
             return True
         last = dotted.split(".")[-1]
@@ -232,7 +220,7 @@ class PerEventLoopRule(Rule):
             for sub in ast.walk(node):
                 if not isinstance(sub, ast.Call):
                     continue
-                dotted = _call_dotted(sub)
+                dotted = dotted_name(sub.func)
                 last = dotted.split(".")[-1] if dotted else ""
                 if last in _HEAP_OPS:
                     heap_ops = True
@@ -307,7 +295,7 @@ class OrderedAggregationRule(Rule):
 
     def _check_aggregation(self, ctx: FileContext,
                            node: ast.Call) -> Iterable[Finding]:
-        dotted = _call_dotted(node)
+        dotted = dotted_name(node.func)
         if dotted not in _ORDER_SENSITIVE:
             return
         for arg in node.args:
@@ -325,7 +313,7 @@ class OrderedAggregationRule(Rule):
 
     def _check_listing(self, ctx: FileContext,
                        node: ast.Call) -> Iterable[Finding]:
-        dotted = _call_dotted(node)
+        dotted = dotted_name(node.func)
         if not dotted or dotted.split(".")[-1] not in _UNSORTED_LISTINGS:
             return
         parent = ctx.nodes.parent(node)
@@ -340,7 +328,7 @@ class OrderedAggregationRule(Rule):
 
     def _check_clock(self, ctx: FileContext,
                      node: ast.Call) -> Iterable[Finding]:
-        dotted = _call_dotted(node)
+        dotted = dotted_name(node.func)
         if dotted in _WALL_CLOCK:
             yield self.finding(
                 ctx, node,

@@ -44,6 +44,7 @@ from repro.staticcheck.core import (
     Finding,
     NodeIndex,
     Rule,
+    names_under,
     register_rule,
     walk_nodes,
 )
@@ -61,14 +62,6 @@ _LOG_SQRT = frozenset({"log", "log2", "log10", "sqrt"})
 _DIVISIONS = (ast.Div, ast.FloorDiv, ast.Mod)
 
 _NESTED_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    out: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-    return out
 
 
 def _scope_statements(scope: ast.AST) -> Iterator[ast.stmt]:
@@ -127,13 +120,13 @@ class _GuardIndex:
                     arg_names: Set[str] = set()
                     for arg in list(node.args) + \
                             [kw.value for kw in node.keywords]:
-                        arg_names |= _names_in(arg)
+                        arg_names |= names_under(arg)
                     if arg_names:
                         self.guards.append((node.lineno, arg_names))
 
     def _index_statement(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            names = _names_in(stmt.value)
+            names = names_under(stmt.value)
             subtrahend = _pole_subtrahend(stmt.value)
             if isinstance(stmt.value, ast.Compare):
                 # ``stable = loads < 1.0``: binding a comparison is the
@@ -148,9 +141,9 @@ class _GuardIndex:
         elif isinstance(stmt, ast.If):
             if _terminates(stmt.body):
                 self.guards.append((stmt.body[-1].lineno,
-                                    _names_in(stmt.test)))
+                                    names_under(stmt.test)))
         elif isinstance(stmt, ast.Assert):
-            self.guards.append((stmt.lineno, _names_in(stmt.test)))
+            self.guards.append((stmt.lineno, names_under(stmt.test)))
 
     def expand_deps(self, names: Set[str]) -> Set[str]:
         """Names plus what they were assigned from (two levels)."""
@@ -178,16 +171,16 @@ class _GuardIndex:
         while current is not None and current is not self.scope:
             parent = nodes.parent(current)
             if isinstance(parent, (ast.If, ast.While)) \
-                    and _names_in(parent.test) & deps:
+                    and names_under(parent.test) & deps:
                 return True
             if isinstance(parent, ast.IfExp) \
-                    and _names_in(parent.test) & deps:
+                    and names_under(parent.test) & deps:
                 return True
             if isinstance(parent, (ast.ListComp, ast.SetComp,
                                    ast.DictComp, ast.GeneratorExp)):
                 for generator in parent.generators:
                     for cond in generator.ifs:
-                        if _names_in(cond) & deps:
+                        if names_under(cond) & deps:
                             return True
             current = parent
         return False
@@ -257,7 +250,7 @@ def _pole_subtrahend(node: ast.expr) -> Optional[Set[str]]:
     """Names of ``x`` when ``node`` contains ``1 - x``; else ``None``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.BinOp) and _is_pole_subtraction(sub):
-            names = _names_in(sub.right)
+            names = names_under(sub.right)
             if names:
                 return names
     return None
@@ -355,10 +348,10 @@ class UnguardedDomainCallRule(Rule):
                 if callee in SAFE_WRAPPERS:
                     return None
             if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Sub):
-                names = _names_in(sub)
+                names = names_under(sub)
                 if names:
                     return names
-        for name in _names_in(argument):
+        for name in names_under(argument):
             if name in scope.guards.pole_aliases:
                 return scope.guards.pole_aliases[name] | {name}
         return None

@@ -16,13 +16,13 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.staticcheck.core import FileContext, Finding, ProjectRule, \
-    Rule, register_rule
+    Rule, dotted_name, register_rule
 from repro.staticcheck.project import (
     _POOL_DISPATCH_METHODS,
     ProjectContext,
     _builds_pool,
 )
-from repro.staticcheck.rules.determinism import _call_dotted, _in_scope
+from repro.staticcheck.rules.determinism import _in_scope
 
 
 @register_rule
@@ -297,7 +297,7 @@ class BlockingEventLoopRule(Rule):
         for node in _own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _call_dotted(node)
+            dotted = dotted_name(node.func)
             tail = dotted.rsplit(".", 1)[-1] if dotted else ""
             if isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "result":

@@ -28,9 +28,10 @@ GW107 to the class-space modules.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Set
+from typing import Iterable, Iterator, List, Set
 
-from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
+from repro.staticcheck.core import FileContext, Finding, Rule, \
+    register_rule, root_name
 
 
 #: Method names that mutate their receiver in place.
@@ -39,12 +40,6 @@ MUTATOR_METHODS = frozenset({
     "discard", "update", "setdefault", "sort", "reverse", "fill",
     "put", "resize", "setfield", "setflags",
 })
-
-
-def _attribute_root(node: ast.expr) -> Optional[str]:
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _stored_names(node: ast.AST) -> Set[str]:
@@ -62,14 +57,14 @@ def _stored_names(node: ast.AST) -> Set[str]:
             out.add(sub.id)
         elif isinstance(sub, (ast.Attribute, ast.Subscript)) and \
                 isinstance(sub.ctx, (ast.Store, ast.Del)):
-            root = _attribute_root(sub)
-            if root is not None:
+            root = root_name(sub)
+            if root:
                 out.add(root)
         elif isinstance(sub, ast.Call) and \
                 isinstance(sub.func, ast.Attribute) and \
                 sub.func.attr in MUTATOR_METHODS:
-            root = _attribute_root(sub.func.value)
-            if root is not None:
+            root = root_name(sub.func.value)
+            if root:
                 out.add(root)
         elif isinstance(sub, (ast.Global, ast.Nonlocal)):
             out.update(sub.names)

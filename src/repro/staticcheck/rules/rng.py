@@ -18,9 +18,10 @@ are flagged.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Set
+from typing import Iterable, Set
 
-from repro.staticcheck.core import FileContext, Finding, Rule, register_rule
+from repro.staticcheck.core import FileContext, Finding, Rule, \
+    dotted_name, register_rule
 
 #: Legacy numpy.random module-level functions that mutate global state.
 LEGACY_NP_RANDOM = frozenset({
@@ -34,18 +35,6 @@ LEGACY_NP_RANDOM = frozenset({
     "standard_cauchy", "standard_exponential", "standard_gamma",
     "standard_t", "zipf", "get_state", "set_state", "RandomState",
 })
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    """Render ``a.b.c`` attribute chains; None for anything fancier."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 @register_rule
@@ -87,8 +76,8 @@ class RNGDisciplineRule(Rule):
                     np_random_aliases: Set[str],
                     bare_default_rng: Set[str],
                     bare_legacy: Set[str]) -> Iterable[Finding]:
-        dotted = _dotted(node.func)
-        if dotted is None:
+        dotted = dotted_name(node.func)
+        if not dotted:
             return
         parts = dotted.split(".")
         if dotted in bare_default_rng or (

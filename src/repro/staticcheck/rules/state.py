@@ -16,13 +16,13 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterable, List, Optional, Set
 
-from repro.staticcheck.core import Finding, ProjectRule, register_rule
+from repro.staticcheck.core import Finding, ProjectRule, dotted_name, \
+    own_method, register_rule
 from repro.staticcheck.project import (
     ClassStateModel,
     ModuleInfo,
     ProjectContext,
     Symbol,
-    _dotted,
 )
 
 #: The module whose policy hierarchy carries the snapshot contract.
@@ -32,17 +32,6 @@ _POLICY_BASE = "QueuePolicy"
 #: The module owning the sim-result content key.
 _CACHE_MODULE = "repro.sim.cache"
 _CONFIG_CLASS = "SimulationConfig"
-
-
-def _own_method(symbol: Symbol, name: str) -> Optional[ast.AST]:
-    """The method ``name`` defined in this class body (not inherited)."""
-    if not isinstance(symbol.node, ast.ClassDef):
-        return None
-    for node in symbol.node.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.name == name:
-            return node
-    return None
 
 
 def _attr_stores(node: ast.AST) -> Set[str]:
@@ -141,7 +130,7 @@ class SnapshotCoverageRule(ProjectRule):
             info = project.modules.get(symbol.module)
             if info is None:
                 continue
-            method = _own_method(symbol, "state_snapshot")
+            method = own_method(symbol.node, "state_snapshot")
             if method is None:
                 continue                # inherited deepcopy: covered
             model = project.class_state(symbol.module, symbol.name)
@@ -166,8 +155,8 @@ class SnapshotCoverageRule(ProjectRule):
             for symbol in info.symbols.values():
                 if symbol.kind != "class":
                     continue
-                snapshot = _own_method(symbol, "snapshot")
-                resume = _own_method(symbol, "resume")
+                snapshot = own_method(symbol.node, "snapshot")
+                resume = own_method(symbol.node, "resume")
                 if snapshot is None or resume is None:
                     continue
                 model = project.class_state(info.module, symbol.name)
@@ -246,7 +235,7 @@ class EngineStatePicklingRule(ProjectRule):
                 if symbol.kind != "class":
                     continue
                 for method_name in ("snapshot", "state_snapshot"):
-                    method = _own_method(symbol, method_name)
+                    method = own_method(symbol.node, method_name)
                     if method is not None:
                         yield from self._check_snapshot(
                             project, info, symbol, method)
@@ -290,7 +279,7 @@ class EngineStatePicklingRule(ProjectRule):
     @staticmethod
     def _resolve_carrier(project: ProjectContext, info: ModuleInfo,
                          call: ast.Call):
-        dotted = _dotted(call.func)
+        dotted = dotted_name(call.func)
         if not dotted:
             return None
         target = info.resolve_dotted(dotted)
@@ -429,7 +418,7 @@ class CacheKeyCompletenessRule(ProjectRule):
         for node in ast.walk(func):
             if isinstance(node, ast.For) \
                     and isinstance(node.iter, ast.Call):
-                dotted = _dotted(node.iter.func)
+                dotted = dotted_name(node.iter.func)
                 if dotted.split(".")[-1] == "fields" and any(
                         isinstance(arg, ast.Name)
                         and arg.id == "config"

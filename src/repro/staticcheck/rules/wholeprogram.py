@@ -21,7 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Set
 
-from repro.staticcheck.core import Finding, ProjectRule, register_rule
+from repro.staticcheck.core import Finding, ProjectRule, names_under, \
+    parameter_names, register_rule, root_name
 from repro.staticcheck.project import (
     MUTATOR_METHODS,
     ModuleInfo,
@@ -84,13 +85,13 @@ class StatefulDisciplineRule(ProjectRule):
                     else [node.target]
                 for target in targets:
                     if isinstance(target, (ast.Subscript, ast.Attribute)):
-                        root = self._root_name(target)
+                        root = root_name(target)
                         verb = "assigns into"
                         break
             elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in MUTATOR_METHODS:
-                root = self._root_name(node.func)
+                root = root_name(node.func)
                 verb = f"calls .{node.func.attr}() on"
             if root is None or verb is None:
                 continue
@@ -104,35 +105,17 @@ class StatefulDisciplineRule(ProjectRule):
                     f"rates to congestions")
 
     @staticmethod
-    def _root_name(node: ast.AST) -> str:
-        while isinstance(node, (ast.Subscript, ast.Attribute)):
-            node = node.value
-        if isinstance(node, ast.Name):
-            return node.id
-        return ""
-
-    @staticmethod
     def _local_names(method: ast.AST) -> Set[str]:
-        out: Set[str] = set()
-        args = method.args
-        for arg in (args.posonlyargs + args.args + args.kwonlyargs
-                    + ([args.vararg] if args.vararg else [])
-                    + ([args.kwarg] if args.kwarg else [])):
-            out.add(arg.arg)
+        out = parameter_names(method)
         for node in ast.walk(method):
             if isinstance(node, ast.Name) and \
                     isinstance(node.ctx, ast.Store):
                 out.add(node.id)
             elif isinstance(node, (ast.For, ast.comprehension)):
-                target = node.target
-                for sub in ast.walk(target):
-                    if isinstance(sub, ast.Name):
-                        out.add(sub.id)
+                out |= names_under(node.target)
             elif isinstance(node, ast.withitem) and \
                     node.optional_vars is not None:
-                for sub in ast.walk(node.optional_vars):
-                    if isinstance(sub, ast.Name):
-                        out.add(sub.id)
+                out |= names_under(node.optional_vars)
         return out
 
 

@@ -1,4 +1,4 @@
-"""Orchestrate a check run: collect, cache, fan out, aggregate.
+"""Orchestrate a check run: collect, cache, analyze, aggregate.
 
 The pipeline per invocation:
 
@@ -6,9 +6,9 @@ The pipeline per invocation:
    missing paths and non-Python files — see :class:`CheckUsageError`);
 2. read and content-hash every file; serve per-file results from the
    incremental cache where the hash matches;
-3. run per-file rules over the remainder — serially, or across worker
-   processes when ``jobs > 1`` (file rules are embarrassingly
-   parallel: one file in, findings out);
+3. run per-file rules over the remainder, one file at a time in this
+   process (a file rule sees one file, so its cached findings depend
+   on that file's hash alone);
 4. run project rules over a :class:`ProjectContext` built from the
    analyzed files plus the reference roots, unless the whole-program
    digest is unchanged in the cache;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import multiprocessing
 import time
 from pathlib import Path
 from typing import (
@@ -49,7 +48,6 @@ from repro.staticcheck.core import (
     Rule,
     all_rules,
     display_path_for,
-    get_rule,
 )
 from repro.staticcheck.project import REFERENCE_ROOTS, ProjectContext
 
@@ -100,31 +98,25 @@ def _read_error_finding(path: Path, root: Path, exc: Exception) -> Finding:
                    line=1, col=1, message=f"cannot read file: {exc}")
 
 
-def reference_sources(root: Path, reference_roots: Sequence[str],
-                      analyzed_resolved: Iterable[Path]
+def reference_sources(root: Path, analyzed_resolved: Iterable[Path]
                       ) -> Dict[Path, str]:
     """Sources of reference-only files for whole-program rules.
 
-    Scans each ``reference_roots`` subdirectory of ``root`` for
-    ``.py`` files not already in ``analyzed_resolved`` (resolved
-    paths), skipping build/VCS internals; unreadable files are
+    Collects the ``.py`` files of each :data:`REFERENCE_ROOTS`
+    subdirectory of ``root`` that are not already in
+    ``analyzed_resolved`` (resolved paths); unreadable files are
     silently dropped (reference context is best-effort).
     """
     analyzed = set(analyzed_resolved)
     out: Dict[Path, str] = {}
-    for root_name in reference_roots:
-        ref_root = root / root_name
-        if not ref_root.is_dir():
+    for path in collect_files([root / name for name in REFERENCE_ROOTS
+                               if (root / name).is_dir()]):
+        if path.resolve() in analyzed:
             continue
-        for path in sorted(ref_root.rglob("*.py")):
-            if any(part in _SKIP_DIRS for part in path.parts):
-                continue
-            if path.resolve() in analyzed:
-                continue
-            try:
-                out[path] = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                continue
+        try:
+            out[path] = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError):
+            continue
     return out
 
 
@@ -159,21 +151,6 @@ def _run_file_rules(ctx: FileContext, rules: Sequence[Rule]
     return findings, suppressed
 
 
-def _analyze_worker(payload: Tuple[str, str, Optional[str],
-                                   Tuple[str, ...]]
-                    ) -> Tuple[str, List[Dict[str, object]],
-                               List[Dict[str, object]]]:
-    """Worker-process entry: analyze one file with named rules."""
-    path_str, source, root_str, rule_ids = payload
-    root = Path(root_str) if root_str is not None else None
-    ctx = FileContext(Path(path_str), source, project_root=root)
-    rules = [get_rule(rule_id) for rule_id in rule_ids]
-    findings, suppressed = _run_file_rules(ctx, rules)
-    return (ctx.display_path,
-            [f.to_dict() for f in findings],
-            [f.to_dict() for f in suppressed])
-
-
 def _collector_paused(func: Callable[..., CheckResult]
                       ) -> Callable[..., CheckResult]:
     """Run ``func`` with the cyclic garbage collector off.
@@ -202,7 +179,6 @@ def run_checks(paths: Sequence[Union[str, Path]],
                jobs: int = 1,
                cache: bool = False,
                cache_dir: Optional[Union[str, Path]] = None,
-               reference_roots: Sequence[str] = REFERENCE_ROOTS,
                ) -> CheckResult:
     """Run the suite over ``paths`` and return a :class:`CheckResult`.
 
@@ -216,21 +192,25 @@ def run_checks(paths: Sequence[Union[str, Path]],
         Base for report-relative paths; defaults to the current
         working directory.
     jobs:
-        Worker processes for per-file rules; ``<= 1`` runs serially,
-        ``0`` means one per CPU.
+        Must be 1: every rule runs in this process.  Any other value
+        raises :class:`CheckUsageError`.
     cache:
         Enable the content-hash incremental cache (off by default for
         programmatic use; the CLI turns it on).
     cache_dir:
         Cache location; defaults to ``<project_root>/.greedwork_cache``.
-    reference_roots:
-        Project-root subdirectories scanned as reference-only context
-        for whole-program rules.
+
+    Whole-program rules also see the :data:`REFERENCE_ROOTS`
+    subdirectories of ``project_root`` as reference-only context.
 
     The cyclic garbage collector is paused for the run (see
     :func:`_collector_paused`).
     """
     started = time.perf_counter()
+    if jobs != 1:
+        raise CheckUsageError(
+            f"jobs={jobs}: checks run in one process; only jobs=1 is "
+            f"accepted")
     active = list(rules) if rules is not None else all_rules()
     file_rules = [r for r in active if not isinstance(r, ProjectRule)]
     project_rules = [r for r in active if isinstance(r, ProjectRule)]
@@ -268,7 +248,7 @@ def run_checks(paths: Sequence[Union[str, Path]],
                                          project_root=root)
         return contexts[path]
 
-    # -- 3. per-file rules (cache, then serial or parallel) -----------------
+    # -- 3. per-file rules (cache, then analysis) ---------------------------
     to_analyze: List[Path] = []
     for path in sources:
         display_path = display[path]
@@ -283,38 +263,19 @@ def run_checks(paths: Sequence[Union[str, Path]],
         to_analyze.append(path)
 
     result.files_analyzed = len(to_analyze)
-    if jobs == 0:
-        jobs = multiprocessing.cpu_count()
-    if jobs > 1 and len(to_analyze) > 1 and file_rules:
-        rule_ids = tuple(r.rule_id for r in file_rules)
-        payloads = [(str(path), sources[path], str(root), rule_ids)
-                    for path in to_analyze]
-        with multiprocessing.Pool(min(jobs, len(payloads))) as pool:
-            outcomes = pool.map(_analyze_worker, payloads)
-        for path, (display_path, found, kept) in zip(to_analyze,
-                                                     outcomes):
-            findings = [Finding.from_dict(f) for f in found]
-            suppressed = [Finding.from_dict(f) for f in kept]
-            result.findings.extend(findings)
-            result.suppressed.extend(suppressed)
-            if check_cache is not None:
-                check_cache.put_file(display_path,
-                                     hashes[display_path],
-                                     findings, suppressed)
-    else:
-        for path in to_analyze:
-            ctx = context_for(path)
-            findings, suppressed = _run_file_rules(ctx, file_rules)
-            result.findings.extend(findings)
-            result.suppressed.extend(suppressed)
-            if check_cache is not None:
-                check_cache.put_file(ctx.display_path,
-                                     hashes[ctx.display_path],
-                                     findings, suppressed)
+    for path in to_analyze:
+        ctx = context_for(path)
+        findings, suppressed = _run_file_rules(ctx, file_rules)
+        result.findings.extend(findings)
+        result.suppressed.extend(suppressed)
+        if check_cache is not None:
+            check_cache.put_file(ctx.display_path,
+                                 hashes[ctx.display_path],
+                                 findings, suppressed)
 
     # -- 4. project rules ---------------------------------------------------
     if project_rules:
-        reference = reference_sources(root, reference_roots,
+        reference = reference_sources(root,
                                       (p.resolve() for p in sources))
         scope_hashes = dict(hashes)
         for path, source in reference.items():
@@ -328,6 +289,7 @@ def run_checks(paths: Sequence[Union[str, Path]],
             result.findings.extend(hit[0])
             result.suppressed.extend(hit[1])
         else:
+            result.project_analyzed = True
             analyzed_ctxs = [context_for(path) for path in sources]
             reference_ctxs = [
                 FileContext(path, source, project_root=root)

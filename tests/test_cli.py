@@ -87,7 +87,8 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         ["fix", "src"], ["check", "--fix"], ["check", "--diff"],
         ["check", "--baseline", "b.json"], ["check", "--update-baseline"],
-        ["check", "--list-rules"],
+        ["check", "--list-rules"], ["check", "-j", "2"],
+        ["check", "--jobs", "0"],
         ["simulate", "--rates", "0.2", "--backend", "scalar"]])
     def test_removed_check_surface_is_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:

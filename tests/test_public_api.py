@@ -101,22 +101,28 @@ def _perfbench_module(name):
 
 
 class _RecordingTracer:
-    """Records what ``install_game_layers`` would wrap, wraps nothing."""
+    """Records what a layer installer would wrap, wraps nothing."""
 
     def __init__(self):
         self.functions = []
+        self.methods = []
 
     def patch_function(self, module, attr, **_):
         self.functions.append((module, attr))
 
+    def patch_method(self, cls, attr, **_):
+        self.methods.append((cls, attr))
+
 
 class TestBenchmarkFacingSurface:
-    """What ``perfbench`` calls and wraps in ``repro.game``.
+    """What ``perfbench`` calls and wraps in ``repro.game`` and
+    ``repro.staticcheck``.
 
     The benchmark's ``nash`` workload calls the four solver entry points
-    with the keywords below and reads the fields below, and its traced
-    pass wraps game functions by module attribute.  A change that drops
-    any of them breaks the benchmark, so it fails here first.
+    with the keywords below and reads the fields below, its
+    ``check-cold`` workload calls ``run_checks`` the way below, and its
+    traced passes wrap functions and methods by name.  A change that
+    drops any of them breaks the benchmark, so it fails here first.
     """
 
     def test_solver_keywords_and_fields(self):
@@ -156,4 +162,30 @@ class TestBenchmarkFacingSurface:
         _perfbench_module("tracing").install_game_layers(tracer, [])
         assert len(tracer.functions) >= 8
         for owner, name in tracer.functions:
+            assert callable(getattr(owner, name, None)), (owner, name)
+
+    def test_check_cold_keywords_and_fields(self, tmp_path):
+        from repro.staticcheck import run_checks
+
+        module = tmp_path / "src" / "repro" / "sim" / "planted.py"
+        module.parent.mkdir(parents=True)
+        module.write_text("import random\n")
+        result = run_checks([tmp_path / "src"],
+                            project_root=tmp_path, jobs=1, cache=True,
+                            cache_dir=tmp_path / "check-cache")
+        rows = sorted([f.rule_id, f.path, f.line, f.message]
+                      for f in result.findings)
+        assert result.files_checked == 1
+        assert rows == [["GW003", "src/repro/sim/planted.py", 1,
+                         "stdlib 'random' is banned; take a "
+                         "numpy.random.Generator parameter instead"]]
+
+    def test_traced_staticcheck_names_resolve(self):
+        from repro.staticcheck import all_rules
+
+        tracer = _RecordingTracer()
+        _perfbench_module("tracing").install_staticcheck_layers(tracer)
+        assert len(tracer.functions) >= 1
+        assert len(tracer.methods) >= 8 + len(all_rules())
+        for owner, name in tracer.functions + tracer.methods:
             assert callable(getattr(owner, name, None)), (owner, name)

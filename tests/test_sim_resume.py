@@ -10,8 +10,6 @@ distinct state shapes: fifo (plain deque), the Table-1 ladder
 queueing (sized mode, virtual-time heap).
 """
 
-import copyreg
-import io
 import math
 import pickle
 from dataclasses import replace
@@ -21,9 +19,6 @@ import pytest
 
 import repro.obs as obs
 from repro.sim import cache as sim_cache
-from repro.sim.arrivals import VariateStream
-from repro.sim.chunked import ChunkedSimulationEngine
-from repro.sim.measurements import QueueTracker
 from repro.sim.runner import (
     ENGINE_VERSION,
     EngineState,
@@ -32,7 +27,6 @@ from repro.sim.runner import (
     simulate,
     simulate_to_precision,
 )
-from repro.sim.store import RecordStore
 
 RATES = (0.1, 0.2, 0.3)
 POLICIES = ("fifo", "fair-share", "fair-queueing")
@@ -178,62 +172,3 @@ class TestStateCache:
                                       cold.summary.means)
         np.testing.assert_array_equal(warm.summary.half_widths,
                                       cold.summary.half_widths)
-
-
-class _ListLayoutPickler(pickle.Pickler):
-    """Pickles snapshots in the layout written before variate blocks
-    and batch rows were arrays: each stream's block as a Python list,
-    and the tracker's batches as per-batch array lists."""
-
-    def reducer_override(self, obj):
-        if isinstance(obj, VariateStream):
-            slots = obj.__getstate__()
-            slots["_buf"] = obj._buf.tolist()
-            return copyreg.__newobj__, (VariateStream,), (None, slots)
-        if isinstance(obj, QueueTracker):
-            state = obj.__dict__.copy()
-            rows = state.pop("_batches")[:state.pop("_batch_count")]
-            state["_segment_times"] = [obj._quota] * len(rows)
-            for channel, name in enumerate(("_segment_areas",
-                                            "_segment_arrivals",
-                                            "_segment_sizes")):
-                state[name] = [row[channel].copy() for row in rows]
-            return copyreg.__newobj__, (QueueTracker,), state
-        return NotImplemented
-
-
-class TestListLayoutSnapshots:
-    """Cache directories written before the array layout hold
-    snapshots under the same ENGINE_VERSION; they resume to the
-    uninterrupted run's exact result."""
-
-    @pytest.mark.parametrize("backend", ["scalar", "chunked"])
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_resumes_bit_identically(self, cache_on, backend, policy):
-        engine_cls = {"scalar": SimulationEngine,
-                      "chunked": ChunkedSimulationEngine}[backend]
-        long = config_for(policy, horizon=12000.0)
-        engine = ChunkedSimulationEngine(config_for(policy,
-                                                    horizon=5000.0))
-        engine.run_to(5000.0)
-        blob = io.BytesIO()
-        _ListLayoutPickler(blob, protocol=pickle.HIGHEST_PROTOCOL).dump(
-            engine.snapshot())
-        with RecordStore(sim_cache.cache_dir()) as records:
-            assert records.put(sim_cache.state_key(long, ENGINE_VERSION),
-                               blob.getvalue())
-
-        with obs.Scope() as counted:
-            resumed = simulate(long)
-        assert counted.get("sim.cache.state_hits") == 1
-        assert counted.get("sim.cache.fresh_events") \
-            == resumed.events - engine.n_arrivals - engine.n_departures
-        direct = engine_cls.resume(pickle.loads(blob.getvalue()), long)
-        direct.run_to(long.horizon)
-
-        sim_cache.set_enabled(False)
-        fresh = simulate(long)
-        for result in (resumed, direct.result(long)):
-            assert_results_identical(result, fresh)
-            np.testing.assert_array_equal(result.batch.per_batch_sizes,
-                                          fresh.batch.per_batch_sizes)

@@ -11,13 +11,17 @@ is shown to fire on the real tree and the rest of the tree to be clean.
 import ast
 import gc
 import json
+import re
 import shutil
+import tempfile
 import textwrap
 import tokenize
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.staticcheck import (
@@ -156,6 +160,13 @@ class TestFramework:
         with pytest.raises(CheckUsageError,
                            match="unsupported file type"):
             collect_files([notes])
+
+    def test_run_checks_accepts_only_one_job(self, tmp_path):
+        path = write_module(tmp_path, "mod.py", "VALUE = 1\n")
+        assert run_checks([path], jobs=1).ok
+        for jobs in (0, 2):
+            with pytest.raises(CheckUsageError, match="only jobs=1"):
+                run_checks([path], jobs=jobs)
 
     def test_select_rules_by_family_prefix(self):
         rules = select_rules(all_rules(), select=["GW1"])
@@ -301,13 +312,13 @@ class TestDisciplineContract:
                 "biased": lambda: NiceAllocation(bias=0.5),
             }
         """)
-        assert findings_for(registry, "GW002").findings == []
+        assert findings_for(registry, "GW002", root=tmp_path).findings == []
 
     def test_unresolvable_name_fails(self, tmp_path):
         registry = self._tree(tmp_path, """\
             _FACTORIES = {"ghost": GhostAllocation}
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "cannot resolve" in result.findings[0].message
 
@@ -323,7 +334,7 @@ class TestDisciplineContract:
             class NiceAllocation(AllocationFunction):
                 name = "nice"
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "congestion" in result.findings[0].message
 
@@ -342,7 +353,7 @@ class TestDisciplineContract:
                 def congestion(self, rates, extra):
                     return rates
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "exactly one required parameter" in \
             result.findings[0].message
@@ -364,7 +375,7 @@ class TestDisciplineContract:
                 def congestion_many(self, profiles):
                     return profiles
         """)
-        assert findings_for(registry, "GW002").findings == []
+        assert findings_for(registry, "GW002", root=tmp_path).findings == []
 
     def test_wrong_batched_signature_fails(self, tmp_path):
         registry = self._tree(tmp_path, """\
@@ -381,7 +392,7 @@ class TestDisciplineContract:
                 def congestion_many(self):
                     return None
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "congestion_many must take exactly one required " \
             "parameter (profiles)" in result.findings[0].message
@@ -398,7 +409,7 @@ class TestDisciplineContract:
                 def congestion(self, rates):
                     return rates
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert any("subclass" in f.message for f in result.findings)
 
     def test_required_init_param_fails(self, tmp_path):
@@ -419,7 +430,7 @@ class TestDisciplineContract:
                 def congestion(self, rates):
                     return rates
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "zero-argument" in result.findings[0].message
 
@@ -431,7 +442,7 @@ class TestDisciplineContract:
                 "odd": lambda: NiceAllocation(nonexistent=1),
             }
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert len(result.findings) == 1
         assert "no parameter 'nonexistent'" in result.findings[0].message
 
@@ -451,7 +462,7 @@ class TestDisciplineContract:
                 def congestion(self, rates):
                     return rates
         """)
-        assert findings_for(registry, "GW002").findings == []
+        assert findings_for(registry, "GW002", root=tmp_path).findings == []
 
     def test_suppressible(self, tmp_path):
         registry = self._tree(tmp_path, """\
@@ -459,20 +470,38 @@ class TestDisciplineContract:
                 "ghost": GhostAllocation,  # greedwork: ignore[GW002]
             }
         """)
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=tmp_path)
         assert result.findings == []
         assert len(result.suppressed) == 1
 
+    def test_checked_tree_wins_over_same_named_reference(self, tmp_path):
+        # A tree checked from outside the project root resolves its own
+        # modules, not same-named reference modules under the root.
+        project = tmp_path / "project"
+        write_module(project, "src/repro/disciplines/nice.py", """\
+            class NiceAllocation:
+                pass
+        """)
+        self._tree(tmp_path / "other", """\
+            from repro.disciplines.nice import NiceAllocation
+
+            _FACTORIES = {"nice": NiceAllocation}
+        """)
+        result = run_checks([tmp_path / "other" / "src"],
+                            rules=[get_rule("GW002")], project_root=project)
+        assert result.findings == []
+
     def test_real_registry_conforms(self):
         registry = REPO_SRC / "repro" / "disciplines" / "registry.py"
-        result = findings_for(registry, "GW002")
+        result = findings_for(registry, "GW002", root=REPO_ROOT)
         assert result.findings == []
 
     def test_undecodable_discipline_module_is_reported(self, tmp_path,
                                                       capsys):
         # One Latin-1 byte in the module a registered class comes from:
-        # the module itself is a GW000, the registry entry a GW002, and
-        # the run goes on instead of aborting on the decode error.
+        # the module itself is a GW000, the registry entry a GW002 (the
+        # project has no such module), and the run goes on instead of
+        # aborting on the decode error.
         self._tree(tmp_path, """\
             from repro.disciplines.nice import NiceAllocation
 
@@ -486,7 +515,9 @@ class TestDisciplineContract:
         assert ("GW002", "src/repro/disciplines/registry.py") in found
         entry = [f for f in result.findings if f.rule_id == "GW002"]
         assert len(entry) == 1 and entry[0].line == 3
-        assert "cannot read nice.py" in entry[0].message
+        assert entry[0].message == (
+            "entry 'nice': cannot locate module 'repro.disciplines.nice' "
+            "for 'NiceAllocation'")
         assert cli_main(["check", "--no-cache", str(tmp_path / "src")]) == 1
         assert "GW002" in capsys.readouterr().out
 
@@ -2216,6 +2247,73 @@ class TestStateFlowLayer:
         assert "repro.sim.leaf:_helper" in reachable
 
 
+#: A synthetic discipline package for the generated warm/cold
+#: contract: two disciplines on the base, a third subclassing the
+#: first, a registry naming all three and a module no rule reads.
+CONTRACT_TREE = {
+    "src/repro/disciplines/base.py": BASE_STUB,
+    "src/repro/disciplines/alpha.py": """\
+        from repro.disciplines.base import AllocationFunction
+
+
+        class AlphaAllocation(AllocationFunction):
+            name = "alpha"
+
+            def __init__(self, bias: float = 0.0) -> None:
+                self.bias = bias
+
+            def congestion(self, rates):
+                return rates
+    """,
+    "src/repro/disciplines/beta.py": """\
+        from repro.disciplines.base import AllocationFunction
+
+
+        class BetaAllocation(AllocationFunction):
+            name = "beta"
+
+            def __init__(self, flip: bool = False) -> None:
+                self.flip = flip
+
+            def congestion(self, rates):
+                return rates
+    """,
+    "src/repro/disciplines/gamma.py": """\
+        from repro.disciplines.alpha import AlphaAllocation
+
+
+        class GammaAllocation(AlphaAllocation):
+            name = "gamma"
+    """,
+    "src/repro/disciplines/registry.py": """\
+        from repro.disciplines.alpha import AlphaAllocation
+        from repro.disciplines.beta import BetaAllocation
+        from repro.disciplines.gamma import GammaAllocation
+
+        _FACTORIES = {
+            "alpha": AlphaAllocation,
+            "beta": lambda: BetaAllocation(flip=True),
+            "gamma": GammaAllocation,
+        }
+    """,
+    "src/repro/sim/other.py": """\
+        def _other(x):
+            return x + 1
+    """,
+}
+
+#: One-file edits, ``(pattern, replacement)`` for the first match;
+#: ``{base}`` in a replacement is the generated base class name.
+CONTRACT_EDITS = {
+    "drop-name": (r'\n    name = "\w+"\n', "\n"),
+    "congestion-arity": (r"def congestion\(self, rates\)",
+                         "def congestion(self, rates, extra)"),
+    "init-arity": (r"def __init__\(self, ", "def __init__(self, scale, "),
+    "rebase": (r"class (\w+)\(\w+\)", r"class \1({base})"),
+    "comment": (r"\Z", "# edited\n"),
+}
+
+
 class TestIncrementalCache:
     def _tree(self, tmp_path):
         write_module(tmp_path, "src/repro/sim/alpha.py", """\
@@ -2329,22 +2427,35 @@ class TestIncrementalCache:
         assert again.files_from_cache == 0
         assert again.files_analyzed == again.files_checked
 
-
-class TestParallelRuns:
-    def test_parallel_matches_serial(self, tmp_path):
-        for i in range(4):
-            write_module(tmp_path, f"src/repro/sim/mod{i}.py", """\
-                import random
-            """)
-        src = tmp_path / "src"
-        serial = run_checks([src], project_root=tmp_path, jobs=1)
-        parallel = run_checks([src], project_root=tmp_path, jobs=2)
-        assert serial.findings  # the fixtures are genuinely dirty
-        assert [f.render() for f in parallel.findings] == \
-            [f.render() for f in serial.findings]
-        assert [f.render() for f in parallel.suppressed] == \
-            [f.render() for f in serial.suppressed]
-        assert parallel.files_checked == serial.files_checked
+    @settings(max_examples=25, deadline=None)
+    @given(target=st.sampled_from(sorted(CONTRACT_TREE)),
+           edit=st.sampled_from(sorted(CONTRACT_EDITS)),
+           base=st.sampled_from(["AllocationFunction", "AlphaAllocation",
+                                 "BetaAllocation", "object"]))
+    @example(target="src/repro/disciplines/alpha.py", edit="drop-name",
+             base="AllocationFunction")
+    def test_warm_equals_cold_after_one_edit(self, target, edit, base):
+        # A rule that reads another file behind the per-file cache
+        # serves a stale verdict warm; every cross-file fact must come
+        # from the project model, whose digest covers every file.
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for relpath, source in CONTRACT_TREE.items():
+                write_module(root, relpath, source)
+            src, cache_dir = root / "src", root / ".cache"
+            run_checks([src], project_root=root, cache=True,
+                       cache_dir=cache_dir)
+            pattern, replacement = CONTRACT_EDITS[edit]
+            path = root / target
+            path.write_text(re.sub(pattern,
+                                   replacement.replace("{base}", base),
+                                   path.read_text(), count=1))
+            warm = run_checks([src], project_root=root, cache=True,
+                              cache_dir=cache_dir)
+            cold = run_checks([src], project_root=root, cache=False)
+        for kind in ("findings", "suppressed"):
+            assert [f.render() for f in getattr(warm, kind)] == \
+                [f.render() for f in getattr(cold, kind)], kind
 
 
 class TestNodeIndex:
@@ -2399,24 +2510,40 @@ class TestNodeIndex:
                     if isinstance(n, imports)] == \
                 [n for n in ast.walk(ctx.tree) if isinstance(n, imports)]
 
-    def test_rules_never_walk_the_whole_tree(self):
-        # Rules read ``ctx.nodes``; walking ``ctx.tree`` again is the
-        # cost the index exists to remove.
+    @staticmethod
+    def _rule_module_calls():
+        """``(file:line, callee name, call)`` for every call in the
+        rule modules."""
         rules_dir = REPO_SRC / "repro" / "staticcheck" / "rules"
-        offenders = []
         for path in sorted(rules_dir.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
             for node in ast.walk(tree):
-                if not (isinstance(node, ast.Call) and node.args):
-                    continue
-                callee = node.func.attr \
-                    if isinstance(node.func, ast.Attribute) \
-                    else getattr(node.func, "id", "")
-                first = node.args[0]
-                if callee in ("walk", "walk_nodes") \
-                        and isinstance(first, ast.Attribute) \
-                        and first.attr == "tree":
-                    offenders.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr \
+                        if isinstance(node.func, ast.Attribute) \
+                        else getattr(node.func, "id", "")
+                    yield f"{path.name}:{node.lineno}", callee, node
+
+    def test_rules_never_walk_the_whole_tree(self):
+        # Rules read ``ctx.nodes``; walking ``ctx.tree`` again is the
+        # cost the index exists to remove.
+        offenders = []
+        for where, callee, node in self._rule_module_calls():
+            first = node.args[0] if node.args else None
+            if callee in ("walk", "walk_nodes") \
+                    and isinstance(first, ast.Attribute) \
+                    and first.attr == "tree":
+                offenders.append(where)
+        assert offenders == []
+
+    def test_rules_read_no_files(self):
+        # A file rule's findings are cached under its own file's hash,
+        # so a rule that opens or parses another file can serve a stale
+        # verdict warm; cross-file facts come from the project model,
+        # whose digest covers every file.
+        offenders = [where for where, callee, _ in self._rule_module_calls()
+                     if callee in ("parse", "open", "read_text",
+                                   "read_bytes")]
         assert offenders == []
 
     def test_index_is_dropped_when_file_rules_finish(self, tmp_path):
@@ -2564,15 +2691,25 @@ class TestCLI:
         assert "files=1" in captured.err
         assert "duration_s=" in captured.err
 
-    def test_check_parallel_jobs(self, tmp_path, capsys):
-        write_module(tmp_path, "bad.py", """\
-            import random
+    def test_check_stats_report_the_project_phase(self, tmp_path,
+                                                  capsys, monkeypatch):
+        # CI's warm gate reads ``project_analyzed=0``: a warm run must
+        # not re-evaluate the whole-program rules either.
+        monkeypatch.chdir(tmp_path)
+        module = write_module(tmp_path, "src/repro/sim/ok.py", """\
+            VALUE = 1
         """)
-        code = cli_main(["check", str(tmp_path), "--no-cache",
-                         "-j", "2"])
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "GW003" in out
+
+        def project_analyzed(*extra):
+            assert cli_main(["check", "src", "--stats", *extra]) == 0
+            err = capsys.readouterr().err
+            return re.search(r"project_analyzed=(\d)", err).group(1)
+
+        assert project_analyzed() == "1"        # cold
+        assert project_analyzed() == "0"        # unchanged tree
+        module.write_text("VALUE = 2\n")
+        assert project_analyzed() == "1"        # after an edit
+        assert project_analyzed("--select", "GW003") == "0"
 
     def test_check_unknown_selector_exit_two(self, tmp_path, capsys):
         code = cli_main(["check", str(tmp_path), "--no-cache",
@@ -2597,6 +2734,11 @@ class TestCLI:
 
 
 class TestExplainCLI:
+    def test_discipline_contract_is_a_project_rule(self, capsys):
+        assert cli_main(["explain", "GW002"]) == 0
+        assert "GW002 (discipline-contract, project-scope)" in \
+            capsys.readouterr().out
+
     def test_explain_prints_docstring_sections(self, capsys):
         code = cli_main(["explain", "GW401"])
         out = capsys.readouterr().out
