@@ -18,6 +18,12 @@ where it ran: ``cpu_count`` and the git revision of the measured
 checkout (``git_rev``; ``-dirty`` marks uncommitted changes, ``null``
 outside a git tree), so rows from different hosts or commits are never
 compared by accident.
+
+Those two rows time ``run_checks`` in process.  The ``startup-*`` rows
+time whole commands as a user runs them, each a fresh ``python -m
+repro`` process (best of :data:`STARTUP_ROUNDS`): ``--help``, a cold
+check (``--no-cache``) and a warm one, so that what a command imports
+before it starts work shows in a row.
 """
 
 import argparse
@@ -26,11 +32,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from provenance import provenance
+from provenance import provenance, time_repro
 from repro.staticcheck import run_checks
 
 #: The paths the repo's own CI gates run the suite over.
 CHECK_PATHS = ("src", "tests", "benchmarks", "examples")
+#: Runs per start-up row; the best is kept.
+STARTUP_ROUNDS = 5
 
 
 def measure_staticcheck(rounds: int = 3):
@@ -71,6 +79,32 @@ def measure_staticcheck(rounds: int = 3):
             row.update(counters)
             row.update(provenance())
             runs.append(row)
+    return runs
+
+
+def measure_startup(rounds: int = STARTUP_ROUNDS):
+    """Best-of-``rounds`` end-to-end times of ``repro --help`` and of a
+    cold and a warm ``repro check`` over :data:`CHECK_PATHS`.
+
+    The warm check reads a throwaway cache directory that one untimed
+    run fills first.  Each row records the command and its exit code.
+    """
+    root = Path(__file__).resolve().parent.parent
+    check = ["check", *CHECK_PATHS]
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="gwbench-") as cache_dir:
+        warm = check + ["--cache-dir", cache_dir]
+        time_repro(warm, 1, root)
+        for kind, argv in (("startup-help", ["--help"]),
+                           ("startup-check-cold", check + ["--no-cache"]),
+                           ("startup-check-warm", warm)):
+            seconds, proc = time_repro(argv, rounds, root)
+            command = " ".join(["repro", *argv]).replace(cache_dir,
+                                                         "<tmp>")
+            runs.append({"kind": kind, "seconds": round(seconds, 6),
+                         "command": command,
+                         "rounds": rounds, "exit": proc.returncode,
+                         **provenance()})
     return runs
 
 
@@ -115,6 +149,11 @@ def main(argv=None) -> int:
         print(f"{run['kind']:12s} {run['seconds']:9.4f} "
               f"{run['files']:6d} {run['analyzed']:9d} "
               f"{run['findings']:9d}")
+    startup = measure_startup()
+    for run in startup:
+        print(f"{run['kind']:20s} {run['seconds']:9.4f}  "
+              f"exit {run['exit']}  {run['command']}")
+    runs += startup
     append_trajectory(args.output, runs)
     print(f"appended {len(runs)} run(s) to {args.output}")
     return 0

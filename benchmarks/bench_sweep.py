@@ -18,6 +18,11 @@ gates lean on, against the ~200-cell built-in ``paper`` catalog:
     A journal with records dropped (the kill-at-halfway scenario)
     must restart delta-only: journal cells replay for free, only the
     missing cells touch the cache/workers.
+``startup-warm``
+    ``repro sweep run`` as a user runs it, a fresh process against the
+    warm cache (best of five, journal in a directory of its own): the
+    in-process ``warm`` phase plus start-up.  It must report
+    ``fresh_events=0``.
 
 Script mode appends one row per phase to the ``BENCH_sweep.json``
 trajectory (each stamped with ``cpu_count`` and ``git_rev`` by
@@ -37,9 +42,10 @@ correctness one).
 import argparse
 import json
 import os
+import re
 import tempfile
 
-from provenance import provenance
+from provenance import provenance, time_repro
 from repro.parallel import WorkerPool
 from repro.sim import cache as sim_cache
 from repro.sim.runner import ENGINE_VERSION
@@ -51,6 +57,8 @@ from repro.sweep.scheduler import run_sweep
 #: Cold-run gates for the full catalog (acceptance criteria).
 MIN_UTILIZATION = 0.8
 MIN_WARM_SPEEDUP = 50.0
+#: Runs of the warm command-line sweep; the best is kept.
+STARTUP_ROUNDS = 5
 
 
 def result_row(phase, jobs, result):
@@ -157,6 +165,29 @@ def measure(catalog_name, jobs, report_out, smoke):
                 failures.append(
                     f"warm speedup {speedup:.0f}x < "
                     f"{MIN_WARM_SPEEDUP:.0f}x")
+
+            argv = ["sweep", "run", "--builtin", catalog_name, "--quiet"]
+            seconds, proc = time_repro(
+                argv, STARTUP_ROUNDS, scratch,
+                env={sweep_journal.ENV_DIR: os.path.join(scratch,
+                                                          "sweeps-cli")})
+            match = re.search(r"fresh_events=(\d+)", proc.stderr)
+            fresh = int(match.group(1)) if match else None
+            rows.append({
+                "benchmark": "sweep-orchestrator",
+                "engine": ENGINE_VERSION, "catalog": catalog_name,
+                "phase": "startup-warm",
+                "command": " ".join(["repro", *argv]),
+                "rounds": STARTUP_ROUNDS, "exit": proc.returncode,
+                **provenance(), "fresh_events": fresh,
+                "wall_s": round(seconds, 4)})
+            print(f"startup-warm: {seconds:.4f}s (best of "
+                  f"{STARTUP_ROUNDS} `repro sweep run` processes), "
+                  f"exit {proc.returncode}, fresh_events={fresh}")
+            if proc.returncode != 0 or fresh != 0:
+                failures.append(
+                    f"warm `repro sweep run` exited {proc.returncode} "
+                    f"with fresh_events={fresh} (expected 0 and 0)")
 
             # Kill-at-halfway resume: drop the tail of the journal,
             # point the sim cache somewhere cold, and resume — only

@@ -20,93 +20,81 @@ Quick start::
     users = [LinearUtility(gamma=g) for g in (0.5, 1.0, 4.0)]
     eq = solve_nash(switch, users)
     print(eq.rates, eq.congestion)
+
+The names below are imported from their home package on first access
+(PEP 562), so ``import repro.staticcheck`` or ``import repro.sim``
+loads only what it uses.
 """
 
-from repro.disciplines import (
-    AllocationFunction,
-    FairShareAllocation,
-    PriorityAllocation,
-    ProportionalAllocation,
-    SeparableAllocation,
-    WeightedProportionalAllocation,
-    check_mac,
-    make_discipline,
-)
-from repro.game import (
-    NashResult,
-    best_response,
-    envy_matrix,
-    fdc_residuals,
-    find_all_nash,
-    is_nash,
-    leader_advantage,
-    max_envy,
-    pareto_improvement,
-    protection_bound,
-    relaxation_matrix,
-    solve_nash,
-    solve_stackelberg,
-    solve_weighted_pareto,
-    worst_case_congestion,
-)
-from repro.network import NetworkAllocation, Route
-from repro.queueing import (
-    FeasibilitySet,
-    MG1Curve,
-    MM1Curve,
-    mm1_mean_queue,
-)
-from repro.users import (
-    ExponentialUtility,
-    LinearUtility,
-    PowerUtility,
-    QuadraticUtility,
-    Utility,
-    lemma5_profile,
-)
+import importlib
+from typing import Any, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # disciplines
-    "AllocationFunction",
-    "ProportionalAllocation",
-    "FairShareAllocation",
-    "PriorityAllocation",
-    "SeparableAllocation",
-    "WeightedProportionalAllocation",
-    "check_mac",
-    "make_discipline",
-    # game
-    "NashResult",
-    "solve_nash",
-    "find_all_nash",
-    "is_nash",
-    "best_response",
-    "solve_weighted_pareto",
-    "pareto_improvement",
-    "envy_matrix",
-    "max_envy",
-    "solve_stackelberg",
-    "leader_advantage",
-    "relaxation_matrix",
-    "fdc_residuals",
-    "protection_bound",
-    "worst_case_congestion",
-    # network
-    "NetworkAllocation",
-    "Route",
-    # queueing
-    "MM1Curve",
-    "MG1Curve",
-    "FeasibilitySet",
-    "mm1_mean_queue",
-    # users
-    "Utility",
-    "LinearUtility",
-    "ExponentialUtility",
-    "PowerUtility",
-    "QuadraticUtility",
-    "lemma5_profile",
-]
+#: Each public package and the names it exports through ``repro``.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "repro.disciplines": (
+        "AllocationFunction",
+        "ProportionalAllocation",
+        "FairShareAllocation",
+        "PriorityAllocation",
+        "SeparableAllocation",
+        "WeightedProportionalAllocation",
+        "check_mac",
+        "make_discipline",
+    ),
+    "repro.game": (
+        "NashResult",
+        "solve_nash",
+        "find_all_nash",
+        "is_nash",
+        "best_response",
+        "solve_weighted_pareto",
+        "pareto_improvement",
+        "envy_matrix",
+        "max_envy",
+        "solve_stackelberg",
+        "leader_advantage",
+        "relaxation_matrix",
+        "fdc_residuals",
+        "protection_bound",
+        "worst_case_congestion",
+    ),
+    "repro.network": ("NetworkAllocation", "Route"),
+    "repro.queueing": (
+        "MM1Curve",
+        "MG1Curve",
+        "FeasibilitySet",
+        "mm1_mean_queue",
+    ),
+    "repro.users": (
+        "Utility",
+        "LinearUtility",
+        "ExponentialUtility",
+        "PowerUtility",
+        "QuadraticUtility",
+        "lemma5_profile",
+    ),
+}
+
+_HOME: Dict[str, str] = {name: package
+                         for package, names in _EXPORTS.items()
+                         for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name from its home package on first access."""
+    package = _HOME.get(name)
+    if package is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(package), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    """The module's attributes plus every lazily exported name."""
+    return sorted({*globals(), *__all__})

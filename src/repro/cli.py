@@ -19,11 +19,21 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 import repro.obs as obs
-from repro.network.sharded import SHARDED_POLICIES
-from repro.numerics.rng import default_rng
+
+
+def _sharded_policy(name: str) -> str:
+    """``tandem --policies`` type: a policy the sharded simulator runs.
+
+    Imports the simulator only when ``tandem`` arguments are parsed.
+    """
+    from repro.network.sharded import SHARDED_POLICIES
+
+    if name not in SHARDED_POLICIES:
+        choices = ", ".join(map(repr, SHARDED_POLICIES))
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {choices})")
+    return name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -108,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tandem_parser.add_argument("--rates", type=float, nargs="+",
                                required=True)
     tandem_parser.add_argument("--policies", nargs=2,
-                               choices=SHARDED_POLICIES,
+                               type=_sharded_policy,
                                default=("fifo", "fifo"),
                                metavar=("HOP0", "HOP1"))
     tandem_parser.add_argument("--horizon", type=float, default=30000.0)
@@ -394,11 +404,12 @@ def _cmd_nash(gammas: List[float], discipline: str,
 
 def _cmd_protect(rate: float, users: int, discipline: str, samples: int,
                  seed: int) -> int:
-    import numpy as np_local
+    import numpy as np
 
     from repro.disciplines.registry import make_discipline
     from repro.experiments.base import Table
     from repro.game.protection import worst_case_congestion
+    from repro.numerics.rng import default_rng
 
     allocation = make_discipline(discipline)
     report = worst_case_congestion(
@@ -412,7 +423,7 @@ def _cmd_protect(rate: float, users: int, discipline: str, samples: int,
     table.add_row(report.bound, report.worst_congestion,
                   report.protective)
     print(table.render())
-    print(f"worst opponents: {np_local.round(report.worst_opponents, 4)}")
+    print(f"worst opponents: {np.round(report.worst_opponents, 4)}")
     return 0
 
 
@@ -665,7 +676,10 @@ def _cmd_sweep(args: "argparse.Namespace") -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    np.set_printoptions(precision=5, suppress=True)
+    if args.command not in ("check", "explain"):   # they print no arrays
+        import numpy as np
+
+        np.set_printoptions(precision=5, suppress=True)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

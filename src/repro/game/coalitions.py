@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 import repro.obs as obs
 from repro.users.utility import Utility
@@ -59,6 +58,8 @@ def coalition_gain(allocation, profile: Sequence[Utility],
     evaluated and the one maximizing the *worst member's* gain is
     polished with Nelder-Mead.  Non-members keep their rates.
     """
+    from scipy import optimize as sp_optimize
+
     base = np.asarray(rates, dtype=float)
     members = tuple(int(m) for m in members)
     if len(set(members)) != len(members) or not members:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from repro.users.utility import Utility
 
@@ -68,6 +67,8 @@ def fdc_root(residuals: Callable[[np.ndarray], np.ndarray],
     as :data:`FDC_PENALTY`.  Returns ``(|x|, converged, evaluations)``:
     converged when hybr succeeds with every rate positive.
     """
+    from scipy import optimize as sp_optimize
+
     def penalized(x: np.ndarray) -> np.ndarray:
         out = np.asarray(residuals(np.abs(x)), dtype=float)
         return np.where(np.isfinite(out), out, FDC_PENALTY)
@@ -248,6 +249,8 @@ def fifo_symmetric_linear_nash(n_users: int, gamma: float) -> float:
     Solves ``(1 - S + r) / (1 - S)^2 = 1/gamma`` with ``S = N r``
     (the Nash FDC for the proportional allocation).
     """
+    from scipy import optimize as sp_optimize
+
     if n_users < 1:
         raise ValueError("need at least one user")
     if not 0.0 < gamma < 1.0:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from repro.numerics.rng import default_rng
 from repro.queueing.service_curves import ServiceCurve
@@ -171,6 +170,8 @@ def solve_weighted_pareto(profile: Sequence[Utility],
     with the forced total congestion shared equally, and keeps every
     rate and the total load at most :data:`RATE_CAP`.
     """
+    from scipy import optimize as sp_optimize
+
     n = len(profile)
     w = np.asarray(weights, dtype=float)
     if w.size != n:
@@ -220,6 +221,8 @@ def pareto_improvement(profile: Sequence[Utility],
     :data:`MIN_GAIN` in total (evidence — not proof — of Pareto
     optimality).
     """
+    from scipy import optimize as sp_optimize
+
     n = len(profile)
     base_r = np.asarray(rates, dtype=float)
     base_c = np.asarray(congestion, dtype=float)

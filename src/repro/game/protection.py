@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 import repro.obs as obs
 from repro.numerics.rng import default_rng
@@ -84,6 +83,8 @@ def worst_case_congestion(allocation, i: int, own_rate: float,
     ``bound`` overrides the symmetric single-switch bound — network
     allocations, for example, supply the sum of their per-hop bounds.
     """
+    from scipy import optimize as sp_optimize
+
     if n_users < 2:
         raise ValueError("protection needs at least one opponent")
     generator = default_rng(rng if rng is not None else 23)

@@ -25,6 +25,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -89,11 +90,14 @@ class FileContext:
     A file that does not parse still yields a usable context:
     ``tree`` is ``None`` and ``parse_error`` carries the
     ``SyntaxError``, so one broken file can be reported as a ``GW000``
-    finding without aborting the rest of the run.
+    finding without aborting the rest of the run.  ``location`` is the
+    file's :func:`locate` result when the caller has it; by default it
+    is derived from ``path`` and ``project_root``.
     """
 
     def __init__(self, path: Path, source: str,
-                 project_root: Optional[Path] = None) -> None:
+                 project_root: Optional[Path] = None, *,
+                 location: Optional["Location"] = None) -> None:
         self.path = path
         self.project_root = project_root
         self.source = source
@@ -104,8 +108,11 @@ class FileContext:
             self.tree = ast.parse(source, filename=str(path))
         except SyntaxError as exc:
             self.parse_error = exc
-        self.module = module_name_for(path)
-        self.display_path = display_path_for(path, project_root)
+        if location is None:
+            location = locate(path, path.resolve(),
+                              project_root.resolve()
+                              if project_root is not None else None)
+        self.display_path, self.module = location
         self._suppressions = _parse_suppressions(self.lines)
         self._nodes: Optional[NodeIndex] = None
 
@@ -285,33 +292,46 @@ class NodeIndex:
         return cast(_T, self._shared[build])
 
 
-def module_name_for(path: Path) -> Optional[str]:
-    """Dotted module name for files living under a ``repro`` package.
+class Location(NamedTuple):
+    """Where a checked file sits: its report path and module name."""
 
-    Uses the *last* path component named ``repro`` so that temporary
+    display_path: str
+    module: Optional[str]
+
+
+def locate(path: Path, resolved: Path,
+           resolved_root: Optional[Path]) -> Location:
+    """A file's :class:`Location`, from its resolved path.
+
+    The report path is relative to the resolved project root when the
+    file lies under it, else ``path`` as given.  The module name uses
+    the *last* path component named ``repro``, so that temporary
     project trees (``/tmp/.../src/repro/...``) resolve the same way as
-    the real one.  Returns ``None`` for files outside any ``repro``
+    the real one; it is ``None`` for files outside any ``repro``
     package (rules that reason about the architecture skip those).
+    Nothing is resolved here: a check run resolves its root once and
+    each file once.
     """
-    parts = path.resolve().with_suffix("").parts
+    display_path = str(path)
+    if resolved_root is not None:
+        try:
+            display_path = resolved.relative_to(resolved_root).as_posix()
+        except ValueError:
+            pass
+    parts = resolved.with_suffix("").parts
     if "repro" not in parts:
-        return None
-    idx = len(parts) - 1 - tuple(reversed(parts)).index("repro")
+        return Location(display_path, None)
+    idx = len(parts) - 1 - parts[::-1].index("repro")
     dotted = list(parts[idx:])
     if dotted[-1] == "__init__":
         dotted.pop()
-    return ".".join(dotted)
+    return Location(display_path, ".".join(dotted))
 
 
-def display_path_for(path: Path, project_root: Optional[Path]) -> str:
-    """Path as shown in reports: project-relative when possible."""
-    if project_root is not None:
-        try:
-            return path.resolve().relative_to(
-                project_root.resolve()).as_posix()
-        except ValueError:
-            pass
-    return str(path)
+def module_name_for(path: Path) -> Optional[str]:
+    """Dotted module name of a file under a ``repro`` package, or
+    ``None`` (see :func:`locate`)."""
+    return locate(path, path.resolve(), None).module
 
 
 def _parse_suppressions(lines: List[str]) -> Dict[int, FrozenSet[str]]:

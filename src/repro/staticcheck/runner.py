@@ -29,6 +29,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -44,10 +45,11 @@ from repro.staticcheck.core import (
     CheckResult,
     FileContext,
     Finding,
+    Location,
     ProjectRule,
     Rule,
     all_rules,
-    display_path_for,
+    locate,
 )
 from repro.staticcheck.project import REFERENCE_ROOTS, ProjectContext
 
@@ -63,18 +65,31 @@ class CheckUsageError(ValueError):
 def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
-    Directory arguments are recursed (skipping build/VCS internals).
-    A file argument must exist and end in ``.py``; anything else
-    raises :class:`CheckUsageError`, matching the CLI's
-    error-on-missing-path behavior so programmatic and command-line
-    runs cannot silently diverge.
+    Directory arguments are recursed, skipping build/VCS internals
+    below the argument (the directories above it do not matter).  A
+    file argument must exist and end in ``.py``; anything else raises
+    :class:`CheckUsageError`, matching the CLI's error-on-missing-path
+    behavior so programmatic and command-line runs cannot silently
+    diverge.
     """
-    out: List[Path] = []
-    seen = set()
+    return list(_python_files(paths))
+
+
+def _python_files(paths: Iterable[Union[str, Path]]) -> Dict[Path, Path]:
+    """:func:`collect_files`, each file mapped to its resolved path.
+
+    A file reached twice (through two arguments, or a symlink) is kept
+    once, as first reached.
+    """
+    out: Dict[Path, Path] = {}
+    seen: Set[Path] = set()
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            candidates: Iterable[Path] = sorted(path.rglob("*.py"))
+            below = len(path.parts)
+            candidates: Iterable[Path] = [
+                candidate for candidate in sorted(path.rglob("*.py"))
+                if _SKIP_DIRS.isdisjoint(candidate.parts[below:])]
         elif path.is_file():
             if path.suffix != ".py":
                 raise CheckUsageError(
@@ -84,40 +99,36 @@ def collect_files(paths: Sequence[Union[str, Path]]) -> List[Path]:
             raise CheckUsageError(
                 f"no such file or directory: {path}")
         for candidate in candidates:
-            if any(part in _SKIP_DIRS for part in candidate.parts):
-                continue
             resolved = candidate.resolve()
             if resolved not in seen:
                 seen.add(resolved)
-                out.append(candidate)
+                out[candidate] = resolved
     return out
 
 
-def _read_error_finding(path: Path, root: Path, exc: Exception) -> Finding:
-    return Finding(rule_id="GW000", path=display_path_for(path, root),
+def _read_error_finding(display_path: str, exc: Exception) -> Finding:
+    return Finding(rule_id="GW000", path=display_path,
                    line=1, col=1, message=f"cannot read file: {exc}")
 
 
-def reference_sources(root: Path, analyzed_resolved: Iterable[Path]
-                      ) -> Dict[Path, str]:
-    """Sources of reference-only files for whole-program rules.
+def reference_files(root: Path, arguments: Sequence[Union[str, Path]],
+                    analyzed: Set[Path]) -> Dict[Path, Path]:
+    """Reference-only files for whole-program rules, each mapped to its
+    resolved path.
 
     Collects the ``.py`` files of each :data:`REFERENCE_ROOTS`
-    subdirectory of ``root`` that are not already in
-    ``analyzed_resolved`` (resolved paths); unreadable files are
-    silently dropped (reference context is best-effort).
+    subdirectory of ``root`` whose resolved path is not in
+    ``analyzed``.  A reference root that is itself a directory argument
+    of the run is not collected again: the run analyzes its files.
     """
-    analyzed = set(analyzed_resolved)
-    out: Dict[Path, str] = {}
-    for path in collect_files([root / name for name in REFERENCE_ROOTS
-                               if (root / name).is_dir()]):
-        if path.resolve() in analyzed:
-            continue
-        try:
-            out[path] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError):
-            continue
-    return out
+    argument_dirs = {Path(raw).resolve() for raw in arguments
+                     if Path(raw).is_dir()}
+    roots = [root / name for name in REFERENCE_ROOTS
+             if (root / name).is_dir()
+             and (root / name).resolve() not in argument_dirs]
+    return {path: resolved
+            for path, resolved in _python_files(roots).items()
+            if resolved not in analyzed}
 
 
 def _parse_error_finding(ctx: FileContext) -> Finding:
@@ -218,19 +229,23 @@ def run_checks(paths: Sequence[Union[str, Path]],
     result = CheckResult()
 
     # -- 1. collect and read ------------------------------------------------
+    # The root is resolved once and each file once; locations (report
+    # path, module name) and the reference exclusions derive from those.
+    resolved_root = root.resolve()
+    files = _python_files(paths)
+    located: Dict[Path, Location] = {}
     sources: Dict[Path, str] = {}
     hashes: Dict[str, str] = {}          # display path -> content hash
-    display: Dict[Path, str] = {}
-    for path in collect_files(paths):
+    for path, resolved in files.items():
         result.files_checked += 1
-        display_path = display_path_for(path, root)
-        display[path] = display_path
+        location = located[path] = locate(path, resolved, resolved_root)
         try:
             sources[path] = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            result.findings.append(_read_error_finding(path, root, exc))
+            result.findings.append(
+                _read_error_finding(location.display_path, exc))
             continue
-        hashes[display_path] = file_digest(sources[path])
+        hashes[location.display_path] = file_digest(sources[path])
 
     # -- 2. cache setup -----------------------------------------------------
     check_cache: Optional[CheckCache] = None
@@ -245,13 +260,14 @@ def run_checks(paths: Sequence[Union[str, Path]],
     def context_for(path: Path) -> FileContext:
         if path not in contexts:
             contexts[path] = FileContext(path, sources[path],
-                                         project_root=root)
+                                         project_root=root,
+                                         location=located[path])
         return contexts[path]
 
     # -- 3. per-file rules (cache, then analysis) ---------------------------
     to_analyze: List[Path] = []
     for path in sources:
-        display_path = display[path]
+        display_path = located[path].display_path
         if check_cache is not None:
             hit = check_cache.get_file(display_path,
                                        hashes[display_path])
@@ -275,12 +291,18 @@ def run_checks(paths: Sequence[Union[str, Path]],
 
     # -- 4. project rules ---------------------------------------------------
     if project_rules:
-        reference = reference_sources(root,
-                                      (p.resolve() for p in sources))
+        analyzed = {files[path] for path in sources}
+        reference: Dict[Path, str] = {}
         scope_hashes = dict(hashes)
-        for path, source in reference.items():
-            scope_hashes[display_path_for(path, root)] = \
-                file_digest(source)
+        for path, resolved in reference_files(root, paths,
+                                              analyzed).items():
+            try:
+                reference[path] = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError):
+                continue        # reference context is best-effort
+            located[path] = locate(path, resolved, resolved_root)
+            scope_hashes[located[path].display_path] = \
+                file_digest(reference[path])
         digest = project_digest(scope_hashes,
                                 [r.rule_id for r in project_rules])
         hit = check_cache.get_project(digest) \
@@ -292,7 +314,8 @@ def run_checks(paths: Sequence[Union[str, Path]],
             result.project_analyzed = True
             analyzed_ctxs = [context_for(path) for path in sources]
             reference_ctxs = [
-                FileContext(path, source, project_root=root)
+                FileContext(path, source, project_root=root,
+                            location=located[path])
                 for path, source in reference.items()]
             project = ProjectContext(analyzed_ctxs, reference_ctxs,
                                      project_root=root)

@@ -7,12 +7,19 @@ tests pin that surface so refactors cannot silently break it.
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro.cli import main
+
+#: The solver stack: what a command that solves no game must not load.
+HEAVY = frozenset({"numpy", "scipy"})
 
 
 class TestTopLevelSurface:
@@ -22,6 +29,27 @@ class TestTopLevelSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_names_are_their_home_module_objects(self):
+        listed = dir(repro)
+        for name in repro.__all__:
+            assert name in listed, name
+            if name == "__version__":
+                continue
+            value = getattr(repro, name)
+            home = importlib.import_module(value.__module__)
+            assert getattr(home, name) is value, name
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        namespace.pop("__builtins__")
+        assert sorted(namespace) == sorted(repro.__all__)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name
+        assert not hasattr(repro, "no_such_name")
 
     def test_quickstart_path(self):
         """The README quickstart must run as written."""
@@ -189,3 +217,72 @@ class TestBenchmarkFacingSurface:
         assert len(tracer.methods) >= 8 + len(all_rules())
         for owner, name in tracer.functions + tracer.methods:
             assert callable(getattr(owner, name, None)), (owner, name)
+
+
+def _heavy_imports(args, cwd):
+    """Run ``python -X importtime *args`` in a fresh interpreter on this
+    checkout; its exit code, stdout and the :data:`HEAVY` packages it
+    imported."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+    imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc.returncode, proc.stdout, imported & HEAVY
+
+
+@pytest.fixture
+def planted_tree(tmp_path):
+    """A one-module project with one GW003 finding."""
+    module = tmp_path / "src" / "repro" / "sim" / "planted.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("import random\n")
+    return tmp_path
+
+
+class TestImportBoundary:
+    """A command loads only the layers it runs: the checker and the
+    simulator never load the equilibrium solvers (scipy), and the
+    checker, ``--help`` and ``explain`` load no numpy either."""
+
+    def test_check_loads_no_numerics(self, planted_tree):
+        code, out, heavy = _heavy_imports(
+            ["-c", "from repro.staticcheck import run_checks; "
+                   "print(len(run_checks(['src']).findings))"],
+            planted_tree)
+        assert (code, out, heavy) == (0, "1\n", set())
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["check", "src", "--stats", "--cache-dir", "check-cache"],
+        ["explain", "GW001"],
+    ], ids=["help", "check", "explain"])
+    def test_cli_commands_load_no_numerics(self, planted_tree, argv):
+        code, out, heavy = _heavy_imports(["-m", "repro", *argv],
+                                          planted_tree)
+        assert code == (1 if argv[0] == "check" else 0)
+        assert out
+        assert heavy == set()
+
+    def test_sweep_parent_loads_no_scipy(self, tmp_path):
+        code, _, heavy = _heavy_imports(
+            ["-c", "import repro.sim.kernels, repro.sweep.scheduler"],
+            tmp_path)
+        assert code == 0
+        assert "scipy" not in heavy
+
+    def test_tandem_rejects_an_unsharded_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tandem", "--rates", "0.2", "0.3",
+                  "--policies", "fifo", "lifo"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        message = "argument --policies: invalid choice: 'lifo' (choose from "
+        assert message in err
+        choices = err.split(message, 1)[1]
+        assert "fifo" in choices and "fair-share" in choices

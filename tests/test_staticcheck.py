@@ -37,7 +37,7 @@ from repro.staticcheck import (
 from repro.staticcheck.core import ALL_RULES, _PRAGMA, Rule, module_name_for
 from repro.staticcheck.project import _statements
 from repro.staticcheck.rules.layers import package_of
-from repro.staticcheck.runner import _run_file_rules
+from repro.staticcheck.runner import _run_file_rules, reference_files
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src"
@@ -160,6 +160,27 @@ class TestFramework:
         with pytest.raises(CheckUsageError,
                            match="unsupported file type"):
             collect_files([notes])
+
+    def test_only_directories_below_an_argument_are_skipped(self,
+                                                             tmp_path):
+        project = tmp_path / "build" / "proj"
+        bad = write_module(project, "src/repro/sim/bad.py",
+                           "import random\n")
+        write_module(project, "src/repro/sim/build/gen.py",
+                     "import random\n")
+        assert collect_files([project / "src"]) == [bad]
+        result = run_checks([project / "src"], project_root=project)
+        assert [(f.rule_id, f.path) for f in result.findings] == \
+            [("GW003", "src/repro/sim/bad.py")]
+        assert run_checks([bad], project_root=project).files_checked == 1
+
+    def test_reference_roots_skip_only_the_arguments(self, tmp_path):
+        project = tmp_path / "build" / "proj"
+        helper = write_module(project, "src/repro/helper.py", "A = 1\n")
+        assert reference_files(project, [project / "src"], set()) == {}
+        # Collecting tmp_path skips build/, so src stays reference.
+        assert reference_files(project, [tmp_path], set()) == \
+            {helper: helper.resolve()}
 
     def test_run_checks_accepts_only_one_job(self, tmp_path):
         path = write_module(tmp_path, "mod.py", "VALUE = 1\n")
