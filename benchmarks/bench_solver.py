@@ -42,6 +42,12 @@ limit at N=10^3 and N=10^4 (rows with ``mode`` ``"class-space"`` /
 ``"mean-field"`` and a ``k`` field); the pytest gate
 ``test_class_space_nash_n10k_under_5s`` holds the N=10^4, K=4
 fair-share Nash solve under five seconds.
+
+Last, ``utility-value`` rows time each parametric utility family's
+two forms: ``mode`` ``"value"`` is the median microseconds of one
+scalar ``Utility.value`` call (the certificates, reported utilities
+and learning comparisons make these), ``"value_grid"`` of one
+``SCAN_POINTS``-wide ``value_grid`` call (the grid zoom's width).
 """
 
 import argparse
@@ -54,14 +60,16 @@ import pytest
 
 from provenance import provenance
 from repro.disciplines.registry import make_discipline
-from repro.game.best_response import best_response
+from repro.game.best_response import SCAN_POINTS, best_response
 from repro.game.classes import solve_nash_classes, solve_nash_classes_fdc
 from repro.game.meanfield import solve_nash_meanfield
 from repro.game.nash import solve_nash
 from repro.game.protection import worst_case_congestion
 from repro.numerics.instrumentation import track_solver
 from repro.numerics.rng import default_rng
-from repro.users.families import LinearUtility, PowerUtility
+from repro.users.families import (BiconvexUtility, ExponentialUtility,
+                                  LinearUtility, PowerUtility,
+                                  QuadraticUtility, ThresholdUtility)
 from tests.oracles import scalar_best_response, scalar_nash
 
 #: The solver matrix: the disciplines with batched grids, at two sizes.
@@ -151,6 +159,19 @@ def run_solve_nash_meanfield(allocation, n):
 CLASS_KINDS = {
     "class-space": run_solve_nash_classes,
     "mean-field": run_solve_nash_meanfield,
+}
+
+
+#: One member of each parametric utility family for the
+#: ``utility-value`` rows.
+UTILITY_FAMILIES = {
+    "linear": LinearUtility(gamma=0.5),
+    "exponential": ExponentialUtility(1.1, 0.9, 0.8, 1.7, r_ref=0.2,
+                                      c_ref=0.5),
+    "power": PowerUtility(gamma=0.5, p=0.5, q=1.0),
+    "quadratic": QuadraticUtility(gamma=0.5, b=-0.3),
+    "threshold": ThresholdUtility(0.4, 0.5),
+    "biconvex": BiconvexUtility(1.0, 2.0, 0.5, 0.3, 1.5),
 }
 
 
@@ -317,6 +338,44 @@ def measure_class_space(rounds: int = 3):
     return runs
 
 
+def measure_utility_values(samples: int = 31):
+    """Median microseconds of one scalar ``value`` call and of one
+    ``SCAN_POINTS``-wide ``value_grid`` call, per parametric family.
+
+    Each of ``samples`` samples times ``SCAN_POINTS`` scalar calls (one
+    per point of the grid) and as many grid calls.
+    """
+    rng = default_rng(3)
+    rs = rng.uniform(0.0, 1.0, SCAN_POINTS)
+    cs = rng.uniform(0.0, 20.0, SCAN_POINTS)
+    points = list(zip(rs.tolist(), cs.tolist()))
+    runs = []
+    for family, utility in UTILITY_FAMILIES.items():
+        forms = {
+            "value": lambda u=utility: [u.value(r, c) for r, c in points],
+            "value_grid": lambda u=utility: [u.value_grid(rs, cs)
+                                             for _ in points],
+        }
+        per_call = {mode: [] for mode in forms}
+        for _ in range(samples):
+            # Interleaved, as in measure_solver: drift hits both forms.
+            for mode, form in forms.items():
+                started = time.perf_counter()
+                form()
+                per_call[mode].append(
+                    (time.perf_counter() - started) / len(points))
+        for mode, seconds in per_call.items():
+            runs.append({
+                "kind": "utility-value",
+                "family": family,
+                "mode": mode,
+                "points": 1 if mode == "value" else SCAN_POINTS,
+                "samples": samples,
+                "median_us": round(float(np.median(seconds)) * 1e6, 3),
+            })
+    return runs
+
+
 def append_trajectory(path: str, runs) -> None:
     """Append run records to the ``BENCH_solver.json`` trajectory."""
     document = {"benchmark": "solver-core", "runs": []}
@@ -344,8 +403,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     runs = measure_solver(rounds=args.rounds)
     runs.extend(measure_class_space(rounds=args.rounds))
+    values = measure_utility_values()
     stamp = provenance(numpy=np.__version__)
-    for run in runs:
+    for run in runs + values:
         run.update(stamp)
     header = (f"{'kind':20s} {'discipline':12s} {'n':>5s} "
               f"{'mode':>11s} {'seconds':>9s} {'speedup':>8s}")
@@ -355,6 +415,11 @@ def main(argv=None) -> int:
         print(f"{run['kind']:20s} {run['discipline']:12s} "
               f"{run['n']:5d} {run['mode']:>11s} {run['seconds']:9.4f} "
               f"{speedup if speedup is not None else '':>8}")
+    print(f"{'kind':20s} {'family':12s} {'mode':>11s} {'median_us':>10s}")
+    for run in values:
+        print(f"{run['kind']:20s} {run['family']:12s} {run['mode']:>11s} "
+              f"{run['median_us']:10.3f}")
+    runs.extend(values)
     append_trajectory(args.output, runs)
     print(f"appended {len(runs)} run(s) to {args.output}")
     return 0

@@ -13,11 +13,8 @@ Run them all from the command line::
 """
 
 from repro.experiments.base import ExperimentReport, Table
-from repro.experiments.registry import all_experiments, get_experiment
 
 __all__ = [
     "ExperimentReport",
     "Table",
-    "all_experiments",
-    "get_experiment",
 ]

@@ -8,12 +8,10 @@ Corollary 2 analyzes a quadratic ``f``.  We therefore make the curve an
 explicit object that the constraint set, the disciplines, and the
 Pareto machinery are all parameterized by.
 
-Each curve exposes value, first and second derivatives, and its
+Each curve writes its value, first and second derivatives and
 capacity (the load at which the queue diverges; ``inf`` for curves
-without a pole).  The batched counterparts (``values``,
-``derivatives``, ``second_derivatives``) evaluate a whole numpy array
-of loads at once; the concrete curves override them with masked
-vector formulas so the vectorized solver core never pays a Python
+without a pole), and ``values``, the value over a whole numpy array
+of loads at once, so the vectorized solver core never pays a Python
 call per grid point.  ``values`` computes the stable region with
 masked ufuncs (``out=``/``where=``) rather than a boolean gather and
 scatter: loads at or beyond capacity (and NaN) map to ``inf``, and
@@ -46,28 +44,10 @@ class ServiceCurve(ABC):
     def second_derivative(self, load: float) -> float:
         """``g''(load)``."""
 
+    @abstractmethod
     def values(self, loads: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` over an array of loads.
-
-        The default delegates to the scalar method elementwise;
-        concrete curves override it with a masked vector formula that
-        is bit-identical to the scalar one.
-        """
-        arr = np.asarray(loads, dtype=float)
-        flat = [self.value(x) for x in arr.ravel().tolist()]
-        return np.asarray(flat, dtype=float).reshape(arr.shape)
-
-    def derivatives(self, loads: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`derivative` over an array of loads."""
-        arr = np.asarray(loads, dtype=float)
-        flat = [self.derivative(x) for x in arr.ravel().tolist()]
-        return np.asarray(flat, dtype=float).reshape(arr.shape)
-
-    def second_derivatives(self, loads: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`second_derivative` over an array of loads."""
-        arr = np.asarray(loads, dtype=float)
-        flat = [self.second_derivative(x) for x in arr.ravel().tolist()]
-        return np.asarray(flat, dtype=float).reshape(arr.shape)
+        """Vectorized :meth:`value` over an array of loads, bit-identical
+        to the scalar method."""
 
     def __call__(self, load: float) -> float:
         return self.value(load)
@@ -116,22 +96,6 @@ class MM1Curve(ServiceCurve):
         _check_nonnegative(arr)
         return np.divide(arr, 1.0 - arr, out=np.full(arr.shape, math.inf),
                          where=arr < 1.0)
-
-    def derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
-        stable = arr < 1.0
-        out[stable] = 1.0 / (1.0 - arr[stable]) ** 2
-        return out
-
-    def second_derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
-        stable = arr < 1.0
-        out[stable] = 2.0 / (1.0 - arr[stable]) ** 3
-        return out
 
 
 def _check_nonnegative(arr: np.ndarray) -> None:
@@ -190,25 +154,6 @@ class MG1Curve(ServiceCurve):
         return np.add(x, self._k * x * x / (1.0 - x),
                       out=np.full(arr.shape, math.inf), where=stable)
 
-    def derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
-        stable = arr < 1.0
-        x = arr[stable]
-        u = 1.0 - x
-        out[stable] = 1.0 + self._k * (2.0 * x * u + x * x) / (u * u)
-        return out
-
-    def second_derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        out = np.full(arr.shape, math.inf)
-        stable = arr < 1.0
-        u = 1.0 - arr[stable]
-        out[stable] = self._k * 2.0 / (u * u * u)
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MG1Curve(cv={self.cv})"
 
@@ -258,16 +203,6 @@ class QuadraticCurve(ServiceCurve):
         arr = np.asarray(loads, dtype=float)
         _check_nonnegative(arr)
         return self.a * arr * arr
-
-    def derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        return 2.0 * self.a * arr
-
-    def second_derivatives(self, loads: np.ndarray) -> np.ndarray:
-        arr = np.asarray(loads, dtype=float)
-        _check_nonnegative(arr)
-        return np.full(arr.shape, 2.0 * self.a)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QuadraticCurve(a={self.a})"

@@ -24,7 +24,7 @@ reading is therefore concave (see
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,14 +37,16 @@ RowValues = Callable[[np.ndarray, np.ndarray], np.ndarray]
 #: column with one value per row.
 Param = Union[float, np.ndarray]
 
-# Each parametric family has one module-level formula
-# ``(params..., r, c) -> values``: its ``value_grid`` passes scalar
-# parameters, :func:`value_grid_rows` passes parameter columns, so row
-# ``k`` of a columnar call does exactly ``utilities[k].value_grid``'s
-# arithmetic.  Entries the result discards (infinite congestion, an
-# exp-overflow guard, a negative argument) are masked with
-# ``where=``/``np.where`` rather than gathered out, and are replaced by
-# 0 before any operation that could warn on them.
+# Each parametric family states its formula once, as the static method
+# ``formula(params..., r, c) -> values`` beside its ``_params()``: the
+# base :class:`~repro.users.utility.Utility` runs it with scalar
+# parameters for ``value`` (on 0-d arrays) and ``value_grid``, and
+# :func:`value_grid_rows` with parameter columns, so row ``k`` of a
+# columnar call does exactly ``utilities[k].value``'s arithmetic.
+# Entries the result discards (infinite congestion, an exp-overflow
+# guard, a negative argument) are masked with ``where=``/``np.where``
+# rather than gathered out, and are replaced by 0 before any operation
+# that could warn on them.
 
 
 def _power(x: np.ndarray, exponent: Param) -> np.ndarray:
@@ -65,70 +67,6 @@ def _power(x: np.ndarray, exponent: Param) -> np.ndarray:
     return out
 
 
-def _linear_values(a: Param, gamma: Param, r: np.ndarray,
-                   c: np.ndarray) -> np.ndarray:
-    """``a r - gamma c``; ``gamma > 0``, so infinite ``c`` gives ``-inf``."""
-    return a * r - gamma * c
-
-
-def _exponential_values(r_scale: Param, r_rate: Param, r_ref: Param,
-                        c_scale: Param, c_rate: Param, c_ref: Param,
-                        r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``r_scale e^{r_rate (r - r_ref)} - c_scale e^{c_rate (c - c_ref)}``.
-
-    ``-inf`` where ``c`` is infinite or the congestion exponent passes
-    700 (the scalar overflow guard).
-    """
-    exponent = np.where(np.isinf(c), math.inf, c_rate * (c - c_ref))
-    with np.errstate(over="ignore"):
-        return np.subtract(r_scale * np.exp(r_rate * (r - r_ref)),
-                           c_scale * np.exp(exponent),
-                           out=np.full(r.shape, -math.inf),
-                           where=exponent <= 700.0)
-
-
-def _power_values(a: Param, gamma: Param, p: Param, q: Param,
-                  r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``a r^p - gamma c^q``; ``-inf`` for infinite or negative inputs."""
-    ok = ~np.isinf(c) & (r >= 0.0) & (c >= 0.0)
-    return np.subtract(a * _power(np.where(ok, r, 0.0), p),
-                       gamma * _power(np.where(ok, c, 0.0), q),
-                       out=np.full(r.shape, -math.inf), where=ok)
-
-
-def _quadratic_values(a: Param, b: Param, gamma: Param, r: np.ndarray,
-                      c: np.ndarray) -> np.ndarray:
-    """``a r + b r^2 - gamma c``, ``-inf`` where ``c`` is infinite."""
-    return np.where(np.isinf(c), -math.inf, a * r + b * r * r - gamma * c)
-
-
-def _threshold_values(a: Param, threshold: Param, gamma: Param,
-                      r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``a min(r, t) - gamma c``, ``-inf`` where ``c`` is infinite."""
-    return np.where(np.isinf(c), -math.inf,
-                    a * np.minimum(r, threshold) - gamma * c)
-
-
-def _biconvex_values(a1: Param, r_scale: Param, ell: Param, c_scale: Param,
-                     c_rate: Param, r: np.ndarray,
-                     c: np.ndarray) -> np.ndarray:
-    """``r_scale e^{a1 r} - ell c + c_scale e^{c_rate c}``.
-
-    ``-inf`` where ``c`` is infinite, else ``+inf`` where ``a1 r``
-    passes 700 (the scalar overflow guard).
-    """
-    exponent = a1 * r
-    finite = ~np.isinf(c)
-    big = exponent > 700.0
-    ok = finite & ~big
-    e = np.where(ok, exponent, 0.0)
-    cc = np.where(ok, c, 0.0)
-    return np.add(r_scale * np.exp(e) - ell * cc,
-                  c_scale * np.exp(c_rate * cc),
-                  out=np.where(finite & big, math.inf, -math.inf),
-                  where=ok)
-
-
 class LinearUtility(Utility):
     """``U = a r - gamma c``.
 
@@ -145,26 +83,21 @@ class LinearUtility(Utility):
         self.gamma = float(gamma)
         self.a = float(a)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        return self.a * r - self.gamma * c
-
     def _params(self) -> Tuple[float, ...]:
         return (self.a, self.gamma)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _linear_values(*self._params(), np.asarray(rs, dtype=float),
-                              np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(a: Param, gamma: Param, r: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+        """``a r - gamma c``; ``gamma > 0``, so infinite ``c`` gives
+        ``-inf``."""
+        return a * r - gamma * c
 
     def du_dr(self, r: float, c: float) -> float:
         return self.a
 
     def du_dc(self, r: float, c: float) -> float:
         return -self.gamma
-
-    def marginal_ratio(self, r: float, c: float) -> float:
-        return -self.a / self.gamma
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LinearUtility(gamma={self.gamma}, a={self.a})"
@@ -201,26 +134,26 @@ class ExponentialUtility(Utility):
         self.r_ref = float(r_ref)
         self.c_ref = float(c_ref)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        r_term = -(self.alpha ** 2 / self.beta) * math.exp(
-            -(self.beta / self.alpha) * (r - self.r_ref))
-        exponent = (self.nu / self.gamma) * (c - self.c_ref)
-        if exponent > 700.0:        # exp overflow guard
-            return -math.inf
-        c_term = -(self.gamma ** 2 / self.nu) * math.exp(exponent)
-        return r_term + c_term
-
     def _params(self) -> Tuple[float, ...]:
         return (-(self.alpha ** 2 / self.beta), -(self.beta / self.alpha),
                 self.r_ref, self.gamma ** 2 / self.nu, self.nu / self.gamma,
                 self.c_ref)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _exponential_values(*self._params(),
-                                   np.asarray(rs, dtype=float),
-                                   np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(r_scale: Param, r_rate: Param, r_ref: Param,
+                c_scale: Param, c_rate: Param, c_ref: Param,
+                r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``r_scale e^{r_rate (r - r_ref)} - c_scale e^{c_rate (c - c_ref)}``.
+
+        ``-inf`` where ``c`` is infinite or the congestion exponent
+        passes 700 (the overflow guard).
+        """
+        exponent = np.where(np.isinf(c), math.inf, c_rate * (c - c_ref))
+        with np.errstate(over="ignore"):
+            return np.subtract(r_scale * np.exp(r_rate * (r - r_ref)),
+                               c_scale * np.exp(exponent),
+                               out=np.full(r.shape, -math.inf),
+                               where=exponent <= 700.0)
 
     def du_dr(self, r: float, c: float) -> float:
         return self.alpha * math.exp(
@@ -261,19 +194,17 @@ class PowerUtility(Utility):
         self.p = float(p)
         self.q = float(q)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        if r < 0.0 or c < 0.0:
-            return -math.inf
-        return self.a * r ** self.p - self.gamma * c ** self.q
-
     def _params(self) -> Tuple[float, ...]:
         return (self.a, self.gamma, self.p, self.q)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _power_values(*self._params(), np.asarray(rs, dtype=float),
-                             np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(a: Param, gamma: Param, p: Param, q: Param, r: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+        """``a r^p - gamma c^q``; ``-inf`` for infinite or negative inputs."""
+        ok = ~np.isinf(c) & (r >= 0.0) & (c >= 0.0)
+        return np.subtract(a * _power(np.where(ok, r, 0.0), p),
+                           gamma * _power(np.where(ok, c, 0.0), q),
+                           out=np.full(r.shape, -math.inf), where=ok)
 
     def du_dr(self, r: float, c: float) -> float:
         if r <= 0.0 and self.p < 1.0:
@@ -311,18 +242,15 @@ class QuadraticUtility(Utility):
         self.a = float(a)
         self.b = float(b)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        return self.a * r + self.b * r * r - self.gamma * c
-
     def _params(self) -> Tuple[float, ...]:
         return (self.a, self.b, self.gamma)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _quadratic_values(*self._params(),
-                                 np.asarray(rs, dtype=float),
-                                 np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(a: Param, b: Param, gamma: Param, r: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+        """``a r + b r^2 - gamma c``, ``-inf`` where ``c`` is infinite."""
+        return np.where(np.isinf(c), -math.inf,
+                        a * r + b * r * r - gamma * c)
 
     def du_dr(self, r: float, c: float) -> float:
         return self.a + 2.0 * self.b * r
@@ -354,18 +282,15 @@ class ThresholdUtility(Utility):
         self.gamma = float(gamma)
         self.a = float(a)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        return self.a * min(r, self.threshold) - self.gamma * c
-
     def _params(self) -> Tuple[float, ...]:
         return (self.a, self.threshold, self.gamma)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _threshold_values(*self._params(),
-                                 np.asarray(rs, dtype=float),
-                                 np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(a: Param, threshold: Param, gamma: Param, r: np.ndarray,
+                c: np.ndarray) -> np.ndarray:
+        """``a min(r, t) - gamma c``, ``-inf`` where ``c`` is infinite."""
+        return np.where(np.isinf(c), -math.inf,
+                        a * np.minimum(r, threshold) - gamma * c)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ThresholdUtility(threshold={self.threshold}, "
@@ -402,23 +327,28 @@ class BiconvexUtility(Utility):
         self.b0 = float(b0)
         self.b1 = float(b1)
 
-    def value(self, r: float, c: float) -> float:
-        if math.isinf(c):
-            return -math.inf
-        exponent = self.a1 * r
-        if exponent > 700.0:
-            return math.inf
-        return ((self.a0 / self.a1) * math.exp(exponent)
-                - self.ell * c
-                + (self.b0 / self.b1) * math.exp(-self.b1 * c))
-
     def _params(self) -> Tuple[float, ...]:
         return (self.a1, self.a0 / self.a1, self.ell, self.b0 / self.b1,
                 -self.b1)
 
-    def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        return _biconvex_values(*self._params(), np.asarray(rs, dtype=float),
-                                np.asarray(cs, dtype=float))
+    @staticmethod
+    def formula(a1: Param, r_scale: Param, ell: Param, c_scale: Param,
+                c_rate: Param, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``r_scale e^{a1 r} - ell c + c_scale e^{c_rate c}``.
+
+        ``-inf`` where ``c`` is infinite, else ``+inf`` where ``a1 r``
+        passes 700 (the overflow guard).
+        """
+        exponent = a1 * r
+        finite = ~np.isinf(c)
+        big = exponent > 700.0
+        ok = finite & ~big
+        e = np.where(ok, exponent, 0.0)
+        cc = np.where(ok, c, 0.0)
+        return np.add(r_scale * np.exp(e) - ell * cc,
+                      c_scale * np.exp(c_rate * cc),
+                      out=np.where(finite & big, math.inf, -math.inf),
+                      where=ok)
 
     def du_dc(self, r: float, c: float) -> float:
         return -(self.ell + self.b0 * math.exp(-self.b1 * c))
@@ -487,18 +417,6 @@ class MonotoneTransformedUtility(Utility):
         return f"MonotoneTransformedUtility({self.base!r})"
 
 
-#: Each parametric family's formula; ``value_grid_rows`` calls it with
-#: one column per ``_params()`` entry.
-_FORMULAS: Dict[type, Callable[..., np.ndarray]] = {
-    LinearUtility: _linear_values,
-    ExponentialUtility: _exponential_values,
-    PowerUtility: _power_values,
-    QuadraticUtility: _quadratic_values,
-    ThresholdUtility: _threshold_values,
-    BiconvexUtility: _biconvex_values,
-}
-
-
 def _column(values: Tuple[float, ...]) -> Param:
     """One parameter over the rows: a float when every row has the
     same one (bit for bit, signed zeros included), else a ``(B, 1)``
@@ -516,14 +434,13 @@ def value_grid_rows(utilities: Sequence[Utility]) -> RowValues:
 
     The returned callable maps aligned ``(B, K)`` rate and congestion
     arrays to ``Y`` with ``Y[k] = utilities[k].value_grid(X[k], C[k])``
-    bit for bit.  A profile of one parametric family (the exact class,
-    not a subclass) is one pass of the family's formula with its
-    parameters as columns — a parameter every row shares stays a
-    scalar; wrappers, subclasses and mixed profiles stack each row's
-    own ``value_grid``.
+    bit for bit.  A profile of one class (the exact class) with a
+    formula is one pass of that formula with its parameters as columns
+    — a parameter every row shares stays a scalar; wrappers and mixed
+    profiles stack each row's own ``value_grid``.
     """
-    kind = type(utilities[0]) if utilities else None
-    formula = _FORMULAS.get(kind)
+    kind = type(utilities[0]) if utilities else Utility
+    formula = kind.formula
     if formula is not None and all(type(u) is kind for u in utilities):
         params: List[Param] = [
             _column(values)

@@ -16,9 +16,9 @@ punish overload.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,29 +31,45 @@ _H = 1e-6
 class Utility(ABC):
     """Ordinal preferences over allocations ``(r, c)``.
 
-    Subclasses implement :meth:`value`; derivative methods have numeric
-    defaults that concrete families override with closed forms.
+    A parametric family states its formula once, as :attr:`formula`
+    beside :meth:`_params`; the base runs it for :meth:`value` (on 0-d
+    arrays) and :meth:`value_grid`, so the two agree bit for bit.  A
+    utility built on another (a wrapper) writes :meth:`value` instead,
+    and :meth:`value_grid` loops over it; one that writes neither
+    raises ``TypeError``.  Derivative methods have numeric defaults
+    that concrete families override with closed forms.
     """
 
-    @abstractmethod
+    #: ``(params..., r, c) -> values`` over aligned arrays, called with
+    #: :meth:`_params` (a static method in a family); ``None`` for a
+    #: utility that writes :meth:`value`.
+    formula: Optional[Callable[..., np.ndarray]] = None
+
+    def _params(self) -> Tuple[float, ...]:
+        """The formula's leading arguments."""
+        return ()
+
     def value(self, r: float, c: float) -> float:
         """Utility of receiving throughput ``r`` at congestion ``c``.
 
         Must return ``-inf`` when ``c`` is infinite.
         """
+        if self.formula is None:
+            raise TypeError(f"{type(self).__name__} must write value "
+                            f"or a formula")
+        return float(self.value_grid(r, c))
 
     def __call__(self, r: float, c: float) -> float:
         return self.value(r, c)
 
     def value_grid(self, rs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`value` over aligned rate/congestion arrays.
-
-        The default loops over the points (bit-identical to scalar
-        calls); the closed-form families override it with one numpy
-        pass so batched solvers stay batched end to end.
-        """
+        """Vectorized :meth:`value` over aligned rate/congestion arrays:
+        one pass of the formula, or a loop over a written :meth:`value`
+        (bit-identical to scalar calls either way)."""
         r_arr = np.asarray(rs, dtype=float)
         c_arr = np.asarray(cs, dtype=float)
+        if self.formula is not None:
+            return self.formula(*self._params(), r_arr, c_arr)
         return np.asarray(
             [self.value(r, c)
              for r, c in zip(r_arr.tolist(), c_arr.tolist())], dtype=float)

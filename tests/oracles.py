@@ -33,8 +33,10 @@
 * :func:`payoff_table_loop`, :func:`coalition_scan_loop` and
   :func:`worst_case_loop` are the elimination, coalition and
   adversarial scans point by point: congestion one profile at a time,
-  in ``itertools.product`` order, the best point kept by a strict
-  ``>``.  The scans batch every point in one ``congestion_many`` call.
+  in ``itertools.product`` order, each utility one ``Utility.value``
+  call, the best point kept by a strict ``>``.  The scans batch every
+  point in one ``congestion_many`` call and score it with
+  ``value_grid``.
 * :func:`numeric_gradient`, :func:`numeric_jacobian`,
   :func:`numeric_second_partial` and :func:`numeric_second_gradient`
   are central differences of ``congestion_i``, the references for every
@@ -154,8 +156,10 @@ def payoff_table_loop(allocation, profile: Sequence[Utility],
     points = np.array(list(itertools.product(*grids)), dtype=float)
     congestion = np.stack([allocation.congestion(row) for row in points])
     shapes = tuple(len(g) for g in grids)
-    return [profile[i].value_grid(points[:, i],
-                                  congestion[:, i]).reshape(shapes)
+    return [np.array([profile[i].value(r, c)
+                      for r, c in zip(points[:, i].tolist(),
+                                      congestion[:, i].tolist())]
+                     ).reshape(shapes)
             for i in range(len(grids))]
 
 
@@ -179,12 +183,13 @@ def coalition_scan_loop(allocation, profile: Sequence[Utility],
     candidates[:, members] = np.maximum(joints, 1e-6)
     congestion = np.stack([allocation.congestion(row)
                            for row in candidates])
-    values = [profile[m].value_grid(candidates[:, m], congestion[:, m])
-              for m in members]
     best_gain, best_joint = 0.0, base[members].copy()
     for b, joint in enumerate(joints):
-        gains = [float(v[b]) - u for v, u in zip(values, base_u)]
-        finite = all(math.isfinite(float(v[b])) for v in values)
+        values = [profile[m].value(float(candidates[b, m]),
+                                   float(congestion[b, m]))
+                  for m in members]
+        gains = [v - u for v, u in zip(values, base_u)]
+        finite = all(math.isfinite(v) for v in values)
         gain = min(gains) if finite else -1e9
         if gain > best_gain:
             best_gain, best_joint = gain, joint

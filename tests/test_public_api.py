@@ -247,8 +247,9 @@ def planted_tree(tmp_path):
 
 class TestImportBoundary:
     """A command loads only the layers it runs: the checker and the
-    simulator never load the equilibrium solvers (scipy), and the
-    checker, ``--help`` and ``explain`` load no numpy either."""
+    simulator never load the equilibrium solvers (scipy), the sweep
+    loads no game or experiment registry module, and the checker,
+    ``--help`` and ``explain`` load no numpy either."""
 
     def test_check_loads_no_numerics(self, planted_tree):
         code, out, heavy = _heavy_imports(
@@ -270,10 +271,15 @@ class TestImportBoundary:
         assert heavy == set()
 
     def test_sweep_parent_loads_no_scipy(self, tmp_path):
-        code, _, heavy = _heavy_imports(
-            ["-c", "import repro.sim.kernels, repro.sweep.scheduler"],
+        # Nor the game layer or the experiment registry (which imports
+        # every experiment), through the report's plot helper.
+        code, out, heavy = _heavy_imports(
+            ["-c", "import sys, repro.sim.kernels, repro.sweep, "
+                   "repro.sweep.scheduler; print(sorted(m for m in "
+                   "sys.modules if m.startswith(('repro.game', "
+                   "'repro.experiments.registry'))))"],
             tmp_path)
-        assert code == 0
+        assert (code, out) == (0, "[]\n")
         assert "scipy" not in heavy
 
     def test_tandem_rejects_an_unsharded_policy(self, capsys):

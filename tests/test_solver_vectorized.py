@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.disciplines.base import Differentiable
@@ -59,6 +59,7 @@ from repro.users.families import (BiconvexUtility, ExponentialUtility,
                                   LinearUtility, PowerUtility,
                                   QuadraticUtility, ThresholdUtility,
                                   value_grid_rows)
+from repro.users.utility import Utility
 from tests.oracles import (coalition_scan_loop, driver_nash,
                            payoff_table_loop, scalar_best_response,
                            scalar_nash, serial_nash, worst_case_loop)
@@ -362,12 +363,36 @@ class TestRowValues:
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
             want = [u.value_grid(x, c) for u, x, c in zip(profile, xs, cs)]
+        # The scalar value runs the same formula on 0-d arrays: every
+        # entry, infinities included, and it never raises.
+        with warnings.catch_warnings(record=True) as scalar:
+            warnings.simplefilter("always")
+            points = [[u.value(r, c).hex()
+                       for r, c in zip(x.tolist(), c_row.tolist())]
+                      for u, x, c_row in zip(profile, xs, cs)]
         assert [row.tobytes() for row in got] == \
             [row.tobytes() for row in want]
+        assert points == [[v.hex() for v in row.tolist()] for row in got]
         # The same floating-point warnings (an exp overflow at a
         # negative congestion, say), or none.
         assert {str(w.message) for w in batched} == \
-            {str(w.message) for w in alone}
+            {str(w.message) for w in alone} == \
+            {str(w.message) for w in scalar}
+
+    def test_scalar_value_past_the_exp_guard_is_minus_inf(self):
+        # The Lemma-5 throughput exponent is 800 here: the value is
+        # -inf, as on the grid, not an OverflowError.
+        utility = ExponentialUtility(alpha=1.0, beta=800.0, gamma=1.0,
+                                     nu=1.0, r_ref=1.0)
+        assert utility.value(0.0, 0.5) == -math.inf
+        assert utility.value_grid([0.0], [0.5]).tolist() == [-math.inf]
+
+    def test_utility_without_value_or_formula_raises(self):
+        class Bare(Utility):
+            pass
+
+        with pytest.raises(TypeError, match="Bare must write value"):
+            Bare().value(0.1, 0.2)
 
 
 def _profiles(min_users=2, max_users=5):
@@ -709,6 +734,12 @@ class TestBatchedScansMatchScalarLoops:
         assert batched.deviation.tobytes() == joint.tobytes()
 
     @given(case=scan_cases(), points=st.integers(2, 6))
+    @example(case=(make_discipline("fair-share"), np.array([
+        float.fromhex("0x1.0648806675c5dp-5"),
+        float.fromhex("0x1.4d0dbbdd45381p-5"),
+        float.fromhex("0x1.86bc6f51029f0p-7")]),
+        [PowerUtility(gamma=0.5, p=0.5, q=1.0) for _ in range(3)]),
+        points=2)
     @settings(max_examples=15, deadline=None)
     def test_payoff_tables_and_elimination(self, case, points):
         allocation, rates, profile = case
